@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz bench-smoke trace-smoke trace-golden snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-scale bench-gate bench-server bench-controller baseline bench-warmstart clean
+.PHONY: ci vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate bench-server bench-warmstart clean
 
 ## ci: everything the driver checks — vet, build, race-enabled tests, a
 ## short fuzz pass over the wire codecs, a one-shot large-scale benchmark
-## smoke run, the telemetry pipeline smoke test, the snapshot round-trip
+## smoke run, the bench/ harness's own smoke (its compile-time surface on
+## this module), the telemetry pipeline smoke test, the snapshot round-trip
 ## smoke test, a short 10k-node run on the sparse sharded engine, the
 ## controller-layer smoke (four-way chaos with recovery asserted), the
 ## simulation-service end-to-end smoke, the crash-recovery smoke, and the
 ## gateway fault-tolerance smoke.
-ci: vet build race fuzz bench-smoke trace-smoke snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
+ci: vet build race fuzz bench-smoke bench-harness-smoke trace-smoke snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
 
 vet:
 	$(GO) vet ./...
@@ -39,6 +40,13 @@ fuzz:
 ## paying for a full measurement.
 bench-smoke:
 	$(GO) test -run='^$$' -bench=BenchmarkFig12LargeScale -benchtime=1x .
+
+## bench-harness-smoke: bench/ is a module of its own that compiles
+## against this one (sc.NW, sc.MACNode, sc.Take, snapshot.Encode/Decode/
+## Cache, scenario.BuildFromMeta); its smoke tests fail here before the
+## benchmark pipeline runs a harness that no longer builds.
+bench-harness-smoke:
+	cd bench && $(GO) test ./...
 
 ## trace-smoke: run a short Figure 4 slice with packet-lifecycle tracing
 ## on, replay the trace through digs-trace, and diff the report against the
@@ -94,19 +102,6 @@ controller-smoke:
 	$(GO) run ./cmd/digs-chaos -plan fig8 -topology testbed-a -duration 30s -require-recovery >/dev/null
 	@echo controller-smoke: OK
 
-## bench-controller: regenerate BENCH_controller.json — the controller
-## stacks (sdn, adaptive) on the dense testbed and the sparse sharded
-## engine: join counts after the formation window and steady-state
-## slots/s.
-bench-controller:
-	$(GO) run ./cmd/digs-bench -bench-controller BENCH_controller.json
-
-## bench-scale: regenerate BENCH_scale.json — the nodes x protocol x
-## shards throughput matrix, including the dense-engine twin that anchors
-## the sparse engine's speedup claim.
-bench-scale:
-	$(GO) run ./cmd/digs-bench -bench-scale BENCH_scale.json
-
 ## server-smoke: the simulation service end to end — self-host a
 ## digs-server, submit a small generated plant over HTTP, follow its SSE
 ## telemetry stream to completion, verify the result hash and the
@@ -154,25 +149,17 @@ gateway-smoke:
 bench-server:
 	$(GO) run ./cmd/digs-load -o BENCH_server.json
 
-## bench-gate: re-time the gated BENCH_scale.json cells (fail when any
-## regresses more than 15% in slots/s) and re-run the server load bench
-## against BENCH_server.json (fail when req/s drops or a class p99 grows
-## past tolerance). Kept out of `ci`: wall-clock gates belong on
-## dedicated runners, not shared machines.
+## bench-gate: the repo's benchmark (BENCHMARK.json): four workloads,
+## every op verified, end-to-end and per-layer metrics. Kept out of `ci`:
+## wall-clock numbers belong on dedicated runners, not shared machines.
 bench-gate:
-	$(GO) run ./cmd/digs-bench -bench-gate BENCH_scale.json
-	$(GO) run ./cmd/digs-load -gate BENCH_server.json
+	bash bench/run.sh
 
 ## bench-warmstart: regenerate BENCH_warmstart.json — cold vs warm-started
 ## chaos campaign wall-clock, with a byte-identity check on the reports.
 bench-warmstart:
 	$(GO) run ./cmd/digs-chaos -plan fig8 -topology testbed-a \
 		-protocols digs,orchestra,whart -bench-warmstart BENCH_warmstart.json >/dev/null
-
-## baseline: regenerate BENCH_baseline.json — sequential vs parallel
-## wall-clock for reference campaigns, with a bit-identity check.
-baseline:
-	$(GO) run ./cmd/digs-bench -perf-baseline BENCH_baseline.json
 
 clean:
 	$(GO) clean ./...

@@ -34,8 +34,6 @@ func run() error {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	parallel := flag.Int("parallel", 0,
 		"campaign worker pool size (0 = GOMAXPROCS); campaigns are bit-identical at any setting")
-	baseline := flag.String("perf-baseline", "",
-		"time a reduced campaign sequentially and in parallel, write the JSON report to this file, and exit")
 	trace := flag.String("trace", "",
 		"write the packet-lifecycle trace of the Figure 4/5 campaign (JSONL) to this file; requires -fig 4 or -fig 5")
 	smoke := flag.Bool("smoke", false,
@@ -44,29 +42,11 @@ func run() error {
 		"run the invariant monitor with self-healing watchdogs during the Figure 4/5 campaign")
 	snapCache := flag.String("snap-cache", "",
 		"snapshot cache directory for the Figure 9/10/11 campaigns: formation restores from it when cached and populates it when not, with bit-identical figures")
-	benchScale := flag.String("bench-scale", "",
-		"run the scale benchmark matrix (nodes x protocol x shards), write the JSON report to this file, and exit")
-	benchGate := flag.String("bench-gate", "",
-		"re-time the gated scale matrix cells and fail on >15% slots/s regression vs this checked-in BENCH_scale.json")
-	benchController := flag.String("bench-controller", "",
-		"run the controller-stack matrix (sdn/adaptive x dense/sharded), write the JSON report to this file, and exit")
 	scaleSmoke := flag.Bool("scale-smoke", false,
 		"briefly step a generated 10k-node deployment on the sparse sharded engine under DiGS and Orchestra, then exit")
 	flag.Parse()
 
 	campaign.SetDefaultWorkers(*parallel)
-	if *baseline != "" {
-		return writePerfBaseline(*baseline, *seed)
-	}
-	if *benchScale != "" {
-		return writeBenchScale(*benchScale, *seed)
-	}
-	if *benchGate != "" {
-		return gateBenchScale(*benchGate, *seed)
-	}
-	if *benchController != "" {
-		return writeBenchController(*benchController, *seed)
-	}
 	if *scaleSmoke {
 		return runScaleSmoke(*seed)
 	}

@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"github.com/digs-net/digs/internal/flows"
@@ -12,135 +10,18 @@ import (
 	"github.com/digs-net/digs/internal/sim"
 )
 
-// scaleCase is one cell of the scale benchmark matrix.
-type scaleCase struct {
-	Name     string `json:"name"`
-	Topology string `json:"topology"`
-	Nodes    int    `json:"nodes"`
-	Protocol string `json:"protocol"`
-	// Engine is "dense" (legacy sequential slot loop over the full RSS
-	// matrix) or "scale" (sparse sharded engine).
-	Engine string `json:"engine"`
-	Shards int    `json:"shards"`
-	// Gate marks the cells bench-gate re-times in CI.
-	Gate bool `json:"gate"`
-
-	WarmSlots  int64 `json:"warm_slots"`
-	TimedSlots int64 `json:"timed_slots"`
-
-	Joined     int       `json:"joined"`
-	WallS      float64   `json:"wall_s"`
-	SlotsPerS  float64   `json:"slots_per_s"`
-	ShardBusyS []float64 `json:"shard_busy_s,omitempty"`
-	// SpeedupVsDense is filled on scale cells that have a dense twin in
-	// the matrix (same topology and protocol): dense wall / scale wall.
-	SpeedupVsDense float64 `json:"speedup_vs_dense,omitempty"`
-}
-
-// scaleReport is the BENCH_scale.json schema. GOMAXPROCS and SingleCPU
-// are recorded so a ~1.0x shard speedup on a single-CPU runner is read as
-// "time-sliced, not parallel" instead of a regression.
-type scaleReport struct {
-	GeneratedAt string      `json:"generated_at"`
-	GoVersion   string      `json:"go_version"`
-	NumCPU      int         `json:"num_cpu"`
-	GOMAXPROCS  int         `json:"gomaxprocs"`
-	SingleCPU   bool        `json:"single_cpu"`
-	Note        string      `json:"note"`
-	Cases       []scaleCase `json:"cases"`
-}
-
-// scaleMatrix is the tracked benchmark matrix: nodes x protocol x shards,
-// plus the dense-engine twin at 1k nodes that anchors the speedup claim.
-// Budgets keep the full matrix under ~2 minutes on one CPU; the timed
-// window starts after a warm-up so it measures the converged steady state
-// (where napping and sparse resolution pay), not the join transient.
-func scaleMatrix() []scaleCase {
-	return []scaleCase{
-		{Name: "digs-1k-dense", Topology: "gen-plant-1000-3", Protocol: "digs",
-			Engine: "dense", WarmSlots: 60_000, TimedSlots: 10_000, Gate: true},
-		{Name: "digs-1k-scale-1", Topology: "gen-plant-1000-3", Protocol: "digs",
-			Engine: "scale", Shards: 1, WarmSlots: 60_000, TimedSlots: 10_000, Gate: true},
-		{Name: "digs-1k-scale-2", Topology: "gen-plant-1000-3", Protocol: "digs",
-			Engine: "scale", Shards: 2, WarmSlots: 60_000, TimedSlots: 10_000},
-		{Name: "digs-1k-scale-4", Topology: "gen-plant-1000-3", Protocol: "digs",
-			Engine: "scale", Shards: 4, WarmSlots: 60_000, TimedSlots: 10_000},
-		{Name: "orchestra-1k-scale-1", Topology: "gen-plant-1000-3", Protocol: "orchestra",
-			Engine: "scale", Shards: 1, WarmSlots: 60_000, TimedSlots: 10_000},
-		{Name: "digs-10k-scale-1", Topology: "gen-plant-10000-3", Protocol: "digs",
-			Engine: "scale", Shards: 1, WarmSlots: 5_000, TimedSlots: 3_000},
-		{Name: "digs-10k-scale-4", Topology: "gen-plant-10000-3", Protocol: "digs",
-			Engine: "scale", Shards: 4, WarmSlots: 5_000, TimedSlots: 3_000},
-		{Name: "orchestra-10k-scale-1", Topology: "gen-plant-10000-3", Protocol: "orchestra",
-			Engine: "scale", Shards: 1, WarmSlots: 5_000, TimedSlots: 3_000},
-	}
-}
-
-// runScaleCase executes one matrix cell: build, warm up, then time a
-// steady-state window with the topology's suggested flows live. Any
-// registered stack runs here — the scenario registry is the dispatch.
-func runScaleCase(c *scaleCase, seed int64) error {
-	topo, err := scenario.PickTopology(c.Topology)
-	if err != nil {
-		return fmt.Errorf("scale case %s: %w", c.Name, err)
-	}
-	c.Nodes = topo.N()
-
-	p := scenario.Params{Topology: topo, TopologyName: c.Topology, Protocol: c.Protocol, Seed: seed}
-	switch c.Engine {
-	case "dense":
-		topo.ForceSparse = false
-		if topo.SparseOnly() {
-			return fmt.Errorf("scale case %s: %d nodes cannot run the dense engine", c.Name, topo.N())
-		}
-	case "scale":
-		p.Shards = c.Shards
-		if p.Shards < 1 {
-			p.Shards = 1
-		}
-	default:
-		return fmt.Errorf("scale case %s: unknown engine %q", c.Name, c.Engine)
-	}
-	sc, err := scenario.Build(p)
-	if err != nil {
-		return fmt.Errorf("scale case %s: %w", c.Name, err)
-	}
-	nw := sc.NW
-
-	nw.Run(c.WarmSlots)
-	fset := flows.FixedSet(topo.SuggestedSources, 2*time.Second)
-	flows.Schedule(nw, fset, int(c.TimedSlots/200)+1, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn})
-	})
-	busyBefore := nw.ShardBusy()
-	start := time.Now()
-	nw.Run(c.TimedSlots)
-	wall := time.Since(start)
-
-	c.Joined = sc.Joined()
-	c.WallS = wall.Seconds()
-	c.SlotsPerS = float64(c.TimedSlots) / wall.Seconds()
-	if busy := nw.ShardBusy(); busy != nil {
-		c.ShardBusyS = make([]float64, len(busy))
-		for i := range busy {
-			d := busy[i]
-			if busyBefore != nil && i < len(busyBefore) {
-				d -= busyBefore[i]
-			}
-			c.ShardBusyS[i] = d.Seconds()
-		}
-	}
-	return nil
-}
-
 // runScaleSmoke briefly steps a generated 10k-node deployment on the
 // sparse sharded engine under both distributed stacks — a cheap CI check
 // that the massive-scale path still builds, shards and makes join
 // progress. WirelessHART is excluded by design: its centralised manager
 // computes the whole schedule up front, which is the scaling limit the
-// paper's distributed approach removes.
+// paper's distributed approach removes. (Timed measurement of the engine
+// is bench/'s job: the scale-1k workloads.)
 func runScaleSmoke(seed int64) error {
-	const slots = 6000
+	const (
+		topoName = "gen-plant-10000-3"
+		slots    = 6000
+	)
 	for _, tc := range []struct {
 		protocol string
 		shards   int
@@ -148,106 +29,29 @@ func runScaleSmoke(seed int64) error {
 		{"digs", 4},
 		{"orchestra", 1},
 	} {
-		c := scaleCase{Name: "smoke-" + tc.protocol, Topology: "gen-plant-10000-3",
-			Protocol: tc.protocol, Engine: "scale", Shards: tc.shards,
-			WarmSlots: 0, TimedSlots: slots}
 		fmt.Fprintf(os.Stderr, "scale-smoke: %s on %s, %d shards, %d slots...\n",
-			tc.protocol, c.Topology, tc.shards, slots)
-		if err := runScaleCase(&c, seed); err != nil {
-			return err
+			tc.protocol, topoName, tc.shards, slots)
+		sc, err := scenario.Build(scenario.Params{
+			TopologyName: topoName, Protocol: tc.protocol, Seed: seed, Shards: tc.shards,
+		})
+		if err != nil {
+			return fmt.Errorf("scale-smoke: %s: %w", tc.protocol, err)
 		}
-		if c.Joined == 0 {
+		if !sc.NW.ScaleMode() {
+			return fmt.Errorf("scale-smoke: %s did not select the sparse engine", topoName)
+		}
+		fset := flows.FixedSet(sc.Params.Topology.SuggestedSources, 2*time.Second)
+		flows.Schedule(sc.NW, fset, slots/200+1, func(f flows.Flow, seq uint16, asn sim.ASN) {
+			_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn})
+		})
+		start := time.Now()
+		sc.NW.Run(slots)
+		wall := time.Since(start)
+		if sc.Joined() == 0 {
 			return fmt.Errorf("scale-smoke: %s: no node joined within %d slots", tc.protocol, slots)
 		}
-		fmt.Printf("%-16s nodes=%d joined=%d  %8.0f slots/s\n", c.Name, c.Nodes, c.Joined, c.SlotsPerS)
-	}
-	return nil
-}
-
-// writeBenchScale runs the full matrix and writes BENCH_scale.json.
-func writeBenchScale(path string, seed int64) error {
-	report := scaleReport{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		GoVersion:   runtime.Version(),
-		NumCPU:      runtime.NumCPU(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		SingleCPU:   runtime.GOMAXPROCS(0) == 1,
-		Cases:       scaleMatrix(),
-	}
-	if report.SingleCPU {
-		report.Note = "single-CPU host: multi-shard cells measure goroutine time-slicing, not parallel speedup; shard_busy_s still shows the per-shard work split"
-	} else {
-		report.Note = "multi-CPU host: multi-shard wall-clock reflects real parallelism"
-	}
-	denseWall := map[string]float64{}
-	for i := range report.Cases {
-		c := &report.Cases[i]
-		fmt.Fprintf(os.Stderr, "bench-scale: %s (%s, %s engine, %d shards)...\n",
-			c.Name, c.Topology, c.Engine, c.Shards)
-		if err := runScaleCase(c, seed); err != nil {
-			return err
-		}
-		key := c.Topology + "/" + c.Protocol
-		if c.Engine == "dense" {
-			denseWall[key] = c.WallS
-		} else if dw, ok := denseWall[key]; ok && c.WallS > 0 {
-			c.SpeedupVsDense = dw / c.WallS
-		}
-		fmt.Printf("%-24s nodes=%-6d joined=%-6d wall=%6.2fs  %8.0f slots/s", c.Name, c.Nodes, c.Joined, c.WallS, c.SlotsPerS)
-		if c.SpeedupVsDense > 0 {
-			fmt.Printf("  %.2fx vs dense", c.SpeedupVsDense)
-		}
-		fmt.Println()
-	}
-	blob, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
-}
-
-// gateBenchScale re-times the gated matrix cells and fails when any is
-// more than 15% slower (slots/s) than the checked-in BENCH_scale.json.
-// Speedups update nothing: refreshing the baseline is an explicit
-// `make bench-scale` + commit.
-func gateBenchScale(path string, seed int64) error {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("bench-gate: read baseline: %w (run `make bench-scale` to create it)", err)
-	}
-	var baseline scaleReport
-	if err := json.Unmarshal(blob, &baseline); err != nil {
-		return fmt.Errorf("bench-gate: parse %s: %w", path, err)
-	}
-	base := map[string]scaleCase{}
-	for _, c := range baseline.Cases {
-		base[c.Name] = c
-	}
-	const tolerance = 0.15
-	failed := 0
-	for _, c := range scaleMatrix() {
-		if !c.Gate {
-			continue
-		}
-		ref, ok := base[c.Name]
-		if !ok || ref.SlotsPerS <= 0 {
-			return fmt.Errorf("bench-gate: baseline %s has no usable entry %q (run `make bench-scale`)", path, c.Name)
-		}
-		fmt.Fprintf(os.Stderr, "bench-gate: %s...\n", c.Name)
-		if err := runScaleCase(&c, seed); err != nil {
-			return err
-		}
-		ratio := c.SlotsPerS / ref.SlotsPerS
-		status := "ok"
-		if ratio < 1-tolerance {
-			status = "REGRESSION"
-			failed++
-		}
-		fmt.Printf("%-24s baseline %8.0f slots/s  now %8.0f slots/s  (%.2fx)  %s\n",
-			c.Name, ref.SlotsPerS, c.SlotsPerS, ratio, status)
-	}
-	if failed > 0 {
-		return fmt.Errorf("bench-gate: %d cell(s) regressed more than %.0f%% vs %s", failed, tolerance*100, path)
+		fmt.Printf("smoke-%-10s nodes=%d joined=%d  %8.0f slots/s\n",
+			tc.protocol, sc.Params.Topology.N(), sc.Joined(), slots/wall.Seconds())
 	}
 	return nil
 }

@@ -290,9 +290,9 @@ func runPlan(w io.Writer, opts options, proto string, seed int64, cache *snapsho
 	// stack's reboot path with callbacks preserved.
 	var mon *invariant.Monitor
 	if opts.invariants {
-		mon = invariant.New(invariant.Config{Emit: chain, Heal: sc.Healer})
+		mon = invariant.New(invariant.Config{Emit: chain, Heal: sc.Healer()})
 		chain = telemetry.Multi(rec, jsonl, mon)
-		invariant.Attach(nw, mon, sc.Prober, 0)
+		invariant.Attach(nw, mon, sc.Prober(nw), 0)
 	}
 	live := func() int {
 		n := 0

@@ -307,9 +307,6 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 	nw.Run(sim.SlotsFor(30 * time.Second))
 
 	if dumpNode > 0 {
-		if sc.Schedule == nil {
-			return nil, fmt.Errorf("-dump-schedule is not supported for -protocol %s", opts.protocol)
-		}
 		return nil, dumpSchedule(w, nw, sc.Schedule, dumpNode)
 	}
 
@@ -320,13 +317,13 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 	// being written.
 	var mon *invariant.Monitor
 	if opts.invariants {
-		mon = invariant.New(invariant.Config{Emit: tracer, Heal: sc.Healer})
+		mon = invariant.New(invariant.Config{Emit: tracer, Heal: sc.Healer()})
 		var chain telemetry.Tracer = mon
 		if tracer != nil {
 			chain = telemetry.Multi(tracer, mon)
 		}
 		sc.SetTracer(chain)
-		invariant.Attach(nw, mon, sc.Prober, 0)
+		invariant.Attach(nw, mon, sc.Prober(nw), 0)
 	}
 
 	// Interference.

@@ -9,6 +9,7 @@ import (
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
 )
@@ -196,6 +197,18 @@ func NewAdaptiveStack(id topology.NodeID, isRoot bool, cfg AdaptiveConfig, rng *
 
 // Router exposes the RPL state for experiments and tests.
 func (s *AdaptiveStack) Router() *rpl.Router { return s.router }
+
+// Joined implements stack.Node: the node is in the DODAG.
+func (s *AdaptiveStack) Joined() bool { return s.router.Joined() }
+
+// SetRouteHook implements stack.Node.
+func (s *AdaptiveStack) SetRouteHook(fn stack.RouteHook) { s.router.OnParentChange = fn }
+
+// Probe implements stack.Node. RPL keeps a single preferred parent, so
+// backup is always 0, like Orchestra.
+func (s *AdaptiveStack) Probe() (parent, backup topology.NodeID, neighbors int) {
+	return s.router.Parent(), 0, s.router.Neighbors()
+}
 
 // TxCells exposes the current transmit-cell budget for tests and probes.
 func (s *AdaptiveStack) TxCells() int { return s.txCells }

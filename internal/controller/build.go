@@ -5,19 +5,17 @@ import (
 	"math/rand"
 
 	"github.com/digs-net/digs/internal/detrand"
-	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
 // SDNNetwork bundles the per-node MAC and SDN stack instances running over
-// one simulated network.
-type SDNNetwork struct {
-	Nodes  []*mac.Node // indexed by node ID, entry 0 nil
-	Stacks []*SDNStack // indexed by node ID, entry 0 nil
-}
+// one simulated network. Its JoinedCount only rises once the controller
+// has collected reports and disseminated configurations — in-band
+// convergence, not free.
+type SDNNetwork = stack.Network[*SDNStack]
 
 // BuildSDN attaches an SDN stack to every node of the network's topology.
 // The lowest-ID access point runs the controller role; the others are
@@ -34,235 +32,41 @@ func BuildSDN(nw *sim.Network, cfg SDNConfig, macCfg mac.Config) (*SDNNetwork, e
 			controllerID = ap
 		}
 	}
-	out := &SDNNetwork{
-		Nodes:  make([]*mac.Node, topo.N()+1),
-		Stacks: make([]*SDNStack, topo.N()+1),
-	}
-	for i := 1; i <= topo.N(); i++ {
-		id := topology.NodeID(i)
-		stack, err := NewSDNStack(id, topo.IsAP(id), controllerID, topo.N(), aps, cfg)
-		if err != nil {
-			return nil, err
-		}
-		node := mac.NewNode(id, topo.IsAP(id), stack, macCfg)
-		if err := nw.Attach(node); err != nil {
-			return nil, fmt.Errorf("sdn build: %w", err)
-		}
-		out.Nodes[i] = node
-		out.Stacks[i] = stack
-	}
-	return out, nil
-}
-
-// OnDeliver installs the sink callback on every access point.
-func (n *SDNNetwork) OnDeliver(fn func(asn sim.ASN, f *sim.Frame)) {
-	for _, node := range n.Nodes[1:] {
-		if node.IsAP() {
-			node.Sink = fn
-		}
-	}
-}
-
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node, and wires the configured-parent-change callback so both
-// controller reroutes and dead-parent drops appear as route-change events.
-func (n *SDNNetwork) SetTracer(t telemetry.Tracer) {
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		node.SetTracer(t)
-		s := n.Stacks[i]
-		if t == nil {
-			s.onParentChange = nil
-			continue
-		}
-		id := topology.NodeID(i)
-		s.onParentChange = func(asn sim.ASN, parent topology.NodeID) {
-			t.Record(telemetry.Event{
-				ASN:  int64(asn),
-				Type: telemetry.EvRouteChange,
-				Node: id,
-				Peer: parent,
-			})
-		}
-	}
-}
-
-// JoinedCount returns how many nodes are synchronised and hold a routed
-// data-plane state (a controller-assigned parent; access points sink by
-// construction). It only rises once the controller has collected reports
-// and disseminated configurations — in-band convergence, not free.
-func (n *SDNNetwork) JoinedCount() int {
-	joined := 0
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		if synced, _ := node.Synced(); synced && n.Stacks[i].Configured() {
-			joined++
-		}
-	}
-	return joined
-}
-
-// Prober returns the invariant-monitor probe. The controller assigns a
-// single parent per node, so Backup is always 0, like Orchestra.
-func (n *SDNNetwork) Prober(nw *sim.Network) invariant.Prober {
-	return func(states []invariant.NodeState) []invariant.NodeState {
-		for i, node := range n.Nodes {
-			if node == nil {
-				continue
-			}
-			s := n.Stacks[i]
-			synced, _ := node.Synced()
-			states = append(states, invariant.NodeState{
-				ID:        topology.NodeID(i),
-				IsAP:      node.IsAP(),
-				Alive:     !nw.Failed(topology.NodeID(i)),
-				Synced:    synced,
-				Parent:    s.Parent(),
-				Queue:     node.QueueLen(),
-				LastRx:    node.LastRx(),
-				Neighbors: len(s.rss),
-			})
-		}
-		return states
-	}
-}
-
-// Healer returns the watchdog hook: a cold restart through the stack's
-// Resetter, so the node rejoins from scratch and waits to be reconfigured.
-func (n *SDNNetwork) Healer() func(id topology.NodeID, asn sim.ASN) {
-	return func(id topology.NodeID, asn sim.ASN) {
-		if int(id) < len(n.Nodes) && n.Nodes[id] != nil {
-			n.Nodes[id].Reboot(asn, true)
-		}
-	}
+	return stack.Build(nw, SDNCodec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
+		func(id topology.NodeID, isAP bool) (*SDNStack, error) {
+			return NewSDNStack(id, isAP, controllerID, topo.N(), aps, cfg)
+		})
 }
 
 // AdaptiveNetwork bundles the per-node MAC and adaptive-allocator stacks
 // running over one simulated network.
-type AdaptiveNetwork struct {
-	Nodes  []*mac.Node      // indexed by node ID, entry 0 nil
-	Stacks []*AdaptiveStack // indexed by node ID, entry 0 nil
-}
+type AdaptiveNetwork = stack.Network[*AdaptiveStack]
 
 // BuildAdaptive attaches an adaptive stack to every node of the network's
 // topology (access points act as RPL roots).
 func BuildAdaptive(nw *sim.Network, cfg AdaptiveConfig, macCfg mac.Config, seed int64) (*AdaptiveNetwork, error) {
-	topo := nw.Topology()
-	out := &AdaptiveNetwork{
-		Nodes:  make([]*mac.Node, topo.N()+1),
-		Stacks: make([]*AdaptiveStack, topo.N()+1),
+	net, err := stack.Build(nw, AdaptiveCodec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
+		func(id topology.NodeID, isRoot bool) (*AdaptiveStack, error) {
+			// A counting source (same value stream as rand.NewSource) keeps
+			// the stack's RNG position checkpointable for snapshots. The
+			// multiplier differs from Orchestra's so the two RPL-based stacks
+			// do not share random streams at equal seeds.
+			src := detrand.New(seed*7877 + int64(id))
+			s, err := NewAdaptiveStack(id, isRoot, cfg, rand.New(src))
+			if err != nil {
+				return nil, err
+			}
+			s.rngSrc = src
+			return s, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i <= topo.N(); i++ {
-		id := topology.NodeID(i)
-		isRoot := topo.IsAP(id)
-		// A counting source (same value stream as rand.NewSource) keeps
-		// the stack's RNG position checkpointable for snapshots. The
-		// multiplier differs from Orchestra's so the two RPL-based stacks
-		// do not share random streams at equal seeds.
-		src := detrand.New(seed*7877 + int64(i))
-		stack, err := NewAdaptiveStack(id, isRoot, cfg, rand.New(src))
-		if err != nil {
-			return nil, err
-		}
-		stack.rngSrc = src
-		node := mac.NewNode(id, isRoot, stack, macCfg)
-		if err := nw.Attach(node); err != nil {
-			return nil, fmt.Errorf("adaptive build: %w", err)
-		}
+	for i := 1; i < len(net.Stacks); i++ {
 		// The allocator samples its own node's queue depth at adaptation
 		// ticks; reading our own queue from our own Assignment keeps the
 		// sharded engine's no-cross-node-state rule intact.
-		stack.queueLen = node.QueueLen
-		out.Nodes[i] = node
-		out.Stacks[i] = stack
+		net.Stacks[i].queueLen = net.Nodes[i].QueueLen
 	}
-	return out, nil
-}
-
-// OnDeliver installs the sink callback on every access point.
-func (n *AdaptiveNetwork) OnDeliver(fn func(asn sim.ASN, f *sim.Frame)) {
-	for _, node := range n.Nodes[1:] {
-		if node.IsAP() {
-			node.Sink = fn
-		}
-	}
-}
-
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node, and wires the RPL parent-switch callback so route churn
-// appears in the event stream as route-change events.
-func (n *AdaptiveNetwork) SetTracer(t telemetry.Tracer) {
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		node.SetTracer(t)
-		r := n.Stacks[i].Router()
-		if t == nil {
-			r.OnParentChange = nil
-			continue
-		}
-		id := topology.NodeID(i)
-		r.OnParentChange = func(asn sim.ASN, parent topology.NodeID) {
-			t.Record(telemetry.Event{
-				ASN:  int64(asn),
-				Type: telemetry.EvRouteChange,
-				Node: id,
-				Peer: parent,
-			})
-		}
-	}
-}
-
-// JoinedCount returns how many nodes are synchronised and in the DODAG.
-func (n *AdaptiveNetwork) JoinedCount() int {
-	joined := 0
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		if synced, _ := node.Synced(); synced && n.Stacks[i].Router().Joined() {
-			joined++
-		}
-	}
-	return joined
-}
-
-// Prober returns the invariant-monitor probe. RPL keeps a single preferred
-// parent, so Backup is always 0, like Orchestra.
-func (n *AdaptiveNetwork) Prober(nw *sim.Network) invariant.Prober {
-	return func(states []invariant.NodeState) []invariant.NodeState {
-		for i, node := range n.Nodes {
-			if node == nil {
-				continue
-			}
-			r := n.Stacks[i].Router()
-			synced, _ := node.Synced()
-			states = append(states, invariant.NodeState{
-				ID:        topology.NodeID(i),
-				IsAP:      node.IsAP(),
-				Alive:     !nw.Failed(topology.NodeID(i)),
-				Synced:    synced,
-				Parent:    r.Parent(),
-				Queue:     node.QueueLen(),
-				LastRx:    node.LastRx(),
-				Neighbors: r.Neighbors(),
-			})
-		}
-		return states
-	}
-}
-
-// Healer returns the watchdog hook: a cold restart through the stack's
-// Resetter, so the node rejoins the DODAG from scratch.
-func (n *AdaptiveNetwork) Healer() func(id topology.NodeID, asn sim.ASN) {
-	return func(id topology.NodeID, asn sim.ASN) {
-		if int(id) < len(n.Nodes) && n.Nodes[id] != nil {
-			n.Nodes[id].Reboot(asn, true)
-		}
-	}
+	return net, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -64,22 +65,22 @@ type SDNConfig struct {
 // DefaultSDNConfig returns the evaluation configuration.
 func DefaultSDNConfig() SDNConfig {
 	return SDNConfig{
-		EBFrameLen:           557,
-		CtrlFrameLen:         53,
-		DataFrameLen:         151,
-		ReportEvery:          10 * time.Second,
-		RecomputeEvery:       15 * time.Second,
-		StaleAfter:           90 * time.Second,
-		NeighborStale:        60 * time.Second,
-		MaintainEvery:        time.Second,
-		MaxNeighborsReported: 16,
-		MaxChildren:          64,
-		CtrlQueueCap:         16,
+		EBFrameLen:             557,
+		CtrlFrameLen:           53,
+		DataFrameLen:           151,
+		ReportEvery:            10 * time.Second,
+		RecomputeEvery:         15 * time.Second,
+		StaleAfter:             90 * time.Second,
+		NeighborStale:          60 * time.Second,
+		MaintainEvery:          time.Second,
+		MaxNeighborsReported:   16,
+		MaxChildren:            64,
+		CtrlQueueCap:           16,
 		CtrlQueueCapController: 64,
-		MaxCtrlTries:         8,
-		DeadAckThreshold:     8,
-		FullRefreshEvery:     4,
-		ControllerCells:      4,
+		MaxCtrlTries:           8,
+		DeadAckThreshold:       8,
+		FullRefreshEvery:       4,
+		ControllerCells:        4,
 	}
 }
 
@@ -338,7 +339,7 @@ type SDNStack struct {
 	ctrlQ []sdnCtrlEntry
 
 	// onParentChange reports data-plane route changes to telemetry.
-	onParentChange func(asn sim.ASN, parent topology.NodeID)
+	onParentChange stack.RouteHook
 
 	// --- controller-only state (nil maps on every other node) ---
 	reports       map[topology.NodeID]sdnReportEntry
@@ -411,6 +412,19 @@ func (s *SDNStack) Parent() topology.NodeID { return s.parent }
 // access points sink traffic by construction, everyone else needs a
 // controller-assigned parent.
 func (s *SDNStack) Configured() bool { return s.isAP || s.parent != 0 }
+
+// Joined implements stack.Node: see Configured.
+func (s *SDNStack) Joined() bool { return s.Configured() }
+
+// SetRouteHook implements stack.Node: both controller reroutes and
+// dead-parent drops are reported.
+func (s *SDNStack) SetRouteHook(fn stack.RouteHook) { s.onParentChange = fn }
+
+// Probe implements stack.Node. The controller assigns a single parent per
+// node, so backup is always 0, like Orchestra.
+func (s *SDNStack) Probe() (parent, backup topology.NodeID, neighbors int) {
+	return s.parent, 0, len(s.rss)
+}
 
 // KnownReports exposes how many fresh node reports the controller holds
 // (0 on non-controller nodes).
@@ -732,7 +746,7 @@ func (s *SDNStack) applyConfig(asn sim.ASN, payload []byte) {
 	}
 	s.consecParentFails = 0
 	if parent != oldParent && s.onParentChange != nil {
-		s.onParentChange(asn, parent)
+		s.onParentChange(asn, parent, 0)
 	}
 }
 
@@ -749,7 +763,7 @@ func (s *SDNStack) loseParent(asn sim.ASN) {
 	s.nextReport = asn // alarm: report at the next maintenance tick
 	s.nextMaintain = asn
 	if s.onParentChange != nil {
-		s.onParentChange(asn, 0)
+		s.onParentChange(asn, 0, 0)
 	}
 }
 

@@ -7,8 +7,10 @@ import (
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // SDNHopsState is one gradient-table entry (hop distance to controller).
@@ -80,7 +82,7 @@ type SDNStackState struct {
 }
 
 // CaptureState snapshots the stack.
-func (s *SDNStack) CaptureState() *SDNStackState {
+func (s *SDNStack) CaptureState() (stack.State, error) {
 	st := &SDNStackState{
 		Synced:            s.synced,
 		Uplink:            s.uplink,
@@ -132,12 +134,16 @@ func (s *SDNStack) CaptureState() *SDNStackState {
 		})
 	}
 	sort.Slice(st.LastSent, func(i, j int) bool { return st.LastSent[i].Node < st.LastSent[j].Node })
-	return st
+	return st, nil
 }
 
 // RestoreState overlays a captured stack state onto a freshly built stack
 // (same node, same configuration).
-func (s *SDNStack) RestoreState(st *SDNStackState) error {
+func (s *SDNStack) RestoreState(state stack.State) error {
+	st, ok := state.(*SDNStackState)
+	if !ok {
+		return fmt.Errorf("sdn stack %d: restoring %T", s.id, state)
+	}
 	if !s.controller() && (len(st.Reports) > 0 || len(st.LastSent) > 0 || st.EpochCount != 0) {
 		return fmt.Errorf("sdn stack %d: controller state in a non-controller snapshot entry", s.id)
 	}
@@ -199,35 +205,176 @@ func (s *SDNStack) RestoreState(st *SDNStackState) error {
 	return nil
 }
 
-// CaptureState snapshots every stack of the network, indexed by node ID
-// (entry 0 nil).
-func (n *SDNNetwork) CaptureState() ([]*SDNStackState, error) {
-	out := make([]*SDNStackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s != nil {
-			out[i] = s.CaptureState()
-		}
-	}
-	return out, nil
+// SDNCodec is the sdn stack's registration: protocol "sdn", one
+// SDNStackState per node in the "sdn" snapshot section (wire format
+// version 3).
+var SDNCodec = stack.Codec{Protocol: "sdn", Section: "sdn", Read: readSDNState}
+
+// AdaptiveCodec is the adaptive stack's registration: protocol
+// "adaptive", one AdaptiveStackState per node in the "adpt" section.
+var AdaptiveCodec = stack.Codec{Protocol: "adaptive", Section: "adpt", Read: readAdaptiveState}
+
+func init() {
+	stack.Register(SDNCodec)
+	stack.Register(AdaptiveCodec)
 }
 
-// RestoreState overlays captured stack states onto a freshly built network.
-func (n *SDNNetwork) RestoreState(states []*SDNStackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("sdn restore: %d stack states for %d stacks", len(states), len(n.Stacks))
+// Routed implements stack.State: the controller has assigned a parent.
+func (st *SDNStackState) Routed() bool { return st.Parent != 0 }
+
+func encodeNodeIDs(w *wire.Writer, ids []topology.NodeID) {
+	w.U64(uint64(len(ids)))
+	for _, id := range ids {
+		w.U64(uint64(id))
 	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("sdn restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
+}
+
+func decodeNodeIDs(r *wire.Reader) []topology.NodeID {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]topology.NodeID, n)
+	for i := range out {
+		out[i] = topology.NodeID(r.U64())
+	}
+	return out
+}
+
+func encodeSDNNeighbors(w *wire.Writer, ns []SDNReportNeighbor) {
+	w.U64(uint64(len(ns)))
+	for _, e := range ns {
+		w.U64(uint64(e.Node))
+		w.Float(e.RSS)
+	}
+}
+
+func decodeSDNNeighbors(r *wire.Reader) []SDNReportNeighbor {
+	n := r.Count(9)
+	if n == 0 {
+		return nil
+	}
+	out := make([]SDNReportNeighbor, n)
+	for i := range out {
+		out[i].Node = topology.NodeID(r.U64())
+		out[i].RSS = r.Float()
+	}
+	return out
+}
+
+// AppendTo implements stack.State: the "sdn" snapshot section layout.
+func (st *SDNStackState) AppendTo(w *wire.Writer) {
+	w.Bool(st.Synced)
+	w.U64(uint64(st.Uplink))
+	w.U8(st.OwnHops)
+	w.Bool(st.HasHops)
+	if st.HasHops {
+		w.U64(uint64(len(st.Hops)))
+		for _, e := range st.Hops {
+			w.U64(uint64(e.Node))
+			w.U8(e.Hops)
+			w.I64(e.Heard)
 		}
 	}
-	return nil
+	w.Bool(st.HasRSS)
+	if st.HasRSS {
+		w.U64(uint64(len(st.RSS)))
+		for _, e := range st.RSS {
+			w.U64(uint64(e.Node))
+			w.Float(e.RSS)
+			w.I64(e.Heard)
+		}
+	}
+	w.I64(st.NextMaintain)
+	w.I64(st.NextReport)
+	w.U16(st.CfgEpoch)
+	w.U64(uint64(st.Parent))
+	encodeNodeIDs(w, st.Children)
+	w.Int(st.ConsecParentFails)
+	w.U64(uint64(len(st.CtrlQ)))
+	for i := range st.CtrlQ {
+		st.CtrlQ[i].Frame.AppendTo(w)
+		w.Int(st.CtrlQ[i].Tries)
+		w.I64(st.CtrlQ[i].NotBefore)
+	}
+	w.U64(uint64(len(st.Reports)))
+	for i := range st.Reports {
+		w.U64(uint64(st.Reports[i].Node))
+		w.I64(st.Reports[i].ASN)
+		encodeSDNNeighbors(w, st.Reports[i].Neigh)
+	}
+	w.U16(st.Epoch)
+	w.I64(st.EpochCount)
+	w.I64(st.NextRecompute)
+	w.U64(uint64(len(st.LastSent)))
+	for i := range st.LastSent {
+		w.U64(uint64(st.LastSent[i].Node))
+		w.U64(uint64(st.LastSent[i].Parent))
+		encodeNodeIDs(w, st.LastSent[i].Children)
+	}
+}
+
+func readSDNState(r *wire.Reader) stack.State {
+	st := &SDNStackState{}
+	st.Synced = r.Bool()
+	st.Uplink = topology.NodeID(r.U64())
+	st.OwnHops = r.U8()
+	if r.Bool() {
+		st.HasHops = true
+		if n := r.Count(3); n > 0 {
+			st.Hops = make([]SDNHopsState, n)
+			for i := range st.Hops {
+				st.Hops[i].Node = topology.NodeID(r.U64())
+				st.Hops[i].Hops = r.U8()
+				st.Hops[i].Heard = r.I64()
+			}
+		}
+	}
+	if r.Bool() {
+		st.HasRSS = true
+		if n := r.Count(10); n > 0 {
+			st.RSS = make([]SDNRSSState, n)
+			for i := range st.RSS {
+				st.RSS[i].Node = topology.NodeID(r.U64())
+				st.RSS[i].RSS = r.Float()
+				st.RSS[i].Heard = r.I64()
+			}
+		}
+	}
+	st.NextMaintain = r.I64()
+	st.NextReport = r.I64()
+	st.CfgEpoch = r.U16()
+	st.Parent = topology.NodeID(r.U64())
+	st.Children = decodeNodeIDs(r)
+	st.ConsecParentFails = r.Int()
+	if n := r.Count(8); n > 0 {
+		st.CtrlQ = make([]SDNCtrlState, n)
+		for i := range st.CtrlQ {
+			st.CtrlQ[i].Frame = mac.ReadFrameState(r)
+			st.CtrlQ[i].Tries = r.Int()
+			st.CtrlQ[i].NotBefore = r.I64()
+		}
+	}
+	if n := r.Count(3); n > 0 {
+		st.Reports = make([]SDNReportState, n)
+		for i := range st.Reports {
+			st.Reports[i].Node = topology.NodeID(r.U64())
+			st.Reports[i].ASN = r.I64()
+			st.Reports[i].Neigh = decodeSDNNeighbors(r)
+		}
+	}
+	st.Epoch = r.U16()
+	st.EpochCount = r.I64()
+	st.NextRecompute = r.I64()
+	if n := r.Count(3); n > 0 {
+		st.LastSent = make([]SDNSentState, n)
+		for i := range st.LastSent {
+			st.LastSent[i].Node = topology.NodeID(r.U64())
+			st.LastSent[i].Parent = topology.NodeID(r.U64())
+			st.LastSent[i].Children = decodeNodeIDs(r)
+		}
+	}
+	return st
 }
 
 // AdaptiveCellState is one cached neighbor cell-count entry.
@@ -272,7 +419,7 @@ type AdaptiveStackState struct {
 // CaptureState snapshots the stack. It fails for stacks constructed with
 // an external RNG (NewAdaptiveStack with a caller-owned rand.Rand): only
 // BuildAdaptive-created stacks track their generator position.
-func (s *AdaptiveStack) CaptureState() (*AdaptiveStackState, error) {
+func (s *AdaptiveStack) CaptureState() (stack.State, error) {
 	if s.rngSrc == nil {
 		return nil, fmt.Errorf("adaptive stack %d: not built with a checkpointable RNG (use controller.BuildAdaptive)", s.id)
 	}
@@ -314,7 +461,11 @@ func (s *AdaptiveStack) CaptureState() (*AdaptiveStackState, error) {
 
 // RestoreState overlays a captured stack state onto a freshly built stack
 // (same node, same configuration, same build seed).
-func (s *AdaptiveStack) RestoreState(st *AdaptiveStackState) error {
+func (s *AdaptiveStack) RestoreState(state stack.State) error {
+	st, ok := state.(*AdaptiveStackState)
+	if !ok {
+		return fmt.Errorf("adaptive stack %d: restoring %T", s.id, state)
+	}
 	if s.rngSrc == nil {
 		return fmt.Errorf("adaptive stack %d: not built with a checkpointable RNG (use controller.BuildAdaptive)", s.id)
 	}
@@ -348,38 +499,72 @@ func (s *AdaptiveStack) RestoreState(st *AdaptiveStackState) error {
 	return nil
 }
 
-// CaptureState snapshots every stack of the network, indexed by node ID
-// (entry 0 nil).
-func (n *AdaptiveNetwork) CaptureState() ([]*AdaptiveStackState, error) {
-	out := make([]*AdaptiveStackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
+// Routed implements stack.State.
+func (st *AdaptiveStackState) Routed() bool { return st.Router.HasParentedAt }
+
+// AppendTo implements stack.State: the "adpt" snapshot section layout.
+func (st *AdaptiveStackState) AppendTo(w *wire.Writer) {
+	st.Router.AppendTo(w)
+	st.Trickle.AppendTo(w)
+	w.U64(st.RNGDraws)
+	w.Bool(st.WantDIO)
+	w.I64(st.NextMaintain)
+	w.I64(st.NextSolicit)
+	w.Bool(st.Synced)
+	w.Int(st.TxCells)
+	w.Int(st.IdleTicks)
+	w.Int(st.FailsSinceTick)
+	w.Int(st.SentSinceTick)
+	w.Bool(st.HasNeighborCells)
+	if st.HasNeighborCells {
+		w.U64(uint64(len(st.NeighborCells)))
+		for _, c := range st.NeighborCells {
+			w.U64(uint64(c.Node))
+			w.Int(c.Cells)
 		}
-		st, err := s.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
 	}
-	return out, nil
+	w.Bool(st.HasChildCells)
+	if st.HasChildCells {
+		w.U64(uint64(len(st.ChildCells)))
+		for _, c := range st.ChildCells {
+			w.I64(c.Slot)
+			w.U64(uint64(c.Node))
+		}
+	}
 }
 
-// RestoreState overlays captured stack states onto a freshly built network.
-func (n *AdaptiveNetwork) RestoreState(states []*AdaptiveStackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("adaptive restore: %d stack states for %d stacks", len(states), len(n.Stacks))
+func readAdaptiveState(r *wire.Reader) stack.State {
+	st := &AdaptiveStackState{}
+	st.Router = rpl.ReadRouterState(r)
+	st.Trickle = trickle.ReadState(r)
+	st.RNGDraws = r.U64()
+	st.WantDIO = r.Bool()
+	st.NextMaintain = r.I64()
+	st.NextSolicit = r.I64()
+	st.Synced = r.Bool()
+	st.TxCells = r.Int()
+	st.IdleTicks = r.Int()
+	st.FailsSinceTick = r.Int()
+	st.SentSinceTick = r.Int()
+	if r.Bool() {
+		st.HasNeighborCells = true
+		if n := r.Count(2); n > 0 {
+			st.NeighborCells = make([]AdaptiveCellState, n)
+			for i := range st.NeighborCells {
+				st.NeighborCells[i].Node = topology.NodeID(r.U64())
+				st.NeighborCells[i].Cells = r.Int()
+			}
+		}
 	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("adaptive restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
+	if r.Bool() {
+		st.HasChildCells = true
+		if n := r.Count(2); n > 0 {
+			st.ChildCells = make([]AdaptiveChildCellState, n)
+			for i := range st.ChildCells {
+				st.ChildCells[i].Slot = r.I64()
+				st.ChildCells[i].Node = topology.NodeID(r.U64())
+			}
 		}
 	}
-	return nil
+	return st
 }

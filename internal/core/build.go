@@ -7,97 +7,31 @@ import (
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
 // Network bundles the per-node MAC and DiGS instances running over one
 // simulated network.
-type Network struct {
-	Nodes  []*mac.Node // indexed by node ID, entry 0 nil
-	Stacks []*Stack    // indexed by node ID, entry 0 nil
-}
+type Network = stack.Network[*Stack]
 
 // Build attaches a full DiGS stack to every node of the network's
 // topology. Sink callbacks can then be installed on the AP nodes.
 func Build(nw *sim.Network, cfg Config, macCfg mac.Config, seed int64) (*Network, error) {
-	topo := nw.Topology()
-	if cfg.NumAPs != topo.NumAPs {
+	if topo := nw.Topology(); cfg.NumAPs != topo.NumAPs {
 		return nil, fmt.Errorf("digs build: config NumAPs %d != topology NumAPs %d",
 			cfg.NumAPs, topo.NumAPs)
 	}
-	out := &Network{
-		Nodes:  make([]*mac.Node, topo.N()+1),
-		Stacks: make([]*Stack, topo.N()+1),
-	}
-	for i := 1; i <= topo.N(); i++ {
-		id := topology.NodeID(i)
-		isAP := topo.IsAP(id)
-		// A counting source (same value stream as rand.NewSource) keeps
-		// the stack's RNG position checkpointable for snapshots.
-		src := detrand.New(seed*7919 + int64(i))
-		stack, err := NewStack(id, isAP, cfg, rand.New(src))
-		if err != nil {
-			return nil, err
-		}
-		stack.rngSrc = src
-		node := mac.NewNode(id, isAP, stack, macCfg)
-		if err := nw.Attach(node); err != nil {
-			return nil, fmt.Errorf("digs build: %w", err)
-		}
-		out.Nodes[i] = node
-		out.Stacks[i] = stack
-	}
-	return out, nil
-}
-
-// OnDeliver installs the sink callback on every access point.
-func (n *Network) OnDeliver(fn func(asn sim.ASN, f *sim.Frame)) {
-	for _, node := range n.Nodes[1:] {
-		if node.IsAP() {
-			node.Sink = fn
-		}
-	}
-}
-
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node, and wires the routers' reselection callbacks so parent
-// switches appear in the event stream as route-change events.
-func (n *Network) SetTracer(t telemetry.Tracer) {
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		node.SetTracer(t)
-		r := n.Stacks[i].Router()
-		if t == nil {
-			r.OnRouteChange = nil
-			continue
-		}
-		id := topology.NodeID(i)
-		r.OnRouteChange = func(asn sim.ASN, best, second topology.NodeID) {
-			t.Record(telemetry.Event{
-				ASN:   int64(asn),
-				Type:  telemetry.EvRouteChange,
-				Node:  id,
-				Peer:  best,
-				Peer2: second,
-			})
-		}
-	}
-}
-
-// JoinedCount returns how many nodes are synchronised and have selected a
-// best parent (APs count as joined).
-func (n *Network) JoinedCount() int {
-	joined := 0
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		if synced, _ := node.Synced(); synced && n.Stacks[i].Router().Joined() {
-			joined++
-		}
-	}
-	return joined
+	return stack.Build(nw, Codec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
+		func(id topology.NodeID, isAP bool) (*Stack, error) {
+			// A counting source (same value stream as rand.NewSource) keeps
+			// the stack's RNG position checkpointable for snapshots.
+			src := detrand.New(seed*7919 + int64(id))
+			s, err := NewStack(id, isAP, cfg, rand.New(src))
+			if err != nil {
+				return nil, err
+			}
+			s.rngSrc = src
+			return s, nil
+		})
 }

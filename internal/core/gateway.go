@@ -102,13 +102,3 @@ func (g *Gateway) BroadcastBulletin(payload []byte) error {
 	}
 	return fmt.Errorf("gateway: no access point attached")
 }
-
-// OnCommand installs a command handler on a field device (the actuator
-// callback).
-func (n *Network) OnCommand(id topology.NodeID, fn func(asn sim.ASN, f *sim.Frame)) error {
-	if int(id) >= len(n.Nodes) || n.Nodes[id] == nil {
-		return fmt.Errorf("digs network: no node %d", id)
-	}
-	n.Nodes[id].CommandSink = fn
-	return nil
-}

@@ -8,6 +8,7 @@ import (
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/phy"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
 )
@@ -89,6 +90,18 @@ func NewStack(id topology.NodeID, isAP bool, cfg Config, rng *rand.Rand) (*Stack
 
 // Router exposes the routing state for experiments and tests.
 func (s *Stack) Router() *Router { return s.router }
+
+// Joined implements stack.Node: a best parent is selected (APs count).
+func (s *Stack) Joined() bool { return s.router.Joined() }
+
+// SetRouteHook implements stack.Node.
+func (s *Stack) SetRouteHook(fn stack.RouteHook) { s.router.OnRouteChange = fn }
+
+// Probe implements stack.Node.
+func (s *Stack) Probe() (parent, backup topology.NodeID, neighbors int) {
+	parent, backup = s.router.Parents()
+	return parent, backup, s.router.Neighbors()
+}
 
 // Reset implements mac.Resetter: it discards every piece of learned
 // routing and scheduling state — neighbour table, parents, children,

@@ -5,8 +5,10 @@ import (
 	"sort"
 
 	"github.com/digs-net/digs/internal/link"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // NeighborState is one neighbour-table entry as plain old data.
@@ -133,7 +135,7 @@ func (r *Router) RestoreState(st RouterState) {
 // CaptureState snapshots the stack. It fails for stacks constructed with
 // an external RNG (NewStack with a caller-owned rand.Rand): only
 // Build-created stacks track their generator position.
-func (s *Stack) CaptureState() (*StackState, error) {
+func (s *Stack) CaptureState() (stack.State, error) {
 	if s.rngSrc == nil {
 		return nil, fmt.Errorf("digs stack %d: not built with a checkpointable RNG (use core.Build)", s.id)
 	}
@@ -164,7 +166,11 @@ func (s *Stack) CaptureState() (*StackState, error) {
 // (same node, same configuration, same build seed). The receive-side
 // schedule cache is invalidated; it rebuilds lazily from the restored
 // child table, exactly as it would have after the next child change.
-func (s *Stack) RestoreState(st *StackState) error {
+func (s *Stack) RestoreState(state stack.State) error {
+	st, ok := state.(*StackState)
+	if !ok {
+		return fmt.Errorf("digs stack %d: restoring %T", s.id, state)
+	}
 	if s.rngSrc == nil {
 		return fmt.Errorf("digs stack %d: not built with a checkpointable RNG (use core.Build)", s.id)
 	}
@@ -191,39 +197,118 @@ func (s *Stack) RestoreState(st *StackState) error {
 	return nil
 }
 
-// CaptureState snapshots every stack and MAC node of the network, indexed
-// by node ID (entry 0 nil).
-func (n *Network) CaptureState() ([]*StackState, error) {
-	out := make([]*StackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		st, err := s.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
+// Codec is the DiGS stack's registration: protocol "digs", one StackState
+// per node in the "digs" snapshot section.
+var Codec = stack.Codec{Protocol: "digs", Section: "digs", Read: readState}
+
+func init() { stack.Register(Codec) }
+
+// Routed implements stack.State.
+func (st *StackState) Routed() bool { return st.Router.HasParentedAt }
+
+func (st *RouterState) appendTo(w *wire.Writer) {
+	w.U16(st.Rank)
+	w.Float(st.ETXw)
+	w.U64(uint64(st.Best))
+	w.U64(uint64(st.Second))
+	w.Float(st.ETXaBest)
+	w.Float(st.ETXaSecond)
+	w.U64(uint64(len(st.Neighbors)))
+	for _, e := range st.Neighbors {
+		w.U64(uint64(e.Node))
+		w.U16(e.Rank)
+		w.Float(e.ETXw)
+		w.I64(e.LastHeard)
 	}
-	return out, nil
+	w.U64(uint64(len(st.Children)))
+	for _, c := range st.Children {
+		w.U64(uint64(c.Node))
+		w.U8(c.Role)
+		w.I64(c.LastHeard)
+	}
+	link.AppendStates(w, st.Links)
+	w.I64(st.FirstParentAt)
+	w.Bool(st.HasParentedAt)
+	w.I64(st.ParentChanges)
+	w.I64(st.ChildVersion)
 }
 
-// RestoreState overlays captured stack states onto a freshly built
-// network.
-func (n *Network) RestoreState(states []*StackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("digs restore: %d stack states for %d stacks", len(states), len(n.Stacks))
+func readRouterState(r *wire.Reader) RouterState {
+	var st RouterState
+	st.Rank = r.U16()
+	st.ETXw = r.Float()
+	st.Best = topology.NodeID(r.U64())
+	st.Second = topology.NodeID(r.U64())
+	st.ETXaBest = r.Float()
+	st.ETXaSecond = r.Float()
+	if n := r.Count(12); n > 0 {
+		st.Neighbors = make([]NeighborState, n)
+		for i := range st.Neighbors {
+			st.Neighbors[i].Node = topology.NodeID(r.U64())
+			st.Neighbors[i].Rank = r.U16()
+			st.Neighbors[i].ETXw = r.Float()
+			st.Neighbors[i].LastHeard = r.I64()
+		}
 	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("digs restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
+	if n := r.Count(3); n > 0 {
+		st.Children = make([]ChildState, n)
+		for i := range st.Children {
+			st.Children[i].Node = topology.NodeID(r.U64())
+			st.Children[i].Role = r.U8()
+			st.Children[i].LastHeard = r.I64()
 		}
 	}
-	return nil
+	st.Links = link.ReadStates(r)
+	st.FirstParentAt = r.I64()
+	st.HasParentedAt = r.Bool()
+	st.ParentChanges = r.I64()
+	st.ChildVersion = r.I64()
+	return st
+}
+
+// AppendTo implements stack.State: the "digs" snapshot section layout.
+func (st *StackState) AppendTo(w *wire.Writer) {
+	st.Router.appendTo(w)
+	st.Trickle.AppendTo(w)
+	w.U64(st.RNGDraws)
+	w.U64(uint64(len(st.Pending)))
+	for _, p := range st.Pending {
+		w.U64(uint64(p.To))
+		w.U8(p.Role)
+		w.Int(p.Tries)
+	}
+	w.Bool(st.WantJoinIn)
+	w.I64(st.NextMaintain)
+	w.I64(st.NextSolicit)
+	w.Bool(st.Synced)
+	w.U64(uint64(st.LastBest))
+	w.U64(uint64(st.LastSecond))
+	w.Bool(st.BestConfirmed)
+	w.Bool(st.SecondConfirmed)
+	w.U64(uint64(st.FallbackParent))
+}
+
+func readState(r *wire.Reader) stack.State {
+	st := &StackState{}
+	st.Router = readRouterState(r)
+	st.Trickle = trickle.ReadState(r)
+	st.RNGDraws = r.U64()
+	if n := r.Count(3); n > 0 {
+		st.Pending = make([]PendingCallbackState, n)
+		for i := range st.Pending {
+			st.Pending[i].To = topology.NodeID(r.U64())
+			st.Pending[i].Role = r.U8()
+			st.Pending[i].Tries = r.Int()
+		}
+	}
+	st.WantJoinIn = r.Bool()
+	st.NextMaintain = r.I64()
+	st.NextSolicit = r.I64()
+	st.Synced = r.Bool()
+	st.LastBest = topology.NodeID(r.U64())
+	st.LastSecond = topology.NodeID(r.U64())
+	st.BestConfirmed = r.Bool()
+	st.SecondConfirmed = r.Bool()
+	st.FallbackParent = topology.NodeID(r.U64())
+	return st
 }

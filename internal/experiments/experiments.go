@@ -14,13 +14,12 @@ import (
 
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
-	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -47,101 +46,71 @@ func (p Protocol) String() string {
 	}
 }
 
-// stackNet is the protocol-independent view the runners need. Prober and
-// Healer are promoted from the embedded stack networks, so the invariant
-// monitor can ride any of them.
-type stackNet interface {
-	JoinedCount() int
-	OnDeliver(fn func(sim.ASN, *sim.Frame))
-	SetTracer(t telemetry.Tracer)
-	MACNode(i int) *mac.Node
-	JoinTime(i int) (sim.ASN, bool)
-	ParentChangesTotal() int64
-	ParentChangesOf(ids []topology.NodeID) int64
-	Prober(nw *sim.Network) invariant.Prober
-	Healer() func(id topology.NodeID, asn sim.ASN)
+// routeCounters is the per-node routing history Figures 4/5 and 13 read;
+// the DiGS and RPL routers both keep it.
+type routeCounters interface {
+	FirstParentAt() (sim.ASN, bool)
+	ParentChanges() int64
 }
 
-type digsNet struct{ *core.Network }
-
-func (d digsNet) MACNode(i int) *mac.Node { return d.Nodes[i] }
-func (d digsNet) JoinTime(i int) (sim.ASN, bool) {
-	return d.Stacks[i].Router().FirstParentAt()
-}
-func (d digsNet) ParentChangesTotal() int64 {
-	var total int64
-	for _, s := range d.Stacks[1:] {
-		total += s.Router().ParentChanges()
-	}
-	return total
+// builtStack is the stack under test: the shared stack contract plus the
+// routers' history counters.
+type builtStack struct {
+	stack.Bundle
+	router func(i int) routeCounters
 }
 
-func (d digsNet) ParentChangesOf(ids []topology.NodeID) int64 {
+// ParentChangesOf sums the parent switches of a cohort of nodes.
+func (n builtStack) ParentChangesOf(ids []topology.NodeID) int64 {
 	var total int64
 	for _, id := range ids {
-		total += d.Stacks[id].Router().ParentChanges()
+		total += n.router(int(id)).ParentChanges()
 	}
 	return total
 }
 
-type orchNet struct{ *orchestra.Network }
-
-func (o orchNet) MACNode(i int) *mac.Node { return o.Nodes[i] }
-func (o orchNet) JoinTime(i int) (sim.ASN, bool) {
-	return o.Stacks[i].Router().FirstParentAt()
-}
-func (o orchNet) ParentChangesTotal() int64 {
-	var total int64
-	for _, s := range o.Stacks[1:] {
-		total += s.Router().ParentChanges()
-	}
-	return total
-}
-
-func (o orchNet) ParentChangesOf(ids []topology.NodeID) int64 {
-	var total int64
-	for _, id := range ids {
-		total += o.Stacks[id].Router().ParentChanges()
-	}
-	return total
-}
-
-// buildNetwork attaches the chosen protocol stack to a fresh network.
-func buildNetwork(p Protocol, topo *topology.Topology, seed int64) (*sim.Network, stackNet, error) {
+// buildNetwork attaches the chosen protocol stack to a fresh network. A
+// non-nil digsCfg overrides the DiGS configuration (ablations).
+func buildNetwork(p Protocol, topo *topology.Topology, seed int64, digsCfg *core.Config) (*sim.Network, builtStack, error) {
 	nw := sim.NewNetwork(topo, seed)
 	switch p {
 	case DiGS:
-		// DiGS schedules three attempts per slotframe where Orchestra has
-		// one, so equal-time retry persistence means a 3x attempt budget.
-		macCfg := mac.DefaultConfig()
-		macCfg.MaxTxPerPacket *= 3
-		net, err := core.Build(nw, core.DefaultConfig(topo.NumAPs), macCfg, seed)
-		if err != nil {
-			return nil, nil, err
+		cfg, macCfg := core.DefaultConfig(topo.NumAPs), mac.DefaultConfig()
+		if digsCfg != nil {
+			cfg = *digsCfg
+		} else {
+			// DiGS schedules three attempts per slotframe where Orchestra
+			// has one, so equal-time retry persistence means a 3x attempt
+			// budget.
+			macCfg.MaxTxPerPacket *= 3
 		}
-		return nw, digsNet{net}, nil
+		net, err := core.Build(nw, cfg, macCfg, seed)
+		if err != nil {
+			return nil, builtStack{}, err
+		}
+		return nw, builtStack{net, func(i int) routeCounters { return net.Stacks[i].Router() }}, nil
 	case Orchestra:
 		net, err := orchestra.Build(nw, orchestra.DefaultConfig(), mac.DefaultConfig(), seed)
 		if err != nil {
-			return nil, nil, err
+			return nil, builtStack{}, err
 		}
-		return nw, orchNet{net}, nil
+		return nw, builtStack{net, func(i int) routeCounters { return net.Stacks[i].Router() }}, nil
 	default:
-		return nil, nil, fmt.Errorf("experiments: unknown protocol %d", p)
+		return nil, builtStack{}, fmt.Errorf("experiments: unknown protocol %d", p)
 	}
 }
 
 // converge runs the network until every node has joined (or the budget
 // runs out). It returns an error when convergence fails: the experiment
 // would otherwise measure a half-formed network.
-func converge(nw *sim.Network, net stackNet, budget time.Duration) error {
+func converge(nw *sim.Network, net stack.Bundle, budget time.Duration) error {
 	return convergeFraction(nw, net, budget, 1.0)
 }
 
 // convergeFraction accepts partial convergence: at least the given
 // fraction of nodes joined (large sparse deployments can have corner
 // stragglers that take tens of minutes, just as physical ones do).
-func convergeFraction(nw *sim.Network, net stackNet, budget time.Duration, frac float64) error {
+func convergeFraction(nw *sim.Network, net stack.Bundle, budget time.Duration, frac float64) error {
 	topo := nw.Topology()
 	want := int(math.Ceil(frac * float64(topo.N())))
 	if _, ok := nw.RunUntil(sim.SlotsFor(budget), func() bool {
@@ -159,8 +128,7 @@ func convergeFraction(nw *sim.Network, net stackNet, budget time.Duration, frac 
 // instead of re-running formation, storing one on miss; continuing from
 // the restored state is bit-identical to having formed inline, so cached
 // and uncached campaigns produce the same figures.
-func warmConverge(cacheDir string, nw *sim.Network, net stackNet, seed int64,
-	cfgHash uint64, settle time.Duration) error {
+func warmConverge(cacheDir string, nw *sim.Network, net stack.Bundle, seed int64, settle time.Duration) error {
 	form := func() error {
 		if err := converge(nw, net, 240*time.Second); err != nil {
 			return err
@@ -168,28 +136,15 @@ func warmConverge(cacheDir string, nw *sim.Network, net stackNet, seed int64,
 		nw.Run(sim.SlotsFor(settle))
 		return nil
 	}
-	var take func(snapshot.Meta) (*snapshot.Snapshot, error)
-	var restore func(*snapshot.Snapshot) error
-	var proto string
-	switch n := net.(type) {
-	case digsNet:
-		proto = snapshot.ProtocolDiGS
-		take = func(m snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeDiGS(m, nw, n.Network) }
-		restore = func(s *snapshot.Snapshot) error { return s.RestoreDiGS(nw, n.Network) }
-	case orchNet:
-		proto = snapshot.ProtocolOrchestra
-		take = func(m snapshot.Meta) (*snapshot.Snapshot, error) { return snapshot.TakeOrchestra(m, nw, n.Network) }
-		restore = func(s *snapshot.Snapshot) error { return s.RestoreOrchestra(nw, n.Network) }
-	}
-	if cacheDir == "" || take == nil {
+	if cacheDir == "" {
 		return form()
 	}
 	cache := &snapshot.Cache{Dir: cacheDir}
 	key := snapshot.Key{
 		Topology:   nw.Topology().Name,
-		Protocol:   proto,
+		Protocol:   net.Protocol(),
 		Seed:       seed,
-		ConfigHash: cfgHash,
+		ConfigHash: net.ConfigHash(),
 		Label:      fmt.Sprintf("formed+%ds", int(settle.Seconds())),
 	}
 	snap, err := cache.Load(key)
@@ -197,14 +152,14 @@ func warmConverge(cacheDir string, nw *sim.Network, net stackNet, seed int64,
 		return err
 	}
 	if snap != nil {
-		return restore(snap)
+		return snap.Restore(nw, net)
 	}
 	if err := form(); err != nil {
 		return err
 	}
-	snap, err = take(snapshot.Meta{
-		Topology: key.Topology, Seed: seed, ConfigHash: cfgHash, Label: key.Label,
-	})
+	snap, err = snapshot.Take(snapshot.Meta{
+		Topology: key.Topology, Seed: seed, ConfigHash: key.ConfigHash, Label: key.Label,
+	}, nw, net)
 	if err != nil {
 		return err
 	}
@@ -218,7 +173,7 @@ type netStats struct {
 	delivered int64
 }
 
-func statsSnapshot(net stackNet, n int) netStats {
+func statsSnapshot(net stack.Bundle, n int) netStats {
 	var s netStats
 	for i := 1; i <= n; i++ {
 		st := net.MACNode(i).Stats()
@@ -261,7 +216,7 @@ type FlowSetOptions struct {
 // runFlowSets runs a sequence of flow sets on an already-converged
 // network, one after another (the network stays up, as a real deployment
 // would), and returns one result per flow set.
-func runFlowSets(nw *sim.Network, net stackNet, opts FlowSetOptions) ([]FlowSetResult, error) {
+func runFlowSets(nw *sim.Network, net stack.Bundle, opts FlowSetOptions) ([]FlowSetResult, error) {
 	topo := nw.Topology()
 	rng := rand.New(rand.NewSource(opts.Seed*31 + 7))
 	results := make([]FlowSetResult, 0, opts.FlowSets)

@@ -1,17 +1,14 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -109,35 +106,11 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 	digsCfg *core.Config, cacheDir string) (*FailureResult, error) {
 	out := &FailureResult{}
 	topo := testbedATopo()
-	nw := sim.NewNetwork(topo, seed)
-	var net stackNet
-	var cfgHash uint64
-	switch {
-	case proto == DiGS:
-		cfg := core.DefaultConfig(topo.NumAPs)
-		macCfg := mac.DefaultConfig()
-		if digsCfg != nil {
-			cfg = *digsCfg
-		} else {
-			// Equal-time retry persistence: see buildNetwork.
-			macCfg.MaxTxPerPacket *= 3
-		}
-		cn, err := core.Build(nw, cfg, macCfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = digsNet{cn}, snapshot.HashConfig(cfg, macCfg)
-	case proto == Orchestra:
-		cfg, macCfg := orchestra.DefaultConfig(), mac.DefaultConfig()
-		on, err := orchestra.Build(nw, cfg, macCfg, seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = orchNet{on}, snapshot.HashConfig(cfg, macCfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown protocol %d", proto)
+	nw, net, err := buildNetwork(proto, topo, seed, digsCfg)
+	if err != nil {
+		return nil, err
 	}
-	if err := warmConverge(cacheDir, nw, net, seed, cfgHash, 60*time.Second); err != nil {
+	if err := warmConverge(cacheDir, nw, net, seed, 60*time.Second); err != nil {
 		return nil, err
 	}
 
@@ -204,7 +177,7 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 }
 
 // forwardedCounts snapshots every node's lifetime forwarding counter.
-func forwardedCounts(net stackNet, n int) []int64 {
+func forwardedCounts(net stack.Bundle, n int) []int64 {
 	out := make([]int64, n+1)
 	for i := 1; i <= n; i++ {
 		out[i] = net.MACNode(i).Stats().Forwarded
@@ -214,13 +187,13 @@ func forwardedCounts(net stackNet, n int) []int64 {
 
 // pickVictim finds the field device that forwarded the most traffic so far
 // (the biggest routing-graph router that is not itself a source).
-func pickVictim(nw *sim.Network, net stackNet, sources map[topology.NodeID]bool) topology.NodeID {
+func pickVictim(nw *sim.Network, net stack.Bundle, sources map[topology.NodeID]bool) topology.NodeID {
 	return pickVictimByDelta(nw, net, sources, make([]int64, nw.Topology().N()+1))
 }
 
 // pickVictimByDelta finds the field device whose forwarding counter grew
 // the most since the snapshot.
-func pickVictimByDelta(nw *sim.Network, net stackNet, sources map[topology.NodeID]bool,
+func pickVictimByDelta(nw *sim.Network, net stack.Bundle, sources map[topology.NodeID]bool,
 	before []int64) topology.NodeID {
 	topo := nw.Topology()
 	var best topology.NodeID
@@ -245,7 +218,7 @@ func pickVictimByDelta(nw *sim.Network, net stackNet, sources map[topology.NodeI
 // 30..40 each flow delivered.
 func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	nw, net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return nil, err
 	}

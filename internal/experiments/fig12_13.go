@@ -59,7 +59,7 @@ func RunFig12(opts LargeScaleOptions) (*InterferenceResult, error) {
 
 func runLargeScale(proto Protocol, opts LargeScaleOptions) ([]FlowSetResult, error) {
 	topo := topology.NewRandom(opts.Nodes, opts.AreaM, opts.AreaM, opts.Seed)
-	nw, net, err := buildNetwork(proto, topo, opts.Seed)
+	nw, net, err := buildNetwork(proto, topo, opts.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +114,7 @@ func RunFig13(seed int64) (*JoinTimesResult, error) {
 
 func runJoinTimes(proto Protocol, seed int64) ([]time.Duration, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	nw, net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func runJoinTimes(proto Protocol, seed int64) ([]time.Duration, error) {
 	}
 	var times []time.Duration
 	for i := topo.NumAPs + 1; i <= topo.N(); i++ {
-		at, ok := net.JoinTime(i)
+		at, ok := net.router(i).FirstParentAt()
 		if !ok {
 			return nil, fmt.Errorf("%v: node %d joined without a join time", proto, i)
 		}

@@ -112,7 +112,7 @@ const repairBudget = 150 * time.Second
 func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 	invariants bool) (RepairResult, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	nw, net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return RepairResult{}, err
 	}

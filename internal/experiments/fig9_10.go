@@ -10,11 +10,8 @@ import (
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/interference"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -104,35 +101,11 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 	if opts.Testbed == "B" {
 		topo = testbedBTopo()
 	}
-	nw := sim.NewNetwork(topo, opts.Seed)
-	var net stackNet
-	var cfgHash uint64
-	switch {
-	case proto == DiGS:
-		cfg := core.DefaultConfig(topo.NumAPs)
-		macCfg := mac.DefaultConfig()
-		if opts.DiGSConfig != nil {
-			cfg = *opts.DiGSConfig
-		} else {
-			// Equal-time retry persistence: see buildNetwork.
-			macCfg.MaxTxPerPacket *= 3
-		}
-		cn, err := core.Build(nw, cfg, macCfg, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = digsNet{cn}, snapshot.HashConfig(cfg, macCfg)
-	case proto == Orchestra:
-		cfg, macCfg := orchestra.DefaultConfig(), mac.DefaultConfig()
-		on, err := orchestra.Build(nw, cfg, macCfg, opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		net, cfgHash = orchNet{on}, snapshot.HashConfig(cfg, macCfg)
-	default:
-		return nil, fmt.Errorf("experiments: unknown protocol %d", proto)
+	nw, net, err := buildNetwork(proto, topo, opts.Seed, opts.DiGSConfig)
+	if err != nil {
+		return nil, err
 	}
-	if err := warmConverge(opts.CacheDir, nw, net, opts.Seed, cfgHash, 30*time.Second); err != nil {
+	if err := warmConverge(opts.CacheDir, nw, net, opts.Seed, 30*time.Second); err != nil {
 		return nil, err
 	}
 
@@ -201,7 +174,7 @@ type MicrobenchResult struct {
 // the result records which of those packets each flow delivered.
 func RunFig9f(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed)
+	nw, net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return nil, err
 	}

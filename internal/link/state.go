@@ -1,6 +1,7 @@
 package link
 
 import (
+	"github.com/digs-net/digs/internal/wire"
 	"sort"
 
 	"github.com/digs-net/digs/internal/topology"
@@ -39,4 +40,36 @@ func (e *Estimator) RestoreState(entries []LinkState) {
 		e.links[s.Node] = linkState{etx: s.ETX, rssAvg: s.RSSAvg,
 			consecFails: s.ConsecFails, txSeen: s.TxSeen, resurrectCount: s.ResurrectCount}
 	}
+}
+
+// AppendStates writes a captured neighbour table in its snapshot wire
+// form.
+func AppendStates(w *wire.Writer, ls []LinkState) {
+	w.U64(uint64(len(ls)))
+	for _, l := range ls {
+		w.U64(uint64(l.Node))
+		w.Float(l.ETX)
+		w.Float(l.RSSAvg)
+		w.Int(l.ConsecFails)
+		w.Bool(l.TxSeen)
+		w.Int(l.ResurrectCount)
+	}
+}
+
+// ReadStates decodes what AppendStates wrote.
+func ReadStates(r *wire.Reader) []LinkState {
+	n := r.Count(20)
+	if n == 0 {
+		return nil
+	}
+	out := make([]LinkState, n)
+	for i := range out {
+		out[i].Node = topology.NodeID(r.U64())
+		out[i].ETX = r.Float()
+		out[i].RSSAvg = r.Float()
+		out[i].ConsecFails = r.Int()
+		out[i].TxSeen = r.Bool()
+		out[i].ResurrectCount = r.Int()
+	}
+	return out
 }

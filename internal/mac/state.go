@@ -6,6 +6,7 @@ import (
 
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // FrameState is a sim.Frame as plain old data, including the link-layer
@@ -52,6 +53,42 @@ func CaptureFrame(f *sim.Frame) FrameState { return captureFrame(f) }
 
 // Restore exports restore for the same callers.
 func (fs FrameState) Restore() *sim.Frame { return fs.restore() }
+
+// AppendTo writes the frame in its snapshot wire form.
+func (fs *FrameState) AppendTo(w *wire.Writer) {
+	w.U8(fs.Kind)
+	w.U64(uint64(fs.Src))
+	w.U64(uint64(fs.Dst))
+	w.U16(fs.Seq)
+	w.U64(uint64(fs.Origin))
+	w.U16(fs.FlowID)
+	w.I64(fs.BornASN)
+	w.U64(uint64(len(fs.Route)))
+	for _, hop := range fs.Route {
+		w.U64(uint64(hop))
+	}
+	w.Bytes(fs.Payload)
+}
+
+// ReadFrameState decodes what AppendTo wrote.
+func ReadFrameState(r *wire.Reader) FrameState {
+	var f FrameState
+	f.Kind = r.U8()
+	f.Src = topology.NodeID(r.U64())
+	f.Dst = topology.NodeID(r.U64())
+	f.Seq = r.U16()
+	f.Origin = topology.NodeID(r.U64())
+	f.FlowID = r.U16()
+	f.BornASN = r.I64()
+	if n := r.Count(1); n > 0 {
+		f.Route = make([]topology.NodeID, n)
+		for i := range f.Route {
+			f.Route[i] = topology.NodeID(r.U64())
+		}
+	}
+	f.Payload = r.Bytes()
+	return f
+}
 
 // PacketState is one queued packet (data or downlink command).
 type PacketState struct {

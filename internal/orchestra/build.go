@@ -1,97 +1,32 @@
 package orchestra
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
 // Network bundles the per-node MAC and Orchestra instances running over
 // one simulated network.
-type Network struct {
-	Nodes  []*mac.Node // indexed by node ID, entry 0 nil
-	Stacks []*Stack    // indexed by node ID, entry 0 nil
-}
+type Network = stack.Network[*Stack]
 
 // Build attaches a full Orchestra stack to every node of the network's
 // topology (access points act as RPL roots).
 func Build(nw *sim.Network, cfg Config, macCfg mac.Config, seed int64) (*Network, error) {
-	topo := nw.Topology()
-	out := &Network{
-		Nodes:  make([]*mac.Node, topo.N()+1),
-		Stacks: make([]*Stack, topo.N()+1),
-	}
-	for i := 1; i <= topo.N(); i++ {
-		id := topology.NodeID(i)
-		isRoot := topo.IsAP(id)
-		// A counting source (same value stream as rand.NewSource) keeps
-		// the stack's RNG position checkpointable for snapshots.
-		src := detrand.New(seed*6151 + int64(i))
-		stack, err := NewStack(id, isRoot, cfg, rand.New(src))
-		if err != nil {
-			return nil, err
-		}
-		stack.rngSrc = src
-		node := mac.NewNode(id, isRoot, stack, macCfg)
-		if err := nw.Attach(node); err != nil {
-			return nil, fmt.Errorf("orchestra build: %w", err)
-		}
-		out.Nodes[i] = node
-		out.Stacks[i] = stack
-	}
-	return out, nil
-}
-
-// OnDeliver installs the sink callback on every access point.
-func (n *Network) OnDeliver(fn func(asn sim.ASN, f *sim.Frame)) {
-	for _, node := range n.Nodes[1:] {
-		if node.IsAP() {
-			node.Sink = fn
-		}
-	}
-}
-
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node, and wires the RPL parent-switch callback so route churn
-// appears in the event stream as route-change events.
-func (n *Network) SetTracer(t telemetry.Tracer) {
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		node.SetTracer(t)
-		r := n.Stacks[i].Router()
-		if t == nil {
-			r.OnParentChange = nil
-			continue
-		}
-		id := topology.NodeID(i)
-		r.OnParentChange = func(asn sim.ASN, parent topology.NodeID) {
-			t.Record(telemetry.Event{
-				ASN:  int64(asn),
-				Type: telemetry.EvRouteChange,
-				Node: id,
-				Peer: parent,
-			})
-		}
-	}
-}
-
-// JoinedCount returns how many nodes are synchronised and in the DODAG.
-func (n *Network) JoinedCount() int {
-	joined := 0
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		if synced, _ := node.Synced(); synced && n.Stacks[i].Router().Joined() {
-			joined++
-		}
-	}
-	return joined
+	return stack.Build(nw, Codec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
+		func(id topology.NodeID, isRoot bool) (*Stack, error) {
+			// A counting source (same value stream as rand.NewSource) keeps
+			// the stack's RNG position checkpointable for snapshots.
+			src := detrand.New(seed*6151 + int64(id))
+			s, err := NewStack(id, isRoot, cfg, rand.New(src))
+			if err != nil {
+				return nil, err
+			}
+			s.rngSrc = src
+			return s, nil
+		})
 }

@@ -16,6 +16,7 @@ import (
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
 )
@@ -157,6 +158,20 @@ func NewStack(id topology.NodeID, isRoot bool, cfg Config, rng *rand.Rand) (*Sta
 
 // Router exposes the RPL state for experiments and tests.
 func (s *Stack) Router() *rpl.Router { return s.router }
+
+// Joined implements stack.Node: the node is in the DODAG.
+func (s *Stack) Joined() bool { return s.router.Joined() }
+
+// SetRouteHook implements stack.Node.
+func (s *Stack) SetRouteHook(fn stack.RouteHook) { s.router.OnParentChange = fn }
+
+// Probe implements stack.Node. RPL keeps a single preferred parent, so
+// backup is always 0 — runs that enable the monitor's RequireBackup check
+// will flag every Orchestra node, which is the honest reading of the
+// paper's single-parent critique.
+func (s *Stack) Probe() (parent, backup topology.NodeID, neighbors int) {
+	return s.router.Parent(), 0, s.router.Neighbors()
+}
 
 // Reset implements mac.Resetter: it discards the RPL neighbour set,
 // parent and derived schedule caches, returning the stack to its

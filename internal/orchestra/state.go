@@ -5,8 +5,10 @@ import (
 	"sort"
 
 	"github.com/digs-net/digs/internal/rpl"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // ChildSlotState is one sender-cell cache entry (sender-based mode).
@@ -39,7 +41,7 @@ type StackState struct {
 // CaptureState snapshots the stack. It fails for stacks constructed with
 // an external RNG (NewStack with a caller-owned rand.Rand): only
 // Build-created stacks track their generator position.
-func (s *Stack) CaptureState() (*StackState, error) {
+func (s *Stack) CaptureState() (stack.State, error) {
 	if s.rngSrc == nil {
 		return nil, fmt.Errorf("orchestra stack %d: not built with a checkpointable RNG (use orchestra.Build)", s.id)
 	}
@@ -66,7 +68,11 @@ func (s *Stack) CaptureState() (*StackState, error) {
 
 // RestoreState overlays a captured stack state onto a freshly built stack
 // (same node, same configuration, same build seed).
-func (s *Stack) RestoreState(st *StackState) error {
+func (s *Stack) RestoreState(state stack.State) error {
+	st, ok := state.(*StackState)
+	if !ok {
+		return fmt.Errorf("orchestra stack %d: restoring %T", s.id, state)
+	}
 	if s.rngSrc == nil {
 		return fmt.Errorf("orchestra stack %d: not built with a checkpointable RNG (use orchestra.Build)", s.id)
 	}
@@ -89,39 +95,54 @@ func (s *Stack) RestoreState(st *StackState) error {
 	return nil
 }
 
-// CaptureState snapshots every stack of the network, indexed by node ID
-// (entry 0 nil).
-func (n *Network) CaptureState() ([]*StackState, error) {
-	out := make([]*StackState, len(n.Stacks))
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
+// Codec is the Orchestra stack's registration: protocol "orchestra", one
+// StackState per node in the "orch" snapshot section.
+var Codec = stack.Codec{Protocol: "orchestra", Section: "orch", Read: readState}
+
+func init() { stack.Register(Codec) }
+
+// Routed implements stack.State.
+func (st *StackState) Routed() bool { return st.Router.HasParentedAt }
+
+// AppendTo implements stack.State: the "orch" snapshot section layout.
+func (st *StackState) AppendTo(w *wire.Writer) {
+	st.Router.AppendTo(w)
+	st.Trickle.AppendTo(w)
+	w.U64(st.RNGDraws)
+	w.Bool(st.WantDIO)
+	w.I64(st.NextMaintain)
+	w.I64(st.NextSolicit)
+	w.Bool(st.Synced)
+	w.Int(st.TxBackoff)
+	w.Bool(st.HasChildSlots)
+	if st.HasChildSlots {
+		w.U64(uint64(len(st.ChildSlots)))
+		for _, c := range st.ChildSlots {
+			w.I64(c.Slot)
+			w.U64(uint64(c.Node))
 		}
-		st, err := s.CaptureState()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = st
 	}
-	return out, nil
 }
 
-// RestoreState overlays captured stack states onto a freshly built
-// network.
-func (n *Network) RestoreState(states []*StackState) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("orchestra restore: %d stack states for %d stacks", len(states), len(n.Stacks))
+func readState(r *wire.Reader) stack.State {
+	st := &StackState{}
+	st.Router = rpl.ReadRouterState(r)
+	st.Trickle = trickle.ReadState(r)
+	st.RNGDraws = r.U64()
+	st.WantDIO = r.Bool()
+	st.NextMaintain = r.I64()
+	st.NextSolicit = r.I64()
+	st.Synced = r.Bool()
+	st.TxBackoff = r.Int()
+	if r.Bool() {
+		st.HasChildSlots = true
+		if n := r.Count(2); n > 0 {
+			st.ChildSlots = make([]ChildSlotState, n)
+			for i := range st.ChildSlots {
+				st.ChildSlots[i].Slot = r.I64()
+				st.ChildSlots[i].Node = topology.NodeID(r.U64())
+			}
+		}
 	}
-	for i, s := range n.Stacks {
-		if s == nil {
-			continue
-		}
-		if states[i] == nil {
-			return fmt.Errorf("orchestra restore: missing state for node %d", i)
-		}
-		if err := s.RestoreState(states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st
 }

@@ -85,8 +85,9 @@ type Router struct {
 
 	// OnParentChange, when set, is invoked whenever the preferred parent
 	// switches. The telemetry subsystem uses it to correlate loss windows
-	// with route churn.
-	OnParentChange func(asn sim.ASN, parent topology.NodeID)
+	// with route churn. RPL keeps a single parent: backup is always 0 (the
+	// signature is the stack contract's route hook).
+	OnParentChange func(asn sim.ASN, parent, backup topology.NodeID)
 }
 
 // NewRouter creates RPL state for a node. Roots (access points) have rank
@@ -274,7 +275,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	if best != oldParent {
 		r.parentChanges++
 		if r.OnParentChange != nil {
-			r.OnParentChange(asn, best)
+			r.OnParentChange(asn, best, 0)
 		}
 		return true
 	}

@@ -1,6 +1,7 @@
 package rpl
 
 import (
+	"github.com/digs-net/digs/internal/wire"
 	"sort"
 
 	"github.com/digs-net/digs/internal/link"
@@ -64,4 +65,44 @@ func (r *Router) RestoreState(st RouterState) {
 	r.firstParentAt = st.FirstParentAt
 	r.hasParentedAt = st.HasParentedAt
 	r.parentChanges = st.ParentChanges
+}
+
+// AppendTo writes the routing state in its snapshot wire form.
+func (st *RouterState) AppendTo(w *wire.Writer) {
+	w.U16(st.Rank)
+	w.Float(st.PathETX)
+	w.U64(uint64(st.Parent))
+	w.U64(uint64(len(st.Neighbors)))
+	for _, e := range st.Neighbors {
+		w.U64(uint64(e.Node))
+		w.U16(e.Rank)
+		w.Float(e.PathETX)
+		w.I64(e.LastHeard)
+	}
+	link.AppendStates(w, st.Links)
+	w.I64(st.FirstParentAt)
+	w.Bool(st.HasParentedAt)
+	w.I64(st.ParentChanges)
+}
+
+// ReadRouterState decodes what AppendTo wrote.
+func ReadRouterState(r *wire.Reader) RouterState {
+	var st RouterState
+	st.Rank = r.U16()
+	st.PathETX = r.Float()
+	st.Parent = topology.NodeID(r.U64())
+	if n := r.Count(12); n > 0 {
+		st.Neighbors = make([]NeighborState, n)
+		for i := range st.Neighbors {
+			st.Neighbors[i].Node = topology.NodeID(r.U64())
+			st.Neighbors[i].Rank = r.U16()
+			st.Neighbors[i].PathETX = r.Float()
+			st.Neighbors[i].LastHeard = r.I64()
+		}
+	}
+	st.Links = link.ReadStates(r)
+	st.FirstParentAt = r.I64()
+	st.HasParentedAt = r.Bool()
+	st.ParentChanges = r.I64()
+	return st
 }

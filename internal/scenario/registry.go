@@ -7,24 +7,27 @@ import (
 
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 )
 
-// StackBuilder attaches one protocol stack to every node of the freshly
-// built network and fills the Scenario's uniform surface (MACNode, Joined,
-// SetTracer, OnDeliver, Prober, Healer, take/restore, ConfigHash). The
+// StackBuilder chooses one protocol stack's configuration and attaches it
+// to every node of the freshly built network, returning the bundle. The
 // builder receives the resolved Params (Topology non-nil, Period filled)
 // and the MAC configuration the scenario computed from them.
-type StackBuilder func(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error
+type StackBuilder func(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error)
 
 var stackRegistry = map[string]StackBuilder{}
 
-// RegisterStack adds a protocol stack under its -protocol name. Every CLI
-// and the scenario spec validate against this one registry, so adding a
-// controller implementation is a single registration. Registration happens
-// from init functions; duplicate or empty names are programming errors.
-func RegisterStack(name string, b StackBuilder) {
-	if name == "" || b == nil {
-		panic("scenario: RegisterStack with empty name or nil builder")
+// RegisterStack adds a protocol stack under its codec's -protocol name.
+// Every CLI and the scenario spec validate against this one registry, so
+// adding a stack is its own package plus a single registration here.
+// Registration happens from init functions; a name the stack package has
+// not registered its codec under, a duplicate or a nil builder are
+// programming errors.
+func RegisterStack(c stack.Codec, b StackBuilder) {
+	name := c.Protocol
+	if _, ok := stack.Lookup(name); !ok || b == nil {
+		panic(fmt.Sprintf("scenario: RegisterStack(%q) without a registered codec or with a nil builder", name))
 	}
 	if _, dup := stackRegistry[name]; dup {
 		panic(fmt.Sprintf("scenario: stack %q registered twice", name))

@@ -220,9 +220,9 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 	var chain telemetry.Tracer = opts.Tracer
 	var mon *invariant.Monitor
 	if cs.Invariants {
-		mon = invariant.New(invariant.Config{Emit: opts.Tracer, Heal: sc.Healer})
+		mon = invariant.New(invariant.Config{Emit: opts.Tracer, Heal: sc.Healer()})
 		chain = telemetry.Multi(opts.Tracer, mon)
-		invariant.Attach(nw, mon, sc.Prober, 0)
+		invariant.Attach(nw, mon, sc.Prober(nw), 0)
 	}
 	var plan *chaos.Plan
 	switch {

@@ -14,10 +14,10 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/core"
-	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
@@ -70,11 +70,12 @@ type Params struct {
 	MacBoost int
 	// DiGSConfig overrides the DiGS stack configuration (ablations).
 	DiGSConfig *core.Config
-	// Shards selects the scale engine's shard count (0 = 1 shard when the
-	// topology is sparse-only, dense engine otherwise). Any positive value
-	// forces the scale engine; results are bit-identical for every shard
-	// count, so Shards is a throughput knob, not a simulation parameter —
-	// snapshots taken at one count restore at any other.
+	// Shards is the sparse engine's shard count (0 = 1). The engine itself
+	// follows the topology — sparse-only deployments run the sharded
+	// sparse loop, everything else the dense loop, where Shards is ignored
+	// — and results are bit-identical for every shard count, so Shards is
+	// a throughput knob, not a simulation parameter: snapshots taken at
+	// one count restore at any other.
 	Shards int
 	// Flows requests that many random flow sources instead of the
 	// deployment's suggested ones. Only the WirelessHART build consumes it
@@ -84,28 +85,37 @@ type Params struct {
 	Flows int
 }
 
-// Scenario is a built, runnable protocol scenario with a uniform surface
-// over the registered stacks.
+// Scenario is a built, runnable protocol scenario: the simulated network
+// plus the one stack contract (stack.Bundle) over whichever registered
+// stack runs on it — sc.MACNode(i), sc.OnDeliver(fn), sc.Prober(sc.NW),
+// sc.Healer(), sc.Schedule(id, asn) are the bundle's methods.
 type Scenario struct {
 	Params Params
 	NW     *sim.Network
-	// ConfigHash fingerprints everything that shaped the build beyond
-	// (topology, protocol, seed); snapshot metadata carries it.
-	ConfigHash uint64
+	stack.Bundle
+}
 
-	MACNode   func(i int) *mac.Node
-	Joined    func() int
-	SetTracer func(telemetry.Tracer)
-	OnDeliver func(fn func(asn sim.ASN, f *sim.Frame))
-	Prober    invariant.Prober
-	Healer    func(id topology.NodeID, asn sim.ASN)
-	// Schedule reads one node's slot assignment (digs-sim's
-	// -dump-schedule). Calling it advances protocol timers exactly like
-	// the simulation would, so it is a run-ending inspection, not a peek.
-	Schedule func(id int, asn sim.ASN) mac.Assignment
+// Joined returns how many nodes are synchronised and joined.
+func (sc *Scenario) Joined() int { return sc.JoinedCount() }
 
-	take    func(meta snapshot.Meta) (*snapshot.Snapshot, error)
-	restore func(s *snapshot.Snapshot) error
+// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
+// every node of the stack. On the sparse engine the device layers record
+// from inside the shard-parallel phases, so a per-shard splitter is
+// interposed: any downstream sink sees one deterministic stream
+// regardless of shard count.
+func (sc *Scenario) SetTracer(t telemetry.Tracer) {
+	nw := sc.NW
+	switch {
+	case !nw.ScaleMode():
+		sc.Bundle.SetTracer(t)
+	case t == nil:
+		nw.SetParallelNotify(nil)
+		sc.Bundle.SetTracer(nil)
+	default:
+		sp := telemetry.NewSplitter(t, nw.ShardCount(), nw.ShardOf)
+		nw.SetParallelNotify(sp.SetParallel)
+		sc.Bundle.SetTracer(sp)
+	}
 }
 
 // Build constructs the scenario: a fresh network with the selected stack
@@ -124,47 +134,28 @@ func Build(p Params) (*Scenario, error) {
 	if p.Period == 0 {
 		p.Period = 5 * time.Second
 	}
-	topo := p.Topology
+	build, ok := stackRegistry[p.Protocol]
+	if !ok {
+		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
+	}
+	// The engine is a function of the topology alone: equal spec hashes
+	// (which exclude Shards) must mean equal result bytes, and the two
+	// slot loops draw their randomness differently.
 	var nw *sim.Network
-	if p.Shards > 0 || topo.SparseOnly() {
-		shards := p.Shards
-		if shards < 1 {
-			shards = 1
-		}
-		nw = sim.NewScaleNetwork(topo, p.Seed, shards)
+	if p.Topology.SparseOnly() {
+		nw = sim.NewScaleNetwork(p.Topology, p.Seed, max(p.Shards, 1))
 	} else {
-		nw = sim.NewNetwork(topo, p.Seed)
+		nw = sim.NewNetwork(p.Topology, p.Seed)
 	}
 	macCfg := mac.DefaultConfig()
 	if p.MacBoost > 1 {
 		macCfg.MaxTxPerPacket *= p.MacBoost
 	}
-	sc := &Scenario{Params: p, NW: nw}
-
-	build, ok := stackRegistry[p.Protocol]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
-	}
-	if err := build(sc, p, nw, macCfg); err != nil {
+	net, err := build(nw, p, macCfg)
+	if err != nil {
 		return nil, err
 	}
-	if nw.ScaleMode() {
-		// Device layers record telemetry from inside the shard-parallel
-		// phases; interpose the per-shard splitter so any downstream sink
-		// sees one deterministic stream regardless of shard count.
-		inner := sc.SetTracer
-		sc.SetTracer = func(t telemetry.Tracer) {
-			if t == nil {
-				nw.SetParallelNotify(nil)
-				inner(nil)
-				return
-			}
-			sp := telemetry.NewSplitter(t, nw.ShardCount(), nw.ShardOf)
-			nw.SetParallelNotify(sp.SetParallel)
-			inner(sp)
-		}
-	}
-	return sc, nil
+	return &Scenario{Params: p, NW: nw, Bundle: net}, nil
 }
 
 // BuildFromMeta rebuilds the scenario a snapshot was taken from, using the
@@ -196,19 +187,13 @@ func BuildFromMeta(m snapshot.Meta) (*Scenario, error) {
 		}
 		p.Flows = n
 	}
-	if v := m.Extra["scale"]; v != "" {
-		// The snapshot came from a scale-engine run; rebuild in scale mode
-		// (the exact shard count is a throughput knob, not identity — the
-		// restoring process picks its own).
-		p.Shards = 1
-	}
 	sc, err := Build(p)
 	if err != nil {
 		return nil, err
 	}
-	if sc.ConfigHash != m.ConfigHash {
+	if sc.ConfigHash() != m.ConfigHash {
 		return nil, fmt.Errorf("snapshot configuration hash %016x, this build produces %016x (config drift?)",
-			m.ConfigHash, sc.ConfigHash)
+			m.ConfigHash, sc.ConfigHash())
 	}
 	return sc, nil
 }
@@ -219,7 +204,7 @@ func (sc *Scenario) Take(label string, extra map[string]string) (*snapshot.Snaps
 	meta := snapshot.Meta{
 		Topology:   sc.Params.TopologyName,
 		Seed:       sc.Params.Seed,
-		ConfigHash: sc.ConfigHash,
+		ConfigHash: sc.ConfigHash(),
 		Label:      label,
 		Extra:      map[string]string{"period": sc.Params.Period.String()},
 	}
@@ -229,25 +214,20 @@ func (sc *Scenario) Take(label string, extra map[string]string) (*snapshot.Snaps
 	if sc.Params.Flows > 0 {
 		meta.Extra["flows"] = strconv.Itoa(sc.Params.Flows)
 	}
-	if sc.NW.ScaleMode() && !sc.Params.Topology.SparseOnly() {
-		// Sparse-only topologies rebuild in scale mode from the name alone;
-		// explicitly-forced scale runs on small topologies need the marker.
-		meta.Extra["scale"] = "1"
-	}
 	for k, v := range extra {
 		meta.Extra[k] = v
 	}
-	return sc.take(meta)
+	return snapshot.Take(meta, sc.NW, sc.Bundle)
 }
 
 // Restore overlays the snapshot onto this freshly built, never-stepped
 // scenario.
 func (sc *Scenario) Restore(s *snapshot.Snapshot) error {
-	if s.Meta.ConfigHash != sc.ConfigHash {
+	if s.Meta.ConfigHash != sc.ConfigHash() {
 		return fmt.Errorf("snapshot configuration hash %016x, scenario built %016x",
-			s.Meta.ConfigHash, sc.ConfigHash)
+			s.Meta.ConfigHash, sc.ConfigHash())
 	}
-	return sc.restore(s)
+	return s.Restore(sc.NW, sc.Bundle)
 }
 
 // CacheKey is the warm-start cache identity of this scenario at a phase
@@ -257,7 +237,7 @@ func (sc *Scenario) CacheKey(label string) snapshot.Key {
 		Topology:   sc.Params.TopologyName,
 		Protocol:   sc.Params.Protocol,
 		Seed:       sc.Params.Seed,
-		ConfigHash: sc.ConfigHash,
+		ConfigHash: sc.ConfigHash(),
 		Label:      label,
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
@@ -299,7 +300,7 @@ func TestWarmStartCampaignDeterminism(t *testing.T) {
 				return "", err
 			}
 			return fmt.Sprintf("formed=%s trace=%d delivered=%d state=%x",
-				meta.Extra["formed_slots"], len(trace), len(col.Delivered), snapshot.HashConfig(wire)), nil
+				meta.Extra["formed_slots"], len(trace), len(col.Delivered), stack.HashConfig(wire)), nil
 		})
 	}
 

@@ -97,8 +97,8 @@ func TestBuildCanonicalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc1.ConfigHash != sc2.ConfigHash {
-		t.Fatalf("ConfigHash %016x != canonical %016x", sc1.ConfigHash, sc2.ConfigHash)
+	if sc1.ConfigHash() != sc2.ConfigHash() {
+		t.Fatalf("ConfigHash %016x != canonical %016x", sc1.ConfigHash(), sc2.ConfigHash())
 	}
 	if k1, k2 := sc1.CacheKey("formed+30s"), sc2.CacheKey("formed+30s"); k1 != k2 {
 		t.Fatalf("cache keys differ: %s vs %s", k1, k2)

@@ -9,69 +9,38 @@ import (
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/whart"
 )
 
-// The five protocol stacks register here; Build dispatches through the
+// The five protocol stacks register here, one line each: the stack
+// package's own Codec (name, snapshot section, state decoder) paired with
+// the builder that picks its configuration. Build dispatches through the
 // registry, so the CLIs, the spec validator and the snapshot layer all
 // agree on the same protocol name set without per-binary switches.
 func init() {
-	RegisterStack(snapshot.ProtocolDiGS, buildDiGS)
-	RegisterStack(snapshot.ProtocolOrchestra, buildOrchestra)
-	RegisterStack(snapshot.ProtocolWHART, buildWHART)
-	RegisterStack(snapshot.ProtocolSDN, buildSDN)
-	RegisterStack(snapshot.ProtocolAdaptive, buildAdaptive)
+	RegisterStack(core.Codec, buildDiGS)
+	RegisterStack(orchestra.Codec, buildOrchestra)
+	RegisterStack(whart.Codec, buildWHART)
+	RegisterStack(controller.SDNCodec, buildSDN)
+	RegisterStack(controller.AdaptiveCodec, buildAdaptive)
 }
 
-func buildDiGS(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildDiGS(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
 	// ScaledConfig == DefaultConfig within the paper envelope; only
 	// generated massive-scale deployments get re-dimensioned frames.
 	cfg := core.ScaledConfig(p.Topology.NumAPs, p.Topology.N())
 	if p.DiGSConfig != nil {
 		cfg = *p.DiGSConfig
 	}
-	net, err := core.Build(nw, cfg, macCfg, p.Seed)
-	if err != nil {
-		return err
-	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeDiGS(meta, nw, net)
-	}
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreDiGS(nw, net) }
-	return nil
+	return core.Build(nw, cfg, macCfg, p.Seed)
 }
 
-func buildOrchestra(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
-	cfg := orchestra.DefaultConfig()
-	net, err := orchestra.Build(nw, cfg, macCfg, p.Seed)
-	if err != nil {
-		return err
-	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeOrchestra(meta, nw, net)
-	}
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreOrchestra(nw, net) }
-	return nil
+func buildOrchestra(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
+	return orchestra.Build(nw, orchestra.DefaultConfig(), macCfg, p.Seed)
 }
 
-func buildWHART(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
+func buildWHART(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
 	topo := p.Topology
 	// The Network Manager computes the TDMA schedule for its flow set up
 	// front; a random-flows request therefore changes the build (and its
@@ -80,7 +49,7 @@ func buildWHART(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) erro
 	if p.Flows > 0 {
 		rf, err := flows.RandomSet(topo, p.Flows, p.Period, rand.New(rand.NewSource(p.Seed)))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		srcs = nil
 		for _, f := range rf {
@@ -93,72 +62,13 @@ func buildWHART(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) erro
 			ID: uint16(i + 1), Source: src, PeriodSlots: sim.SlotsFor(p.Period),
 		})
 	}
-	net, err := whart.Build(nw, fl, macCfg)
-	if err != nil {
-		return err
-	}
-	sc.ConfigHash = snapshot.HashConfig(macCfg, fl)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = func() int {
-		n := 0
-		for i := 1; i <= topo.N(); i++ {
-			if ok, _ := net.Nodes[i].Synced(); ok {
-				n++
-			}
-		}
-		return n
-	}
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	// Schedule stays nil: the whart build does not retain its static
-	// per-node stacks (the schedule is the superframe, inspectable there).
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeWHART(meta, nw, net)
-	}
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreWHART(nw, net) }
-	return nil
+	return whart.Build(nw, fl, macCfg)
 }
 
-func buildSDN(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
-	cfg := controller.DefaultSDNConfig()
-	net, err := controller.BuildSDN(nw, cfg, macCfg)
-	if err != nil {
-		return err
-	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeSDN(meta, nw, net)
-	}
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreSDN(nw, net) }
-	return nil
+func buildSDN(nw *sim.Network, _ Params, macCfg mac.Config) (stack.Bundle, error) {
+	return controller.BuildSDN(nw, controller.DefaultSDNConfig(), macCfg)
 }
 
-func buildAdaptive(sc *Scenario, p Params, nw *sim.Network, macCfg mac.Config) error {
-	cfg := controller.DefaultAdaptiveConfig()
-	net, err := controller.BuildAdaptive(nw, cfg, macCfg, p.Seed)
-	if err != nil {
-		return err
-	}
-	sc.ConfigHash = snapshot.HashConfig(cfg, macCfg)
-	sc.MACNode = func(i int) *mac.Node { return net.Nodes[i] }
-	sc.Joined = net.JoinedCount
-	sc.SetTracer = net.SetTracer
-	sc.OnDeliver = net.OnDeliver
-	sc.Prober = net.Prober(nw)
-	sc.Healer = net.Healer()
-	sc.Schedule = func(id int, asn sim.ASN) mac.Assignment { return net.Stacks[id].Assignment(asn) }
-	sc.take = func(meta snapshot.Meta) (*snapshot.Snapshot, error) {
-		return snapshot.TakeAdaptive(meta, nw, net)
-	}
-	sc.restore = func(s *snapshot.Snapshot) error { return s.RestoreAdaptive(nw, net) }
-	return nil
+func buildAdaptive(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
+	return controller.BuildAdaptive(nw, controller.DefaultAdaptiveConfig(), macCfg, p.Seed)
 }

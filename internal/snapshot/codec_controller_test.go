@@ -1,19 +1,21 @@
-package snapshot
+package snapshot_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/digs-net/digs/internal/controller"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
 )
 
-func testMeta(proto string, nodes int) Meta {
-	return Meta{
+func testMeta(proto string, nodes int) snapshot.Meta {
+	return snapshot.Meta{
 		Protocol: proto, Topology: "testbed-a", Nodes: nodes, NumAPs: 1,
 		Seed: 7, Slot: 1234, ConfigHash: 99, Label: "t",
 	}
@@ -35,13 +37,37 @@ func testMACs(nodes int) []*mac.NodeState {
 // through the wire format: controller-only tables, bounded control queues
 // with source-routed frames, and the nil-vs-empty table distinctions.
 func TestSDNStackStateRoundTrip(t *testing.T) {
-	stacks := []*controller.SDNStackState{
+	snap := synthSDN()
+	wire, err := snapshot.Encode(snap)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := snapshot.Decode(wire)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(back.Stack, snap.Stack) {
+		t.Fatalf("sdn stacks did not round-trip:\n got %+v\nwant %+v", back.Stack, snap.Stack)
+	}
+}
+
+func synthSDN() *snapshot.Snapshot {
+	return &snapshot.Snapshot{
+		Meta:  testMeta(snapshot.ProtocolSDN, 3),
+		Net:   testNet(3),
+		MACs:  testMACs(3),
+		Stack: states(sdnStates()),
+	}
+}
+
+func sdnStates() []*controller.SDNStackState {
+	return []*controller.SDNStackState{
 		nil,
 		{ // controller: collected reports, dissemination dedup, epochs
 			Synced: true, OwnHops: 0,
 			HasHops: true, HasRSS: true,
-			Hops: []controller.SDNHopsState{{Node: 2, Hops: 1, Heard: 900}},
-			RSS: []controller.SDNRSSState{{Node: 2, RSS: -61.25, Heard: 901}, {Node: 3, RSS: -80, Heard: 800}},
+			Hops:         []controller.SDNHopsState{{Node: 2, Hops: 1, Heard: 900}},
+			RSS:          []controller.SDNRSSState{{Node: 2, RSS: -61.25, Heard: 901}, {Node: 3, RSS: -80, Heard: 800}},
 			NextMaintain: 1300, NextReport: 0,
 			CfgEpoch: 5, Parent: 0, Children: []topology.NodeID{2, 3},
 			CtrlQ: []controller.SDNCtrlState{
@@ -67,7 +93,7 @@ func TestSDNStackStateRoundTrip(t *testing.T) {
 		{ // routed switch: configured parent, pending relay, fresh tables
 			Synced: true, Uplink: 1, OwnHops: 1,
 			HasHops: true, Hops: []controller.SDNHopsState{{Node: 1, Hops: 0, Heard: 1000}},
-			HasRSS:  true, RSS: []controller.SDNRSSState{{Node: 1, RSS: -55, Heard: 1000}},
+			HasRSS: true, RSS: []controller.SDNRSSState{{Node: 1, RSS: -55, Heard: 1000}},
 			NextMaintain: 1290, NextReport: 2100,
 			CfgEpoch: 5, Parent: 1, Children: []topology.NodeID{3},
 			ConsecParentFails: 3,
@@ -79,30 +105,37 @@ func TestSDNStackStateRoundTrip(t *testing.T) {
 			OwnHops: 255,
 		},
 	}
-	snap := &Snapshot{
-		Meta: testMeta(ProtocolSDN, 3),
-		Net:  testNet(3),
-		MACs: testMACs(3),
-		SDN:  stacks,
-	}
-	wire, err := Encode(snap)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := Decode(wire)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(back.SDN, stacks) {
-		t.Fatalf("sdn stacks did not round-trip:\n got %+v\nwant %+v", back.SDN, stacks)
-	}
 }
 
 // TestAdaptiveStackStateRoundTrip drives the adaptive allocator's section:
 // RPL/trickle state, the cell budget counters, and both caches with their
 // nil-vs-empty distinction.
 func TestAdaptiveStackStateRoundTrip(t *testing.T) {
-	stacks := []*controller.AdaptiveStackState{
+	snap := synthAdaptive()
+	wire, err := snapshot.Encode(snap)
+	if err != nil {
+		t.Fatalf("encode: %v", err)
+	}
+	back, err := snapshot.Decode(wire)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !reflect.DeepEqual(back.Stack, snap.Stack) {
+		t.Fatalf("adaptive stacks did not round-trip:\n got %+v\nwant %+v", back.Stack, snap.Stack)
+	}
+}
+
+func synthAdaptive() *snapshot.Snapshot {
+	return &snapshot.Snapshot{
+		Meta:  testMeta(snapshot.ProtocolAdaptive, 2),
+		Net:   testNet(2),
+		MACs:  testMACs(2),
+		Stack: states(adaptiveStates()),
+	}
+}
+
+func adaptiveStates() []*controller.AdaptiveStackState {
+	return []*controller.AdaptiveStackState{
 		nil,
 		{
 			Router:   rpl.RouterState{Rank: 4, Parent: 0},
@@ -124,39 +157,55 @@ func TestAdaptiveStackStateRoundTrip(t *testing.T) {
 			TxCells:       1,
 		},
 	}
-	snap := &Snapshot{
-		Meta:     testMeta(ProtocolAdaptive, 2),
-		Net:      testNet(2),
-		MACs:     testMACs(2),
-		Adaptive: stacks,
-	}
-	wire, err := Encode(snap)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	back, err := Decode(wire)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !reflect.DeepEqual(back.Adaptive, stacks) {
-		t.Fatalf("adaptive stacks did not round-trip:\n got %+v\nwant %+v", back.Adaptive, stacks)
-	}
 }
 
 // TestValidateControllerSections rejects snapshots whose protocol and stack
 // sections disagree.
 func TestValidateControllerSections(t *testing.T) {
-	snap := &Snapshot{
-		Meta: testMeta(ProtocolSDN, 2),
-		Net:  testNet(2),
-		MACs: testMACs(2),
-		SDN:  []*controller.SDNStackState{nil, {}}, // 2 entries for 2 nodes: wrong
+	snap := &snapshot.Snapshot{
+		Meta:  testMeta(snapshot.ProtocolSDN, 2),
+		Net:   testNet(2),
+		MACs:  testMACs(2),
+		Stack: states([]*controller.SDNStackState{nil, {}}), // 2 entries for 2 nodes: wrong
 	}
-	if _, err := Encode(snap); err != nil {
+	if _, err := snapshot.Encode(snap); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	wire, _ := Encode(snap)
-	if _, err := Decode(wire); err == nil {
+	wire, _ := snapshot.Encode(snap)
+	if _, err := snapshot.Decode(wire); err == nil {
 		t.Fatal("decode accepted an sdn snapshot with a short stack section")
+	}
+}
+
+// TestDiffAndSummaryCoverControllerStacks: Diff and Summary go through the
+// stack contract, so the controller-layer stacks are covered like the
+// paper's three — two snapshots differing in one stack field yield one
+// diff line, and the routed count is the stack's own.
+func TestDiffAndSummaryCoverControllerStacks(t *testing.T) {
+	for _, tc := range []struct {
+		synth  func() *snapshot.Snapshot
+		mutate func(s *snapshot.Snapshot)
+		line   string
+		routed string
+	}{
+		{synthSDN,
+			func(s *snapshot.Snapshot) { s.Stack[1].(*controller.SDNStackState).EpochCount++ },
+			"sdn[1].EpochCount", "routing:     1/2 routed"},
+		{synthAdaptive,
+			func(s *snapshot.Snapshot) { s.Stack[2].(*controller.AdaptiveStackState).Router.HasParentedAt = true },
+			"adpt[2].Router", "routing:     1/1 routed"},
+	} {
+		a, b := tc.synth(), tc.synth()
+		if d := snapshot.Diff(a, b); len(d) != 0 {
+			t.Fatalf("identical %s snapshots diff: %v", a.Meta.Protocol, d)
+		}
+		tc.mutate(b)
+		d := snapshot.Diff(a, b)
+		if len(d) != 1 || !strings.HasPrefix(d[0], tc.line) {
+			t.Errorf("%s: want one diff line on %s, got %v", a.Meta.Protocol, tc.line, d)
+		}
+		if sum := snapshot.Summary(b); !strings.Contains(sum, tc.routed) {
+			t.Errorf("%s summary lacks %q:\n%s", a.Meta.Protocol, tc.routed, sum)
+		}
 	}
 }

@@ -1,4 +1,4 @@
-package snapshot
+package snapshot_test
 
 import (
 	"bytes"
@@ -14,15 +14,36 @@ import (
 	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
 )
+
+// magic is the wire format's leading bytes.
+const magic = "DIGSSNAP"
+
+// states erases a typed per-node state slice into the snapshot's stack
+// section, keeping nil entries nil.
+func states[T interface {
+	comparable
+	stack.State
+}](typed []T) []stack.State {
+	var zero T
+	out := make([]stack.State, len(typed))
+	for i, st := range typed {
+		if st != zero {
+			out[i] = st
+		}
+	}
+	return out
+}
 
 // synthDiGS builds a synthetic DiGS snapshot exercising every optional
 // branch of the wire format: fade and drift overlays, queued packets with
 // routes and payloads, an in-flight bulletin, pending callbacks, link
 // tables and an open metrics window.
-func synthDiGS() *Snapshot {
+func synthDiGS() *snapshot.Snapshot {
 	nodes := 3
 	macs := make([]*mac.NodeState, nodes+1)
 	stacks := make([]*core.StackState, nodes+1)
@@ -63,9 +84,9 @@ func synthDiGS() *Snapshot {
 	}
 	macs[1].Queue[0].Frame.Route = nil
 
-	return &Snapshot{
-		Meta: Meta{
-			Protocol: ProtocolDiGS, Topology: "testbed-x", Nodes: nodes, NumAPs: 1,
+	return &snapshot.Snapshot{
+		Meta: snapshot.Meta{
+			Protocol: snapshot.ProtocolDiGS, Topology: "testbed-x", Nodes: nodes, NumAPs: 1,
 			Seed: 42, Slot: 12345, ConfigHash: 0xABCDEF, Label: "formed+30s",
 			Extra: map[string]string{"formed_slots": "8000", "period": "5s"},
 		},
@@ -77,8 +98,8 @@ func synthDiGS() *Snapshot {
 			DriftProb:         []float64{0, 0.001, 0.002, 0},
 			DriftSeed:         []uint64{0, 7, 8, 9},
 		},
-		MACs: macs,
-		DiGS: stacks,
+		MACs:  macs,
+		Stack: states(stacks),
 		Metrics: &metrics.CollectorState{
 			Sent:        []metrics.PacketRecord{{Flow: 1, Seq: 1, ASN: 100}, {Flow: 1, Seq: 2, ASN: 200}},
 			Delivered:   []metrics.PacketRecord{{Flow: 1, Seq: 1, ASN: 140}},
@@ -87,10 +108,9 @@ func synthDiGS() *Snapshot {
 	}
 }
 
-func synthOrchestra() *Snapshot {
+func synthOrchestra() *snapshot.Snapshot {
 	s := synthDiGS()
-	s.Meta.Protocol = ProtocolOrchestra
-	s.DiGS = nil
+	s.Meta.Protocol = snapshot.ProtocolOrchestra
 	stacks := make([]*orchestra.StackState, s.Meta.Nodes+1)
 	for i := 1; i <= s.Meta.Nodes; i++ {
 		stacks[i] = &orchestra.StackState{
@@ -110,39 +130,39 @@ func synthOrchestra() *Snapshot {
 	stacks[2].HasChildSlots = true
 	stacks[3].HasChildSlots = true
 	stacks[3].ChildSlots = []orchestra.ChildSlotState{{Slot: 4, Node: 2}, {Slot: 9, Node: 1}}
-	s.Orchestra = stacks
+	s.Stack = states(stacks)
 	return s
 }
 
-func synthWHART() *Snapshot {
+func synthWHART() *snapshot.Snapshot {
 	s := synthDiGS()
-	s.Meta.Protocol = ProtocolWHART
-	s.DiGS = nil
+	s.Meta.Protocol = snapshot.ProtocolWHART
+	s.Stack = nil
 	s.Metrics = nil
 	return s
 }
 
-func roundTrip(t *testing.T, s *Snapshot) {
+func roundTrip(t *testing.T, s *snapshot.Snapshot) {
 	t.Helper()
-	b1, err := Encode(s)
+	b1, err := snapshot.Encode(s)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	dec, err := Decode(b1)
+	dec, err := snapshot.Decode(b1)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if d := Diff(s, dec); len(d) != 0 {
+	if d := snapshot.Diff(s, dec); len(d) != 0 {
 		t.Fatalf("decoded snapshot differs:\n%v", d)
 	}
-	b2, err := Encode(dec)
+	b2, err := snapshot.Encode(dec)
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("re-encoded bytes differ: %d vs %d bytes", len(b1), len(b2))
 	}
-	for _, tag := range []string{secMeta, secNet, secMAC} {
+	for _, tag := range []string{"meta", "net", "mac"} {
 		if dec.SectionSizes[tag] == 0 {
 			t.Fatalf("section %q has no reported size", tag)
 		}
@@ -154,19 +174,19 @@ func TestRoundTripOrchestra(t *testing.T) { roundTrip(t, synthOrchestra()) }
 func TestRoundTripWHART(t *testing.T)     { roundTrip(t, synthWHART()) }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	b, err := Encode(synthDiGS())
+	b, err := snapshot.Encode(synthDiGS())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < len(b); n++ {
-		if _, err := Decode(b[:n]); err == nil {
+		if _, err := snapshot.Decode(b[:n]); err == nil {
 			t.Fatalf("truncation to %d/%d bytes decoded without error", n, len(b))
 		}
 	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	b, err := Encode(synthOrchestra())
+	b, err := snapshot.Encode(synthOrchestra())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,54 +194,43 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	for i := 0; i < len(b); i += 3 {
 		mut := append([]byte(nil), b...)
 		mut[i] ^= 0x5A
-		if _, err := Decode(mut); err == nil {
+		if _, err := snapshot.Decode(mut); err == nil {
 			t.Fatalf("flip at byte %d decoded without error", i)
 		}
 	}
 }
 
 func TestDecodeRejectsVersionSkew(t *testing.T) {
-	b, err := Encode(synthDiGS())
+	b, err := snapshot.Encode(synthDiGS())
 	if err != nil {
 		t.Fatal(err)
 	}
 	mut := append([]byte(nil), b...)
-	mut[len(magic)] = Version + 1 // single-byte uvarint
+	mut[len(magic)] = snapshot.Version + 1 // single-byte uvarint
 	// Recompute the checksum so only the version differs.
 	binary.BigEndian.PutUint32(mut[len(mut)-4:], crc32.ChecksumIEEE(mut[:len(mut)-4]))
-	if _, err := Decode(mut); err == nil {
+	if _, err := snapshot.Decode(mut); err == nil {
 		t.Fatal("future format version decoded without error")
 	}
 }
 
 func TestDiffReportsDivergence(t *testing.T) {
 	a, b := synthDiGS(), synthDiGS()
-	if d := Diff(a, b); len(d) != 0 {
+	if d := snapshot.Diff(a, b); len(d) != 0 {
 		t.Fatalf("identical snapshots diff: %v", d)
 	}
 	b.MACs[2].CoinState++
-	b.DiGS[1].Router.Rank = 99
-	d := Diff(a, b)
+	b.Stack[1].(*core.StackState).Router.Rank = 99
+	d := snapshot.Diff(a, b)
 	if len(d) != 2 {
 		t.Fatalf("want 2 diff lines, got %d: %v", len(d), d)
 	}
 }
 
-func TestHashConfigStable(t *testing.T) {
-	a := HashConfig(mac.DefaultConfig(), core.DefaultConfig(1))
-	b := HashConfig(mac.DefaultConfig(), core.DefaultConfig(1))
-	if a != b {
-		t.Fatal("same configs hash differently")
-	}
-	if a == HashConfig(mac.DefaultConfig(), core.DefaultConfig(2)) {
-		t.Fatal("different configs hash equal")
-	}
-}
-
 func TestCacheRoundTrip(t *testing.T) {
-	c := &Cache{Dir: t.TempDir()}
+	c := &snapshot.Cache{Dir: t.TempDir()}
 	s := synthDiGS()
-	k := Key{Topology: s.Meta.Topology, Protocol: s.Meta.Protocol, Seed: s.Meta.Seed,
+	k := snapshot.Key{Topology: s.Meta.Topology, Protocol: s.Meta.Protocol, Seed: s.Meta.Seed,
 		ConfigHash: s.Meta.ConfigHash, Label: s.Meta.Label}
 
 	if got, err := c.Load(k); err != nil || got != nil {
@@ -234,7 +243,7 @@ func TestCacheRoundTrip(t *testing.T) {
 	if err != nil || got == nil {
 		t.Fatalf("load after store: %v, %v", got, err)
 	}
-	if d := Diff(s, got); len(d) != 0 {
+	if d := snapshot.Diff(s, got); len(d) != 0 {
 		t.Fatalf("cached snapshot differs: %v", d)
 	}
 	other := k

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+
+	"github.com/digs-net/digs/internal/stack"
 )
 
 // Diff compares two snapshots field by field and returns one line per
@@ -42,18 +44,15 @@ func Diff(a, b *Snapshot) []string {
 			diffStruct(add, fmt.Sprintf("mac[%d]", i), a.MACs[i], b.MACs[i])
 		}
 	}
-	if len(a.DiGS) != len(b.DiGS) {
-		add("digs: %d vs %d stacks", len(a.DiGS), len(b.DiGS))
-	} else {
-		for i := 1; i < len(a.DiGS); i++ {
-			diffStruct(add, fmt.Sprintf("digs[%d]", i), a.DiGS[i], b.DiGS[i])
-		}
+	tag := "stack"
+	if codec, ok := stack.Lookup(a.Meta.Protocol); ok && codec.Section != "" {
+		tag = codec.Section
 	}
-	if len(a.Orchestra) != len(b.Orchestra) {
-		add("orch: %d vs %d stacks", len(a.Orchestra), len(b.Orchestra))
+	if len(a.Stack) != len(b.Stack) {
+		add("%s: %d vs %d stacks", tag, len(a.Stack), len(b.Stack))
 	} else {
-		for i := 1; i < len(a.Orchestra); i++ {
-			diffStruct(add, fmt.Sprintf("orch[%d]", i), a.Orchestra[i], b.Orchestra[i])
+		for i := 1; i < len(a.Stack); i++ {
+			diffStruct(add, fmt.Sprintf("%s[%d]", tag, i), a.Stack[i], b.Stack[i])
 		}
 	}
 	diffStruct(add, "metrics", a.Metrics, b.Metrics)
@@ -134,19 +133,14 @@ func Summary(s *Snapshot) string {
 		queued += len(m.Queue) + len(m.DownQueue)
 	}
 	fmt.Fprintf(&b, "mac:         %d/%d synced, %d packets queued\n", synced, s.Meta.Nodes, queued)
-	joined := 0
-	for _, st := range s.DiGS {
-		if st != nil && st.Router.HasParentedAt {
-			joined++
+	if len(s.Stack) > 0 {
+		routed := 0
+		for _, st := range s.Stack {
+			if st != nil && st.Routed() {
+				routed++
+			}
 		}
-	}
-	for _, st := range s.Orchestra {
-		if st != nil && st.Router.HasParentedAt {
-			joined++
-		}
-	}
-	if s.Meta.Protocol != ProtocolWHART {
-		fmt.Fprintf(&b, "routing:     %d/%d ever parented\n", joined, s.Meta.Nodes-s.Meta.NumAPs)
+		fmt.Fprintf(&b, "routing:     %d/%d routed\n", routed, s.Meta.Nodes-s.Meta.NumAPs)
 	}
 	if s.Metrics != nil {
 		fmt.Fprintf(&b, "metrics:     %d sent, %d delivered in window\n", len(s.Metrics.Sent), len(s.Metrics.Delivered))

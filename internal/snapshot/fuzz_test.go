@@ -1,8 +1,14 @@
-package snapshot
+package snapshot_test
 
 import (
 	"bytes"
 	"testing"
+
+	// Linking the scenario layer links every registered stack, and a
+	// linked stack has registered its codec: the fuzzer reaches every
+	// stack's decoder.
+	_ "github.com/digs-net/digs/internal/scenario"
+	"github.com/digs-net/digs/internal/snapshot"
 )
 
 // FuzzDecodeSnapshot hammers the decoder with arbitrary bytes: corrupt,
@@ -10,8 +16,8 @@ import (
 // and anything that does decode must re-encode canonically (encode ∘
 // decode is a fixed point).
 func FuzzDecodeSnapshot(f *testing.F) {
-	for _, synth := range []*Snapshot{synthDiGS(), synthOrchestra(), synthWHART()} {
-		b, err := Encode(synth)
+	for _, synth := range []*snapshot.Snapshot{synthDiGS(), synthOrchestra(), synthWHART(), synthSDN(), synthAdaptive()} {
+		b, err := snapshot.Encode(synth)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -25,19 +31,19 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := Decode(data)
+		s, err := snapshot.Decode(data)
 		if err != nil {
 			return
 		}
-		b2, err := Encode(s)
+		b2, err := snapshot.Encode(s)
 		if err != nil {
 			t.Fatalf("decoded snapshot fails to encode: %v", err)
 		}
-		s2, err := Decode(b2)
+		s2, err := snapshot.Decode(b2)
 		if err != nil {
 			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
 		}
-		b3, err := Encode(s2)
+		b3, err := snapshot.Encode(s2)
 		if err != nil {
 			t.Fatalf("second re-encode: %v", err)
 		}

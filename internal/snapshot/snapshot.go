@@ -16,18 +16,15 @@ package snapshot
 
 import (
 	"fmt"
-	"hash/fnv"
 
-	"github.com/digs-net/digs/internal/controller"
-	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
-	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/whart"
+	"github.com/digs-net/digs/internal/stack"
 )
 
-// Protocol identifiers stored in snapshot metadata.
+// Protocol identifiers stored in snapshot metadata: the registered
+// stack.Codec.Protocol names of the five stacks in the tree.
 const (
 	ProtocolDiGS      = "digs"
 	ProtocolOrchestra = "orchestra"
@@ -40,7 +37,7 @@ const (
 // needs to rebuild the scenario the state overlays onto, plus free-form
 // labelling for caches and tooling.
 type Meta struct {
-	// Protocol is one of the Protocol* constants.
+	// Protocol is a registered stack.Codec.Protocol name.
 	Protocol string
 	// Topology names the deployment (e.g. "testbed-a"); the restoring
 	// side resolves it to the same generator the taking side used.
@@ -52,7 +49,7 @@ type Meta struct {
 	Seed int64
 	// Slot is the ASN the snapshot was taken at.
 	Slot int64
-	// ConfigHash fingerprints the build configuration (HashConfig). A
+	// ConfigHash fingerprints the build configuration (stack.HashConfig). A
 	// restore under a different configuration would not be the same
 	// simulation; consumers compare fingerprints before restoring.
 	ConfigHash uint64
@@ -70,12 +67,11 @@ type Snapshot struct {
 	Net  *sim.NetworkState
 	// MACs is indexed by node ID (entry 0 nil), length Nodes+1.
 	MACs []*mac.NodeState
-	// Exactly one of DiGS/Orchestra/SDN/Adaptive is populated for those
-	// protocols; the WirelessHART stack is stateless beyond its MAC nodes.
-	DiGS      []*core.StackState
-	Orchestra []*orchestra.StackState
-	SDN       []*controller.SDNStackState
-	Adaptive  []*controller.AdaptiveStackState
+	// Stack is the protocol stack's per-node state, indexed by node ID
+	// (entry 0 nil), in the section the stack's codec names. Nil for a
+	// stack registered without a section (the WirelessHART stack is
+	// stateless beyond its MAC nodes).
+	Stack []stack.State
 	// Metrics optionally carries an in-window collector (snapshots taken
 	// mid-measurement).
 	Metrics *metrics.CollectorState
@@ -85,53 +81,39 @@ type Snapshot struct {
 	SectionSizes map[string]int
 }
 
-// HashConfig fingerprints build configuration values. Pass plain-old-data
-// structs (mac.Config, core.Config, orchestra.Config, slotframe lengths…);
-// the hash is over their printed form, stable across processes.
-func HashConfig(parts ...any) uint64 {
-	h := fnv.New64a()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%+v|", p)
+// Take captures a complete scenario — network, MAC nodes and the protocol
+// stack's own state — at the current slot. Protocol, Nodes, NumAPs and
+// Slot in meta are filled from the network and the bundle.
+func Take(meta Meta, nw *sim.Network, net stack.Bundle) (*Snapshot, error) {
+	codec, ok := stack.Lookup(net.Protocol())
+	if !ok {
+		return nil, fmt.Errorf("snapshot: no codec registered for protocol %q", net.Protocol())
 	}
-	return h.Sum64()
-}
-
-func captureMACs(nodes []*mac.Node) []*mac.NodeState {
-	out := make([]*mac.NodeState, len(nodes))
-	for i, n := range nodes {
-		if n != nil {
-			out[i] = n.CaptureState()
-		}
+	netSt, err := nw.CaptureState()
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-func restoreMACs(nodes []*mac.Node, states []*mac.NodeState) error {
-	if len(states) != len(nodes) {
-		return fmt.Errorf("snapshot: %d MAC states for %d nodes", len(states), len(nodes))
-	}
-	for i, n := range nodes {
-		if n == nil {
-			continue
-		}
-		if err := n.RestoreState(states[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func fillMeta(meta Meta, proto string, nw *sim.Network) Meta {
-	meta.Protocol = proto
+	meta.Protocol = net.Protocol()
 	meta.Nodes = nw.Topology().N()
 	meta.NumAPs = nw.Topology().NumAPs
 	meta.Slot = nw.ASN()
-	return meta
+	s := &Snapshot{Meta: meta, Net: netSt, MACs: make([]*mac.NodeState, meta.Nodes+1)}
+	for i := 1; i <= meta.Nodes; i++ {
+		s.MACs[i] = net.MACNode(i).CaptureState()
+	}
+	if codec.Section != "" {
+		if s.Stack, err = net.CaptureState(); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
-func (s *Snapshot) checkRestore(proto string, nw *sim.Network) error {
-	if s.Meta.Protocol != proto {
-		return fmt.Errorf("snapshot: restoring %q snapshot into a %s scenario", s.Meta.Protocol, proto)
+// Restore overlays the snapshot onto a freshly built, never-stepped
+// scenario of the same protocol and topology.
+func (s *Snapshot) Restore(nw *sim.Network, net stack.Bundle) error {
+	if s.Meta.Protocol != net.Protocol() {
+		return fmt.Errorf("snapshot: restoring %q snapshot into a %s scenario", s.Meta.Protocol, net.Protocol())
 	}
 	if s.Meta.Nodes != nw.Topology().N() {
 		return fmt.Errorf("snapshot: %d nodes in snapshot, topology has %d", s.Meta.Nodes, nw.Topology().N())
@@ -139,162 +121,19 @@ func (s *Snapshot) checkRestore(proto string, nw *sim.Network) error {
 	if s.Net == nil {
 		return fmt.Errorf("snapshot: missing network section")
 	}
-	return nil
-}
-
-// TakeDiGS captures a complete DiGS scenario at the current slot.
-func TakeDiGS(meta Meta, nw *sim.Network, net *core.Network) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta: fillMeta(meta, ProtocolDiGS, nw),
-		Net:  netSt,
-		MACs: captureMACs(net.Nodes),
-		DiGS: stacks,
-	}, nil
-}
-
-// RestoreDiGS overlays the snapshot onto a freshly built DiGS scenario.
-func (s *Snapshot) RestoreDiGS(nw *sim.Network, net *core.Network) error {
-	if err := s.checkRestore(ProtocolDiGS, nw); err != nil {
-		return err
+	if len(s.MACs) != s.Meta.Nodes+1 {
+		return fmt.Errorf("snapshot: %d MAC states for %d nodes", len(s.MACs), s.Meta.Nodes)
 	}
 	if err := nw.RestoreState(s.Net); err != nil {
 		return err
 	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
+	for i := 1; i <= s.Meta.Nodes; i++ {
+		if err := net.MACNode(i).RestoreState(s.MACs[i]); err != nil {
+			return err
+		}
 	}
-	return net.RestoreState(s.DiGS)
-}
-
-// TakeOrchestra captures a complete Orchestra scenario at the current slot.
-func TakeOrchestra(meta Meta, nw *sim.Network, net *orchestra.Network) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
+	if codec, _ := stack.Lookup(s.Meta.Protocol); codec.Section == "" {
+		return nil
 	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta:      fillMeta(meta, ProtocolOrchestra, nw),
-		Net:       netSt,
-		MACs:      captureMACs(net.Nodes),
-		Orchestra: stacks,
-	}, nil
-}
-
-// RestoreOrchestra overlays the snapshot onto a freshly built Orchestra
-// scenario.
-func (s *Snapshot) RestoreOrchestra(nw *sim.Network, net *orchestra.Network) error {
-	if err := s.checkRestore(ProtocolOrchestra, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.Orchestra)
-}
-
-// TakeWHART captures a complete WirelessHART scenario at the current slot.
-// The centrally computed stack is stateless, so MAC state is all there is.
-func TakeWHART(meta Meta, nw *sim.Network, net *whart.Network) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta: fillMeta(meta, ProtocolWHART, nw),
-		Net:  netSt,
-		MACs: captureMACs(net.Nodes),
-	}, nil
-}
-
-// RestoreWHART overlays the snapshot onto a freshly built WirelessHART
-// scenario.
-func (s *Snapshot) RestoreWHART(nw *sim.Network, net *whart.Network) error {
-	if err := s.checkRestore(ProtocolWHART, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	return restoreMACs(net.Nodes, s.MACs)
-}
-
-// TakeSDN captures a complete SDN scenario at the current slot.
-func TakeSDN(meta Meta, nw *sim.Network, net *controller.SDNNetwork) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta: fillMeta(meta, ProtocolSDN, nw),
-		Net:  netSt,
-		MACs: captureMACs(net.Nodes),
-		SDN:  stacks,
-	}, nil
-}
-
-// RestoreSDN overlays the snapshot onto a freshly built SDN scenario.
-func (s *Snapshot) RestoreSDN(nw *sim.Network, net *controller.SDNNetwork) error {
-	if err := s.checkRestore(ProtocolSDN, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.SDN)
-}
-
-// TakeAdaptive captures a complete adaptive-allocator scenario at the
-// current slot.
-func TakeAdaptive(meta Meta, nw *sim.Network, net *controller.AdaptiveNetwork) (*Snapshot, error) {
-	netSt, err := nw.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	stacks, err := net.CaptureState()
-	if err != nil {
-		return nil, err
-	}
-	return &Snapshot{
-		Meta:     fillMeta(meta, ProtocolAdaptive, nw),
-		Net:      netSt,
-		MACs:     captureMACs(net.Nodes),
-		Adaptive: stacks,
-	}, nil
-}
-
-// RestoreAdaptive overlays the snapshot onto a freshly built adaptive
-// scenario.
-func (s *Snapshot) RestoreAdaptive(nw *sim.Network, net *controller.AdaptiveNetwork) error {
-	if err := s.checkRestore(ProtocolAdaptive, nw); err != nil {
-		return err
-	}
-	if err := nw.RestoreState(s.Net); err != nil {
-		return err
-	}
-	if err := restoreMACs(net.Nodes, s.MACs); err != nil {
-		return err
-	}
-	return net.RestoreState(s.Adaptive)
+	return net.RestoreState(s.Stack)
 }

@@ -1,5 +1,7 @@
 package trickle
 
+import "github.com/digs-net/digs/internal/wire"
+
 // State is a timer's complete mutable state. Imin/Imax/K are
 // construction-time configuration; the RNG is owned by the stack and its
 // position is captured there.
@@ -29,4 +31,24 @@ func (t *Timer) RestoreState(st State) {
 	t.fireAt = st.FireAt
 	t.counter = st.Counter
 	t.started = st.Started
+}
+
+// AppendTo writes the state in its snapshot wire form.
+func (st State) AppendTo(w *wire.Writer) {
+	w.I64(st.Interval)
+	w.I64(st.IntervalStart)
+	w.I64(st.FireAt)
+	w.Int(st.Counter)
+	w.Bool(st.Started)
+}
+
+// ReadState decodes what AppendTo wrote.
+func ReadState(r *wire.Reader) State {
+	var st State
+	st.Interval = r.I64()
+	st.IntervalStart = r.I64()
+	st.FireAt = r.I64()
+	st.Counter = r.Int()
+	st.Started = r.Bool()
+	return st
 }

@@ -1,20 +1,24 @@
 package whart
 
 import (
-	"fmt"
-
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
+
+// Codec is the WirelessHART stack's registration: protocol "whart" and no
+// snapshot section — the centrally computed stack is stateless, so MAC
+// state is all a snapshot of it holds.
+var Codec = stack.Codec{Protocol: "whart"}
+
+func init() { stack.Register(Codec) }
 
 // Network bundles the per-node MAC and static WirelessHART stacks running
 // over one simulated network, executing one centrally computed schedule.
 type Network struct {
-	Nodes  []*mac.Node // indexed by node ID, entry 0 nil
+	*stack.Network[*Stack]
 	Routes *Routes
-	Frame  *Superframe
 }
 
 // Build computes graph routes and a TDMA superframe for the given flows
@@ -31,40 +35,12 @@ func Build(nw *sim.Network, fl []Flow, macCfg mac.Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Network{
-		Nodes:  make([]*mac.Node, topo.N()+1),
-		Routes: routes,
-		Frame:  sf,
+	net, err := stack.Build(nw, Codec.Protocol, stack.HashConfig(macCfg, fl), macCfg,
+		func(id topology.NodeID, isAP bool) (*Stack, error) {
+			return NewStack(id, isAP, routes, sf)
+		})
+	if err != nil {
+		return nil, err
 	}
-	for i := 1; i <= topo.N(); i++ {
-		id := topology.NodeID(i)
-		stack, err := NewStack(id, topo.IsAP(id), routes, sf)
-		if err != nil {
-			return nil, err
-		}
-		node := mac.NewNode(id, topo.IsAP(id), stack, macCfg)
-		if err := nw.Attach(node); err != nil {
-			return nil, fmt.Errorf("whart build: %w", err)
-		}
-		out.Nodes[i] = node
-	}
-	return out, nil
-}
-
-// OnDeliver installs the sink callback on every access point.
-func (n *Network) OnDeliver(fn func(asn sim.ASN, f *sim.Frame)) {
-	for _, node := range n.Nodes[1:] {
-		if node.IsAP() {
-			node.Sink = fn
-		}
-	}
-}
-
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node. The static schedule never reroutes, so there is no
-// route-change source to wire.
-func (n *Network) SetTracer(t telemetry.Tracer) {
-	for _, node := range n.Nodes[1:] {
-		node.SetTracer(t)
-	}
+	return &Network{Network: net, Routes: routes}, nil
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -128,3 +129,32 @@ func (s *Stack) NextHop(asn sim.ASN, _ int) (topology.NodeID, bool) {
 
 // OnTxResult implements mac.Protocol: the static stack does not adapt.
 func (s *Stack) OnTxResult(sim.ASN, *sim.Frame, topology.NodeID, bool) {}
+
+// Joined implements stack.Node: the manager's graph is installed at build
+// time, so a synchronised node is a joined node.
+func (s *Stack) Joined() bool { return true }
+
+// SetRouteHook implements stack.Node: the static schedule never reroutes,
+// so there is no route-change source to wire.
+func (s *Stack) SetRouteHook(stack.RouteHook) {}
+
+// Probe implements stack.Node. The routes are the manager's static graph:
+// parents never change at runtime, so the loop check watches the computed
+// graph and the liveness checks watch the MAC.
+func (s *Stack) Probe() (parent, backup topology.NodeID, neighbors int) {
+	parent, backup = s.routes.Best[s.id], s.routes.Second[s.id]
+	if parent != 0 {
+		neighbors++
+	}
+	if backup != 0 {
+		neighbors++
+	}
+	return parent, backup, neighbors
+}
+
+// CaptureState implements stack.Node; the stack is registered without a
+// snapshot section, so it is never asked.
+func (s *Stack) CaptureState() (stack.State, error) { return nil, nil }
+
+// RestoreState implements stack.Node (see CaptureState).
+func (s *Stack) RestoreState(stack.State) error { return nil }
