@@ -85,8 +85,12 @@ snap-smoke:
 ## — catches engine bit-rot at a scale the dense matrix cannot represent.
 ## WirelessHART is excluded by design: its centralised manager computes
 ## the whole schedule up front, which is exactly the scaling limit the
-## paper's distributed approach removes.
+## paper's distributed approach removes. The engine's own tests and the
+## two properties its shortcuts rest on (NextActive against brute force,
+## nap ≡ no-nap) run race-enabled first: a data race on the per-shard
+## awake sets and wake queues must fail here, not as a benchmark digest.
 scale-smoke:
+	$(GO) test -race -run 'Scale|Nap|NextActive' ./internal/sim ./internal/core ./internal/mac
 	$(GO) run ./cmd/digs-bench -scale-smoke
 	@echo scale-smoke: OK
 

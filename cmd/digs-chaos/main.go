@@ -290,7 +290,7 @@ func runPlan(w io.Writer, opts options, proto string, seed int64, cache *snapsho
 	// stack's reboot path with callbacks preserved.
 	var mon *invariant.Monitor
 	if opts.invariants {
-		mon = invariant.New(invariant.Config{Emit: chain, Heal: sc.Healer()})
+		mon = invariant.New(invariant.Config{Emit: chain, Heal: sc.Healer(nw)})
 		chain = telemetry.Multi(rec, jsonl, mon)
 		invariant.Attach(nw, mon, sc.Prober(nw), 0)
 	}

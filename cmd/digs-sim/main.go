@@ -317,7 +317,7 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 	// being written.
 	var mon *invariant.Monitor
 	if opts.invariants {
-		mon = invariant.New(invariant.Config{Emit: tracer, Heal: sc.Healer()})
+		mon = invariant.New(invariant.Config{Emit: tracer, Heal: sc.Healer(nw)})
 		var chain telemetry.Tracer = mon
 		if tracer != nil {
 			chain = telemetry.Multi(tracer, mon)
@@ -372,11 +372,11 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		})
 	}
 
-	startEnergy := totalEnergy(macNode, topo.N())
+	startEnergy := totalEnergy(nw, macNode)
 	start := nw.ASN()
 	nw.Run(sim.SlotsFor(opts.duration + 15*time.Second))
 	elapsed := sim.TimeAt(nw.ASN() - start)
-	energy := totalEnergy(macNode, topo.N()) - startEnergy
+	energy := totalEnergy(nw, macNode) - startEnergy
 
 	// Report.
 	sum := &summary{
@@ -435,9 +435,12 @@ func dumpSchedule(w io.Writer, nw *sim.Network, schedule func(int, sim.ASN) mac.
 	return nil
 }
 
-func totalEnergy(macNode func(i int) *mac.Node, n int) float64 {
+// totalEnergy sums the MAC-layer energy model across all nodes, napping
+// ones settled up to the current slot first.
+func totalEnergy(nw *sim.Network, macNode func(i int) *mac.Node) float64 {
+	nw.SettleNaps()
 	total := 0.0
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= nw.Topology().N(); i++ {
 		total += macNode(i).Stats().EnergyJoules
 	}
 	return total

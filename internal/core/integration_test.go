@@ -124,7 +124,7 @@ func TestDiGSSurvivesBestParentFailure(t *testing.T) {
 	// parent kill below must be absorbed by backup routes without tripping
 	// a single invariant — the watchdog Heal hook stays armed so a node
 	// that does end up orphaned would both rejoin and fail the test.
-	mon := invariant.New(invariant.Config{Heal: net.Healer()})
+	mon := invariant.New(invariant.Config{Heal: net.Healer(nw)})
 	invariant.Attach(nw, mon, net.Prober(nw), 0)
 
 	// Pick a source whose best parent is a field device (a true router).

@@ -1,0 +1,145 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"github.com/digs-net/digs/internal/detrand"
+	"github.com/digs-net/digs/internal/flows"
+	"github.com/digs-net/digs/internal/invariant"
+	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/topology"
+)
+
+// plainDevice hides every optional interface of the device it wraps: the
+// engine sees a sim.Device and nothing else, so it cannot put it to sleep
+// and calls Plan and EndSlot in every slot.
+type plainDevice struct{ d sim.Device }
+
+func (p plainDevice) ID() topology.NodeID                   { return p.d.ID() }
+func (p plainDevice) Plan(asn sim.ASN) sim.RadioOp          { return p.d.Plan(asn) }
+func (p plainDevice) EndSlot(asn sim.ASN, r sim.SlotReport) { p.d.EndSlot(asn, r) }
+
+// napRun forms a small generated deployment on the sparse engine with real
+// mac.Node + core.Stack devices, carries flows over it, and returns the
+// delivery ledger, the settled per-node MAC counters (energy as bits) and
+// how often the watchdog healed. With nap false every device is attached
+// behind plainDevice and steps through every slot.
+func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, repairs int) {
+	t.Helper()
+	p, _, err := topology.ParseGenSpec("gen-field-60-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := topology.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seed = 5
+	nw := sim.NewScaleNetwork(topo, seed, shards)
+	cfg := ScaledConfig(topo.NumAPs, topo.N())
+	net := &Network{Nodes: make([]*mac.Node, topo.N()+1), Stacks: make([]*Stack, topo.N()+1)}
+	for i := 1; i <= topo.N(); i++ {
+		id := topology.NodeID(i)
+		s, err := NewStack(id, topo.IsAP(id), cfg, rand.New(detrand.New(seed*7919+int64(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		node := mac.NewNode(id, topo.IsAP(id), s, mac.DefaultConfig())
+		var dev sim.Device = node
+		if !nap {
+			dev = plainDevice{node}
+		}
+		if err := nw.Attach(dev); err != nil {
+			t.Fatal(err)
+		}
+		net.Nodes[i], net.Stacks[i] = node, s
+	}
+
+	target := topo.N() * 9 / 10
+	if _, ok := nw.RunUntil(sim.SlotsFor(10*time.Minute), func() bool { return net.JoinedCount() >= target }); !ok {
+		t.Fatalf("only %d/%d nodes joined", net.JoinedCount(), topo.N())
+	}
+
+	var mon *invariant.Monitor
+	if monitor {
+		// Guards tight enough that the watchdog does fire on this plant's
+		// weakly connected rim, so the heal path is part of the comparison.
+		mon = invariant.New(invariant.Config{Heal: net.Healer(nw),
+			DesyncGuard: 600, OrphanGrace: 300, HealBackoff: 300})
+		// Devices record from inside the shard-parallel phases; the splitter
+		// hands the monitor one stream in node-ID order (scenario.SetTracer).
+		sp := telemetry.NewSplitter(mon, nw.ShardCount(), nw.ShardOf)
+		nw.SetParallelNotify(sp.SetParallel)
+		net.SetTracer(sp)
+		invariant.Attach(nw, mon, net.Prober(nw), 100)
+	}
+
+	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
+		ledger += fmt.Sprintf("flow %d seq %d from %d at %d\n", f.FlowID, f.Seq, f.Origin, asn)
+	})
+	fset, err := flows.RandomSet(topo, 8, 2*time.Second, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flows.Schedule(nw, fset, 15, func(f flows.Flow, seq uint16, asn sim.ASN) {
+		_ = net.Nodes[f.Source].InjectData(&sim.Frame{Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn})
+	})
+	nw.Run(sim.SlotsFor(60 * time.Second))
+
+	nw.SettleNaps()
+	for i := 1; i <= topo.N(); i++ {
+		st := net.Nodes[i].Stats()
+		if st.Slots != nw.ASN() {
+			t.Fatalf("node %d accounts for %d slots at slot %d", i, st.Slots, nw.ASN())
+		}
+		bits := math.Float64bits(st.EnergyJoules)
+		st.EnergyJoules = 0
+		best, second := net.Stacks[i].Router().Parents()
+		stats += fmt.Sprintf("%d: energy %016x parents %d/%d %+v\n", i, bits, best, second, st)
+	}
+	if mon != nil {
+		repairs = mon.Report().Repairs
+	}
+	return ledger, stats, repairs
+}
+
+// TestNapEquivalentToNoNap is the proof obligation behind napping with a
+// queued packet (and behind napping at all): skipping a node's Plan/EndSlot
+// calls between its cells changes nothing a run can observe. The same
+// deployment runs once with every device stepped through every slot and
+// once with naps, on one shard and on two; deliveries (slot included),
+// every MAC counter, the routing outcome and the energy totals, compared
+// as bits, must be equal — also with the invariant monitor polling and its
+// watchdog rebooting nodes mid-run.
+func TestNapEquivalentToNoNap(t *testing.T) {
+	for _, monitor := range []bool{false, true} {
+		wantLedger, wantStats, wantRepairs := napRun(t, false, monitor, 1)
+		if wantLedger == "" {
+			t.Fatal("nothing delivered: the comparison would be vacuous")
+		}
+		if monitor && wantRepairs == 0 {
+			t.Fatal("the watchdog never healed a node: the heal path is not covered")
+		}
+		for _, shards := range []int{1, 2} {
+			ledger, stats, repairs := napRun(t, true, monitor, shards)
+			if ledger != wantLedger {
+				t.Errorf("monitor %v, %d shards: deliveries differ with naps\n got:\n%s\nwant:\n%s",
+					monitor, shards, ledger, wantLedger)
+			}
+			if stats != wantStats {
+				t.Errorf("monitor %v, %d shards: settled MAC counters differ with naps\n got:\n%s\nwant:\n%s",
+					monitor, shards, stats, wantStats)
+			}
+			if repairs != wantRepairs {
+				t.Errorf("monitor %v, %d shards: %d watchdog repairs with naps, %d without",
+					monitor, shards, repairs, wantRepairs)
+			}
+		}
+	}
+}

@@ -221,3 +221,136 @@ func TestTrickleGatesJoinIn(t *testing.T) {
 }
 
 func topoID(i int) topology.NodeID { return topology.NodeID(i) }
+
+// refSchedule is the reference the scheduler's sorted tables are checked
+// against: the combined schedule written out from the paper's rules with
+// the two plain maps (slot offset -> attempt, slot offset -> child) the
+// scheduler used to keep.
+type refSchedule struct {
+	id      topology.NodeID
+	best    topology.NodeID
+	cfg     Config
+	txSlots map[int64]int
+	rxSlots map[int64]topology.NodeID
+}
+
+func newRefSchedule(id topology.NodeID, isAP bool, best topology.NodeID, cfg Config,
+	children map[topology.NodeID]ParentRole) *refSchedule {
+	r := &refSchedule{id: id, best: best, cfg: cfg,
+		txSlots: map[int64]int{}, rxSlots: map[int64]topology.NodeID{}}
+	if !isAP {
+		for p := 1; p <= cfg.Attempts; p++ {
+			r.txSlots[AppTxSlot(id, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen)] = p
+		}
+	}
+	claim := func(child topology.NodeID, p int) {
+		slot := AppTxSlot(child, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen)
+		if cur, ok := r.rxSlots[slot]; !ok || child < cur {
+			r.rxSlots[slot] = child
+		}
+	}
+	for child, role := range children {
+		switch {
+		case role == RoleSecondParent:
+			claim(child, cfg.Attempts)
+		case cfg.Attempts == 1:
+			claim(child, 1)
+		default:
+			for p := 1; p < cfg.Attempts; p++ {
+				claim(child, p)
+			}
+		}
+	}
+	return r
+}
+
+func (r *refSchedule) assignment(asn sim.ASN) mac.Assignment {
+	switch off := asn % r.cfg.SyncFrameLen; {
+	case off == int64(r.id-1)%r.cfg.SyncFrameLen:
+		return mac.Assignment{Role: mac.RoleTxEB, ChannelOffset: syncChannelOffset}
+	case r.best != 0 && off == int64(r.best-1)%r.cfg.SyncFrameLen:
+		return mac.Assignment{Role: mac.RoleRxEB, ChannelOffset: syncChannelOffset}
+	}
+	if asn%r.cfg.RoutingFrameLen == 0 {
+		return mac.Assignment{Role: mac.RoleShared, ChannelOffset: routingChannelOffset}
+	}
+	off := asn % r.cfg.AppFrameLen
+	if p, ok := r.txSlots[off]; ok {
+		return mac.Assignment{Role: mac.RoleTxData, ChannelOffset: appLane(r.id), Attempt: p}
+	}
+	if child, ok := r.rxSlots[off]; ok {
+		return mac.Assignment{Role: mac.RoleRxData, ChannelOffset: appLane(child)}
+	}
+	return mac.Assignment{Role: mac.RoleSleep}
+}
+
+// TestNextActiveMatchesBruteForce pins the scheduler's sorted cell tables
+// on random configurations — frames short enough that Eq. (4) offsets wrap,
+// attempts overwrite each other and children collide on a cell: Assignment
+// must agree slot by slot with the map-based reference, and NextActive
+// must name exactly the first slot at or after `after` whose assignment is
+// not sleep — never later (the node would sleep through its own cell) and,
+// as the schedule is the union of its frames, never earlier either.
+func TestNextActiveMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		cfg := DefaultConfig(1 + rng.Intn(3))
+		cfg.SyncFrameLen = 2 + rng.Int63n(60)
+		cfg.RoutingFrameLen = 2 + rng.Int63n(30)
+		cfg.AppFrameLen = 1 + rng.Int63n(40)
+		cfg.Attempts = 1 + rng.Intn(5)
+		id := topoID(1 + rng.Intn(70))
+		isAP := int(id) <= cfg.NumAPs
+
+		router := NewRouter(id, isAP, 1<<40, 1<<40, 1)
+		var best topology.NodeID
+		if !isAP && rng.Intn(4) > 0 {
+			best = topoID(1 + rng.Intn(70))
+			if best == id {
+				best++
+			}
+			router.OnJoinIn(0, best, JoinIn{Rank: 1, ETXw: 0}, rssForETX(1))
+			if got, _ := router.Parents(); got != best {
+				t.Fatalf("trial %d: best parent %d, want %d", trial, got, best)
+			}
+		}
+		s := newScheduler(id, isAP, cfg, router)
+
+		// Three rounds on one scheduler: the child set grows and roles
+		// flip in between, so the listen table is rebuilt, not just built.
+		children := map[topology.NodeID]ParentRole{}
+		for round := 0; round < 3; round++ {
+			for n := rng.Intn(8); n > 0; n-- {
+				child := topoID(1 + rng.Intn(90))
+				role := RoleBestParent
+				if rng.Intn(3) == 0 {
+					role = RoleSecondParent
+				}
+				children[child] = role
+				router.OnChildCallback(0, child, JoinedCallback{Role: role})
+			}
+			ref := newRefSchedule(id, isAP, best, cfg, children)
+
+			horizon := 3 * cfg.SyncFrameLen * cfg.AppFrameLen
+			next := sim.ASN(-1) // first non-sleep slot >= asn, filled walking down
+			for asn := horizon + cfg.SyncFrameLen; asn >= 0; asn-- {
+				want := ref.assignment(asn)
+				if asn < horizon {
+					if got := s.Assignment(asn); got != want {
+						t.Fatalf("trial %d round %d (id %d, cfg %d/%d/%d A=%d): Assignment(%d) = %+v, reference %+v",
+							trial, round, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, asn, got, want)
+					}
+				}
+				if want.Role != mac.RoleSleep {
+					next = asn
+				}
+				if asn < horizon {
+					if got := s.NextActive(asn); got != next {
+						t.Fatalf("trial %d round %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d) = %d, first non-sleep slot is %d",
+							trial, round, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, asn, got, next)
+					}
+				}
+			}
+		}
+	}
+}

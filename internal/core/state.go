@@ -52,7 +52,7 @@ type PendingCallbackState struct {
 
 // StackState is the complete mutable state of one DiGS stack: router,
 // Trickle timer, RNG position and the handshake/maintenance registers.
-// The scheduler's slot maps are construction-derived (transmit side) or a
+// The scheduler's cell tables are construction-derived (transmit side) or a
 // cache keyed on the router's child version (receive side) and are rebuilt
 // lazily after a restore.
 type StackState struct {

@@ -173,9 +173,10 @@ type netStats struct {
 	delivered int64
 }
 
-func statsSnapshot(net stack.Bundle, n int) netStats {
+func statsSnapshot(nw *sim.Network, net stack.Bundle) netStats {
+	nw.SettleNaps() // a napping node's counters lag until it wakes
 	var s netStats
-	for i := 1; i <= n; i++ {
+	for i := 1; i <= nw.Topology().N(); i++ {
 		st := net.MACNode(i).Stats()
 		s.energyJ += st.EnergyJoules
 		s.radioOn += st.RadioOnTime
@@ -249,11 +250,11 @@ func runFlowSets(nw *sim.Network, net stack.Bundle, opts FlowSetOptions) ([]Flow
 			})
 		})
 
-		before := statsSnapshot(net, topo.N())
+		before := statsSnapshot(nw, net)
 		window := opts.PacketPeriod*time.Duration(opts.PacketsPerFlow) + opts.Drain
 		startASN := nw.ASN()
 		nw.Run(sim.SlotsFor(window))
-		after := statsSnapshot(net, topo.N())
+		after := statsSnapshot(nw, net)
 		elapsed := sim.TimeAt(nw.ASN() - startASN)
 		net.OnDeliver(nil)
 

@@ -152,10 +152,10 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 			})
 		})
-		before := statsSnapshot(net, topo.N())
+		before := statsSnapshot(nw, net)
 		start := nw.ASN()
 		nw.Run(sim.SlotsFor(5*time.Second*packets + 15*time.Second))
-		after := statsSnapshot(net, topo.N())
+		after := statsSnapshot(nw, net)
 		net.OnDeliver(nil)
 
 		for _, f := range fset {

@@ -131,7 +131,7 @@ func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 	// being written.
 	var mon *invariant.Monitor
 	if invariants {
-		mon = invariant.New(invariant.Config{Emit: tr, Heal: net.Healer()})
+		mon = invariant.New(invariant.Config{Emit: tr, Heal: net.Healer(nw)})
 		var chain telemetry.Tracer = mon
 		if tr != nil {
 			chain = telemetry.Multi(tr, mon)

@@ -74,9 +74,9 @@ func Schedule(nw *sim.Network, set []Flow, packets int,
 		for p := 0; p < packets; p++ {
 			seq := uint16(p)
 			at := base + stagger + sim.ASN(p)*periodSlots
-			// A napping source must be woken before the enqueue: the
-			// scale engine skips napping nodes entirely, and the nap was
-			// computed from a schedule that assumed an empty queue.
+			// A napping source is woken before the enqueue: the scale
+			// engine skips napping nodes entirely, so whatever hands one
+			// new work outside the radio path settles its nap first.
 			nw.At(at, func() { nw.Wake(f.Source); inject(f, seq, at) })
 		}
 	}

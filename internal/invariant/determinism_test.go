@@ -50,7 +50,7 @@ func runDriftRejoin(t *testing.T, job int, seed int64) (driftOutcome, error) {
 	// the monitor emits into the chain that excludes itself.
 	mon := invariant.New(invariant.Config{
 		Emit:        jsonl,
-		Heal:        net.Healer(),
+		Heal:        net.Healer(nw),
 		DesyncGuard: 2500,
 		OrphanGrace: 1000,
 		HealBackoff: 500,

@@ -304,3 +304,53 @@ func TestEnergyAccumulates(t *testing.T) {
 }
 
 func (p *staticProto) EBPayload() []byte { return nil }
+
+// napProto is staticProto with a structurally queryable schedule.
+type napProto struct{ staticProto }
+
+func (p *napProto) NextActive(after sim.ASN) sim.ASN {
+	for p.Assignment(after).Role == RoleSleep {
+		after++
+	}
+	return after
+}
+
+// TestNapSurvivesQueuedData: a queued data packet does not keep a node
+// awake — it can only leave in the node's own transmit cell, which the
+// protocol's NextActive reports whether or not anything is queued — while
+// whatever depends on frames other nodes may send still does.
+func TestNapSurvivesQueuedData(t *testing.T) {
+	// Node 3 of the chain: EB in slot 2, parent's EB in slot 1, data
+	// transmit cell in slot 5, listen cell in slot 6 of every ten.
+	n := NewNode(3, false, &napProto{staticProto{id: 3, parent: 2}}, DefaultConfig())
+	if w := n.NextWake(2); w != 3 {
+		t.Fatalf("unsynchronised node naps until %d; it must scan every slot", w)
+	}
+	n.synced = true
+	if w := n.NextWake(2); w != 5 {
+		t.Fatalf("idle node naps until %d, want its transmit cell 5", w)
+	}
+	if err := n.InjectData(&sim.Frame{Origin: 3, FlowID: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if w := n.NextWake(2); w != 5 {
+		t.Fatalf("node with a queued packet naps until %d, want its transmit cell 5", w)
+	}
+	if op := n.Plan(5); op.Kind != sim.OpTx || op.Frame.Kind != sim.KindData || op.Frame.Dst != 2 {
+		t.Fatalf("plan in the transmit cell the nap ends at: %+v", op)
+	}
+
+	n.downQueue = []queuedPacket{{frame: &sim.Frame{Kind: sim.KindCommand}}}
+	if w := n.NextWake(2); w != 3 {
+		t.Fatalf("node relaying a command naps until %d", w)
+	}
+	n.downQueue, n.bcastOut = nil, &bulletin{}
+	if w := n.NextWake(2); w != 3 {
+		t.Fatalf("node relaying a bulletin naps until %d", w)
+	}
+	n.bcastOut = nil
+	n.cfg.DownlinkFrameLen = 20
+	if w := n.NextWake(2); w != 3 {
+		t.Fatalf("node with a downlink slotframe naps until %d", w)
+	}
+}

@@ -196,7 +196,9 @@ func (n *Node) IsAP() bool { return n.isAP }
 // which slot.
 func (n *Node) Synced() (bool, sim.ASN) { return n.synced, n.syncedAt }
 
-// Stats returns a copy of the node's counters.
+// Stats returns a copy of the node's counters. While the sparse engine has
+// the node napping, Slots and EnergyJoules lag by the slots slept so far;
+// they catch up when it wakes or on sim.Network.SettleNaps.
 func (n *Node) Stats() Stats { return n.stats }
 
 // SetTracer installs (or with nil removes) the packet-lifecycle tracer.
@@ -570,14 +572,16 @@ type NextActiver interface {
 }
 
 // NextWake implements sim.Napper: it reports the next slot this node
-// could possibly do radio work. A node only naps when it is synchronised
-// with nothing queued anywhere and its protocol can enumerate its
-// schedule structurally; the optional downlink/broadcast slotframes keep
-// a node permanently wakeful because their cells depend on frames other
-// nodes may send. Anything handing a napping node new work outside the
-// radio path (flow injection) must go through Network.Wake.
+// could possibly do radio work. A node naps when it is synchronised and
+// its protocol can enumerate its schedule structurally. Queued data does
+// not keep it awake: it leaves only in the node's own transmit cells, and
+// NextActive reports those whether or not anything is queued. Downlink
+// commands and bulletins in transit do, as do the optional downlink and
+// broadcast slotframes, whose cells depend on frames other nodes may send.
+// Anything handing a napping node new work outside the radio path (flow
+// injection) must go through Network.Wake.
 func (n *Node) NextWake(asn sim.ASN) sim.ASN {
-	if !n.synced || len(n.queue) > 0 || len(n.downQueue) > 0 || n.bcastOut != nil ||
+	if !n.synced || len(n.downQueue) > 0 || n.bcastOut != nil ||
 		n.cfg.DownlinkFrameLen > 0 || n.cfg.BroadcastFrameLen > 0 {
 		return asn + 1
 	}

@@ -220,7 +220,7 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 	var chain telemetry.Tracer = opts.Tracer
 	var mon *invariant.Monitor
 	if cs.Invariants {
-		mon = invariant.New(invariant.Config{Emit: opts.Tracer, Heal: sc.Healer()})
+		mon = invariant.New(invariant.Config{Emit: opts.Tracer, Heal: sc.Healer(nw)})
 		chain = telemetry.Multi(opts.Tracer, mon)
 		invariant.Attach(nw, mon, sc.Prober(nw), 0)
 	}
@@ -356,8 +356,10 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 	return res, info, nil
 }
 
-// totalEnergy sums the MAC-layer energy model across all nodes.
+// totalEnergy sums the MAC-layer energy model across all nodes, napping
+// ones settled up to the current slot first.
 func totalEnergy(sc *Scenario, n int) float64 {
+	sc.NW.SettleNaps()
 	total := 0.0
 	for i := 1; i <= n; i++ {
 		total += sc.MACNode(i).Stats().EnergyJoules

@@ -88,7 +88,7 @@ type Params struct {
 // Scenario is a built, runnable protocol scenario: the simulated network
 // plus the one stack contract (stack.Bundle) over whichever registered
 // stack runs on it — sc.MACNode(i), sc.OnDeliver(fn), sc.Prober(sc.NW),
-// sc.Healer(), sc.Schedule(id, asn) are the bundle's methods.
+// sc.Healer(sc.NW), sc.Schedule(id, asn) are the bundle's methods.
 type Scenario struct {
 	Params Params
 	NW     *sim.Network

@@ -341,7 +341,7 @@ func (s *Server) worker() {
 			// A stop racing with a ready queue must drain, not run.
 			select {
 			case <-s.stopCh:
-				s.finishJob(j, func() { j.markCanceled("server shutting down") })
+				s.cancelJob(j, "server shutting down")
 				continue
 			default:
 			}
@@ -350,12 +350,25 @@ func (s *Server) worker() {
 	}
 }
 
-// finishJob applies a terminal transition, journals it, and releases
-// the job's admission resources exactly once. Terminal jobs stay
+// finishJob applies a terminal transition and releases the job's
+// admission resources exactly once. The transition is counted and
+// journaled before mark makes it observable (status, Done channel, end of
+// stream): whoever sees a terminal job also sees it counted, and a crash
+// right after a client saw it finds the record on disk. Terminal jobs stay
 // addressable for replay until FinishedJobCap newer jobs have finished,
 // then they are forgotten so s.jobs (and the result/backlog bytes each
 // Job pins) cannot grow without bound.
-func (s *Server) finishJob(j *Job, mark func()) {
+func (s *Server) finishJob(j *Job, rec journalRecord, mark func()) {
+	switch rec.Op {
+	case opDone:
+		s.completed.Add(1)
+	case opFail:
+		s.failed.Add(1)
+	case opCancel:
+		s.canceled.Add(1)
+	}
+	rec.Job = j.ID
+	s.journalAppend(rec)
 	mark()
 	j.Stream.Close()
 	s.quota.release(j.Tenant)
@@ -369,19 +382,10 @@ func (s *Server) finishJob(j *Job, mark func()) {
 		s.finished = s.finished[1:]
 	}
 	s.mu.Unlock()
-	switch j.Status() {
-	case StatusDone:
-		s.completed.Add(1)
-		_, rhash := j.Result()
-		s.journalAppend(journalRecord{Op: opDone, Job: j.ID, ResultHash: rhash})
-	case StatusFailed:
-		s.failed.Add(1)
-		v := j.View(false)
-		s.journalAppend(journalRecord{Op: opFail, Job: j.ID, Attempt: v.Attempts, Detail: v.Error})
-	case StatusCanceled:
-		s.canceled.Add(1)
-		s.journalAppend(journalRecord{Op: opCancel, Job: j.ID, Detail: j.View(false).Error})
-	}
+}
+
+func (s *Server) cancelJob(j *Job, msg string) {
+	s.finishJob(j, journalRecord{Op: opCancel, Detail: msg}, func() { j.markCanceled(msg) })
 }
 
 // execute runs one attempt of the job's spec under a recover() barrier:
@@ -413,7 +417,7 @@ func (s *Server) runJob(j *Job) {
 	s.running.Add(-1)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || s.runCtx.Err() != nil {
-			s.finishJob(j, func() { j.markCanceled("canceled by shutdown deadline") })
+			s.cancelJob(j, "canceled by shutdown deadline")
 			return
 		}
 		s.retryOrFail(j, attempt, err.Error())
@@ -443,7 +447,7 @@ func (s *Server) runJob(j *Job) {
 				`{"schema":"digs-server/v1","event":"store_error","detail":%q}`+"\n", err.Error())))
 		}
 	}
-	s.finishJob(j, func() { j.markDone(enc, rhash, rinfo.WarmHit) })
+	s.finishJob(j, journalRecord{Op: opDone, ResultHash: rhash}, func() { j.markDone(enc, rhash, rinfo.WarmHit) })
 }
 
 // retryOrFail routes a failed attempt: back into the queue after a
@@ -452,7 +456,7 @@ func (s *Server) runJob(j *Job) {
 // poisoned spec costs its own attempts, never the daemon.
 func (s *Server) retryOrFail(j *Job, attempt int, msg string) {
 	if attempt >= s.cfg.MaxAttempts {
-		s.finishJob(j, func() { j.markFailed(msg) })
+		s.finishJob(j, journalRecord{Op: opFail, Attempt: attempt, Detail: msg}, func() { j.markFailed(msg) })
 		return
 	}
 	s.retries.Add(1)
@@ -488,7 +492,7 @@ func (s *Server) scheduleRetry(j *Job, d time.Duration) {
 	if s.draining.Load() {
 		s.mu.Unlock()
 		s.retryWg.Done()
-		s.finishJob(j, func() { j.markCanceled("server shutting down") })
+		s.cancelJob(j, "server shutting down")
 		return
 	}
 	s.retryTimers[j.ID] = time.AfterFunc(d, func() {
@@ -506,7 +510,7 @@ func (s *Server) requeue(j *Job) {
 	delete(s.retryTimers, j.ID)
 	if s.draining.Load() {
 		s.mu.Unlock()
-		s.finishJob(j, func() { j.markCanceled("server shutting down") })
+		s.cancelJob(j, "server shutting down")
 		return
 	}
 	select {
@@ -568,7 +572,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Unlock()
 	for _, j := range parked {
 		if j != nil {
-			s.finishJob(j, func() { j.markCanceled("server shutting down") })
+			s.cancelJob(j, "server shutting down")
 		}
 	}
 	s.retryWg.Wait()
@@ -578,7 +582,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for {
 		select {
 		case j := <-s.jobsCh:
-			s.finishJob(j, func() { j.markCanceled("server shutting down") })
+			s.cancelJob(j, "server shutting down")
 		default:
 			if s.journal != nil {
 				s.journal.close()

@@ -17,25 +17,27 @@ type candidate struct {
 	ch  phy.Channel
 }
 
-// pendingEvent is one scheduled callback. seq preserves FIFO order among
-// events scheduled for the same slot.
-type pendingEvent struct {
+// slotEntry is one entry of a slotHeap: due at asn, ordered within the slot
+// by ord, carrying val.
+type slotEntry[V any] struct {
 	asn ASN
-	seq uint64
-	fn  func()
+	ord uint64
+	val V
 }
 
-// eventQueue is a binary min-heap ordered by (asn, seq). A heap keeps the
-// per-slot cost of the common case — no event due — at a single length
-// check plus one comparison, where the previous map keyed by ASN paid a
-// hash lookup every slot.
-type eventQueue []pendingEvent
+// slotHeap is a binary min-heap ordered by (asn, ord). The event queue
+// holds callbacks under their scheduling sequence number, which keeps
+// same-slot events FIFO; the scale engine's wake queues hold node IDs. A
+// heap keeps the per-slot cost of the common case — nothing due — at a
+// single length check plus one comparison, where the previous map keyed by
+// ASN paid a hash lookup every slot.
+type slotHeap[V any] []slotEntry[V]
 
-func (q eventQueue) less(i, j int) bool {
-	return q[i].asn < q[j].asn || (q[i].asn == q[j].asn && q[i].seq < q[j].seq)
+func (q slotHeap[V]) less(i, j int) bool {
+	return q[i].asn < q[j].asn || (q[i].asn == q[j].asn && q[i].ord < q[j].ord)
 }
 
-func (q *eventQueue) push(e pendingEvent) {
+func (q *slotHeap[V]) push(e slotEntry[V]) {
 	*q = append(*q, e)
 	h := *q
 	for i := len(h) - 1; i > 0; {
@@ -48,12 +50,12 @@ func (q *eventQueue) push(e pendingEvent) {
 	}
 }
 
-func (q *eventQueue) pop() pendingEvent {
+func (q *slotHeap[V]) pop() slotEntry[V] {
 	h := *q
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
-	h[last] = pendingEvent{} // release the func reference
+	h[last] = slotEntry[V]{} // release what val references
 	h = h[:last]
 	*q = h
 	for i := 0; ; {
@@ -94,7 +96,7 @@ type Network struct {
 	// and collision. It must be fast; it runs inline in the slot loop.
 	Trace func(TraceEvent)
 
-	pending  eventQueue
+	pending  slotHeap[func()]
 	eventSeq uint64
 
 	// rss is a flat (n+1)x(n+1) copy of the topology's mean-RSS matrix,
@@ -272,9 +274,7 @@ func (nw *Network) Attach(d Device) error {
 		return fmt.Errorf("attach device %d: already attached", id)
 	}
 	nw.devices[id] = d
-	if nw.scale != nil {
-		nw.scale.awake.Add(1)
-	}
+	nw.trackAwake(id)
 	return nil
 }
 
@@ -288,6 +288,7 @@ func (nw *Network) Fail(id topology.NodeID) {
 	if id >= 1 && int(id) < len(nw.failed) {
 		nw.Wake(id) // settle nap accounting up to the failure
 		nw.failed[id] = true
+		nw.trackAwake(id)
 	}
 }
 
@@ -296,6 +297,7 @@ func (nw *Network) Restore(id topology.NodeID) {
 	if id >= 1 && int(id) < len(nw.failed) {
 		nw.failed[id] = false
 		nw.Wake(id)
+		nw.trackAwake(id)
 	}
 }
 
@@ -352,12 +354,19 @@ func (nw *Network) At(asn ASN, fn func()) {
 		asn = nw.asn
 	}
 	nw.eventSeq++
-	nw.pending.push(pendingEvent{asn: asn, seq: nw.eventSeq, fn: fn})
+	nw.pending.push(slotEntry[func()]{asn: asn, ord: nw.eventSeq, val: fn})
 }
 
 // AfterDuration schedules fn to run the given wall-clock time from now.
 func (nw *Network) AfterDuration(d time.Duration, fn func()) {
 	nw.At(nw.asn+SlotsFor(d), fn)
+}
+
+// fireEvents runs, in scheduling order, every event due at or before asn.
+func (nw *Network) fireEvents(asn ASN) {
+	for len(nw.pending) > 0 && nw.pending[0].asn <= asn {
+		nw.pending.pop().val()
+	}
 }
 
 // Step executes one TSCH slot: plan, resolve the medium, report.
@@ -370,9 +379,7 @@ func (nw *Network) Step() {
 	asn := nw.asn
 	n := nw.numDevs
 
-	for len(nw.pending) > 0 && nw.pending[0].asn <= asn {
-		nw.pending.pop().fn()
-	}
+	nw.fireEvents(asn)
 
 	// Phase 1: plans.
 	for _, ch := range nw.activeCh {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +42,11 @@ import (
 //     callbacks and touches gateway-side state.
 //
 // Devices that implement Napper additionally let the engine skip their
-// Plan/EndSlot calls entirely across structurally idle stretches, and
-// Run fast-forwards the clock through the event heap when every device
-// is napping.
+// Plan/EndSlot calls entirely across structurally idle stretches. Each
+// shard keeps the set of its devices that are awake and a queue of the
+// slots at which the others wake, so a slot costs what its awake devices
+// cost, not a visit to every node, and Run fast-forwards the clock to the
+// earliest wake or scheduled event when every device is napping.
 
 // Napper is optionally implemented by devices that can predict their own
 // idle stretches. After EndSlot(asn) the engine asks NextWake(asn); a
@@ -65,9 +68,22 @@ const (
 	saltAckDecode = 4
 )
 
-// shardBuf is one shard's scratch: resolution buffers plus the trace
-// buffer drained in shard order after each parallel section.
-type shardBuf struct {
+// shard is what one shard's goroutine owns: the awake set and wake queue of
+// its node-ID range, resolution scratch, and the trace buffer drained in
+// shard order after each parallel section. Each shard's set is its own
+// allocation, so no two shard goroutines share a word.
+type shard struct {
+	lo int // first node ID of the range
+
+	// awake has bit id-lo set for every device the slot loop visits:
+	// attached, not failed, not napping. nAwake counts the set bits.
+	awake  []uint64
+	nAwake int
+	// wakes holds a (wake slot, node ID) entry per nap decision. An entry
+	// whose slot is no longer the device's napUntil was overtaken by Wake
+	// or Fail and is skipped.
+	wakes slotHeap[struct{}]
+
 	traces    []TraceEvent
 	cand      []candidate
 	interf    []float64
@@ -81,7 +97,7 @@ type scaleState struct {
 
 	// bounds[s]..bounds[s+1] is shard s's half-open node-ID range.
 	bounds []int
-	bufs   []*shardBuf
+	sh     []*shard
 
 	// shardBusy accumulates wall-clock time spent in each shard's device
 	// phases; busy is the goroutine-safe accumulator behind it.
@@ -93,13 +109,11 @@ type scaleState struct {
 	fade []float64
 
 	// napUntil[id] != 0 means the device sleeps until that slot
-	// (exclusive); napStart[id] is the last slot it executed.
+	// (exclusive); napStart[id] is the last slot it was accounted for. The
+	// shards' awake sets and wake queues are derived from napUntil (see
+	// rebuildShards), so snapshots carry only these two vectors.
 	napUntil []ASN
 	napStart []ASN
-	// awake counts attached devices not napping (touched from shard
-	// goroutines during plan/finish, hence atomic); the all-idle
-	// fast-forward check reads it between phases.
-	awake atomic.Int64
 
 	// notify, when set, brackets the device-parallel phases (telemetry
 	// splitters buffer per shard between notify(true) and notify(false)).
@@ -144,13 +158,14 @@ func NewScaleNetwork(topo *topology.Topology, seed int64, shards int) *Network {
 		seedHash: detrand.Mix(0, uint64(seed)),
 		napUntil: make([]ASN, n+1),
 		napStart: make([]ASN, n+1),
-		bufs:     make([]*shardBuf, shards),
+		sh:       make([]*shard, shards),
 		bounds:   shardBounds(n, topo.NumAPs, shards),
 	}
 	sc.shardBusy = make([]time.Duration, shards)
 	sc.busy = make([]atomic.Int64, shards)
-	for s := range sc.bufs {
-		sc.bufs[s] = &shardBuf{}
+	for s := range sc.sh {
+		lo, hi := sc.bounds[s], sc.bounds[s+1]
+		sc.sh[s] = &shard{lo: lo, awake: make([]uint64, (hi-lo+63)/64)}
 	}
 	nw.scale = sc
 	return nw
@@ -223,13 +238,115 @@ func (nw *Network) Wake(id topology.NodeID) {
 	if sc == nil || id < 1 || int(id) > nw.numDevs || sc.napUntil[id] == 0 {
 		return
 	}
-	if slept := nw.asn - sc.napStart[id] - 1; slept > 0 {
-		if d, ok := nw.devices[id].(Napper); ok {
-			d.AccrueSleep(slept)
+	nw.accrueNap(id, nw.asn)
+	sc.napUntil[id] = 0
+	nw.trackAwake(id)
+}
+
+// SettleNaps brings the accounting of every napping device up to the
+// current slot without waking any: a napping device's counters otherwise
+// lag by the slots it has slept so far, so whoever reads per-device totals
+// mid-run (an energy window's two ends) settles first. Accruing a nap in
+// two parts adds the same per-slot terms in the same order as accruing it
+// whole, so later totals keep their bits. A no-op outside scale mode.
+func (nw *Network) SettleNaps() {
+	sc := nw.scale
+	if sc == nil {
+		return
+	}
+	for id := 1; id <= nw.numDevs; id++ {
+		if sc.napUntil[id] != 0 && sc.napStart[id] < nw.asn-1 {
+			nw.accrueNap(topology.NodeID(id), nw.asn)
+			sc.napStart[id] = nw.asn - 1
 		}
 	}
-	sc.napUntil[id] = 0
-	sc.awake.Add(1)
+}
+
+// accrueNap reports to a napping device the slots it has skipped before asn.
+func (nw *Network) accrueNap(id topology.NodeID, asn ASN) {
+	if slept := asn - nw.scale.napStart[id] - 1; slept > 0 {
+		if np, ok := nw.devices[id].(Napper); ok {
+			np.AccrueSleep(slept)
+		}
+	}
+}
+
+// setAwake puts a device of the shard's range into the awake set or takes
+// it out, keeping nAwake in step; setting a set bit changes nothing.
+func (sh *shard) setAwake(id topology.NodeID, on bool) {
+	word, bit := &sh.awake[(int(id)-sh.lo)>>6], uint64(1)<<((int(id)-sh.lo)&63)
+	switch {
+	case on && *word&bit == 0:
+		*word |= bit
+		sh.nAwake++
+	case !on && *word&bit != 0:
+		*word &^= bit
+		sh.nAwake--
+	}
+}
+
+// trackAwake re-derives a device's membership in its shard's awake set
+// after a change made between slots (Attach, Wake, Fail, Restore). A device
+// that leaves the set also stops planning: its op goes back to sleep so
+// that neighbours scanning their rows in the resolve phase never see what
+// it did in its last slot. A no-op outside scale mode.
+func (nw *Network) trackAwake(id topology.NodeID) {
+	sc := nw.scale
+	if sc == nil {
+		return
+	}
+	on := nw.devices[id] != nil && !nw.failed[id] && sc.napUntil[id] == 0
+	sc.sh[nw.ShardOf(id)].setAwake(id, on)
+	if !on {
+		nw.ops[id] = RadioOp{Kind: OpSleep}
+	}
+}
+
+// rebuildShards derives every shard's awake set and wake queue from the
+// failed and napUntil vectors (RestoreState).
+func (nw *Network) rebuildShards() {
+	sc := nw.scale
+	for _, sh := range sc.sh {
+		sh.wakes = sh.wakes[:0]
+	}
+	for i := 1; i <= nw.numDevs; i++ {
+		id := topology.NodeID(i)
+		nw.trackAwake(id)
+		if w := sc.napUntil[id]; w != 0 && nw.devices[id] != nil && !nw.failed[id] {
+			sc.sh[nw.ShardOf(id)].wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
+		}
+	}
+}
+
+// earliestWake returns the first slot at which a napping device wakes,
+// dropping overtaken entries from the queue heads on the way; ok is false
+// when no device is napping.
+func (sc *scaleState) earliestWake() (w ASN, ok bool) {
+	for _, sh := range sc.sh {
+		for len(sh.wakes) > 0 && sc.napUntil[sh.wakes[0].ord] != sh.wakes[0].asn {
+			sh.wakes.pop()
+		}
+		if len(sh.wakes) > 0 && (!ok || sh.wakes[0].asn < w) {
+			w, ok = sh.wakes[0].asn, true
+		}
+	}
+	return w, ok
+}
+
+// idAt names the device of the lowest set bit of word, the wi-th word of the
+// shard's awake set. The phases walk a copy of each word, lowest bit first:
+// ascending node ID.
+func (sh *shard) idAt(wi int, word uint64) topology.NodeID {
+	return topology.NodeID(sh.lo + wi<<6 + bits.TrailingZeros64(word))
+}
+
+func (sc *scaleState) allNapping() bool {
+	for _, sh := range sc.sh {
+		if sh.nAwake > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // slotHash derives the order-independent draw for one (slot, src, dst,
@@ -241,12 +358,15 @@ func (nw *Network) slotHash(asn ASN, a, b topology.NodeID, salt uint64) uint64 {
 	return detrand.Mix(h, salt)
 }
 
-// run executes fn once per shard over its ID range, in parallel when the
-// network has more than one shard, accumulating each shard's busy time.
-func (sc *scaleState) run(fn func(shard, lo, hi int)) {
+// run executes one phase of slot asn once per shard, in parallel when the
+// network has more than one, accumulating each shard's busy time. Phases
+// are passed as method expressions, which capture nothing: on one shard
+// the slot loop allocates nothing.
+func (nw *Network) run(asn ASN, phase func(nw *Network, sh *shard, asn ASN)) {
+	sc := nw.scale
 	if sc.shards == 1 {
 		start := time.Now()
-		fn(0, sc.bounds[0], sc.bounds[1])
+		phase(nw, sc.sh[0], asn)
 		sc.shardBusy[0] += time.Since(start)
 		return
 	}
@@ -256,7 +376,7 @@ func (sc *scaleState) run(fn func(shard, lo, hi int)) {
 		go func(s int) {
 			defer wg.Done()
 			start := time.Now()
-			fn(s, sc.bounds[s], sc.bounds[s+1])
+			phase(nw, sc.sh[s], asn)
 			sc.busy[s].Add(int64(time.Since(start)))
 		}(s)
 	}
@@ -281,13 +401,13 @@ func (nw *Network) ShardBusy() []time.Duration {
 // drainTraces forwards each shard's buffered engine trace events in shard
 // order — ascending node-ID order, identical for every shard count.
 func (nw *Network) drainTraces() {
-	for _, buf := range nw.scale.bufs {
+	for _, sh := range nw.scale.sh {
 		if nw.Trace != nil {
-			for i := range buf.traces {
-				nw.Trace(buf.traces[i])
+			for i := range sh.traces {
+				nw.Trace(sh.traces[i])
 			}
 		}
-		buf.traces = buf.traces[:0]
+		sh.traces = sh.traces[:0]
 	}
 }
 
@@ -297,50 +417,40 @@ func (sc *scaleState) notifyParallel(on bool) {
 	}
 }
 
-// stepScale executes one slot in scale mode.
+// stepScale executes one slot in scale mode. Every phase walks the shard's
+// awake set in ascending node-ID order, the order the Plan and EndSlot
+// calls of a full scan would have.
 func (nw *Network) stepScale() {
 	nw.started = true
 	sc := nw.scale
 	asn := nw.asn
-
-	for len(nw.pending) > 0 && nw.pending[0].asn <= asn {
-		nw.pending.pop().fn()
-	}
+	nw.fireEvents(asn)
 
 	// All-napping fast-forward: when every attached live device is asleep,
 	// jump straight to the earliest wake or scheduled event (bounded by the
 	// Run target). Nothing can happen in between: no device plans, so the
 	// medium is silent, and sleep accounting settles at each wake.
-	if sc.awake.Load() == 0 && sc.runCap > asn+1 {
+	if sc.runCap > asn+1 && sc.allNapping() {
 		target := sc.runCap
-		for id := 1; id <= nw.numDevs; id++ {
-			if nw.devices[id] == nil || nw.failed[id] {
-				continue
-			}
-			if w := sc.napUntil[id]; w != 0 && w < target {
-				target = w
-			}
+		if w, ok := sc.earliestWake(); ok && w < target {
+			target = w
 		}
 		if len(nw.pending) > 0 && nw.pending[0].asn < target {
 			target = nw.pending[0].asn
 		}
 		if target > asn {
 			nw.asn = target
-			asn = target
-			for len(nw.pending) > 0 && nw.pending[0].asn <= asn {
-				nw.pending.pop().fn()
+			if target == sc.runCap {
+				return // the Run target's own slot is the next call's first
 			}
+			asn = target
+			nw.fireEvents(asn)
 		}
 	}
 
-	// Phase 1: plans, shard-parallel.
+	// Phase 1: wake the devices whose nap ends, then plans, shard-parallel.
 	sc.notifyParallel(true)
-	sc.run(func(shard, lo, hi int) {
-		buf := sc.bufs[shard]
-		for id := lo; id < hi; id++ {
-			nw.planOne(topology.NodeID(id), asn, buf)
-		}
-	})
+	nw.run(asn, (*Network).planShard)
 	sc.notifyParallel(false)
 	nw.drainTraces()
 
@@ -348,9 +458,30 @@ func (nw *Network) stepScale() {
 	// code — no device calls — so no parallel notification is needed; each
 	// listener writes only its own report plus the unique Acked flag of a
 	// unicast sender addressing it.
-	sc.run(func(shard, lo, hi int) {
-		buf := sc.bufs[shard]
-		for id := lo; id < hi; id++ {
+	nw.run(asn, (*Network).resolveShard)
+	nw.drainTraces()
+
+	// Phase 3: energy classes, reports and nap decisions, shard-parallel.
+	sc.notifyParallel(true)
+	nw.run(asn, (*Network).finishShard)
+	sc.notifyParallel(false)
+
+	nw.asn++
+}
+
+func (nw *Network) planShard(sh *shard, asn ASN) {
+	nw.wakeDue(sh, asn)
+	for wi, word := range sh.awake {
+		for ; word != 0; word &= word - 1 {
+			nw.planOne(sh.idAt(wi, word), asn, sh)
+		}
+	}
+}
+
+func (nw *Network) resolveShard(sh *shard, asn ASN) {
+	for wi, word := range sh.awake {
+		for ; word != 0; word &= word - 1 {
+			id := sh.idAt(wi, word)
 			op := nw.ops[id]
 			if op.Kind != OpRx && op.Kind != OpScan {
 				continue
@@ -358,49 +489,43 @@ func (nw *Network) stepScale() {
 			if nw.driftProb != nil && nw.misses[id] {
 				continue // listening outside the slot's guard window
 			}
-			nw.resolveListenerScale(topology.NodeID(id), op, asn, buf)
+			nw.resolveListenerScale(id, op, asn, sh)
 		}
-	})
-	nw.drainTraces()
-
-	// Phase 3: energy classes, reports and nap decisions, shard-parallel.
-	sc.notifyParallel(true)
-	sc.run(func(shard, lo, hi int) {
-		for id := lo; id < hi; id++ {
-			nw.finishOne(topology.NodeID(id), asn)
-		}
-	})
-	sc.notifyParallel(false)
-
-	nw.asn++
+	}
 }
 
-// planOne runs the plan phase for one device: nap bookkeeping, the Plan
-// call, drift, and the transmit trace into the shard's buffer.
-func (nw *Network) planOne(id topology.NodeID, asn ASN, buf *shardBuf) {
+// finishShard may clear a device's bit in sh.awake (a nap decision) while
+// it walks: the bit is one the walk's copy of the word has passed.
+func (nw *Network) finishShard(sh *shard, asn ASN) {
+	for wi, word := range sh.awake {
+		for ; word != 0; word &= word - 1 {
+			nw.finishOne(sh.idAt(wi, word), asn, sh)
+		}
+	}
+}
+
+// wakeDue returns to the shard's awake set every device whose nap ends at
+// or before asn, settling the skipped slots before the device plans again.
+func (nw *Network) wakeDue(sh *shard, asn ASN) {
 	sc := nw.scale
-	nw.ops[id] = RadioOp{Kind: OpSleep}
-	nw.reports[id] = SlotReport{}
-	d := nw.devices[id]
-	if d == nil || nw.failed[id] {
-		return
-	}
-	if w := sc.napUntil[id]; w != 0 {
-		if w > asn {
-			return // napping: Plan and EndSlot both skipped this slot
+	for len(sh.wakes) > 0 && sh.wakes[0].asn <= asn {
+		e := sh.wakes.pop()
+		id := topology.NodeID(e.ord)
+		if sc.napUntil[id] != e.asn {
+			continue // overtaken: the device was woken, and may nap anew
 		}
-		// Wake: settle the skipped slots before the device plans again.
-		if slept := asn - sc.napStart[id] - 1; slept > 0 {
-			if np, ok := d.(Napper); ok {
-				np.AccrueSleep(slept)
-			}
-		}
+		nw.accrueNap(id, asn)
 		sc.napUntil[id] = 0
-		sc.awake.Add(1)
+		sh.setAwake(id, true)
 	}
-	op := d.Plan(asn)
+}
+
+// planOne runs the plan phase for one awake device: the Plan call, drift,
+// and the transmit trace into the shard's buffer.
+func (nw *Network) planOne(id topology.NodeID, asn ASN, sh *shard) {
+	op := nw.devices[id].Plan(asn)
 	nw.ops[id] = op
-	nw.reports[id].Op = op
+	nw.reports[id] = SlotReport{Op: op}
 	if nw.driftProb != nil {
 		if nw.misses[id] = nw.driftMiss(int(id), asn); nw.misses[id] {
 			return
@@ -413,7 +538,7 @@ func (nw *Network) planOne(id topology.NodeID, asn ASN, buf *shardBuf) {
 			return
 		}
 		if nw.Trace != nil {
-			buf.traces = append(buf.traces, TraceEvent{ASN: asn, Kind: TraceTx,
+			sh.traces = append(sh.traces, TraceEvent{ASN: asn, Kind: TraceTx,
 				Src: id, Dst: op.Frame.Dst, Frame: op.Frame, Channel: op.Channel})
 		}
 	}
@@ -425,7 +550,7 @@ func (nw *Network) planOne(id topology.NodeID, asn ASN, buf *shardBuf) {
 // of network size. The row is in ascending neighbour-ID order, so
 // candidate ordering — and with it capture ties and the interference
 // summation order — is identical for every shard count.
-func (nw *Network) resolveListenerScale(listener topology.NodeID, op RadioOp, asn ASN, buf *shardBuf) {
+func (nw *Network) resolveListenerScale(listener topology.NodeID, op RadioOp, asn ASN, buf *shard) {
 	sc := nw.scale
 	rep := &nw.reports[listener]
 	cols, vals, base := sc.sparse.Row(listener)
@@ -510,7 +635,7 @@ func (nw *Network) resolveListenerScale(listener topology.NodeID, op RadioOp, as
 // resolveAckScale decides whether the ACK decodes at the sender. Only the
 // unique unicast destination reaches here for a given sender, so the
 // cross-shard write to reports[sender].Acked has exactly one writer.
-func (nw *Network) resolveAckScale(sender, receiver topology.NodeID, ch phy.Channel, asn ASN, buf *shardBuf) {
+func (nw *Network) resolveAckScale(sender, receiver topology.NodeID, ch phy.Channel, asn ASN, buf *shard) {
 	sc := nw.scale
 	idx := sc.sparse.LinkIndex(receiver, sender)
 	if idx < 0 {
@@ -536,15 +661,9 @@ func (nw *Network) resolveAckScale(sender, receiver topology.NodeID, ch phy.Chan
 
 // finishOne assigns the slot's energy class, delivers the report, and asks
 // the device for its next wake.
-func (nw *Network) finishOne(id topology.NodeID, asn ASN) {
+func (nw *Network) finishOne(id topology.NodeID, asn ASN, sh *shard) {
 	sc := nw.scale
 	d := nw.devices[id]
-	if d == nil || nw.failed[id] {
-		return
-	}
-	if w := sc.napUntil[id]; w != 0 && w > asn {
-		return // napping: accounting settles at wake
-	}
 	op := nw.ops[id]
 	rep := &nw.reports[id]
 	switch op.Kind {
@@ -568,7 +687,12 @@ func (nw *Network) finishOne(id topology.NodeID, asn ASN) {
 		if w := np.NextWake(asn); w > asn+1 {
 			sc.napUntil[id] = w
 			sc.napStart[id] = asn
-			sc.awake.Add(-1)
+			sh.setAwake(id, false)
+			sh.wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
+			// No plan will overwrite the op while the device naps, and
+			// neighbours scan their rows for transmitters: a transmitter
+			// that naps right after its slot must not be heard again.
+			nw.ops[id] = RadioOp{Kind: OpSleep}
 		}
 	}
 }

@@ -162,12 +162,7 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 				sc.napStart[i] = 0
 			}
 		}
-		sc.awake.Store(0)
-		for id := 1; id <= nw.numDevs; id++ {
-			if nw.devices[id] != nil && sc.napUntil[id] == 0 {
-				sc.awake.Add(1)
-			}
-		}
+		nw.rebuildShards()
 	}
 	return nil
 }

@@ -71,7 +71,7 @@ type Bundle interface {
 	SetTracer(t telemetry.Tracer)
 	JoinedCount() int
 	Prober(nw *sim.Network) invariant.Prober
-	Healer() func(id topology.NodeID, asn sim.ASN)
+	Healer(nw *sim.Network) func(id topology.NodeID, asn sim.ASN)
 	CaptureState() ([]State, error)
 	RestoreState(states []State) error
 }
@@ -234,10 +234,14 @@ func (n *Network[S]) Prober(nw *sim.Network) invariant.Prober {
 // Healer returns the watchdog hook: a degraded-mode recovery that
 // cold-restarts the node. A stack implementing mac.Resetter discards its
 // schedule and routing state and rejoins from scratch (sink and tracer
-// callbacks survive); one that does not only resyncs its clock.
-func (n *Network[S]) Healer() func(id topology.NodeID, asn sim.ASN) {
+// callbacks survive); one that does not only resyncs its clock. The node
+// is woken first: an orphan is synchronised and idle, hence napping on the
+// sparse engine, and the rebooted node must start scanning at once, not
+// when the nap it took under its old schedule ends.
+func (n *Network[S]) Healer(nw *sim.Network) func(id topology.NodeID, asn sim.ASN) {
 	return func(id topology.NodeID, asn sim.ASN) {
 		if int(id) < len(n.Nodes) && n.Nodes[id] != nil {
+			nw.Wake(id)
 			n.Nodes[id].Reboot(asn, true)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/phy"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
@@ -37,5 +38,50 @@ func TestJoinedCountDoesNotAllocate(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { _ = bundle.JoinedCount() }); allocs != 0 {
 		t.Fatalf("JoinedCount allocates %.0f times per call", allocs)
+	}
+}
+
+// The watchdog's heal must wake the node it reboots: an orphan is
+// synchronised and idle, so on the sparse engine it is napping, and a
+// rebooted node that stayed in that nap would sit unsynchronised, radio
+// off, until the wake slot of the schedule it just discarded.
+func TestHealerWakesNappingNode(t *testing.T) {
+	topo := topology.HalfTestbedA()
+	nw := sim.NewScaleNetwork(topo, 1, 1)
+	net, err := core.Build(nw, core.DefaultConfig(topo.NumAPs), mac.DefaultConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := nw.RunUntil(60000, func() bool { return net.JoinedCount() == topo.N() }); !ok {
+		t.Fatal("network did not form")
+	}
+	st, err := nw.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id topology.NodeID
+	for i := topo.NumAPs + 1; i <= topo.N() && id == 0; i++ {
+		if st.NapUntil != nil && st.NapUntil[i] > nw.ASN()+1 {
+			id = topology.NodeID(i)
+		}
+	}
+	if id == 0 {
+		t.Fatal("no field device napping past the next slot")
+	}
+	node := net.Nodes[id]
+
+	net.Healer(nw)(id, nw.ASN())
+	if synced, _ := node.Synced(); synced {
+		t.Fatal("healed node still synchronised")
+	}
+	before := node.Stats()
+	if before.Slots != nw.ASN() {
+		t.Fatalf("heal left the nap unsettled: %d slots accounted at slot %d", before.Slots, nw.ASN())
+	}
+	nw.Step()
+	after := node.Stats()
+	if after.Slots != before.Slots+1 || after.RadioOnTime-before.RadioOnTime != phy.RadioOnTime(phy.ActivityScan) {
+		t.Fatalf("slot after the heal: %d slots, radio on for %v; want one slot of scanning (%v)",
+			after.Slots-before.Slots, after.RadioOnTime-before.RadioOnTime, phy.RadioOnTime(phy.ActivityScan))
 	}
 }
