@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate bench-server bench-warmstart clean
+.PHONY: ci vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate clean
 
 ## ci: everything the driver checks — vet, build, race-enabled tests, a
 ## short fuzz pass over the wire codecs, a one-shot large-scale benchmark
@@ -85,12 +85,16 @@ snap-smoke:
 ## — catches engine bit-rot at a scale the dense matrix cannot represent.
 ## WirelessHART is excluded by design: its centralised manager computes
 ## the whole schedule up front, which is exactly the scaling limit the
-## paper's distributed approach removes. The engine's own tests and the
-## two properties its shortcuts rest on (NextActive against brute force,
-## nap ≡ no-nap) run race-enabled first: a data race on the per-shard
-## awake sets and wake queues must fail here, not as a benchmark digest.
+## paper's distributed approach removes. The slot loop's own tests on
+## both media and the properties its shortcuts rest on (every stack's
+## NextActive against its own Assignment, nap ≡ no-nap, dense results
+## pinned before the dense medium could nap, the shared shadowing memo)
+## run race-enabled first: a data race on the awake sets, the wake queues
+## or the memo must fail here, not as a benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive' ./internal/sim ./internal/core ./internal/mac
+	$(GO) test -race -run 'Scale|Nap|NextActive|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
+		./internal/sim ./internal/core ./internal/mac ./internal/orchestra ./internal/whart \
+		./internal/controller ./internal/topology ./internal/scenario
 	$(GO) run ./cmd/digs-bench -scale-smoke
 	@echo scale-smoke: OK
 
@@ -147,23 +151,11 @@ gateway-smoke:
 		-server-bin $(GATEWAY_DIR)/digs-server -gateway-bin $(GATEWAY_DIR)/digs-gateway
 	@echo gateway-smoke: OK
 
-## bench-server: regenerate BENCH_server.json — the simulation service
-## under a mixed cold / warm-start / duplicate workload: sustained req/s,
-## per-class submit-to-result p50/p99, warm-hit and cache-hit rates.
-bench-server:
-	$(GO) run ./cmd/digs-load -o BENCH_server.json
-
 ## bench-gate: the repo's benchmark (BENCHMARK.json): four workloads,
 ## every op verified, end-to-end and per-layer metrics. Kept out of `ci`:
 ## wall-clock numbers belong on dedicated runners, not shared machines.
 bench-gate:
 	bash bench/run.sh
-
-## bench-warmstart: regenerate BENCH_warmstart.json — cold vs warm-started
-## chaos campaign wall-clock, with a byte-identity check on the reports.
-bench-warmstart:
-	$(GO) run ./cmd/digs-chaos -plan fig8 -topology testbed-a \
-		-protocols digs,orchestra,whart -bench-warmstart BENCH_warmstart.json >/dev/null
 
 clean:
 	$(GO) clean ./...

@@ -20,7 +20,6 @@
 //	digs-chaos -plan crash.json -protocols digs,adaptive -reps 4 -parallel 4
 //	digs-chaos -plan plan.json -trace out.jsonl    # analyse with digs-trace
 //	digs-chaos -plan fig8 -warm-start              # snapshot-cached formation
-//	digs-chaos -plan fig8 -bench-warmstart BENCH_warmstart.json
 package main
 
 import (
@@ -94,8 +93,6 @@ func run() error {
 		"restore formation from the snapshot cache instead of re-forming (populating it on miss)")
 	flag.StringVar(&opts.snapCache, "snap-cache", "",
 		"snapshot cache directory (implies -warm-start; default .digs-snapcache)")
-	benchPath := flag.String("bench-warmstart", "",
-		"run the campaign cold then warm-started, verify identical output, write the timings to this JSON file")
 	reps := flag.Int("reps", 1, "independent repetitions (seed, seed+1, ...)")
 	parallel := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS)")
 	flag.Parse()
@@ -124,12 +121,6 @@ func run() error {
 	opts.reps = *reps
 	if *warmStart && opts.snapCache == "" {
 		opts.snapCache = ".digs-snapcache"
-	}
-	if *benchPath != "" {
-		if opts.trace != "" {
-			return errors.New("-bench-warmstart and -trace are mutually exclusive")
-		}
-		return runBench(opts, topo, *benchPath)
 	}
 
 	outs, err := runCampaign(opts)
@@ -472,8 +463,8 @@ func runCampaign(opts options) ([]*jobOut, error) {
 }
 
 // renderText writes the human-readable campaign report. Nothing in it may
-// depend on whether formation ran or was restored: the bench mode
-// byte-compares a cold and a warm rendering.
+// depend on whether formation ran or was restored: a warm-started campaign
+// prints what a cold one does.
 func renderText(w io.Writer, opts options, topoName string, outs []*jobOut) {
 	fmt.Fprintf(w, "chaos plan %q on %s, %d rep(s) x %s (workers=%d)\n\n",
 		opts.plan, topoName, opts.reps, strings.Join(opts.protocols, "+"), campaign.DefaultWorkers())
@@ -481,80 +472,4 @@ func renderText(w io.Writer, opts options, topoName string, outs []*jobOut) {
 		w.Write(o.log.Bytes())
 		fmt.Fprintln(w)
 	}
-}
-
-// benchReport is the -bench-warmstart JSON shape.
-type benchReport struct {
-	Plan            string   `json:"plan"`
-	Topology        string   `json:"topology"`
-	Protocols       []string `json:"protocols"`
-	Reps            int      `json:"reps"`
-	Workers         int      `json:"workers"`
-	ColdSeconds     float64  `json:"cold_seconds"`
-	WarmSeconds     float64  `json:"warm_seconds"`
-	Speedup         float64  `json:"speedup"`
-	OutputIdentical bool     `json:"output_identical"`
-}
-
-// runBench times the same campaign twice against one snapshot cache — the
-// first pass forms every network cold and populates the cache, the second
-// restores from it — verifies the two reports are byte-identical, and
-// records the wall-clock comparison.
-func runBench(opts options, topo *topology.Topology, outPath string) error {
-	if opts.snapCache == "" {
-		dir, err := os.MkdirTemp("", "digs-snapcache-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		opts.snapCache = dir
-	}
-	render := func(outs []*jobOut) []byte {
-		var b bytes.Buffer
-		renderText(&b, opts, topo.Name, outs)
-		return b.Bytes()
-	}
-	t0 := time.Now()
-	coldOuts, err := runCampaign(opts)
-	if err != nil {
-		return err
-	}
-	cold := time.Since(t0)
-	t1 := time.Now()
-	warmOuts, err := runCampaign(opts)
-	if err != nil {
-		return err
-	}
-	warm := time.Since(t1)
-
-	coldText, warmText := render(coldOuts), render(warmOuts)
-	identical := bytes.Equal(coldText, warmText)
-	os.Stdout.Write(warmText)
-
-	rep := benchReport{
-		Plan: opts.plan, Topology: topo.Name, Protocols: opts.protocols,
-		Reps: opts.reps, Workers: campaign.DefaultWorkers(),
-		ColdSeconds: cold.Seconds(), WarmSeconds: warm.Seconds(),
-		Speedup:         cold.Seconds() / warm.Seconds(),
-		OutputIdentical: identical,
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("warm-start bench: cold %.2fs, warm %.2fs (%.1fx), output identical: %v -> %s\n",
-		rep.ColdSeconds, rep.WarmSeconds, rep.Speedup, identical, outPath)
-	if !identical {
-		return errors.New("warm-started campaign output differs from the cold run")
-	}
-	return nil
 }

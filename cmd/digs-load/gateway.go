@@ -216,7 +216,7 @@ func runBurst(cl *client, jobs int, seedBase int64, halfway chan<- struct{}) (*b
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := cl.submit(benchSpec(seedBase+int64(i), 10*time.Second))
+			resp, err := cl.submit(benchSpec(seedBase+int64(i), harnessWindow))
 			res.mu.Lock()
 			defer res.mu.Unlock()
 			switch {

@@ -157,11 +157,12 @@ type AdaptiveStack struct {
 	sentSinceTick  int
 
 	// neighborCells caches the advertised cell count of each neighbor
-	// (from extended DIOs); childCells maps data-slotframe offsets to the
-	// potential child listening obligations derived from it, refreshed at
-	// each maintenance tick like Orchestra's child-slot cache.
+	// (from extended DIOs); childCells is the offset-sorted table of the
+	// listening obligations derived from it, naming the potential child
+	// that owns each data-slotframe cell — nil until the first maintenance
+	// tick, rebuilt in place at each one like Orchestra's child-slot cache.
 	neighborCells map[topology.NodeID]int
-	childCells    map[int64]topology.NodeID
+	childCells    mac.Cells[topology.NodeID]
 }
 
 var _ mac.Protocol = (*AdaptiveStack)(nil)
@@ -262,16 +263,17 @@ func (s *AdaptiveStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
 			}
 		}
 	}
-	if _, ok := s.childCells[offset]; ok {
+	if _, ok := s.childCells.At(offset); ok {
 		return mac.RoleRxData, 0
 	}
 	return mac.RoleSleep, 0
 }
 
 // refreshChildCells mirrors each potential child's advertised cell count
-// as listen cells.
+// as listen cells, children in ascending ID: a cell two of them claim goes
+// to the higher ID.
 func (s *AdaptiveStack) refreshChildCells() {
-	cells := make(map[int64]topology.NodeID)
+	s.childCells = s.childCells.Reset()
 	if s.isRoot || s.router.Parent() != 0 {
 		for _, c := range s.router.PotentialChildren() {
 			k := s.neighborCells[c]
@@ -282,11 +284,32 @@ func (s *AdaptiveStack) refreshChildCells() {
 				k = s.cfg.MaxCells
 			}
 			for j := 0; j < k; j++ {
-				cells[adaptiveCellSlot(c, j, s.cfg.DataFrameLen)] = c
+				s.childCells = s.childCells.Put(adaptiveCellSlot(c, j, s.cfg.DataFrameLen), c)
 			}
 		}
 	}
-	s.childCells = cells
+}
+
+// NextActive implements mac.Protocol: Orchestra's shape — own beacon slot
+// and the parent's, the shared slot, transmit and listen cells whether or
+// not anything is queued, the maintenance tick (where adapt runs) and the
+// Trickle timer — with txCells own cells and the children's advertised ones.
+func (s *AdaptiveStack) NextActive(after sim.ASN) sim.ASN {
+	w := mac.NextOffset(after, s.cfg.EBFrameLen, int64(s.id-1)%s.cfg.EBFrameLen)
+	w = min(w, mac.NextOffset(after, s.cfg.SharedFrameLen, 0))
+	if p := s.router.Parent(); p != 0 {
+		w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(p-1)%s.cfg.EBFrameLen))
+		for j := 0; j < s.txCells; j++ {
+			w = min(w, mac.NextOffset(after, s.cfg.DataFrameLen, adaptiveCellSlot(s.id, j, s.cfg.DataFrameLen)))
+		}
+	}
+	if v, ok := s.childCells.Next(after, s.cfg.DataFrameLen); ok {
+		w = min(w, v)
+	}
+	if s.synced {
+		w = min(w, max(s.tr.NextEvent(after), after))
+	}
+	return min(w, max(s.nextMaintain, after))
 }
 
 // adapt is the allocator: grow under queue pressure or loss, shed after
@@ -341,7 +364,7 @@ func (s *AdaptiveStack) Assignment(asn sim.ASN) mac.Assignment {
 	case mac.RoleTxData:
 		a.ChannelOffset = unicastLane(s.id)
 	case mac.RoleRxData:
-		if c, ok := s.childCells[offset]; ok {
+		if c, ok := s.childCells.At(offset); ok {
 			a.ChannelOffset = unicastLane(c)
 		}
 	}

@@ -158,13 +158,19 @@ func (s *SDNStack) ctrlCellTo(dst topology.NodeID) int64 {
 	return (base + j*17) % s.cfg.CtrlFrameLen
 }
 
+// ownCtrlCells is how many receive cells this node owns in the control
+// slotframe, the j-th at stride 17*j from its base cell.
+func (s *SDNStack) ownCtrlCells() int64 {
+	if s.controller() {
+		return int64(s.cfg.ControllerCells)
+	}
+	return 1
+}
+
 // ownCtrlCell reports whether offset is one of this node's receive cells.
 func (s *SDNStack) ownCtrlCell(offset int64) bool {
 	base := sdnCell(s.id, s.cfg.CtrlFrameLen)
-	if !s.controller() {
-		return offset == base
-	}
-	for j := int64(0); j < int64(s.cfg.ControllerCells); j++ {
+	for j := int64(0); j < s.ownCtrlCells(); j++ {
 		if offset == (base+j*17)%s.cfg.CtrlFrameLen {
 			return true
 		}
@@ -328,10 +334,12 @@ type SDNStack struct {
 	nextReport   sim.ASN
 
 	// Configured data plane (pushed by the controller).
-	cfgEpoch   uint16
-	parent     topology.NodeID
-	children   []topology.NodeID // sorted
-	childCells map[int64]topology.NodeID
+	cfgEpoch uint16
+	parent   topology.NodeID
+	children []topology.NodeID // sorted
+	// childCells is the offset-sorted table of the children's data cells,
+	// rebuilt in place whenever children changes.
+	childCells mac.Cells[topology.NodeID]
 	// consecParentFails counts consecutive unacked data transmissions;
 	// crossing DeadAckThreshold declares the parent dead.
 	consecParentFails int
@@ -502,10 +510,19 @@ func (s *SDNStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
 	if s.parent != 0 && offset == sdnCell(s.id, s.cfg.DataFrameLen) {
 		return mac.RoleTxData, 1
 	}
-	if _, ok := s.childCells[offset]; ok {
+	if _, ok := s.childCells.At(offset); ok {
 		return mac.RoleRxData, 0
 	}
 	return mac.RoleSleep, 0
+}
+
+// rebuildChildCells derives the listen cells from children (ascending ID: a
+// cell two of them hash to goes to the higher ID).
+func (s *SDNStack) rebuildChildCells() {
+	s.childCells = s.childCells.Reset()
+	for _, c := range s.children {
+		s.childCells = s.childCells.Put(sdnCell(c, s.cfg.DataFrameLen), c)
+	}
 }
 
 func (s *SDNStack) discoveryRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
@@ -535,23 +552,20 @@ func (s *SDNStack) maintain(asn sim.ASN) {
 	// by an ID-salted key so different nodes spread over different relays
 	// instead of dogpiling the lowest-ID one.
 	if !s.controller() {
+		// The order is total — hops, then salt, then ID — so one walk of
+		// the map finds the same uplink whatever order it iterates in.
 		best := topology.NodeID(0)
 		bestHops := uint8(sdnHopsUnknown)
-		ids := make([]topology.NodeID, 0, len(s.hops))
-		for n := range s.hops {
-			ids = append(ids, n)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 		salt := func(n topology.NodeID) int64 {
 			return (int64(n)*31 + int64(s.id)*7) % 97
 		}
-		for _, n := range ids {
-			h := s.hops[n].hops
-			if h < bestHops {
-				bestHops = h
-				best = n
-			} else if h == bestHops && best != 0 && salt(n) < salt(best) {
-				best = n
+		for n, e := range s.hops {
+			switch {
+			case best != 0 && e.hops > bestHops:
+			case best != 0 && e.hops == bestHops &&
+				(salt(n) > salt(best) || salt(n) == salt(best) && n > best):
+			default:
+				best, bestHops = n, e.hops
 			}
 		}
 		s.uplink = best
@@ -636,11 +650,47 @@ func (s *SDNStack) Assignment(asn sim.ASN) mac.Assignment {
 	case mac.RoleTxData:
 		a.ChannelOffset = sdnDataLane(s.id)
 	case mac.RoleRxData:
-		if c, ok := s.childCells[asn%s.cfg.DataFrameLen]; ok {
+		if c, ok := s.childCells.At(asn % s.cfg.DataFrameLen); ok {
 			a.ChannelOffset = sdnDataLane(c)
 		}
 	}
 	return a
+}
+
+// NextActive implements mac.Protocol: the earliest slot at or after `after`
+// holding one of the node's cells or timers. Cells: the discovery listens
+// (every beacon offset below the roster), the node's own beacon slot and its
+// time source's, its control receive cells, the control cell of the queue
+// head — whenever the queue is non-empty, whatever the head's backoff says,
+// since a cell counts as active whether or not anything goes out in it —
+// its own data cell and its children's. Timers: the maintenance tick and,
+// on the controller, the recompute deadline.
+func (s *SDNStack) NextActive(after sim.ASN) sim.ASN {
+	w := after // a roster filling the beacon frame leaves no idle offset
+	if off := after % s.cfg.EBFrameLen; off >= int64(s.roster) {
+		w = after + s.cfg.EBFrameLen - off
+	}
+	w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(s.id-1)%s.cfg.EBFrameLen))
+	if ts := s.timeSource(); ts != 0 {
+		w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(ts-1)%s.cfg.EBFrameLen))
+	}
+	base := sdnCell(s.id, s.cfg.CtrlFrameLen)
+	for j := int64(0); j < s.ownCtrlCells(); j++ {
+		w = min(w, mac.NextOffset(after, s.cfg.CtrlFrameLen, (base+j*17)%s.cfg.CtrlFrameLen))
+	}
+	if len(s.ctrlQ) > 0 {
+		w = min(w, mac.NextOffset(after, s.cfg.CtrlFrameLen, s.ctrlCellTo(s.ctrlQ[0].frame.Dst)))
+	}
+	if s.parent != 0 {
+		w = min(w, mac.NextOffset(after, s.cfg.DataFrameLen, sdnCell(s.id, s.cfg.DataFrameLen)))
+	}
+	if v, ok := s.childCells.Next(after, s.cfg.DataFrameLen); ok {
+		w = min(w, v)
+	}
+	if s.controller() && s.synced {
+		w = min(w, max(s.nextRecompute, after))
+	}
+	return min(w, max(s.nextMaintain, after))
 }
 
 // OnSynced implements mac.Protocol.
@@ -740,10 +790,7 @@ func (s *SDNStack) applyConfig(asn sim.ASN, payload []byte) {
 	s.cfgEpoch = epoch
 	s.parent = parent
 	s.children = children
-	s.childCells = make(map[int64]topology.NodeID, len(children))
-	for _, c := range children {
-		s.childCells[sdnCell(c, s.cfg.DataFrameLen)] = c
-	}
+	s.rebuildChildCells()
 	s.consecParentFails = 0
 	if parent != oldParent && s.onParentChange != nil {
 		s.onParentChange(asn, parent, 0)

@@ -169,10 +169,7 @@ func (s *SDNStack) RestoreState(state stack.State) error {
 	s.cfgEpoch = st.CfgEpoch
 	s.parent = st.Parent
 	s.children = append([]topology.NodeID(nil), st.Children...)
-	s.childCells = make(map[int64]topology.NodeID, len(s.children))
-	for _, c := range s.children {
-		s.childCells[sdnCell(c, s.cfg.DataFrameLen)] = c
-	}
+	s.rebuildChildCells()
 	s.consecParentFails = st.ConsecParentFails
 	s.ctrlQ = nil
 	for _, e := range st.CtrlQ {
@@ -449,12 +446,9 @@ func (s *AdaptiveStack) CaptureState() (stack.State, error) {
 	if s.childCells != nil {
 		st.HasChildCells = true
 		st.ChildCells = make([]AdaptiveChildCellState, 0, len(s.childCells))
-		for slot, id := range s.childCells {
-			st.ChildCells = append(st.ChildCells, AdaptiveChildCellState{Slot: slot, Node: id})
+		for _, c := range s.childCells {
+			st.ChildCells = append(st.ChildCells, AdaptiveChildCellState{Slot: c.Offset, Node: c.Val})
 		}
-		sort.Slice(st.ChildCells, func(i, j int) bool {
-			return st.ChildCells[i].Slot < st.ChildCells[j].Slot
-		})
 	}
 	return st, nil
 }
@@ -489,9 +483,9 @@ func (s *AdaptiveStack) RestoreState(state stack.State) error {
 		s.neighborCells = nil
 	}
 	if st.HasChildCells {
-		s.childCells = make(map[int64]topology.NodeID, len(st.ChildCells))
+		s.childCells = make(mac.Cells[topology.NodeID], 0, len(st.ChildCells))
 		for _, c := range st.ChildCells {
-			s.childCells[c.Slot] = c.Node
+			s.childCells = s.childCells.Put(c.Slot, c.Node)
 		}
 	} else {
 		s.childCells = nil

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
@@ -67,8 +65,8 @@ type scheduler struct {
 	// own Eq. (4) transmit cells, fixed at construction, and its children's,
 	// rebuilt when the child set changes. The slot loop looks a slot up and
 	// asks for the next cell far more often than the child set changes.
-	txCells      []appCell
-	rxCells      []appCell
+	txCells      mac.Cells[appCell]
+	rxCells      mac.Cells[appCell]
 	cacheVersion int64
 	cacheValid   bool
 }
@@ -76,50 +74,19 @@ type scheduler struct {
 // appCell is one application-slotframe cell: attempt numbers an own
 // transmit cell (Eq. (4)'s p), child names the transmitter of a listen cell.
 type appCell struct {
-	offset  int64
 	attempt int
 	child   topology.NodeID
 }
 
-// searchCells returns the index of the first cell at or past the offset,
-// len(cells) when there is none. Written out because it is the slot loop's
-// hottest lookup (every Plan and every NextWake runs it two or three
-// times): slices.BinarySearchFunc pays an indirect call per probe and
-// measured 3x slower on tables of 3 and of 12 cells.
-func searchCells(cells []appCell, offset int64) int {
-	lo, hi := 0, len(cells)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cells[mid].offset < offset {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// putCell records c at the offset. An offset already taken goes to the lower
+// child ID — when two children's Eq. (4) cells collide the choice cannot
+// depend on the children map's iteration order — and, among a node's own
+// transmit cells (no child), to the later attempt.
+func putCell(cells mac.Cells[appCell], offset int64, c appCell) mac.Cells[appCell] {
+	if old, taken := cells.At(offset); taken && c.child > old.child {
+		return cells
 	}
-	return lo
-}
-
-// cellAt returns the table's cell at exactly the offset.
-func cellAt(cells []appCell, offset int64) (appCell, bool) {
-	if i := searchCells(cells, offset); i < len(cells) && cells[i].offset == offset {
-		return cells[i], true
-	}
-	return appCell{}, false
-}
-
-// putCell records c in the offset-sorted table. An offset already taken goes
-// to the lower child ID — when two children's Eq. (4) cells collide the
-// choice cannot depend on the children map's iteration order — and, among
-// a node's own transmit cells (no child), to the later attempt.
-func putCell(cells []appCell, c appCell) []appCell {
-	i := searchCells(cells, c.offset)
-	if i == len(cells) || cells[i].offset != c.offset {
-		return slices.Insert(cells, i, c)
-	}
-	if c.child <= cells[i].child {
-		cells[i] = c
-	}
-	return cells
+	return cells.Put(offset, c)
 }
 
 func newScheduler(id topology.NodeID, isAP bool, cfg Config, router *Router) *scheduler {
@@ -127,7 +94,7 @@ func newScheduler(id topology.NodeID, isAP bool, cfg Config, router *Router) *sc
 	if !isAP {
 		for p := 1; p <= cfg.Attempts; p++ {
 			s.txCells = putCell(s.txCells,
-				appCell{offset: AppTxSlot(id, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen), attempt: p})
+				AppTxSlot(id, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen), appCell{attempt: p})
 		}
 	}
 	s.combiner = mac.NewCombiner(
@@ -161,7 +128,7 @@ func (s *scheduler) Assignment(asn sim.ASN) mac.Assignment {
 	case mac.RoleTxData:
 		a.ChannelOffset = appLane(s.id)
 	case mac.RoleRxData:
-		if c, ok := cellAt(s.rxCells, asn%s.cfg.AppFrameLen); ok {
+		if c, ok := s.rxCells.At(asn % s.cfg.AppFrameLen); ok {
 			a.ChannelOffset = appLane(c.child)
 		}
 	}
@@ -195,38 +162,14 @@ func (s *scheduler) routingRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
 // slots of every child (attempts 1..A-1 when we are its best parent, the
 // final attempt when we are its backup).
 func (s *scheduler) appRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if c, ok := cellAt(s.txCells, offset); ok {
+	if c, ok := s.txCells.At(offset); ok {
 		return mac.RoleTxData, c.attempt
 	}
 	s.refreshRxCache()
-	if _, ok := cellAt(s.rxCells, offset); ok {
+	if _, ok := s.rxCells.At(offset); ok {
 		return mac.RoleRxData, 0
 	}
 	return mac.RoleSleep, 0
-}
-
-// nextOffset returns the first ASN >= after that lands on the given slot
-// offset (in [0, frameLen)) of a slotframe of length frameLen.
-func nextOffset(after sim.ASN, frameLen, offset int64) sim.ASN {
-	d := offset - after%frameLen
-	if d < 0 {
-		d += frameLen
-	}
-	return after + d
-}
-
-// nextCell returns the first ASN >= after that lands on one of the table's
-// cells: the first cell at or past after's own offset, else the first cell
-// of the next frame. ok is false for an empty table.
-func nextCell(cells []appCell, after sim.ASN, frameLen int64) (asn sim.ASN, ok bool) {
-	if len(cells) == 0 {
-		return 0, false
-	}
-	off := after % frameLen
-	if i := searchCells(cells, off); i < len(cells) {
-		return after + cells[i].offset - off, true
-	}
-	return after + frameLen - off + cells[0].offset, true
 }
 
 // NextActive returns the earliest slot at or after `after` in which this
@@ -236,20 +179,20 @@ func nextCell(cells []appCell, after sim.ASN, frameLen int64) (asn sim.ASN, ok b
 // conservative with respect to the combiner, which only ever picks among
 // these same cells.
 func (s *scheduler) NextActive(after sim.ASN) sim.ASN {
-	w := nextOffset(after, s.cfg.SyncFrameLen, int64(s.id-1)%s.cfg.SyncFrameLen)
+	w := mac.NextOffset(after, s.cfg.SyncFrameLen, int64(s.id-1)%s.cfg.SyncFrameLen)
 	if best, _ := s.router.Parents(); best != 0 {
-		if v := nextOffset(after, s.cfg.SyncFrameLen, int64(best-1)%s.cfg.SyncFrameLen); v < w {
+		if v := mac.NextOffset(after, s.cfg.SyncFrameLen, int64(best-1)%s.cfg.SyncFrameLen); v < w {
 			w = v
 		}
 	}
-	if v := nextOffset(after, s.cfg.RoutingFrameLen, 0); v < w {
+	if v := mac.NextOffset(after, s.cfg.RoutingFrameLen, 0); v < w {
 		w = v
 	}
-	if v, ok := nextCell(s.txCells, after, s.cfg.AppFrameLen); ok && v < w {
+	if v, ok := s.txCells.Next(after, s.cfg.AppFrameLen); ok && v < w {
 		w = v
 	}
 	s.refreshRxCache()
-	if v, ok := nextCell(s.rxCells, after, s.cfg.AppFrameLen); ok && v < w {
+	if v, ok := s.rxCells.Next(after, s.cfg.AppFrameLen); ok && v < w {
 		w = v
 	}
 	return w
@@ -260,9 +203,9 @@ func (s *scheduler) refreshRxCache() {
 	if s.cacheValid && v == s.cacheVersion {
 		return
 	}
-	s.rxCells = s.rxCells[:0]
+	s.rxCells = s.rxCells.Reset()
 	claim := func(slot int64, child topology.NodeID) {
-		s.rxCells = putCell(s.rxCells, appCell{offset: slot, child: child})
+		s.rxCells = putCell(s.rxCells, slot, appCell{child: child})
 	}
 	for child, role := range s.router.Children() {
 		switch role {

@@ -147,7 +147,7 @@ func (s *Stack) Assignment(asn sim.ASN) mac.Assignment {
 	return s.sched.Assignment(asn)
 }
 
-// NextActive implements mac.NextActiver: the schedule's next non-sleep
+// NextActive implements mac.Protocol: the schedule's next non-sleep
 // slot, pulled earlier when one of the stack's own timers needs an exact
 // slot — the Trickle timer's fire/rollover point, and the periodic
 // maintenance deadline (so neighbour and parent timeouts are not checked
@@ -155,18 +155,9 @@ func (s *Stack) Assignment(asn sim.ASN) mac.Assignment {
 func (s *Stack) NextActive(after sim.ASN) sim.ASN {
 	w := s.sched.NextActive(after)
 	if s.synced {
-		if e := s.tr.NextEvent(int64(after)); e >= int64(after) && sim.ASN(e) < w {
-			w = sim.ASN(e)
-		}
+		w = min(w, max(s.tr.NextEvent(after), after))
 	}
-	if s.nextMaintain < w {
-		if s.nextMaintain >= after {
-			w = s.nextMaintain
-		} else {
-			w = after
-		}
-	}
-	return w
+	return min(w, max(s.nextMaintain, after))
 }
 
 // OnSynced implements mac.Protocol: the node joined the TSCH network and

@@ -1,0 +1,91 @@
+package mac
+
+import (
+	"slices"
+
+	"github.com/digs-net/digs/internal/sim"
+)
+
+// NextOffset returns the first slot at or after `after` that lands on the
+// given offset (in [0, frameLen)) of a slotframe of length frameLen.
+func NextOffset(after sim.ASN, frameLen, offset int64) sim.ASN {
+	d := offset - after%frameLen
+	if d < 0 {
+		d += frameLen
+	}
+	return after + d
+}
+
+// Cell is one entry of a Cells table: what the node does at one slot offset
+// of a slotframe.
+type Cell[V any] struct {
+	Offset int64
+	Val    V
+}
+
+// Cells holds a slotframe's scheduled cells as an offset-sorted table, at
+// most one per offset. The slot loop asks "what is at this offset" on every
+// Plan and "when is the next cell" on every nap decision, far more often
+// than a stack's schedule changes, so stacks rebuild the table in place
+// (Reset, then Put) and look it up by binary search: no map walk, no
+// allocation once the table has reached its size.
+type Cells[V any] []Cell[V]
+
+// search returns the index of the first cell at or past the offset,
+// len(c) when there is none. Written out because it is the slot loop's
+// hottest lookup: slices.BinarySearchFunc pays an indirect call per probe
+// and measured 3x slower on tables of 3 and of 12 cells.
+func (c Cells[V]) search(offset int64) int {
+	lo, hi := 0, len(c)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c[mid].Offset < offset {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// At returns the cell at exactly the offset.
+func (c Cells[V]) At(offset int64) (v V, ok bool) {
+	if i := c.search(offset); i < len(c) && c[i].Offset == offset {
+		return c[i].Val, true
+	}
+	return v, false
+}
+
+// Reset empties the table for a rebuild, keeping its memory. The result is
+// never nil, so a stack can let a nil table mean "not built yet".
+func (c Cells[V]) Reset() Cells[V] {
+	if c == nil {
+		return Cells[V]{}
+	}
+	return c[:0]
+}
+
+// Put records v at the offset, replacing a cell already there, and returns
+// the table.
+func (c Cells[V]) Put(offset int64, v V) Cells[V] {
+	i := c.search(offset)
+	if i < len(c) && c[i].Offset == offset {
+		c[i].Val = v
+		return c
+	}
+	return slices.Insert(c, i, Cell[V]{Offset: offset, Val: v})
+}
+
+// Next returns the first slot at or after `after` that lands on one of the
+// table's cells: the first cell at or past after's own offset, else the
+// first cell of the next frame. ok is false for an empty table.
+func (c Cells[V]) Next(after sim.ASN, frameLen int64) (asn sim.ASN, ok bool) {
+	if len(c) == 0 {
+		return 0, false
+	}
+	off := after % frameLen
+	if i := c.search(off); i < len(c) {
+		return after + c[i].Offset - off, true
+	}
+	return after + frameLen - off + c[0].Offset, true
+}

@@ -130,6 +130,7 @@ func (p *slotProto) Assignment(asn sim.ASN) Assignment {
 		return Assignment{Role: RoleSleep}
 	}
 }
+func (p *slotProto) NextActive(after sim.ASN) sim.ASN       { return after }
 func (p *slotProto) OnSynced(sim.ASN)                       {}
 func (p *slotProto) EBPayload() []byte                      { return nil }
 func (p *slotProto) OnFrame(sim.ASN, *sim.Frame, float64)   {}

@@ -53,6 +53,7 @@ func (p *staticProto) Assignment(asn sim.ASN) Assignment {
 	}
 }
 
+func (p *staticProto) NextActive(after sim.ASN) sim.ASN       { return after } // never naps
 func (p *staticProto) OnSynced(asn sim.ASN)                   { p.synced = true; p.syncASN = asn }
 func (p *staticProto) OnFrame(sim.ASN, *sim.Frame, float64)   {}
 func (p *staticProto) SharedFrame(sim.ASN) (*sim.Frame, bool) { return nil, false }

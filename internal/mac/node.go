@@ -196,9 +196,9 @@ func (n *Node) IsAP() bool { return n.isAP }
 // which slot.
 func (n *Node) Synced() (bool, sim.ASN) { return n.synced, n.syncedAt }
 
-// Stats returns a copy of the node's counters. While the sparse engine has
-// the node napping, Slots and EnergyJoules lag by the slots slept so far;
-// they catch up when it wakes or on sim.Network.SettleNaps.
+// Stats returns a copy of the node's counters. While the engine has the
+// node napping, Slots, EnergyJoules and RadioOnTime lag by the slots slept
+// so far; they catch up when it wakes or on sim.Network.SettleNaps.
 func (n *Node) Stats() Stats { return n.stats }
 
 // SetTracer installs (or with nil removes) the packet-lifecycle tracer.
@@ -561,39 +561,21 @@ func (n *Node) watchdog(dst topology.NodeID) {
 	n.wdFails = 0
 }
 
-// NextActiver is optionally implemented by protocols whose schedule can
-// be queried structurally: NextActive(after) returns the earliest slot at
-// or after `after` in which the node's combined schedule assigns any
-// non-sleep role. It must be conservative — returning a slot early is
-// harmless (the node wakes, plans sleep, naps again), returning one late
-// would make the node sleep through its own cells.
-type NextActiver interface {
-	NextActive(after sim.ASN) sim.ASN
-}
-
 // NextWake implements sim.Napper: it reports the next slot this node
-// could possibly do radio work. A node naps when it is synchronised and
-// its protocol can enumerate its schedule structurally. Queued data does
-// not keep it awake: it leaves only in the node's own transmit cells, and
-// NextActive reports those whether or not anything is queued. Downlink
-// commands and bulletins in transit do, as do the optional downlink and
-// broadcast slotframes, whose cells depend on frames other nodes may send.
-// Anything handing a napping node new work outside the radio path (flow
-// injection) must go through Network.Wake.
+// could possibly do radio work. A synchronised node naps until its
+// protocol's next active slot. Queued data does not keep it awake: it
+// leaves only in the node's own transmit cells, and NextActive reports
+// those whether or not anything is queued. Downlink commands and bulletins
+// in transit do, as do the optional downlink and broadcast slotframes,
+// whose cells depend on frames other nodes may send. Anything handing a
+// napping node new work outside the radio path (a reboot) must go through
+// Network.Wake.
 func (n *Node) NextWake(asn sim.ASN) sim.ASN {
 	if !n.synced || len(n.downQueue) > 0 || n.bcastOut != nil ||
 		n.cfg.DownlinkFrameLen > 0 || n.cfg.BroadcastFrameLen > 0 {
 		return asn + 1
 	}
-	na, ok := n.proto.(NextActiver)
-	if !ok {
-		return asn + 1
-	}
-	w := na.NextActive(asn + 1)
-	if w < asn+1 {
-		w = asn + 1
-	}
-	return w
+	return max(n.proto.NextActive(asn+1), asn+1)
 }
 
 // AccrueSleep implements sim.Napper: it settles the per-slot accounting

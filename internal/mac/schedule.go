@@ -100,6 +100,18 @@ type Protocol interface {
 	// slot. Only called once the node is synchronised.
 	Assignment(asn sim.ASN) Assignment
 
+	// NextActive returns the earliest slot at or after `after` in which
+	// Assignment must be called: one holding a cell of the node's schedule
+	// — active whether or not there is anything to send in it, so side
+	// effects of looking a cell up happen on the slots they always did —
+	// or the deadline of one of the protocol's timers. The engine skips
+	// the Assignment calls before it, so for every slot in between
+	// Assignment must return RoleSleep and leave the protocol's state
+	// untouched. Returning a slot early is harmless (the node wakes, plans
+	// sleep, naps again), returning one late makes the node sleep through
+	// its own cells; a protocol that cannot tell returns `after`.
+	NextActive(after sim.ASN) sim.ASN
+
 	// OnSynced tells the protocol the node has joined the TSCH network
 	// (heard its first EB) and may begin routing.
 	OnSynced(asn sim.ASN)

@@ -68,6 +68,7 @@ type retxProto struct{ next topology.NodeID }
 func (p *retxProto) Assignment(sim.ASN) Assignment {
 	return Assignment{Role: RoleTxData, ChannelOffset: 3, Attempt: 1}
 }
+func (p *retxProto) NextActive(after sim.ASN) sim.ASN                      { return after }
 func (p *retxProto) OnSynced(sim.ASN)                                      {}
 func (p *retxProto) EBPayload() []byte                                     { return nil }
 func (p *retxProto) OnFrame(sim.ASN, *sim.Frame, float64)                  {}

@@ -121,9 +121,10 @@ type Stack struct {
 	txBackoff int
 
 	// childSlots caches the sender cells of potential children
-	// (sender-based mode), mapping cell offset to the child owning it;
-	// refreshed at each maintenance tick.
-	childSlots map[int64]topology.NodeID
+	// (sender-based mode) as an offset-sorted table naming the child that
+	// owns each cell; nil until the first maintenance tick, rebuilt in
+	// place at each one.
+	childSlots mac.Cells[topology.NodeID]
 }
 
 var _ mac.Protocol = (*Stack)(nil)
@@ -247,20 +248,53 @@ func (s *Stack) senderBasedRole(offset int64) (mac.SlotRole, int) {
 		}
 		return mac.RoleTxData, 1
 	}
-	if _, ok := s.childSlots[offset]; ok {
+	if _, ok := s.childSlots.At(offset); ok {
 		return mac.RoleRxData, 0
 	}
 	return mac.RoleSleep, 0
 }
 
+// refreshChildSlots rebuilds the table from the potential children in
+// ascending ID: a cell two of them hash to goes to the higher ID.
 func (s *Stack) refreshChildSlots() {
-	slots := make(map[int64]topology.NodeID)
+	s.childSlots = s.childSlots.Reset()
 	if s.isRoot || s.router.Parent() != 0 {
 		for _, c := range s.router.PotentialChildren() {
-			slots[RxSlot(c, s.cfg.UnicastFrameLen)] = c
+			s.childSlots = s.childSlots.Put(RxSlot(c, s.cfg.UnicastFrameLen), c)
 		}
 	}
-	s.childSlots = slots
+}
+
+// NextActive implements mac.Protocol: the earliest slot at or after `after`
+// holding one of the node's cells — its own beacon slot and its parent's,
+// the shared slot, its unicast transmit and listen cells, each whether or
+// not there is anything to send in it (the transmit cell's backoff counter
+// ticks there) — or one of its timers: the maintenance tick and the
+// Trickle timer's fire or rollover slot.
+func (s *Stack) NextActive(after sim.ASN) sim.ASN {
+	w := mac.NextOffset(after, s.cfg.EBFrameLen, int64(s.id-1)%s.cfg.EBFrameLen)
+	w = min(w, mac.NextOffset(after, s.cfg.SharedFrameLen, 0))
+	p, own := s.router.Parent(), RxSlot(s.id, s.cfg.UnicastFrameLen)
+	if p != 0 {
+		w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(p-1)%s.cfg.EBFrameLen))
+	}
+	if s.cfg.ReceiverBased {
+		w = min(w, mac.NextOffset(after, s.cfg.UnicastFrameLen, own))
+		if p != 0 {
+			w = min(w, mac.NextOffset(after, s.cfg.UnicastFrameLen, RxSlot(p, s.cfg.UnicastFrameLen)))
+		}
+	} else {
+		if p != 0 {
+			w = min(w, mac.NextOffset(after, s.cfg.UnicastFrameLen, own))
+		}
+		if v, ok := s.childSlots.Next(after, s.cfg.UnicastFrameLen); ok {
+			w = min(w, v)
+		}
+	}
+	if s.synced {
+		w = min(w, max(s.tr.NextEvent(after), after))
+	}
+	return min(w, max(s.nextMaintain, after))
 }
 
 // Assignment implements mac.Protocol. Unicast cells get their channel
@@ -288,7 +322,7 @@ func (s *Stack) Assignment(asn sim.ASN) mac.Assignment {
 	case mac.RoleRxData:
 		if s.cfg.ReceiverBased {
 			a.ChannelOffset = unicastLane(s.id)
-		} else if c, ok := s.childSlots[offset]; ok {
+		} else if c, ok := s.childSlots.At(offset); ok {
 			a.ChannelOffset = unicastLane(c)
 		}
 	}

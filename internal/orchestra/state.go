@@ -2,8 +2,8 @@ package orchestra
 
 import (
 	"fmt"
-	"sort"
 
+	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
@@ -58,10 +58,9 @@ func (s *Stack) CaptureState() (stack.State, error) {
 	if s.childSlots != nil {
 		st.HasChildSlots = true
 		st.ChildSlots = make([]ChildSlotState, 0, len(s.childSlots))
-		for slot, id := range s.childSlots {
-			st.ChildSlots = append(st.ChildSlots, ChildSlotState{Slot: slot, Node: id})
+		for _, c := range s.childSlots {
+			st.ChildSlots = append(st.ChildSlots, ChildSlotState{Slot: c.Offset, Node: c.Val})
 		}
-		sort.Slice(st.ChildSlots, func(i, j int) bool { return st.ChildSlots[i].Slot < st.ChildSlots[j].Slot })
 	}
 	return st, nil
 }
@@ -85,9 +84,9 @@ func (s *Stack) RestoreState(state stack.State) error {
 	s.synced = st.Synced
 	s.txBackoff = st.TxBackoff
 	if st.HasChildSlots {
-		s.childSlots = make(map[int64]topology.NodeID, len(st.ChildSlots))
+		s.childSlots = make(mac.Cells[topology.NodeID], 0, len(st.ChildSlots))
 		for _, c := range st.ChildSlots {
-			s.childSlots[c.Slot] = c.Node
+			s.childSlots = s.childSlots.Put(c.Slot, c.Node)
 		}
 	} else {
 		s.childSlots = nil

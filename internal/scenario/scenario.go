@@ -70,9 +70,9 @@ type Params struct {
 	MacBoost int
 	// DiGSConfig overrides the DiGS stack configuration (ablations).
 	DiGSConfig *core.Config
-	// Shards is the sparse engine's shard count (0 = 1). The engine itself
+	// Shards is the sparse medium's shard count (0 = 1). The medium itself
 	// follows the topology — sparse-only deployments run the sharded
-	// sparse loop, everything else the dense loop, where Shards is ignored
+	// sparse one, everything else the dense one, where Shards is ignored
 	// — and results are bit-identical for every shard count, so Shards is
 	// a throughput knob, not a simulation parameter: snapshots taken at
 	// one count restore at any other.
@@ -99,7 +99,7 @@ type Scenario struct {
 func (sc *Scenario) Joined() int { return sc.JoinedCount() }
 
 // SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node of the stack. On the sparse engine the device layers record
+// every node of the stack. On the sparse medium the device layers record
 // from inside the shard-parallel phases, so a per-shard splitter is
 // interposed: any downstream sink sees one deterministic stream
 // regardless of shard count.
@@ -138,9 +138,9 @@ func Build(p Params) (*Scenario, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
 	}
-	// The engine is a function of the topology alone: equal spec hashes
+	// The medium is a function of the topology alone: equal spec hashes
 	// (which exclude Shards) must mean equal result bytes, and the two
-	// slot loops draw their randomness differently.
+	// media draw their randomness differently.
 	var nw *sim.Network
 	if p.Topology.SparseOnly() {
 		nw = sim.NewScaleNetwork(p.Topology, p.Seed, max(p.Shards, 1))

@@ -27,7 +27,7 @@ type slotEntry[V any] struct {
 
 // slotHeap is a binary min-heap ordered by (asn, ord). The event queue
 // holds callbacks under their scheduling sequence number, which keeps
-// same-slot events FIFO; the scale engine's wake queues hold node IDs. A
+// same-slot events FIFO; the shards' wake queues hold node IDs. A
 // heap keeps the per-slot cost of the common case — nothing due — at a
 // single length check plus one comparison, where the previous map keyed by
 // ASN paid a hash lookup every slot.
@@ -114,9 +114,26 @@ type Network struct {
 	// first AddLinkFade keeps the unfaulted hot path branch-predictable.
 	fade []float64
 
-	// scale, when non-nil, switches the network to the sparse sharded
-	// engine (see scale.go): Step dispatches to stepScale, the dense rss
-	// matrix stays unallocated, and fades key on sparse link indices.
+	// The slot loop's state, shared by both media (see scale.go): the
+	// shards — exactly one on the dense medium — with their awake sets and
+	// wake queues, and the nap windows those are derived from.
+	// napUntil[id] != 0 means the device sleeps until that slot (exclusive);
+	// napStart[id] is the last slot it was accounted for.
+	sh       []*shard
+	bounds   []int // bounds[s]..bounds[s+1] is shard s's half-open node-ID range
+	napUntil []ASN
+	napStart []ASN
+	// runCap bounds the all-napping fast-forward so Run/RunUntil stop at
+	// their target slot; 0 means single-stepping (no fast-forward).
+	runCap ASN
+	// notify, when set, brackets the two device phases of every executed
+	// slot (telemetry splitters buffer per shard between notify(true) and
+	// notify(false)).
+	notify func(parallel bool)
+
+	// scale, when non-nil, makes the medium the sparse one (see scale.go):
+	// CSR neighbour rows and counter-based draws instead of the dense rss
+	// matrix, the byChannel lists and the sequential rng.
 	scale *scaleState
 
 	// driftProb holds each node's per-slot clock misalignment
@@ -138,28 +155,44 @@ type Network struct {
 	ackInterf []float64
 }
 
-// NewNetwork creates an empty network over the given topology, seeded for
-// reproducibility.
-func NewNetwork(topo *topology.Topology, seed int64) *Network {
+// newNetwork builds what both media share: the device table, the slot
+// loop's shards and nap vectors, and the per-node op and report scratch.
+func newNetwork(topo *topology.Topology, seed int64, shards int) *Network {
 	n := topo.N()
-	src := detrand.New(seed)
 	nw := &Network{
 		topo:              topo,
 		devices:           make([]Device, n+1),
 		failed:            make([]bool, n+1),
 		seed:              seed,
-		rngSrc:            src,
-		rng:               rand.New(src),
+		rngSrc:            detrand.New(seed),
 		FastFadingSigmaDB: 2.0,
-		rss:               make([]float64, (n+1)*(n+1)),
 		rssDim:            n + 1,
 		numDevs:           n,
+		sh:                make([]*shard, shards),
+		bounds:            shardBounds(n, topo.NumAPs, shards),
+		napUntil:          make([]ASN, n+1),
+		napStart:          make([]ASN, n+1),
 		ops:               make([]RadioOp, n+1),
 		reports:           make([]SlotReport, n+1),
-		activeCh:          make([]phy.Channel, 0, phy.NumChannels),
 	}
-	for a := 1; a <= n; a++ {
-		for b := 1; b <= n; b++ {
+	for s := range nw.sh {
+		lo, hi := nw.bounds[s], nw.bounds[s+1]
+		nw.sh[s] = &shard{lo: lo, awake: make([]uint64, (hi-lo+63)/64)}
+	}
+	return nw
+}
+
+// NewNetwork creates an empty network over the given topology, seeded for
+// reproducibility, on the dense medium: a flat RSS matrix, per-channel
+// transmitter lists and one sequential generator whose draw order every
+// golden pins — which is why this medium is always a single shard.
+func NewNetwork(topo *topology.Topology, seed int64) *Network {
+	nw := newNetwork(topo, seed, 1)
+	nw.rng = rand.New(nw.rngSrc)
+	nw.rss = make([]float64, nw.rssDim*nw.rssDim)
+	nw.activeCh = make([]phy.Channel, 0, phy.NumChannels)
+	for a := 1; a <= nw.numDevs; a++ {
+		for b := 1; b <= nw.numDevs; b++ {
 			nw.rss[a*nw.rssDim+b] = topo.RSS(topology.NodeID(a), topology.NodeID(b))
 		}
 	}
@@ -306,38 +339,28 @@ func (nw *Network) Failed(id topology.NodeID) bool {
 	return id >= 1 && int(id) < len(nw.failed) && nw.failed[id]
 }
 
-// Run advances the network to the slot `slots` after the current one. In
-// scale mode a single Step may fast-forward through a stretch where every
-// device naps, so the loop tracks the slot clock, not the call count; the
-// fast-forward cap keeps it from overshooting the target.
+// Run advances the network to the slot `slots` after the current one. A
+// single Step may fast-forward through a stretch where every device naps,
+// so the loop tracks the slot clock, not the call count; the fast-forward
+// cap keeps it from overshooting the target.
 func (nw *Network) Run(slots int64) {
 	target := nw.asn + slots
-	if nw.scale != nil {
-		defer func() { nw.scale.runCap = 0 }()
-	}
+	nw.runCap = target
 	for nw.asn < target {
-		if nw.scale != nil {
-			nw.scale.runCap = target
-		}
 		nw.Step()
 	}
+	nw.runCap = 0
 }
 
 // RunUntil advances the network until the predicate returns true or the
 // slot budget is exhausted. It returns the number of slots executed and
-// whether the predicate fired.
+// whether the predicate fired. The predicate may watch anything, the clock
+// included, so it is asked before every slot: RunUntil never fast-forwards.
 func (nw *Network) RunUntil(maxSlots int64, done func() bool) (int64, bool) {
 	start := nw.asn
-	target := start + maxSlots
-	if nw.scale != nil {
-		defer func() { nw.scale.runCap = 0 }()
-	}
-	for nw.asn < target {
+	for target := start + maxSlots; nw.asn < target; {
 		if done() {
 			return nw.asn - start, true
-		}
-		if nw.scale != nil {
-			nw.scale.runCap = target
 		}
 		nw.Step()
 	}
@@ -367,105 +390,6 @@ func (nw *Network) fireEvents(asn ASN) {
 	for len(nw.pending) > 0 && nw.pending[0].asn <= asn {
 		nw.pending.pop().val()
 	}
-}
-
-// Step executes one TSCH slot: plan, resolve the medium, report.
-func (nw *Network) Step() {
-	if nw.scale != nil {
-		nw.stepScale()
-		return
-	}
-	nw.started = true
-	asn := nw.asn
-	n := nw.numDevs
-
-	nw.fireEvents(asn)
-
-	// Phase 1: plans.
-	for _, ch := range nw.activeCh {
-		nw.byChannel[ch] = nw.byChannel[ch][:0]
-	}
-	nw.activeCh = nw.activeCh[:0]
-	for id := 1; id <= n; id++ {
-		nw.ops[id] = RadioOp{Kind: OpSleep}
-		nw.reports[id] = SlotReport{}
-		d := nw.devices[id]
-		if d == nil || nw.failed[id] {
-			continue
-		}
-		op := d.Plan(asn)
-		nw.ops[id] = op
-		nw.reports[id].Op = op
-		if nw.driftProb != nil {
-			// A misaligned slot: the radio acts outside the network's
-			// guard window, so the node's transmission decodes nowhere and
-			// its listen hears nothing — but the energy is still spent
-			// (phase 3 charges the op's activity class as planned).
-			if nw.misses[id] = nw.driftMiss(id, asn); nw.misses[id] {
-				continue
-			}
-		}
-		if op.Kind == OpTx {
-			if op.Frame == nil {
-				// A transmit plan with no frame degrades to sleep.
-				nw.ops[id] = RadioOp{Kind: OpSleep}
-				nw.reports[id].Op = nw.ops[id]
-				continue
-			}
-			if int(op.Channel) < len(nw.byChannel) {
-				if len(nw.byChannel[op.Channel]) == 0 {
-					nw.activeCh = append(nw.activeCh, op.Channel)
-				}
-				nw.byChannel[op.Channel] = append(nw.byChannel[op.Channel], topology.NodeID(id))
-			}
-			nw.trace(TraceEvent{ASN: asn, Kind: TraceTx, Src: topology.NodeID(id),
-				Dst: op.Frame.Dst, Frame: op.Frame, Channel: op.Channel})
-		}
-	}
-
-	// Phase 2: resolve receptions per listening device.
-	for id := 1; id <= n; id++ {
-		op := nw.ops[id]
-		if op.Kind != OpRx && op.Kind != OpScan {
-			continue
-		}
-		if nw.driftProb != nil && nw.misses[id] {
-			continue // listening outside the slot's guard window
-		}
-		nw.resolveListener(topology.NodeID(id), op, asn)
-	}
-
-	// Phase 3: transmitter outcomes and energy classes.
-	for id := 1; id <= n; id++ {
-		op := nw.ops[id]
-		rep := &nw.reports[id]
-		switch op.Kind {
-		case OpSleep:
-			rep.Activity = phy.ActivitySleep
-		case OpScan:
-			rep.Activity = phy.ActivityScan
-		case OpRx:
-			if rep.Activity == 0 {
-				rep.Activity = phy.ActivityRxIdle
-			}
-		case OpTx:
-			if op.NeedAck {
-				rep.Activity = phy.ActivityTxAwaitAck
-			} else {
-				rep.Activity = phy.ActivityTx
-			}
-		}
-	}
-
-	// Phase 4: reports.
-	for id := 1; id <= n; id++ {
-		d := nw.devices[id]
-		if d == nil || nw.failed[id] {
-			continue
-		}
-		d.EndSlot(asn, nw.reports[id])
-	}
-	nw.asn++
 }
 
 // resolveListener decides what the listener hears this slot.

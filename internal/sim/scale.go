@@ -11,18 +11,29 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// The scale engine is the massive-topology execution mode of Network: the
-// same device contract and medium model, restructured so per-slot cost
-// scales with active links instead of n^2 and the device phases can run
-// shard-parallel while staying bit-identical for every shard count.
+// One slot loop, two media. Network.Step is the only slot loop: it walks
+// each shard's awake set in ascending node ID through three phases — plan,
+// resolve the medium, report — and lets devices that implement Napper sleep
+// through their structurally idle stretches. Each shard keeps the set of its
+// devices that are awake and a queue of the slots at which the others wake,
+// so a slot costs what its awake devices cost, not a visit to every node,
+// and Run fast-forwards the clock to the earliest wake or scheduled event
+// when every device is napping. What differs between the two media is only
+// how a listener finds its transmitters and where the randomness comes from.
 //
-// Three things differ from the legacy slot loop:
+// The dense medium (NewNetwork) is the paper-scale one: a flat (n+1)^2 RSS
+// matrix, per-channel transmitter lists filled as devices plan, and one
+// sequential generator. Every golden pins that generator's draw order, and
+// the order is the order listeners resolve in, so the dense medium is always
+// exactly one shard and emits its trace events inline.
 //
-//  1. The dense (n+1)^2 RSS matrix is replaced by the topology's
-//     radius-pruned CSR adjacency. A listener resolves receptions by
-//     scanning its own neighbour row (O(degree)) instead of the global
-//     per-channel transmitter lists, and the fade overlay is keyed on
-//     sparse link indices.
+// The sparse medium (NewScaleNetwork) is the massive-topology one:
+//
+//  1. The RSS matrix is replaced by the topology's radius-pruned CSR
+//     adjacency. A listener resolves receptions by scanning its own
+//     neighbour row (O(degree)) instead of the global per-channel
+//     transmitter lists, and the fade overlay is keyed on sparse link
+//     indices.
 //
 //  2. All randomness is counter-based: each fading and decode draw is a
 //     pure hash of (seed, asn, src, dst, salt) instead of the next value
@@ -32,21 +43,14 @@ import (
 //     already used for clock-drift decisions.
 //
 //  3. Devices are partitioned into contiguous node-ID ranges, one per
-//     shard. The plan and end-of-slot phases run shard-parallel;
-//     per-shard event buffers are drained in shard order after each
-//     parallel section, which is ascending node-ID order and therefore
-//     the same order for 1, 2, 4 or 8 shards. The procedural generators
-//     assign IDs in spatial scan order, so contiguous ID ranges are also
-//     spatially compact regions. Access points always land in shard 0
-//     (lowest IDs), making that goroutine the only one that runs sink
-//     callbacks and touches gateway-side state.
-//
-// Devices that implement Napper additionally let the engine skip their
-// Plan/EndSlot calls entirely across structurally idle stretches. Each
-// shard keeps the set of its devices that are awake and a queue of the
-// slots at which the others wake, so a slot costs what its awake devices
-// cost, not a visit to every node, and Run fast-forwards the clock to the
-// earliest wake or scheduled event when every device is napping.
+//     shard, and the three phases run shard-parallel; per-shard event
+//     buffers are drained in shard order after each parallel section,
+//     which is ascending node-ID order and therefore the same order for 1,
+//     2, 4 or 8 shards. The procedural generators assign IDs in spatial
+//     scan order, so contiguous ID ranges are also spatially compact
+//     regions. Access points always land in shard 0 (lowest IDs), making
+//     that goroutine the only one that runs sink callbacks and touches
+//     gateway-side state.
 
 // Napper is optionally implemented by devices that can predict their own
 // idle stretches. After EndSlot(asn) the engine asks NextWake(asn); a
@@ -54,7 +58,9 @@ import (
 // in (asn, w), and the engine then skips its Plan/EndSlot calls until
 // slot w (or until Network.Wake). On waking, AccrueSleep(k) reports the k
 // skipped slots so the device can settle its per-slot accounting exactly
-// as if EndSlot had been called with a sleep report k times.
+// as if EndSlot had been called with a sleep report k times. The promise
+// cuts both ways: a device woken before w (Network.Wake, a dense capture)
+// plans the sleep it promised, with no other effect, and naps again.
 type Napper interface {
 	NextWake(asn ASN) ASN
 	AccrueSleep(slots int64)
@@ -90,14 +96,10 @@ type shard struct {
 	ackInterf []float64
 }
 
+// scaleState is what only the sparse medium has.
 type scaleState struct {
 	sparse   *topology.SparseRSS
-	shards   int
 	seedHash uint64
-
-	// bounds[s]..bounds[s+1] is shard s's half-open node-ID range.
-	bounds []int
-	sh     []*shard
 
 	// shardBusy accumulates wall-clock time spent in each shard's device
 	// phases; busy is the goroutine-safe accumulator behind it.
@@ -107,67 +109,23 @@ type scaleState struct {
 	// fade is the link attenuation overlay keyed by sparse link index
 	// (directed entries, kept symmetric); nil until the first AddLinkFade.
 	fade []float64
-
-	// napUntil[id] != 0 means the device sleeps until that slot
-	// (exclusive); napStart[id] is the last slot it was accounted for. The
-	// shards' awake sets and wake queues are derived from napUntil (see
-	// rebuildShards), so snapshots carry only these two vectors.
-	napUntil []ASN
-	napStart []ASN
-
-	// notify, when set, brackets the device-parallel phases (telemetry
-	// splitters buffer per shard between notify(true) and notify(false)).
-	notify func(parallel bool)
-
-	// runCap bounds the all-napping fast-forward so Run/RunUntil stop at
-	// their target slot; 0 means single-stepping (no fast-forward).
-	runCap ASN
 }
 
-// NewScaleNetwork creates a network in scale mode over the topology's
-// radius-pruned sparse adjacency, partitioned into the given number of
-// shards. Output is bit-identical for any shard count (the legacy
-// NewNetwork engine is a different medium resolution order and RNG
-// discipline, so legacy and scale runs are each internally deterministic
-// but not comparable to each other). Shard counts are clamped to [1, n].
+// NewScaleNetwork creates a network on the sparse medium, over the
+// topology's radius-pruned adjacency, partitioned into the given number of
+// shards. Output is bit-identical for any shard count (the dense medium
+// resolves in a different order under a different RNG discipline, so dense
+// and sparse runs are each internally deterministic but not comparable to
+// each other). Shard counts are clamped to [1, n].
 func NewScaleNetwork(topo *topology.Topology, seed int64, shards int) *Network {
-	n := topo.N()
-	if shards < 1 {
-		shards = 1
+	shards = max(1, min(shards, topo.N()))
+	nw := newNetwork(topo, seed, shards) // nw.rng stays nil: draws are counter-based
+	nw.scale = &scaleState{
+		sparse:    topo.SparseView(),
+		seedHash:  detrand.Mix(0, uint64(seed)),
+		shardBusy: make([]time.Duration, shards),
+		busy:      make([]atomic.Int64, shards),
 	}
-	if shards > n {
-		shards = n
-	}
-	src := detrand.New(seed)
-	nw := &Network{
-		topo:              topo,
-		devices:           make([]Device, n+1),
-		failed:            make([]bool, n+1),
-		seed:              seed,
-		rngSrc:            src,
-		rng:               nil, // scale mode draws are counter-based
-		FastFadingSigmaDB: 2.0,
-		rssDim:            n + 1,
-		numDevs:           n,
-		ops:               make([]RadioOp, n+1),
-		reports:           make([]SlotReport, n+1),
-	}
-	sc := &scaleState{
-		sparse:   topo.SparseView(),
-		shards:   shards,
-		seedHash: detrand.Mix(0, uint64(seed)),
-		napUntil: make([]ASN, n+1),
-		napStart: make([]ASN, n+1),
-		sh:       make([]*shard, shards),
-		bounds:   shardBounds(n, topo.NumAPs, shards),
-	}
-	sc.shardBusy = make([]time.Duration, shards)
-	sc.busy = make([]atomic.Int64, shards)
-	for s := range sc.sh {
-		lo, hi := sc.bounds[s], sc.bounds[s+1]
-		sc.sh[s] = &shard{lo: lo, awake: make([]uint64, (hi-lo+63)/64)}
-	}
-	nw.scale = sc
 	return nw
 }
 
@@ -191,25 +149,17 @@ func shardBounds(n, numAPs, shards int) []int {
 	return bounds
 }
 
-// ScaleMode reports whether this network runs the sparse sharded engine.
+// ScaleMode reports whether this network runs on the sparse medium.
 func (nw *Network) ScaleMode() bool { return nw.scale != nil }
 
-// ShardCount returns the number of shards (1 outside scale mode).
-func (nw *Network) ShardCount() int {
-	if nw.scale == nil {
-		return 1
-	}
-	return nw.scale.shards
-}
+// ShardCount returns the number of shards (always 1 on the dense medium).
+func (nw *Network) ShardCount() int { return len(nw.sh) }
 
-// ShardOf returns the shard owning the given node (0 outside scale mode).
-// Telemetry splitters use it to give each node the buffer matching the
-// goroutine that will record through it.
+// ShardOf returns the shard owning the given node. Telemetry splitters use
+// it to give each node the buffer matching the goroutine that will record
+// through it.
 func (nw *Network) ShardOf(id topology.NodeID) int {
-	if nw.scale == nil {
-		return 0
-	}
-	b := nw.scale.bounds
+	b := nw.bounds
 	for s := 0; s < len(b)-1; s++ {
 		if int(id) < b[s+1] {
 			return s
@@ -218,15 +168,11 @@ func (nw *Network) ShardOf(id topology.NodeID) int {
 	return len(b) - 2
 }
 
-// SetParallelNotify installs a hook called with true right before each
-// device-parallel phase and false right after it joins. Scale mode only;
-// telemetry splitters use it to switch between direct and per-shard
-// buffered recording.
-func (nw *Network) SetParallelNotify(fn func(parallel bool)) {
-	if nw.scale != nil {
-		nw.scale.notify = fn
-	}
-}
+// SetParallelNotify installs a hook called with true right before each of
+// an executed slot's two device phases and false right after it joins.
+// Telemetry splitters on the sparse medium use it to switch between direct
+// and per-shard buffered recording.
+func (nw *Network) SetParallelNotify(fn func(parallel bool)) { nw.notify = fn }
 
 // Wake cancels a napping device's remaining sleep: it settles the skipped
 // slots immediately and resumes Plan calls from the next Step. Layers
@@ -234,12 +180,11 @@ func (nw *Network) SetParallelNotify(fn func(parallel bool)) {
 // node restoration) must call it first, or the device would sleep through
 // its own transmit slots.
 func (nw *Network) Wake(id topology.NodeID) {
-	sc := nw.scale
-	if sc == nil || id < 1 || int(id) > nw.numDevs || sc.napUntil[id] == 0 {
+	if id < 1 || int(id) > nw.numDevs || nw.napUntil[id] == 0 {
 		return
 	}
 	nw.accrueNap(id, nw.asn)
-	sc.napUntil[id] = 0
+	nw.napUntil[id] = 0
 	nw.trackAwake(id)
 }
 
@@ -248,23 +193,19 @@ func (nw *Network) Wake(id topology.NodeID) {
 // lag by the slots it has slept so far, so whoever reads per-device totals
 // mid-run (an energy window's two ends) settles first. Accruing a nap in
 // two parts adds the same per-slot terms in the same order as accruing it
-// whole, so later totals keep their bits. A no-op outside scale mode.
+// whole, so later totals keep their bits.
 func (nw *Network) SettleNaps() {
-	sc := nw.scale
-	if sc == nil {
-		return
-	}
 	for id := 1; id <= nw.numDevs; id++ {
-		if sc.napUntil[id] != 0 && sc.napStart[id] < nw.asn-1 {
+		if nw.napUntil[id] != 0 && nw.napStart[id] < nw.asn-1 {
 			nw.accrueNap(topology.NodeID(id), nw.asn)
-			sc.napStart[id] = nw.asn - 1
+			nw.napStart[id] = nw.asn - 1
 		}
 	}
 }
 
 // accrueNap reports to a napping device the slots it has skipped before asn.
 func (nw *Network) accrueNap(id topology.NodeID, asn ASN) {
-	if slept := asn - nw.scale.napStart[id] - 1; slept > 0 {
+	if slept := asn - nw.napStart[id] - 1; slept > 0 {
 		if np, ok := nw.devices[id].(Napper); ok {
 			np.AccrueSleep(slept)
 		}
@@ -289,14 +230,10 @@ func (sh *shard) setAwake(id topology.NodeID, on bool) {
 // after a change made between slots (Attach, Wake, Fail, Restore). A device
 // that leaves the set also stops planning: its op goes back to sleep so
 // that neighbours scanning their rows in the resolve phase never see what
-// it did in its last slot. A no-op outside scale mode.
+// it did in its last slot.
 func (nw *Network) trackAwake(id topology.NodeID) {
-	sc := nw.scale
-	if sc == nil {
-		return
-	}
-	on := nw.devices[id] != nil && !nw.failed[id] && sc.napUntil[id] == 0
-	sc.sh[nw.ShardOf(id)].setAwake(id, on)
+	on := nw.devices[id] != nil && !nw.failed[id] && nw.napUntil[id] == 0
+	nw.sh[nw.ShardOf(id)].setAwake(id, on)
 	if !on {
 		nw.ops[id] = RadioOp{Kind: OpSleep}
 	}
@@ -305,15 +242,14 @@ func (nw *Network) trackAwake(id topology.NodeID) {
 // rebuildShards derives every shard's awake set and wake queue from the
 // failed and napUntil vectors (RestoreState).
 func (nw *Network) rebuildShards() {
-	sc := nw.scale
-	for _, sh := range sc.sh {
+	for _, sh := range nw.sh {
 		sh.wakes = sh.wakes[:0]
 	}
 	for i := 1; i <= nw.numDevs; i++ {
 		id := topology.NodeID(i)
 		nw.trackAwake(id)
-		if w := sc.napUntil[id]; w != 0 && nw.devices[id] != nil && !nw.failed[id] {
-			sc.sh[nw.ShardOf(id)].wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
+		if w := nw.napUntil[id]; w != 0 && nw.devices[id] != nil && !nw.failed[id] {
+			nw.sh[nw.ShardOf(id)].wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
 		}
 	}
 }
@@ -321,9 +257,9 @@ func (nw *Network) rebuildShards() {
 // earliestWake returns the first slot at which a napping device wakes,
 // dropping overtaken entries from the queue heads on the way; ok is false
 // when no device is napping.
-func (sc *scaleState) earliestWake() (w ASN, ok bool) {
-	for _, sh := range sc.sh {
-		for len(sh.wakes) > 0 && sc.napUntil[sh.wakes[0].ord] != sh.wakes[0].asn {
+func (nw *Network) earliestWake() (w ASN, ok bool) {
+	for _, sh := range nw.sh {
+		for len(sh.wakes) > 0 && nw.napUntil[sh.wakes[0].ord] != sh.wakes[0].asn {
 			sh.wakes.pop()
 		}
 		if len(sh.wakes) > 0 && (!ok || sh.wakes[0].asn < w) {
@@ -340,8 +276,8 @@ func (sh *shard) idAt(wi int, word uint64) topology.NodeID {
 	return topology.NodeID(sh.lo + wi<<6 + bits.TrailingZeros64(word))
 }
 
-func (sc *scaleState) allNapping() bool {
-	for _, sh := range sc.sh {
+func (nw *Network) allNapping() bool {
+	for _, sh := range nw.sh {
 		if sh.nAwake > 0 {
 			return false
 		}
@@ -359,35 +295,40 @@ func (nw *Network) slotHash(asn ASN, a, b topology.NodeID, salt uint64) uint64 {
 }
 
 // run executes one phase of slot asn once per shard, in parallel when the
-// network has more than one, accumulating each shard's busy time. Phases
-// are passed as method expressions, which capture nothing: on one shard
-// the slot loop allocates nothing.
+// network has more than one, accumulating each sparse shard's busy time
+// (the dense medium's slot is too short to clock six times). Phases are
+// passed as method expressions, which capture nothing: on one shard the
+// slot loop allocates nothing.
 func (nw *Network) run(asn ASN, phase func(nw *Network, sh *shard, asn ASN)) {
 	sc := nw.scale
-	if sc.shards == 1 {
+	if sc == nil {
+		phase(nw, nw.sh[0], asn)
+		return
+	}
+	if len(nw.sh) == 1 {
 		start := time.Now()
-		phase(nw, sc.sh[0], asn)
+		phase(nw, nw.sh[0], asn)
 		sc.shardBusy[0] += time.Since(start)
 		return
 	}
 	var wg sync.WaitGroup
-	wg.Add(sc.shards)
-	for s := 0; s < sc.shards; s++ {
+	wg.Add(len(nw.sh))
+	for s := range nw.sh {
 		go func(s int) {
 			defer wg.Done()
 			start := time.Now()
-			phase(nw, sc.sh[s], asn)
+			phase(nw, nw.sh[s], asn)
 			sc.busy[s].Add(int64(time.Since(start)))
 		}(s)
 	}
 	wg.Wait()
-	for s := 0; s < sc.shards; s++ {
+	for s := range nw.sh {
 		sc.shardBusy[s] = time.Duration(sc.busy[s].Load())
 	}
 }
 
 // ShardBusy returns the cumulative wall-clock time each shard goroutine
-// spent executing device phases (nil outside scale mode). On a single-CPU
+// spent executing device phases (nil on the dense medium). On a single-CPU
 // host the per-shard times sum to roughly the whole run — the benchmark
 // reports use them to label a ~1.0x "speedup" as scheduler time-slicing
 // rather than real parallel speedup.
@@ -401,7 +342,7 @@ func (nw *Network) ShardBusy() []time.Duration {
 // drainTraces forwards each shard's buffered engine trace events in shard
 // order — ascending node-ID order, identical for every shard count.
 func (nw *Network) drainTraces() {
-	for _, sh := range nw.scale.sh {
+	for _, sh := range nw.sh {
 		if nw.Trace != nil {
 			for i := range sh.traces {
 				nw.Trace(sh.traces[i])
@@ -411,18 +352,30 @@ func (nw *Network) drainTraces() {
 	}
 }
 
-func (sc *scaleState) notifyParallel(on bool) {
-	if sc.notify != nil {
-		sc.notify(on)
+// emit records an engine trace event: inline on the dense medium, whose
+// observers see engine and device events of one slot interleaved in node
+// order, into the shard's buffer on the sparse one.
+func (nw *Network) emit(sh *shard, ev TraceEvent) {
+	switch {
+	case nw.Trace == nil:
+	case nw.scale == nil:
+		nw.Trace(ev)
+	default:
+		sh.traces = append(sh.traces, ev)
 	}
 }
 
-// stepScale executes one slot in scale mode. Every phase walks the shard's
-// awake set in ascending node-ID order, the order the Plan and EndSlot
-// calls of a full scan would have.
-func (nw *Network) stepScale() {
+func (nw *Network) notifyParallel(on bool) {
+	if nw.notify != nil {
+		nw.notify(on)
+	}
+}
+
+// Step executes one TSCH slot: plan, resolve the medium, report. Every
+// phase walks the shard's awake set in ascending node-ID order, the order
+// the Plan and EndSlot calls of a full scan would have.
+func (nw *Network) Step() {
 	nw.started = true
-	sc := nw.scale
 	asn := nw.asn
 	nw.fireEvents(asn)
 
@@ -430,9 +383,9 @@ func (nw *Network) stepScale() {
 	// jump straight to the earliest wake or scheduled event (bounded by the
 	// Run target). Nothing can happen in between: no device plans, so the
 	// medium is silent, and sleep accounting settles at each wake.
-	if sc.runCap > asn+1 && sc.allNapping() {
-		target := sc.runCap
-		if w, ok := sc.earliestWake(); ok && w < target {
+	if nw.runCap > asn+1 && nw.allNapping() {
+		target := nw.runCap
+		if w, ok := nw.earliestWake(); ok && w < target {
 			target = w
 		}
 		if len(nw.pending) > 0 && nw.pending[0].asn < target {
@@ -440,7 +393,7 @@ func (nw *Network) stepScale() {
 		}
 		if target > asn {
 			nw.asn = target
-			if target == sc.runCap {
+			if target == nw.runCap {
 				return // the Run target's own slot is the next call's first
 			}
 			asn = target
@@ -449,9 +402,14 @@ func (nw *Network) stepScale() {
 	}
 
 	// Phase 1: wake the devices whose nap ends, then plans, shard-parallel.
-	sc.notifyParallel(true)
+	// On the dense medium the plans refill the per-channel transmitter lists.
+	for _, ch := range nw.activeCh {
+		nw.byChannel[ch] = nw.byChannel[ch][:0]
+	}
+	nw.activeCh = nw.activeCh[:0]
+	nw.notifyParallel(true)
 	nw.run(asn, (*Network).planShard)
-	sc.notifyParallel(false)
+	nw.notifyParallel(false)
 	nw.drainTraces()
 
 	// Phase 2: medium resolution per listener, shard-parallel. Pure engine
@@ -462,9 +420,9 @@ func (nw *Network) stepScale() {
 	nw.drainTraces()
 
 	// Phase 3: energy classes, reports and nap decisions, shard-parallel.
-	sc.notifyParallel(true)
+	nw.notifyParallel(true)
 	nw.run(asn, (*Network).finishShard)
-	sc.notifyParallel(false)
+	nw.notifyParallel(false)
 
 	nw.asn++
 }
@@ -489,7 +447,11 @@ func (nw *Network) resolveShard(sh *shard, asn ASN) {
 			if nw.driftProb != nil && nw.misses[id] {
 				continue // listening outside the slot's guard window
 			}
-			nw.resolveListenerScale(id, op, asn, sh)
+			if nw.scale == nil {
+				nw.resolveListener(id, op, asn)
+			} else {
+				nw.resolveListenerScale(id, op, asn, sh)
+			}
 		}
 	}
 }
@@ -507,40 +469,48 @@ func (nw *Network) finishShard(sh *shard, asn ASN) {
 // wakeDue returns to the shard's awake set every device whose nap ends at
 // or before asn, settling the skipped slots before the device plans again.
 func (nw *Network) wakeDue(sh *shard, asn ASN) {
-	sc := nw.scale
 	for len(sh.wakes) > 0 && sh.wakes[0].asn <= asn {
 		e := sh.wakes.pop()
 		id := topology.NodeID(e.ord)
-		if sc.napUntil[id] != e.asn {
+		if nw.napUntil[id] != e.asn {
 			continue // overtaken: the device was woken, and may nap anew
 		}
 		nw.accrueNap(id, asn)
-		sc.napUntil[id] = 0
+		nw.napUntil[id] = 0
 		sh.setAwake(id, true)
 	}
 }
 
 // planOne runs the plan phase for one awake device: the Plan call, drift,
-// and the transmit trace into the shard's buffer.
+// the dense medium's transmitter lists and the transmit trace.
 func (nw *Network) planOne(id topology.NodeID, asn ASN, sh *shard) {
 	op := nw.devices[id].Plan(asn)
 	nw.ops[id] = op
 	nw.reports[id] = SlotReport{Op: op}
 	if nw.driftProb != nil {
+		// A misaligned slot: the radio acts outside the network's guard
+		// window, so the node's transmission decodes nowhere and its listen
+		// hears nothing — but the energy is still spent (finishOne charges
+		// the op's activity class as planned).
 		if nw.misses[id] = nw.driftMiss(int(id), asn); nw.misses[id] {
 			return
 		}
 	}
 	if op.Kind == OpTx {
 		if op.Frame == nil {
+			// A transmit plan with no frame degrades to sleep.
 			nw.ops[id] = RadioOp{Kind: OpSleep}
 			nw.reports[id].Op = nw.ops[id]
 			return
 		}
-		if nw.Trace != nil {
-			sh.traces = append(sh.traces, TraceEvent{ASN: asn, Kind: TraceTx,
-				Src: id, Dst: op.Frame.Dst, Frame: op.Frame, Channel: op.Channel})
+		if nw.scale == nil && int(op.Channel) < len(nw.byChannel) {
+			if len(nw.byChannel[op.Channel]) == 0 {
+				nw.activeCh = append(nw.activeCh, op.Channel)
+			}
+			nw.byChannel[op.Channel] = append(nw.byChannel[op.Channel], id)
 		}
+		nw.emit(sh, TraceEvent{ASN: asn, Kind: TraceTx,
+			Src: id, Dst: op.Frame.Dst, Frame: op.Frame, Channel: op.Channel})
 	}
 }
 
@@ -603,10 +573,8 @@ func (nw *Network) resolveListenerScale(listener topology.NodeID, op RadioOp, as
 	rep.Activity = phy.ActivityRxFrame
 	if phy.SIRdB(cands[best].rss, interf) < phy.CaptureThresholdDB {
 		rep.Collision = true
-		if nw.Trace != nil {
-			buf.traces = append(buf.traces, TraceEvent{ASN: asn, Kind: TraceCollision,
-				Dst: listener, Channel: cands[best].ch})
-		}
+		nw.emit(buf, TraceEvent{ASN: asn, Kind: TraceCollision,
+			Dst: listener, Channel: cands[best].ch})
 		return
 	}
 	if detrand.Uniform(nw.slotHash(asn, cands[best].src, listener, saltDecode)) >= phy.PRR(cands[best].rss) {
@@ -620,11 +588,9 @@ func (nw *Network) resolveListenerScale(listener topology.NodeID, op RadioOp, as
 	}
 	rep.Received = frame
 	rep.RSSI = cands[best].rss
-	if nw.Trace != nil {
-		buf.traces = append(buf.traces, TraceEvent{ASN: asn, Kind: TraceDeliver,
-			Src: cands[best].src, Dst: listener, Frame: frame,
-			Channel: cands[best].ch, RSS: cands[best].rss})
-	}
+	nw.emit(buf, TraceEvent{ASN: asn, Kind: TraceDeliver,
+		Src: cands[best].src, Dst: listener, Frame: frame,
+		Channel: cands[best].ch, RSS: cands[best].rss})
 
 	if frame.Dst == listener && nw.ops[cands[best].src].NeedAck {
 		rep.Activity = phy.ActivityRxFrameAck
@@ -662,7 +628,6 @@ func (nw *Network) resolveAckScale(sender, receiver topology.NodeID, ch phy.Chan
 // finishOne assigns the slot's energy class, delivers the report, and asks
 // the device for its next wake.
 func (nw *Network) finishOne(id topology.NodeID, asn ASN, sh *shard) {
-	sc := nw.scale
 	d := nw.devices[id]
 	op := nw.ops[id]
 	rep := &nw.reports[id]
@@ -685,8 +650,8 @@ func (nw *Network) finishOne(id topology.NodeID, asn ASN, sh *shard) {
 	d.EndSlot(asn, *rep)
 	if np, ok := d.(Napper); ok {
 		if w := np.NextWake(asn); w > asn+1 {
-			sc.napUntil[id] = w
-			sc.napStart[id] = asn
+			nw.napUntil[id] = w
+			nw.napStart[id] = asn
 			sh.setAwake(id, false)
 			sh.wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
 			// No plan will overwrite the op while the device naps, and

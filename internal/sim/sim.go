@@ -3,8 +3,9 @@
 // advances one slot at a time: it asks every attached device what its radio
 // does this slot (transmit, listen, scan, sleep), resolves the shared
 // medium (propagation, collisions, capture, interference, ACKs) and
-// reports the outcome back to each device. All randomness flows from one
-// seeded generator, so every run is exactly reproducible.
+// reports the outcome back to each device — except that a device which can
+// name its next active slot (Napper) is left alone until then. All
+// randomness flows from one seed, so every run is exactly reproducible.
 package sim
 
 import (

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"github.com/digs-net/digs/internal/topology"
+)
 
 // NetworkState is the complete mutable state of a Network at a slot
 // boundary, as plain old data. The scratch buffers and RSS matrix are
@@ -27,17 +31,18 @@ type NetworkState struct {
 	DriftProb []float64
 	DriftSeed []uint64
 
-	// FadeLinkIdx/FadeLinkVal carry the scale engine's fade overlay as
-	// (sparse link index, attenuation dB) pairs; nil outside scale mode or
+	// FadeLinkIdx/FadeLinkVal carry the sparse medium's fade overlay as
+	// (sparse link index, attenuation dB) pairs; nil on the dense medium or
 	// when no fade is active. The indices are positions in the topology's
 	// radius-pruned adjacency, which is a pure function of the topology —
 	// the same deployment always yields the same link numbering.
 	FadeLinkIdx []int32
 	FadeLinkVal []float64
 
-	// NapUntil/NapStart are the scale engine's per-node nap windows
-	// (indexed by node ID, entry 0 unused); nil outside scale mode or when
-	// no device was napping at capture.
+	// NapUntil/NapStart are the per-node nap windows (indexed by node ID,
+	// entry 0 unused) of a sparse-medium network; nil when no device was
+	// napping at capture, and always nil on the dense medium, whose capture
+	// ends every nap first.
 	NapUntil []int64
 	NapStart []int64
 }
@@ -47,12 +52,23 @@ type NetworkState struct {
 // and interfaces that no wire format can carry, so snapshots are taken at
 // scenario quiesce points (after convergence, before the next plan or flow
 // set is scheduled) where neither exists.
+//
+// On the dense medium a capture first settles and ends every nap, which the
+// Napper contract makes unobservable (a woken device plans the sleep it was
+// promised to plan and naps again): a dense snapshot therefore carries no
+// nap vectors and keeps the bytes it had before the dense loop could nap,
+// so warm pools written by earlier builds stay valid.
 func (nw *Network) CaptureState() (*NetworkState, error) {
 	if len(nw.pending) > 0 {
 		return nil, fmt.Errorf("sim: capture with %d scheduled events pending (snapshot at a quiesce point, before scheduling scenario events)", len(nw.pending))
 	}
 	if len(nw.interferers) > 0 {
 		return nil, fmt.Errorf("sim: capture with %d interferers registered (snapshot before fault injection)", len(nw.interferers))
+	}
+	if nw.scale == nil {
+		for id := 1; id <= nw.numDevs; id++ {
+			nw.Wake(topology.NodeID(id))
+		}
 	}
 	st := &NetworkState{
 		Seed:              nw.seed,
@@ -78,9 +94,9 @@ func (nw *Network) CaptureState() (*NetworkState, error) {
 			}
 		}
 		for id := 1; id <= nw.numDevs; id++ {
-			if sc.napUntil[id] != 0 {
-				st.NapUntil = append([]int64(nil), sc.napUntil...)
-				st.NapStart = append([]int64(nil), sc.napStart...)
+			if nw.napUntil[id] != 0 {
+				st.NapUntil = append([]int64(nil), nw.napUntil...)
+				st.NapStart = append([]int64(nil), nw.napStart...)
 				break
 			}
 		}
@@ -149,20 +165,18 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 			}
 			sc.fade[i] = st.FadeLinkVal[k]
 		}
-		if st.NapUntil != nil {
-			if len(st.NapUntil) != len(sc.napUntil) || len(st.NapStart) != len(sc.napStart) {
-				return fmt.Errorf("sim: restore nap vectors length %d/%d, topology wants %d",
-					len(st.NapUntil), len(st.NapStart), len(sc.napUntil))
-			}
-			copy(sc.napUntil, st.NapUntil)
-			copy(sc.napStart, st.NapStart)
-		} else {
-			for i := range sc.napUntil {
-				sc.napUntil[i] = 0
-				sc.napStart[i] = 0
-			}
-		}
-		nw.rebuildShards()
 	}
+	if st.NapUntil != nil {
+		if len(st.NapUntil) != len(nw.napUntil) || len(st.NapStart) != len(nw.napStart) {
+			return fmt.Errorf("sim: restore nap vectors length %d/%d, topology wants %d",
+				len(st.NapUntil), len(st.NapStart), len(nw.napUntil))
+		}
+		copy(nw.napUntil, st.NapUntil)
+		copy(nw.napStart, st.NapStart)
+	} else {
+		clear(nw.napUntil)
+		clear(nw.napStart)
+	}
+	nw.rebuildShards()
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/phy"
@@ -187,9 +188,45 @@ func (t *Topology) shadowing(a, b int) float64 {
 		h := detrand.Hash3(uint64(t.shadowSeed), uint64(a), uint64(b), 0)
 		return detrand.Norm(h) * t.ShadowSigmaDB
 	}
-	seed := t.shadowSeed*1000003 + int64(a)*8191 + int64(b)
-	r := rand.New(rand.NewSource(seed))
-	return r.NormFloat64() * t.ShadowSigmaDB
+	return shadowDraw(t.shadowSeed*1000003+int64(a)*8191+int64(b)) * t.ShadowSigmaDB
+}
+
+// shadowDraws memoises drawShadow process-wide. The draw is a pure function
+// of the pair seed, and a named testbed's pair seeds are constants of the
+// program, yet every scenario build re-derived all of them — a 607-word
+// generator seeding per pair, a fifth of a paper-scale run. The memo is
+// keyed on the pair seed alone: sigma, transmit power and positions are
+// exported, mutable, and applied after the draw. It stops growing at
+// maxShadowDraws entries (about 2 MB): the five named dense deployments are
+// 13.5k pairs and each 150-node random placement 11k, so figure campaigns
+// over many random seeds fill it and then draw as before.
+var shadowDraws = struct {
+	sync.RWMutex
+	m map[int64]float64
+}{m: make(map[int64]float64)}
+
+const maxShadowDraws = 1 << 16
+
+// drawShadow is the unit-normal shadowing draw of one pair seed.
+func drawShadow(seed int64) float64 {
+	return rand.New(rand.NewSource(seed)).NormFloat64()
+}
+
+// shadowDraw is drawShadow through the memo; safe for concurrent use.
+func shadowDraw(seed int64) float64 {
+	shadowDraws.RLock()
+	d, ok := shadowDraws.m[seed]
+	shadowDraws.RUnlock()
+	if ok {
+		return d
+	}
+	d = drawShadow(seed)
+	shadowDraws.Lock()
+	if len(shadowDraws.m) < maxShadowDraws {
+		shadowDraws.m[seed] = d
+	}
+	shadowDraws.Unlock()
+	return d
 }
 
 // Validate checks structural invariants: contiguous IDs, APs first, and at

@@ -43,7 +43,9 @@ type Stack struct {
 	routes *Routes
 
 	frameLen int64
-	cells    map[int64]cell
+	// cells is the node's slice of the superframe, sorted by slot offset;
+	// Assignment, NextHop and NextActive all look it up.
+	cells mac.Cells[cell]
 }
 
 var _ mac.Protocol = (*Stack)(nil)
@@ -59,24 +61,23 @@ func NewStack(id topology.NodeID, isAP bool, routes *Routes, sf *Superframe) (*S
 		isAP:     isAP,
 		routes:   routes,
 		frameLen: sf.Length,
-		cells:    make(map[int64]cell),
 	}
 	for _, e := range sf.Entries {
 		switch id {
 		case e.Tx:
-			s.cells[e.Slot] = cell{
+			s.cells = s.cells.Put(e.Slot, cell{
 				role:    mac.RoleTxData,
 				offset:  dataChannelBase + e.ChannelOffset%maxDataChannelLanes,
 				peer:    e.Rx,
 				attempt: 1,
 				backup:  e.Backup,
-			}
+			})
 		case e.Rx:
-			s.cells[e.Slot] = cell{
+			s.cells = s.cells.Put(e.Slot, cell{
 				role:   mac.RoleRxData,
 				offset: dataChannelBase + e.ChannelOffset%maxDataChannelLanes,
 				peer:   e.Tx,
-			}
+			})
 		}
 	}
 	return s, nil
@@ -95,10 +96,24 @@ func (s *Stack) Assignment(asn sim.ASN) mac.Assignment {
 			return mac.Assignment{Role: mac.RoleRxEB, ChannelOffset: ebChannelOffset}
 		}
 	}
-	if c, ok := s.cells[asn%s.frameLen]; ok {
+	if c, ok := s.cells.At(asn % s.frameLen); ok {
 		return mac.Assignment{Role: c.role, ChannelOffset: c.offset, Attempt: c.attempt}
 	}
 	return mac.Assignment{Role: mac.RoleSleep}
+}
+
+// NextActive implements mac.Protocol. The schedule is static and the stack
+// has no timers: the next active slot is the nearest of the node's own
+// beacon slot, its primary parent's, and its superframe cells.
+func (s *Stack) NextActive(after sim.ASN) sim.ASN {
+	w := mac.NextOffset(after, stackSyncFrameLen, int64(s.id-1)%stackSyncFrameLen)
+	if best := s.routes.Best[s.id]; !s.isAP && best != 0 {
+		w = min(w, mac.NextOffset(after, stackSyncFrameLen, int64(best-1)%stackSyncFrameLen))
+	}
+	if v, ok := s.cells.Next(after, s.frameLen); ok {
+		w = min(w, v)
+	}
+	return w
 }
 
 // OnSynced implements mac.Protocol (the static stack needs no setup).
@@ -120,7 +135,7 @@ func (s *Stack) SharedFrame(sim.ASN) (*sim.Frame, bool) { return nil, false }
 // assigned receiver for this slot (primary-route cells target the primary
 // parent, backup cells the backup parent).
 func (s *Stack) NextHop(asn sim.ASN, _ int) (topology.NodeID, bool) {
-	c, ok := s.cells[asn%s.frameLen]
+	c, ok := s.cells.At(asn % s.frameLen)
 	if !ok || c.role != mac.RoleTxData || c.peer == 0 {
 		return 0, false
 	}

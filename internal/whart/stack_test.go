@@ -159,3 +159,24 @@ func TestStackCellsMatchSuperframe(t *testing.T) {
 		}
 	}
 }
+
+// TestNextActiveExact: the static stack has cells and no timers, so its
+// NextActive is not merely conservative but exact — for every node and
+// every starting slot of two hyperperiod-spanning stretches it names
+// precisely the first slot whose Assignment is not sleep.
+func TestNextActiveExact(t *testing.T) {
+	_, net, _ := buildWhartNet(t, 3)
+	for _, s := range net.Stacks[1:] {
+		for _, from := range []sim.ASN{0, 7 * stackSyncFrameLen * 500} {
+			next := sim.ASN(-1) // brute force, walking backwards
+			for asn := from + 2*stackSyncFrameLen; asn >= from; asn-- {
+				if s.Assignment(asn).Role != mac.RoleSleep {
+					next = asn
+				}
+				if got := s.NextActive(asn); next >= 0 && got != next {
+					t.Fatalf("node %d: NextActive(%d) = %d, first non-sleep slot is %d", s.id, asn, got, next)
+				}
+			}
+		}
+	}
+}
