@@ -93,8 +93,8 @@ snap-smoke:
 ## or the memo must fail here, not as a benchmark digest.
 scale-smoke:
 	$(GO) test -race -run 'Scale|Nap|NextActive|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
-		./internal/sim ./internal/core ./internal/mac ./internal/orchestra ./internal/whart \
-		./internal/controller ./internal/topology ./internal/scenario
+		./internal/sim ./internal/core ./internal/mac ./internal/rpl ./internal/orchestra \
+		./internal/whart ./internal/controller ./internal/topology ./internal/scenario
 	$(GO) run ./cmd/digs-bench -scale-smoke
 	@echo scale-smoke: OK
 

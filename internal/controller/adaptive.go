@@ -2,14 +2,11 @@ package controller
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
-	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
 )
@@ -66,14 +63,29 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 	}
 }
 
+// node returns the part of the configuration the RPL control plane takes.
+func (c AdaptiveConfig) node() rpl.Config {
+	return rpl.Config{
+		EBFrameLen:      c.EBFrameLen,
+		SharedFrameLen:  c.SharedFrameLen,
+		UnicastFrameLen: c.DataFrameLen,
+		Trickle:         c.Trickle,
+		NeighborTimeout: c.NeighborTimeout,
+		MaintainEvery:   c.MaintainEvery,
+		RankGranularity: c.RankGranularity,
+	}
+}
+
 // Validate checks the configuration.
 func (c AdaptiveConfig) Validate() error {
-	if c.EBFrameLen <= 0 || c.SharedFrameLen <= 0 || c.DataFrameLen <= 0 {
-		return fmt.Errorf("adaptive config: slotframe lengths must be positive (%d, %d, %d)",
-			c.EBFrameLen, c.SharedFrameLen, c.DataFrameLen)
+	if err := c.node().Validate(); err != nil {
+		return fmt.Errorf("adaptive config: %w", err)
 	}
 	if c.MinCells < 1 || c.MaxCells < c.MinCells {
 		return fmt.Errorf("adaptive config: cell bounds %d..%d", c.MinCells, c.MaxCells)
+	}
+	if c.MaxCells > 255 {
+		return fmt.Errorf("adaptive config: %d cells do not fit the DIO's one-byte cell count", c.MaxCells)
 	}
 	// The j-th cell sits at stride 53 from the (j-1)-th; all MaxCells
 	// slots of one node must be distinct modulo the frame length (they
@@ -98,54 +110,19 @@ func adaptiveCellSlot(id topology.NodeID, j int, frameLen int64) int64 {
 	return (int64(id)*37 + int64(j)*53) % frameLen
 }
 
-// adaptivePayload is a DIO extended with the sender's current transmit
-// cell count, so parents can mirror the sender's cells as listen cells.
-func adaptivePayload(d rpl.DIO, cells int) []byte {
-	return append(d.Marshal(), byte(cells))
-}
-
-// splitAdaptivePayload decodes the extended DIO payload.
-func splitAdaptivePayload(b []byte) (rpl.DIO, int, error) {
-	if len(b) != 7 {
-		return rpl.DIO{}, 0, fmt.Errorf("adaptive dio payload: %d bytes, want 7", len(b))
-	}
-	d, err := rpl.UnmarshalDIO(b[:6])
-	if err != nil {
-		return rpl.DIO{}, 0, err
-	}
-	cells := int(b[6])
-	if cells < 1 {
-		cells = 1
-	}
-	return d, cells, nil
-}
-
-// AdaptiveStack is one node's adaptive-allocator instance: RPL routing
-// (like Orchestra) under a sender-based unicast slotframe whose per-node
-// cell count tracks observed load. It implements mac.Protocol.
+// AdaptiveStack is one node's adaptive-allocator instance: the RPL control
+// plane (rpl.Node, like Orchestra) under a sender-based unicast slotframe
+// whose per-node cell count tracks observed load. It implements
+// mac.Protocol.
 type AdaptiveStack struct {
-	id     topology.NodeID
-	isRoot bool
-	cfg    AdaptiveConfig
-
-	router   *rpl.Router
-	tr       *trickle.Timer
-	rng      *rand.Rand
-	combiner *mac.Combiner
-	// rngSrc is the counting source BuildAdaptive wires in; it is what
-	// makes the stack's RNG position checkpointable.
-	rngSrc *detrand.Source
+	*rpl.Node
+	cfg AdaptiveConfig
 
 	// queueLen reads the owning MAC node's data queue depth; installed by
 	// BuildAdaptive after the node exists. Reading our own node's queue
 	// from our own Assignment keeps the sharded engine's no-cross-node-
 	// state rule intact.
 	queueLen func() int
-
-	wantDIO      bool
-	nextMaintain sim.ASN
-	nextSolicit  sim.ASN
-	synced       bool
 
 	// txCells is the current transmit-cell budget.
 	txCells int
@@ -157,113 +134,53 @@ type AdaptiveStack struct {
 	sentSinceTick  int
 
 	// neighborCells caches the advertised cell count of each neighbor
-	// (from extended DIOs); childCells is the offset-sorted table of the
-	// listening obligations derived from it, naming the potential child
-	// that owns each data-slotframe cell — nil until the first maintenance
-	// tick, rebuilt in place at each one like Orchestra's child-slot cache.
+	// (from extended DIOs); the node's listen cells are derived from it at
+	// each maintenance tick.
 	neighborCells map[topology.NodeID]int
-	childCells    mac.Cells[topology.NodeID]
 }
 
 var _ mac.Protocol = (*AdaptiveStack)(nil)
 
-// NewAdaptiveStack builds an adaptive stack for one node.
-func NewAdaptiveStack(id topology.NodeID, isRoot bool, cfg AdaptiveConfig, rng *rand.Rand) (*AdaptiveStack, error) {
+// NewAdaptiveStack builds an adaptive stack for one node, its generator
+// seeded with seed.
+func NewAdaptiveStack(id topology.NodeID, isRoot bool, cfg AdaptiveConfig, seed int64) (*AdaptiveStack, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	tr, err := trickle.NewTimer(cfg.Trickle, rng)
-	if err != nil {
+	s := &AdaptiveStack{cfg: cfg, txCells: cfg.MinCells}
+	var err error
+	if s.Node, err = rpl.NewNode(id, isRoot, cfg.node(), seed, s.dataRole); err != nil {
 		return nil, fmt.Errorf("adaptive stack %d: %w", id, err)
 	}
-	s := &AdaptiveStack{
-		id:      id,
-		isRoot:  isRoot,
-		cfg:     cfg,
-		router:  rpl.NewRouter(id, isRoot, sim.SlotsFor(cfg.NeighborTimeout), cfg.RankGranularity),
-		tr:      tr,
-		rng:     rng,
-		txCells: cfg.MinCells,
-	}
-	s.combiner = mac.NewCombiner(
-		mac.Slotframe{Length: cfg.EBFrameLen, Priority: 0, ChannelOffset: ebChannelOffset,
-			Role: s.ebRole},
-		mac.Slotframe{Length: cfg.SharedFrameLen, Priority: 1, ChannelOffset: sharedChannelOffset,
-			Role: s.sharedRole},
-		mac.Slotframe{Length: cfg.DataFrameLen, Priority: 2, ChannelOffset: unicastChannelOffset,
-			Role: s.dataRole},
-	)
 	return s, nil
-}
-
-// Router exposes the RPL state for experiments and tests.
-func (s *AdaptiveStack) Router() *rpl.Router { return s.router }
-
-// Joined implements stack.Node: the node is in the DODAG.
-func (s *AdaptiveStack) Joined() bool { return s.router.Joined() }
-
-// SetRouteHook implements stack.Node.
-func (s *AdaptiveStack) SetRouteHook(fn stack.RouteHook) { s.router.OnParentChange = fn }
-
-// Probe implements stack.Node. RPL keeps a single preferred parent, so
-// backup is always 0, like Orchestra.
-func (s *AdaptiveStack) Probe() (parent, backup topology.NodeID, neighbors int) {
-	return s.router.Parent(), 0, s.router.Neighbors()
 }
 
 // TxCells exposes the current transmit-cell budget for tests and probes.
 func (s *AdaptiveStack) TxCells() int { return s.txCells }
 
 // Reset implements mac.Resetter: back to the just-constructed state. The
-// installed OnParentChange callback, the queue-length hook and the
-// configuration survive, like the other stacks.
+// installed route hook, the queue-length hook and the configuration
+// survive, like the other stacks.
 func (s *AdaptiveStack) Reset() {
-	onChange := s.router.OnParentChange
-	router := rpl.NewRouter(s.id, s.isRoot, sim.SlotsFor(s.cfg.NeighborTimeout),
-		s.cfg.RankGranularity)
-	router.OnParentChange = onChange
-	s.router = router
-	s.tr, _ = trickle.NewTimer(s.cfg.Trickle, s.rng)
-	s.wantDIO = false
-	s.nextMaintain = 0
-	s.nextSolicit = 0
-	s.synced = false
+	s.Node.Reset()
 	s.txCells = s.cfg.MinCells
 	s.idleTicks = 0
 	s.failsSinceTick = 0
 	s.sentSinceTick = 0
 	s.neighborCells = nil
-	s.childCells = nil
-}
-
-func (s *AdaptiveStack) ebRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == int64(s.id-1)%s.cfg.EBFrameLen {
-		return mac.RoleTxEB, 0
-	}
-	if p := s.router.Parent(); p != 0 && offset == int64(p-1)%s.cfg.EBFrameLen {
-		return mac.RoleRxEB, 0
-	}
-	return mac.RoleSleep, 0
-}
-
-func (s *AdaptiveStack) sharedRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == 0 {
-		return mac.RoleShared, 0
-	}
-	return mac.RoleSleep, 0
 }
 
 // dataRole: transmit in our own cells (sender-based — the cell budget is
 // ours to grow), listen in every potential child's advertised cells.
 func (s *AdaptiveStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if s.router.Parent() != 0 {
+	if s.Router().Parent() != 0 {
 		for j := 0; j < s.txCells; j++ {
-			if offset == adaptiveCellSlot(s.id, j, s.cfg.DataFrameLen) {
+			if offset == adaptiveCellSlot(s.ID(), j, s.cfg.DataFrameLen) {
 				return mac.RoleTxData, 1
 			}
 		}
 	}
-	if _, ok := s.childCells.At(offset); ok {
+	if s.ListensAt(offset) {
 		return mac.RoleRxData, 0
 	}
 	return mac.RoleSleep, 0
@@ -273,43 +190,25 @@ func (s *AdaptiveStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
 // as listen cells, children in ascending ID: a cell two of them claim goes
 // to the higher ID.
 func (s *AdaptiveStack) refreshChildCells() {
-	s.childCells = s.childCells.Reset()
-	if s.isRoot || s.router.Parent() != 0 {
-		for _, c := range s.router.PotentialChildren() {
-			k := s.neighborCells[c]
-			if k < s.cfg.MinCells {
-				k = s.cfg.MinCells
-			}
-			if k > s.cfg.MaxCells {
-				k = s.cfg.MaxCells
-			}
-			for j := 0; j < k; j++ {
-				s.childCells = s.childCells.Put(adaptiveCellSlot(c, j, s.cfg.DataFrameLen), c)
-			}
+	for _, c := range s.ResetChildCells() {
+		k := min(max(s.neighborCells[c], s.cfg.MinCells), s.cfg.MaxCells)
+		for j := 0; j < k; j++ {
+			s.Listen(adaptiveCellSlot(c, j, s.cfg.DataFrameLen), c)
 		}
 	}
 }
 
-// NextActive implements mac.Protocol: Orchestra's shape — own beacon slot
-// and the parent's, the shared slot, transmit and listen cells whether or
-// not anything is queued, the maintenance tick (where adapt runs) and the
-// Trickle timer — with txCells own cells and the children's advertised ones.
+// NextActive implements mac.Protocol: the control plane's cells and timers
+// (the maintenance tick is where adapt runs), and the node's txCells
+// transmit cells once it has a parent, whether or not anything is queued.
 func (s *AdaptiveStack) NextActive(after sim.ASN) sim.ASN {
-	w := mac.NextOffset(after, s.cfg.EBFrameLen, int64(s.id-1)%s.cfg.EBFrameLen)
-	w = min(w, mac.NextOffset(after, s.cfg.SharedFrameLen, 0))
-	if p := s.router.Parent(); p != 0 {
-		w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(p-1)%s.cfg.EBFrameLen))
+	w := s.Node.NextActive(after)
+	if s.Router().Parent() != 0 {
 		for j := 0; j < s.txCells; j++ {
-			w = min(w, mac.NextOffset(after, s.cfg.DataFrameLen, adaptiveCellSlot(s.id, j, s.cfg.DataFrameLen)))
+			w = min(w, mac.NextOffset(after, s.cfg.DataFrameLen, adaptiveCellSlot(s.ID(), j, s.cfg.DataFrameLen)))
 		}
 	}
-	if v, ok := s.childCells.Next(after, s.cfg.DataFrameLen); ok {
-		w = min(w, v)
-	}
-	if s.synced {
-		w = min(w, max(s.tr.NextEvent(after), after))
-	}
-	return min(w, max(s.nextMaintain, after))
+	return w
 }
 
 // adapt is the allocator: grow under queue pressure or loss, shed after
@@ -340,132 +239,45 @@ func (s *AdaptiveStack) adapt(asn sim.ASN) {
 	}
 	s.failsSinceTick = 0
 	s.sentSinceTick = 0
-	if changed && s.synced {
-		s.tr.Reset(asn)
+	if changed {
+		s.Readvertise(asn)
 	}
 }
 
-// Assignment implements mac.Protocol.
+// Assignment implements mac.Protocol: at a maintenance tick the allocator
+// runs between the router's upkeep and the rebuild of the listen cells.
 func (s *AdaptiveStack) Assignment(asn sim.ASN) mac.Assignment {
-	if asn >= s.nextMaintain {
-		s.nextMaintain = asn + sim.SlotsFor(s.cfg.MaintainEvery)
-		if s.router.Maintain(asn) && s.synced {
-			s.tr.Reset(asn)
-		}
+	if s.Maintain(asn) {
 		s.adapt(asn)
 		s.refreshChildCells()
 	}
-	if s.tr.Fires(asn) {
-		s.wantDIO = true
-	}
-	a := s.combiner.Assignment(asn)
-	offset := asn % s.cfg.DataFrameLen
-	switch a.Role {
-	case mac.RoleTxData:
-		a.ChannelOffset = unicastLane(s.id)
-	case mac.RoleRxData:
-		if c, ok := s.childCells.At(offset); ok {
-			a.ChannelOffset = unicastLane(c)
-		}
-	}
-	return a
-}
-
-// OnSynced implements mac.Protocol.
-func (s *AdaptiveStack) OnSynced(asn sim.ASN) {
-	s.synced = true
-	s.tr.Start(asn)
-	s.nextSolicit = asn + 500 + sim.ASN(s.rng.Intn(500))
+	return s.Node.Assignment(asn)
 }
 
 // EBPayload implements mac.Protocol: beacons carry the RPL join metric
-// extended with the sender's cell count.
-func (s *AdaptiveStack) EBPayload() []byte {
-	adv, ok := s.router.Advertisement()
-	if !ok {
-		return nil
-	}
-	return adaptivePayload(adv, s.txCells)
-}
+// extended with the sender's cell count, so parents can mirror the
+// sender's cells as listen cells.
+func (s *AdaptiveStack) EBPayload() []byte { return s.DIOPayload(byte(s.txCells)) }
 
-// OnFrame implements mac.Protocol.
+// OnFrame implements mac.Protocol: a DIO's option byte is the sender's
+// cell count. A zero from the wire is floored to 1: every synced node owns
+// at least its base cell.
 func (s *AdaptiveStack) OnFrame(asn sim.ASN, f *sim.Frame, rssi float64) {
-	switch f.Kind {
-	case sim.KindEB:
-		if d, cells, err := splitAdaptivePayload(f.Payload); err == nil {
-			s.noteNeighborCells(f.Src, cells)
-			if s.router.OnDIO(asn, f.Src, d, rssi) && s.synced {
-				s.tr.Reset(asn)
-			}
-			return
+	if option := s.Node.OnFrame(asn, f, rssi, 1); option != nil {
+		if s.neighborCells == nil {
+			s.neighborCells = make(map[topology.NodeID]int)
 		}
-		s.router.Observe(f.Src, rssi)
-	case sim.KindJoinIn: // a DIO in this stack
-		d, cells, err := splitAdaptivePayload(f.Payload)
-		if err != nil {
-			return
-		}
-		s.noteNeighborCells(f.Src, cells)
-		if s.router.OnDIO(asn, f.Src, d, rssi) {
-			if s.synced {
-				s.tr.Reset(asn)
-			}
-		} else {
-			s.tr.Hear()
-		}
-	case sim.KindSolicit:
-		s.router.Observe(f.Src, rssi)
-		if s.router.Joined() {
-			s.tr.Reset(asn)
-		}
-	case sim.KindData:
-		s.router.Observe(f.Src, rssi)
+		s.neighborCells[f.Src] = max(int(option[0]), 1)
 	}
 }
 
-func (s *AdaptiveStack) noteNeighborCells(from topology.NodeID, cells int) {
-	if s.neighborCells == nil {
-		s.neighborCells = make(map[topology.NodeID]int)
-	}
-	s.neighborCells[from] = cells
-}
-
-// SharedFrame implements mac.Protocol: DIS solicitation when parentless,
-// Trickle-latched DIOs otherwise, both behind a persistence coin.
+// SharedFrame implements mac.Protocol.
 func (s *AdaptiveStack) SharedFrame(asn sim.ASN) (*sim.Frame, bool) {
-	if s.synced && !s.router.Joined() {
-		if asn >= s.nextSolicit {
-			s.nextSolicit = asn + 1000 + sim.ASN(s.rng.Intn(500))
-			return &sim.Frame{Kind: sim.KindSolicit, Src: s.id, Dst: topology.Broadcast}, false
-		}
-		return nil, false
-	}
-	if !s.wantDIO || s.rng.Intn(2) == 1 {
-		return nil, false
-	}
-	adv, ok := s.router.Advertisement()
-	if !ok {
-		s.wantDIO = false
-		return nil, false
-	}
-	s.wantDIO = false
-	return &sim.Frame{
-		Kind:    sim.KindJoinIn,
-		Src:     s.id,
-		Dst:     topology.Broadcast,
-		Payload: adaptivePayload(adv, s.txCells),
-	}, false
-}
-
-// NextHop implements mac.Protocol: the single RPL preferred parent.
-func (s *AdaptiveStack) NextHop(sim.ASN, int) (topology.NodeID, bool) {
-	p := s.router.Parent()
-	return p, p != 0
+	return s.Node.SharedFrame(asn, byte(s.txCells))
 }
 
 // OnTxResult implements mac.Protocol: data outcomes feed both the RPL
-// link estimator and the allocator's tick-local loss counter. Cells are
-// dedicated (sender-based), so there is no contention backoff.
+// link estimator and the allocator's tick-local loss counter.
 func (s *AdaptiveStack) OnTxResult(asn sim.ASN, f *sim.Frame, to topology.NodeID, acked bool) {
 	if f.Kind == sim.KindData {
 		s.sentSinceTick++
@@ -473,7 +285,5 @@ func (s *AdaptiveStack) OnTxResult(asn sim.ASN, f *sim.Frame, to topology.NodeID
 			s.failsSinceTick++
 		}
 	}
-	if s.router.OnTxResult(asn, to, acked) && s.synced {
-		s.tr.Reset(asn)
-	}
+	s.Node.OnTxResult(asn, f, to, acked)
 }

@@ -1,16 +1,16 @@
 package controller
 
 import (
-	"math/rand"
+	"bytes"
 	"testing"
 
-	"github.com/digs-net/digs/internal/rpl"
+	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 )
 
 func newTestAdaptive(t *testing.T) *AdaptiveStack {
 	t.Helper()
-	s, err := NewAdaptiveStack(2, false, DefaultAdaptiveConfig(), rand.New(rand.NewSource(1)))
+	s, err := NewAdaptiveStack(2, false, DefaultAdaptiveConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,25 +71,35 @@ func TestAdaptiveGrowShrink(t *testing.T) {
 	}
 }
 
-// TestAdaptivePayloadRoundTrip pins the extended-DIO wire format.
+// TestAdaptivePayloadRoundTrip pins the extended-DIO wire format: the RPL
+// advertisement followed by one byte, the sender's cell count.
 func TestAdaptivePayloadRoundTrip(t *testing.T) {
-	d := rpl.DIO{Rank: 512, PathETX: 2.5}
-	b := adaptivePayload(d, 3)
-	back, cells, err := splitAdaptivePayload(b)
+	root, err := NewAdaptiveStack(1, true, DefaultAdaptiveConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back != d || cells != 3 {
-		t.Fatalf("round-trip: got (%+v, %d)", back, cells)
+	root.txCells = 3
+	b := root.EBPayload()
+	adv, _ := root.Router().Advertisement()
+	if want := append(adv.Marshal(), 3); !bytes.Equal(b, want) {
+		t.Fatalf("payload % x, want % x", b, want)
+	}
+	hear := func(payload []byte) (*AdaptiveStack, int) {
+		s := newTestAdaptive(t)
+		s.OnFrame(10, &sim.Frame{Kind: sim.KindJoinIn, Src: 1, Payload: payload}, -60)
+		return s, s.neighborCells[1]
+	}
+	if s, cells := hear(b); cells != 3 || s.Router().Parent() != 1 {
+		t.Fatalf("round-trip: %d cells, parent %d", cells, s.Router().Parent())
 	}
 	// A zero cell count from the wire is floored to 1: every synced node
 	// owns at least its base cell.
-	if _, cells, err := splitAdaptivePayload(adaptivePayload(d, 0)); err != nil || cells != 1 {
-		t.Fatalf("zero cells: (%d, %v)", cells, err)
+	if _, cells := hear(append(adv.Marshal(), 0)); cells != 1 {
+		t.Fatalf("zero cells: %d", cells)
 	}
 	for _, bad := range [][]byte{nil, b[:6], append(append([]byte(nil), b...), 0)} {
-		if _, _, err := splitAdaptivePayload(bad); err == nil {
-			t.Fatalf("splitAdaptivePayload accepted %d bytes", len(bad))
+		if s, _ := hear(bad); s.neighborCells != nil || s.Router().Parent() != 0 {
+			t.Fatalf("a %d-byte payload was taken for a DIO", len(bad))
 		}
 	}
 }
@@ -131,5 +141,11 @@ func TestConfigValidation(t *testing.T) {
 	collide.MaxCells = 2
 	if err := collide.Validate(); err == nil {
 		t.Fatal("colliding cell layout accepted")
+	}
+	wide := DefaultAdaptiveConfig()
+	wide.DataFrameLen = 557 // room for 300 distinct cells, but the DIO carries the count in one byte
+	wide.MaxCells = 300
+	if err := wide.Validate(); err == nil {
+		t.Fatal("a cell budget the DIO's count byte cannot carry was accepted")
 	}
 }

@@ -2,9 +2,7 @@ package controller
 
 import (
 	"fmt"
-	"math/rand"
 
-	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
@@ -47,17 +45,9 @@ type AdaptiveNetwork = stack.Network[*AdaptiveStack]
 func BuildAdaptive(nw *sim.Network, cfg AdaptiveConfig, macCfg mac.Config, seed int64) (*AdaptiveNetwork, error) {
 	net, err := stack.Build(nw, AdaptiveCodec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
 		func(id topology.NodeID, isRoot bool) (*AdaptiveStack, error) {
-			// A counting source (same value stream as rand.NewSource) keeps
-			// the stack's RNG position checkpointable for snapshots. The
-			// multiplier differs from Orchestra's so the two RPL-based stacks
-			// do not share random streams at equal seeds.
-			src := detrand.New(seed*7877 + int64(id))
-			s, err := NewAdaptiveStack(id, isRoot, cfg, rand.New(src))
-			if err != nil {
-				return nil, err
-			}
-			s.rngSrc = src
-			return s, nil
+			// The multiplier differs from Orchestra's so the two RPL-based
+			// stacks do not share random streams at equal seeds.
+			return NewAdaptiveStack(id, isRoot, cfg, seed*7877+int64(id))
 		})
 	if err != nil {
 		return nil, err

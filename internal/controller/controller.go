@@ -18,24 +18,7 @@
 // existing stacks so snapshots and warm starts work unchanged.
 package controller
 
-import (
-	"github.com/digs-net/digs/internal/topology"
-)
-
-// Channel offsets mirror the DiGS/Orchestra configuration so the
-// comparison isolates routing/scheduling, not radio parameters.
-const (
-	ebChannelOffset      = 0
-	sharedChannelOffset  = 1
-	unicastChannelOffset = 2
-
-	// unicastLanes spreads unicast cells over several channel offsets
-	// derived from the cell owner's ID, so hash collisions in the cell
-	// space land on different channels.
-	unicastLanes = 12
-)
-
-// unicastLane returns the channel-offset lane of a node's unicast cells.
-func unicastLane(id topology.NodeID) uint8 {
-	return unicastChannelOffset + uint8((int64(id)*13)%unicastLanes)
-}
+// ebChannelOffset is the sdn stack's beacon channel offset, the one every
+// stack uses, so the comparison isolates routing/scheduling, not radio
+// parameters. (The adaptive stack's offsets are rpl.Node's.)
+const ebChannelOffset = 0

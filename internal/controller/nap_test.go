@@ -2,8 +2,10 @@ package controller
 
 import (
 	"testing"
+	"time"
 
 	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/mac/mactest"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
@@ -12,56 +14,46 @@ import (
 // parked is a timer deadline no test reaches.
 const parked = sim.ASN(1) << 50
 
-// requireNextActiveExact walks a stretch of slots backwards and requires
-// NextActive to name, from every slot, precisely the first slot whose
-// Assignment is not sleep. With the stack's timers parked its schedule is a
-// pure function of the slot, so conservative is not enough: a cell NextActive
-// invents costs a wake-up per frame for nothing.
-func requireNextActiveExact(t *testing.T, name string, p mac.Protocol, from, span sim.ASN) {
-	t.Helper()
-	next := sim.ASN(-1)
-	for asn := from + span; asn >= from; asn-- {
-		if p.Assignment(asn).Role != mac.RoleSleep {
-			next = asn
-		}
-		if got := p.NextActive(asn); next >= 0 && got != next {
-			t.Fatalf("%s: NextActive(%d) = %d, first non-sleep slot is %d", name, asn, got, next)
-		}
-	}
-	if next < 0 {
-		t.Fatalf("%s: no active slot in %d slots", name, span)
-	}
-}
-
 // TestNextActiveExactAdaptive: a routed node with a grown cell budget and
-// two potential children advertising different budgets.
+// two potential children advertising different budgets. The maintenance tick
+// runs once, at the first Assignment, and is then parked a century away.
 func TestNextActiveExactAdaptive(t *testing.T) {
-	s := newTestAdaptive(t)
-	s.router.OnDIO(10, 1, rpl.DIO{Rank: 4, PathETX: 1}, -60) // the parent
-	if s.router.Parent() != 1 {
+	cfg := DefaultAdaptiveConfig()
+	cfg.MaintainEvery = 100 * 365 * 24 * time.Hour
+	s, err := NewAdaptiveStack(2, false, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dio := func(from topology.NodeID, d rpl.DIO, cells byte) {
+		s.OnFrame(10, &sim.Frame{Kind: sim.KindJoinIn, Src: from, Payload: append(d.Marshal(), cells)}, -60)
+	}
+	dio(1, rpl.DIO{Rank: 4, PathETX: 1}, 1) // the parent
+	if s.Router().Parent() != 1 {
 		t.Fatal("no parent selected")
 	}
-	own, _ := s.router.Advertisement()
-	for _, child := range []topology.NodeID{5, 9} {
-		s.router.OnDIO(10, child, rpl.DIO{Rank: own.Rank + 8, PathETX: own.PathETX + 2}, -70)
-	}
-	s.noteNeighborCells(5, 3)
-	s.noteNeighborCells(9, 1)
+	own, _ := s.Router().Advertisement()
+	below := rpl.DIO{Rank: own.Rank + 8, PathETX: own.PathETX + 2}
+	dio(5, below, 3)
+	dio(9, below, 1)
 	s.txCells = 3
-	s.refreshChildCells()
-	if len(s.childCells) != 4 {
-		t.Fatalf("%d child cells, want 3+1", len(s.childCells))
+	s.Assignment(0) // the tick: an idle adapt, then the listen cells
+	listens := 0
+	for off := int64(0); off < cfg.DataFrameLen; off++ {
+		if s.ListensAt(off) {
+			listens++
+		}
 	}
-	s.nextMaintain = parked
-	span := 2 * s.cfg.EBFrameLen
-	requireNextActiveExact(t, "adaptive", s, 0, span)
-	requireNextActiveExact(t, "adaptive", s, 13*s.cfg.EBFrameLen*s.cfg.DataFrameLen+5, span)
+	if s.txCells != 3 || listens != 4 {
+		t.Fatalf("%d own cells and %d child cells, want 3 and 3+1", s.txCells, listens)
+	}
+	span := 2 * cfg.EBFrameLen
+	mactest.RequireNextActiveExact(t, "adaptive", s, 0, span)
+	mactest.RequireNextActiveExact(t, "adaptive", s, 13*cfg.EBFrameLen*cfg.DataFrameLen+5, span)
 
-	// Parentless, the node keeps only beacons, the shared slot and its
-	// children's cells.
+	// Parentless, the node keeps only beacons and the shared slot.
 	s.Reset()
-	s.nextMaintain = parked
-	requireNextActiveExact(t, "adaptive orphan", s, 0, span)
+	s.Assignment(0)
+	mactest.RequireNextActiveExact(t, "adaptive orphan", s, 0, span)
 }
 
 // TestNextActiveExactSDN: a configured relay with children and a control
@@ -76,14 +68,14 @@ func TestNextActiveExactSDN(t *testing.T) {
 	}
 	relay.nextMaintain = parked
 	span := 2 * cfg.EBFrameLen
-	requireNextActiveExact(t, "sdn bootstrapping", relay, 0, span)
+	mactest.RequireNextActiveExact(t, "sdn bootstrapping", relay, 0, span)
 
 	relay.uplink, relay.parent = 3, 3
 	relay.children = []topology.NodeID{9, 12, 15}
 	relay.rebuildChildCells()
 	relay.ctrlQ = []sdnCtrlEntry{{frame: &sim.Frame{Kind: sim.KindReport, Src: 7, Dst: 3}}}
-	requireNextActiveExact(t, "sdn relay", relay, 0, span)
-	requireNextActiveExact(t, "sdn relay", relay, 11*cfg.EBFrameLen*cfg.CtrlFrameLen+3, span)
+	mactest.RequireNextActiveExact(t, "sdn relay", relay, 0, span)
+	mactest.RequireNextActiveExact(t, "sdn relay", relay, 11*cfg.EBFrameLen*cfg.CtrlFrameLen+3, span)
 
 	relay.ctrlQ[0].notBefore = parked
 	cell := relay.ctrlCellTo(3)
@@ -100,5 +92,5 @@ func TestNextActiveExactSDN(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl.nextMaintain = parked
-	requireNextActiveExact(t, "sdn controller", ctrl, 0, span)
+	mactest.RequireNextActiveExact(t, "sdn controller", ctrl, 0, span)
 }

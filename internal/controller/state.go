@@ -9,7 +9,6 @@ import (
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
-	"github.com/digs-net/digs/internal/trickle"
 	"github.com/digs-net/digs/internal/wire"
 )
 
@@ -380,54 +379,28 @@ type AdaptiveCellState struct {
 	Cells int
 }
 
-// AdaptiveChildCellState is one listen-cell cache entry.
-type AdaptiveChildCellState struct {
-	Slot int64
-	Node topology.NodeID
-}
-
-// AdaptiveStackState is the complete mutable state of one adaptive stack.
-// Both caches are captured rather than recomputed on restore: they refresh
-// only at maintenance ticks, so a restore-time recompute could be fresher
-// than the interrupted run's cache and diverge from it.
+// AdaptiveStackState is the complete mutable state of one adaptive stack:
+// the RPL node's, the allocator's counters and the advertised cell counts.
+// Like the node's listen cells, the cell-count cache is captured rather
+// than recomputed on restore.
 type AdaptiveStackState struct {
-	Router   rpl.RouterState
-	Trickle  trickle.State
-	RNGDraws uint64
-
-	WantDIO      bool
-	NextMaintain int64
-	NextSolicit  int64
-	Synced       bool
+	rpl.NodeState
 
 	TxCells        int
 	IdleTicks      int
 	FailsSinceTick int
 	SentSinceTick  int
 
-	// HasNeighborCells/HasChildCells distinguish nil caches (never
-	// populated since construction or reset) from empty populated ones.
+	// HasNeighborCells distinguishes a nil cache (never populated since
+	// construction or reset) from an empty populated one.
 	HasNeighborCells bool
 	NeighborCells    []AdaptiveCellState // sorted by node
-	HasChildCells    bool
-	ChildCells       []AdaptiveChildCellState // sorted by slot
 }
 
-// CaptureState snapshots the stack. It fails for stacks constructed with
-// an external RNG (NewAdaptiveStack with a caller-owned rand.Rand): only
-// BuildAdaptive-created stacks track their generator position.
+// CaptureState implements stack.Node.
 func (s *AdaptiveStack) CaptureState() (stack.State, error) {
-	if s.rngSrc == nil {
-		return nil, fmt.Errorf("adaptive stack %d: not built with a checkpointable RNG (use controller.BuildAdaptive)", s.id)
-	}
 	st := &AdaptiveStackState{
-		Router:         s.router.CaptureState(),
-		Trickle:        s.tr.CaptureState(),
-		RNGDraws:       s.rngSrc.Draws(),
-		WantDIO:        s.wantDIO,
-		NextMaintain:   int64(s.nextMaintain),
-		NextSolicit:    int64(s.nextSolicit),
-		Synced:         s.synced,
+		NodeState:      s.Node.CaptureState(),
 		TxCells:        s.txCells,
 		IdleTicks:      s.idleTicks,
 		FailsSinceTick: s.failsSinceTick,
@@ -443,13 +416,6 @@ func (s *AdaptiveStack) CaptureState() (stack.State, error) {
 			return st.NeighborCells[i].Node < st.NeighborCells[j].Node
 		})
 	}
-	if s.childCells != nil {
-		st.HasChildCells = true
-		st.ChildCells = make([]AdaptiveChildCellState, 0, len(s.childCells))
-		for _, c := range s.childCells {
-			st.ChildCells = append(st.ChildCells, AdaptiveChildCellState{Slot: c.Offset, Node: c.Val})
-		}
-	}
 	return st, nil
 }
 
@@ -458,53 +424,26 @@ func (s *AdaptiveStack) CaptureState() (stack.State, error) {
 func (s *AdaptiveStack) RestoreState(state stack.State) error {
 	st, ok := state.(*AdaptiveStackState)
 	if !ok {
-		return fmt.Errorf("adaptive stack %d: restoring %T", s.id, state)
+		return fmt.Errorf("adaptive stack %d: restoring %T", s.ID(), state)
 	}
-	if s.rngSrc == nil {
-		return fmt.Errorf("adaptive stack %d: not built with a checkpointable RNG (use controller.BuildAdaptive)", s.id)
-	}
-	s.router.RestoreState(st.Router)
-	s.tr.RestoreState(st.Trickle)
-	s.rngSrc.Reset(st.RNGDraws)
-	s.wantDIO = st.WantDIO
-	s.nextMaintain = sim.ASN(st.NextMaintain)
-	s.nextSolicit = sim.ASN(st.NextSolicit)
-	s.synced = st.Synced
+	s.Node.RestoreState(st.NodeState)
 	s.txCells = st.TxCells
 	s.idleTicks = st.IdleTicks
 	s.failsSinceTick = st.FailsSinceTick
 	s.sentSinceTick = st.SentSinceTick
+	s.neighborCells = nil
 	if st.HasNeighborCells {
 		s.neighborCells = make(map[topology.NodeID]int, len(st.NeighborCells))
 		for _, c := range st.NeighborCells {
 			s.neighborCells[c.Node] = c.Cells
 		}
-	} else {
-		s.neighborCells = nil
-	}
-	if st.HasChildCells {
-		s.childCells = make(mac.Cells[topology.NodeID], 0, len(st.ChildCells))
-		for _, c := range st.ChildCells {
-			s.childCells = s.childCells.Put(c.Slot, c.Node)
-		}
-	} else {
-		s.childCells = nil
 	}
 	return nil
 }
 
-// Routed implements stack.State.
-func (st *AdaptiveStackState) Routed() bool { return st.Router.HasParentedAt }
-
 // AppendTo implements stack.State: the "adpt" snapshot section layout.
 func (st *AdaptiveStackState) AppendTo(w *wire.Writer) {
-	st.Router.AppendTo(w)
-	st.Trickle.AppendTo(w)
-	w.U64(st.RNGDraws)
-	w.Bool(st.WantDIO)
-	w.I64(st.NextMaintain)
-	w.I64(st.NextSolicit)
-	w.Bool(st.Synced)
+	st.AppendControl(w)
 	w.Int(st.TxCells)
 	w.Int(st.IdleTicks)
 	w.Int(st.FailsSinceTick)
@@ -517,25 +456,12 @@ func (st *AdaptiveStackState) AppendTo(w *wire.Writer) {
 			w.Int(c.Cells)
 		}
 	}
-	w.Bool(st.HasChildCells)
-	if st.HasChildCells {
-		w.U64(uint64(len(st.ChildCells)))
-		for _, c := range st.ChildCells {
-			w.I64(c.Slot)
-			w.U64(uint64(c.Node))
-		}
-	}
+	st.AppendChildCells(w)
 }
 
 func readAdaptiveState(r *wire.Reader) stack.State {
 	st := &AdaptiveStackState{}
-	st.Router = rpl.ReadRouterState(r)
-	st.Trickle = trickle.ReadState(r)
-	st.RNGDraws = r.U64()
-	st.WantDIO = r.Bool()
-	st.NextMaintain = r.I64()
-	st.NextSolicit = r.I64()
-	st.Synced = r.Bool()
+	st.ReadControl(r)
 	st.TxCells = r.Int()
 	st.IdleTicks = r.Int()
 	st.FailsSinceTick = r.Int()
@@ -550,15 +476,6 @@ func readAdaptiveState(r *wire.Reader) stack.State {
 			}
 		}
 	}
-	if r.Bool() {
-		st.HasChildCells = true
-		if n := r.Count(2); n > 0 {
-			st.ChildCells = make([]AdaptiveChildCellState, n)
-			for i := range st.ChildCells {
-				st.ChildCells[i].Slot = r.I64()
-				st.ChildCells[i].Node = topology.NodeID(r.U64())
-			}
-		}
-	}
+	st.ReadChildCells(r)
 	return st
 }

@@ -78,12 +78,12 @@ func buildNetwork(p Protocol, topo *topology.Topology, seed int64, digsCfg *core
 		cfg, macCfg := core.DefaultConfig(topo.NumAPs), mac.DefaultConfig()
 		if digsCfg != nil {
 			cfg = *digsCfg
-		} else {
-			// DiGS schedules three attempts per slotframe where Orchestra
-			// has one, so equal-time retry persistence means a 3x attempt
-			// budget.
-			macCfg.MaxTxPerPacket *= 3
 		}
+		// DiGS schedules three attempts per slotframe where Orchestra has
+		// one, so equal-time retry persistence means a 3x attempt budget —
+		// for an ablated configuration too, or the ablation would vary two
+		// things.
+		macCfg.MaxTxPerPacket *= 3
 		net, err := core.Build(nw, cfg, macCfg, seed)
 		if err != nil {
 			return nil, builtStack{}, err

@@ -86,10 +86,14 @@ func (p *Proxy) SetLatency(d time.Duration) { p.latency.Store(int64(d)) }
 func (p *Proxy) SetResetAfter(n int64) { p.resetAfter.Store(n) }
 
 // Partition is Blackhole for new connections plus an immediate cut of
-// every established one: the full partition experience.
+// every established one: the full partition experience. Mode switch and
+// cut happen under the lock serve registers a connection under, so every
+// accepted connection either is in the set being cut or sees Blackhole.
 func (p *Proxy) Partition() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.SetMode(Blackhole)
-	p.CutConns()
+	p.cutLocked()
 }
 
 // Heal restores transparent forwarding.
@@ -99,6 +103,10 @@ func (p *Proxy) Heal() { p.SetMode(Forward) }
 func (p *Proxy) CutConns() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.cutLocked()
+}
+
+func (p *Proxy) cutLocked() {
 	for c := range p.conns {
 		abort(c)
 		delete(p.conns, c)
@@ -119,12 +127,6 @@ func abort(c net.Conn) {
 		tc.SetLinger(0)
 	}
 	c.Close()
-}
-
-func (p *Proxy) track(c net.Conn) {
-	p.mu.Lock()
-	p.conns[c] = struct{}{}
-	p.mu.Unlock()
 }
 
 func (p *Proxy) untrack(c net.Conn) {
@@ -151,13 +153,19 @@ const canned503 = "HTTP/1.1 503 Service Unavailable\r\n" +
 	`{"error":"injected fault: 503"}` + "\n"
 
 func (p *Proxy) serve(client net.Conn) {
-	switch Mode(p.mode.Load()) {
+	// Registered before anything can block (the latency wait, the dial), in
+	// the same critical section that reads the mode: see Partition.
+	p.mu.Lock()
+	mode := Mode(p.mode.Load())
+	p.conns[client] = struct{}{}
+	p.mu.Unlock()
+	defer p.untrack(client)
+
+	switch mode {
 	case Drop:
 		abort(client)
 		return
 	case Blackhole:
-		p.track(client)
-		defer p.untrack(client)
 		// Swallow bytes until the client gives up or the mode changes
 		// out from under us (poll so a healed proxy releases the conn).
 		buf := make([]byte, 4096)
@@ -176,8 +184,6 @@ func (p *Proxy) serve(client net.Conn) {
 		abort(client)
 		return
 	case Err503:
-		p.track(client)
-		defer p.untrack(client)
 		// Read a request's worth of bytes, answer 503, close.
 		client.SetReadDeadline(time.Now().Add(5 * time.Second))
 		buf := make([]byte, 8192)
@@ -200,8 +206,18 @@ func (p *Proxy) serve(client net.Conn) {
 		abort(client)
 		return
 	}
-	p.track(client)
-	p.track(upstream)
+	p.mu.Lock()
+	_, live := p.conns[client]
+	if live {
+		p.conns[upstream] = struct{}{}
+	}
+	p.mu.Unlock()
+	if !live {
+		// Cut while we were dialling: the backend must not hear from it.
+		upstream.Close()
+		return
+	}
+	defer p.untrack(upstream)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -229,8 +245,6 @@ func (p *Proxy) serve(client net.Conn) {
 		}
 	}()
 	wg.Wait()
-	p.untrack(client)
-	p.untrack(upstream)
 	client.Close()
 	upstream.Close()
 }

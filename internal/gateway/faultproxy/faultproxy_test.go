@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -154,5 +155,30 @@ func TestPartitionCutsEstablished(t *testing.T) {
 		}
 	case <-time.After(3 * time.Second):
 		t.Fatal("partition left the established stream hanging instead of resetting it")
+	}
+}
+
+// TestPartitionCutsConnectionsStillDialling: a connection accepted in
+// Forward mode that is still waiting out the latency (or dialling the
+// backend) when the partition starts is part of the partition too. Left out
+// of the cut it would come up afterwards and forward for as long as the
+// client keeps it alive — which a keep-alive prober does.
+func TestPartitionCutsConnectionsStillDialling(t *testing.T) {
+	p := newProxy(t, newUpstream(t, []byte("ok")))
+	p.SetLatency(200 * time.Millisecond)
+	c, err := net.Dial("tcp", p.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// Let the proxy accept the connection while it still forwards; a
+	// partition that wins this race blackholes it, which proves nothing.
+	time.Sleep(50 * time.Millisecond)
+	p.Partition()
+
+	c.SetDeadline(time.Now().Add(2 * time.Second))
+	io.WriteString(c, "GET / HTTP/1.1\r\nHost: backend\r\n\r\n") // fails on a connection already reset
+	if answer, _ := io.ReadAll(c); len(answer) > 0 {
+		t.Fatalf("a connection that was dialling when the partition began answered %q", answer)
 	}
 }

@@ -1,9 +1,6 @@
 package orchestra
 
 import (
-	"math/rand"
-
-	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
@@ -19,14 +16,6 @@ type Network = stack.Network[*Stack]
 func Build(nw *sim.Network, cfg Config, macCfg mac.Config, seed int64) (*Network, error) {
 	return stack.Build(nw, Codec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
 		func(id topology.NodeID, isRoot bool) (*Stack, error) {
-			// A counting source (same value stream as rand.NewSource) keeps
-			// the stack's RNG position checkpointable for snapshots.
-			src := detrand.New(seed*6151 + int64(id))
-			s, err := NewStack(id, isRoot, cfg, rand.New(src))
-			if err != nil {
-				return nil, err
-			}
-			s.rngSrc = src
-			return s, nil
+			return NewStack(id, isRoot, cfg, seed*6151+int64(id))
 		})
 }

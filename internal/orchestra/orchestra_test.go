@@ -1,7 +1,6 @@
 package orchestra
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
@@ -11,57 +10,34 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
-func TestRxSlotStableAndInRange(t *testing.T) {
+func TestTxSlotStableAndInRange(t *testing.T) {
 	seen := map[int64]int{}
 	for id := 1; id <= 200; id++ {
-		s := RxSlot(topology.NodeID(id), 151)
+		s := TxSlot(topology.NodeID(id), 151)
 		if s < 0 || s >= 151 {
-			t.Fatalf("RxSlot(%d) = %d outside frame", id, s)
+			t.Fatalf("TxSlot(%d) = %d outside frame", id, s)
 		}
 		seen[s]++
 	}
 	// The hash must spread nodes over many distinct slots.
 	if len(seen) < 100 {
-		t.Fatalf("receiver-based hash uses only %d distinct slots for 200 nodes", len(seen))
-	}
-}
-
-func TestUnicastRolesReceiverBasedMode(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReceiverBased = true
-	s, err := NewStack(9, false, cfg, rand.New(rand.NewSource(9)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Give it a parent (node 4).
-	s.Router().OnDIO(0, 4, rpl.DIO{Rank: 1, PathETX: 0}, -60)
-
-	own := RxSlot(9, cfg.UnicastFrameLen)
-	parent := RxSlot(4, cfg.UnicastFrameLen)
-	if role, _ := s.unicastRole(own, 0); role != mac.RoleRxData {
-		t.Fatalf("own slot role = %v, want RxData", role)
-	}
-	if role, _ := s.unicastRole(parent, 0); role != mac.RoleTxData {
-		t.Fatalf("parent slot role = %v, want TxData", role)
-	}
-	if role, _ := s.unicastRole((own+parent+1)%cfg.UnicastFrameLen+2, 0); role == mac.RoleTxData {
-		t.Fatal("unrelated slot marked TxData")
+		t.Fatalf("sender-cell hash uses only %d distinct slots for 200 nodes", len(seen))
 	}
 }
 
 func TestUnicastRolesSenderBasedMode(t *testing.T) {
-	cfg := DefaultConfig() // sender-based by default
-	s, err := NewStack(9, false, cfg, rand.New(rand.NewSource(9)))
+	cfg := DefaultConfig()
+	s, err := NewStack(9, false, cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Router().OnDIO(0, 4, rpl.DIO{Rank: 1, PathETX: 0}, -60)
 	// Learn about a potential child: node 12 advertising a higher rank.
 	s.Router().OnDIO(0, 12, rpl.DIO{Rank: 25, PathETX: 4}, -70)
-	s.refreshChildSlots()
+	s.Assignment(0) // the first maintenance tick places the listen cells
 
-	own := RxSlot(9, cfg.UnicastFrameLen)
-	child := RxSlot(12, cfg.UnicastFrameLen)
+	own := TxSlot(9, cfg.UnicastFrameLen)
+	child := TxSlot(12, cfg.UnicastFrameLen)
 	if role, _ := s.unicastRole(own, 0); role != mac.RoleTxData {
 		t.Fatalf("own sender cell role = %v, want TxData", role)
 	}
@@ -70,45 +46,8 @@ func TestUnicastRolesSenderBasedMode(t *testing.T) {
 	}
 }
 
-func TestBackoffSkipsTransmitOpportunities(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReceiverBased = true // backoff applies only to contended cells
-	s, err := NewStack(9, false, cfg, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Router().OnDIO(0, 4, rpl.DIO{Rank: 1, PathETX: 0}, -60)
-	own := RxSlot(4, cfg.UnicastFrameLen) // we transmit in the parent's cell
-
-	// Force failures until a non-zero backoff is drawn.
-	backedOff := false
-	for i := 0; i < 32 && !backedOff; i++ {
-		s.OnTxResult(0, &sim.Frame{Kind: sim.KindData}, 4, false)
-		if s.txBackoff > 0 {
-			backedOff = true
-		}
-	}
-	if !backedOff {
-		t.Fatal("failures never produced a backoff")
-	}
-	want := s.txBackoff
-	skips := 0
-	for s.txBackoff > 0 {
-		if role, _ := s.unicastRole(own, 0); role != mac.RoleSleep {
-			t.Fatalf("role during backoff = %v, want Sleep", role)
-		}
-		skips++
-	}
-	if skips != want {
-		t.Fatalf("skipped %d opportunities, want %d", skips, want)
-	}
-	if role, _ := s.unicastRole(own, 0); role != mac.RoleTxData {
-		t.Fatalf("role after backoff = %v, want TxData", role)
-	}
-}
-
 func TestNextHopIsAlwaysPreferredParent(t *testing.T) {
-	s, err := NewStack(9, false, DefaultConfig(), rand.New(rand.NewSource(9)))
+	s, err := NewStack(9, false, DefaultConfig(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}

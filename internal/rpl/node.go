@@ -1,0 +1,355 @@
+package rpl
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"github.com/digs-net/digs/internal/detrand"
+	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/stack"
+	"github.com/digs-net/digs/internal/topology"
+	"github.com/digs-net/digs/internal/trickle"
+)
+
+// Channel offsets mirror the DiGS configuration so the comparison isolates
+// routing/scheduling, not radio parameters.
+const (
+	ebChannelOffset      = 0
+	sharedChannelOffset  = 1
+	unicastChannelOffset = 2
+
+	// unicastLanes spreads unicast cells over several channel offsets
+	// derived from the cell owner's ID, so hash collisions in the cell
+	// space land on different channels (standard Orchestra/ALICE
+	// practice).
+	unicastLanes = 12
+)
+
+// unicastLane returns the channel-offset lane of a node's unicast cells.
+func unicastLane(id topology.NodeID) uint8 {
+	return unicastChannelOffset + uint8((int64(id)*13)%unicastLanes)
+}
+
+// Config holds the parameters of an RPL-over-TSCH node. The paper's
+// evaluation values for the slotframe lengths are 557 / 47 / 151, shared
+// with DiGS.
+type Config struct {
+	EBFrameLen      int64
+	SharedFrameLen  int64
+	UnicastFrameLen int64
+
+	// Trickle gates DIO transmissions (slot units).
+	Trickle trickle.Config
+
+	NeighborTimeout time.Duration
+	MaintainEvery   time.Duration
+
+	// RankGranularity is RPL's MinHopRankIncrease (per-hop rank step is
+	// link ETX scaled by this factor).
+	RankGranularity int
+}
+
+// Validate checks the configuration.
+func (c Config) Validate() error {
+	if c.EBFrameLen <= 0 || c.SharedFrameLen <= 0 || c.UnicastFrameLen <= 0 {
+		return fmt.Errorf("rpl config: slotframe lengths must be positive (%d, %d, %d)",
+			c.EBFrameLen, c.SharedFrameLen, c.UnicastFrameLen)
+	}
+	return nil
+}
+
+// Node is the control plane every RPL-over-TSCH stack runs, written once:
+// the RPL router, the Trickle timer and the DIO it latches, DIS
+// solicitation, the beacon and shared slotframes, the maintenance tick, and
+// the table of unicast cells the node listens in. A stack embeds a Node and
+// adds its cell policy: which unicast cells the node transmits in (the Role
+// of the unicast slotframe it hands NewNode), which cells of its potential
+// children it listens in (ResetChildCells and Listen, at each maintenance
+// tick), and the option bytes that ride behind the DIO. The stack calls
+// down into the Node — Maintain, then its own tick work, then Assignment —
+// so the order of the node's RNG draws is the stack's to keep.
+type Node struct {
+	id     topology.NodeID
+	isRoot bool
+	cfg    Config
+
+	router   *Router
+	tr       *trickle.Timer
+	combiner *mac.Combiner
+	// src counts the draws of rng (same value stream as rand.NewSource),
+	// which is what makes the node's RNG position checkpointable.
+	src *detrand.Source
+	rng *rand.Rand
+
+	wantDIO      bool
+	nextMaintain sim.ASN
+	nextSolicit  sim.ASN
+	synced       bool
+
+	// childCells names, per offset of the unicast slotframe, the potential
+	// child whose transmit cell the node listens in; nil until the first
+	// maintenance tick, rebuilt in place at each one.
+	childCells mac.Cells[topology.NodeID]
+}
+
+// NewNode builds the control plane of one node over a generator seeded
+// with seed. unicast is the Role of the unicast slotframe: the stack's
+// transmit cells, and RoleRxData wherever ListensAt says so.
+func NewNode(id topology.NodeID, isRoot bool, cfg Config, seed int64,
+	unicast func(offset int64, asn sim.ASN) (mac.SlotRole, int)) (*Node, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	src := detrand.New(seed)
+	n := &Node{id: id, isRoot: isRoot, cfg: cfg, src: src, rng: rand.New(src)}
+	var err error
+	if n.tr, err = trickle.NewTimer(cfg.Trickle, n.rng); err != nil {
+		return nil, fmt.Errorf("rpl node %d: %w", id, err)
+	}
+	n.router = n.newRouter()
+	n.combiner = mac.NewCombiner(
+		mac.Slotframe{Length: cfg.EBFrameLen, Priority: 0, ChannelOffset: ebChannelOffset,
+			Role: n.ebRole},
+		mac.Slotframe{Length: cfg.SharedFrameLen, Priority: 1, ChannelOffset: sharedChannelOffset,
+			Role: n.sharedRole},
+		mac.Slotframe{Length: cfg.UnicastFrameLen, Priority: 2, ChannelOffset: unicastChannelOffset,
+			Role: unicast},
+	)
+	return n, nil
+}
+
+func (n *Node) newRouter() *Router {
+	return NewRouter(n.id, n.isRoot, sim.SlotsFor(n.cfg.NeighborTimeout), n.cfg.RankGranularity)
+}
+
+// ID returns the node's identity.
+func (n *Node) ID() topology.NodeID { return n.id }
+
+// Router exposes the RPL state for experiments and tests.
+func (n *Node) Router() *Router { return n.router }
+
+// Joined implements stack.Node: the node is in the DODAG.
+func (n *Node) Joined() bool { return n.router.Joined() }
+
+// SetRouteHook implements stack.Node.
+func (n *Node) SetRouteHook(fn stack.RouteHook) { n.router.OnParentChange = fn }
+
+// Probe implements stack.Node. RPL keeps a single preferred parent, so
+// backup is always 0 — runs that enable the monitor's RequireBackup check
+// will flag every node, which is the honest reading of the paper's
+// single-parent critique.
+func (n *Node) Probe() (parent, backup topology.NodeID, neighbors int) {
+	return n.router.Parent(), 0, n.router.Neighbors()
+}
+
+// Reset implements mac.Resetter: it discards the RPL neighbour set, parent
+// and listen cells, returning the node to its just-constructed state. The
+// installed route hook and the configuration survive, so a chaos-plan
+// reboot with state loss keeps reporting route changes through the same
+// telemetry chain.
+func (n *Node) Reset() {
+	onChange := n.router.OnParentChange
+	n.router = n.newRouter()
+	n.router.OnParentChange = onChange
+	// NewTimer only fails on invalid config, which NewNode already
+	// accepted.
+	n.tr, _ = trickle.NewTimer(n.cfg.Trickle, n.rng)
+	n.wantDIO = false
+	n.nextMaintain = 0
+	n.nextSolicit = 0
+	n.synced = false
+	n.childCells = nil
+}
+
+func (n *Node) ebRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
+	if offset == int64(n.id-1)%n.cfg.EBFrameLen {
+		return mac.RoleTxEB, 0
+	}
+	if p := n.router.Parent(); p != 0 && offset == int64(p-1)%n.cfg.EBFrameLen {
+		return mac.RoleRxEB, 0
+	}
+	return mac.RoleSleep, 0
+}
+
+func (n *Node) sharedRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
+	if offset == 0 {
+		return mac.RoleShared, 0
+	}
+	return mac.RoleSleep, 0
+}
+
+// Readvertise collapses the Trickle interval, so a change the neighbours
+// should learn of goes out in a DIO promptly. A node that has not
+// synchronised yet has no timer to reset.
+func (n *Node) Readvertise(asn sim.ASN) {
+	if n.synced {
+		n.tr.Reset(asn)
+	}
+}
+
+// Maintain runs the maintenance tick when it is due — stale neighbours
+// expire, the parent is re-evaluated — and reports whether it ran: that is
+// when the stack rebuilds the listen cells.
+func (n *Node) Maintain(asn sim.ASN) bool {
+	if asn < n.nextMaintain {
+		return false
+	}
+	n.nextMaintain = asn + sim.SlotsFor(n.cfg.MaintainEvery)
+	if n.router.Maintain(asn) {
+		n.Readvertise(asn)
+	}
+	return true
+}
+
+// ResetChildCells empties the listen-cell table and returns the potential
+// children to place cells for, in ascending ID: none while the node is
+// outside the DODAG.
+func (n *Node) ResetChildCells() []topology.NodeID {
+	n.childCells = n.childCells.Reset()
+	if !n.router.Joined() {
+		return nil
+	}
+	return n.router.PotentialChildren()
+}
+
+// Listen makes the node listen at the offset of the unicast slotframe, in
+// a cell the potential child transmits in. A cell two children claim goes
+// to the one placed last.
+func (n *Node) Listen(offset int64, child topology.NodeID) {
+	n.childCells = n.childCells.Put(offset, child)
+}
+
+// ListensAt reports whether a potential child's cell sits at the offset.
+func (n *Node) ListensAt(offset int64) bool {
+	_, ok := n.childCells.At(offset)
+	return ok
+}
+
+// NextActive is the control plane's part of mac.Protocol's NextActive: the
+// earliest slot at or after `after` holding the node's own beacon slot or
+// its parent's, the shared slot, a listen cell — each whether or not there
+// is anything to send or hear in it — or one of the timers: the maintenance
+// tick and the Trickle timer's fire or rollover slot. The stack takes the
+// minimum with its transmit cells.
+func (n *Node) NextActive(after sim.ASN) sim.ASN {
+	w := mac.NextOffset(after, n.cfg.EBFrameLen, int64(n.id-1)%n.cfg.EBFrameLen)
+	w = min(w, mac.NextOffset(after, n.cfg.SharedFrameLen, 0))
+	if p := n.router.Parent(); p != 0 {
+		w = min(w, mac.NextOffset(after, n.cfg.EBFrameLen, int64(p-1)%n.cfg.EBFrameLen))
+	}
+	if v, ok := n.childCells.Next(after, n.cfg.UnicastFrameLen); ok {
+		w = min(w, v)
+	}
+	if n.synced {
+		w = min(w, max(n.tr.NextEvent(after), after))
+	}
+	return min(w, max(n.nextMaintain, after))
+}
+
+// Assignment latches a DIO when the Trickle timer fires and combines the
+// three slotframes. Unicast cells get their channel lane from the cell
+// owner's ID. The stack calls Maintain first.
+func (n *Node) Assignment(asn sim.ASN) mac.Assignment {
+	if n.tr.Fires(asn) {
+		n.wantDIO = true
+	}
+	a := n.combiner.Assignment(asn)
+	switch a.Role {
+	case mac.RoleTxData:
+		a.ChannelOffset = unicastLane(n.id)
+	case mac.RoleRxData:
+		if c, ok := n.childCells.At(asn % n.cfg.UnicastFrameLen); ok {
+			a.ChannelOffset = unicastLane(c)
+		}
+	}
+	return a
+}
+
+// OnSynced implements mac.Protocol.
+func (n *Node) OnSynced(asn sim.ASN) {
+	n.synced = true
+	n.tr.Start(asn)
+	n.nextSolicit = asn + 500 + sim.ASN(n.rng.Intn(500))
+}
+
+// DIOPayload returns what the node's beacons and DIOs carry: the RPL join
+// metric followed by the stack's option bytes, or nil while the node has
+// nothing to advertise.
+func (n *Node) DIOPayload(option ...byte) []byte {
+	adv, ok := n.router.Advertisement()
+	if !ok {
+		return nil
+	}
+	return append(adv.Marshal(), option...)
+}
+
+// OnFrame feeds a received frame to the router and the Trickle timer.
+// Beacons and DIOs carry optionLen option bytes behind the advertisement;
+// they are returned when the frame held a well-formed DIO, nil otherwise.
+func (n *Node) OnFrame(asn sim.ASN, f *sim.Frame, rssi float64, optionLen int) (option []byte) {
+	switch f.Kind {
+	case sim.KindEB, sim.KindJoinIn: // a DIO, in a beacon or on its own
+		if len(f.Payload) == dioSize+optionLen {
+			if d, err := UnmarshalDIO(f.Payload[:dioSize]); err == nil {
+				if n.router.OnDIO(asn, f.Src, d, rssi) {
+					n.Readvertise(asn)
+				} else if f.Kind == sim.KindJoinIn {
+					n.tr.Hear()
+				}
+				return f.Payload[dioSize:]
+			}
+		}
+		if f.Kind == sim.KindEB {
+			n.router.Observe(f.Src, rssi)
+		}
+	case sim.KindSolicit:
+		n.router.Observe(f.Src, rssi)
+		if n.router.Joined() {
+			n.tr.Reset(asn)
+		}
+	case sim.KindData:
+		n.router.Observe(f.Src, rssi)
+	}
+	return nil
+}
+
+// SharedFrame is what the node sends in a shared slot: DIS solicitation
+// when parentless, Trickle-latched DIOs (with the stack's option bytes)
+// otherwise, both behind a persistence coin.
+func (n *Node) SharedFrame(asn sim.ASN, option ...byte) (*sim.Frame, bool) {
+	if n.synced && !n.router.Joined() {
+		if asn >= n.nextSolicit {
+			n.nextSolicit = asn + 1000 + sim.ASN(n.rng.Intn(500))
+			return &sim.Frame{Kind: sim.KindSolicit, Src: n.id, Dst: topology.Broadcast}, false
+		}
+		return nil, false
+	}
+	if !n.wantDIO || n.rng.Intn(2) == 1 {
+		return nil, false
+	}
+	n.wantDIO = false
+	payload := n.DIOPayload(option...)
+	if payload == nil {
+		return nil, false
+	}
+	return &sim.Frame{Kind: sim.KindJoinIn, Src: n.id, Dst: topology.Broadcast, Payload: payload}, false
+}
+
+// NextHop implements mac.Protocol: always the single preferred parent —
+// RPL has no backup route, which is exactly what the paper's comparison
+// exercises.
+func (n *Node) NextHop(sim.ASN, int) (topology.NodeID, bool) {
+	p := n.router.Parent()
+	return p, p != 0
+}
+
+// OnTxResult implements mac.Protocol: the outcome feeds the RPL link
+// estimator. Unicast cells are dedicated, so there is no contention
+// backoff: a retransmission goes out in the sender's next cell.
+func (n *Node) OnTxResult(asn sim.ASN, _ *sim.Frame, to topology.NodeID, acked bool) {
+	if n.router.OnTxResult(asn, to, acked) {
+		n.Readvertise(asn)
+	}
+}

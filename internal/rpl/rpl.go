@@ -2,7 +2,9 @@
 // against: RPL (RFC 6550) specialised for upward collection traffic. Each
 // node keeps a single preferred parent — the defining difference from DiGS
 // graph routing — chosen by minimum accumulated ETX over DIO
-// advertisements, with Trickle-gated DIOs and DIS solicitation.
+// advertisements, with Trickle-gated DIOs and DIS solicitation. Router is
+// the routing state alone; Node is the whole RPL-over-TSCH control plane
+// around it, which the orchestra and adaptive stacks embed.
 package rpl
 
 import (

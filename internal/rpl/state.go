@@ -1,11 +1,13 @@
 package rpl
 
 import (
-	"github.com/digs-net/digs/internal/wire"
 	"sort"
 
 	"github.com/digs-net/digs/internal/link"
+	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/topology"
+	"github.com/digs-net/digs/internal/trickle"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // NeighborState is one RPL neighbour-table entry as plain old data.
@@ -105,4 +107,126 @@ func ReadRouterState(r *wire.Reader) RouterState {
 	st.HasParentedAt = r.Bool()
 	st.ParentChanges = r.I64()
 	return st
+}
+
+// ChildCellState is one listen-cell table entry.
+type ChildCellState struct {
+	Slot int64
+	Node topology.NodeID
+}
+
+// NodeState is the complete mutable state of a Node. A stack's own state
+// embeds it and writes it as the two ends of its snapshot section, its own
+// fields in between: AppendControl first, AppendChildCells last. The
+// listen-cell table is captured rather than recomputed on restore: it
+// refreshes only at maintenance ticks, so a restore-time recompute could be
+// fresher than the interrupted run's table and diverge from it.
+type NodeState struct {
+	Router   RouterState
+	Trickle  trickle.State
+	RNGDraws uint64
+
+	WantDIO      bool
+	NextMaintain int64
+	NextSolicit  int64
+	Synced       bool
+
+	// HasChildCells distinguishes a nil table (never refreshed since
+	// construction or reset) from an empty refreshed one.
+	HasChildCells bool
+	ChildCells    []ChildCellState // sorted by slot
+}
+
+// CaptureState snapshots the node.
+func (n *Node) CaptureState() NodeState {
+	st := NodeState{
+		Router:       n.router.CaptureState(),
+		Trickle:      n.tr.CaptureState(),
+		RNGDraws:     n.src.Draws(),
+		WantDIO:      n.wantDIO,
+		NextMaintain: n.nextMaintain,
+		NextSolicit:  n.nextSolicit,
+		Synced:       n.synced,
+	}
+	if n.childCells != nil {
+		st.HasChildCells = true
+		st.ChildCells = make([]ChildCellState, 0, len(n.childCells))
+		for _, c := range n.childCells {
+			st.ChildCells = append(st.ChildCells, ChildCellState{Slot: c.Offset, Node: c.Val})
+		}
+	}
+	return st
+}
+
+// RestoreState overlays a captured state onto a freshly built node (same
+// node, same configuration, same seed).
+func (n *Node) RestoreState(st NodeState) {
+	n.router.RestoreState(st.Router)
+	n.tr.RestoreState(st.Trickle)
+	n.src.Reset(st.RNGDraws)
+	n.wantDIO = st.WantDIO
+	n.nextMaintain = st.NextMaintain
+	n.nextSolicit = st.NextSolicit
+	n.synced = st.Synced
+	n.childCells = nil
+	if st.HasChildCells {
+		n.childCells = make(mac.Cells[topology.NodeID], 0, len(st.ChildCells))
+		for _, c := range st.ChildCells {
+			n.childCells = n.childCells.Put(c.Slot, c.Node)
+		}
+	}
+}
+
+// Routed implements stack.State for the states that embed a NodeState.
+func (st *NodeState) Routed() bool { return st.Router.HasParentedAt }
+
+// AppendControl writes the head of a stack's snapshot section: the router,
+// the Trickle timer, the generator position and the four control-plane
+// fields.
+func (st *NodeState) AppendControl(w *wire.Writer) {
+	st.Router.AppendTo(w)
+	st.Trickle.AppendTo(w)
+	w.U64(st.RNGDraws)
+	w.Bool(st.WantDIO)
+	w.I64(st.NextMaintain)
+	w.I64(st.NextSolicit)
+	w.Bool(st.Synced)
+}
+
+// ReadControl decodes what AppendControl wrote.
+func (st *NodeState) ReadControl(r *wire.Reader) {
+	st.Router = ReadRouterState(r)
+	st.Trickle = trickle.ReadState(r)
+	st.RNGDraws = r.U64()
+	st.WantDIO = r.Bool()
+	st.NextMaintain = r.I64()
+	st.NextSolicit = r.I64()
+	st.Synced = r.Bool()
+}
+
+// AppendChildCells writes the tail of a stack's snapshot section: the
+// listen-cell table behind its has-flag.
+func (st *NodeState) AppendChildCells(w *wire.Writer) {
+	w.Bool(st.HasChildCells)
+	if st.HasChildCells {
+		w.U64(uint64(len(st.ChildCells)))
+		for _, c := range st.ChildCells {
+			w.I64(c.Slot)
+			w.U64(uint64(c.Node))
+		}
+	}
+}
+
+// ReadChildCells decodes what AppendChildCells wrote.
+func (st *NodeState) ReadChildCells(r *wire.Reader) {
+	if st.HasChildCells = r.Bool(); !st.HasChildCells {
+		return
+	}
+	if n := r.Count(2); n > 0 {
+		st.ChildCells = make([]ChildCellState, n)
+		for i := range st.ChildCells {
+			st.ChildCells[i].Slot = r.I64()
+			st.ChildCells[i].Node = topology.NodeID(r.U64())
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/digs-net/digs/internal/controller"
 	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -138,23 +139,27 @@ func adaptiveStates() []*controller.AdaptiveStackState {
 	return []*controller.AdaptiveStackState{
 		nil,
 		{
-			Router:   rpl.RouterState{Rank: 4, Parent: 0},
-			Trickle:  trickle.State{Interval: 100, Started: true},
-			RNGDraws: 17,
-			WantDIO:  true, NextMaintain: 500, NextSolicit: 700, Synced: true,
+			NodeState: rpl.NodeState{
+				Router:   rpl.RouterState{Rank: 4, Parent: 0},
+				Trickle:  trickle.State{Interval: 100, Started: true},
+				RNGDraws: 17,
+				WantDIO:  true, NextMaintain: 500, NextSolicit: 700, Synced: true,
+				HasChildCells: true,
+				ChildCells:    []rpl.ChildCellState{{Slot: 74, Node: 2}, {Slot: 111, Node: 3}},
+			},
 			TxCells: 2, IdleTicks: 1, FailsSinceTick: 3, SentSinceTick: 4,
 			HasNeighborCells: true,
 			NeighborCells:    []controller.AdaptiveCellState{{Node: 2, Cells: 2}, {Node: 3, Cells: 1}},
-			HasChildCells:    true,
-			ChildCells:       []controller.AdaptiveChildCellState{{Slot: 74, Node: 2}, {Slot: 111, Node: 3}},
 		},
 		{
-			Router:  rpl.RouterState{Rank: 8, Parent: 1},
-			Trickle: trickle.State{Interval: 200},
 			// Nil caches and an empty-but-refreshed child cache both
 			// round-trip distinctly.
-			HasChildCells: true,
-			TxCells:       1,
+			NodeState: rpl.NodeState{
+				Router:        rpl.RouterState{Rank: 8, Parent: 1},
+				Trickle:       trickle.State{Interval: 200},
+				HasChildCells: true,
+			},
+			TxCells: 1,
 		},
 	}
 }
@@ -191,9 +196,14 @@ func TestDiffAndSummaryCoverControllerStacks(t *testing.T) {
 		{synthSDN,
 			func(s *snapshot.Snapshot) { s.Stack[1].(*controller.SDNStackState).EpochCount++ },
 			"sdn[1].EpochCount", "routing:     1/2 routed"},
+		// Router and NextMaintain sit in the rpl.NodeState both RPL-family
+		// states embed: they read as fields of the stack's own state.
 		{synthAdaptive,
 			func(s *snapshot.Snapshot) { s.Stack[2].(*controller.AdaptiveStackState).Router.HasParentedAt = true },
 			"adpt[2].Router", "routing:     1/1 routed"},
+		{synthOrchestra,
+			func(s *snapshot.Snapshot) { s.Stack[3].(*orchestra.StackState).NextMaintain++ },
+			"orch[3].NextMaintain: 650 vs 651", "routing:     3/2 routed"},
 	} {
 		a, b := tc.synth(), tc.synth()
 		if d := snapshot.Diff(a, b); len(d) != 0 {

@@ -18,6 +18,7 @@ import (
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // magic is the wire format's leading bytes.
@@ -113,7 +114,7 @@ func synthOrchestra() *snapshot.Snapshot {
 	s.Meta.Protocol = snapshot.ProtocolOrchestra
 	stacks := make([]*orchestra.StackState, s.Meta.Nodes+1)
 	for i := 1; i <= s.Meta.Nodes; i++ {
-		stacks[i] = &orchestra.StackState{
+		stacks[i] = &orchestra.StackState{NodeState: rpl.NodeState{
 			Router: rpl.RouterState{
 				Rank: uint16(i), PathETX: 1.5, Parent: 1,
 				Neighbors:     []rpl.NeighborState{{Node: 1, Rank: 0, PathETX: 1, LastHeard: 80}},
@@ -122,14 +123,14 @@ func synthOrchestra() *snapshot.Snapshot {
 			},
 			Trickle:  trickle.State{Interval: 200, FireAt: 500, Started: true},
 			RNGDraws: 321,
-			WantDIO:  true, NextMaintain: 650, Synced: true, TxBackoff: 3,
-		}
+			WantDIO:  true, NextMaintain: 650, Synced: true,
+		}}
 	}
-	// Exercise all three child-slot cache shapes: never refreshed (nil),
+	// Exercise all three listen-cell table shapes: never refreshed (nil),
 	// refreshed empty, and populated.
-	stacks[2].HasChildSlots = true
-	stacks[3].HasChildSlots = true
-	stacks[3].ChildSlots = []orchestra.ChildSlotState{{Slot: 4, Node: 2}, {Slot: 9, Node: 1}}
+	stacks[2].HasChildCells = true
+	stacks[3].HasChildCells = true
+	stacks[3].ChildCells = []rpl.ChildCellState{{Slot: 4, Node: 2}, {Slot: 9, Node: 1}}
 	s.Stack = states(stacks)
 	return s
 }
@@ -172,6 +173,50 @@ func roundTrip(t *testing.T, s *snapshot.Snapshot) {
 func TestRoundTripDiGS(t *testing.T)      { roundTrip(t, synthDiGS()) }
 func TestRoundTripOrchestra(t *testing.T) { roundTrip(t, synthOrchestra()) }
 func TestRoundTripWHART(t *testing.T)     { roundTrip(t, synthWHART()) }
+
+// legacyOrch writes the "orch" layout the way a build that still had the
+// receiver-based unicast mode could: a retry backoff in the int that is now
+// reserved.
+type legacyOrch struct{ *orchestra.StackState }
+
+func (l legacyOrch) AppendTo(w *wire.Writer) {
+	l.AppendControl(w)
+	w.Int(3)
+	l.AppendChildCells(w)
+}
+
+// TestDecodeReservedOrchInt: the reader drops a non-zero reserved int — the
+// decoded states are the ones a zero decodes to, and they re-encode with
+// the zero, so encode ∘ decode stays a fixed point for such a file.
+func TestDecodeReservedOrchInt(t *testing.T) {
+	want, err := snapshot.Encode(synthOrchestra())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := synthOrchestra()
+	for i, st := range old.Stack {
+		if st != nil {
+			old.Stack[i] = legacyOrch{st.(*orchestra.StackState)}
+		}
+	}
+	b, err := snapshot.Encode(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(b, want) {
+		t.Fatal("the legacy writer wrote the current bytes: nothing to show")
+	}
+	dec, err := snapshot.Decode(b)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if d := snapshot.Diff(synthOrchestra(), dec); len(d) != 0 {
+		t.Fatalf("decoded snapshot differs:\n%v", d)
+	}
+	if again, err := snapshot.Encode(dec); err != nil || !bytes.Equal(again, want) {
+		t.Fatalf("re-encode: %v, %d bytes against %d", err, len(again), len(want))
+	}
+}
 
 func TestDecodeRejectsTruncation(t *testing.T) {
 	b, err := snapshot.Encode(synthDiGS())

@@ -62,7 +62,8 @@ func Diff(a, b *Snapshot) []string {
 // diffStruct reports, per top-level field of a (possibly pointed-to)
 // struct, whether the two values differ. Reflection keeps it honest as
 // state structs grow fields: a new field can never silently escape diff
-// coverage.
+// coverage. The fields of an embedded struct (the rpl.NodeState the RPL
+// family's states share) read as the outer struct's own.
 func diffStruct(add func(string, ...any), prefix string, a, b any) {
 	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
 	nilA := !va.IsValid() || (va.Kind() == reflect.Pointer && va.IsNil())
@@ -85,7 +86,9 @@ func diffStruct(add func(string, ...any), prefix string, a, b any) {
 	t := va.Type()
 	for i := 0; i < t.NumField(); i++ {
 		fa, fb := va.Field(i).Interface(), vb.Field(i).Interface()
-		if !reflect.DeepEqual(fa, fb) {
+		if t.Field(i).Anonymous {
+			diffStruct(add, prefix, fa, fb)
+		} else if !reflect.DeepEqual(fa, fb) {
 			add("%s.%s: %s vs %s", prefix, t.Field(i).Name, compact(fa), compact(fb))
 		}
 	}
