@@ -1,16 +1,21 @@
 GO ?= go
 
-.PHONY: ci vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate clean
+.PHONY: ci fmt vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden snap-smoke cache-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate clean
 
-## ci: everything the driver checks — vet, build, race-enabled tests, a
-## short fuzz pass over the wire codecs, a one-shot large-scale benchmark
-## smoke run, the bench/ harness's own smoke (its compile-time surface on
-## this module), the telemetry pipeline smoke test, the snapshot round-trip
-## smoke test, a short 10k-node run on the sparse sharded engine, the
-## controller-layer smoke (four-way chaos with recovery asserted), the
-## simulation-service end-to-end smoke, the crash-recovery smoke, and the
-## gateway fault-tolerance smoke.
-ci: vet build race fuzz bench-smoke bench-harness-smoke trace-smoke snap-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
+## ci: everything the driver checks — gofmt, vet, build, race-enabled
+## tests, a short fuzz pass over the wire codecs, a one-shot large-scale
+## benchmark smoke run, the bench/ harness's own smoke (its compile-time
+## surface on this module), the telemetry pipeline smoke test, the snapshot
+## round-trip smoke test, the shared formation cache smoke, a short
+## 10k-node run on the sparse sharded engine, the controller-layer smoke
+## (four-way chaos with recovery asserted), the simulation-service
+## end-to-end smoke, the crash-recovery smoke, and the gateway
+## fault-tolerance smoke.
+ci: fmt vet build race fuzz bench-smoke bench-harness-smoke trace-smoke snap-smoke cache-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
+
+## fmt: fail when any file is not gofmt-clean.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -79,6 +84,27 @@ snap-smoke:
 		-slots 5000 -label golden -o $(SNAP_SMOKE_DIR)/straight.snap >/dev/null
 	cmp $(SNAP_SMOKE_DIR)/resumed.snap $(SNAP_SMOKE_DIR)/straight.snap
 	@echo snap-smoke: OK
+
+## cache-smoke: the formation cache is one format under one key, whoever
+## writes it (scenario.Form). In one directory a figure campaign populates
+## it, then digs-chaos and digs-sim -spec warm-start from it; in a second
+## directory the order is reversed; every output must equal its cold run,
+## and digs-sim in the first order must report a warm hit (on an entry it
+## did not write).
+CACHE_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-cache-smoke
+CACHE_SMOKE_SPEC := {"topology":"testbed-a","protocol":"orchestra","seed":1,"window":"20s"}
+cache-smoke:
+	rm -rf $(CACHE_SMOKE_DIR) && mkdir -p $(CACHE_SMOKE_DIR)
+	$(GO) build -o $(CACHE_SMOKE_DIR)/ ./cmd/digs-bench ./cmd/digs-chaos ./cmd/digs-sim
+	cd $(CACHE_SMOKE_DIR) && ./digs-bench -fig 9 >fig9.cold && ./digs-chaos -plan fig8 >chaos.cold \
+		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - >spec.cold 2>/dev/null
+	cd $(CACHE_SMOKE_DIR) && ./digs-bench -fig 9 -snap-cache d1 >fig9.d1 && ./digs-chaos -plan fig8 -snap-cache d1 >chaos.d1 \
+		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d1 >spec.d1 2>last.d1
+	cd $(CACHE_SMOKE_DIR) && echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d2 >spec.d2 2>/dev/null \
+		&& ./digs-chaos -plan fig8 -snap-cache d2 >chaos.d2 && ./digs-bench -fig 9 -snap-cache d2 >fig9.d2
+	grep -q warm_hit=true $(CACHE_SMOKE_DIR)/last.d1
+	cd $(CACHE_SMOKE_DIR) && for f in fig9 chaos spec; do cmp $$f.cold $$f.d1 && cmp $$f.cold $$f.d2 || exit 1; done
+	@echo cache-smoke: OK
 
 ## scale-smoke: spin up a procedurally generated 10k-node deployment on
 ## the sparse sharded engine and step it briefly under DiGS and Orchestra

@@ -7,7 +7,6 @@ import (
 
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/scenario"
-	"github.com/digs-net/digs/internal/sim"
 )
 
 // runScaleSmoke briefly steps a generated 10k-node deployment on the
@@ -41,9 +40,7 @@ func runScaleSmoke(seed int64) error {
 			return fmt.Errorf("scale-smoke: %s did not select the sparse engine", topoName)
 		}
 		fset := flows.FixedSet(sc.Params.Topology.SuggestedSources, 2*time.Second)
-		flows.Schedule(sc.NW, fset, slots/200+1, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn})
-		})
+		sc.Drive(fset, slots/200+1, 0, nil)
 		start := time.Now()
 		sc.NW.Run(slots)
 		wall := time.Since(start)

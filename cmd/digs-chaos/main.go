@@ -24,6 +24,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -31,7 +32,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -246,91 +246,33 @@ func runPlan(w io.Writer, opts options, proto string, seed int64, cache *snapsho
 	if err != nil {
 		return nil, err
 	}
-	nw := sc.NW
-
 	// Formation, then a settling margin before the plan epoch — restored
 	// from the snapshot cache instead when warm-starting.
-	meta, _, err := sc.WarmStart(cache, "formed+30s", func() (map[string]string, error) {
-		formSlots, ok := nw.RunUntil(sim.SlotsFor(6*time.Minute), func() bool {
-			return sc.Joined() == topo.N()
-		})
-		if !ok {
-			return nil, fmt.Errorf("only %d/%d nodes joined during formation", sc.Joined(), topo.N())
-		}
-		nw.Run(sim.SlotsFor(30 * time.Second))
-		return map[string]string{"formed_slots": strconv.FormatInt(formSlots, 10)}, nil
-	})
+	formed, err := sc.Form(context.Background(), cache, 1.0, 6*time.Minute, 30*time.Second)
 	if err != nil {
 		return nil, err
 	}
-	formSlots, err := strconv.ParseInt(meta.Extra["formed_slots"], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot metadata formed_slots: %w", err)
-	}
-	fmt.Fprintf(w, "network formed in %v\n", sim.TimeAt(formSlots))
+	fmt.Fprintf(w, "network formed in %v\n", sim.TimeAt(formed.Slots))
 
-	// Recovery analyzer and optional JSONL export share one emit chain;
-	// the injector rides the stack's tracer to observe route changes.
+	// Recovery analyzer and optional JSONL export share one emit chain,
+	// which the monitor's violations and the injector's fault events land
+	// in too (so both show in the trace and the recovery windows).
 	rec := chaos.NewRecovery()
-	chain := telemetry.Multi(rec, jsonl)
-
-	// The invariant monitor emits into the same chain (so violations land
-	// in the trace and the recovery windows) but is chained after it, so
-	// it never observes its own emissions. Attached post-formation: the
-	// checks gate on joined state, and the watchdog heals through the
-	// stack's reboot path with callbacks preserved.
-	var mon *invariant.Monitor
-	if opts.invariants {
-		mon = invariant.New(invariant.Config{Emit: chain, Heal: sc.Healer(nw)})
-		chain = telemetry.Multi(rec, jsonl, mon)
-		invariant.Attach(nw, mon, sc.Prober(nw), 0)
-	}
-	live := func() int {
-		n := 0
-		for i := 1; i <= topo.N(); i++ {
-			if !nw.Failed(topology.NodeID(i)) {
-				n++
-			}
-		}
-		return n
-	}
-	inj, err := chaos.Apply(nw, plan, chain, chaos.Hooks{
-		Converged: func() bool { return sc.Joined() >= live() },
-		Reboot: func(id topology.NodeID, asn sim.ASN, lose bool) {
-			sc.MACNode(int(id)).Reboot(asn, lose)
-		},
-	})
+	obs, err := sc.Observe(telemetry.Multi(rec, jsonl), opts.invariants, plan)
 	if err != nil {
 		return nil, err
 	}
-	sc.SetTracer(telemetry.Multi(chain, inj))
-	telemetry.AttachSim(nw, chain)
 
-	// Flows from the testbed's suggested sources; sources the plan has
-	// currently crashed skip their injections (a dead mote sends nothing).
-	fset := flows.FixedSet(topo.SuggestedSources, opts.period)
-	window := opts.duration
-	if h := plan.Horizon() + 30*time.Second; h > window {
-		window = h
-	}
-	packets := int(window / opts.period)
-	flows.Schedule(nw, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		if nw.Failed(f.Source) {
-			return
-		}
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
-
-	// Run the plan window plus a drain-and-recover tail.
-	nw.Run(sim.SlotsFor(window + 45*time.Second))
-	sc.SetTracer(nil)
-	if err := chain.Flush(); err != nil {
+	// Flows from the testbed's suggested sources, over the plan window
+	// plus a drain-and-recover tail.
+	window := max(opts.duration, plan.Horizon()+30*time.Second)
+	sc.Drive(flows.FixedSet(topo.SuggestedSources, opts.period), int(window/opts.period), 0, nil)
+	sc.NW.Run(sim.SlotsFor(window + 45*time.Second))
+	if err := obs.Close(); err != nil {
 		return nil, err
 	}
-	report(w, plan, rec, mon)
-	return buildResult(formSlots, plan, rec, mon), nil
+	report(w, plan, rec, obs.Monitor)
+	return buildResult(formed.Slots, plan, rec, obs.Monitor), nil
 }
 
 // buildResult folds one run into the -json shape.

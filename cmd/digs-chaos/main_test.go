@@ -1,0 +1,56 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"testing"
+	"time"
+
+	"github.com/digs-net/digs/internal/experiments"
+)
+
+// TestRunPlanColdWarmFigureCache: the -json report is the same bytes
+// whether formation ran, was restored from a cache this command populated,
+// or was restored from a cache a figure campaign populated — the three
+// caches are one format under one key, so they may share a directory (the
+// README's two warm-start commands, in either order).
+func TestRunPlanColdWarmFigureCache(t *testing.T) {
+	report := func(cacheDir string) []byte {
+		t.Helper()
+		outs, err := runCampaign(options{
+			plan: "fig8", topology: "testbed-a", protocols: []string{"orchestra"},
+			duration: 30 * time.Second, period: 5 * time.Second, seed: 2, reps: 1,
+			snapCache: cacheDir,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(outs[0].result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	cold := report("")
+	own := t.TempDir()
+	if miss := report(own); !bytes.Equal(cold, miss) {
+		t.Errorf("populating the cache changed the report:\ncold: %s\nmiss: %s", cold, miss)
+	}
+	if warm := report(own); !bytes.Equal(cold, warm) {
+		t.Errorf("warm report diverges:\ncold: %s\nwarm: %s", cold, warm)
+	}
+
+	figures := t.TempDir()
+	fig := experiments.DefaultInterferenceOptions("A")
+	fig.FlowSets, fig.Seed, fig.CacheDir = 1, 2, figures
+	if _, err := experiments.RunInterferenceSingle(experiments.Orchestra, fig); err != nil {
+		t.Fatal(err)
+	}
+	if warm := report(figures); !bytes.Equal(cold, warm) {
+		t.Errorf("report warmed from a figure campaign's cache diverges:\ncold: %s\nwarm: %s", cold, warm)
+	}
+	if entries, _ := os.ReadDir(figures); len(entries) != 1 {
+		t.Errorf("%d cache entries, want the one both commands key alike", len(entries))
+	}
+}

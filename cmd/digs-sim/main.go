@@ -21,15 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"github.com/digs-net/digs/internal/campaign"
-	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/interference"
 	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
@@ -83,7 +80,8 @@ func run() error {
 	flag.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
 	flag.IntVar(&opts.flows, "flows", 0, "number of flows (0 = the testbed's suggested sources)")
 	flag.IntVar(&opts.jammers, "jammers", 0, "WiFi jammers to enable (0..3)")
-	flag.IntVar(&opts.failNode, "fail", 0, "node ID to fail mid-run (0 = none)")
+	flag.IntVar(&opts.failNode, "fail", 0,
+		"node ID to fail mid-run (0 = none); a failed flow source stops generating, so its packets are not counted lost")
 	flag.Int64Var(&opts.seed, "seed", 1, "simulation seed")
 	flag.BoolVar(&opts.verbose, "v", false, "print per-flow results")
 	flag.StringVar(&opts.trace, "trace", "",
@@ -287,80 +285,38 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		return nil, err
 	}
 	nw, topo := sc.NW, sc.Params.Topology
-	macNode, joined := sc.MACNode, sc.Joined
-	if tracer != nil {
-		sc.SetTracer(tracer)
-		telemetry.AttachSim(nw, tracer)
+	// The tracer rides from slot 0 here, so -trace records the formation
+	// too; the full chain replaces it once the network has formed.
+	if _, err := sc.Observe(tracer, false, nil); err != nil {
+		return nil, err
 	}
 
 	fmt.Fprintf(w, "topology %s: %d nodes (%d APs), protocol %s\n",
 		topo.Name, topo.N(), topo.NumAPs, opts.protocol)
 
-	// Formation.
-	formSlots, ok := nw.RunUntil(sim.SlotsFor(6*time.Minute), func() bool {
-		return joined() == topo.N()
-	})
-	if !ok {
-		return nil, fmt.Errorf("only %d/%d nodes joined during formation", joined(), topo.N())
+	formed, err := sc.Form(context.Background(), nil, 1.0, 6*time.Minute, 30*time.Second)
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(w, "network formed in %v\n", sim.TimeAt(formSlots))
-	nw.Run(sim.SlotsFor(30 * time.Second))
+	fmt.Fprintf(w, "network formed in %v\n", sim.TimeAt(formed.Slots))
 
 	if dumpNode > 0 {
 		return nil, dumpSchedule(w, nw, sc.Schedule, dumpNode)
 	}
 
-	// The invariant monitor attaches after formation (its checks gate on
-	// joined state) and rides the tracer chain; with the flag off the MAC
-	// keeps its single-tracer nil check and the slot loop stays
-	// zero-alloc. Violations are emitted into the JSONL trace when one is
-	// being written.
-	var mon *invariant.Monitor
-	if opts.invariants {
-		mon = invariant.New(invariant.Config{Emit: tracer, Heal: sc.Healer(nw)})
-		var chain telemetry.Tracer = mon
-		if tracer != nil {
-			chain = telemetry.Multi(tracer, mon)
-		}
-		sc.SetTracer(chain)
-		invariant.Attach(nw, mon, sc.Prober(nw), 0)
+	obs, err := sc.Observe(tracer, opts.invariants, nil)
+	if err != nil {
+		return nil, err
 	}
-
-	// Interference.
-	for j := 0; j < opts.jammers && j < len(topo.SuggestedJammers); j++ {
-		wifiCh := []int{1, 6, 11}[j%3]
-		nw.AddInterferer(&interference.Window{
-			Source:   interference.NewWiFiJammer(topo, topo.SuggestedJammers[j], wifiCh, seed+int64(j)),
-			StartASN: nw.ASN(),
-		})
+	for j, wifiCh := range sc.Jam(opts.jammers) {
 		fmt.Fprintf(w, "jammer on node %d (WiFi channel %d)\n", topo.SuggestedJammers[j], wifiCh)
 	}
-
-	// Flows.
-	var fset []flows.Flow
-	if opts.flows <= 0 && len(topo.SuggestedSources) > 0 {
-		fset = flows.FixedSet(topo.SuggestedSources, opts.period)
-	} else {
-		n := opts.flows
-		if n <= 0 {
-			n = 8
-		}
-		rng := newRand(seed)
-		fset, err = flows.RandomSet(topo, n, opts.period, rng)
-		if err != nil {
-			return nil, err
-		}
+	fset, err := sc.Flows(opts.flows, opts.period)
+	if err != nil {
+		return nil, err
 	}
-
 	col := metrics.NewCollector()
-	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
-	packets := int(opts.duration / opts.period)
-	flows.Schedule(nw, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		col.Sent(f.ID, seq, asn)
-		_ = macNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	sc.Drive(fset, int(opts.duration/opts.period), 0, col)
 
 	// Optional mid-run failure.
 	if opts.failNode > 0 {
@@ -372,20 +328,23 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		})
 	}
 
-	startEnergy := totalEnergy(nw, macNode)
+	startEnergy, _ := sc.Energy()
 	start := nw.ASN()
 	nw.Run(sim.SlotsFor(opts.duration + 15*time.Second))
 	elapsed := sim.TimeAt(nw.ASN() - start)
-	energy := totalEnergy(nw, macNode) - startEnergy
+	endEnergy, _ := sc.Energy()
+	if err := obs.Close(); err != nil {
+		return nil, err
+	}
 
 	// Report.
 	sum := &summary{
 		Seed:      seed,
-		Formation: sim.TimeAt(formSlots),
+		Formation: sim.TimeAt(formed.Slots),
 		PDR:       col.PDR(),
 		Delivered: col.DeliveredCount(),
 		Sent:      col.SentCount(),
-		PowerMW:   metrics.PowerPerPacketMW(energy, elapsed, col.DeliveredCount()),
+		PowerMW:   metrics.PowerPerPacketMW(endEnergy-startEnergy, elapsed, col.DeliveredCount()),
 	}
 	fmt.Fprintf(w, "\n=== results (%v window, %d flows, %v period) ===\n",
 		opts.duration, len(fset), opts.period)
@@ -400,8 +359,8 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 			sum.LatMedian, sum.LatP90, sum.LatMax)
 	}
 	fmt.Fprintf(w, "power per packet:    %.3f mW\n", sum.PowerMW)
-	if mon != nil {
-		invariant.WriteText(w, mon.Report())
+	if obs.Monitor != nil {
+		invariant.WriteText(w, obs.Monitor.Report())
 	}
 	if opts.verbose {
 		for _, f := range fset {
@@ -434,16 +393,3 @@ func dumpSchedule(w io.Writer, nw *sim.Network, schedule func(int, sim.ASN) mac.
 	}
 	return nil
 }
-
-// totalEnergy sums the MAC-layer energy model across all nodes, napping
-// ones settled up to the current slot first.
-func totalEnergy(nw *sim.Network, macNode func(i int) *mac.Node) float64 {
-	nw.SettleNaps()
-	total := 0.0
-	for i := 1; i <= nw.Topology().N(); i++ {
-		total += macNode(i).Stats().EnergyJoules
-	}
-	return total
-}
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

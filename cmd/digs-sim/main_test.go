@@ -1,0 +1,68 @@
+package main
+
+import (
+	"context"
+	"io"
+	"testing"
+	"time"
+
+	"github.com/digs-net/digs/internal/scenario"
+	"github.com/digs-net/digs/internal/sim"
+)
+
+// TestFlagPathMatchesRunSpec: the flag path composes the same phases
+// RunSpec does, so for every registered stack its summary is the RunSpec
+// result of the equivalent spec — with and without jammers.
+func TestFlagPathMatchesRunSpec(t *testing.T) {
+	for _, proto := range scenario.RegisteredStacks() {
+		for _, jammers := range []int{0, 2} {
+			opts := options{
+				topology: "half-testbed-a", protocol: proto, jammers: jammers,
+				duration: 30 * time.Second, period: 5 * time.Second,
+			}
+			sum, err := runScenario(opts, 4, io.Discard, 0, nil)
+			if err != nil {
+				t.Fatalf("%s, %d jammers: %v", proto, jammers, err)
+			}
+			res, _, err := scenario.RunSpec(context.Background(), scenario.Spec{
+				Topology: opts.topology, Protocol: proto, Seed: 4, Jammers: jammers,
+				Period: scenario.Duration(opts.period), Window: scenario.Duration(opts.duration),
+			}, scenario.RunOpts{})
+			if err != nil {
+				t.Fatalf("%s, %d jammers: RunSpec: %v", proto, jammers, err)
+			}
+			if sum.Sent == 0 || sum.Delivered == 0 {
+				t.Fatalf("%s, %d jammers: nothing measured: %+v", proto, jammers, sum)
+			}
+			if sum.Formation != sim.TimeAt(res.FormationSlots) || sum.Sent != res.Sent ||
+				sum.Delivered != res.Delivered || sum.PDR != res.PDR ||
+				sum.LatMedian != res.LatencyMedianMs || sum.LatP90 != res.LatencyP90Ms ||
+				sum.LatMax != res.LatencyMaxMs || sum.PowerMW != res.PowerPerPacketMW {
+				t.Errorf("%s, %d jammers: flag path %+v, RunSpec %+v", proto, jammers, *sum, *res)
+			}
+		}
+	}
+}
+
+// TestFailedSourceGeneratesNothing: -fail on a flow source stops that
+// flow's generation at the failure (half the window in), so its remaining
+// packets are neither sent nor counted lost.
+func TestFailedSourceGeneratesNothing(t *testing.T) {
+	opts := options{
+		topology: "half-testbed-a", protocol: "digs",
+		duration: 60 * time.Second, period: 5 * time.Second,
+	}
+	whole, err := runScenario(opts, 4, io.Discard, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.failNode = 20 // the last suggested source
+	failed, err := runScenario(opts, 4, io.Discard, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 8 flows x 12 packets; node 20's last six fall after the failure.
+	if whole.Sent != 96 || failed.Sent != 90 {
+		t.Fatalf("sent %d without the failure and %d with it, want 96 and 90", whole.Sent, failed.Sent)
+	}
+}

@@ -28,7 +28,6 @@ import (
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/telemetry"
-	"github.com/digs-net/digs/internal/topology"
 )
 
 func main() {
@@ -61,7 +60,7 @@ func run(args []string) error {
 func cmdTake(args []string) error {
 	fs := flag.NewFlagSet("take", flag.ContinueOnError)
 	topoName := fs.String("topology", "testbed-a", "deployment: "+scenario.TopologyNames)
-	proto := fs.String("protocol", "digs", "stack: digs, orchestra, whart")
+	proto := fs.String("protocol", "digs", "stack: "+scenario.StackNames())
 	seed := fs.Int64("seed", 1, "simulation seed")
 	slots := fs.Int64("slots", 0, "slots to run before taking the snapshot")
 	period := fs.Duration("period", 5*time.Second, "flow packet period (dimensions the WirelessHART schedule)")
@@ -180,25 +179,22 @@ func cmdResume(args []string) error {
 		return resumePlan(sc, *planName, *trace)
 	}
 
-	var jsonl *telemetry.JSONL
-	var traceFile *os.File
+	var jsonl telemetry.Tracer
 	if *trace != "" {
-		traceFile, err = os.Create(*trace)
+		traceFile, err := os.Create(*trace)
 		if err != nil {
 			return err
 		}
 		defer traceFile.Close()
 		jsonl = telemetry.NewJSONL(traceFile)
-		sc.SetTracer(jsonl)
-		telemetry.AttachSim(sc.NW, jsonl)
+	}
+	obs, err := sc.Observe(jsonl, false, nil)
+	if err != nil {
+		return err
 	}
 	sc.NW.Run(*slots)
-	if jsonl != nil {
-		sc.SetTracer(nil)
-		telemetry.AttachSim(sc.NW, nil)
-		if err := jsonl.Flush(); err != nil {
-			return err
-		}
+	if err := obs.Close(); err != nil {
+		return err
 	}
 	fmt.Printf("ran %d slot(s), now at slot %d\n", *slots, sc.NW.ASN())
 	if *out != "" {
@@ -231,54 +227,25 @@ func resumePlan(sc *scenario.Scenario, planName, tracePath string) error {
 	}
 
 	rec := chaos.NewRecovery()
-	sinks := []telemetry.Tracer{rec}
-	var traceFile *os.File
+	var jsonl telemetry.Tracer
 	if tracePath != "" {
-		traceFile, err = os.Create(tracePath)
+		traceFile, err := os.Create(tracePath)
 		if err != nil {
 			return err
 		}
 		defer traceFile.Close()
-		sinks = append(sinks, telemetry.NewJSONL(traceFile))
+		jsonl = telemetry.NewJSONL(traceFile)
 	}
-	chain := telemetry.Multi(sinks...)
-
-	live := func() int {
-		n := 0
-		for i := 1; i <= topo.N(); i++ {
-			if !sc.NW.Failed(topology.NodeID(i)) {
-				n++
-			}
-		}
-		return n
-	}
-	inj, err := chaos.Apply(sc.NW, plan, chain, chaos.Hooks{
-		Converged: func() bool { return sc.Joined() >= live() },
-		Reboot: func(id topology.NodeID, asn sim.ASN, lose bool) {
-			sc.MACNode(int(id)).Reboot(asn, lose)
-		},
-	})
+	obs, err := sc.Observe(telemetry.Multi(rec, jsonl), false, plan)
 	if err != nil {
 		return err
 	}
-	sc.SetTracer(telemetry.Multi(chain, inj))
-	telemetry.AttachSim(sc.NW, chain)
 
 	period := sc.Params.Period
 	window := plan.Horizon() + 60*time.Second
-	fset := flows.FixedSet(topo.SuggestedSources, period)
-	flows.Schedule(sc.NW, fset, int(window/period), func(f flows.Flow, seq uint16, asn sim.ASN) {
-		if sc.NW.Failed(f.Source) {
-			return
-		}
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	sc.Drive(flows.FixedSet(topo.SuggestedSources, period), int(window/period), 0, nil)
 	sc.NW.Run(sim.SlotsFor(window + 45*time.Second))
-	sc.SetTracer(nil)
-	telemetry.AttachSim(sc.NW, nil)
-	if err := chain.Flush(); err != nil {
+	if err := obs.Close(); err != nil {
 		return err
 	}
 

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -96,22 +97,18 @@ func runScale(gen string, nodes, shards int, seed int64) error {
 	start := time.Now()
 	// The join tail is long at scale: the generators keep guard-band
 	// links, so the last few nodes hear a beacon only every ~100k slots.
-	budget := sim.ASN(120_000 + int64(nodes)*30)
-	sc.NW.RunUntil(budget, func() bool { return sc.Joined() == n })
+	budget := sim.TimeAt(120_000 + int64(nodes)*30)
+	if _, err := sc.Form(context.Background(), nil, 1.0, budget, 0); err != nil {
+		fmt.Printf("  %v; measuring the part that formed\n", err)
+	}
 	fmt.Printf("  %d/%d joined at slot %d (%.1fs wall, %.0f slots/s)\n",
 		sc.Joined(), n, sc.NW.ASN(), time.Since(start).Seconds(),
 		float64(sc.NW.ASN())/time.Since(start).Seconds())
 
 	col := metrics.NewCollector()
-	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, 2*time.Second)
 	const packets = 20
-	flows.Schedule(sc.NW, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		col.Sent(f.ID, seq, asn)
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	sc.Drive(fset, packets, 0, col)
 	// Drain long enough for the deepest paths: DiGS forwards one hop per
 	// app slotframe, and ScaledConfig's frame grows with N, so budget
 	// ~60 hops of frames on top of the injection span.

@@ -18,9 +18,9 @@ import (
 
 // sdnGraph is the adjacency view assembled from the collected reports.
 type sdnGraph struct {
-	nodes []topology.NodeID                      // sorted
-	adj   map[topology.NodeID][]sdnGraphEdge     // per node, sorted by peer
-	index map[topology.NodeID]struct{}           // membership
+	nodes []topology.NodeID                  // sorted
+	adj   map[topology.NodeID][]sdnGraphEdge // per node, sorted by peer
+	index map[topology.NodeID]struct{}       // membership
 }
 
 type sdnGraphEdge struct {

@@ -83,14 +83,14 @@ func TestEpochNewer(t *testing.T) {
 		e, have uint16
 		want    bool
 	}{
-		{1, 0, true},     // first config
-		{5, 4, true},     // normal advance
-		{5, 5, false},    // replay
-		{4, 5, false},    // stale
-		{5, 36, false},   // small regression: ignore
-		{1, 40, true},    // huge regression: controller restarted
-		{2, 65530, true},    // wraparound advance
-		{65530, 2, false},   // small regression hidden by the wrap: ignore
+		{1, 0, true},       // first config
+		{5, 4, true},       // normal advance
+		{5, 5, false},      // replay
+		{4, 5, false},      // stale
+		{5, 36, false},     // small regression: ignore
+		{1, 40, true},      // huge regression: controller restarted
+		{2, 65530, true},   // wraparound advance
+		{65530, 2, false},  // small regression hidden by the wrap: ignore
 		{100, 30000, true}, // huge backward jump: restart
 	}
 	for _, c := range cases {

@@ -73,9 +73,11 @@ func DefaultConfig(numAPs int) Config {
 }
 
 // paperEnvelopeNodes is the largest deployment the paper's fixed
-// slotframe lengths are dimensioned for (the Section VII-D large-scale
-// study). Up to here ScaledConfig returns DefaultConfig unchanged, so
-// every paper-reproduction testbed keeps its exact published schedule.
+// slotframe lengths are dimensioned for, counted as the paper counts it —
+// in field devices, the access points excluded (the Section VII-D
+// large-scale study: 150 devices and 2 access points). Up to here
+// ScaledConfig returns DefaultConfig unchanged, so every
+// paper-reproduction testbed keeps its exact published schedule.
 const paperEnvelopeNodes = 150
 
 // ScaledConfig returns a configuration dimensioned for a deployment of
@@ -106,7 +108,7 @@ const paperEnvelopeNodes = 150
 // distinct from RoutingFrameLen 47).
 func ScaledConfig(numAPs, nodes int) Config {
 	cfg := DefaultConfig(numAPs)
-	if nodes <= paperEnvelopeNodes {
+	if nodes-numAPs <= paperEnvelopeNodes {
 		return cfg
 	}
 	sync := nextPrime(int64(nodes) + 5)

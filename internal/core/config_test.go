@@ -8,10 +8,15 @@ import (
 // Within the paper envelope, ScaledConfig must not disturb the published
 // evaluation configuration at all — the reproduction figures depend on it.
 func TestScaledConfigPaperEnvelopeUnchanged(t *testing.T) {
-	for _, n := range []int{2, 50, 100, paperEnvelopeNodes} {
+	// 152 is the Section VII-D field itself: 150 devices plus 2 access points.
+	for _, n := range []int{2, 50, 100, paperEnvelopeNodes, 152} {
 		if got, want := ScaledConfig(2, n), DefaultConfig(2); !reflect.DeepEqual(got, want) {
 			t.Fatalf("ScaledConfig(2, %d) = %+v, want DefaultConfig %+v", n, got, want)
 		}
+	}
+	// One device more and the scaling rules engage.
+	if got := ScaledConfig(2, 153); got.NeighborTimeout <= DefaultConfig(2).NeighborTimeout {
+		t.Fatalf("ScaledConfig(2, 153) kept the paper NeighborTimeout %v", got.NeighborTimeout)
 	}
 }
 

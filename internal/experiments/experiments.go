@@ -8,18 +8,16 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/orchestra"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
-	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -53,10 +51,10 @@ type routeCounters interface {
 	ParentChanges() int64
 }
 
-// builtStack is the stack under test: the shared stack contract plus the
-// routers' history counters.
+// builtStack is the scenario under test plus the routers' history
+// counters, which only the concrete network types expose.
 type builtStack struct {
-	stack.Bundle
+	*scenario.Scenario
 	router func(i int) routeCounters
 }
 
@@ -69,120 +67,54 @@ func (n builtStack) ParentChangesOf(ids []topology.NodeID) int64 {
 	return total
 }
 
-// buildNetwork attaches the chosen protocol stack to a fresh network. A
+// buildNetwork builds the chosen protocol's scenario on a fresh network. A
 // non-nil digsCfg overrides the DiGS configuration (ablations).
-func buildNetwork(p Protocol, topo *topology.Topology, seed int64, digsCfg *core.Config) (*sim.Network, builtStack, error) {
-	nw := sim.NewNetwork(topo, seed)
+func buildNetwork(p Protocol, topo *topology.Topology, seed int64, digsCfg *core.Config) (builtStack, error) {
+	params := scenario.Params{Topology: topo, Seed: seed, DiGSConfig: digsCfg}
 	switch p {
 	case DiGS:
-		cfg, macCfg := core.DefaultConfig(topo.NumAPs), mac.DefaultConfig()
-		if digsCfg != nil {
-			cfg = *digsCfg
-		}
+		params.Protocol = snapshot.ProtocolDiGS
 		// DiGS schedules three attempts per slotframe where Orchestra has
 		// one, so equal-time retry persistence means a 3x attempt budget —
 		// for an ablated configuration too, or the ablation would vary two
 		// things.
-		macCfg.MaxTxPerPacket *= 3
-		net, err := core.Build(nw, cfg, macCfg, seed)
-		if err != nil {
-			return nil, builtStack{}, err
-		}
-		return nw, builtStack{net, func(i int) routeCounters { return net.Stacks[i].Router() }}, nil
+		params.MacBoost = 3
 	case Orchestra:
-		net, err := orchestra.Build(nw, orchestra.DefaultConfig(), mac.DefaultConfig(), seed)
-		if err != nil {
-			return nil, builtStack{}, err
-		}
-		return nw, builtStack{net, func(i int) routeCounters { return net.Stacks[i].Router() }}, nil
+		params.Protocol = snapshot.ProtocolOrchestra
 	default:
-		return nil, builtStack{}, fmt.Errorf("experiments: unknown protocol %d", p)
+		return builtStack{}, fmt.Errorf("experiments: unknown protocol %d", p)
 	}
-}
-
-// converge runs the network until every node has joined (or the budget
-// runs out). It returns an error when convergence fails: the experiment
-// would otherwise measure a half-formed network.
-func converge(nw *sim.Network, net stack.Bundle, budget time.Duration) error {
-	return convergeFraction(nw, net, budget, 1.0)
-}
-
-// convergeFraction accepts partial convergence: at least the given
-// fraction of nodes joined (large sparse deployments can have corner
-// stragglers that take tens of minutes, just as physical ones do).
-func convergeFraction(nw *sim.Network, net stack.Bundle, budget time.Duration, frac float64) error {
-	topo := nw.Topology()
-	want := int(math.Ceil(frac * float64(topo.N())))
-	if _, ok := nw.RunUntil(sim.SlotsFor(budget), func() bool {
-		return net.JoinedCount() >= want
-	}); !ok {
-		return fmt.Errorf("experiments: only %d/%d nodes joined within %v (want %d)",
-			net.JoinedCount(), topo.N(), budget, want)
+	sc, err := scenario.Build(params)
+	if err != nil {
+		return builtStack{}, err
 	}
-	return nil
+	net := builtStack{Scenario: sc}
+	switch b := sc.Bundle.(type) {
+	case *core.Network:
+		net.router = func(i int) routeCounters { return b.Stacks[i].Router() }
+	case *orchestra.Network:
+		net.router = func(i int) routeCounters { return b.Stacks[i].Router() }
+	}
+	return net, nil
 }
 
-// warmConverge brings a freshly built, never-stepped network to the
-// converged + settled state a measurement campaign starts from. With a
-// cache directory it restores a matching snapshot (see internal/snapshot)
-// instead of re-running formation, storing one on miss; continuing from
-// the restored state is bit-identical to having formed inline, so cached
-// and uncached campaigns produce the same figures.
-func warmConverge(cacheDir string, nw *sim.Network, net stack.Bundle, seed int64, settle time.Duration) error {
-	form := func() error {
-		if err := converge(nw, net, 240*time.Second); err != nil {
-			return err
-		}
-		nw.Run(sim.SlotsFor(settle))
+// formationCache is the shared formation cache (see scenario.Form) in a
+// campaign's CacheDir, nil — no caching — for the empty name.
+func formationCache(dir string) *snapshot.Cache {
+	if dir == "" {
 		return nil
 	}
-	if cacheDir == "" {
-		return form()
-	}
-	cache := &snapshot.Cache{Dir: cacheDir}
-	key := snapshot.Key{
-		Topology:   nw.Topology().Name,
-		Protocol:   net.Protocol(),
-		Seed:       seed,
-		ConfigHash: net.ConfigHash(),
-		Label:      fmt.Sprintf("formed+%ds", int(settle.Seconds())),
-	}
-	snap, err := cache.Load(key)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		return snap.Restore(nw, net)
-	}
-	if err := form(); err != nil {
-		return err
-	}
-	snap, err = snapshot.Take(snapshot.Meta{
-		Topology: key.Topology, Seed: seed, ConfigHash: key.ConfigHash, Label: key.Label,
-	}, nw, net)
-	if err != nil {
-		return err
-	}
-	return cache.Store(key, snap)
+	return &snapshot.Cache{Dir: dir}
 }
 
-// netStats sums MAC counters across all nodes.
-type netStats struct {
-	energyJ   float64
-	radioOn   time.Duration
-	delivered int64
-}
-
-func statsSnapshot(nw *sim.Network, net stack.Bundle) netStats {
-	nw.SettleNaps() // a napping node's counters lag until it wakes
-	var s netStats
-	for i := 1; i <= nw.Topology().N(); i++ {
-		st := net.MACNode(i).Stats()
-		s.energyJ += st.EnergyJoules
-		s.radioOn += st.RadioOnTime
-		s.delivered += st.SinkDelivered
+// drained reports whether every forwarding queue is empty.
+func (n builtStack) drained() bool {
+	for i := 1; i <= n.Params.Topology.N(); i++ {
+		if n.MACNode(i).QueueLen() > 0 {
+			return false
+		}
 	}
-	return s
+	return true
 }
 
 // FlowSetResult is one flow set's measurement (one sample of the paper's
@@ -217,8 +149,8 @@ type FlowSetOptions struct {
 // runFlowSets runs a sequence of flow sets on an already-converged
 // network, one after another (the network stays up, as a real deployment
 // would), and returns one result per flow set.
-func runFlowSets(nw *sim.Network, net stack.Bundle, opts FlowSetOptions) ([]FlowSetResult, error) {
-	topo := nw.Topology()
+func runFlowSets(net builtStack, opts FlowSetOptions) ([]FlowSetResult, error) {
+	nw, topo := net.NW, net.Params.Topology
 	rng := rand.New(rand.NewSource(opts.Seed*31 + 7))
 	results := make([]FlowSetResult, 0, opts.FlowSets)
 
@@ -236,44 +168,25 @@ func runFlowSets(nw *sim.Network, net stack.Bundle, opts FlowSetOptions) ([]Flow
 		}
 
 		col := metrics.NewCollector()
-		net.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
-			col.Delivered(f.FlowID, f.Seq, asn)
-		})
-		// Sequence numbers must be unique across windows: the MAC's
-		// duplicate suppression remembers (origin, flow, seq) end-to-end.
-		seqBase := uint16(set * opts.PacketsPerFlow)
-		flows.Schedule(nw, fset, opts.PacketsPerFlow, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			seq += seqBase
-			col.Sent(f.ID, seq, asn)
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-			})
-		})
+		net.Drive(fset, opts.PacketsPerFlow, uint16(set*opts.PacketsPerFlow), col)
 
-		before := statsSnapshot(nw, net)
+		energyBefore, radioBefore := net.Energy()
 		window := opts.PacketPeriod*time.Duration(opts.PacketsPerFlow) + opts.Drain
 		startASN := nw.ASN()
 		nw.Run(sim.SlotsFor(window))
-		after := statsSnapshot(nw, net)
+		energyAfter, radioAfter := net.Energy()
 		elapsed := sim.TimeAt(nw.ASN() - startASN)
 		net.OnDeliver(nil)
 
 		// Quiesce: drain every forwarding queue before the next flow set
 		// so one set's congestion does not bleed into the next (the
 		// paper's flow sets are independent measurements).
-		nw.RunUntil(sim.SlotsFor(3*time.Minute), func() bool {
-			for i := 1; i <= topo.N(); i++ {
-				if net.MACNode(i).QueueLen() > 0 {
-					return false
-				}
-			}
-			return true
-		})
+		nw.RunUntil(sim.SlotsFor(3*time.Minute), net.drained)
 		results = append(results, FlowSetResult{
 			PDR:              col.PDR(),
 			Latencies:        col.Latencies(),
-			PowerPerPacketMW: metrics.PowerPerPacketMW(after.energyJ-before.energyJ, elapsed, col.DeliveredCount()),
-			DutyPerPacketPct: metrics.DutyCyclePerPacket(after.radioOn-before.radioOn, topo.N(), elapsed, col.DeliveredCount()),
+			PowerPerPacketMW: metrics.PowerPerPacketMW(energyAfter-energyBefore, elapsed, col.DeliveredCount()),
+			DutyPerPacketPct: metrics.DutyCyclePerPacket(radioAfter-radioBefore, topo.N(), elapsed, col.DeliveredCount()),
 			DeliveredPackets: col.DeliveredCount(),
 			GeneratedPackets: col.SentCount(),
 		})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"github.com/digs-net/digs/internal/campaign"
@@ -106,11 +107,13 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 	digsCfg *core.Config, cacheDir string) (*FailureResult, error) {
 	out := &FailureResult{}
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed, digsCfg)
+	net, err := buildNetwork(proto, topo, seed, digsCfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := warmConverge(cacheDir, nw, net, seed, 60*time.Second); err != nil {
+	nw := net.NW
+	if _, err := net.Form(context.Background(), formationCache(cacheDir), 1.0,
+		240*time.Second, 60*time.Second); err != nil {
 		return nil, err
 	}
 
@@ -126,12 +129,7 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 		// carrying the most flow traffic (lifetime counters go stale once
 		// earlier victims reshape the graph).
 		fwdBefore := forwardedCounts(net, topo.N())
-		primeBase := uint16(50000 + v*100)
-		flows.Schedule(nw, fset, 6, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-				Origin: f.Source, FlowID: f.ID, Seq: primeBase + seq, BornASN: asn,
-			})
-		})
+		net.Drive(fset, 6, uint16(50000+v*100), nil)
 		nw.Run(sim.SlotsFor(45 * time.Second))
 		victim := pickVictimByDelta(nw, net, sources, fwdBefore)
 		if victim == 0 {
@@ -140,22 +138,14 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 		nw.Fail(victim)
 
 		col := metrics.NewCollector()
-		net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 		const packets = 12
 		// Unique sequence range per victim window (duplicate suppression
 		// is end-to-end on (origin, flow, seq)).
-		seqBase := uint16((v + 1) * 100)
-		flows.Schedule(nw, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			seq += seqBase
-			col.Sent(f.ID, seq, asn)
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-			})
-		})
-		before := statsSnapshot(nw, net)
+		net.Drive(fset, packets, uint16((v+1)*100), col)
+		before, _ := net.Energy()
 		start := nw.ASN()
 		nw.Run(sim.SlotsFor(5*time.Second*packets + 15*time.Second))
-		after := statsSnapshot(nw, net)
+		after, _ := net.Energy()
 		net.OnDeliver(nil)
 
 		for _, f := range fset {
@@ -167,7 +157,7 @@ func runFailureOnceCfg(proto Protocol, seed int64, victims int,
 			}
 		}
 		out.PowerPerPacket = append(out.PowerPerPacket, metrics.PowerPerPacketMW(
-			after.energyJ-before.energyJ, sim.TimeAt(nw.ASN()-start), col.DeliveredCount()))
+			after-before, sim.TimeAt(nw.ASN()-start), col.DeliveredCount()))
 
 		// Failures accumulate ("turning off 4 nodes ... in turn"): the
 		// routing graph has to absorb each loss on top of the previous
@@ -218,18 +208,17 @@ func pickVictimByDelta(nw *sim.Network, net stack.Bundle, sources map[topology.N
 // 30..40 each flow delivered.
 func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := converge(nw, net, 240*time.Second); err != nil {
+	nw := net.NW
+	if _, err := net.Form(context.Background(), nil, 1.0, 240*time.Second, 60*time.Second); err != nil {
 		return nil, err
 	}
-	nw.Run(sim.SlotsFor(60 * time.Second))
 
 	const period = 5 * time.Second
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, period)
 	sources := map[topology.NodeID]bool{}
 	for _, f := range fset {
@@ -237,12 +226,7 @@ func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	}
 	const totalPackets = 45
 	base := nw.ASN()
-	flows.Schedule(nw, fset, totalPackets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		col.Sent(f.ID, seq, asn)
-		_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	net.Drive(fset, totalPackets, 0, col)
 
 	// Warm the forwarding statistics on the early packets, then kill the
 	// busiest router just before packet 33 is generated.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -59,14 +60,16 @@ func RunFig12(opts LargeScaleOptions) (*InterferenceResult, error) {
 
 func runLargeScale(proto Protocol, opts LargeScaleOptions) ([]FlowSetResult, error) {
 	topo := topology.NewRandom(opts.Nodes, opts.AreaM, opts.AreaM, opts.Seed)
-	nw, net, err := buildNetwork(proto, topo, opts.Seed, nil)
+	net, err := buildNetwork(proto, topo, opts.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := convergeFraction(nw, net, 8*time.Minute, 0.98); err != nil {
+	nw := net.NW
+	// Partial convergence is accepted: a large sparse deployment can have
+	// corner stragglers that take tens of minutes, just as physical ones do.
+	if _, err := net.Form(context.Background(), nil, 0.98, 8*time.Minute, 30*time.Second); err != nil {
 		return nil, err
 	}
-	nw.Run(sim.SlotsFor(30 * time.Second))
 
 	// Disturbers: placed at spread-out field devices, toggling on/off
 	// every 5 minutes with staggered phases.
@@ -80,7 +83,7 @@ func runLargeScale(proto Protocol, opts LargeScaleOptions) ([]FlowSetResult, err
 	}
 	nw.Run(sim.SlotsFor(30 * time.Second))
 
-	return runFlowSets(nw, net, FlowSetOptions{
+	return runFlowSets(net, FlowSetOptions{
 		FlowSets:       opts.FlowSets,
 		FlowsPerSet:    opts.FlowsPerSet,
 		PacketPeriod:   10 * time.Second,
@@ -114,11 +117,11 @@ func RunFig13(seed int64) (*JoinTimesResult, error) {
 
 func runJoinTimes(proto Protocol, seed int64) ([]time.Duration, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := converge(nw, net, 300*time.Second); err != nil {
+	if _, err := net.Form(context.Background(), nil, 1.0, 300*time.Second, 0); err != nil {
 		return nil, fmt.Errorf("%v: %w", proto, err)
 	}
 	var times []time.Duration

@@ -1,14 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/flows"
-	"github.com/digs-net/digs/internal/interference"
-	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/telemetry"
@@ -112,54 +111,33 @@ const repairBudget = 150 * time.Second
 func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 	invariants bool) (RepairResult, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return RepairResult{}, err
 	}
-	if tr != nil {
-		net.SetTracer(tr)
-		telemetry.AttachSim(nw, tr)
-	}
-	if err := converge(nw, net, 240*time.Second); err != nil {
+	nw := net.NW
+	// The trace covers the formation too; the full chain replaces the bare
+	// tracer once the network has formed.
+	if _, err := net.Observe(tr, false, nil); err != nil {
 		return RepairResult{}, err
 	}
-	// Let routing settle before the disturbance.
-	nw.Run(sim.SlotsFor(60 * time.Second))
-
-	// The invariant monitor attaches once the network is formed; it rides
-	// the tracer chain and emits violations into the trace when one is
-	// being written.
-	var mon *invariant.Monitor
-	if invariants {
-		mon = invariant.New(invariant.Config{Emit: tr, Heal: net.Healer(nw)})
-		var chain telemetry.Tracer = mon
-		if tr != nil {
-			chain = telemetry.Multi(tr, mon)
-		}
-		net.SetTracer(chain)
-		invariant.Attach(nw, mon, net.Prober(nw), 0)
+	// Let routing settle for a minute before the disturbance.
+	if _, err := net.Form(context.Background(), nil, 1.0, 240*time.Second, 60*time.Second); err != nil {
+		return RepairResult{}, err
+	}
+	obs, err := net.Observe(tr, invariants, nil)
+	if err != nil {
+		return RepairResult{}, err
 	}
 
 	// Arm the jammers to start now.
 	jamStart := nw.ASN()
-	for j := 0; j < jammerCount && j < len(topo.SuggestedJammers); j++ {
-		nw.AddInterferer(&interference.Window{
-			Source:   interference.NewWiFiJammer(topo, topo.SuggestedJammers[j], wifiChannelFor(j), seed+int64(j)),
-			StartASN: jamStart,
-		})
-	}
+	net.Jam(jammerCount)
 
 	// Traffic during the repair: the paper's 8 flows at 5 s period.
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, 5*time.Second)
-	packets := int(repairBudget / (5 * time.Second))
-	flows.Schedule(nw, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		col.Sent(f.ID, seq, asn)
-		_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	net.Drive(fset, int(repairBudget/(5*time.Second)), 0, col)
 
 	// Watch routing churn among the nodes the jammers actually disturb:
 	// the repair ends when their parent changes stop. (Network-wide
@@ -185,13 +163,8 @@ func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 		}
 	}
 	net.OnDeliver(nil)
-
-	if tr != nil {
-		net.SetTracer(nil)
-		telemetry.AttachSim(nw, nil)
-		if err := tr.Flush(); err != nil {
-			return RepairResult{}, fmt.Errorf("fig 4/5 trace flush: %w", err)
-		}
+	if err := obs.Close(); err != nil {
+		return RepairResult{}, fmt.Errorf("fig 4/5 trace flush: %w", err)
 	}
 
 	pdrs := make([]float64, 0, len(fset))
@@ -199,8 +172,8 @@ func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
 		pdrs = append(pdrs, col.FlowPDR(f.ID))
 	}
 	res := RepairResult{Jammers: jammerCount, RepairTime: repair, FlowPDRs: pdrs}
-	if mon != nil {
-		rep := mon.Report()
+	if obs.Monitor != nil {
+		rep := obs.Monitor.Report()
 		res.Violations = rep.Total
 		res.Repairs = rep.Repairs
 	}
@@ -223,11 +196,6 @@ func jamCohort(nw *sim.Network, jammerCount int) []topology.NodeID {
 		}
 	}
 	return out
-}
-
-// wifiChannelFor spreads jammers across the common WiFi channels.
-func wifiChannelFor(i int) int {
-	return []int{1, 6, 11, 6}[i%4]
 }
 
 // RepairTimesSeconds extracts the Figure 4 CDF samples.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -101,11 +102,13 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 	if opts.Testbed == "B" {
 		topo = testbedBTopo()
 	}
-	nw, net, err := buildNetwork(proto, topo, opts.Seed, opts.DiGSConfig)
+	net, err := buildNetwork(proto, topo, opts.Seed, opts.DiGSConfig)
 	if err != nil {
 		return nil, err
 	}
-	if err := warmConverge(opts.CacheDir, nw, net, opts.Seed, 30*time.Second); err != nil {
+	nw := net.NW
+	if _, err := net.Form(context.Background(), formationCache(opts.CacheDir), 1.0,
+		240*time.Second, 30*time.Second); err != nil {
 		return nil, err
 	}
 
@@ -131,25 +134,13 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 		if err != nil {
 			return nil, err
 		}
-		seqBase := uint16(50000 + round*100)
-		flows.Schedule(nw, prime, 14, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-				Origin: f.Source, FlowID: f.ID, Seq: seqBase + seq, BornASN: asn,
-			})
-		})
+		net.Drive(prime, 14, uint16(50000+round*100), nil)
 		nw.Run(sim.SlotsFor(80 * time.Second))
 	}
 	// Drain priming residue before the first measured set.
-	nw.RunUntil(sim.SlotsFor(2*time.Minute), func() bool {
-		for i := 1; i <= topo.N(); i++ {
-			if net.MACNode(i).QueueLen() > 0 {
-				return false
-			}
-		}
-		return true
-	})
+	nw.RunUntil(sim.SlotsFor(2*time.Minute), net.drained)
 
-	return runFlowSets(nw, net, FlowSetOptions{
+	return runFlowSets(net, FlowSetOptions{
 		FlowSets:       opts.FlowSets,
 		FlowsPerSet:    opts.FlowsPerSet,
 		PacketPeriod:   5 * time.Second,
@@ -174,35 +165,30 @@ type MicrobenchResult struct {
 // the result records which of those packets each flow delivered.
 func RunFig9f(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	topo := testbedATopo()
-	nw, net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := converge(nw, net, 240*time.Second); err != nil {
+	nw := net.NW
+	if _, err := net.Form(context.Background(), nil, 1.0, 240*time.Second, 30*time.Second); err != nil {
 		return nil, err
 	}
-	nw.Run(sim.SlotsFor(30 * time.Second))
 
 	const period = 5 * time.Second
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 	fset := flows.FixedSet(topo.SuggestedSources, period)
 	const totalPackets = 90
 	base := nw.ASN()
-	flows.Schedule(nw, fset, totalPackets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		col.Sent(f.ID, seq, asn)
-		_ = net.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	net.Drive(fset, totalPackets, 0, col)
 
 	// Heavy jammer burst while packets ~75..81 are generated: each jammer
 	// position radiates on two WiFi channels at once (a saturated
 	// backhaul), which is what makes the baseline lose packets outright.
 	burstStart := base + sim.SlotsFor(period)*74
 	burstStop := base + sim.SlotsFor(period)*79
+	wifiPairs := [][2]int{{1, 6}, {6, 11}, {11, 6}}
 	for j, at := range topo.SuggestedJammers {
-		for k, wifiCh := range []int{wifiChannelFor(j), wifiChannelFor(j + 1)} {
+		for k, wifiCh := range wifiPairs[j%len(wifiPairs)] {
 			nw.AddInterferer(&interference.Window{
 				Source:   interference.NewWiFiJammer(topo, at, wifiCh, seed+int64(j*2+k)),
 				StartASN: burstStart,

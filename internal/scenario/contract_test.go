@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -70,6 +71,76 @@ func TestSnapshotImportsNoStack(t *testing.T) {
 	}
 	if got, want := stack.Registered(), RegisteredStacks(); !reflect.DeepEqual(got, want) {
 		t.Errorf("snapshot layer decodes %v, scenario layer builds %v", got, want)
+	}
+}
+
+// TestRunPhasesWrittenOnce pins the one run pipeline: the fault/observer
+// wiring and the injection closure exist in this package only. Outside it
+// (and outside the packages that define them, test files and bench/, a
+// module of its own) no file calls chaos.Apply, invariant.Attach or
+// flows.Schedule, except the named hold-outs: Figure 9/10's silent
+// application of the Figure 8 plan (nil emit, no hooks — there is no chain
+// to build) and the examples that do not use this package at all.
+func TestRunPhasesWrittenOnce(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	banned := map[string]bool{"chaos.Apply": true, "invariant.Attach": true, "flows.Schedule": true}
+	holdOut := map[string]string{"internal/experiments/fig9_10.go": "chaos.Apply"}
+	walked := 0
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			switch rel {
+			case "bench", ".bench_build", ".git", "internal/scenario", "internal/chaos", "internal/flows", "internal/invariant":
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(rel, ".go") || strings.HasSuffix(rel, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		walked++
+		usesScenario := false
+		for _, imp := range f.Imports {
+			usesScenario = usesScenario || imp.Path.Value == strconv.Quote(modulePath+"internal/scenario")
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			pkg, ok := sel.X.(*ast.Ident)
+			if !ok {
+				return true
+			}
+			name := pkg.Name + "." + sel.Sel.Name
+			if !banned[name] || holdOut[rel] == name || (strings.HasPrefix(rel, "examples/") && !usesScenario) {
+				return true
+			}
+			t.Errorf("%s calls %s: compose the phases in internal/scenario instead", rel, name)
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walked < 50 {
+		t.Fatalf("source walk saw only %d files from %s", walked, root)
 	}
 }
 

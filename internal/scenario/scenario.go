@@ -241,38 +241,3 @@ func (sc *Scenario) CacheKey(label string) snapshot.Key {
 		Label:      label,
 	}
 }
-
-// WarmStart brings the scenario to the phase named by label: from the
-// cache when a snapshot is there (restoring it), otherwise by running
-// form — which must leave the scenario at that phase and return any extra
-// metadata to record — and storing the result for the next caller. It
-// returns the snapshot metadata and whether the cache supplied it.
-func (sc *Scenario) WarmStart(cache *snapshot.Cache, label string,
-	form func() (map[string]string, error)) (snapshot.Meta, bool, error) {
-	if cache != nil {
-		snap, err := cache.Load(sc.CacheKey(label))
-		if err != nil {
-			return snapshot.Meta{}, false, err
-		}
-		if snap != nil {
-			if err := sc.Restore(snap); err != nil {
-				return snapshot.Meta{}, false, err
-			}
-			return snap.Meta, true, nil
-		}
-	}
-	extra, err := form()
-	if err != nil {
-		return snapshot.Meta{}, false, err
-	}
-	snap, err := sc.Take(label, extra)
-	if err != nil {
-		return snapshot.Meta{}, false, err
-	}
-	if cache != nil {
-		if err := cache.Store(sc.CacheKey(label), snap); err != nil {
-			return snapshot.Meta{}, false, err
-		}
-	}
-	return snap.Meta, false, nil
-}

@@ -2,9 +2,9 @@ package scenario
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
-	"strconv"
 	"testing"
 	"time"
 
@@ -16,24 +16,15 @@ import (
 	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
-	"github.com/digs-net/digs/internal/topology"
 )
 
 const testTopo = "half-testbed-a"
 
-// form runs the scenario through network formation plus the 30 s settling
-// margin every consumer uses before measuring, and returns the metadata a
-// warm-started run needs to report identically.
-func form(sc *Scenario) (map[string]string, error) {
-	n := sc.Params.Topology.N()
-	slots, ok := sc.NW.RunUntil(sim.SlotsFor(6*time.Minute), func() bool {
-		return sc.Joined() == n
-	})
-	if !ok {
-		return nil, fmt.Errorf("only %d/%d joined during formation", sc.Joined(), n)
-	}
-	sc.NW.Run(sim.SlotsFor(30 * time.Second))
-	return map[string]string{"formed_slots": strconv.FormatInt(slots, 10)}, nil
+// form runs the scenario through the formation phase every consumer uses
+// before measuring — full join, 30 s settling margin — warm-starting from
+// the cache when one is given.
+func form(sc *Scenario, cache *snapshot.Cache) (Formation, error) {
+	return sc.Form(context.Background(), cache, 1.0, 6*time.Minute, 30*time.Second)
 }
 
 // runTraffic drives a fixed-source traffic window over the scenario with a
@@ -42,26 +33,17 @@ func form(sc *Scenario) (map[string]string, error) {
 // comparable between two runs that should be identical.
 func runTraffic(sc *Scenario) ([]byte, *metrics.CollectorState, error) {
 	var trace bytes.Buffer
-	jsonl := telemetry.NewJSONL(&trace)
-	sc.SetTracer(jsonl)
-	telemetry.AttachSim(sc.NW, jsonl)
+	obs, err := sc.Observe(telemetry.NewJSONL(&trace), false, nil)
+	if err != nil {
+		return nil, nil, err
+	}
 	col := metrics.NewCollector()
-	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
-
 	const packets = 20
 	period := time.Second
-	fset := flows.FixedSet(sc.Params.Topology.SuggestedSources, period)
-	flows.Schedule(sc.NW, fset, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-		col.Sent(f.ID, seq, asn)
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	sc.Drive(flows.FixedSet(sc.Params.Topology.SuggestedSources, period), packets, 0, col)
 	sc.NW.Run(sim.SlotsFor(period*packets + 15*time.Second))
 	sc.OnDeliver(nil)
-	sc.SetTracer(nil)
-	telemetry.AttachSim(sc.NW, nil)
-	if err := jsonl.Flush(); err != nil {
+	if err := obs.Close(); err != nil {
 		return nil, nil, err
 	}
 	return trace.Bytes(), col.CaptureState(), nil
@@ -81,7 +63,7 @@ func TestResumeBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := form(scA); err != nil {
+			if _, err := form(scA, nil); err != nil {
 				t.Fatal(err)
 			}
 			snapS, err := scA.Take("formed+30s", nil)
@@ -163,40 +145,15 @@ func runChaos(sc *Scenario) ([]chaos.FaultReport, int, int, error) {
 	topo := sc.Params.Topology
 	plan := chaos.Fig8JammerPlan(topo, sc.Params.Seed)
 	rec := chaos.NewRecovery()
-	chain := telemetry.Multi(rec)
-	live := func() int {
-		n := 0
-		for i := 1; i <= topo.N(); i++ {
-			if !sc.NW.Failed(topology.NodeID(i)) {
-				n++
-			}
-		}
-		return n
-	}
-	inj, err := chaos.Apply(sc.NW, plan, chain, chaos.Hooks{
-		Converged: func() bool { return sc.Joined() >= live() },
-		Reboot: func(id topology.NodeID, asn sim.ASN, lose bool) {
-			sc.MACNode(int(id)).Reboot(asn, lose)
-		},
-	})
+	obs, err := sc.Observe(rec, false, plan)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	sc.SetTracer(telemetry.Multi(chain, inj))
 	period := time.Second
-	fset := flows.FixedSet(topo.SuggestedSources, period)
 	window := plan.Horizon() + 60*time.Second
-	flows.Schedule(sc.NW, fset, int(window/period), func(f flows.Flow, seq uint16, asn sim.ASN) {
-		if sc.NW.Failed(f.Source) {
-			return
-		}
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
-	})
+	sc.Drive(flows.FixedSet(topo.SuggestedSources, period), int(window/period), 0, nil)
 	sc.NW.Run(sim.SlotsFor(window + 30*time.Second))
-	sc.SetTracer(nil)
-	if err := chain.Flush(); err != nil {
+	if err := obs.Close(); err != nil {
 		return nil, 0, 0, err
 	}
 	return rec.Report(), rec.Generated(), rec.Lost(), nil
@@ -216,13 +173,11 @@ func TestWarmStartChaosRecovery(t *testing.T) {
 	}
 
 	cold := build()
-	meta, warmed, err := cold.WarmStart(cache, "formed+30s", func() (map[string]string, error) {
-		return form(cold)
-	})
+	coldForm, err := form(cold, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warmed {
+	if coldForm.Warm {
 		t.Fatal("first run must miss the empty cache")
 	}
 	coldRep, coldGen, coldLost, err := runChaos(cold)
@@ -231,18 +186,15 @@ func TestWarmStartChaosRecovery(t *testing.T) {
 	}
 
 	warm := build()
-	wMeta, warmed, err := warm.WarmStart(cache, "formed+30s", func() (map[string]string, error) {
-		t.Fatal("warm run must not re-form")
-		return nil, nil
-	})
+	warmForm, err := form(warm, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !warmed {
+	if !warmForm.Warm {
 		t.Fatal("second run must hit the cache")
 	}
-	if wMeta.Extra["formed_slots"] != meta.Extra["formed_slots"] || wMeta.Extra["formed_slots"] == "" {
-		t.Fatalf("formation metadata lost: %q vs %q", wMeta.Extra["formed_slots"], meta.Extra["formed_slots"])
+	if warmForm.Slots != coldForm.Slots || warmForm.Slots == 0 {
+		t.Fatalf("formation metadata lost: %d vs %d", warmForm.Slots, coldForm.Slots)
 	}
 	warmRep, warmGen, warmLost, err := runChaos(warm)
 	if err != nil {
@@ -281,9 +233,7 @@ func TestWarmStartCampaignDeterminism(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			meta, _, err := sc.WarmStart(cache, "formed+30s", func() (map[string]string, error) {
-				return form(sc)
-			})
+			formed, err := form(sc, cache)
 			if err != nil {
 				return "", err
 			}
@@ -299,8 +249,8 @@ func TestWarmStartCampaignDeterminism(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return fmt.Sprintf("formed=%s trace=%d delivered=%d state=%x",
-				meta.Extra["formed_slots"], len(trace), len(col.Delivered), stack.HashConfig(wire)), nil
+			return fmt.Sprintf("formed=%d trace=%d delivered=%d state=%x",
+				formed.Slots, len(trace), len(col.Delivered), stack.HashConfig(wire)), nil
 		})
 	}
 
