@@ -136,46 +136,31 @@ controller-smoke:
 	$(GO) run ./cmd/digs-chaos -plan fig8 -topology testbed-a -duration 30s -require-recovery >/dev/null
 	@echo controller-smoke: OK
 
-## server-smoke: the simulation service end to end — self-host a
-## digs-server, submit a small generated plant over HTTP, follow its SSE
-## telemetry stream to completion, verify the result hash and the
-## content-addressed store round-trip, demand a cache hit on
-## resubmission, and byte-compare the server's result against a direct
-## in-process run of the same spec.
+## server-smoke: the simulation service end to end, race-enabled —
+## submit over HTTP, follow the SSE stream to completion, verify the
+## result hash and the content-addressed store round-trip, demand a cache
+## hit on resubmission, and byte-compare the server's result against a
+## direct in-process run of the same spec on both engines.
 server-smoke:
-	$(GO) run ./cmd/digs-load -smoke
+	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter' ./internal/server
 
 ## recover-smoke: the crash-safety contract end to end — race-enabled
-## journal/retry/degraded-mode tests, then the real-process harness:
-## build digs-server, SIGKILL it mid-burst, restart on the same data
-## directory, and fail unless every acknowledged job reaches done with
-## verified result bytes (zero accepted jobs lost).
-RECOVER_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-recover-smoke
+## journal/retry/degraded-mode tests, then the real process: build
+## digs-server, SIGKILL it mid-burst, restart on the same data directory,
+## and fail unless every acknowledged job reaches done with verified result
+## bytes (zero accepted jobs lost).
 recover-smoke:
-	$(GO) test -race -run 'Journal|Replay|Retry|Panic|Degraded|Recover|Quarantine' ./internal/server
-	rm -rf $(RECOVER_DIR) && mkdir -p $(RECOVER_DIR)
-	$(GO) build -o $(RECOVER_DIR)/digs-server ./cmd/digs-server
-	$(GO) run ./cmd/digs-load -crash -server-bin $(RECOVER_DIR)/digs-server
-	@echo recover-smoke: OK
+	$(GO) test -race -count=1 -run 'Journal|Replay|Retry|Panic|Degraded|Recover|Quarantine|TestCrashLosesNoAcceptedJob' ./internal/server ./cmd/digs-server
 
-## gateway-smoke: the fault-tolerant front tier end to end —
-## race-enabled gateway and fault-proxy tests (routing, breakers,
-## replication, read-repair, SSE failover reattach), the in-process
-## partition harness (blackhole one backend mid-burst, demand eviction
-## within the probe budget and zero surfaced errors), and the real
-## 1-gateway/3-backend harness that SIGKILLs the busiest backend
-## mid-burst and fails unless every acknowledged job reaches done with
-## verified result bytes.
-GATEWAY_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-gateway-smoke
+## gateway-smoke: the fault-tolerant front tier end to end — race-enabled
+## gateway and fault-proxy tests (routing, breakers, replication,
+## read-repair, SSE failover reattach, the failover matrix that partitions
+## each replica rank mid-burst and demands eviction within the probe budget
+## and zero surfaced errors), then the real 1-gateway/3-backend tier that
+## SIGKILLs the busiest backend mid-burst and fails unless every
+## acknowledged job reaches done with verified result bytes.
 gateway-smoke:
-	$(GO) test -race ./internal/gateway/...
-	$(GO) run ./cmd/digs-load -gateway -partition
-	rm -rf $(GATEWAY_DIR) && mkdir -p $(GATEWAY_DIR)
-	$(GO) build -o $(GATEWAY_DIR)/digs-server ./cmd/digs-server
-	$(GO) build -o $(GATEWAY_DIR)/digs-gateway ./cmd/digs-gateway
-	$(GO) run ./cmd/digs-load -gateway -crash \
-		-server-bin $(GATEWAY_DIR)/digs-server -gateway-bin $(GATEWAY_DIR)/digs-gateway
-	@echo gateway-smoke: OK
+	$(GO) test -race -count=1 ./internal/gateway/... ./cmd/digs-gateway
 
 ## bench-gate: the repo's benchmark (BENCHMARK.json): four workloads,
 ## every op verified, end-to-end and per-layer metrics. Kept out of `ci`:

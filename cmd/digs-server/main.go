@@ -45,7 +45,7 @@ func run() error {
 	quota := flag.Int("quota", 8, "max queued+running jobs per tenant (0 = unlimited)")
 	maxNodes := flag.Int("max-nodes", 20000, "largest deployment accepted (413 above)")
 	dataDir := flag.String("data", "digs-server-data",
-		"data root: results/ (content-addressed store) and warm/ (snapshot pool); empty disables caching")
+		"data root: results/ (content-addressed store), warm/ (snapshot pool) and the job journal; empty disables all three")
 	resultEntries := flag.Int("result-entries", 4096, "result store LRU budget (entries, 0 = unbounded)")
 	warmEntries := flag.Int("warm-entries", 256, "warm pool LRU budget (snapshots, 0 = unbounded)")
 	warmBytes := flag.Int64("warm-bytes", 1<<30, "warm pool LRU budget (bytes, 0 = unbounded)")
@@ -58,32 +58,23 @@ func run() error {
 	retryBase := flag.Duration("retry-base", 200*time.Millisecond,
 		"backoff before a failed attempt's retry (doubles per failure, jittered)")
 	retryCap := flag.Duration("retry-cap", 5*time.Second, "backoff ceiling")
-	noJournal := flag.Bool("no-journal", false,
-		"disable the durable job journal: accepted jobs no longer survive a crash")
-	noJournalSync := flag.Bool("no-journal-sync", false,
-		"skip the per-record journal fsync (faster submits, crash durability best-effort)")
-	degradedAccept := flag.Bool("degraded-accept", false,
-		"keep accepting submissions after journal/store writes start failing (default: shed with 503)")
 	name := flag.String("name", "",
 		"backend instance name echoed as X-DiGS-Backend (multi-node tiers; empty = no header)")
 	flag.Parse()
 
 	srv, err := server.New(server.Config{
-		Workers:              *workers,
-		QueueDepth:           *queue,
-		TenantQuota:          *quota,
-		MaxNodes:             *maxNodes,
-		DataDir:              *dataDir,
-		ResultBudget:         store.Budget{MaxEntries: *resultEntries},
-		WarmBudget:           store.Budget{MaxEntries: *warmEntries, MaxBytes: *warmBytes},
-		FinishedJobCap:       *finishedJobs,
-		MaxAttempts:          *maxAttempts,
-		RetryBase:            *retryBase,
-		RetryCap:             *retryCap,
-		DisableJournal:       *noJournal,
-		JournalNoSync:        *noJournalSync,
-		AllowDegradedSubmits: *degradedAccept,
-		Name:                 *name,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		TenantQuota:    *quota,
+		MaxNodes:       *maxNodes,
+		DataDir:        *dataDir,
+		ResultBudget:   store.Budget{MaxEntries: *resultEntries},
+		WarmBudget:     store.Budget{MaxEntries: *warmEntries, MaxBytes: *warmBytes},
+		FinishedJobCap: *finishedJobs,
+		MaxAttempts:    *maxAttempts,
+		RetryBase:      *retryBase,
+		RetryCap:       *retryCap,
+		Name:           *name,
 	})
 	if err != nil {
 		return fmt.Errorf("recovering server state: %w", err)

@@ -1,53 +1,56 @@
 package gateway
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
 	"github.com/digs-net/digs/internal/gateway/faultproxy"
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/server"
+	"github.com/digs-net/digs/internal/server/servertest"
 )
 
 // faultedTier is a gateway over real backends, each behind its own
 // fault proxy.
 type faultedTier struct {
-	g     *Gateway
-	ts    *httptest.Server
-	fleet *faultproxy.Fleet
+	g      *Gateway
+	ts     *httptest.Server
+	fleet  *faultproxy.Fleet
+	direct []string // backend base URLs past the proxies, in fleet order
 }
 
-// proxyFor maps a gateway backend key (a proxy URL) to its proxy.
-func (ft *faultedTier) proxyFor(t *testing.T, key string) *faultproxy.Proxy {
+// proxyFor maps a gateway backend key (a proxy URL) to its proxy and to
+// the backend's own URL behind it.
+func (ft *faultedTier) proxyFor(t *testing.T, key string) (*faultproxy.Proxy, string) {
 	t.Helper()
-	for _, p := range ft.fleet.Proxies {
+	for i, p := range ft.fleet.Proxies {
 		if p.URL() == key {
-			return p
+			return p, ft.direct[i]
 		}
 	}
 	t.Fatalf("no fault proxy for backend %s", key)
-	return nil
+	return nil, ""
 }
+
+// Probe settings of the faulted tier; the eviction budget follows from them.
+const (
+	faultedProbeInterval = 100 * time.Millisecond
+	faultedProbeTimeout  = 500 * time.Millisecond
+)
 
 // newFaultedTier stands up n backends behind fault proxies and a
 // gateway tuned for fast fault detection.
 func newFaultedTier(t *testing.T, n int) *faultedTier {
 	t.Helper()
+	ft := &faultedTier{}
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
 		ts := newBackendTS(t, fmt.Sprintf("b%d", i))
+		ft.direct = append(ft.direct, ts.URL)
 		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
 	}
 	fleet, err := faultproxy.NewFleet(addrs)
@@ -55,21 +58,24 @@ func newFaultedTier(t *testing.T, n int) *faultedTier {
 		t.Fatal(err)
 	}
 	t.Cleanup(fleet.Close)
-	g, ts := newTestGateway(t, Config{
+	ft.fleet = fleet
+	ft.g, ft.ts = newTestGateway(t, Config{
 		Backends:        fleet.URLs(),
 		Replicas:        2,
-		ProbeInterval:   100 * time.Millisecond,
-		ProbeTimeout:    500 * time.Millisecond,
+		ProbeInterval:   faultedProbeInterval,
+		ProbeTimeout:    faultedProbeTimeout,
 		BreakerFailures: 2,
 		BreakerOpenFor:  500 * time.Millisecond,
 		RequestTimeout:  2 * time.Second,
 	})
-	return &faultedTier{g: g, ts: ts, fleet: fleet}
+	return ft
 }
 
-// TestFailoverMatrix partitions each replica rank mid-burst and demands
-// the same outcome every time: zero submission errors, every
-// acknowledged job done, every result intact.
+// TestFailoverMatrix partitions each replica rank mid-burst (new
+// connections hang, established ones are reset) and demands the same
+// outcome every time: the probe evicts the victim inside its budget, zero
+// submission errors, every acknowledged job done with intact bytes, and the
+// healed backend re-admitted.
 func TestFailoverMatrix(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -80,177 +86,61 @@ func TestFailoverMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ft := newFaultedTier(t, 3)
-			const jobs = 6
-			seedBase := int64(20000 + 1000*tc.victimRank)
+			cl := server.Client{Base: ft.ts.URL}
+			var victim *backend
+			var proxy *faultproxy.Proxy
+			acked, surfaced := servertest.Burst(t, cl, 6, int64(20000+1000*tc.victimRank), func(half []servertest.Acked) {
+				// Partition the chosen replica rank of the first acked job.
+				replicas, _ := ft.g.replicaSet(half[0].SpecHash)
+				victim = replicas[tc.victimRank]
+				var direct string
+				proxy, direct = ft.proxyFor(t, victim.key)
+				// The partition must land on work, not on an idle spare: the
+				// victim's own word, past the proxy, that it holds unfinished
+				// jobs.
+				servertest.AwaitBusy(t, direct)
+				partitionedAt := time.Now()
+				proxy.Partition()
 
-			type acked struct{ jobID, hash string }
-			var (
-				mu   sync.Mutex
-				acc  []acked
-				errs []string
-			)
-			halfway := make(chan struct{})
-			var once sync.Once
-			var wg sync.WaitGroup
-			for i := 0; i < jobs; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					spec := testSpec(seedBase + int64(i))
-					body, _ := json.Marshal(spec)
-					resp, err := http.Post(ft.ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
-					mu.Lock()
-					defer mu.Unlock()
-					if err != nil {
-						errs = append(errs, err.Error())
-						return
+				// Detection contract: one probe interval + timeout, plus
+				// scheduling slack.
+				budget := faultedProbeInterval + faultedProbeTimeout + 1500*time.Millisecond
+				for victim.ready.Load() {
+					st, opens := victim.br.snapshot()
+					if st == stateOpen {
+						break
 					}
-					var doc struct {
-						JobID    string `json:"job_id"`
-						SpecHash string `json:"spec_hash"`
-						Error    string `json:"error"`
+					if time.Since(partitionedAt) > budget {
+						t.Fatalf("partitioned backend %s still routable after %v (ready=%v breaker=%v opens=%d probeErr=%q)",
+							victim.key, budget, victim.ready.Load(), st, opens, victim.probeErr.Load())
 					}
-					derr := json.NewDecoder(resp.Body).Decode(&doc)
-					resp.Body.Close()
-					if derr != nil || resp.StatusCode != http.StatusAccepted {
-						errs = append(errs, fmt.Sprintf("seed %d: HTTP %d %s (%v)", seedBase+int64(i), resp.StatusCode, doc.Error, derr))
-						return
-					}
-					acc = append(acc, acked{doc.JobID, doc.SpecHash})
-					if len(acc) == jobs/2 {
-						once.Do(func() { close(halfway) })
-					}
-				}(i)
+					time.Sleep(20 * time.Millisecond)
+				}
+				t.Logf("evicted in %v (budget %v)", time.Since(partitionedAt).Round(time.Millisecond), budget)
+			})
+			if len(surfaced) > 0 {
+				t.Fatalf("%d submissions surfaced errors through the gateway:\n  %s",
+					len(surfaced), strings.Join(surfaced, "\n  "))
 			}
-			select {
-			case <-halfway:
-			case <-time.After(30 * time.Second):
-				t.Fatal("burst never reached half acknowledged")
+			servertest.VerifyAcked(t, cl, acked)
+			// Replication counts as resubmits, so this catches only a tier
+			// that did nothing at all; AwaitBusy is what proves the fault landed.
+			if n := ft.g.failovers.Load() + ft.g.resubmits.Load() + ft.g.readRepairs.Load(); n == 0 {
+				t.Fatal("the gateway never failed over, resubmitted or repaired: the partition hit nothing")
 			}
 
-			// Partition the chosen replica rank of the first acked job.
-			mu.Lock()
-			firstHash := acc[0].hash
-			mu.Unlock()
-			replicas, _ := ft.g.replicaSet(firstHash)
-			victim := replicas[tc.victimRank]
-			ft.proxyFor(t, victim.key).Partition()
-
-			// The probe must evict the victim within interval + timeout
-			// (wide slack here: the suite runs many sims concurrently, and
-			// the tight-budget assertion lives in digs-load -partition).
-			evictDeadline := time.Now().Add(10 * time.Second)
-			for victim.ready.Load() {
-				if st, _ := victim.br.snapshot(); st == stateOpen {
+			// Heal: a probe success is the breaker's half-open trial.
+			proxy.Heal()
+			for healedAt := time.Now(); ; time.Sleep(20 * time.Millisecond) {
+				if st, _ := victim.br.snapshot(); victim.ready.Load() && st == stateClosed {
 					break
 				}
-				if time.Now().After(evictDeadline) {
-					st, opens := victim.br.snapshot()
-					t.Fatalf("partitioned backend %s never evicted (ready=%v breaker=%v opens=%d probeErr=%q)",
-						victim.key, victim.ready.Load(), st, opens, victim.probeErr.Load())
-				}
-				time.Sleep(20 * time.Millisecond)
-			}
-
-			wg.Wait()
-			if len(errs) > 0 {
-				t.Fatalf("%d submissions surfaced errors through the gateway:\n  %s",
-					len(errs), strings.Join(errs, "\n  "))
-			}
-
-			for _, a := range acc {
-				view := waitJobDone(t, ft.ts.URL, a.jobID)
-				if view.Status != server.StatusDone {
-					t.Fatalf("job %s ended %s: %s", a.jobID, view.Status, view.Error)
-				}
-				resp, err := http.Get(ft.ts.URL + "/v1/results/" + a.hash)
-				if err != nil {
-					t.Fatal(err)
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("job %s: result read HTTP %d", a.jobID, resp.StatusCode)
-				}
-				sum := sha256.Sum256(bytes.TrimSpace(body))
-				if got := hex.EncodeToString(sum[:]); got != view.ResultHash {
-					t.Fatalf("job %s: result hashes to %s, view reports %s", a.jobID, got, view.ResultHash)
+				if time.Since(healedAt) > 10*time.Second {
+					t.Fatalf("healed backend %s was never re-admitted", victim.key)
 				}
 			}
 		})
 	}
-}
-
-// sseCapture is one followed SSE stream: the telemetry lines received,
-// dropped-gap totals, and the terminal view. indeterminate records a
-// "dropped -1" event — the gateway signalling an unknowable tail gap
-// when it had to terminate from a stored result with no live job left.
-type sseCapture struct {
-	lines         []string
-	dropped       int
-	indeterminate bool
-	failovers     int
-	done          *server.View
-	streamError   string
-}
-
-// followSSE consumes a gateway job stream to its terminal event.
-func followSSE(t *testing.T, gwURL, jobID string, onLine func(n int)) *sseCapture {
-	t.Helper()
-	resp, err := http.Get(gwURL + "/v1/jobs/" + jobID + "/stream")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream: HTTP %d", resp.StatusCode)
-	}
-	cap := &sseCapture{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	event := "message"
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "done":
-				var v server.View
-				if err := json.Unmarshal([]byte(data), &v); err != nil {
-					t.Fatalf("done event: %v", err)
-				}
-				cap.done = &v
-				return cap
-			case "dropped":
-				n, err := strconv.Atoi(strings.TrimSpace(data))
-				if err != nil {
-					t.Fatalf("dropped event %q: %v", data, err)
-				}
-				if n < 0 {
-					cap.indeterminate = true
-				} else {
-					cap.dropped += n
-				}
-			case "failover":
-				cap.failovers++
-			case "error":
-				cap.streamError = data
-				return cap
-			default:
-				cap.lines = append(cap.lines, data)
-				if onLine != nil {
-					onLine(len(cap.lines))
-				}
-			}
-		case line == "":
-			event = "message"
-		}
-	}
-	t.Fatalf("stream ended without a terminal event (%v)", sc.Err())
-	return nil
 }
 
 // TestStreamFailoverReattach partitions the replica serving a live SSE
@@ -268,64 +158,59 @@ func TestStreamFailoverReattach(t *testing.T) {
 		Period: scenario.Duration(2 * time.Second),
 		Window: scenario.Duration(120 * time.Second),
 	}
-	code, doc, _ := postSpec(t, ft.ts.URL, spec, nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	cl := server.Client{Base: ft.ts.URL}
+	resp := mustSubmit(t, cl, spec)
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	jobID := jsonStr(t, doc, "job_id")
-	hash := jsonStr(t, doc, "spec_hash")
-	replicas, _ := ft.g.replicaSet(hash)
-	primaryProxy := ft.proxyFor(t, replicas[0].key)
+	replicas, _ := ft.g.replicaSet(resp.SpecHash)
+	primaryProxy, _ := ft.proxyFor(t, replicas[0].key)
 
 	// Partition the stream's serving replica after a few lines arrive.
-	var partitionOnce sync.Once
-	live := followSSE(t, ft.ts.URL, jobID, func(n int) {
+	live, err := cl.Follow(resp.JobID, func(n int) {
 		if n == 5 {
-			partitionOnce.Do(primaryProxy.Partition)
+			primaryProxy.Partition()
 		}
 	})
-	if live.streamError != "" {
-		t.Fatalf("stream errored: %s", live.streamError)
+	if err != nil {
+		t.Fatalf("stream across the partition: %v", err)
 	}
-	if live.done == nil || live.done.Status != server.StatusDone {
-		t.Fatalf("stream never reached a done event (%+v)", live.done)
-	}
-	if live.done.JobID != jobID {
-		t.Fatalf("done event carries job %q, want %q", live.done.JobID, jobID)
+	if live.Done.Status != server.StatusDone || live.Done.JobID != resp.JobID {
+		t.Fatalf("done event %+v, want job %q done", live.Done, resp.JobID)
 	}
 
 	// Reference: heal and replay the whole stream uninterrupted.
 	primaryProxy.Heal()
-	ref := followSSE(t, ft.ts.URL, jobID, nil)
-	if ref.done == nil || ref.done.Status != server.StatusDone {
-		t.Fatal("reference stream never reached done")
+	ref, err := cl.Follow(resp.JobID, nil)
+	if err != nil || ref.Done.Status != server.StatusDone {
+		t.Fatalf("reference stream never reached done: %v", err)
 	}
-	if live.done.ResultHash != ref.done.ResultHash {
-		t.Fatalf("result hash diverged across failover: %s vs %s", live.done.ResultHash, ref.done.ResultHash)
+	if live.Done.ResultHash != ref.Done.ResultHash {
+		t.Fatalf("result hash diverged across failover: %s vs %s", live.Done.ResultHash, ref.Done.ResultHash)
 	}
 
 	// Logical accounting: delivered + dropped must name every line once.
 	// An indeterminate gap would mean the stream fell back to a stored
 	// result — with eager replication a live replica must always exist
 	// here, so exactness is required.
-	if live.indeterminate || ref.indeterminate {
+	if live.Indeterminate || ref.Indeterminate {
 		t.Fatalf("stream reported an indeterminate gap (live=%v ref=%v), want exact accounting",
-			live.indeterminate, ref.indeterminate)
+			live.Indeterminate, ref.Indeterminate)
 	}
-	liveTotal := len(live.lines) + live.dropped
-	refTotal := len(ref.lines) + ref.dropped
+	liveTotal := len(live.Lines) + live.Dropped
+	refTotal := len(ref.Lines) + ref.Dropped
 	if liveTotal != refTotal {
 		t.Fatalf("failover stream accounts for %d lines (%d delivered + %d dropped), reference for %d (%d + %d)",
-			liveTotal, len(live.lines), live.dropped, refTotal, len(ref.lines), ref.dropped)
+			liveTotal, len(live.Lines), live.Dropped, refTotal, len(ref.Lines), ref.Dropped)
 	}
 	// Replicas are bit-identical, so the delivered suffixes must agree
 	// line for line.
-	n := len(live.lines)
-	if len(ref.lines) < n {
-		n = len(ref.lines)
+	n := len(live.Lines)
+	if len(ref.Lines) < n {
+		n = len(ref.Lines)
 	}
 	for i := 1; i <= n; i++ {
-		if live.lines[len(live.lines)-i] != ref.lines[len(ref.lines)-i] {
+		if live.Lines[len(live.Lines)-i] != ref.Lines[len(ref.Lines)-i] {
 			t.Fatalf("line %d from the end diverges across failover", i)
 		}
 	}

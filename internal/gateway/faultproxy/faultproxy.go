@@ -3,9 +3,9 @@
 // between the gateway and one backend and, on command, drops
 // connections, blackholes them (accept, read, never answer — a network
 // partition as the client experiences one), delays traffic, answers
-// with injected 503s, or resets connections mid-response-body. Tests
-// and `digs-load -gateway -partition` flip the faults at exact moments
-// instead of hoping a real network misbehaves on cue.
+// with injected 503s, or resets connections mid-response-body. The
+// gateway's tests flip the faults at exact moments instead of hoping a
+// real network misbehaves on cue.
 package faultproxy
 
 import (

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/gateway/faultproxy"
+	"github.com/digs-net/digs/internal/server"
 )
 
 // newUpstream is a plain HTTP server answering every request with body.
@@ -58,8 +59,8 @@ func TestErr503(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("injected fault: HTTP %d, want 503", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "1" {
-		t.Fatalf("injected 503 carries Retry-After %q, want \"1\"", ra)
+	if ra := server.RetryAfter(resp.Header); ra != time.Second {
+		t.Fatalf("injected 503 carries Retry-After %v, want 1s", ra)
 	}
 	var doc struct {
 		Error string `json:"error"`

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -64,12 +63,11 @@ type Config struct {
 	// before hedging to the next. Zero means adaptive: the p90 of recent
 	// read latencies, clamped to [10ms, 2s].
 	HedgeDelay time.Duration
-	// JobCap bounds the gateway's job-record table (default 4096);
-	// oldest records are forgotten first.
-	JobCap int
-	// Transport overrides the backend HTTP transport (tests).
-	Transport http.RoundTripper
 }
+
+// jobCap bounds the gateway's job-record table; oldest records are
+// forgotten first.
+const jobCap = 4096
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -98,9 +96,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
-	}
-	if c.JobCap <= 0 {
-		c.JobCap = 4096
 	}
 	return c
 }
@@ -166,7 +161,7 @@ type Gateway struct {
 
 	mu    sync.Mutex
 	jobs  map[string]*gwJob
-	order []string // job insertion order, for JobCap pruning
+	order []string // job insertion order, for jobCap pruning
 
 	nextID  atomic.Int64
 	nextReq atomic.Int64
@@ -193,8 +188,8 @@ func New(cfg Config) (*Gateway, error) {
 		stopCh: make(chan struct{}),
 		lat:    newLatTracker(cfg.HedgeDelay),
 	}
-	g.client = &http.Client{Transport: cfg.Transport}
-	g.stream = &http.Client{Transport: cfg.Transport}
+	g.client = &http.Client{}
+	g.stream = &http.Client{}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
 		base := strings.TrimRight(raw, "/")
@@ -360,7 +355,7 @@ func backendHeaders(reqID, tenant string) http.Header {
 }
 
 // registerJob records an accepted submission under a fresh gateway job
-// ID, pruning the oldest records past JobCap.
+// ID, pruning the oldest records past jobCap.
 func (g *Gateway) registerJob(specHash, tenant string, specJSON []byte, replicas []*backend) *gwJob {
 	j := &gwJob{
 		ID:       fmt.Sprintf("g-%06d", g.nextID.Add(1)),
@@ -373,7 +368,7 @@ func (g *Gateway) registerJob(specHash, tenant string, specJSON []byte, replicas
 	g.mu.Lock()
 	g.jobs[j.ID] = j
 	g.order = append(g.order, j.ID)
-	for len(g.order) > g.cfg.JobCap {
+	for len(g.order) > jobCap {
 		delete(g.jobs, g.order[0])
 		g.order = g.order[1:]
 	}
@@ -433,9 +428,9 @@ type apiError struct {
 // submitOutcome is what one successful submission routing produced.
 type submitOutcome struct {
 	backend *backend
-	status  int    // 200 (cached) or 202 (accepted)
-	localID string // backend job ID on 202
-	body    []byte // raw backend response body
+	status  int                   // 200 (cached) or 202 (accepted)
+	body    []byte                // 200: the backend's body, passed through as is
+	ans     server.SubmitResponse // 202: the backend's acknowledgement
 }
 
 // handleSubmit routes POST /v1/scenarios: validate and hash the spec,
@@ -489,14 +484,11 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// backend job and serve finished twins from the result store); the
 	// gateway just keeps its own record per client submission. Two
 	// gateway jobs may share one backend job — reads don't care.
-	var acc struct {
-		Dedup bool `json:"dedup"`
-	}
-	if json.Unmarshal(out.body, &acc) == nil && acc.Dedup {
+	if out.ans.Dedup {
 		g.dedupHits.Add(1)
 	}
 	j := g.registerJob(hash, tenant, specJSON, replicas)
-	j.setAck(out.backend, out.localID)
+	j.setAck(out.backend, out.ans.JobID)
 	// R-way placement: the remaining replicas get the same spec in the
 	// background. Backends dedup by hash, runs are bit-identical, and a
 	// replica that is down right now is caught later by the read-side
@@ -559,23 +551,21 @@ func (g *Gateway) submitSomewhere(ctx context.Context, hash string, specJSON []b
 				}
 				continue // transport failure: next candidate
 			}
+			var ans server.SubmitResponse
 			switch {
 			case res.status == http.StatusOK:
 				return &submitOutcome{backend: b, status: res.status, body: res.body}, nil
 			case res.status == http.StatusAccepted:
-				var acc struct {
-					JobID string `json:"job_id"`
-				}
-				if json.Unmarshal(res.body, &acc) != nil || acc.JobID == "" {
+				if json.Unmarshal(res.body, &ans) != nil || ans.JobID == "" {
 					continue
 				}
-				return &submitOutcome{backend: b, status: res.status, localID: acc.JobID, body: res.body}, nil
+				return &submitOutcome{backend: b, status: res.status, ans: ans}, nil
 			case res.status == http.StatusTooManyRequests || res.status == http.StatusServiceUnavailable:
 				// Backpressure or draining/degraded: remember the hint and
 				// fail over to the next replica first; a backoff round only
 				// happens when the whole fleet is pushing back.
 				sawBackpressure = true
-				if d := retryAfterHint(res.header); d > hint {
+				if d := server.RetryAfter(res.header); d > hint {
 					hint = d
 				}
 				if res.status == http.StatusTooManyRequests {
@@ -586,9 +576,8 @@ func (g *Gateway) submitSomewhere(ctx context.Context, hash string, specJSON []b
 				continue
 			default:
 				// 400/413/...: a verdict about the spec, not the backend.
-				var ae apiError
-				_ = json.Unmarshal(res.body, &ae)
-				return nil, &httpError{status: res.status, msg: ae.Error}
+				_ = json.Unmarshal(res.body, &ans) // an undecodable verdict passes on with no text
+				return nil, &httpError{status: res.status, msg: ans.Error}
 			}
 		}
 		if !attempted {
@@ -652,41 +641,23 @@ func (g *Gateway) resubmit(ctx context.Context, j *gwJob, b *backend) (localID s
 	if err != nil {
 		return "", nil, err
 	}
+	var ans server.SubmitResponse
 	switch res.status {
 	case http.StatusOK:
-		var c struct {
-			Result json.RawMessage `json:"result"`
-		}
-		if err := json.Unmarshal(res.body, &c); err != nil {
+		if err := json.Unmarshal(res.body, &ans); err != nil {
 			return "", nil, err
 		}
-		return "", c.Result, nil
+		return "", ans.Result, nil
 	case http.StatusAccepted:
-		var acc struct {
-			JobID string `json:"job_id"`
-		}
-		if err := json.Unmarshal(res.body, &acc); err != nil || acc.JobID == "" {
+		if json.Unmarshal(res.body, &ans) != nil || ans.JobID == "" {
 			return "", nil, fmt.Errorf("resubmit to %s: malformed 202", b.key)
 		}
 		g.resubmits.Add(1)
-		j.setAck(b, acc.JobID)
-		return acc.JobID, nil, nil
+		j.setAck(b, ans.JobID)
+		return ans.JobID, nil, nil
 	default:
 		return "", nil, fmt.Errorf("resubmit to %s: HTTP %d", b.key, res.status)
 	}
-}
-
-// retryAfterHint parses a Retry-After header into a bounded wait.
-func retryAfterHint(h http.Header) time.Duration {
-	secs, err := strconv.Atoi(strings.TrimSpace(h.Get("Retry-After")))
-	if err != nil || secs < 0 {
-		return 0
-	}
-	d := time.Duration(secs) * time.Second
-	if d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	return d
 }
 
 // jitter spreads a delay to [d/2, d] so failover retries from a burst

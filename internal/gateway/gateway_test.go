@@ -57,67 +57,28 @@ func newTestGateway(t *testing.T, cfg Config) (*Gateway, *httptest.Server) {
 	return g, ts
 }
 
-// postSpec submits a spec and returns the status code, decoded body,
-// and response headers.
-func postSpec(t *testing.T, url string, spec scenario.Spec, hdr map[string]string) (int, map[string]json.RawMessage, http.Header) {
+// mustSubmit posts spec through the shared client and returns whatever the
+// tier answered.
+func mustSubmit(t *testing.T, cl server.Client, spec scenario.Spec) *server.SubmitResponse {
 	t.Helper()
-	body, err := json.Marshal(spec)
+	resp, err := cl.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url+"/v1/scenarios", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("decoding %d response: %v", resp.StatusCode, err)
-	}
-	return resp.StatusCode, doc, resp.Header
+	return resp
 }
 
-func jsonStr(t *testing.T, doc map[string]json.RawMessage, key string) string {
+// awaitDone polls the job through cl and demands it ends done.
+func awaitDone(t *testing.T, cl server.Client, jobID string) *server.View {
 	t.Helper()
-	var s string
-	if err := json.Unmarshal(doc[key], &s); err != nil {
-		t.Fatalf("field %q: %v (doc: %v)", key, err, doc)
+	view, err := cl.Await(jobID, time.Now().Add(60*time.Second))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s
-}
-
-// waitJobDone polls the gateway's status endpoint to a terminal state.
-func waitJobDone(t *testing.T, gwURL, jobID string) *server.View {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		resp, err := http.Get(gwURL + "/v1/jobs/" + jobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v server.View
-		err = json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || err != nil {
-			t.Fatalf("status read: HTTP %d, decode err %v", resp.StatusCode, err)
-		}
-		switch v.Status {
-		case server.StatusDone, server.StatusFailed, server.StatusCanceled:
-			return &v
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %s still %s at deadline", jobID, v.Status)
-		}
-		time.Sleep(25 * time.Millisecond)
+	if view.Status != server.StatusDone {
+		t.Fatalf("job %s ended %s: %s", jobID, view.Status, view.Error)
 	}
+	return view
 }
 
 func specHash(t *testing.T, spec scenario.Spec) string {
@@ -133,41 +94,33 @@ func TestSubmitRoutesAndReplicates(t *testing.T) {
 	urls := []string{newBackendTS(t, "b0").URL, newBackendTS(t, "b1").URL, newBackendTS(t, "b2").URL}
 	g, ts := newTestGateway(t, Config{Backends: urls, Replicas: 2})
 
+	cl := server.Client{Base: ts.URL}
 	spec := testSpec(42)
-	code, doc, hdr := postSpec(t, ts.URL, spec, nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d (%v)", code, doc)
+	resp := mustSubmit(t, cl, spec)
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%s)", resp.Code, resp.Error)
 	}
-	jobID := jsonStr(t, doc, "job_id")
+	jobID := resp.JobID
 	if !strings.HasPrefix(jobID, "g-") {
 		t.Fatalf("gateway job ID %q not gateway-scoped", jobID)
 	}
-	if got := hdr.Get(server.HeaderJob); got != jobID {
+	if got := resp.Header.Get(server.HeaderJob); got != jobID {
 		t.Fatalf("%s header %q, want %q", server.HeaderJob, got, jobID)
 	}
 
-	view := waitJobDone(t, ts.URL, jobID)
-	if view.Status != server.StatusDone {
-		t.Fatalf("job ended %s: %s", view.Status, view.Error)
-	}
+	view := awaitDone(t, cl, jobID)
 	if view.JobID != jobID {
 		t.Fatalf("view carries job ID %q, want the gateway's %q", view.JobID, jobID)
 	}
-	rresp, err := http.Get(ts.URL + "/v1/jobs/" + jobID + "/result")
-	if err != nil {
-		t.Fatal(err)
+	code, rbody, rhdr, err := cl.Get("/v1/jobs/" + jobID + "/result")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("result read: HTTP %d (%v)", code, err)
 	}
-	rbody := new(bytes.Buffer)
-	rbody.ReadFrom(rresp.Body)
-	rresp.Body.Close()
-	if rresp.StatusCode != http.StatusOK {
-		t.Fatalf("result read: HTTP %d", rresp.StatusCode)
-	}
-	sum := sha256.Sum256(bytes.TrimSpace(rbody.Bytes()))
+	sum := sha256.Sum256(bytes.TrimSpace(rbody))
 	if got := hex.EncodeToString(sum[:]); got != view.ResultHash {
 		t.Fatalf("result hashes to %s, view reports %s", got, view.ResultHash)
 	}
-	if got := rresp.Header.Get("X-DiGS-Result-Hash"); got != view.ResultHash {
+	if got := rhdr.Get("X-DiGS-Result-Hash"); got != view.ResultHash {
 		t.Fatalf("result read header X-DiGS-Result-Hash %q, want %q", got, view.ResultHash)
 	}
 
@@ -192,13 +145,8 @@ func TestSubmitRoutesAndReplicates(t *testing.T) {
 	}
 
 	// A byte-identical resubmission is a 200 cache hit through the tier.
-	code, doc, _ = postSpec(t, ts.URL, spec, nil)
-	if code != http.StatusOK {
-		t.Fatalf("duplicate submit: HTTP %d, want a 200 cache hit", code)
-	}
-	var cached bool
-	if json.Unmarshal(doc["cached"], &cached) != nil || !cached {
-		t.Fatalf("duplicate submit not served from the cache: %v", doc)
+	if dup := mustSubmit(t, cl, spec); dup.Code != http.StatusOK || !dup.Cached {
+		t.Fatalf("duplicate submit: HTTP %d cached=%v, want a 200 cache hit", dup.Code, dup.Cached)
 	}
 }
 
@@ -231,14 +179,12 @@ func TestSubmitFailsOverDeadPrimary(t *testing.T) {
 		t.Fatal("no seed in range ranks the dead backend primary")
 	}
 
-	code, doc, _ := postSpec(t, ts.URL, spec, nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit with a dead primary: HTTP %d (%v), want 202 via failover", code, doc)
+	cl := server.Client{Base: ts.URL}
+	resp := mustSubmit(t, cl, spec)
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit with a dead primary: HTTP %d (%s), want 202 via failover", resp.Code, resp.Error)
 	}
-	view := waitJobDone(t, ts.URL, jsonStr(t, doc, "job_id"))
-	if view.Status != server.StatusDone {
-		t.Fatalf("job ended %s: %s", view.Status, view.Error)
-	}
+	awaitDone(t, cl, resp.JobID)
 }
 
 // TestHeaderPropagation: the request ID survives submit → status → SSE,
@@ -248,53 +194,40 @@ func TestHeaderPropagation(t *testing.T) {
 	_, ts := newTestGateway(t, Config{Backends: []string{bts.URL}, Replicas: 1})
 
 	const rid = "req-propagation-check"
-	code, doc, hdr := postSpec(t, ts.URL, testSpec(7), map[string]string{server.HeaderRequest: rid})
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	cl := server.Client{Base: ts.URL, Header: http.Header{server.HeaderRequest: {rid}}}
+	resp := mustSubmit(t, cl, testSpec(7))
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	if got := hdr.Get(server.HeaderRequest); got != rid {
+	if got := resp.Header.Get(server.HeaderRequest); got != rid {
 		t.Fatalf("submit echoed %s %q, want %q", server.HeaderRequest, got, rid)
 	}
-	jobID := jsonStr(t, doc, "job_id")
 
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+jobID, nil)
-	req.Header.Set(server.HeaderRequest, rid)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if got := resp.Header.Get(server.HeaderRequest); got != rid {
-		t.Fatalf("status echoed %s %q, want %q", server.HeaderRequest, got, rid)
-	}
-	if got := resp.Header.Get(server.HeaderJob); got != jobID {
-		t.Fatalf("status %s header %q, want %q", server.HeaderJob, got, jobID)
-	}
-
-	sreq, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/jobs/"+jobID+"/stream", nil)
-	sreq.Header.Set(server.HeaderRequest, rid)
-	sresp, err := http.DefaultClient.Do(sreq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sresp.Body.Close()
-	if got := sresp.Header.Get(server.HeaderRequest); got != rid {
-		t.Fatalf("stream echoed %s %q, want %q", server.HeaderRequest, got, rid)
+	// Status, then the stream (read to its end as a plain body).
+	for _, path := range []string{"/v1/jobs/" + resp.JobID, "/v1/jobs/" + resp.JobID + "/stream"} {
+		_, _, hdr, err := cl.Get(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := hdr.Get(server.HeaderRequest); got != rid {
+			t.Fatalf("%s echoed %s %q, want %q", path, server.HeaderRequest, got, rid)
+		}
+		if got := hdr.Get(server.HeaderJob); got != resp.JobID {
+			t.Fatalf("%s: %s header %q, want %q", path, server.HeaderJob, got, resp.JobID)
+		}
 	}
 
 	// A submission without a request ID gets one minted.
-	_, _, hdr = postSpec(t, ts.URL, testSpec(8), nil)
-	if hdr.Get(server.HeaderRequest) == "" {
+	if hdr := mustSubmit(t, server.Client{Base: ts.URL}, testSpec(8)).Header; hdr.Get(server.HeaderRequest) == "" {
 		t.Fatalf("gateway minted no %s for an unlabeled request", server.HeaderRequest)
 	}
 
 	// The backend names itself on its own surface.
-	bresp, err := http.Get(bts.URL + "/healthz")
+	_, _, hdr, err := server.Client{Base: bts.URL}.Get("/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bresp.Body.Close()
-	if got := bresp.Header.Get(server.HeaderBackend); got != "b0" {
+	if got := hdr.Get(server.HeaderBackend); got != "b0" {
 		t.Fatalf("backend %s header %q, want %q", server.HeaderBackend, got, "b0")
 	}
 }
@@ -491,17 +424,15 @@ func TestSubmitShedsDuringFullOutage(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	body, _ := json.Marshal(testSpec(82))
-	cl := &http.Client{Timeout: 30 * time.Second} // a hang here is the regression
-	resp, err := cl.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(body))
+	// A hang here is the regression: the client gives a submit 30 s.
+	resp, err := server.Client{Base: ts.URL}.Submit(testSpec(82))
 	if err != nil {
 		t.Fatalf("submission during a full outage never returned: %v", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("submit during full outage: HTTP %d, want 503", resp.StatusCode)
+	if resp.Code != http.StatusServiceUnavailable {
+		t.Fatalf("submit during full outage: HTTP %d, want 503", resp.Code)
 	}
-	if resp.Header.Get("Retry-After") == "" {
+	if server.RetryAfter(resp.Header) <= 0 {
 		t.Fatal("shed response carries no Retry-After")
 	}
 }
@@ -539,7 +470,7 @@ func TestResultReadDistinguishesMissFromOutage(t *testing.T) {
 	if dresp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("read against a dead fleet: HTTP %d, want 503", dresp.StatusCode)
 	}
-	if dresp.Header.Get("Retry-After") == "" {
+	if server.RetryAfter(dresp.Header) <= 0 {
 		t.Fatal("outage response carries no Retry-After")
 	}
 }
@@ -573,22 +504,22 @@ func TestStreamCachedFallbackReportsGap(t *testing.T) {
 	replicas, _ := g.replicaSet(hash)
 	j := g.registerJob(hash, "", specJSON, replicas)
 
-	cap := followSSE(t, ts.URL, j.ID, nil)
-	if cap.streamError != "" {
-		t.Fatalf("stream errored: %s", cap.streamError)
+	stream, err := server.Client{Base: ts.URL}.Follow(j.ID, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !cap.indeterminate {
+	if !stream.Indeterminate {
 		t.Fatal("cached-result termination reported no dropped gap")
 	}
-	if len(cap.lines) != 0 {
-		t.Fatalf("cached-result termination delivered %d telemetry lines from nowhere", len(cap.lines))
+	if len(stream.Lines) != 0 {
+		t.Fatalf("cached-result termination delivered %d telemetry lines from nowhere", len(stream.Lines))
 	}
-	if cap.done == nil || cap.done.Status != server.StatusDone {
-		t.Fatalf("stream never reached a done view (%+v)", cap.done)
+	if stream.Done.Status != server.StatusDone {
+		t.Fatalf("stream ended %s, want done", stream.Done.Status)
 	}
 	sum := sha256.Sum256(canonical)
-	if got := hex.EncodeToString(sum[:]); cap.done.ResultHash != got {
-		t.Fatalf("done view reports result hash %s, stored bytes hash to %s", cap.done.ResultHash, got)
+	if got := hex.EncodeToString(sum[:]); stream.Done.ResultHash != got {
+		t.Fatalf("done view reports result hash %s, stored bytes hash to %s", stream.Done.ResultHash, got)
 	}
 }
 

@@ -50,7 +50,7 @@ type Job struct {
 	done       chan struct{}
 }
 
-func newJob(id, tenant, specHash string, spec scenario.Spec, maxStreamLines int) *Job {
+func newJob(id, tenant, specHash string, spec scenario.Spec) *Job {
 	return &Job{
 		ID: id, Tenant: tenant, SpecHash: specHash, Spec: spec,
 		Stream:    NewBroadcast(maxStreamLines),

@@ -66,14 +66,13 @@ type journalRecord struct {
 // counter, serialised by its own mutex so appends from the submit path
 // and the workers interleave as whole records.
 type journal struct {
-	mu       sync.Mutex
-	f        *os.File
-	seq      int64
-	syncEach bool
+	mu  sync.Mutex
+	f   *os.File
+	seq int64
 }
 
 // openJournal opens (creating if missing) the journal for appending.
-func openJournal(path string, syncEach bool) (*journal, error) {
+func openJournal(path string) (*journal, error) {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, err
 	}
@@ -81,12 +80,12 @@ func openJournal(path string, syncEach bool) (*journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &journal{f: f, syncEach: syncEach}, nil
+	return &journal{f: f}, nil
 }
 
-// append writes one record (schema and seq are filled in here) and, in
-// sync mode, fsyncs before returning — the record is durable once
-// append returns nil.
+// append writes one record (schema and seq are filled in here) and
+// fsyncs before returning — the record is durable once append returns
+// nil.
 func (jl *journal) append(rec journalRecord) error {
 	jl.mu.Lock()
 	defer jl.mu.Unlock()
@@ -100,10 +99,7 @@ func (jl *journal) append(rec journalRecord) error {
 	if _, err := jl.f.Write(append(b, '\n')); err != nil {
 		return err
 	}
-	if jl.syncEach {
-		return jl.f.Sync()
-	}
-	return nil
+	return jl.f.Sync()
 }
 
 func (jl *journal) close() error {
@@ -223,7 +219,7 @@ type recovery struct {
 // result no longer verifies against its journaled result hash (missing,
 // evicted, or quarantined by ResultStore.Get) also comes back as
 // pending: determinism makes re-running it produce the identical bytes.
-func recoverJournal(path string, results *ResultStore, keepFinished int, syncEach bool) (*journal, *recovery, error) {
+func recoverJournal(path string, results *ResultStore, keepFinished int) (*journal, *recovery, error) {
 	rec := &recovery{}
 	if f, err := os.Open(path); err == nil {
 		recs, dropped := replayJournal(f)
@@ -290,7 +286,7 @@ func recoverJournal(path string, results *ResultStore, keepFinished int, syncEac
 	if err := store.WriteFileAtomic(path, buf.Bytes()); err != nil {
 		return nil, nil, fmt.Errorf("compacting journal: %w", err)
 	}
-	jl, err := openJournal(path, syncEach)
+	jl, err := openJournal(path)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -34,7 +34,7 @@ func abandonedServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func TestJournalAppendReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), journalFile)
-	jl, err := openJournal(path, true)
+	jl, err := openJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +171,11 @@ func TestRecoverPendingRerun(t *testing.T) {
 	specs := []scenario.Spec{smallSpec(101), smallSpec(102)}
 	ids := make([]string, len(specs))
 	for i, spec := range specs {
-		code, doc := submit(t, ts1, spec, "acme")
-		if code != http.StatusAccepted {
-			t.Fatalf("submit %d: HTTP %d", i, code)
+		resp := mustSubmit(t, ts1, spec, "acme")
+		if resp.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: HTTP %d", i, resp.Code)
 		}
-		ids[i] = str(t, doc, "job_id")
+		ids[i] = resp.JobID
 	}
 	ts1.Close() // the "crash": no Shutdown, no journal close, jobs queued
 
@@ -210,11 +210,11 @@ func TestRecoverPendingRerun(t *testing.T) {
 	}
 	// New submissions must not collide with recovered IDs.
 	_, ts2port := newTestServerHTTP(t, s2)
-	code, doc := submit(t, ts2port, smallSpec(103), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("post-recovery submit: HTTP %d", code)
+	resp := mustSubmit(t, ts2port, smallSpec(103), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("post-recovery submit: HTTP %d", resp.Code)
 	}
-	if id := str(t, doc, "job_id"); id == ids[0] || id == ids[1] {
+	if id := resp.JobID; id == ids[0] || id == ids[1] {
 		t.Fatalf("job ID %s reused after recovery", id)
 	}
 }
@@ -233,11 +233,11 @@ func TestRecoverDoneJobs(t *testing.T) {
 	dataDir := t.TempDir()
 	s1, ts1 := abandonedServer(t, Config{Workers: 2, DataDir: dataDir})
 	spec := smallSpec(111)
-	code, doc := submit(t, ts1, spec, "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	resp := mustSubmit(t, ts1, spec, "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	id := str(t, doc, "job_id")
+	id := resp.JobID
 	j1 := waitDone(t, s1, id)
 	wantBytes, wantHash := j1.Result()
 	ts1.Close()
@@ -258,9 +258,9 @@ func TestRecoverDoneJobs(t *testing.T) {
 		t.Fatalf("done job counted as recovered-pending: %d", got)
 	}
 	// And the content-addressed fast path still fires for its spec.
-	code, doc = submit(t, ts2, spec, "")
-	if code != http.StatusOK {
-		t.Fatalf("resubmit after restart: HTTP %d (%v)", code, doc)
+	resp = mustSubmit(t, ts2, spec, "")
+	if resp.Code != http.StatusOK {
+		t.Fatalf("resubmit after restart: HTTP %d (%s)", resp.Code, resp.Error)
 	}
 }
 
@@ -269,11 +269,11 @@ func TestRecoverDoneJobs(t *testing.T) {
 func TestRecoverTruncatedTail(t *testing.T) {
 	dataDir := t.TempDir()
 	_, ts1 := abandonedServer(t, Config{Workers: WorkersNone, DataDir: dataDir})
-	code, doc := submit(t, ts1, smallSpec(121), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	resp := mustSubmit(t, ts1, smallSpec(121), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	id := str(t, doc, "job_id")
+	id := resp.JobID
 	ts1.Close()
 
 	jp := filepath.Join(dataDir, journalFile)
@@ -327,11 +327,11 @@ func TestRetryBackoffStateMachine(t *testing.T) {
 			return scenario.RunSpec(ctx, spec, opts)
 		},
 	})
-	code, doc := submit(t, ts, smallSpec(131), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	resp := mustSubmit(t, ts, smallSpec(131), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	j := waitDone(t, s, str(t, doc, "job_id"))
+	j := waitDone(t, s, resp.JobID)
 	if j.Status() != StatusDone {
 		t.Fatalf("status %s (%s), want done", j.Status(), j.View(false).Error)
 	}
@@ -355,11 +355,11 @@ func TestRetryDeadLetter(t *testing.T) {
 		RetryBase: 5 * time.Millisecond, RetryCap: 20 * time.Millisecond,
 		runFn: seededRunFn(&failures, failSeed, "error"),
 	})
-	code, doc := submit(t, ts, smallSpec(failSeed), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	resp := mustSubmit(t, ts, smallSpec(failSeed), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	poisoned := waitDone(t, s, str(t, doc, "job_id"))
+	poisoned := waitDone(t, s, resp.JobID)
 	if poisoned.Status() != StatusFailed {
 		t.Fatalf("poisoned job status %s, want failed", poisoned.Status())
 	}
@@ -374,11 +374,11 @@ func TestRetryDeadLetter(t *testing.T) {
 	}
 
 	// The server is alive and healthy for everyone else.
-	code, doc = submit(t, ts, smallSpec(132), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit after dead-letter: HTTP %d", code)
+	resp = mustSubmit(t, ts, smallSpec(132), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit after dead-letter: HTTP %d", resp.Code)
 	}
-	if j := waitDone(t, s, str(t, doc, "job_id")); j.Status() != StatusDone {
+	if j := waitDone(t, s, resp.JobID); j.Status() != StatusDone {
 		t.Fatalf("healthy job after dead-letter: %s", j.Status())
 	}
 }
@@ -393,11 +393,11 @@ func TestPanicIsolation(t *testing.T) {
 		RetryBase: 5 * time.Millisecond, RetryCap: 20 * time.Millisecond,
 		runFn: seededRunFn(&failures, failSeed, "panic"),
 	})
-	code, doc := submit(t, ts, smallSpec(failSeed), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	resp := mustSubmit(t, ts, smallSpec(failSeed), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	id := str(t, doc, "job_id")
+	id := resp.JobID
 	j := waitDone(t, s, id)
 	if j.Status() != StatusFailed {
 		t.Fatalf("panicking job status %s, want failed", j.Status())
@@ -405,22 +405,25 @@ func TestPanicIsolation(t *testing.T) {
 	if v := j.View(false); !strings.Contains(v.Error, "worker panic") {
 		t.Fatalf("dead-letter error %q does not name the panic", v.Error)
 	}
-	lines, _ := streamSSE(t, ts, id)
+	stream, err := Client{Base: ts.URL}.Follow(id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sawStack bool
-	for _, ln := range lines {
+	for _, ln := range stream.Lines {
 		if strings.Contains(ln, "worker_panic") && strings.Contains(ln, "stack") {
 			sawStack = true
 		}
 	}
 	if !sawStack {
-		t.Fatalf("panic stack missing from the job's telemetry stream (%d lines)", len(lines))
+		t.Fatalf("panic stack missing from the job's telemetry stream (%d lines)", len(stream.Lines))
 	}
 
-	code, doc = submit(t, ts, smallSpec(133), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit after panic: HTTP %d", code)
+	resp = mustSubmit(t, ts, smallSpec(133), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit after panic: HTTP %d", resp.Code)
 	}
-	if jj := waitDone(t, s, str(t, doc, "job_id")); jj.Status() != StatusDone {
+	if jj := waitDone(t, s, resp.JobID); jj.Status() != StatusDone {
 		t.Fatalf("healthy job after panic: %s", jj.Status())
 	}
 }
@@ -438,11 +441,11 @@ func TestDegradedMode(t *testing.T) {
 	}
 	s, ts := newTestServer(t, Config{Workers: 1, DataDir: dataDir})
 
-	code, doc := submit(t, ts, smallSpec(141), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", code)
+	resp := mustSubmit(t, ts, smallSpec(141), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d", resp.Code)
 	}
-	j := waitDone(t, s, str(t, doc, "job_id"))
+	j := waitDone(t, s, resp.JobID)
 	if j.Status() != StatusDone {
 		t.Fatalf("in-flight job during degradation: %s (%s)", j.Status(), j.View(false).Error)
 	}
@@ -452,40 +455,26 @@ func TestDegradedMode(t *testing.T) {
 		t.Fatalf("degraded=%v cause=%q after store write failure", degraded, cause)
 	}
 
-	resp, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	cl := Client{Base: ts.URL}
+	if code, _, _, err := cl.Get("/readyz"); err != nil || code != http.StatusServiceUnavailable {
+		t.Fatalf("degraded readyz: HTTP %d (%v), want 503", code, err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("degraded readyz: HTTP %d, want 503", resp.StatusCode)
-	}
-	live, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	live.Body.Close()
-	if live.StatusCode != http.StatusOK {
-		t.Fatalf("degraded healthz: HTTP %d, want 200 (liveness is not readiness)", live.StatusCode)
+	if code, _, _, err := cl.Get("/healthz"); err != nil || code != http.StatusOK {
+		t.Fatalf("degraded healthz: HTTP %d (%v), want 200 (liveness is not readiness)", code, err)
 	}
 
-	code, doc = submit(t, ts, smallSpec(142), "")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("degraded submit: HTTP %d (%v), want 503", code, doc)
+	resp = mustSubmit(t, ts, smallSpec(142), "")
+	if resp.Code != http.StatusServiceUnavailable {
+		t.Fatalf("degraded submit: HTTP %d (%s), want 503", resp.Code, resp.Error)
 	}
-	if !strings.Contains(str(t, doc, "error"), "degraded") {
-		t.Fatalf("degraded submit error %q", str(t, doc, "error"))
+	if !strings.Contains(resp.Error, "degraded") {
+		t.Fatalf("degraded submit error %q", resp.Error)
 	}
 
 	var st Stats
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
+	if err := cl.Stats(&st); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewDecoder(statsResp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	statsResp.Body.Close()
 	if !st.Degraded || st.DegradedCause == "" {
 		t.Fatalf("stats hide the degradation: %+v", st)
 	}

@@ -31,7 +31,6 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,23 +54,20 @@ type Config struct {
 	// MaxNodes rejects scenarios over this deployment size with 413
 	// (0 = 20000).
 	MaxNodes int
-	// DataDir is the root for the result store ("results/") and the
-	// warm-start pool ("warm/"). Empty disables both caches.
+	// DataDir is the root for the result store ("results/"), the
+	// warm-start pool ("warm/") and the job journal. Empty disables all
+	// three: nothing is cached and accepted jobs die with the process.
 	DataDir string
 	// ResultBudget bounds the content-addressed result store.
 	ResultBudget store.Budget
 	// WarmBudget bounds the warm-start snapshot pool.
 	WarmBudget store.Budget
-	// MaxStreamLines bounds each job's retained telemetry backlog.
-	MaxStreamLines int
 	// FinishedJobCap bounds how many terminal jobs are kept addressable
 	// for status/stream/result replay (default 256). Oldest-finished
 	// jobs beyond the cap are forgotten, so a long-running daemon's
 	// memory is bounded by cap x per-job backlog rather than by every
 	// job ever run.
 	FinishedJobCap int
-	// RetryAfter is the hint returned with 429 responses (default 1s).
-	RetryAfter time.Duration
 	// MaxAttempts bounds how many times one job may run — the first try
 	// included, and attempts interrupted by a crash count too, so a
 	// spec that reliably kills the process cannot crash-loop the daemon
@@ -84,17 +80,6 @@ type Config struct {
 	// lockstep (defaults 200ms / 5s).
 	RetryBase time.Duration
 	RetryCap  time.Duration
-	// DisableJournal turns off the durable job journal even when
-	// DataDir is set (accepted jobs then die with the process).
-	DisableJournal bool
-	// JournalNoSync skips the per-record fsync: faster submits, but a
-	// crash may lose the most recent records (benchmarks only).
-	JournalNoSync bool
-	// AllowDegradedSubmits keeps accepting new submissions after the
-	// server has degraded (journal or result-store writes failing).
-	// Default false: a degraded server sheds new work with 503 while
-	// in-flight jobs finish.
-	AllowDegradedSubmits bool
 	// Name identifies this backend instance in a multi-node tier; it is
 	// echoed as the X-DiGS-Backend header on every API response so a
 	// gateway (or a human with curl) can tell which replica answered.
@@ -120,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FinishedJobCap <= 0 {
 		c.FinishedJobCap = 256
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 3
@@ -182,7 +164,7 @@ type Server struct {
 	cfg     Config
 	results *ResultStore    // nil when DataDir is empty
 	warm    *snapshot.Cache // nil when DataDir is empty
-	journal *journal        // nil when DataDir is empty or DisableJournal
+	journal *journal        // nil when DataDir is empty
 	quota   *quotas
 
 	mu          sync.Mutex
@@ -224,12 +206,10 @@ func New(cfg Config) (*Server, error) {
 		stopCh:      make(chan struct{}),
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
+	var pending []*Job
 	if cfg.DataDir != "" {
 		s.results = &ResultStore{Dir: filepath.Join(cfg.DataDir, "results"), Budget: cfg.ResultBudget}
 		s.warm = &snapshot.Cache{Dir: filepath.Join(cfg.DataDir, "warm"), Budget: cfg.WarmBudget}
-	}
-	var pending []*Job
-	if cfg.DataDir != "" && !cfg.DisableJournal {
 		var err error
 		pending, err = s.recover(filepath.Join(cfg.DataDir, journalFile))
 		if err != nil {
@@ -258,7 +238,7 @@ func New(cfg Config) (*Server, error) {
 // from the store), and jobs the previous incarnation accepted but never
 // finished come back queued with their consumed-attempt count intact.
 func (s *Server) recover(path string) ([]*Job, error) {
-	jl, rec, err := recoverJournal(path, s.results, s.cfg.FinishedJobCap, !s.cfg.JournalNoSync)
+	jl, rec, err := recoverJournal(path, s.results, s.cfg.FinishedJobCap)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +246,7 @@ func (s *Server) recover(path string) ([]*Job, error) {
 	s.nextID.Store(rec.maxID)
 	s.tailDrop.Store(int64(rec.dropped))
 	for _, rj := range rec.finished {
-		j := newJob(rj.id, rj.tenant, rj.specHash, rj.spec, s.cfg.MaxStreamLines)
+		j := newJob(rj.id, rj.tenant, rj.specHash, rj.spec)
 		j.setAttempts(rj.attempts)
 		switch rj.op {
 		case opDone:
@@ -286,7 +266,7 @@ func (s *Server) recover(path string) ([]*Job, error) {
 		if s.byHash[rj.specHash] != nil {
 			continue // only a tampered journal holds two in-flight twins
 		}
-		j := newJob(rj.id, rj.tenant, rj.specHash, rj.spec, s.cfg.MaxStreamLines)
+		j := newJob(rj.id, rj.tenant, rj.specHash, rj.spec)
 		j.setAttempts(rj.attempts)
 		s.jobs[j.ID] = j
 		s.byHash[rj.specHash] = j
@@ -300,10 +280,9 @@ func (s *Server) recover(path string) ([]*Job, error) {
 // degrade flips the server into degraded health: the journal or a store
 // can no longer be written (ENOSPC, dead disk), so results and accepted
 // jobs can no longer be made durable. In-flight work keeps running, but
-// healthz reports 503 and (unless AllowDegradedSubmits) new submissions
-// are shed. The first cause wins; the state is sticky until restart —
-// by then an operator has freed the disk, and the journal replay puts
-// the world back together.
+// readyz reports 503 and new submissions are shed. The first cause wins;
+// the state is sticky until restart — by then an operator has freed the
+// disk, and the journal replay puts the world back together.
 func (s *Server) degrade(cause string) {
 	s.degradedMu.Lock()
 	if !s.degraded.Load() {
@@ -664,13 +643,8 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-func (s *Server) retryAfter(w http.ResponseWriter) {
-	secs := int(s.cfg.RetryAfter / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
+// retryAfter stamps the pushback hint every 429/503/pending answer carries.
+func retryAfter(w http.ResponseWriter) { w.Header().Set("Retry-After", "1") }
 
 // tenant identifies the caller for quota accounting.
 func tenant(r *http.Request) string {
@@ -680,33 +654,18 @@ func tenant(r *http.Request) string {
 	return "default"
 }
 
-// submitAccepted is the 202 response body.
-type submitAccepted struct {
-	JobID    string `json:"job_id"`
-	SpecHash string `json:"spec_hash"`
-	Status   Status `json:"status"`
-	Dedup    bool   `json:"dedup,omitempty"`
-}
-
-// submitCached is the 200 cache-hit response body.
-type submitCached struct {
-	SpecHash string          `json:"spec_hash"`
-	Cached   bool            `json:"cached"`
-	Result   json.RawMessage `json:"result"`
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is draining"})
 		return
 	}
-	if degraded, cause := s.DegradedCause(); degraded && !s.cfg.AllowDegradedSubmits {
+	if degraded, cause := s.DegradedCause(); degraded {
 		// Accepting work whose acceptance cannot be made durable would
 		// silently break the crash-safety contract, so a degraded
 		// server sheds new submissions up front (reads and in-flight
-		// jobs are unaffected; healthz tells the balancer to stop
+		// jobs are unaffected; readyz tells the balancer to stop
 		// routing here).
-		s.retryAfter(w)
+		retryAfter(w)
 		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is degraded: " + cause})
 		return
 	}
@@ -737,7 +696,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.results != nil {
 		if b, ok := s.results.Get(hash); ok {
 			s.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, submitCached{SpecHash: hash, Cached: true, Result: b})
+			writeJSON(w, http.StatusOK, SubmitResponse{SpecHash: hash, Cached: true, Result: b})
 			return
 		}
 	}
@@ -760,7 +719,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.dedupHits.Add(1)
 		w.Header().Set(HeaderJob, existing.ID)
-		writeJSON(w, http.StatusAccepted, submitAccepted{
+		writeJSON(w, http.StatusAccepted, SubmitResponse{
 			JobID: existing.ID, SpecHash: hash, Status: existing.Status(), Dedup: true,
 		})
 		return
@@ -768,7 +727,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.quota.acquire(ten) {
 		s.mu.Unlock()
 		s.rejQuota.Add(1)
-		s.retryAfter(w)
+		retryAfter(w)
 		writeJSON(w, http.StatusTooManyRequests,
 			apiError{fmt.Sprintf("tenant %q is at its quota of %d in-flight jobs", ten, s.cfg.TenantQuota)})
 		return
@@ -780,13 +739,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.quota.release(ten)
 		s.rejQueue.Add(1)
-		s.retryAfter(w)
+		retryAfter(w)
 		writeJSON(w, http.StatusTooManyRequests,
 			apiError{fmt.Sprintf("queue full (%d jobs)", s.cfg.QueueDepth)})
 		return
 	}
 	id := fmt.Sprintf("j-%06d", s.nextID.Add(1))
-	j := newJob(id, ten, hash, spec, s.cfg.MaxStreamLines)
+	j := newJob(id, ten, hash, spec)
 	// Durability before acknowledgement: the submit record (with the
 	// full spec) is fsync'd before the 202 leaves, so every job a
 	// client believes accepted survives SIGKILL and is recovered on
@@ -799,7 +758,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 			s.quota.release(ten)
 			s.degrade(fmt.Sprintf("journal append: %v", err))
-			s.retryAfter(w)
+			retryAfter(w)
 			writeJSON(w, http.StatusServiceUnavailable,
 				apiError{fmt.Sprintf("cannot durably accept jobs: %v", err)})
 			return
@@ -810,7 +769,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobsCh <- j
 	s.mu.Unlock()
 	w.Header().Set(HeaderJob, id)
-	writeJSON(w, http.StatusAccepted, submitAccepted{JobID: id, SpecHash: hash, Status: StatusQueued})
+	writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: id, SpecHash: hash, Status: StatusQueued})
 }
 
 func (s *Server) job(id string) *Job {
@@ -846,7 +805,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	case StatusFailed, StatusCanceled:
 		writeJSON(w, http.StatusGone, j.View(false))
 	default:
-		s.retryAfter(w)
+		retryAfter(w)
 		writeJSON(w, http.StatusAccepted, j.View(false))
 	}
 }

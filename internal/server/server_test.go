@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -45,39 +44,19 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func submit(t *testing.T, ts *httptest.Server, spec scenario.Spec, tenant string) (int, map[string]json.RawMessage) {
+// mustSubmit posts spec through the shared Client (as tenant, when set) and
+// returns whatever the server answered.
+func mustSubmit(t *testing.T, ts *httptest.Server, spec scenario.Spec, tenant string) *SubmitResponse {
 	t.Helper()
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, err := http.NewRequest("POST", ts.URL+"/v1/scenarios", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
+	cl := Client{Base: ts.URL}
 	if tenant != "" {
-		req.Header.Set("X-DiGS-Tenant", tenant)
+		cl.Header = http.Header{"X-DiGS-Tenant": {tenant}}
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := cl.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatalf("decoding %d response: %v", resp.StatusCode, err)
-	}
-	return resp.StatusCode, doc
-}
-
-func str(t *testing.T, doc map[string]json.RawMessage, key string) string {
-	t.Helper()
-	var s string
-	if err := json.Unmarshal(doc[key], &s); err != nil {
-		t.Fatalf("field %q: %v (doc: %v)", key, err, doc)
-	}
-	return s
+	return resp
 }
 
 func waitDone(t *testing.T, s *Server, id string) *Job {
@@ -94,122 +73,69 @@ func waitDone(t *testing.T, s *Server, id string) *Job {
 	return j
 }
 
-// streamSSE consumes the job's SSE stream to the final "done" event,
-// returning the data lines (the telemetry JSONL) and the done payload.
-func streamSSE(t *testing.T, ts *httptest.Server, id string) (lines []string, done string) {
-	t.Helper()
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/stream")
+// TestSubmitStreamResult is the end-to-end happy path: submit over HTTP,
+// follow the SSE stream to completion, fetch the content-addressed result.
+func TestSubmitStreamResult(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2})
+	cl := Client{Base: ts.URL}
+	resp := mustSubmit(t, ts, smallSpec(5), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d (%s)", resp.Code, resp.Error)
+	}
+
+	stream, err := cl.Follow(resp.JobID, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stream status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("stream content type %q", ct)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
-	event := "message"
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			if event == "done" {
-				return lines, data
-			}
-			if event == "message" {
-				lines = append(lines, data)
-			}
-		case line == "":
-			event = "message"
-		}
-	}
-	t.Fatalf("stream ended without a done event (%v)", sc.Err())
-	return nil, ""
-}
-
-// TestSubmitStreamResult is the end-to-end happy path the issue names:
-// submit over HTTP, follow the SSE stream to completion, fetch the
-// content-addressed result.
-func TestSubmitStreamResult(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 2})
-	code, doc := submit(t, ts, smallSpec(5), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: %d (%v)", code, doc)
-	}
-	id := str(t, doc, "job_id")
-	specHash := str(t, doc, "spec_hash")
-
-	lines, doneData := streamSSE(t, ts, id)
-	if len(lines) == 0 {
+	if len(stream.Lines) == 0 {
 		t.Fatal("SSE stream carried no telemetry")
 	}
 	var schema struct {
 		Schema string `json:"schema"`
 	}
-	if err := json.Unmarshal([]byte(lines[0]), &schema); err != nil || schema.Schema == "" {
-		t.Fatalf("first stream line is not the JSONL schema header: %q", lines[0])
+	if err := json.Unmarshal([]byte(stream.Lines[0]), &schema); err != nil || schema.Schema == "" {
+		t.Fatalf("first stream line is not the JSONL schema header: %q", stream.Lines[0])
 	}
-	var view View
-	if err := json.Unmarshal([]byte(doneData), &view); err != nil {
-		t.Fatal(err)
-	}
+	view := stream.Done
 	if view.Status != StatusDone || view.ResultHash == "" || len(view.Result) == 0 {
 		t.Fatalf("done view: %+v", view)
 	}
+	if got := hashBytes(view.Result); got != view.ResultHash {
+		t.Fatalf("sha256(done.result) %s != done.result_hash %s", got, view.ResultHash)
+	}
 
 	// The job result endpoint serves the canonical bytes with the hash.
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		t.Fatal(err)
+	code, body, hdr, err := cl.Get("/v1/jobs/" + resp.JobID + "/result")
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("result: %d %s (%v)", code, body, err)
 	}
-	body := readAll(t, resp)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("result: %d %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-DiGS-Result-Hash"); got != view.ResultHash {
+	if got := hdr.Get("X-DiGS-Result-Hash"); got != view.ResultHash {
 		t.Fatalf("result hash header %q != done view %q", got, view.ResultHash)
+	}
+	if !bytes.Equal(bytes.TrimSpace(body), view.Result) {
+		t.Fatalf("job result and the done event's result differ:\n%s\n%s", body, view.Result)
 	}
 
 	// And the content-addressed store serves the same bytes by spec hash.
-	resp2, err := http.Get(ts.URL + "/v1/results/" + specHash)
-	if err != nil {
-		t.Fatal(err)
+	code, stored, _, err := cl.Get("/v1/results/" + resp.SpecHash)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("stored result: %d (%v)", code, err)
 	}
-	body2 := readAll(t, resp2)
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("stored result: %d", resp2.StatusCode)
+	if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(stored)) {
+		t.Fatalf("job result and stored result differ:\n%s\n%s", body, stored)
 	}
-	if !bytes.Equal(bytes.TrimSpace(body), bytes.TrimSpace(body2)) {
-		t.Fatalf("job result and stored result differ:\n%s\n%s", body, body2)
-	}
-	waitDone(t, s, id)
-}
-
-func readAll(t *testing.T, resp *http.Response) []byte {
-	t.Helper()
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	waitDone(t, s, resp.JobID)
 }
 
 // TestDuplicateSubmissionServedFromCache: an identical resubmission is a
 // content-addressed cache hit — 200 with the stored result, no new job.
 func TestDuplicateSubmissionServedFromCache(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	code, doc := submit(t, ts, smallSpec(7), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("first submit: %d", code)
+	resp := mustSubmit(t, ts, smallSpec(7), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", resp.Code)
 	}
-	j := waitDone(t, s, str(t, doc, "job_id"))
+	j := waitDone(t, s, resp.JobID)
 	want, _ := j.Result()
 
 	// Same scenario spelled differently (explicit defaults, shards knob).
@@ -217,16 +143,15 @@ func TestDuplicateSubmissionServedFromCache(t *testing.T) {
 	dup.MacBoost = 1
 	dup.JoinFraction = 1.0
 	dup.Shards = 4
-	code, doc = submit(t, ts, dup, "")
-	if code != http.StatusOK {
-		t.Fatalf("duplicate submit: %d (%v)", code, doc)
+	resp = mustSubmit(t, ts, dup, "")
+	if resp.Code != http.StatusOK {
+		t.Fatalf("duplicate submit: %d (%s)", resp.Code, resp.Error)
 	}
-	var cached bool
-	if err := json.Unmarshal(doc["cached"], &cached); err != nil || !cached {
-		t.Fatalf("duplicate not served from cache: %v", doc)
+	if !resp.Cached {
+		t.Fatalf("duplicate not served from cache: %+v", resp)
 	}
-	if !bytes.Equal(bytes.TrimSpace(doc["result"]), bytes.TrimSpace(want)) {
-		t.Fatalf("cached result differs:\n%s\n%s", doc["result"], want)
+	if !bytes.Equal(bytes.TrimSpace(resp.Result), bytes.TrimSpace(want)) {
+		t.Fatalf("cached result differs:\n%s\n%s", resp.Result, want)
 	}
 	if got := s.cacheHits.Load(); got != 1 {
 		t.Fatalf("cache hits = %d, want 1", got)
@@ -237,21 +162,20 @@ func TestDuplicateSubmissionServedFromCache(t *testing.T) {
 // queued collapse onto one job.
 func TestInFlightDedup(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: WorkersNone})
-	code, doc := submit(t, ts, smallSpec(9), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("first submit: %d", code)
+	resp := mustSubmit(t, ts, smallSpec(9), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", resp.Code)
 	}
-	id := str(t, doc, "job_id")
-	code, doc = submit(t, ts, smallSpec(9), "")
-	if code != http.StatusAccepted {
-		t.Fatalf("dup submit: %d", code)
+	id := resp.JobID
+	resp = mustSubmit(t, ts, smallSpec(9), "")
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("dup submit: %d", resp.Code)
 	}
-	if got := str(t, doc, "job_id"); got != id {
+	if got := resp.JobID; got != id {
 		t.Fatalf("dedup returned a new job %s (want %s)", got, id)
 	}
-	var dedup bool
-	if err := json.Unmarshal(doc["dedup"], &dedup); err != nil || !dedup {
-		t.Fatalf("second submission not marked dedup: %v", doc)
+	if !resp.Dedup {
+		t.Fatalf("second submission not marked dedup: %+v", resp)
 	}
 	if got := s.dedupHits.Load(); got != 1 {
 		t.Fatalf("dedup hits = %d", got)
@@ -263,8 +187,8 @@ func TestInFlightDedup(t *testing.T) {
 func TestTenantQuota429(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: WorkersNone, TenantQuota: 2, QueueDepth: 16})
 	for i := int64(0); i < 2; i++ {
-		if code, doc := submit(t, ts, smallSpec(100+i), "alice"); code != http.StatusAccepted {
-			t.Fatalf("submit %d: %d (%v)", i, code, doc)
+		if resp := mustSubmit(t, ts, smallSpec(100+i), "alice"); resp.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d (%s)", i, resp.Code, resp.Error)
 		}
 	}
 	body, _ := json.Marshal(smallSpec(102))
@@ -282,15 +206,15 @@ func TestTenantQuota429(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	// A different tenant still gets in.
-	if code, _ := submit(t, ts, smallSpec(103), "bob"); code != http.StatusAccepted {
-		t.Fatalf("other tenant: %d", code)
+	if resp := mustSubmit(t, ts, smallSpec(103), "bob"); resp.Code != http.StatusAccepted {
+		t.Fatalf("other tenant: %d", resp.Code)
 	}
 }
 
 // TestQueueFull429: a full job queue is backpressure, not an error page.
 func TestQueueFull429(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: WorkersNone, QueueDepth: 1})
-	if code, _ := submit(t, ts, smallSpec(200), ""); code != http.StatusAccepted {
+	if resp := mustSubmit(t, ts, smallSpec(200), ""); resp.Code != http.StatusAccepted {
 		t.Fatal("first submit should fill the queue")
 	}
 	body, _ := json.Marshal(smallSpec(201))
@@ -336,22 +260,28 @@ func TestBadSubmissions(t *testing.T) {
 // TestServerMatchesDirectRun: the determinism contract — a server-run
 // scenario is bit-identical to running the same spec directly.
 func TestServerMatchesDirectRun(t *testing.T) {
-	spec := smallSpec(5)
-	direct, _, err := scenario.RunSpec(context.Background(), spec, scenario.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := direct.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, spec := range []scenario.Spec{
+		smallSpec(5), // dense engine
+		{Topology: "gen-plant-300-1", Protocol: "digs", Seed: 3, Window: scenario.Duration(20 * time.Second)}, // sparse engine
+	} {
+		t.Run(spec.Topology, func(t *testing.T) {
+			direct, _, err := scenario.RunSpec(context.Background(), spec, scenario.RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := direct.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	s, ts := newTestServer(t, Config{Workers: 1})
-	_, doc := submit(t, ts, spec, "")
-	j := waitDone(t, s, str(t, doc, "job_id"))
-	got, _ := j.Result()
-	if !bytes.Equal(got, want) {
-		t.Fatalf("server result differs from direct run:\nserver: %s\ndirect: %s", got, want)
+			s, ts := newTestServer(t, Config{Workers: 1})
+			resp := mustSubmit(t, ts, spec, "")
+			j := waitDone(t, s, resp.JobID)
+			got, _ := j.Result()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("server result differs from direct run:\nserver: %s\ndirect: %s", got, want)
+			}
+		})
 	}
 }
 
@@ -360,16 +290,16 @@ func TestServerMatchesDirectRun(t *testing.T) {
 // the pool and still matches a direct cold run bit for bit.
 func TestWarmPoolAcrossWindows(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	_, doc := submit(t, ts, smallSpec(5), "")
-	waitDone(t, s, str(t, doc, "job_id"))
+	resp := mustSubmit(t, ts, smallSpec(5), "")
+	waitDone(t, s, resp.JobID)
 	if s.warmHits.Load() != 0 {
 		t.Fatal("first run cannot be a warm hit")
 	}
 
 	longer := smallSpec(5)
 	longer.Window = scenario.Duration(15 * time.Second)
-	_, doc = submit(t, ts, longer, "")
-	j := waitDone(t, s, str(t, doc, "job_id"))
+	resp = mustSubmit(t, ts, longer, "")
+	j := waitDone(t, s, resp.JobID)
 	if s.warmHits.Load() != 1 {
 		t.Fatalf("warm hits = %d, want 1", s.warmHits.Load())
 	}
@@ -394,8 +324,8 @@ func TestShutdownCancelsQueued(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: WorkersNone, QueueDepth: 8})
 	var ids []string
 	for i := int64(0); i < 3; i++ {
-		_, doc := submit(t, ts, smallSpec(300+i), "")
-		ids = append(ids, str(t, doc, "job_id"))
+		resp := mustSubmit(t, ts, smallSpec(300+i), "")
+		ids = append(ids, resp.JobID)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -423,8 +353,8 @@ func TestShutdownCancelsQueued(t *testing.T) {
 // during a drain with a generous deadline.
 func TestShutdownDrainsInFlight(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	_, doc := submit(t, ts, smallSpec(40), "")
-	id := str(t, doc, "job_id")
+	resp := mustSubmit(t, ts, smallSpec(40), "")
+	id := resp.JobID
 	// Give the worker a moment to pick the job up, then drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for s.job(id).Status() == StatusQueued && time.Now().Before(deadline) {
@@ -444,19 +374,14 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 // TestStatsEndpoint: counters show up on /v1/stats.
 func TestStatsEndpoint(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
-	_, doc := submit(t, ts, smallSpec(50), "")
-	waitDone(t, s, str(t, doc, "job_id"))
-	submit(t, ts, smallSpec(50), "") // cache hit
+	resp := mustSubmit(t, ts, smallSpec(50), "")
+	waitDone(t, s, resp.JobID)
+	mustSubmit(t, ts, smallSpec(50), "") // cache hit
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	if err := (Client{Base: ts.URL}).Stats(&st); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if st.Submitted != 2 || st.Completed != 1 || st.CacheHits != 1 || st.StoredResults != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -520,13 +445,22 @@ func TestFinishedJobPruning(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, FinishedJobCap: 2})
 	var ids []string
 	for i := int64(0); i < 3; i++ {
-		code, doc := submit(t, ts, smallSpec(400+i), "")
-		if code != http.StatusAccepted {
-			t.Fatalf("submit %d: %d (%v)", i, code, doc)
+		resp := mustSubmit(t, ts, smallSpec(400+i), "")
+		if resp.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d (%s)", i, resp.Code, resp.Error)
 		}
-		id := str(t, doc, "job_id")
+		id := resp.JobID
 		waitDone(t, s, id)
 		ids = append(ids, id)
+	}
+	// finishJob closes Done before it prunes: wait for the table to settle.
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		s.mu.Lock()
+		n := len(s.jobs)
+		s.mu.Unlock()
+		if n <= 2 {
+			break
+		}
 	}
 	status := func(id string) int {
 		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)

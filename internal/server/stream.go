@@ -24,11 +24,14 @@ type Broadcast struct {
 	signal  chan struct{} // closed and replaced on every append/Close
 }
 
+// maxStreamLines bounds each job's retained telemetry backlog.
+const maxStreamLines = 1 << 17
+
 // NewBroadcast returns a broadcast buffer holding at most maxLines lines
-// (<= 0 means a generous default).
+// (<= 0 means maxStreamLines).
 func NewBroadcast(maxLines int) *Broadcast {
 	if maxLines <= 0 {
-		maxLines = 1 << 17
+		maxLines = maxStreamLines
 	}
 	return &Broadcast{max: maxLines, signal: make(chan struct{})}
 }
