@@ -29,8 +29,10 @@ test:
 race:
 	$(GO) test -race ./...
 
-## fuzz: brief native-fuzzing passes over the frame and routing-payload
-## codecs (go test allows one -fuzz pattern per package invocation).
+## fuzz: brief native-fuzzing passes over every decoder of outside bytes —
+## MAC frames, the DiGS join payloads, telemetry JSONL, snapshots, generated
+## topology names and the server journal (go test allows one -fuzz pattern
+## per package invocation).
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/mac
@@ -72,17 +74,18 @@ trace-golden:
 ## snap-smoke: prove checkpoint/restore bit-identity across processes —
 ## snapshot a half-formed network, resume it for 2000 more slots, and
 ## byte-compare the result against a straight-through run that never
-## stopped (labels must match: the label is part of the snapshot).
+## stopped (labels must match: the label is part of the snapshot). Once on
+## the dense medium and once on the sparse one, whose mid-run snapshot
+## carries nap vectors from one process to the next.
 SNAP_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-snap-smoke
 snap-smoke:
 	rm -rf $(SNAP_SMOKE_DIR) && mkdir -p $(SNAP_SMOKE_DIR)
-	$(GO) run ./cmd/digs-snap take -topology half-testbed-a -protocol digs -seed 9 \
-		-slots 3000 -o $(SNAP_SMOKE_DIR)/mid.snap >/dev/null
-	$(GO) run ./cmd/digs-snap resume -snap $(SNAP_SMOKE_DIR)/mid.snap -slots 2000 \
-		-label golden -o $(SNAP_SMOKE_DIR)/resumed.snap >/dev/null
-	$(GO) run ./cmd/digs-snap take -topology half-testbed-a -protocol digs -seed 9 \
-		-slots 5000 -label golden -o $(SNAP_SMOKE_DIR)/straight.snap >/dev/null
-	cmp $(SNAP_SMOKE_DIR)/resumed.snap $(SNAP_SMOKE_DIR)/straight.snap
+	$(GO) build -o $(SNAP_SMOKE_DIR)/ ./cmd/digs-snap
+	cd $(SNAP_SMOKE_DIR) && for topo in half-testbed-a gen-plant-300-1; do \
+		./digs-snap take -topology $$topo -protocol digs -seed 9 -slots 3000 -o $$topo.mid.snap >/dev/null \
+		&& ./digs-snap resume -snap $$topo.mid.snap -slots 2000 -label golden -o $$topo.resumed.snap >/dev/null \
+		&& ./digs-snap take -topology $$topo -protocol digs -seed 9 -slots 5000 -label golden -o $$topo.straight.snap >/dev/null \
+		&& cmp $$topo.resumed.snap $$topo.straight.snap || exit 1; done
 	@echo snap-smoke: OK
 
 ## cache-smoke: the formation cache is one format under one key, whoever

@@ -56,7 +56,8 @@ type SDNStackState struct {
 	OwnHops uint8
 
 	// HasHops/HasRSS distinguish nil tables (never populated since
-	// construction or reset) from empty populated ones.
+	// construction or reset) from empty populated ones; the slice is nil
+	// in both cases.
 	HasHops bool
 	Hops    []SDNHopsState // sorted by node
 	HasRSS  bool
@@ -96,16 +97,16 @@ func (s *SDNStack) CaptureState() (stack.State, error) {
 		EpochCount:        s.epochCount,
 		NextRecompute:     int64(s.nextRecompute),
 	}
-	if s.hops != nil {
-		st.HasHops = true
+	st.HasHops = s.hops != nil
+	if len(s.hops) > 0 {
 		st.Hops = make([]SDNHopsState, 0, len(s.hops))
 		for n, e := range s.hops {
 			st.Hops = append(st.Hops, SDNHopsState{Node: n, Hops: e.hops, Heard: int64(e.heard)})
 		}
 		sort.Slice(st.Hops, func(i, j int) bool { return st.Hops[i].Node < st.Hops[j].Node })
 	}
-	if s.rss != nil {
-		st.HasRSS = true
+	st.HasRSS = s.rss != nil
+	if len(s.rss) > 0 {
 		st.RSS = make([]SDNRSSState, 0, len(s.rss))
 		for n, e := range s.rss {
 			st.RSS = append(st.RSS, SDNRSSState{Node: n, RSS: e.rss, Heard: int64(e.heard)})
@@ -204,11 +205,11 @@ func (s *SDNStack) RestoreState(state stack.State) error {
 // SDNCodec is the sdn stack's registration: protocol "sdn", one
 // SDNStackState per node in the "sdn" snapshot section (wire format
 // version 3).
-var SDNCodec = stack.Codec{Protocol: "sdn", Section: "sdn", Read: readSDNState}
+var SDNCodec = stack.Codec{Protocol: "sdn", Section: "sdn", New: func() stack.State { return &SDNStackState{} }}
 
 // AdaptiveCodec is the adaptive stack's registration: protocol
 // "adaptive", one AdaptiveStackState per node in the "adpt" section.
-var AdaptiveCodec = stack.Codec{Protocol: "adaptive", Section: "adpt", Read: readAdaptiveState}
+var AdaptiveCodec = stack.Codec{Protocol: "adaptive", Section: "adpt", New: func() stack.State { return &AdaptiveStackState{} }}
 
 func init() {
 	stack.Register(SDNCodec)
@@ -218,159 +219,62 @@ func init() {
 // Routed implements stack.State: the controller has assigned a parent.
 func (st *SDNStackState) Routed() bool { return st.Parent != 0 }
 
-func encodeNodeIDs(w *wire.Writer, ids []topology.NodeID) {
-	w.U64(uint64(len(ids)))
-	for _, id := range ids {
-		w.U64(uint64(id))
-	}
+func codeNodeIDs(c *wire.Coder, ids *[]topology.NodeID) {
+	wire.Slice(c, ids, 1, func(id *topology.NodeID) { wire.Uvarint(c, id) })
 }
 
-func decodeNodeIDs(r *wire.Reader) []topology.NodeID {
-	n := r.Count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]topology.NodeID, n)
-	for i := range out {
-		out[i] = topology.NodeID(r.U64())
-	}
-	return out
+func codeSDNNeighbors(c *wire.Coder, ns *[]SDNReportNeighbor) {
+	wire.Slice(c, ns, 9, func(e *SDNReportNeighbor) {
+		wire.Uvarint(c, &e.Node)
+		c.Float(&e.RSS)
+	})
 }
 
-func encodeSDNNeighbors(w *wire.Writer, ns []SDNReportNeighbor) {
-	w.U64(uint64(len(ns)))
-	for _, e := range ns {
-		w.U64(uint64(e.Node))
-		w.Float(e.RSS)
-	}
-}
-
-func decodeSDNNeighbors(r *wire.Reader) []SDNReportNeighbor {
-	n := r.Count(9)
-	if n == 0 {
-		return nil
-	}
-	out := make([]SDNReportNeighbor, n)
-	for i := range out {
-		out[i].Node = topology.NodeID(r.U64())
-		out[i].RSS = r.Float()
-	}
-	return out
-}
-
-// AppendTo implements stack.State: the "sdn" snapshot section layout.
-func (st *SDNStackState) AppendTo(w *wire.Writer) {
-	w.Bool(st.Synced)
-	w.U64(uint64(st.Uplink))
-	w.U8(st.OwnHops)
-	w.Bool(st.HasHops)
+// Code implements stack.State: the "sdn" snapshot section layout.
+func (st *SDNStackState) Code(c *wire.Coder) {
+	c.Bool(&st.Synced)
+	wire.Uvarint(c, &st.Uplink)
+	c.U8(&st.OwnHops)
+	c.Bool(&st.HasHops)
 	if st.HasHops {
-		w.U64(uint64(len(st.Hops)))
-		for _, e := range st.Hops {
-			w.U64(uint64(e.Node))
-			w.U8(e.Hops)
-			w.I64(e.Heard)
-		}
+		wire.Slice(c, &st.Hops, 3, func(e *SDNHopsState) {
+			wire.Uvarint(c, &e.Node)
+			c.U8(&e.Hops)
+			c.I64(&e.Heard)
+		})
 	}
-	w.Bool(st.HasRSS)
+	c.Bool(&st.HasRSS)
 	if st.HasRSS {
-		w.U64(uint64(len(st.RSS)))
-		for _, e := range st.RSS {
-			w.U64(uint64(e.Node))
-			w.Float(e.RSS)
-			w.I64(e.Heard)
-		}
+		wire.Slice(c, &st.RSS, 10, func(e *SDNRSSState) {
+			wire.Uvarint(c, &e.Node)
+			c.Float(&e.RSS)
+			c.I64(&e.Heard)
+		})
 	}
-	w.I64(st.NextMaintain)
-	w.I64(st.NextReport)
-	w.U16(st.CfgEpoch)
-	w.U64(uint64(st.Parent))
-	encodeNodeIDs(w, st.Children)
-	w.Int(st.ConsecParentFails)
-	w.U64(uint64(len(st.CtrlQ)))
-	for i := range st.CtrlQ {
-		st.CtrlQ[i].Frame.AppendTo(w)
-		w.Int(st.CtrlQ[i].Tries)
-		w.I64(st.CtrlQ[i].NotBefore)
-	}
-	w.U64(uint64(len(st.Reports)))
-	for i := range st.Reports {
-		w.U64(uint64(st.Reports[i].Node))
-		w.I64(st.Reports[i].ASN)
-		encodeSDNNeighbors(w, st.Reports[i].Neigh)
-	}
-	w.U16(st.Epoch)
-	w.I64(st.EpochCount)
-	w.I64(st.NextRecompute)
-	w.U64(uint64(len(st.LastSent)))
-	for i := range st.LastSent {
-		w.U64(uint64(st.LastSent[i].Node))
-		w.U64(uint64(st.LastSent[i].Parent))
-		encodeNodeIDs(w, st.LastSent[i].Children)
-	}
-}
-
-func readSDNState(r *wire.Reader) stack.State {
-	st := &SDNStackState{}
-	st.Synced = r.Bool()
-	st.Uplink = topology.NodeID(r.U64())
-	st.OwnHops = r.U8()
-	if r.Bool() {
-		st.HasHops = true
-		if n := r.Count(3); n > 0 {
-			st.Hops = make([]SDNHopsState, n)
-			for i := range st.Hops {
-				st.Hops[i].Node = topology.NodeID(r.U64())
-				st.Hops[i].Hops = r.U8()
-				st.Hops[i].Heard = r.I64()
-			}
-		}
-	}
-	if r.Bool() {
-		st.HasRSS = true
-		if n := r.Count(10); n > 0 {
-			st.RSS = make([]SDNRSSState, n)
-			for i := range st.RSS {
-				st.RSS[i].Node = topology.NodeID(r.U64())
-				st.RSS[i].RSS = r.Float()
-				st.RSS[i].Heard = r.I64()
-			}
-		}
-	}
-	st.NextMaintain = r.I64()
-	st.NextReport = r.I64()
-	st.CfgEpoch = r.U16()
-	st.Parent = topology.NodeID(r.U64())
-	st.Children = decodeNodeIDs(r)
-	st.ConsecParentFails = r.Int()
-	if n := r.Count(8); n > 0 {
-		st.CtrlQ = make([]SDNCtrlState, n)
-		for i := range st.CtrlQ {
-			st.CtrlQ[i].Frame = mac.ReadFrameState(r)
-			st.CtrlQ[i].Tries = r.Int()
-			st.CtrlQ[i].NotBefore = r.I64()
-		}
-	}
-	if n := r.Count(3); n > 0 {
-		st.Reports = make([]SDNReportState, n)
-		for i := range st.Reports {
-			st.Reports[i].Node = topology.NodeID(r.U64())
-			st.Reports[i].ASN = r.I64()
-			st.Reports[i].Neigh = decodeSDNNeighbors(r)
-		}
-	}
-	st.Epoch = r.U16()
-	st.EpochCount = r.I64()
-	st.NextRecompute = r.I64()
-	if n := r.Count(3); n > 0 {
-		st.LastSent = make([]SDNSentState, n)
-		for i := range st.LastSent {
-			st.LastSent[i].Node = topology.NodeID(r.U64())
-			st.LastSent[i].Parent = topology.NodeID(r.U64())
-			st.LastSent[i].Children = decodeNodeIDs(r)
-		}
-	}
-	return st
+	c.I64(&st.NextMaintain)
+	c.I64(&st.NextReport)
+	c.U16(&st.CfgEpoch)
+	wire.Uvarint(c, &st.Parent)
+	codeNodeIDs(c, &st.Children)
+	c.Int(&st.ConsecParentFails)
+	wire.Slice(c, &st.CtrlQ, 8, func(e *SDNCtrlState) {
+		e.Frame.Code(c)
+		c.Int(&e.Tries)
+		c.I64(&e.NotBefore)
+	})
+	wire.Slice(c, &st.Reports, 3, func(e *SDNReportState) {
+		wire.Uvarint(c, &e.Node)
+		c.I64(&e.ASN)
+		codeSDNNeighbors(c, &e.Neigh)
+	})
+	c.U16(&st.Epoch)
+	c.I64(&st.EpochCount)
+	c.I64(&st.NextRecompute)
+	wire.Slice(c, &st.LastSent, 3, func(e *SDNSentState) {
+		wire.Uvarint(c, &e.Node)
+		wire.Uvarint(c, &e.Parent)
+		codeNodeIDs(c, &e.Children)
+	})
 }
 
 // AdaptiveCellState is one cached neighbor cell-count entry.
@@ -392,7 +296,8 @@ type AdaptiveStackState struct {
 	SentSinceTick  int
 
 	// HasNeighborCells distinguishes a nil cache (never populated since
-	// construction or reset) from an empty populated one.
+	// construction or reset) from an empty populated one; NeighborCells
+	// is nil in both cases.
 	HasNeighborCells bool
 	NeighborCells    []AdaptiveCellState // sorted by node
 }
@@ -406,8 +311,8 @@ func (s *AdaptiveStack) CaptureState() (stack.State, error) {
 		FailsSinceTick: s.failsSinceTick,
 		SentSinceTick:  s.sentSinceTick,
 	}
-	if s.neighborCells != nil {
-		st.HasNeighborCells = true
+	st.HasNeighborCells = s.neighborCells != nil
+	if len(s.neighborCells) > 0 {
 		st.NeighborCells = make([]AdaptiveCellState, 0, len(s.neighborCells))
 		for n, c := range s.neighborCells {
 			st.NeighborCells = append(st.NeighborCells, AdaptiveCellState{Node: n, Cells: c})
@@ -441,41 +346,20 @@ func (s *AdaptiveStack) RestoreState(state stack.State) error {
 	return nil
 }
 
-// AppendTo implements stack.State: the "adpt" snapshot section layout.
-func (st *AdaptiveStackState) AppendTo(w *wire.Writer) {
-	st.AppendControl(w)
-	w.Int(st.TxCells)
-	w.Int(st.IdleTicks)
-	w.Int(st.FailsSinceTick)
-	w.Int(st.SentSinceTick)
-	w.Bool(st.HasNeighborCells)
+// Code implements stack.State: the "adpt" snapshot section layout — the
+// RPL node's head, the allocator's own fields, the RPL node's tail.
+func (st *AdaptiveStackState) Code(c *wire.Coder) {
+	st.CodeControl(c)
+	c.Int(&st.TxCells)
+	c.Int(&st.IdleTicks)
+	c.Int(&st.FailsSinceTick)
+	c.Int(&st.SentSinceTick)
+	c.Bool(&st.HasNeighborCells)
 	if st.HasNeighborCells {
-		w.U64(uint64(len(st.NeighborCells)))
-		for _, c := range st.NeighborCells {
-			w.U64(uint64(c.Node))
-			w.Int(c.Cells)
-		}
+		wire.Slice(c, &st.NeighborCells, 2, func(cell *AdaptiveCellState) {
+			wire.Uvarint(c, &cell.Node)
+			c.Int(&cell.Cells)
+		})
 	}
-	st.AppendChildCells(w)
-}
-
-func readAdaptiveState(r *wire.Reader) stack.State {
-	st := &AdaptiveStackState{}
-	st.ReadControl(r)
-	st.TxCells = r.Int()
-	st.IdleTicks = r.Int()
-	st.FailsSinceTick = r.Int()
-	st.SentSinceTick = r.Int()
-	if r.Bool() {
-		st.HasNeighborCells = true
-		if n := r.Count(2); n > 0 {
-			st.NeighborCells = make([]AdaptiveCellState, n)
-			for i := range st.NeighborCells {
-				st.NeighborCells[i].Node = topology.NodeID(r.U64())
-				st.NeighborCells[i].Cells = r.Int()
-			}
-		}
-	}
-	st.ReadChildCells(r)
-	return st
+	st.CodeChildCells(c)
 }

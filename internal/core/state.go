@@ -199,116 +199,57 @@ func (s *Stack) RestoreState(state stack.State) error {
 
 // Codec is the DiGS stack's registration: protocol "digs", one StackState
 // per node in the "digs" snapshot section.
-var Codec = stack.Codec{Protocol: "digs", Section: "digs", Read: readState}
+var Codec = stack.Codec{Protocol: "digs", Section: "digs", New: func() stack.State { return &StackState{} }}
 
 func init() { stack.Register(Codec) }
 
 // Routed implements stack.State.
 func (st *StackState) Routed() bool { return st.Router.HasParentedAt }
 
-func (st *RouterState) appendTo(w *wire.Writer) {
-	w.U16(st.Rank)
-	w.Float(st.ETXw)
-	w.U64(uint64(st.Best))
-	w.U64(uint64(st.Second))
-	w.Float(st.ETXaBest)
-	w.Float(st.ETXaSecond)
-	w.U64(uint64(len(st.Neighbors)))
-	for _, e := range st.Neighbors {
-		w.U64(uint64(e.Node))
-		w.U16(e.Rank)
-		w.Float(e.ETXw)
-		w.I64(e.LastHeard)
-	}
-	w.U64(uint64(len(st.Children)))
-	for _, c := range st.Children {
-		w.U64(uint64(c.Node))
-		w.U8(c.Role)
-		w.I64(c.LastHeard)
-	}
-	link.AppendStates(w, st.Links)
-	w.I64(st.FirstParentAt)
-	w.Bool(st.HasParentedAt)
-	w.I64(st.ParentChanges)
-	w.I64(st.ChildVersion)
+// code walks the routing state in its snapshot wire form. The narrowest
+// neighbour entry is 11 bytes: a float and three one-byte varints.
+func (st *RouterState) code(c *wire.Coder) {
+	c.U16(&st.Rank)
+	c.Float(&st.ETXw)
+	wire.Uvarint(c, &st.Best)
+	wire.Uvarint(c, &st.Second)
+	c.Float(&st.ETXaBest)
+	c.Float(&st.ETXaSecond)
+	wire.Slice(c, &st.Neighbors, 11, func(e *NeighborState) {
+		wire.Uvarint(c, &e.Node)
+		c.U16(&e.Rank)
+		c.Float(&e.ETXw)
+		c.I64(&e.LastHeard)
+	})
+	wire.Slice(c, &st.Children, 3, func(ch *ChildState) {
+		wire.Uvarint(c, &ch.Node)
+		c.U8(&ch.Role)
+		c.I64(&ch.LastHeard)
+	})
+	link.CodeStates(c, &st.Links)
+	c.I64(&st.FirstParentAt)
+	c.Bool(&st.HasParentedAt)
+	c.I64(&st.ParentChanges)
+	c.I64(&st.ChildVersion)
 }
 
-func readRouterState(r *wire.Reader) RouterState {
-	var st RouterState
-	st.Rank = r.U16()
-	st.ETXw = r.Float()
-	st.Best = topology.NodeID(r.U64())
-	st.Second = topology.NodeID(r.U64())
-	st.ETXaBest = r.Float()
-	st.ETXaSecond = r.Float()
-	if n := r.Count(12); n > 0 {
-		st.Neighbors = make([]NeighborState, n)
-		for i := range st.Neighbors {
-			st.Neighbors[i].Node = topology.NodeID(r.U64())
-			st.Neighbors[i].Rank = r.U16()
-			st.Neighbors[i].ETXw = r.Float()
-			st.Neighbors[i].LastHeard = r.I64()
-		}
-	}
-	if n := r.Count(3); n > 0 {
-		st.Children = make([]ChildState, n)
-		for i := range st.Children {
-			st.Children[i].Node = topology.NodeID(r.U64())
-			st.Children[i].Role = r.U8()
-			st.Children[i].LastHeard = r.I64()
-		}
-	}
-	st.Links = link.ReadStates(r)
-	st.FirstParentAt = r.I64()
-	st.HasParentedAt = r.Bool()
-	st.ParentChanges = r.I64()
-	st.ChildVersion = r.I64()
-	return st
-}
-
-// AppendTo implements stack.State: the "digs" snapshot section layout.
-func (st *StackState) AppendTo(w *wire.Writer) {
-	st.Router.appendTo(w)
-	st.Trickle.AppendTo(w)
-	w.U64(st.RNGDraws)
-	w.U64(uint64(len(st.Pending)))
-	for _, p := range st.Pending {
-		w.U64(uint64(p.To))
-		w.U8(p.Role)
-		w.Int(p.Tries)
-	}
-	w.Bool(st.WantJoinIn)
-	w.I64(st.NextMaintain)
-	w.I64(st.NextSolicit)
-	w.Bool(st.Synced)
-	w.U64(uint64(st.LastBest))
-	w.U64(uint64(st.LastSecond))
-	w.Bool(st.BestConfirmed)
-	w.Bool(st.SecondConfirmed)
-	w.U64(uint64(st.FallbackParent))
-}
-
-func readState(r *wire.Reader) stack.State {
-	st := &StackState{}
-	st.Router = readRouterState(r)
-	st.Trickle = trickle.ReadState(r)
-	st.RNGDraws = r.U64()
-	if n := r.Count(3); n > 0 {
-		st.Pending = make([]PendingCallbackState, n)
-		for i := range st.Pending {
-			st.Pending[i].To = topology.NodeID(r.U64())
-			st.Pending[i].Role = r.U8()
-			st.Pending[i].Tries = r.Int()
-		}
-	}
-	st.WantJoinIn = r.Bool()
-	st.NextMaintain = r.I64()
-	st.NextSolicit = r.I64()
-	st.Synced = r.Bool()
-	st.LastBest = topology.NodeID(r.U64())
-	st.LastSecond = topology.NodeID(r.U64())
-	st.BestConfirmed = r.Bool()
-	st.SecondConfirmed = r.Bool()
-	st.FallbackParent = topology.NodeID(r.U64())
-	return st
+// Code implements stack.State: the "digs" snapshot section layout.
+func (st *StackState) Code(c *wire.Coder) {
+	st.Router.code(c)
+	st.Trickle.Code(c)
+	c.U64(&st.RNGDraws)
+	wire.Slice(c, &st.Pending, 3, func(p *PendingCallbackState) {
+		wire.Uvarint(c, &p.To)
+		c.U8(&p.Role)
+		c.Int(&p.Tries)
+	})
+	c.Bool(&st.WantJoinIn)
+	c.I64(&st.NextMaintain)
+	c.I64(&st.NextSolicit)
+	c.Bool(&st.Synced)
+	wire.Uvarint(c, &st.LastBest)
+	wire.Uvarint(c, &st.LastSecond)
+	c.Bool(&st.BestConfirmed)
+	c.Bool(&st.SecondConfirmed)
+	wire.Uvarint(c, &st.FallbackParent)
 }

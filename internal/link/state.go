@@ -42,34 +42,15 @@ func (e *Estimator) RestoreState(entries []LinkState) {
 	}
 }
 
-// AppendStates writes a captured neighbour table in its snapshot wire
-// form.
-func AppendStates(w *wire.Writer, ls []LinkState) {
-	w.U64(uint64(len(ls)))
-	for _, l := range ls {
-		w.U64(uint64(l.Node))
-		w.Float(l.ETX)
-		w.Float(l.RSSAvg)
-		w.Int(l.ConsecFails)
-		w.Bool(l.TxSeen)
-		w.Int(l.ResurrectCount)
-	}
-}
-
-// ReadStates decodes what AppendStates wrote.
-func ReadStates(r *wire.Reader) []LinkState {
-	n := r.Count(20)
-	if n == 0 {
-		return nil
-	}
-	out := make([]LinkState, n)
-	for i := range out {
-		out[i].Node = topology.NodeID(r.U64())
-		out[i].ETX = r.Float()
-		out[i].RSSAvg = r.Float()
-		out[i].ConsecFails = r.Int()
-		out[i].TxSeen = r.Bool()
-		out[i].ResurrectCount = r.Int()
-	}
-	return out
+// CodeStates walks a captured neighbour table in its snapshot wire form.
+// The narrowest entry is 20 bytes: two floats and four one-byte fields.
+func CodeStates(c *wire.Coder, ls *[]LinkState) {
+	wire.Slice(c, ls, 20, func(l *LinkState) {
+		wire.Uvarint(c, &l.Node)
+		c.Float(&l.ETX)
+		c.Float(&l.RSSAvg)
+		c.Int(&l.ConsecFails)
+		c.Bool(&l.TxSeen)
+		c.Int(&l.ResurrectCount)
+	})
 }

@@ -54,40 +54,17 @@ func CaptureFrame(f *sim.Frame) FrameState { return captureFrame(f) }
 // Restore exports restore for the same callers.
 func (fs FrameState) Restore() *sim.Frame { return fs.restore() }
 
-// AppendTo writes the frame in its snapshot wire form.
-func (fs *FrameState) AppendTo(w *wire.Writer) {
-	w.U8(fs.Kind)
-	w.U64(uint64(fs.Src))
-	w.U64(uint64(fs.Dst))
-	w.U16(fs.Seq)
-	w.U64(uint64(fs.Origin))
-	w.U16(fs.FlowID)
-	w.I64(fs.BornASN)
-	w.U64(uint64(len(fs.Route)))
-	for _, hop := range fs.Route {
-		w.U64(uint64(hop))
-	}
-	w.Bytes(fs.Payload)
-}
-
-// ReadFrameState decodes what AppendTo wrote.
-func ReadFrameState(r *wire.Reader) FrameState {
-	var f FrameState
-	f.Kind = r.U8()
-	f.Src = topology.NodeID(r.U64())
-	f.Dst = topology.NodeID(r.U64())
-	f.Seq = r.U16()
-	f.Origin = topology.NodeID(r.U64())
-	f.FlowID = r.U16()
-	f.BornASN = r.I64()
-	if n := r.Count(1); n > 0 {
-		f.Route = make([]topology.NodeID, n)
-		for i := range f.Route {
-			f.Route[i] = topology.NodeID(r.U64())
-		}
-	}
-	f.Payload = r.Bytes()
-	return f
+// Code walks the frame in its snapshot wire form.
+func (fs *FrameState) Code(c *wire.Coder) {
+	c.U8(&fs.Kind)
+	wire.Uvarint(c, &fs.Src)
+	wire.Uvarint(c, &fs.Dst)
+	c.U16(&fs.Seq)
+	wire.Uvarint(c, &fs.Origin)
+	c.U16(&fs.FlowID)
+	c.I64(&fs.BornASN)
+	wire.Slice(c, &fs.Route, 1, func(hop *topology.NodeID) { wire.Uvarint(c, hop) })
+	c.Bytes(&fs.Payload)
 }
 
 // PacketState is one queued packet (data or downlink command).

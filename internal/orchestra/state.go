@@ -32,28 +32,21 @@ func (s *Stack) RestoreState(state stack.State) error {
 
 // Codec is the Orchestra stack's registration: protocol "orchestra", one
 // StackState per node in the "orch" snapshot section.
-var Codec = stack.Codec{Protocol: "orchestra", Section: "orch", Read: readState}
+var Codec = stack.Codec{Protocol: "orchestra", Section: "orch", New: func() stack.State { return &StackState{} }}
 
 func init() { stack.Register(Codec) }
 
-// AppendTo implements stack.State: the "orch" snapshot section layout. The
-// int between the control-plane fields and the listen cells is reserved: it
+// Code implements stack.State: the "orch" snapshot section layout. The int
+// between the control-plane fields and the listen cells is reserved: it
 // held the retry backoff of the receiver-based unicast mode, which no
-// scenario ever built, so every snapshot on disk carries a zero there.
-func (st *StackState) AppendTo(w *wire.Writer) {
-	st.AppendControl(w)
-	w.Int(0)
-	st.AppendChildCells(w)
-}
-
-// readState decodes the "orch" layout. A non-zero reserved int is read and
-// dropped: no state is left to hold it, and a snapshot that carried one was
-// taken under a configuration whose hash no current build matches, so it
-// can be inspected but never restored.
-func readState(r *wire.Reader) stack.State {
-	st := &StackState{}
-	st.ReadControl(r)
-	r.Int()
-	st.ReadChildCells(r)
-	return st
+// scenario ever built, so every snapshot on disk carries a zero there. It
+// is written as zero, and a non-zero one is read and dropped: no state is
+// left to hold it, and a snapshot that carried one was taken under a
+// configuration whose hash no current build matches, so it can be
+// inspected but never restored.
+func (st *StackState) Code(c *wire.Coder) {
+	st.CodeControl(c)
+	reserved := 0
+	c.Int(&reserved)
+	st.CodeChildCells(c)
 }

@@ -242,12 +242,12 @@ func TestNodeStateRoundTrip(t *testing.T) {
 	}
 
 	var w wire.Writer
-	st.AppendControl(&w)
-	st.AppendChildCells(&w)
+	st.CodeControl(wire.Encoder(&w))
+	st.CodeChildCells(wire.Encoder(&w))
 	r := wire.NewReader(w.Buf)
 	var back NodeState
-	back.ReadControl(r)
-	back.ReadChildCells(r)
+	back.CodeControl(wire.Decoder(r))
+	back.CodeChildCells(wire.Decoder(r))
 	if r.Err() != nil || r.Remaining() != 0 {
 		t.Fatalf("decode: %v, %d bytes left", r.Err(), r.Remaining())
 	}

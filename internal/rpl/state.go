@@ -69,44 +69,22 @@ func (r *Router) RestoreState(st RouterState) {
 	r.parentChanges = st.ParentChanges
 }
 
-// AppendTo writes the routing state in its snapshot wire form.
-func (st *RouterState) AppendTo(w *wire.Writer) {
-	w.U16(st.Rank)
-	w.Float(st.PathETX)
-	w.U64(uint64(st.Parent))
-	w.U64(uint64(len(st.Neighbors)))
-	for _, e := range st.Neighbors {
-		w.U64(uint64(e.Node))
-		w.U16(e.Rank)
-		w.Float(e.PathETX)
-		w.I64(e.LastHeard)
-	}
-	link.AppendStates(w, st.Links)
-	w.I64(st.FirstParentAt)
-	w.Bool(st.HasParentedAt)
-	w.I64(st.ParentChanges)
-}
-
-// ReadRouterState decodes what AppendTo wrote.
-func ReadRouterState(r *wire.Reader) RouterState {
-	var st RouterState
-	st.Rank = r.U16()
-	st.PathETX = r.Float()
-	st.Parent = topology.NodeID(r.U64())
-	if n := r.Count(12); n > 0 {
-		st.Neighbors = make([]NeighborState, n)
-		for i := range st.Neighbors {
-			st.Neighbors[i].Node = topology.NodeID(r.U64())
-			st.Neighbors[i].Rank = r.U16()
-			st.Neighbors[i].PathETX = r.Float()
-			st.Neighbors[i].LastHeard = r.I64()
-		}
-	}
-	st.Links = link.ReadStates(r)
-	st.FirstParentAt = r.I64()
-	st.HasParentedAt = r.Bool()
-	st.ParentChanges = r.I64()
-	return st
+// Code walks the routing state in its snapshot wire form. The narrowest
+// neighbour entry is 11 bytes: a float and three one-byte varints.
+func (st *RouterState) Code(c *wire.Coder) {
+	c.U16(&st.Rank)
+	c.Float(&st.PathETX)
+	wire.Uvarint(c, &st.Parent)
+	wire.Slice(c, &st.Neighbors, 11, func(e *NeighborState) {
+		wire.Uvarint(c, &e.Node)
+		c.U16(&e.Rank)
+		c.Float(&e.PathETX)
+		c.I64(&e.LastHeard)
+	})
+	link.CodeStates(c, &st.Links)
+	c.I64(&st.FirstParentAt)
+	c.Bool(&st.HasParentedAt)
+	c.I64(&st.ParentChanges)
 }
 
 // ChildCellState is one listen-cell table entry.
@@ -116,8 +94,8 @@ type ChildCellState struct {
 }
 
 // NodeState is the complete mutable state of a Node. A stack's own state
-// embeds it and writes it as the two ends of its snapshot section, its own
-// fields in between: AppendControl first, AppendChildCells last. The
+// embeds it and walks it as the two ends of its snapshot section, its own
+// fields in between: CodeControl first, CodeChildCells last. The
 // listen-cell table is captured rather than recomputed on restore: it
 // refreshes only at maintenance ticks, so a restore-time recompute could be
 // fresher than the interrupted run's table and diverge from it.
@@ -132,7 +110,8 @@ type NodeState struct {
 	Synced       bool
 
 	// HasChildCells distinguishes a nil table (never refreshed since
-	// construction or reset) from an empty refreshed one.
+	// construction or reset) from an empty refreshed one; ChildCells is
+	// nil in both cases.
 	HasChildCells bool
 	ChildCells    []ChildCellState // sorted by slot
 }
@@ -148,8 +127,8 @@ func (n *Node) CaptureState() NodeState {
 		NextSolicit:  n.nextSolicit,
 		Synced:       n.synced,
 	}
-	if n.childCells != nil {
-		st.HasChildCells = true
+	st.HasChildCells = n.childCells != nil
+	if len(n.childCells) > 0 {
 		st.ChildCells = make([]ChildCellState, 0, len(n.childCells))
 		for _, c := range n.childCells {
 			st.ChildCells = append(st.ChildCells, ChildCellState{Slot: c.Offset, Node: c.Val})
@@ -180,53 +159,27 @@ func (n *Node) RestoreState(st NodeState) {
 // Routed implements stack.State for the states that embed a NodeState.
 func (st *NodeState) Routed() bool { return st.Router.HasParentedAt }
 
-// AppendControl writes the head of a stack's snapshot section: the router,
+// CodeControl walks the head of a stack's snapshot section: the router,
 // the Trickle timer, the generator position and the four control-plane
 // fields.
-func (st *NodeState) AppendControl(w *wire.Writer) {
-	st.Router.AppendTo(w)
-	st.Trickle.AppendTo(w)
-	w.U64(st.RNGDraws)
-	w.Bool(st.WantDIO)
-	w.I64(st.NextMaintain)
-	w.I64(st.NextSolicit)
-	w.Bool(st.Synced)
+func (st *NodeState) CodeControl(c *wire.Coder) {
+	st.Router.Code(c)
+	st.Trickle.Code(c)
+	c.U64(&st.RNGDraws)
+	c.Bool(&st.WantDIO)
+	c.I64(&st.NextMaintain)
+	c.I64(&st.NextSolicit)
+	c.Bool(&st.Synced)
 }
 
-// ReadControl decodes what AppendControl wrote.
-func (st *NodeState) ReadControl(r *wire.Reader) {
-	st.Router = ReadRouterState(r)
-	st.Trickle = trickle.ReadState(r)
-	st.RNGDraws = r.U64()
-	st.WantDIO = r.Bool()
-	st.NextMaintain = r.I64()
-	st.NextSolicit = r.I64()
-	st.Synced = r.Bool()
-}
-
-// AppendChildCells writes the tail of a stack's snapshot section: the
+// CodeChildCells walks the tail of a stack's snapshot section: the
 // listen-cell table behind its has-flag.
-func (st *NodeState) AppendChildCells(w *wire.Writer) {
-	w.Bool(st.HasChildCells)
+func (st *NodeState) CodeChildCells(c *wire.Coder) {
+	c.Bool(&st.HasChildCells)
 	if st.HasChildCells {
-		w.U64(uint64(len(st.ChildCells)))
-		for _, c := range st.ChildCells {
-			w.I64(c.Slot)
-			w.U64(uint64(c.Node))
-		}
-	}
-}
-
-// ReadChildCells decodes what AppendChildCells wrote.
-func (st *NodeState) ReadChildCells(r *wire.Reader) {
-	if st.HasChildCells = r.Bool(); !st.HasChildCells {
-		return
-	}
-	if n := r.Count(2); n > 0 {
-		st.ChildCells = make([]ChildCellState, n)
-		for i := range st.ChildCells {
-			st.ChildCells[i].Slot = r.I64()
-			st.ChildCells[i].Node = topology.NodeID(r.U64())
-		}
+		wire.Slice(c, &st.ChildCells, 2, func(cell *ChildCellState) {
+			c.I64(&cell.Slot)
+			wire.Uvarint(c, &cell.Node)
+		})
 	}
 }

@@ -21,7 +21,7 @@ func stateBytes(st stack.State) []byte {
 		return nil // whart: no mutable state beyond its MAC node
 	}
 	var w wire.Writer
-	st.AppendTo(&w)
+	st.Code(wire.Encoder(&w))
 	return w.Buf
 }
 

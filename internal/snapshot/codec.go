@@ -6,14 +6,12 @@ import (
 	"hash/crc32"
 	"os"
 	"sort"
-	"time"
 
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/store"
-	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/wire"
 )
 
@@ -57,21 +55,21 @@ func Encode(s *Snapshot) ([]byte, error) {
 	w.Buf = append(w.Buf, magic...)
 	w.U64(Version)
 
-	section := func(tag string, body func(*wire.Writer)) {
+	section := func(tag string, body func(*wire.Coder)) {
 		var sw wire.Writer
-		body(&sw)
+		body(wire.Encoder(&sw))
 		w.Str(tag)
 		w.Bytes(sw.Buf)
 	}
 
-	section(secMeta, func(sw *wire.Writer) { encodeMeta(sw, &s.Meta) })
-	section(secNet, func(sw *wire.Writer) { encodeNet(sw, s.Net) })
-	section(secMAC, func(sw *wire.Writer) { encodeMACs(sw, s.MACs) })
+	section(secMeta, func(c *wire.Coder) { codeMeta(c, &s.Meta) })
+	section(secNet, func(c *wire.Coder) { codeNet(c, s.Net, Version) })
+	section(secMAC, func(c *wire.Coder) { codeMACs(c, &s.MACs) })
 	if codec.Section != "" {
-		section(codec.Section, func(sw *wire.Writer) { stack.AppendStates(sw, s.Stack) })
+		section(codec.Section, func(c *wire.Coder) { stack.CodeStates(c, &s.Stack, codec.New) })
 	}
 	if s.Metrics != nil {
-		section(secMetrics, func(sw *wire.Writer) { encodeCollector(sw, s.Metrics) })
+		section(secMetrics, func(c *wire.Coder) { codeCollector(c, s.Metrics) })
 	}
 	w.Str("") // terminator
 	w.Buf = binary.BigEndian.AppendUint32(w.Buf, crc32.ChecksumIEEE(w.Buf))
@@ -118,15 +116,18 @@ func Decode(b []byte) (*Snapshot, error) {
 		seen[tag] = true
 		s.SectionSizes[tag] = len(payload)
 		sr := wire.NewReader(payload)
+		c := wire.Decoder(sr)
 		switch tag {
 		case secMeta:
-			decodeMeta(sr, &s.Meta)
+			codeMeta(c, &s.Meta)
 		case secNet:
-			s.Net = decodeNet(sr, ver)
+			s.Net = &sim.NetworkState{}
+			codeNet(c, s.Net, ver)
 		case secMAC:
-			s.MACs = decodeMACs(sr)
+			codeMACs(c, &s.MACs)
 		case secMetrics:
-			s.Metrics = decodeCollector(sr)
+			s.Metrics = &metrics.CollectorState{}
+			codeCollector(c, s.Metrics)
 		default:
 			codec, ok := stack.LookupSection(tag)
 			if !ok {
@@ -136,7 +137,7 @@ func Decode(b []byte) (*Snapshot, error) {
 				return nil, fmt.Errorf("snapshot: stack sections %q and %q in one snapshot", stackTag, tag)
 			}
 			stackTag = tag
-			s.Stack = stack.ReadStates(sr, codec.Read)
+			stack.CodeStates(c, &s.Stack, codec.New)
 		}
 		if err := sr.Err(); err != nil {
 			return nil, fmt.Errorf("snapshot: section %q: %w", tag, err)
@@ -207,340 +208,162 @@ func ReadFile(path string) (*Snapshot, error) {
 
 // --- meta ---
 
-func encodeMeta(w *wire.Writer, m *Meta) {
-	w.Str(m.Protocol)
-	w.Str(m.Topology)
-	w.Int(m.Nodes)
-	w.Int(m.NumAPs)
-	w.I64(m.Seed)
-	w.I64(m.Slot)
-	w.U64(m.ConfigHash)
-	w.Str(m.Label)
-	keys := make([]string, 0, len(m.Extra))
-	for k := range m.Extra {
-		keys = append(keys, k)
+// codeMeta walks the "meta" section: the scenario header, then Extra as a
+// table of key/value pairs sorted by key.
+func codeMeta(c *wire.Coder, m *Meta) {
+	c.Str(&m.Protocol)
+	c.Str(&m.Topology)
+	c.Int(&m.Nodes)
+	c.Int(&m.NumAPs)
+	c.I64(&m.Seed)
+	c.I64(&m.Slot)
+	c.U64(&m.ConfigHash)
+	c.Str(&m.Label)
+	type pair struct{ k, v string }
+	extra := make([]pair, 0, len(m.Extra))
+	for k, v := range m.Extra {
+		extra = append(extra, pair{k, v})
 	}
-	sort.Strings(keys)
-	w.U64(uint64(len(keys)))
-	for _, k := range keys {
-		w.Str(k)
-		w.Str(m.Extra[k])
-	}
-}
-
-func decodeMeta(r *wire.Reader, m *Meta) {
-	m.Protocol = r.Str()
-	m.Topology = r.Str()
-	m.Nodes = r.Int()
-	m.NumAPs = r.Int()
-	m.Seed = r.I64()
-	m.Slot = r.I64()
-	m.ConfigHash = r.U64()
-	m.Label = r.Str()
-	if n := r.Count(2); n > 0 {
-		m.Extra = make(map[string]string, n)
-		for i := 0; i < n; i++ {
-			k := r.Str()
-			m.Extra[k] = r.Str()
+	sort.Slice(extra, func(i, j int) bool { return extra[i].k < extra[j].k })
+	wire.Slice(c, &extra, 2, func(p *pair) {
+		c.Str(&p.k)
+		c.Str(&p.v)
+	})
+	if c.Decoding() && len(extra) > 0 {
+		m.Extra = make(map[string]string, len(extra))
+		for _, p := range extra {
+			m.Extra[p.k] = p.v
 		}
 	}
 }
 
 // --- sim network ---
 
-func encodeNet(w *wire.Writer, st *sim.NetworkState) {
-	w.I64(st.Seed)
-	w.I64(st.ASN)
-	w.Bool(st.Started)
-	w.U64(st.EventSeq)
-	w.U64(st.RNGDraws)
-	w.Float(st.FastFadingSigmaDB)
-	w.U64(uint64(len(st.Failed)))
-	for _, f := range st.Failed {
-		w.Bool(f)
+// codeNet walks the "net" section as format version ver lays it out: a
+// version-1 section ends before the scale engine's fields. Each optional
+// overlay sits behind a presence flag, and parallel vectors share one
+// count.
+func codeNet(c *wire.Coder, st *sim.NetworkState, ver uint64) {
+	c.I64(&st.Seed)
+	c.I64(&st.ASN)
+	c.Bool(&st.Started)
+	c.U64(&st.EventSeq)
+	c.U64(&st.RNGDraws)
+	c.Float(&st.FastFadingSigmaDB)
+	wire.Slice(c, &st.Failed, 1, c.Bool)
+	if c.Present(st.Fade != nil) {
+		n := c.Len(len(st.Fade), 8)
+		wire.Vector(c, &st.Fade, n, c.Float)
 	}
-	w.Bool(st.Fade != nil)
-	if st.Fade != nil {
-		w.U64(uint64(len(st.Fade)))
-		for _, f := range st.Fade {
-			w.Float(f)
-		}
+	if c.Present(st.DriftProb != nil) {
+		n := c.Len(len(st.DriftProb), 9)
+		wire.Vector(c, &st.DriftProb, n, c.Float)
+		wire.Vector(c, &st.DriftSeed, n, c.U64)
 	}
-	w.Bool(st.DriftProb != nil)
-	if st.DriftProb != nil {
-		w.U64(uint64(len(st.DriftProb)))
-		for _, p := range st.DriftProb {
-			w.Float(p)
-		}
-		for _, s := range st.DriftSeed {
-			w.U64(s)
-		}
+	if ver < 2 {
+		return
 	}
 	// Version 2: scale-engine state.
-	w.Bool(st.FadeLinkIdx != nil)
-	if st.FadeLinkIdx != nil {
-		w.U64(uint64(len(st.FadeLinkIdx)))
-		for _, i := range st.FadeLinkIdx {
-			w.U64(uint64(uint32(i)))
-		}
-		for _, v := range st.FadeLinkVal {
-			w.Float(v)
-		}
+	if c.Present(st.FadeLinkIdx != nil) {
+		n := c.Len(len(st.FadeLinkIdx), 9)
+		wire.Vector(c, &st.FadeLinkIdx, n, c.Index32)
+		wire.Vector(c, &st.FadeLinkVal, n, c.Float)
 	}
-	w.Bool(st.NapUntil != nil)
-	if st.NapUntil != nil {
-		w.U64(uint64(len(st.NapUntil)))
-		for _, v := range st.NapUntil {
-			w.I64(v)
-		}
-		for _, v := range st.NapStart {
-			w.I64(v)
-		}
+	if c.Present(st.NapUntil != nil) {
+		n := c.Len(len(st.NapUntil), 2)
+		wire.Vector(c, &st.NapUntil, n, c.I64)
+		wire.Vector(c, &st.NapStart, n, c.I64)
 	}
-}
-
-func decodeNet(r *wire.Reader, ver uint64) *sim.NetworkState {
-	st := &sim.NetworkState{}
-	st.Seed = r.I64()
-	st.ASN = r.I64()
-	st.Started = r.Bool()
-	st.EventSeq = r.U64()
-	st.RNGDraws = r.U64()
-	st.FastFadingSigmaDB = r.Float()
-	if n := r.Count(1); n > 0 {
-		st.Failed = make([]bool, n)
-		for i := range st.Failed {
-			st.Failed[i] = r.Bool()
-		}
-	}
-	if r.Bool() {
-		n := r.Count(8)
-		st.Fade = make([]float64, n)
-		for i := range st.Fade {
-			st.Fade[i] = r.Float()
-		}
-	}
-	if r.Bool() {
-		n := r.Count(9)
-		st.DriftProb = make([]float64, n)
-		for i := range st.DriftProb {
-			st.DriftProb[i] = r.Float()
-		}
-		st.DriftSeed = make([]uint64, n)
-		for i := range st.DriftSeed {
-			st.DriftSeed[i] = r.U64()
-		}
-	}
-	if ver >= 2 {
-		if r.Bool() {
-			n := r.Count(9)
-			st.FadeLinkIdx = make([]int32, n)
-			for i := range st.FadeLinkIdx {
-				st.FadeLinkIdx[i] = int32(uint32(r.U64()))
-			}
-			st.FadeLinkVal = make([]float64, n)
-			for i := range st.FadeLinkVal {
-				st.FadeLinkVal[i] = r.Float()
-			}
-		}
-		if r.Bool() {
-			n := r.Count(2)
-			st.NapUntil = make([]int64, n)
-			for i := range st.NapUntil {
-				st.NapUntil[i] = r.I64()
-			}
-			st.NapStart = make([]int64, n)
-			for i := range st.NapStart {
-				st.NapStart[i] = r.I64()
-			}
-		}
-	}
-	return st
 }
 
 // --- mac nodes ---
 
-func encodePackets(w *wire.Writer, ps []mac.PacketState) {
-	w.U64(uint64(len(ps)))
-	for i := range ps {
-		ps[i].Frame.AppendTo(w)
-		w.Int(ps[i].TxCount)
-		w.U64(uint64(ps[i].From))
-		w.Int(ps[i].Blocked)
-	}
+// codePackets walks one packet queue.
+func codePackets(c *wire.Coder, ps *[]mac.PacketState) {
+	wire.Slice(c, ps, 8, func(p *mac.PacketState) {
+		p.Frame.Code(c)
+		c.Int(&p.TxCount)
+		wire.Uvarint(c, &p.From)
+		c.Int(&p.Blocked)
+	})
 }
 
-func decodePackets(r *wire.Reader) []mac.PacketState {
-	n := r.Count(8)
-	if n == 0 {
-		return nil
-	}
-	out := make([]mac.PacketState, n)
-	for i := range out {
-		out[i].Frame = mac.ReadFrameState(r)
-		out[i].TxCount = r.Int()
-		out[i].From = topology.NodeID(r.U64())
-		out[i].Blocked = r.Int()
-	}
-	return out
+// codeStats walks one node's counters.
+func codeStats(c *wire.Coder, s *mac.Stats) {
+	c.Float(&s.EnergyJoules)
+	c.I64((*int64)(&s.RadioOnTime))
+	c.I64(&s.Slots)
+	c.I64(&s.TxData)
+	c.I64(&s.TxControl)
+	c.I64(&s.RxFrames)
+	c.I64(&s.Generated)
+	c.I64(&s.Forwarded)
+	c.I64(&s.SinkDelivered)
+	c.I64(&s.CommandsDelivered)
+	c.I64(&s.BulletinsDelivered)
+	c.I64(&s.DroppedQueue)
+	c.I64(&s.DroppedRetries)
+	c.I64(&s.Duplicates)
+	c.I64(&s.Evicted)
+	c.I64(&s.WatchdogRequeues)
 }
 
-func encodeStats(w *wire.Writer, s *mac.Stats) {
-	w.Float(s.EnergyJoules)
-	w.I64(int64(s.RadioOnTime))
-	w.I64(s.Slots)
-	w.I64(s.TxData)
-	w.I64(s.TxControl)
-	w.I64(s.RxFrames)
-	w.I64(s.Generated)
-	w.I64(s.Forwarded)
-	w.I64(s.SinkDelivered)
-	w.I64(s.CommandsDelivered)
-	w.I64(s.BulletinsDelivered)
-	w.I64(s.DroppedQueue)
-	w.I64(s.DroppedRetries)
-	w.I64(s.Duplicates)
-	w.I64(s.Evicted)
-	w.I64(s.WatchdogRequeues)
-}
-
-func decodeStats(r *wire.Reader) mac.Stats {
-	var s mac.Stats
-	s.EnergyJoules = r.Float()
-	s.RadioOnTime = time.Duration(r.I64())
-	s.Slots = r.I64()
-	s.TxData = r.I64()
-	s.TxControl = r.I64()
-	s.RxFrames = r.I64()
-	s.Generated = r.I64()
-	s.Forwarded = r.I64()
-	s.SinkDelivered = r.I64()
-	s.CommandsDelivered = r.I64()
-	s.BulletinsDelivered = r.I64()
-	s.DroppedQueue = r.I64()
-	s.DroppedRetries = r.I64()
-	s.Duplicates = r.I64()
-	s.Evicted = r.I64()
-	s.WatchdogRequeues = r.I64()
-	return s
-}
-
-func encodeNode(w *wire.Writer, st *mac.NodeState) {
-	w.Bool(st.Synced)
-	w.I64(st.SyncedAt)
-	w.I64(st.LastRx)
-	encodePackets(w, st.Queue)
-	encodePackets(w, st.DownQueue)
-	w.U64(uint64(len(st.Seen)))
-	for _, k := range st.Seen {
-		w.U64(uint64(k.Origin))
-		w.U16(k.Flow)
-		w.U16(k.Seq)
-	}
-	w.U16(st.DownSeq)
-	w.U16(st.BcastSeq)
-	w.U64(st.CoinState)
-	w.Bool(st.Bcast != nil)
-	if st.Bcast != nil {
-		st.Bcast.Frame.AppendTo(w)
-		w.Int(st.Bcast.Remaining)
-	}
-	w.U64(uint64(st.WdDst))
-	w.Int(st.WdFails)
-	encodeStats(w, &st.Stats)
-}
-
-func decodeNode(r *wire.Reader) *mac.NodeState {
-	st := &mac.NodeState{}
-	st.Synced = r.Bool()
-	st.SyncedAt = r.I64()
-	st.LastRx = r.I64()
-	st.Queue = decodePackets(r)
-	st.DownQueue = decodePackets(r)
-	if n := r.Count(3); n > 0 {
-		st.Seen = make([]mac.SeenKeyState, n)
-		for i := range st.Seen {
-			st.Seen[i].Origin = topology.NodeID(r.U64())
-			st.Seen[i].Flow = r.U16()
-			st.Seen[i].Seq = r.U16()
+// codeNode walks one node's MAC state.
+func codeNode(c *wire.Coder, st *mac.NodeState) {
+	c.Bool(&st.Synced)
+	c.I64(&st.SyncedAt)
+	c.I64(&st.LastRx)
+	codePackets(c, &st.Queue)
+	codePackets(c, &st.DownQueue)
+	wire.Slice(c, &st.Seen, 3, func(k *mac.SeenKeyState) {
+		wire.Uvarint(c, &k.Origin)
+		c.U16(&k.Flow)
+		c.U16(&k.Seq)
+	})
+	c.U16(&st.DownSeq)
+	c.U16(&st.BcastSeq)
+	c.U64(&st.CoinState)
+	if c.Present(st.Bcast != nil) {
+		if c.Decoding() {
+			st.Bcast = &mac.BulletinState{}
 		}
+		st.Bcast.Frame.Code(c)
+		c.Int(&st.Bcast.Remaining)
 	}
-	st.DownSeq = r.U16()
-	st.BcastSeq = r.U16()
-	st.CoinState = r.U64()
-	if r.Bool() {
-		b := &mac.BulletinState{}
-		b.Frame = mac.ReadFrameState(r)
-		b.Remaining = r.Int()
-		st.Bcast = b
-	}
-	st.WdDst = topology.NodeID(r.U64())
-	st.WdFails = r.Int()
-	st.Stats = decodeStats(r)
-	return st
+	wire.Uvarint(c, &st.WdDst)
+	c.Int(&st.WdFails)
+	codeStats(c, &st.Stats)
 }
 
-func encodeMACs(w *wire.Writer, nodes []*mac.NodeState) {
-	w.U64(uint64(len(nodes)))
-	for _, n := range nodes {
-		w.Bool(n != nil)
-		if n != nil {
-			encodeNode(w, n)
+// codeMACs walks the "mac" section: every node's state, indexed by node
+// ID, each behind a presence flag (entry 0 is nil).
+func codeMACs(c *wire.Coder, nodes *[]*mac.NodeState) {
+	n := c.Len(len(*nodes), 1)
+	wire.Vector(c, nodes, n, func(node **mac.NodeState) {
+		if c.Present(*node != nil) {
+			if c.Decoding() {
+				*node = &mac.NodeState{}
+			}
+			codeNode(c, *node)
 		}
-	}
-}
-
-func decodeMACs(r *wire.Reader) []*mac.NodeState {
-	n := r.Count(1)
-	out := make([]*mac.NodeState, n)
-	for i := range out {
-		if r.Bool() {
-			out[i] = decodeNode(r)
-		}
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
+	})
 }
 
 // --- metrics ---
 
-func encodeRecords(w *wire.Writer, rs []metrics.PacketRecord) {
-	w.U64(uint64(len(rs)))
-	for _, rec := range rs {
-		w.U16(rec.Flow)
-		w.U16(rec.Seq)
-		w.I64(rec.ASN)
-	}
+// codeRecords walks one packet-record table.
+func codeRecords(c *wire.Coder, rs *[]metrics.PacketRecord) {
+	wire.Slice(c, rs, 3, func(rec *metrics.PacketRecord) {
+		c.U16(&rec.Flow)
+		c.U16(&rec.Seq)
+		c.I64(&rec.ASN)
+	})
 }
 
-func decodeRecords(r *wire.Reader) []metrics.PacketRecord {
-	n := r.Count(3)
-	if n == 0 {
-		return nil
-	}
-	out := make([]metrics.PacketRecord, n)
-	for i := range out {
-		out[i].Flow = r.U16()
-		out[i].Seq = r.U16()
-		out[i].ASN = r.I64()
-	}
-	return out
-}
-
-func encodeCollector(w *wire.Writer, st *metrics.CollectorState) {
-	encodeRecords(w, st.Sent)
-	encodeRecords(w, st.Delivered)
-	w.I64(st.OutOfWindow)
-	w.I64(st.DupDeliveries)
-}
-
-func decodeCollector(r *wire.Reader) *metrics.CollectorState {
-	st := &metrics.CollectorState{}
-	st.Sent = decodeRecords(r)
-	st.Delivered = decodeRecords(r)
-	st.OutOfWindow = r.I64()
-	st.DupDeliveries = r.I64()
-	return st
+// codeCollector walks the "metrics" section: an in-window collector.
+func codeCollector(c *wire.Coder, st *metrics.CollectorState) {
+	codeRecords(c, &st.Sent)
+	codeRecords(c, &st.Delivered)
+	c.I64(&st.OutOfWindow)
+	c.I64(&st.DupDeliveries)
 }

@@ -16,7 +16,7 @@ import (
 // and anything that does decode must re-encode canonically (encode ∘
 // decode is a fixed point).
 func FuzzDecodeSnapshot(f *testing.F) {
-	for _, synth := range []*snapshot.Snapshot{synthDiGS(), synthOrchestra(), synthWHART(), synthSDN(), synthAdaptive()} {
+	for _, synth := range []*snapshot.Snapshot{synthDiGS(), synthOrchestra(), synthWHART(), synthSDN(), synthAdaptive(), synthSparse()} {
 		b, err := snapshot.Encode(synth)
 		if err != nil {
 			f.Fatal(err)

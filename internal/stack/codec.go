@@ -9,26 +9,26 @@ import (
 
 // Codec is a stack's single registration: the name it builds and
 // snapshots under, the snapshot section its state travels in, and the
-// decoder for one node's state. A stack package registers its Codec from
-// init, so any binary that can build the stack can also decode it.
+// constructor of one node's zero state, which decodes itself through its
+// own State.Code. A stack package registers its Codec from init, so any
+// binary that can build the stack can also decode it.
 type Codec struct {
 	// Protocol is the -protocol name, stored in snapshot metadata.
 	Protocol string
 	// Section is the snapshot section tag. Empty for a stack with no
-	// mutable state beyond its MAC nodes (Read is then nil).
+	// mutable state beyond its MAC nodes (New is then nil).
 	Section string
-	// Read decodes one node's state as State.AppendTo wrote it. Failures
-	// surface through the reader's sticky error.
-	Read func(r *wire.Reader) State
+	// New returns a zero state for State.Code to decode into.
+	New func() State
 }
 
 var codecs = map[string]Codec{}
 
 // Register adds a stack's codec. Registration happens from init
 // functions; an empty or duplicate name or section tag, or a section
-// without a decoder, is a programming error.
+// without a constructor, is a programming error.
 func Register(c Codec) {
-	if c.Protocol == "" || (c.Section == "") != (c.Read == nil) {
+	if c.Protocol == "" || (c.Section == "") != (c.New == nil) {
 		panic(fmt.Sprintf("stack: malformed codec registration %+v", c))
 	}
 	for _, have := range codecs {
@@ -68,30 +68,18 @@ func Registered() []string {
 	return names
 }
 
-// AppendStates writes a whole network's states (indexed by node ID, nil
-// entries allowed) as one snapshot section body.
-func AppendStates(w *wire.Writer, states []State) {
-	w.U64(uint64(len(states)))
-	for _, s := range states {
-		w.Bool(s != nil)
-		if s != nil {
-			s.AppendTo(w)
+// CodeStates walks a whole network's states (indexed by node ID, nil
+// entries allowed) as one snapshot section body: a count, then each entry
+// behind a presence flag. Decoding builds every present entry with the
+// stack's Codec.New and leaves nil at the first failure.
+func CodeStates(c *wire.Coder, states *[]State, newState func() State) {
+	n := c.Len(len(*states), 1)
+	wire.Vector(c, states, n, func(s *State) {
+		if c.Present(*s != nil) {
+			if c.Decoding() {
+				*s = newState()
+			}
+			(*s).Code(c)
 		}
-	}
-}
-
-// ReadStates decodes what AppendStates wrote, one node at a time through
-// the stack's decoder.
-func ReadStates(r *wire.Reader, read func(*wire.Reader) State) []State {
-	n := r.Count(1)
-	out := make([]State, n)
-	for i := range out {
-		if r.Bool() {
-			out[i] = read(r)
-		}
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
+	})
 }

@@ -22,10 +22,12 @@ import (
 )
 
 // State is one node's captured protocol state: plain old data that knows
-// its own wire form. The matching decoder is the stack's Codec.Read.
+// its own wire form.
 type State interface {
-	// AppendTo writes the state in the stack's snapshot section layout.
-	AppendTo(w *wire.Writer)
+	// Code walks the state in the stack's snapshot section layout: it
+	// writes the state through an encoding Coder and fills it (from the
+	// zero value the stack's Codec.New returns) through a decoding one.
+	Code(c *wire.Coder)
 	// Routed reports whether the node holds (or, for stacks that record
 	// it, has ever held) a parent — the count `digs-snap info` prints.
 	Routed() bool

@@ -33,22 +33,11 @@ func (t *Timer) RestoreState(st State) {
 	t.started = st.Started
 }
 
-// AppendTo writes the state in its snapshot wire form.
-func (st State) AppendTo(w *wire.Writer) {
-	w.I64(st.Interval)
-	w.I64(st.IntervalStart)
-	w.I64(st.FireAt)
-	w.Int(st.Counter)
-	w.Bool(st.Started)
-}
-
-// ReadState decodes what AppendTo wrote.
-func ReadState(r *wire.Reader) State {
-	var st State
-	st.Interval = r.I64()
-	st.IntervalStart = r.I64()
-	st.FireAt = r.I64()
-	st.Counter = r.Int()
-	st.Started = r.Bool()
-	return st
+// Code walks the state in its snapshot wire form.
+func (st *State) Code(c *wire.Coder) {
+	c.I64(&st.Interval)
+	c.I64(&st.IntervalStart)
+	c.I64(&st.FireAt)
+	c.Int(&st.Counter)
+	c.Bool(&st.Started)
 }

@@ -1,6 +1,8 @@
 // Package wire holds the low-level primitives of the snapshot wire format.
-// Every package that owns checkpointable state encodes it with a Writer
-// and decodes it with a Reader, next to the struct that defines the state.
+// Every package that owns checkpointable state writes its layout once,
+// against a Coder, next to the struct that defines the state; the Writer
+// and the bounded Reader underneath are named only by the snapshot
+// container that frames the sections.
 package wire
 
 import (
