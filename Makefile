@@ -116,12 +116,16 @@ cache-smoke:
 ## the whole schedule up front, which is exactly the scaling limit the
 ## paper's distributed approach removes. The slot loop's own tests on
 ## both media and the properties its shortcuts rest on (every stack's
-## NextActive against its own Assignment, nap ≡ no-nap, dense results
+## NextActive against its own Assignment, nap ≡ no-nap from a cold start,
+## the transmitter-driven gather against the listeners' row scans on one
+## to three shards, standing scans through rouses, drift, crashes and
+## captures, the closed-form accrual, the loop's own counts, dense results
 ## pinned before the dense medium could nap, the shared shadowing memo)
-## run race-enabled first: a data race on the awake sets, the wake queues
-## or the memo must fail here, not as a benchmark digest.
+## run race-enabled first: a data race on the awake sets, the wake queues,
+## the transmitter lists or the memo must fail here, not as a benchmark
+## digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
 		./internal/sim ./internal/core ./internal/mac ./internal/rpl ./internal/orchestra \
 		./internal/whart ./internal/controller ./internal/topology ./internal/scenario
 	$(GO) run ./cmd/digs-bench -scale-smoke

@@ -47,8 +47,8 @@ func runScaleSmoke(seed int64) error {
 		if sc.Joined() == 0 {
 			return fmt.Errorf("scale-smoke: %s: no node joined within %d slots", tc.protocol, slots)
 		}
-		fmt.Printf("smoke-%-10s nodes=%d joined=%d  %8.0f slots/s\n",
-			tc.protocol, sc.Params.Topology.N(), sc.Joined(), slots/wall.Seconds())
+		fmt.Printf("smoke-%-10s nodes=%d joined=%d  %8.0f slots/s\n  %v\n",
+			tc.protocol, sc.Params.Topology.N(), sc.Joined(), slots/wall.Seconds(), sc.NW.LoopStats())
 	}
 	return nil
 }

@@ -83,7 +83,7 @@ func run() error {
 	flag.IntVar(&opts.failNode, "fail", 0,
 		"node ID to fail mid-run (0 = none); a failed flow source stops generating, so its packets are not counted lost")
 	flag.Int64Var(&opts.seed, "seed", 1, "simulation seed")
-	flag.BoolVar(&opts.verbose, "v", false, "print per-flow results")
+	flag.BoolVar(&opts.verbose, "v", false, "print per-flow results and the slot loop's own counters")
 	flag.StringVar(&opts.trace, "trace", "",
 		"write a packet-lifecycle event trace (JSONL) to this file; analyse with digs-trace")
 	flag.BoolVar(&opts.invariants, "invariants", false,
@@ -366,6 +366,7 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		for _, f := range fset {
 			fmt.Fprintf(w, "  flow %2d (node %3d): PDR %.3f\n", f.ID, f.Source, col.FlowPDR(f.ID))
 		}
+		fmt.Fprintf(w, "slot loop over %d slots: %v\n", nw.ASN(), nw.LoopStats())
 	}
 	return sum, nil
 }

@@ -61,10 +61,49 @@ func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, 
 		net.Nodes[i], net.Stacks[i] = node, s
 	}
 
+	// The run starts cold, so most of formation is unsynchronised nodes
+	// standing on their scans. One of them scans on a drifting clock until
+	// well after it joins, and one is down for part of a dwell. lagging
+	// reports whether a node's accounting is behind the clock: the sign that
+	// the engine is not visiting it.
+	const drifter, crasher, rebooted = 17, 39, 25
+	down := map[int]int64{crasher: 1290 - 1130} // slots a failed node is not accounted for
+	lagging := func(id int) bool {
+		at := nw.ASN()
+		if id == crasher && at < 1290 {
+			at = min(at, 1130)
+		} else {
+			at -= down[id]
+		}
+		return net.Nodes[id].Stats().Slots < at
+	}
+	requireScanning := func(id int, why string) {
+		if synced, _ := net.Nodes[id].Synced(); synced || lagging(id) != nap {
+			t.Errorf("node %d %s at slot %d: synchronised %v, napping %v (naps enabled: %v)", id, why, nw.ASN(), synced, lagging(id), nap)
+		}
+	}
+	nw.SetClockDrift(drifter, 0.4, 11)
+	nw.At(1130, func() { requireScanning(crasher, "about to fail mid-dwell"); nw.Fail(crasher) })
+	nw.At(1290, func() { nw.Restore(crasher) })
+	nw.At(1293, func() { requireScanning(crasher, "restored mid-dwell") })
+	nw.At(9000, func() { requireScanning(drifter, "drifting") })
+	nw.At(12000, func() { nw.SetClockDrift(drifter, 0, 0) })
+
 	target := topo.N() * 9 / 10
 	if _, ok := nw.RunUntil(sim.SlotsFor(10*time.Minute), func() bool { return net.JoinedCount() >= target }); !ok {
 		t.Fatalf("only %d/%d nodes joined", net.JoinedCount(), topo.N())
 	}
+
+	// A synchronised node reboots with state loss (the watchdog's heal,
+	// called by hand so that the run without the monitor has one too): it
+	// must come back scanning, and with naps standing on that scan.
+	nw.At(nw.ASN()+700, func() {
+		if synced, _ := net.Nodes[rebooted].Synced(); !synced {
+			t.Errorf("node %d is not synchronised before its reboot", rebooted)
+		}
+		net.Healer(nw)(rebooted, nw.ASN())
+	})
+	nw.At(nw.ASN()+703, func() { requireScanning(rebooted, "rebooted with state loss") })
 
 	var mon *invariant.Monitor
 	if monitor {
@@ -95,7 +134,7 @@ func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, 
 	nw.SettleNaps()
 	for i := 1; i <= topo.N(); i++ {
 		st := net.Nodes[i].Stats()
-		if st.Slots != nw.ASN() {
+		if st.Slots != nw.ASN()-down[i] {
 			t.Fatalf("node %d accounts for %d slots at slot %d", i, st.Slots, nw.ASN())
 		}
 		bits := math.Float64bits(st.EnergyJoules)
@@ -111,12 +150,14 @@ func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, 
 
 // TestNapEquivalentToNoNap is the proof obligation behind napping with a
 // queued packet (and behind napping at all): skipping a node's Plan/EndSlot
-// calls between its cells changes nothing a run can observe. The same
-// deployment runs once with every device stepped through every slot and
-// once with naps, on one shard and on two; deliveries (slot included),
-// every MAC counter, the routing outcome and the energy totals, compared
-// as bits, must be equal — also with the invariant monitor polling and its
-// watchdog rebooting nodes mid-run.
+// calls between its cells, or through the dwell of its scan, changes nothing
+// a run can observe. The same deployment runs from cold once with every
+// device stepped through every slot and once with naps, on one shard and on
+// two; deliveries (slot included), every MAC counter, the routing outcome
+// and the energy totals, compared as bits, must be equal — with a scanner on
+// a drifting clock, one that crashes and recovers mid-dwell and a
+// synchronised node rebooted into scanning, and also with the invariant
+// monitor polling and its watchdog rebooting nodes mid-run.
 func TestNapEquivalentToNoNap(t *testing.T) {
 	for _, monitor := range []bool{false, true} {
 		wantLedger, wantStats, wantRepairs := napRun(t, false, monitor, 1)

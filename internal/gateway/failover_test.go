@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -214,4 +216,82 @@ func TestStreamFailoverReattach(t *testing.T) {
 			t.Fatalf("line %d from the end diverges across failover", i)
 		}
 	}
+}
+
+// TestSubmitFailsOverTransportError: the primary dies between two probes —
+// its fault proxy starts refusing connections while the prober, on an
+// hour-long interval, still holds it ready and its breaker is closed — so
+// the submission is sent to it, fails in transport, and must land on the
+// next candidate without the client seeing anything but the 202. (A primary
+// the prober already knows is dead is skipped before any attempt: that is
+// TestSubmitFailsOverDeadPrimary, which never reaches the transport-error
+// branch.)
+func TestSubmitFailsOverTransportError(t *testing.T) {
+	// Each backend counts its /readyz hits: the test flips the fault only
+	// after every backend's one probe has answered.
+	const n = 2
+	probed := make([]chan struct{}, n)
+	addrs := make([]string, n)
+	for i := range addrs {
+		s, err := server.New(server.Config{Workers: 2, DataDir: t.TempDir(), Name: fmt.Sprintf("b%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done, once, h := make(chan struct{}), new(sync.Once), s.Handler()
+		probed[i] = done
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			h.ServeHTTP(w, r)
+			if r.URL.Path == "/readyz" {
+				once.Do(func() { close(done) })
+			}
+		}))
+		t.Cleanup(func() {
+			ts.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			s.Shutdown(ctx)
+		})
+		addrs[i] = strings.TrimPrefix(ts.URL, "http://")
+	}
+	fleet, err := faultproxy.NewFleet(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fleet.Close)
+	g, ts := newTestGateway(t, Config{Backends: fleet.URLs(), Replicas: 1,
+		ProbeInterval: time.Hour, ProbeTimeout: 10 * time.Second, BreakerFailures: 5})
+	for i, done := range probed {
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("backend %d was never probed", i)
+		}
+	}
+
+	spec := testSpec(31)
+	replicas, _ := g.replicaSet(specHash(t, spec))
+	primary := replicas[0]
+	for _, p := range fleet.Proxies {
+		if p.URL() == primary.key {
+			p.SetMode(faultproxy.Drop)
+			p.CutConns() // the probe's keep-alive connection too
+		}
+	}
+	if !primary.routable() {
+		t.Fatal("the primary is already known dead: the submission would skip it without an attempt")
+	}
+
+	cl := server.Client{Base: ts.URL}
+	resp := mustSubmit(t, cl, spec)
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit with the primary refusing connections: HTTP %d (%s), want 202 from the next candidate", resp.Code, resp.Error)
+	}
+	if got := g.failovers.Load(); got < 1 {
+		t.Fatalf("failovers = %d after a submission that had to leave its primary", got)
+	}
+	if primary.failures.Load() < 1 || primary.primaries.Load() != 0 {
+		t.Fatalf("the primary saw %d failed calls and acknowledged %d submissions; want the attempt made and lost",
+			primary.failures.Load(), primary.primaries.Load())
+	}
+	awaitDone(t, cl, resp.JobID)
 }

@@ -324,17 +324,18 @@ func TestNapSurvivesQueuedData(t *testing.T) {
 	// Node 3 of the chain: EB in slot 2, parent's EB in slot 1, data
 	// transmit cell in slot 5, listen cell in slot 6 of every ten.
 	n := NewNode(3, false, &napProto{staticProto{id: 3, parent: 2}}, DefaultConfig())
-	if w := n.NextWake(2); w != 3 {
-		t.Fatalf("unsynchronised node naps until %d; it must scan every slot", w)
+	if w, op := n.NextWake(2); w != scanDwellSlots || op != n.Plan(3) || op != n.Plan(scanDwellSlots-1) || op.Kind != sim.OpScan {
+		t.Fatalf("unsynchronised node naps until %d on %+v; it must nap to the dwell boundary %d and name that dwell's scan %+v",
+			w, op, scanDwellSlots, n.Plan(3))
 	}
 	n.synced = true
-	if w := n.NextWake(2); w != 5 {
+	if w, _ := n.NextWake(2); w != 5 {
 		t.Fatalf("idle node naps until %d, want its transmit cell 5", w)
 	}
 	if err := n.InjectData(&sim.Frame{Origin: 3, FlowID: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if w := n.NextWake(2); w != 5 {
+	if w, _ := n.NextWake(2); w != 5 {
 		t.Fatalf("node with a queued packet naps until %d, want its transmit cell 5", w)
 	}
 	if op := n.Plan(5); op.Kind != sim.OpTx || op.Frame.Kind != sim.KindData || op.Frame.Dst != 2 {
@@ -342,16 +343,16 @@ func TestNapSurvivesQueuedData(t *testing.T) {
 	}
 
 	n.downQueue = []queuedPacket{{frame: &sim.Frame{Kind: sim.KindCommand}}}
-	if w := n.NextWake(2); w != 3 {
+	if w, _ := n.NextWake(2); w != 3 {
 		t.Fatalf("node relaying a command naps until %d", w)
 	}
 	n.downQueue, n.bcastOut = nil, &bulletin{}
-	if w := n.NextWake(2); w != 3 {
+	if w, _ := n.NextWake(2); w != 3 {
 		t.Fatalf("node relaying a bulletin naps until %d", w)
 	}
 	n.bcastOut = nil
 	n.cfg.DownlinkFrameLen = 20
-	if w := n.NextWake(2); w != 3 {
+	if w, _ := n.NextWake(2); w != 3 {
 		t.Fatalf("node with a downlink slotframe naps until %d", w)
 	}
 }

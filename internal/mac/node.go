@@ -2,6 +2,7 @@ package mac
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/digs-net/digs/internal/phy"
@@ -275,10 +276,7 @@ const scanDwellSlots = 500
 // Plan implements sim.Device.
 func (n *Node) Plan(asn sim.ASN) sim.RadioOp {
 	if !n.synced {
-		// Passive scan: camp on one channel at a time. Beacons hop, so
-		// the scanner statistically catches one after a few EB periods.
-		idx := (int64(n.id)*7 + asn/scanDwellSlots) % phy.NumChannels
-		return sim.RadioOp{Kind: sim.OpScan, Channel: phy.DefaultHoppingSequence[idx]}
+		return n.scanOp(asn)
 	}
 	a := n.proto.Assignment(asn)
 	op := n.planProtocol(asn, a)
@@ -296,6 +294,14 @@ func (n *Node) Plan(asn sim.ASN) sim.RadioOp {
 		return n.planDownlink(asn)
 	}
 	return op
+}
+
+// scanOp is the passive scan of an unsynchronised node: camp on one channel
+// at a time, the same for a whole dwell. Beacons hop, so the scanner
+// statistically catches one after a few EB periods.
+func (n *Node) scanOp(asn sim.ASN) sim.RadioOp {
+	idx := (int64(n.id)*7 + asn/scanDwellSlots) % phy.NumChannels
+	return sim.RadioOp{Kind: sim.OpScan, Channel: phy.DefaultHoppingSequence[idx]}
 }
 
 // planProtocol turns the protocol's slot assignment into a radio
@@ -562,33 +568,78 @@ func (n *Node) watchdog(dst topology.NodeID) {
 }
 
 // NextWake implements sim.Napper: it reports the next slot this node
-// could possibly do radio work. A synchronised node naps until its
-// protocol's next active slot. Queued data does not keep it awake: it
-// leaves only in the node's own transmit cells, and NextActive reports
-// those whether or not anything is queued. Downlink commands and bulletins
-// in transit do, as do the optional downlink and broadcast slotframes,
-// whose cells depend on frames other nodes may send. Anything handing a
-// napping node new work outside the radio path (a reboot) must go through
-// Network.Wake.
-func (n *Node) NextWake(asn sim.ASN) sim.ASN {
-	if !n.synced || len(n.downQueue) > 0 || n.bcastOut != nil ||
-		n.cfg.DownlinkFrameLen > 0 || n.cfg.BroadcastFrameLen > 0 {
-		return asn + 1
+// could plan anything but what it names. An unsynchronised node stands on
+// its dwell's scan until the dwell ends — the engine rouses it when a frame
+// arrives. A synchronised node sleeps until its protocol's next active
+// slot. Queued data does not keep it awake: it leaves only in the node's own
+// transmit cells, and NextActive reports those whether or not anything is
+// queued. Downlink commands and bulletins in transit do, as do the optional
+// downlink and broadcast slotframes, whose cells depend on frames other
+// nodes may send. Anything handing a napping node new work outside the radio
+// path (a reboot) must go through Network.Wake.
+func (n *Node) NextWake(asn sim.ASN) (sim.ASN, sim.RadioOp) {
+	switch {
+	case !n.synced:
+		return ((asn+1)/scanDwellSlots + 1) * scanDwellSlots, n.scanOp(asn + 1)
+	case len(n.downQueue) > 0 || n.bcastOut != nil ||
+		n.cfg.DownlinkFrameLen > 0 || n.cfg.BroadcastFrameLen > 0:
+		return asn + 1, sim.Sleep()
 	}
-	return max(n.proto.NextActive(asn+1), asn+1)
+	return max(n.proto.NextActive(asn+1), asn+1), sim.Sleep()
 }
 
-// AccrueSleep implements sim.Napper: it settles the per-slot accounting
-// for slots the engine skipped while this node napped. Energy accumulates
-// one slot at a time so the totals are bit-identical to a run where
-// EndSlot saw each sleep slot individually.
-func (n *Node) AccrueSleep(slots int64) {
-	e := phy.EnergyJoules(phy.ActivitySleep)
-	for i := int64(0); i < slots; i++ {
-		n.stats.EnergyJoules += e
-	}
+// AccrueNap implements sim.Napper: it settles the per-slot accounting for
+// slots the engine skipped while this node napped, bit-identical to a run
+// where EndSlot saw each of them with an empty report of that activity.
+func (n *Node) AccrueNap(slots int64, activity phy.SlotActivity) {
+	n.stats.EnergyJoules = addRepeated(n.stats.EnergyJoules, phy.EnergyJoules(activity), slots)
 	n.stats.Slots += slots
-	n.stats.RadioOnTime += time.Duration(slots) * phy.RadioOnTime(phy.ActivitySleep)
+	n.stats.RadioOnTime += time.Duration(slots) * phy.RadioOnTime(activity)
+}
+
+// addRepeated returns what `acc += e`, k times over, leaves in acc — the
+// same bits, without the loop. While acc stays inside one binade its ulp u
+// is fixed, so each addition rounds acc + e to a multiple of u, and unless
+// e's remainder modulo u is exactly u/2 (a tie, broken by the parity of
+// acc's mantissa) it rounds the same way every time: the mantissa advances
+// by the same integer step d, and n additions are one multiply-add on it.
+// Ties, binade crossings, acc < e, subnormals, zeros, negatives and
+// non-finite values take the plain step.
+func addRepeated(acc, e float64, k int64) float64 {
+	const mantBits, mantMask = 52, 1<<52 - 1
+	for k > 0 {
+		bits := math.Float64bits(acc)
+		exp := bits >> mantBits // sign bit included: zero, since acc >= e > 0
+		if !(acc >= e && e > 0) || exp <= mantBits || exp >= 0x7ff {
+			acc += e // also when acc's ulp would be subnormal
+			k--
+			continue
+		}
+		u := math.Float64frombits((exp - mantBits) << mantBits) // acc's ulp, a power of two
+		q := math.Floor(e / u)                                  // exact: a power-of-two scaling below 2^53
+		r, d := e-q*u, uint64(q)                                // exact: r < u keeps fewer bits than e
+		if r == u/2 {
+			acc += e
+			k--
+			continue
+		}
+		if r > u/2 {
+			d++
+		}
+		if d == 0 {
+			return acc // e is under half an ulp: no addition changes acc
+		}
+		m := bits&mantMask | 1<<mantBits
+		n := min(uint64(k), (1<<(mantBits+1)-1-m)/d) // steps that stay inside the binade
+		if n == 0 {
+			acc += e
+			k--
+			continue
+		}
+		acc = math.Float64frombits(exp<<mantBits | (m+n*d)&mantMask)
+		k -= int64(n)
+	}
+	return acc
 }
 
 // Resetter is optionally implemented by protocols that can discard their

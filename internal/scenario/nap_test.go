@@ -25,6 +25,20 @@ func stateBytes(st stack.State) []byte {
 	return w.Buf
 }
 
+// takeBytes is the scenario's snapshot at the current slot, encoded.
+func takeBytes(t *testing.T, sc *Scenario) []byte {
+	t.Helper()
+	snap, err := sc.Take("t", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := snapshot.Encode(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestNextActiveContract is the Napper contract, per stack, stated on the
 // stack itself: "skipping the Assignment calls before NextActive is
 // unobservable". A testbed-a run — formation, flows, a jammer, a crash with
@@ -85,7 +99,7 @@ func TestNextActiveContract(t *testing.T) {
 					if synced, _ := sc.MACNode(i).Synced(); !synced {
 						continue
 					}
-					w := sc.MACNode(i).NextWake(last)
+					w, _ := sc.MACNode(i).NextWake(last)
 					for slot := last + 1; slot < w; slot++ {
 						if a := twin.Schedule(i, slot); a.Role != mac.RoleSleep {
 							t.Fatalf("node %d after slot %d: NextWake %d, but slot %d is %+v", i, last, w, slot, a)
@@ -136,17 +150,7 @@ func TestDenseNapCaptureInvisible(t *testing.T) {
 				}
 				return sc
 			}
-			take := func(sc *Scenario) []byte {
-				snap, err := sc.Take("t", nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := snapshot.Encode(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return b
-			}
+			take := func(sc *Scenario) []byte { return takeBytes(t, sc) }
 			sleepless := func(sc *Scenario, slots int) {
 				for ; slots > 0; slots-- {
 					for id := 1; id <= sc.Params.Topology.N(); id++ {
@@ -200,5 +204,91 @@ func TestDenseNapCaptureInvisible(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStandingScanCaptureInvisible: a capture taken mid-formation — most
+// nodes unsynchronised, standing on the scan of a dwell that is half over —
+// is unobservable on both media. A capture ends the standing scans, so the
+// snapshot at the cut carries none of them (no nap window, every scanner's
+// counters settled up to the slot) and a restore asks no device what it would
+// scan; and the straight run, the captured run continued, and the run resumed
+// from the capture (on the sparse medium under another shard count) end in
+// the same snapshot bytes. On the dense medium those are also the bytes of the
+// run in which no device ever naps.
+func TestStandingScanCaptureInvisible(t *testing.T) {
+	const cut, rest = 730, 2600 // dwells end every 500 slots
+	for _, topo := range []string{testTopo, "gen-field-60-3"} {
+		for _, proto := range RegisteredStacks() {
+			topo, proto := topo, proto
+			t.Run(topo+"/"+proto, func(t *testing.T) {
+				t.Parallel()
+				build := func(shards int) *Scenario {
+					sc, err := Build(Params{TopologyName: topo, Protocol: proto, Seed: 6, Period: time.Second, Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					return sc
+				}
+				take := func(sc *Scenario) []byte { return takeBytes(t, sc) }
+
+				straight := build(2)
+				straight.NW.Run(cut + rest)
+
+				captured := build(2)
+				captured.NW.Run(cut)
+				n := captured.Params.Topology.N()
+				var standing []int
+				for i := 1; i <= n; i++ {
+					if synced, _ := captured.MACNode(i).Synced(); !synced && captured.MACNode(i).Stats().Slots < cut {
+						standing = append(standing, i)
+					}
+				}
+				if len(standing) == 0 {
+					t.Fatal("no scanner standing at the cut: the capture would have no standing scan to end")
+				}
+				atCut := take(captured)
+				captured.NW.Run(rest)
+
+				decoded, err := snapshot.Decode(atCut)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, i := range standing {
+					if decoded.MACs[i].Stats.Slots != cut {
+						t.Errorf("scanner %d is captured with %d of %d slots accounted for", i, decoded.MACs[i].Stats.Slots, cut)
+					}
+					if decoded.Net.NapUntil != nil && decoded.Net.NapUntil[i] != 0 {
+						t.Errorf("scanner %d is captured standing until slot %d", i, decoded.Net.NapUntil[i])
+					}
+				}
+				resumed := build(3)
+				if err := resumed.Restore(decoded); err != nil {
+					t.Fatal(err)
+				}
+				resumed.NW.Run(rest)
+
+				runs := map[string]*Scenario{"captured": captured, "resumed": resumed}
+				want := take(straight)
+				if !straight.NW.ScaleMode() {
+					reference := build(0)
+					for slots := cut + rest; slots > 0; slots-- {
+						for id := 1; id <= n; id++ {
+							reference.NW.Wake(topology.NodeID(id))
+						}
+						reference.NW.Step()
+						if slots == rest+1 && !bytes.Equal(atCut, take(reference)) {
+							t.Error("capture mid-dwell differs from the never-napping run's at the same slot")
+						}
+					}
+					runs["straight"], want = straight, take(reference)
+				}
+				for name, sc := range runs {
+					if !bytes.Equal(take(sc), want) {
+						t.Errorf("%s run ends in different snapshot bytes", name)
+					}
+				}
+			})
+		}
 	}
 }

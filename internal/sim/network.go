@@ -10,13 +10,6 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// candidate is one detectable transmission at a listener.
-type candidate struct {
-	src topology.NodeID
-	rss float64
-	ch  phy.Channel
-}
-
 // slotEntry is one entry of a slotHeap: due at asn, ordered within the slot
 // by ord, carrying val.
 type slotEntry[V any] struct {
@@ -117,12 +110,17 @@ type Network struct {
 	// The slot loop's state, shared by both media (see scale.go): the
 	// shards — exactly one on the dense medium — with their awake sets and
 	// wake queues, and the nap windows those are derived from.
-	// napUntil[id] != 0 means the device sleeps until that slot (exclusive);
-	// napStart[id] is the last slot it was accounted for.
-	sh       []*shard
-	bounds   []int // bounds[s]..bounds[s+1] is shard s's half-open node-ID range
-	napUntil []ASN
-	napStart []ASN
+	// napUntil[id] != 0 means the device naps until that slot (exclusive),
+	// and ops[id] is what it does meanwhile: OpSleep, or its standing scan.
+	// napStart[id] is the last slot a sleeping device was accounted for,
+	// scanStart[id] the same for a standing scanner: apart, because a
+	// capture stores napStart whole, stale entries of awake devices
+	// included, and no capture ever sees a standing scan.
+	sh        []*shard
+	bounds    []int // bounds[s]..bounds[s+1] is shard s's half-open node-ID range
+	napUntil  []ASN
+	napStart  []ASN
+	scanStart []ASN
 	// runCap bounds the all-napping fast-forward so Run/RunUntil stop at
 	// their target slot; 0 means single-stepping (no fast-forward).
 	runCap ASN
@@ -144,15 +142,14 @@ type Network struct {
 	misses    []bool // per-slot scratch: node misaligned this slot
 
 	// Scratch buffers reused across slots: the steady-state slot loop
-	// performs zero heap allocations.
+	// performs zero heap allocations. byChannel, activeCh and txScratch are
+	// the dense medium's audible transmitters of the slot, per channel in
+	// ascending node ID (the sparse medium's are per shard, shard.txs).
 	ops       []RadioOp
 	reports   []SlotReport
 	byChannel [phy.LastChannel + 1][]topology.NodeID
 	activeCh  []phy.Channel
 	txScratch []topology.NodeID
-	candBuf   []candidate
-	interfBuf []float64
-	ackInterf []float64
 }
 
 // newNetwork builds what both media share: the device table, the slot
@@ -172,12 +169,14 @@ func newNetwork(topo *topology.Topology, seed int64, shards int) *Network {
 		bounds:            shardBounds(n, topo.NumAPs, shards),
 		napUntil:          make([]ASN, n+1),
 		napStart:          make([]ASN, n+1),
+		scanStart:         make([]ASN, n+1),
 		ops:               make([]RadioOp, n+1),
 		reports:           make([]SlotReport, n+1),
 	}
 	for s := range nw.sh {
 		lo, hi := nw.bounds[s], nw.bounds[s+1]
-		nw.sh[s] = &shard{lo: lo, awake: make([]uint64, (hi-lo+63)/64)}
+		words := (hi - lo + 63) / 64
+		nw.sh[s] = &shard{lo: lo, hi: hi, awake: make([]uint64, words), standing: make([]uint64, words)}
 	}
 	return nw
 }
@@ -392,106 +391,6 @@ func (nw *Network) fireEvents(asn ASN) {
 	}
 }
 
-// resolveListener decides what the listener hears this slot.
-func (nw *Network) resolveListener(listener topology.NodeID, op RadioOp, asn ASN) {
-	rep := &nw.reports[listener]
-
-	// Candidate transmissions: a wide-band scan (channel 0) hears every
-	// channel of the 2.4 GHz page; synchronised receivers and
-	// single-channel scanners only their channel. The wide-band gather
-	// walks channels in ascending order so the shared RNG's fading draws
-	// are consumed in a fixed order (a map iteration here would reorder
-	// them run to run).
-	var txs []topology.NodeID
-	if op.Kind == OpScan && op.Channel == 0 {
-		wide := nw.txScratch[:0]
-		for ch := phy.FirstChannel; ch <= phy.LastChannel; ch++ {
-			wide = append(wide, nw.byChannel[ch]...)
-		}
-		nw.txScratch = wide
-		txs = wide
-	} else if int(op.Channel) < len(nw.byChannel) {
-		txs = nw.byChannel[op.Channel]
-	}
-
-	// Detectable frames at this listener, with per-reception fading.
-	cands := nw.candBuf[:0]
-	for _, src := range txs {
-		if src == listener {
-			continue
-		}
-		rss := nw.rssAt(src, listener) + nw.rng.NormFloat64()*nw.FastFadingSigmaDB
-		if rss >= phy.SensitivityDBm {
-			cands = append(cands, candidate{src: src, rss: rss, ch: nw.ops[src].Channel})
-		}
-	}
-	nw.candBuf = cands
-	if len(cands) == 0 {
-		return // idle listen
-	}
-
-	// Strongest candidate competes against the rest plus interference.
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].rss > cands[best].rss {
-			best = i
-		}
-	}
-	interf := nw.interfBuf[:0]
-	for i, c := range cands {
-		if i != best && c.ch == cands[best].ch {
-			interf = append(interf, c.rss)
-		}
-	}
-	interf = nw.interferenceAt(listener, cands[best].ch, asn, interf)
-	nw.interfBuf = interf
-
-	rep.Activity = phy.ActivityRxFrame // energy was spent regardless of decode
-	if phy.SIRdB(cands[best].rss, interf) < phy.CaptureThresholdDB {
-		rep.Collision = true
-		nw.trace(TraceEvent{ASN: asn, Kind: TraceCollision, Dst: listener, Channel: cands[best].ch})
-		return
-	}
-	if nw.rng.Float64() >= phy.PRR(cands[best].rss) {
-		rep.Collision = true // undecodable: counts as noise for the listener
-		return
-	}
-
-	frame := nw.ops[cands[best].src].Frame
-	if !frame.Broadcast() && frame.Dst != listener {
-		// Overheard unicast for someone else: MAC filters it out, but the
-		// energy was spent.
-		return
-	}
-	rep.Received = frame
-	rep.RSSI = cands[best].rss
-	nw.trace(TraceEvent{ASN: asn, Kind: TraceDeliver, Src: cands[best].src,
-		Dst: listener, Frame: frame, Channel: cands[best].ch, RSS: cands[best].rss})
-
-	// ACK for unicast frames addressed to this listener.
-	if frame.Dst == listener && nw.ops[cands[best].src].NeedAck {
-		rep.Activity = phy.ActivityRxFrameAck
-		nw.resolveAck(cands[best].src, listener, cands[best].ch, asn)
-	}
-}
-
-// resolveAck decides whether the ACK from receiver back to sender decodes.
-func (nw *Network) resolveAck(sender, receiver topology.NodeID, ch phy.Channel, asn ASN) {
-	rss := nw.rssAt(receiver, sender) + nw.rng.NormFloat64()*nw.FastFadingSigmaDB
-	if rss < phy.SensitivityDBm {
-		return
-	}
-	interf := nw.interferenceAt(sender, ch, asn, nw.ackInterf[:0])
-	nw.ackInterf = interf
-	if phy.SIRdB(rss, interf) < phy.CaptureThresholdDB {
-		return
-	}
-	// ACKs are short; give them a small robustness bonus over full frames.
-	if nw.rng.Float64() < phy.PRR(rss+1.5) {
-		nw.reports[sender].Acked = true
-	}
-}
-
 // interferenceAt appends the powers of all active interferers covering the
 // channel as heard at the given node.
 func (nw *Network) interferenceAt(at topology.NodeID, ch phy.Channel, asn ASN, into []float64) []float64 {
@@ -505,10 +404,4 @@ func (nw *Network) interferenceAt(at topology.NodeID, ch phy.Channel, asn ASN, i
 		}
 	}
 	return into
-}
-
-func (nw *Network) trace(ev TraceEvent) {
-	if nw.Trace != nil {
-		nw.Trace(ev)
-	}
 }

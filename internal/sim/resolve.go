@@ -1,0 +1,330 @@
+package sim
+
+import (
+	"cmp"
+	"slices"
+
+	"github.com/digs-net/digs/internal/detrand"
+	"github.com/digs-net/digs/internal/phy"
+	"github.com/digs-net/digs/internal/topology"
+)
+
+// The resolve phase: who hears what. Both media start from the slot's
+// audible transmitters — the handful of devices whose plan put a frame on
+// the air inside the guard window — and both hand each listener's detectable
+// transmissions, in ascending source ID, to the one decide routine. What
+// differs is the gather and where the draws come from.
+//
+// The sparse medium walks the transmitters' neighbour rows and files each
+// detectable transmission under its listener, so a slot costs its
+// transmitters' degrees, not its listeners'. Listeners are then decided in
+// ascending ID with their candidates in ascending source ID, the order a
+// walk of every listener's own row produces: capture ties, interference
+// sums, trace order and the counter-based draws cannot tell the two apart.
+// Rows are symmetric (SparseRSS, AddLinkFade), so the transmitter's entry
+// for a listener is the listener's entry for the transmitter, bit for bit.
+//
+// The dense medium keeps the listener's side of the walk, over the
+// per-channel transmitter lists, because its sequential generator draws
+// fading per (listener, transmitter on its channel) in listener order, also
+// below sensitivity, and every golden pins that order.
+
+// candidate is one detectable transmission from src at the listener dst.
+type candidate struct {
+	dst, src topology.NodeID
+	rss      float64
+	ch       phy.Channel
+}
+
+// air is what the decide routine asks of a medium: the mean RSS of the
+// return link an ACK travels, and the three draws made only once a frame
+// got that far — so the dense generator is stepped in the order it always
+// was, and the sparse hashes are never computed in vain.
+type air interface {
+	// returnRSS is the mean RSS of the link from->to, fades included; ok is
+	// false when the medium holds no such link.
+	returnRSS(from, to topology.NodeID) (rss float64, ok bool)
+	decodeDraw(asn ASN, src, dst topology.NodeID) float64    // uniform
+	ackFadeDraw(asn ASN, from, to topology.NodeID) float64   // standard normal
+	ackDecodeDraw(asn ASN, from, to topology.NodeID) float64 // uniform
+}
+
+// denseAir draws from the sequential generator, in call order.
+type denseAir struct{ nw *Network }
+
+func (a denseAir) returnRSS(from, to topology.NodeID) (float64, bool) {
+	return a.nw.rssAt(from, to), true
+}
+func (a denseAir) decodeDraw(ASN, topology.NodeID, topology.NodeID) float64 {
+	return a.nw.rng.Float64()
+}
+func (a denseAir) ackFadeDraw(ASN, topology.NodeID, topology.NodeID) float64 {
+	return a.nw.rng.NormFloat64()
+}
+func (a denseAir) ackDecodeDraw(ASN, topology.NodeID, topology.NodeID) float64 {
+	return a.nw.rng.Float64()
+}
+
+// Hash salts separating the independent per-(slot, src, dst) draw streams.
+const (
+	saltFade      = 1
+	saltDecode    = 2
+	saltAckFade   = 3
+	saltAckDecode = 4
+)
+
+// sparseAir draws by hashing (seed, slot, from, to, salt): a draw's value
+// does not depend on when it is made, which is what makes the output
+// invariant across shard counts.
+type sparseAir struct{ nw *Network }
+
+func (a sparseAir) returnRSS(from, to topology.NodeID) (float64, bool) {
+	sc := a.nw.scale
+	idx := sc.sparse.LinkIndex(from, to)
+	if idx < 0 {
+		return 0, false
+	}
+	mean := sc.sparse.ValueAt(idx)
+	if sc.fade != nil {
+		mean -= sc.fade[idx]
+	}
+	return mean, true
+}
+func (a sparseAir) decodeDraw(asn ASN, src, dst topology.NodeID) float64 {
+	return detrand.Uniform(a.nw.slotHash(asn, src, dst, saltDecode))
+}
+func (a sparseAir) ackFadeDraw(asn ASN, from, to topology.NodeID) float64 {
+	return detrand.Norm(a.nw.slotHash(asn, from, to, saltAckFade))
+}
+func (a sparseAir) ackDecodeDraw(asn ASN, from, to topology.NodeID) float64 {
+	return detrand.Uniform(a.nw.slotHash(asn, from, to, saltAckDecode))
+}
+
+// slotHash derives the order-independent draw for one (slot, src, dst,
+// salt) event.
+func (nw *Network) slotHash(asn ASN, a, b topology.NodeID, salt uint64) uint64 {
+	h := detrand.Mix(nw.scale.seedHash, uint64(asn))
+	h = detrand.Mix(h, uint64(a))
+	h = detrand.Mix(h, uint64(b))
+	return detrand.Mix(h, salt)
+}
+
+func (nw *Network) resolveShard(sh *shard, asn ASN) {
+	if nw.scale == nil {
+		nw.resolveDense(sh, asn)
+	} else {
+		nw.resolveSparse(sh, asn)
+	}
+}
+
+// listensOn reports whether the op is a listen that covers the channel: a
+// wide-band scan (channel 0) hears the whole band, synchronised receivers
+// and single-channel scanners only their channel.
+func (op *RadioOp) listensOn(ch phy.Channel) bool {
+	switch op.Kind {
+	case OpRx:
+		return op.Channel == ch
+	case OpScan:
+		return op.Channel == ch || op.Channel == 0
+	}
+	return false
+}
+
+// deaf reports whether a listener's radio window misses the slot (clock
+// drift). The plan phase filled misses[] for the devices it visited; a
+// standing scanner was not planned, so its miss is computed on demand.
+func (nw *Network) deaf(l topology.NodeID, asn ASN) bool {
+	if nw.driftProb == nil {
+		return false
+	}
+	if nw.napUntil[l] != 0 {
+		return nw.driftMiss(int(l), asn)
+	}
+	return nw.misses[l]
+}
+
+// resolveSparse gathers from the transmitters: every shard walks all
+// shards' transmitter lists — ascending source ID overall — but only its
+// own ID range of each row, then decides its listeners.
+func (nw *Network) resolveSparse(sh *shard, asn ASN) {
+	sc := nw.scale
+	lo, hi := topology.NodeID(sh.lo), topology.NodeID(sh.hi)
+	heard := sh.cand[:0]
+	for _, from := range nw.sh {
+		for _, src := range from.txs {
+			ch := nw.ops[src].Channel
+			cols, vals, base := sc.sparse.Row(src)
+			for i, l := range cols {
+				if l < lo {
+					continue
+				}
+				if l >= hi {
+					break
+				}
+				// ops[l] is live for every l: a device that leaves the awake
+				// set other than for a standing scan has it set to sleep.
+				if !nw.ops[l].listensOn(ch) || nw.deaf(l, asn) {
+					continue
+				}
+				mean := vals[i]
+				if sc.fade != nil {
+					mean -= sc.fade[base+i]
+				}
+				rss := mean + detrand.Norm(nw.slotHash(asn, src, l, saltFade))*nw.FastFadingSigmaDB
+				if rss >= phy.SensitivityDBm {
+					heard = append(heard, candidate{dst: l, src: src, rss: rss, ch: ch})
+				}
+			}
+		}
+	}
+	sh.cand = heard
+	slices.SortFunc(heard, func(a, b candidate) int {
+		return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.src, b.src))
+	})
+	for len(heard) > 0 {
+		n := 1
+		for n < len(heard) && heard[n].dst == heard[0].dst {
+			n++
+		}
+		nw.decide(sh, asn, heard[0].dst, heard[:n], sparseAir{nw})
+		heard = heard[n:]
+	}
+}
+
+// resolveDense walks the listeners — the awake devices and the standing
+// scanners, merged into one ascending walk because the generator's draws
+// follow it — and gathers each one's candidates from the transmitter lists.
+// A listener whose channel carries no transmitter draws nothing and hears
+// nothing, which is all a standing scanner costs in most slots.
+func (nw *Network) resolveDense(sh *shard, asn ASN) {
+	for wi := range sh.awake {
+		for word := sh.awake[wi] | sh.standing[wi]; word != 0; word &= word - 1 {
+			l := sh.idAt(wi, word)
+			op := &nw.ops[l]
+			if op.Kind != OpRx && op.Kind != OpScan {
+				continue
+			}
+			// The wide-band gather walks channels in ascending order so the
+			// generator's fading draws are consumed in a fixed order.
+			var txs []topology.NodeID
+			if op.Kind == OpScan && op.Channel == 0 {
+				if len(nw.activeCh) == 0 {
+					continue
+				}
+				wide := nw.txScratch[:0]
+				for ch := phy.FirstChannel; ch <= phy.LastChannel; ch++ {
+					wide = append(wide, nw.byChannel[ch]...)
+				}
+				nw.txScratch = wide
+				txs = wide
+			} else if int(op.Channel) < len(nw.byChannel) {
+				txs = nw.byChannel[op.Channel]
+			}
+			if len(txs) == 0 || nw.deaf(l, asn) {
+				continue
+			}
+			cands := sh.cand[:0]
+			for _, src := range txs {
+				if src == l {
+					continue
+				}
+				rss := nw.rssAt(src, l) + nw.rng.NormFloat64()*nw.FastFadingSigmaDB
+				if rss >= phy.SensitivityDBm {
+					cands = append(cands, candidate{dst: l, src: src, rss: rss, ch: nw.ops[src].Channel})
+				}
+			}
+			sh.cand = cands
+			if len(cands) > 0 {
+				nw.decide(sh, asn, l, cands, denseAir{nw})
+			}
+		}
+	}
+}
+
+// decide settles what listener l makes of the slot's detectable
+// transmissions (at least one, in ascending source ID): the strongest frame
+// against co-channel interference, capture, the decode draw, the address
+// filter, the delivery and its ACK. A standing scanner is roused only when a
+// frame is delivered to it: for OpScan the energy class is fixed whatever
+// was detected, and a collision or an undecoded frame leaves nothing else in
+// the report that EndSlot would read — its trace event is emitted here all
+// the same, in the same place in the order.
+func (nw *Network) decide(sh *shard, asn ASN, l topology.NodeID, cands []candidate, a air) {
+	standing := nw.napUntil[l] != 0
+	if standing {
+		nw.reports[l] = SlotReport{Op: nw.ops[l]} // stale since its last visit
+	}
+	rep := &nw.reports[l]
+	sh.stats.Hearings += int64(len(cands))
+
+	// Strongest candidate competes against the rest plus interference.
+	best := &cands[0]
+	for i := 1; i < len(cands); i++ {
+		if cands[i].rss > best.rss {
+			best = &cands[i]
+		}
+	}
+	interf := sh.interf[:0]
+	for i := range cands {
+		if c := &cands[i]; c != best && c.ch == best.ch {
+			interf = append(interf, c.rss)
+		}
+	}
+	interf = nw.interferenceAt(l, best.ch, asn, interf)
+	sh.interf = interf
+
+	rep.Activity = phy.ActivityRxFrame // energy was spent regardless of decode
+	if phy.SIRdB(best.rss, interf) < phy.CaptureThresholdDB {
+		rep.Collision = true
+		nw.emit(sh, TraceEvent{ASN: asn, Kind: TraceCollision, Dst: l, Channel: best.ch})
+		return
+	}
+	if a.decodeDraw(asn, best.src, l) >= phy.PRR(best.rss) {
+		rep.Collision = true // undecodable: counts as noise for the listener
+		return
+	}
+
+	frame := nw.ops[best.src].Frame
+	if !frame.Broadcast() && frame.Dst != l {
+		// Overheard unicast for someone else: MAC filters it out, but the
+		// energy was spent.
+		return
+	}
+	rep.Received = frame
+	rep.RSSI = best.rss
+	nw.emit(sh, TraceEvent{ASN: asn, Kind: TraceDeliver, Src: best.src,
+		Dst: l, Frame: frame, Channel: best.ch, RSS: best.rss})
+
+	// ACK for unicast frames addressed to this listener.
+	if frame.Dst == l && nw.ops[best.src].NeedAck {
+		rep.Activity = phy.ActivityRxFrameAck
+		nw.decideAck(sh, asn, best.src, l, best.ch, a)
+	}
+	if standing {
+		sh.stats.Rouses++
+		nw.endNap(sh, l, asn) // the report phase hands it the frame this slot
+	}
+}
+
+// decideAck decides whether the ACK from receiver back to sender decodes.
+// Only the unique unicast destination reaches here for a given sender, so
+// the cross-shard write to reports[sender].Acked has exactly one writer.
+func (nw *Network) decideAck(sh *shard, asn ASN, sender, receiver topology.NodeID, ch phy.Channel, a air) {
+	rss, ok := a.returnRSS(receiver, sender)
+	if !ok {
+		return
+	}
+	rss += a.ackFadeDraw(asn, receiver, sender) * nw.FastFadingSigmaDB
+	if rss < phy.SensitivityDBm {
+		return
+	}
+	interf := nw.interferenceAt(sender, ch, asn, sh.ackInterf[:0])
+	sh.ackInterf = interf
+	if phy.SIRdB(rss, interf) < phy.CaptureThresholdDB {
+		return
+	}
+	// ACKs are short; give them a small robustness bonus over full frames.
+	if a.ackDecodeDraw(asn, receiver, sender) < phy.PRR(rss+1.5) {
+		nw.reports[sender].Acked = true
+	}
+}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -13,13 +14,15 @@ import (
 
 // One slot loop, two media. Network.Step is the only slot loop: it walks
 // each shard's awake set in ascending node ID through three phases — plan,
-// resolve the medium, report — and lets devices that implement Napper sleep
-// through their structurally idle stretches. Each shard keeps the set of its
-// devices that are awake and a queue of the slots at which the others wake,
-// so a slot costs what its awake devices cost, not a visit to every node,
-// and Run fast-forwards the clock to the earliest wake or scheduled event
-// when every device is napping. What differs between the two media is only
-// how a listener finds its transmitters and where the randomness comes from.
+// resolve the medium, report — and lets devices that implement Napper nap
+// through the stretches in which they would plan the same thing every slot:
+// sleep, or one passive scan. Each shard keeps the set of its devices that
+// are awake and a queue of the slots at which the others wake, so a slot
+// costs its radio events — the awake devices' calls and the transmitters'
+// rows — not a visit to every node, and Run fast-forwards the clock to the
+// earliest wake or scheduled event when no device is awake. What differs
+// between the two media is only how transmissions find their listeners and
+// where the randomness comes from (resolve.go).
 //
 // The dense medium (NewNetwork) is the paper-scale one: a flat (n+1)^2 RSS
 // matrix, per-channel transmitter lists filled as devices plan, and one
@@ -30,7 +33,7 @@ import (
 // The sparse medium (NewScaleNetwork) is the massive-topology one:
 //
 //  1. The RSS matrix is replaced by the topology's radius-pruned CSR
-//     adjacency. A listener resolves receptions by scanning its own
+//     adjacency. Receptions are resolved by walking each transmitter's
 //     neighbour row (O(degree)) instead of the global per-channel
 //     transmitter lists, and the fade overlay is keyed on sparse link
 //     indices.
@@ -53,42 +56,95 @@ import (
 //     gateway-side state.
 
 // Napper is optionally implemented by devices that can predict their own
-// idle stretches. After EndSlot(asn) the engine asks NextWake(asn); a
-// return w > asn+1 promises the device would plan OpSleep for every slot
-// in (asn, w), and the engine then skips its Plan/EndSlot calls until
-// slot w (or until Network.Wake). On waking, AccrueSleep(k) reports the k
-// skipped slots so the device can settle its per-slot accounting exactly
-// as if EndSlot had been called with a sleep report k times. The promise
-// cuts both ways: a device woken before w (Network.Wake, a dense capture)
-// plans the sleep it promised, with no other effect, and naps again.
+// uneventful stretches. After EndSlot(asn) the engine asks NextWake(asn); a
+// return w > asn+1 promises that in every slot of (asn, w) the device would
+// plan exactly the returned op — OpSleep, or one OpScan (anything else is
+// taken as sleep) — and that EndSlot with a report carrying nothing but that
+// op's energy class would change nothing but its per-slot accounting. The
+// engine then skips its Plan/EndSlot calls until slot w or Network.Wake. A
+// sleeping device's radio is off. A standing scan stays in the medium like
+// any listener: the engine resolves it every slot and rouses the device, in
+// the slot itself, when a frame is delivered to it; detected energy it could
+// not decode (a collision, an overheard unicast) only changes report fields
+// a scan's EndSlot must not read — which is why the standing op cannot be an
+// OpRx, whose energy class depends on what was detected. However the nap
+// ends, AccrueNap(k, activity) first reports the k skipped slots so the
+// device settles them exactly as k such EndSlot calls would have. The
+// promise cuts both ways: a device woken before w (Network.Wake, a capture)
+// plans the op it promised, with no other effect, and naps again.
 type Napper interface {
-	NextWake(asn ASN) ASN
-	AccrueSleep(slots int64)
+	NextWake(asn ASN) (wake ASN, standing RadioOp)
+	AccrueNap(slots int64, activity phy.SlotActivity)
 }
 
-// Hash salts separating the independent per-(slot, src, dst) draw streams.
-const (
-	saltFade      = 1
-	saltDecode    = 2
-	saltAckFade   = 3
-	saltAckDecode = 4
-)
+// LoopStats counts the slot loop's own work since the network was built:
+// what the loop costs the host, where the telemetry layer says what the
+// network did. The counts are a pure function of the run.
+type LoopStats struct {
+	// Plan calls by the kind of op the device returned.
+	PlanSleep, PlanTx, PlanRx, PlanScan int64
+	// Rouses counts standing scanners returned to the awake set by a
+	// delivered frame.
+	Rouses int64
+	// Rows counts the transmitter rows the sparse gather walked (each shard
+	// walks its own ID range of every row), Hearings the detectable
+	// transmissions handed to the decide routine on either medium.
+	Rows, Hearings int64
+	// FastForwarded counts the slots Run jumped over with no device awake.
+	FastForwarded int64
+}
+
+// Plans is the total number of Plan calls.
+func (s LoopStats) Plans() int64 { return s.PlanSleep + s.PlanTx + s.PlanRx + s.PlanScan }
+
+func (s LoopStats) String() string {
+	return fmt.Sprintf("%d plans (%d sleep, %d tx, %d rx, %d scan), %d rouses, %d rows walked, %d hearings, %d slots fast-forwarded",
+		s.Plans(), s.PlanSleep, s.PlanTx, s.PlanRx, s.PlanScan, s.Rouses, s.Rows, s.Hearings, s.FastForwarded)
+}
+
+// LoopStats sums the shards' counters.
+func (nw *Network) LoopStats() LoopStats {
+	var t LoopStats
+	for _, sh := range nw.sh {
+		c := &sh.stats
+		t.PlanSleep += c.PlanSleep
+		t.PlanTx += c.PlanTx
+		t.PlanRx += c.PlanRx
+		t.PlanScan += c.PlanScan
+		t.Rouses += c.Rouses
+		t.Rows += c.Rows
+		t.Hearings += c.Hearings
+		t.FastForwarded += c.FastForwarded
+	}
+	return t
+}
 
 // shard is what one shard's goroutine owns: the awake set and wake queue of
 // its node-ID range, resolution scratch, and the trace buffer drained in
 // shard order after each parallel section. Each shard's set is its own
 // allocation, so no two shard goroutines share a word.
 type shard struct {
-	lo int // first node ID of the range
+	lo, hi int // the half-open node-ID range
 
 	// awake has bit id-lo set for every device the slot loop visits:
 	// attached, not failed, not napping. nAwake counts the set bits.
-	awake  []uint64
-	nAwake int
+	// standing has it set for every device napping on a standing scan — the
+	// dense resolve walks awake|standing; the sparse gather needs no index,
+	// it finds a standing scanner by its op like any listener.
+	awake    []uint64
+	nAwake   int
+	standing []uint64
 	// wakes holds a (wake slot, node ID) entry per nap decision. An entry
 	// whose slot is no longer the device's napUntil was overtaken by Wake
 	// or Fail and is skipped.
 	wakes slotHeap[struct{}]
+
+	// txs lists the range's audible transmitters of the slot on the sparse
+	// medium, in ascending node ID: filled by the plan phase, read by every
+	// shard's resolve phase.
+	txs []topology.NodeID
+
+	stats LoopStats
 
 	traces    []TraceEvent
 	cand      []candidate
@@ -174,7 +230,7 @@ func (nw *Network) ShardOf(id topology.NodeID) int {
 // and per-shard buffered recording.
 func (nw *Network) SetParallelNotify(fn func(parallel bool)) { nw.notify = fn }
 
-// Wake cancels a napping device's remaining sleep: it settles the skipped
+// Wake cancels a napping device's remaining nap: it settles the skipped
 // slots immediately and resumes Plan calls from the next Step. Layers
 // that hand a device new work outside the radio path (flow injection,
 // node restoration) must call it first, or the device would sleep through
@@ -196,51 +252,79 @@ func (nw *Network) Wake(id topology.NodeID) {
 // whole, so later totals keep their bits.
 func (nw *Network) SettleNaps() {
 	for id := 1; id <= nw.numDevs; id++ {
-		if nw.napUntil[id] != 0 && nw.napStart[id] < nw.asn-1 {
-			nw.accrueNap(topology.NodeID(id), nw.asn)
-			nw.napStart[id] = nw.asn - 1
+		if nw.napUntil[id] != 0 {
+			since := nw.accrueNap(topology.NodeID(id), nw.asn)
+			*since = nw.asn - 1
 		}
 	}
 }
 
-// accrueNap reports to a napping device the slots it has skipped before asn.
-func (nw *Network) accrueNap(id topology.NodeID, asn ASN) {
-	if slept := asn - nw.napStart[id] - 1; slept > 0 {
+// accrueNap reports to a napping device the slots it has skipped before
+// asn, in the energy class of the op it naps on, and returns where the last
+// slot it is accounted for is kept (SettleNaps moves it; whoever ends the
+// nap leaves it stale).
+func (nw *Network) accrueNap(id topology.NodeID, asn ASN) *ASN {
+	since, activity := &nw.napStart[id], phy.ActivitySleep
+	if nw.ops[id].Kind == OpScan {
+		since, activity = &nw.scanStart[id], phy.ActivityScan
+	}
+	if skipped := asn - *since - 1; skipped > 0 {
 		if np, ok := nw.devices[id].(Napper); ok {
-			np.AccrueSleep(slept)
+			np.AccrueNap(skipped, activity)
+		}
+	}
+	return since
+}
+
+// endNap settles a napping device of the shard up to asn and returns it to
+// the awake set (its nap is over, or a frame arrived for its standing scan).
+func (nw *Network) endNap(sh *shard, id topology.NodeID, asn ASN) {
+	nw.accrueNap(id, asn)
+	nw.napUntil[id] = 0
+	sh.set(sh.standing, id, false)
+	sh.setAwake(id, true)
+}
+
+// set puts a device of the shard's range into one of the shard's sets or
+// takes it out, and reports whether that changed the set.
+func (sh *shard) set(set []uint64, id topology.NodeID, on bool) bool {
+	word, bit := &set[(int(id)-sh.lo)>>6], uint64(1)<<((int(id)-sh.lo)&63)
+	if (*word&bit != 0) == on {
+		return false
+	}
+	*word ^= bit
+	return true
+}
+
+// setAwake keeps nAwake in step with the awake set.
+func (sh *shard) setAwake(id topology.NodeID, on bool) {
+	if sh.set(sh.awake, id, on) {
+		if on {
+			sh.nAwake++
+		} else {
+			sh.nAwake--
 		}
 	}
 }
 
-// setAwake puts a device of the shard's range into the awake set or takes
-// it out, keeping nAwake in step; setting a set bit changes nothing.
-func (sh *shard) setAwake(id topology.NodeID, on bool) {
-	word, bit := &sh.awake[(int(id)-sh.lo)>>6], uint64(1)<<((int(id)-sh.lo)&63)
-	switch {
-	case on && *word&bit == 0:
-		*word |= bit
-		sh.nAwake++
-	case !on && *word&bit != 0:
-		*word &^= bit
-		sh.nAwake--
-	}
-}
-
-// trackAwake re-derives a device's membership in its shard's awake set
-// after a change made between slots (Attach, Wake, Fail, Restore). A device
-// that leaves the set also stops planning: its op goes back to sleep so
-// that neighbours scanning their rows in the resolve phase never see what
-// it did in its last slot.
+// trackAwake re-derives a device's membership in its shard's sets after a
+// change made between slots (Attach, Wake, Fail, Restore, RestoreState),
+// none of which leaves a standing scan behind. A device that leaves the
+// awake set also stops planning: its op goes back to sleep, because the
+// resolve phase takes whoever's op listens for a listener.
 func (nw *Network) trackAwake(id topology.NodeID) {
 	on := nw.devices[id] != nil && !nw.failed[id] && nw.napUntil[id] == 0
-	nw.sh[nw.ShardOf(id)].setAwake(id, on)
+	sh := nw.sh[nw.ShardOf(id)]
+	sh.setAwake(id, on)
+	sh.set(sh.standing, id, false)
 	if !on {
 		nw.ops[id] = RadioOp{Kind: OpSleep}
 	}
 }
 
 // rebuildShards derives every shard's awake set and wake queue from the
-// failed and napUntil vectors (RestoreState).
+// failed and napUntil vectors (RestoreState). It asks the devices nothing:
+// a captured nap is always a sleeping one.
 func (nw *Network) rebuildShards() {
 	for _, sh := range nw.sh {
 		sh.wakes = sh.wakes[:0]
@@ -283,15 +367,6 @@ func (nw *Network) allNapping() bool {
 		}
 	}
 	return true
-}
-
-// slotHash derives the order-independent draw for one (slot, src, dst,
-// salt) event.
-func (nw *Network) slotHash(asn ASN, a, b topology.NodeID, salt uint64) uint64 {
-	h := detrand.Mix(nw.scale.seedHash, uint64(asn))
-	h = detrand.Mix(h, uint64(a))
-	h = detrand.Mix(h, uint64(b))
-	return detrand.Mix(h, salt)
 }
 
 // run executes one phase of slot asn once per shard, in parallel when the
@@ -392,6 +467,7 @@ func (nw *Network) Step() {
 			target = nw.pending[0].asn
 		}
 		if target > asn {
+			nw.sh[0].stats.FastForwarded += target - asn
 			nw.asn = target
 			if target == nw.runCap {
 				return // the Run target's own slot is the next call's first
@@ -412,10 +488,10 @@ func (nw *Network) Step() {
 	nw.notifyParallel(false)
 	nw.drainTraces()
 
-	// Phase 2: medium resolution per listener, shard-parallel. Pure engine
-	// code — no device calls — so no parallel notification is needed; each
-	// listener writes only its own report plus the unique Acked flag of a
-	// unicast sender addressing it.
+	// Phase 2: medium resolution, shard-parallel. Engine code, and of the
+	// devices only a roused scanner's AccrueNap, which is pure accounting —
+	// so no parallel notification is needed; each listener writes only its
+	// own report plus the unique Acked flag of a unicast sender addressing it.
 	nw.run(asn, (*Network).resolveShard)
 	nw.drainTraces()
 
@@ -428,30 +504,11 @@ func (nw *Network) Step() {
 }
 
 func (nw *Network) planShard(sh *shard, asn ASN) {
+	sh.txs = sh.txs[:0]
 	nw.wakeDue(sh, asn)
 	for wi, word := range sh.awake {
 		for ; word != 0; word &= word - 1 {
 			nw.planOne(sh.idAt(wi, word), asn, sh)
-		}
-	}
-}
-
-func (nw *Network) resolveShard(sh *shard, asn ASN) {
-	for wi, word := range sh.awake {
-		for ; word != 0; word &= word - 1 {
-			id := sh.idAt(wi, word)
-			op := nw.ops[id]
-			if op.Kind != OpRx && op.Kind != OpScan {
-				continue
-			}
-			if nw.driftProb != nil && nw.misses[id] {
-				continue // listening outside the slot's guard window
-			}
-			if nw.scale == nil {
-				nw.resolveListener(id, op, asn)
-			} else {
-				nw.resolveListenerScale(id, op, asn, sh)
-			}
 		}
 	}
 }
@@ -475,18 +532,26 @@ func (nw *Network) wakeDue(sh *shard, asn ASN) {
 		if nw.napUntil[id] != e.asn {
 			continue // overtaken: the device was woken, and may nap anew
 		}
-		nw.accrueNap(id, asn)
-		nw.napUntil[id] = 0
-		sh.setAwake(id, true)
+		nw.endNap(sh, id, asn)
 	}
 }
 
 // planOne runs the plan phase for one awake device: the Plan call, drift,
-// the dense medium's transmitter lists and the transmit trace.
+// the slot's audible-transmitter lists and the transmit trace.
 func (nw *Network) planOne(id topology.NodeID, asn ASN, sh *shard) {
 	op := nw.devices[id].Plan(asn)
 	nw.ops[id] = op
 	nw.reports[id] = SlotReport{Op: op}
+	switch op.Kind {
+	case OpSleep:
+		sh.stats.PlanSleep++
+	case OpTx:
+		sh.stats.PlanTx++
+	case OpRx:
+		sh.stats.PlanRx++
+	case OpScan:
+		sh.stats.PlanScan++
+	}
 	if nw.driftProb != nil {
 		// A misaligned slot: the radio acts outside the network's guard
 		// window, so the node's transmission decodes nowhere and its listen
@@ -503,7 +568,13 @@ func (nw *Network) planOne(id topology.NodeID, asn ASN, sh *shard) {
 			nw.reports[id].Op = nw.ops[id]
 			return
 		}
-		if nw.scale == nil && int(op.Channel) < len(nw.byChannel) {
+		// An out-of-band plan is transmitted and traced but never heard.
+		switch {
+		case int(op.Channel) >= len(nw.byChannel):
+		case nw.scale != nil:
+			sh.txs = append(sh.txs, id)
+			sh.stats.Rows++
+		default:
 			if len(nw.byChannel[op.Channel]) == 0 {
 				nw.activeCh = append(nw.activeCh, op.Channel)
 			}
@@ -511,117 +582,6 @@ func (nw *Network) planOne(id topology.NodeID, asn ASN, sh *shard) {
 		}
 		nw.emit(sh, TraceEvent{ASN: asn, Kind: TraceTx,
 			Src: id, Dst: op.Frame.Dst, Frame: op.Frame, Channel: op.Channel})
-	}
-}
-
-// resolveListenerScale decides what a listener hears, walking the
-// listener's sparse neighbour row instead of the global per-channel
-// transmitter lists: per-slot resolution cost is O(degree), independent
-// of network size. The row is in ascending neighbour-ID order, so
-// candidate ordering — and with it capture ties and the interference
-// summation order — is identical for every shard count.
-func (nw *Network) resolveListenerScale(listener topology.NodeID, op RadioOp, asn ASN, buf *shard) {
-	sc := nw.scale
-	rep := &nw.reports[listener]
-	cols, vals, base := sc.sparse.Row(listener)
-	wide := op.Kind == OpScan && op.Channel == 0
-
-	cands := buf.cand[:0]
-	for i, src := range cols {
-		sop := &nw.ops[src]
-		if sop.Kind != OpTx {
-			continue
-		}
-		if int(sop.Channel) >= int(phy.LastChannel)+1 {
-			continue // out-of-band plan: never heard (legacy parity)
-		}
-		if !wide && sop.Channel != op.Channel {
-			continue
-		}
-		if nw.driftProb != nil && nw.misses[src] {
-			continue // transmitter fired outside the guard window
-		}
-		mean := vals[i]
-		if sc.fade != nil {
-			mean -= sc.fade[base+i]
-		}
-		rss := mean + detrand.Norm(nw.slotHash(asn, src, listener, saltFade))*nw.FastFadingSigmaDB
-		if rss >= phy.SensitivityDBm {
-			cands = append(cands, candidate{src: src, rss: rss, ch: sop.Channel})
-		}
-	}
-	buf.cand = cands
-	if len(cands) == 0 {
-		return // idle listen
-	}
-
-	best := 0
-	for i := 1; i < len(cands); i++ {
-		if cands[i].rss > cands[best].rss {
-			best = i
-		}
-	}
-	interf := buf.interf[:0]
-	for i, c := range cands {
-		if i != best && c.ch == cands[best].ch {
-			interf = append(interf, c.rss)
-		}
-	}
-	interf = nw.interferenceAt(listener, cands[best].ch, asn, interf)
-	buf.interf = interf
-
-	rep.Activity = phy.ActivityRxFrame
-	if phy.SIRdB(cands[best].rss, interf) < phy.CaptureThresholdDB {
-		rep.Collision = true
-		nw.emit(buf, TraceEvent{ASN: asn, Kind: TraceCollision,
-			Dst: listener, Channel: cands[best].ch})
-		return
-	}
-	if detrand.Uniform(nw.slotHash(asn, cands[best].src, listener, saltDecode)) >= phy.PRR(cands[best].rss) {
-		rep.Collision = true
-		return
-	}
-
-	frame := nw.ops[cands[best].src].Frame
-	if !frame.Broadcast() && frame.Dst != listener {
-		return
-	}
-	rep.Received = frame
-	rep.RSSI = cands[best].rss
-	nw.emit(buf, TraceEvent{ASN: asn, Kind: TraceDeliver,
-		Src: cands[best].src, Dst: listener, Frame: frame,
-		Channel: cands[best].ch, RSS: cands[best].rss})
-
-	if frame.Dst == listener && nw.ops[cands[best].src].NeedAck {
-		rep.Activity = phy.ActivityRxFrameAck
-		nw.resolveAckScale(cands[best].src, listener, cands[best].ch, asn, buf)
-	}
-}
-
-// resolveAckScale decides whether the ACK decodes at the sender. Only the
-// unique unicast destination reaches here for a given sender, so the
-// cross-shard write to reports[sender].Acked has exactly one writer.
-func (nw *Network) resolveAckScale(sender, receiver topology.NodeID, ch phy.Channel, asn ASN, buf *shard) {
-	sc := nw.scale
-	idx := sc.sparse.LinkIndex(receiver, sender)
-	if idx < 0 {
-		return // pruned link: the data frame arrived on fading luck, the ACK will not
-	}
-	mean := sc.sparse.ValueAt(idx)
-	if sc.fade != nil {
-		mean -= sc.fade[idx]
-	}
-	rss := mean + detrand.Norm(nw.slotHash(asn, receiver, sender, saltAckFade))*nw.FastFadingSigmaDB
-	if rss < phy.SensitivityDBm {
-		return
-	}
-	interf := nw.interferenceAt(sender, ch, asn, buf.ackInterf[:0])
-	buf.ackInterf = interf
-	if phy.SIRdB(rss, interf) < phy.CaptureThresholdDB {
-		return
-	}
-	if detrand.Uniform(nw.slotHash(asn, receiver, sender, saltAckDecode)) < phy.PRR(rss+1.5) {
-		nw.reports[sender].Acked = true
 	}
 }
 
@@ -649,15 +609,20 @@ func (nw *Network) finishOne(id topology.NodeID, asn ASN, sh *shard) {
 	}
 	d.EndSlot(asn, *rep)
 	if np, ok := d.(Napper); ok {
-		if w := np.NextWake(asn); w > asn+1 {
+		if w, standing := np.NextWake(asn); w > asn+1 {
 			nw.napUntil[id] = w
-			nw.napStart[id] = asn
 			sh.setAwake(id, false)
 			sh.wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
-			// No plan will overwrite the op while the device naps, and
-			// neighbours scan their rows for transmitters: a transmitter
-			// that naps right after its slot must not be heard again.
-			nw.ops[id] = RadioOp{Kind: OpSleep}
+			// No plan will overwrite the op while the device naps, and the
+			// resolve phase reads it: it is what the device does meanwhile.
+			if standing.Kind == OpScan {
+				nw.ops[id] = standing
+				nw.scanStart[id] = asn
+				sh.set(sh.standing, id, true)
+			} else {
+				nw.ops[id] = RadioOp{Kind: OpSleep}
+				nw.napStart[id] = asn
+			}
 		}
 	}
 }

@@ -2,10 +2,13 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"github.com/digs-net/digs/internal/phy"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -37,8 +40,9 @@ func onMedia(t *testing.T, test func(t *testing.T, m medium, shards int)) {
 type napEvent struct {
 	Kind    string // "plan" or "end"
 	ASN     ASN
-	Accrued int64           // plan: slots reported by AccrueSleep since the last Plan
+	Accrued int64           // plan: slots reported by AccrueNap since the last Plan
 	From    topology.NodeID // end: source of the received frame, 0 if none
+	Noise   bool            // end: energy detected that did not decode
 }
 
 // napDevice is a scripted Napper: plan and wake are pure functions of the
@@ -47,10 +51,14 @@ type napDevice struct {
 	id   topology.NodeID
 	plan func(asn ASN) RadioOp
 	wake func(asn ASN) ASN // NextWake; nil never naps
-	log  []napEvent
-	mute bool // keep counters only (the allocation test)
+	// stand, when set, is the scan the device stands on through its naps
+	// (it must be what plan returns in every slot of the nap); nil sleeps.
+	stand func(asn ASN) RadioOp
+	log   []napEvent
+	mute  bool // keep counters only (the allocation test)
 
-	accrued int64 // AccrueSleep total
+	accrued int64 // AccrueNap total
+	scanned int64 // of which in the scan class
 	slots   int64 // EndSlot calls
 	pending int64
 }
@@ -73,23 +81,29 @@ func (d *napDevice) EndSlot(asn ASN, rep SlotReport) {
 	if d.mute {
 		return
 	}
-	ev := napEvent{Kind: "end", ASN: asn}
+	ev := napEvent{Kind: "end", ASN: asn, Noise: rep.Collision}
 	if rep.Received != nil {
 		ev.From = rep.Received.Src
 	}
 	d.log = append(d.log, ev)
 }
 
-func (d *napDevice) NextWake(asn ASN) ASN {
+func (d *napDevice) NextWake(asn ASN) (ASN, RadioOp) {
 	if d.wake == nil {
-		return asn + 1
+		return asn + 1, Sleep()
 	}
-	return d.wake(asn)
+	if d.stand != nil {
+		return d.wake(asn), d.stand(asn + 1)
+	}
+	return d.wake(asn), Sleep()
 }
 
-func (d *napDevice) AccrueSleep(k int64) {
+func (d *napDevice) AccrueNap(k int64, activity phy.SlotActivity) {
 	d.accrued += k
 	d.pending += k
+	if activity == phy.ActivityScan {
+		d.scanned += k
+	}
 }
 
 // planned returns the slots the device planned in.
@@ -120,7 +134,7 @@ func (m medium) net(t *testing.T, nodes, shards int, devs ...*napDevice) *Networ
 }
 
 // TestScaleNapSkipsDeviceCalls: inside a nap the engine calls neither Plan
-// nor EndSlot, and at the wake AccrueSleep reports exactly the skipped
+// nor EndSlot, and at the wake AccrueNap reports exactly the skipped
 // slots, so executed plus accrued slots always add up to the clock.
 func TestScaleNapSkipsDeviceCalls(t *testing.T) {
 	onMedia(t, func(t *testing.T, m medium, shards int) {
@@ -320,10 +334,22 @@ func TestScaleNappingTransmitterNotHeardAgain(t *testing.T) {
 	})
 }
 
-// scaleScript is a six-device line in which even IDs beacon and odd IDs
+// dwellScan is the scan of a scripted standing scanner: channel 15, where
+// the scripts transmit, in every other dwell of the given length, channel 20
+// in the rest; and the wake function that naps to the dwell's end.
+func dwellScan(dwell ASN) (scan func(ASN) RadioOp, wake func(ASN) ASN) {
+	scan = func(asn ASN) RadioOp {
+		return RadioOp{Kind: OpScan, Channel: phy.Channel(15 + 5*(asn/dwell%2))}
+	}
+	return scan, func(asn ASN) ASN { return ((asn+1)/dwell + 1) * dwell }
+}
+
+// scaleScript is a seven-device line in which even IDs beacon and odd IDs
 // listen, each on its own wake period, so that naps, wakes and receptions
-// interleave across any shard boundary. Every device keeps the Napper
-// promise: outside its wake slots it would plan sleep.
+// interleave across any shard boundary, and the last device is a standing
+// scanner next to a beacon it hears in every other dwell. Every device
+// keeps the Napper promise: outside its wake slots it would plan sleep, or
+// the scan it stands on.
 func scaleScript(t *testing.T, m medium, shards int) (*Network, []*napDevice) {
 	t.Helper()
 	var devs []*napDevice
@@ -342,15 +368,22 @@ func scaleScript(t *testing.T, m medium, shards int) (*Network, []*napDevice) {
 		}
 		devs = append(devs, d)
 	}
-	return m.net(t, 6, shards, devs...), devs
+	scanner := &napDevice{id: 7}
+	scanner.plan, scanner.wake = dwellScan(8)
+	scanner.stand = scanner.plan
+	devs = append(devs, scanner)
+	return m.net(t, 7, shards, devs...), devs
 }
 
-// logsFrom renders every call the devices saw from slot `from` on.
+// logsFrom renders every call the devices saw from slot `from` on. Of a
+// standing scanner it renders what it heard: a capture ends its standing
+// scan, so the visits in which it plans that scan again and hears nothing
+// are the engine's business.
 func logsFrom(devs []*napDevice, from ASN) string {
 	out := ""
 	for _, d := range devs {
 		for _, ev := range d.log {
-			if ev.ASN >= from {
+			if ev.ASN >= from && (d.stand == nil || ev.From != 0) {
 				out += fmt.Sprintf("%d:%+v\n", d.id, ev)
 			}
 		}
@@ -360,12 +393,17 @@ func logsFrom(devs []*napDevice, from ASN) string {
 
 // actedFrom renders what the devices of a scaleScript did and heard from
 // slot `from` on: their EndSlot calls in the slots they act in. The Plan
-// calls a device woken early answers with sleep are the engine's business.
+// calls a device woken early answers with the op it promised are the
+// engine's business.
 func actedFrom(devs []*napDevice, from ASN) string {
 	out := ""
 	for _, d := range devs {
 		for _, ev := range d.log {
-			if ev.Kind == "end" && ev.ASN >= from && ev.ASN%ASN(2+int(d.id)%3) == 0 {
+			acts := ev.ASN%ASN(2+int(d.id)%3) == 0
+			if d.stand != nil {
+				acts = ev.From != 0
+			}
+			if ev.Kind == "end" && ev.ASN >= from && acts {
 				out += fmt.Sprintf("%d:%+v\n", d.id, ev)
 			}
 		}
@@ -375,14 +413,16 @@ func actedFrom(devs []*napDevice, from ASN) string {
 
 func requireHeard(t *testing.T, devs []*napDevice) {
 	t.Helper()
+	heard, roused := false, false
 	for _, d := range devs {
 		for _, ev := range d.log {
-			if ev.From != 0 {
-				return
-			}
+			heard = heard || ev.From != 0
+			roused = roused || (ev.From != 0 && d.stand != nil)
 		}
 	}
-	t.Fatal("script exchanges no frame: the comparison would be vacuous")
+	if !heard || !roused {
+		t.Fatalf("script exchanges a frame: %v, rouses its standing scanner: %v: the comparison would be vacuous", heard, roused)
+	}
 }
 
 // TestScaleNapStateAcrossShardCounts: a sparse run captured mid-nap and
@@ -400,12 +440,18 @@ func TestScaleNapStateAcrossShardCounts(t *testing.T) {
 	for _, before := range []int{1, 2, 3} {
 		first, _ := scaleScript(t, sparse, before)
 		first.Run(cut)
+		if first.napUntil[7] == 0 || first.ops[7].Kind != OpScan {
+			t.Fatal("the scanner is not standing at the cut: the capture would have no standing scan to end")
+		}
 		st, err := first.CaptureState()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.NapUntil == nil {
 			t.Fatal("nobody napping at the cut: the restore would have nothing to rebuild")
+		}
+		if st.NapUntil[7] != 0 || st.NapStart[7] != 0 {
+			t.Fatalf("the capture carries the standing scan: until %d, start %d", st.NapUntil[7], st.NapStart[7])
 		}
 		for _, after := range []int{1, 2, 3, 6} {
 			second, devs := scaleScript(t, sparse, after)
@@ -471,6 +517,157 @@ func TestDenseCaptureEndsNaps(t *testing.T) {
 	if err := third.RestoreState(napping); err == nil {
 		t.Fatal("dense network accepted a sparse state with nap vectors")
 	}
+}
+
+// TestScaleStandingScanRousedByDelivery: a standing scanner is part of the
+// medium and not of the loop. Energy it cannot decode — a collision, a
+// unicast for someone else — reaches the engine trace but not the device; a
+// frame delivered to it rouses it in the slot itself, settled in the scan
+// class up to the slot before; and the report it is then handed is this
+// slot's, not what was left from its last visit.
+func TestScaleStandingScanRousedByDelivery(t *testing.T) {
+	onMedia(t, func(t *testing.T, m medium, shards int) {
+		beacon := func(src topology.NodeID) *Frame { return &Frame{Kind: KindEB, Src: src, Dst: topology.Broadcast} }
+		script := func(frames map[ASN]*Frame) func(ASN) RadioOp {
+			return func(asn ASN) RadioOp {
+				if f := frames[asn]; f != nil {
+					return RadioOp{Kind: OpTx, Channel: 15, Frame: f, NeedAck: !f.Broadcast()}
+				}
+				return Sleep()
+			}
+		}
+		// Devices 1 and 3 are equidistant from the scanner 2: together they
+		// collide there. Device 1 also sends device 4's unicast past it.
+		left := &napDevice{id: 1, plan: script(map[ASN]*Frame{5: beacon(1), 8: {Kind: KindData, Src: 1, Dst: 4}, 20: beacon(1)})}
+		right := &napDevice{id: 3, plan: script(map[ASN]*Frame{5: beacon(3), 12: beacon(3), 20: beacon(3), 30: beacon(3)})}
+		scanner := &napDevice{id: 2}
+		scanner.plan, scanner.wake = dwellScan(50)
+		scanner.stand = scanner.plan
+		nw := m.net(t, 4, shards, left, right, scanner)
+		nw.FastFadingSigmaDB = 0 // exact symmetry: the collisions are certain
+		collisions := map[ASN]bool{}
+		nw.Trace = func(ev TraceEvent) {
+			if ev.Kind == TraceCollision && ev.Dst == 2 {
+				collisions[ev.ASN] = true
+			}
+		}
+		nw.Run(51)
+
+		want := []napEvent{
+			{Kind: "plan", ASN: 0}, {Kind: "end", ASN: 0},
+			{Kind: "end", ASN: 12, From: 3}, // roused: no Plan, the standing op is the plan
+			{Kind: "end", ASN: 30, From: 3}, // and no noise left over from slot 20
+			{Kind: "plan", ASN: 50, Accrued: 11 + 17 + 19}, {Kind: "end", ASN: 50},
+		}
+		if !reflect.DeepEqual(scanner.log, want) {
+			t.Fatalf("the scanner was called\n %+v\nwant\n %+v", scanner.log, want)
+		}
+		if !collisions[5] || !collisions[20] || len(collisions) != 2 {
+			t.Fatalf("collisions traced at the standing scanner in %v, want slots 5 and 20", collisions)
+		}
+		if scanner.scanned != 47 || scanner.slots+scanner.accrued != nw.ASN() {
+			t.Fatalf("settled %d slots as scans and %d in all by slot %d", scanner.scanned, scanner.slots+scanner.accrued, nw.ASN())
+		}
+		if ls := nw.LoopStats(); ls.Rouses != 2 || ls.PlanScan != 2 {
+			t.Fatalf("%+v, want two rouses and the two scans planned at the dwell boundaries", ls)
+		}
+	})
+}
+
+// visited hides a device's Napper side: the engine visits it in every slot,
+// which is what a standing scan must be indistinguishable from.
+type visited struct{ d *napDevice }
+
+func (v visited) ID() topology.NodeID             { return v.d.id }
+func (v visited) Plan(asn ASN) RadioOp            { return v.d.Plan(asn) }
+func (v visited) EndSlot(asn ASN, rep SlotReport) { v.d.EndSlot(asn, rep) }
+
+// TestScaleStandingScanEquivalentToVisited: scanners standing through their
+// dwells — a single-channel one whose clock drifts, a wide-band one that
+// fails and is restored mid-dwell — hear what the same scanners hear when
+// visited in every slot, and everyone else does too: same deliveries, same
+// engine trace, collisions at the scanners included, in the same order. On
+// the dense medium that order is the sequential generator's, which draws for
+// a standing scanner where it would have drawn for the awake one.
+func TestScaleStandingScanEquivalentToVisited(t *testing.T) {
+	onMedia(t, func(t *testing.T, m medium, shards int) {
+		run := func(stand bool) (string, int64) {
+			var devs []*napDevice
+			var attach []Device
+			for i := 1; i <= 7; i++ {
+				d := &napDevice{id: topology.NodeID(i)}
+				switch i {
+				case 2:
+					d.plan, d.wake = dwellScan(20)
+				case 5:
+					d.plan = func(ASN) RadioOp { return RadioOp{Kind: OpScan} }
+					d.wake = func(asn ASN) ASN { return ((asn+1)/30 + 1) * 30 }
+				case 7:
+					d.plan = rxPlan(15)
+				default: // beacons on two channels, colliding now and then
+					f := &Frame{Kind: KindEB, Src: d.id, Dst: topology.Broadcast}
+					period := ASN(i + 2)
+					d.plan = func(asn ASN) RadioOp {
+						if asn%period != 0 {
+							return Sleep()
+						}
+						return RadioOp{Kind: OpTx, Channel: phy.Channel(15 + 5*(asn/period%2)), Frame: f}
+					}
+					d.wake = everyN(period)
+				}
+				devs = append(devs, d)
+				if (i == 2 || i == 5) && stand {
+					d.stand = d.plan
+				}
+				if (i == 2 || i == 5) && !stand {
+					attach = append(attach, visited{d})
+				} else {
+					attach = append(attach, d)
+				}
+			}
+			nw := m.build(pairTopology(t, 7), 3, shards)
+			for _, d := range attach {
+				if err := nw.Attach(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out := ""
+			nw.Trace = func(ev TraceEvent) {
+				out += fmt.Sprintf("trace %d kind %d %d->%d ch %d rss %x\n", ev.ASN, ev.Kind, ev.Src, ev.Dst, ev.Channel, math.Float64bits(ev.RSS))
+			}
+			nw.SetClockDrift(2, 0.5, 9)
+			nw.At(41, func() { nw.Fail(5) })
+			nw.At(52, func() { nw.Restore(5) })
+			nw.At(107, func() { nw.SetClockDrift(2, 0, 0) })
+			nw.Run(200)
+			for _, d := range devs {
+				for _, ev := range d.log {
+					if ev.From != 0 {
+						out += fmt.Sprintf("%d heard %d in %d\n", d.id, ev.From, ev.ASN)
+					}
+				}
+			}
+			nw.SettleNaps()
+			for _, d := range devs {
+				want := int64(200)
+				if d.id == 5 {
+					want -= 52 - 41 // down
+				}
+				if d.slots+d.accrued != want {
+					t.Fatalf("device %d accounts for %d slots, want %d", d.id, d.slots+d.accrued, want)
+				}
+			}
+			return out, nw.LoopStats().Rouses
+		}
+		want, _ := run(false)
+		got, rouses := run(true)
+		if got != want {
+			t.Fatalf("standing scanners change the run\n got:\n%s\nwant:\n%s", got, want)
+		}
+		if rouses == 0 || !strings.Contains(want, "2 heard") || !strings.Contains(want, "5 heard") || !strings.Contains(want, "kind 3 0->2") {
+			t.Fatalf("%d rouses; the scanners must hear frames and collisions for the comparison to mean anything:\n%s", rouses, want)
+		}
+	})
 }
 
 // TestScaleSlotLoopZeroAllocs is TestSlotLoopZeroAllocs with devices

@@ -41,8 +41,9 @@ type NetworkState struct {
 
 	// NapUntil/NapStart are the per-node nap windows (indexed by node ID,
 	// entry 0 unused) of a sparse-medium network; nil when no device was
-	// napping at capture, and always nil on the dense medium, whose capture
-	// ends every nap first.
+	// sleeping at capture, and always nil on the dense medium, whose capture
+	// ends every nap first. A captured nap is a sleeping one: a capture ends
+	// the standing scans on both media.
 	NapUntil []int64
 	NapStart []int64
 }
@@ -53,11 +54,14 @@ type NetworkState struct {
 // scenario quiesce points (after convergence, before the next plan or flow
 // set is scheduled) where neither exists.
 //
-// On the dense medium a capture first settles and ends every nap, which the
-// Napper contract makes unobservable (a woken device plans the sleep it was
-// promised to plan and naps again): a dense snapshot therefore carries no
-// nap vectors and keeps the bytes it had before the dense loop could nap,
-// so warm pools written by earlier builds stay valid.
+// A capture first settles and ends naps — on the dense medium all of them,
+// on the sparse one the standing scans — which the Napper contract makes
+// unobservable (a woken device plans the op it promised to plan and naps
+// again). A dense snapshot therefore carries no nap vectors and keeps the
+// bytes it had before the dense loop could nap, and a sparse one the bytes
+// it had when unsynchronised devices were visited every slot: warm pools
+// written by earlier builds stay valid, and a restore derives every set
+// from the vectors without asking a device what it would scan.
 func (nw *Network) CaptureState() (*NetworkState, error) {
 	if len(nw.pending) > 0 {
 		return nil, fmt.Errorf("sim: capture with %d scheduled events pending (snapshot at a quiesce point, before scheduling scenario events)", len(nw.pending))
@@ -65,9 +69,9 @@ func (nw *Network) CaptureState() (*NetworkState, error) {
 	if len(nw.interferers) > 0 {
 		return nil, fmt.Errorf("sim: capture with %d interferers registered (snapshot before fault injection)", len(nw.interferers))
 	}
-	if nw.scale == nil {
-		for id := 1; id <= nw.numDevs; id++ {
-			nw.Wake(topology.NodeID(id))
+	for id := 1; id <= nw.numDevs; id++ {
+		if nw.scale == nil || nw.ops[id].Kind == OpScan {
+			nw.Wake(topology.NodeID(id)) // a no-op on a device that is not napping
 		}
 	}
 	st := &NetworkState{
