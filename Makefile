@@ -117,16 +117,18 @@ cache-smoke:
 ## paper's distributed approach removes. The slot loop's own tests on
 ## both media and the properties its shortcuts rest on (every stack's
 ## NextActive against its own Assignment, nap ≡ no-nap from a cold start,
-## the transmitter-driven gather against the listeners' row scans on one
+## the transmitter-driven gather's hearing lists against the listeners'
+## row scans and the wake wheel against the heap it replaced, both on one
 ## to three shards, standing scans through rouses, drift, crashes and
-## captures, the closed-form accrual, the loop's own counts, dense results
-## pinned before the dense medium could nap, the shared shadowing memo)
-## run race-enabled first: a data race on the awake sets, the wake queues,
-## the transmitter lists or the memo must fail here, not as a benchmark
-## digest.
+## captures, the closed-form accrual, the DiGS cell table against the
+## router, the cached noise floor against the per-call formula, the loop's
+## own counts, dense results pinned before the dense medium could nap, the
+## shared shadowing memo) run race-enabled first: a data race on the awake
+## sets, the wake wheels, the transmitter or hearing lists or the memo
+## must fail here, not as a benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
-		./internal/sim ./internal/core ./internal/mac ./internal/rpl ./internal/orchestra \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
+		./internal/sim ./internal/core ./internal/mac ./internal/phy ./internal/rpl ./internal/orchestra \
 		./internal/whart ./internal/controller ./internal/topology ./internal/scenario
 	$(GO) run ./cmd/digs-bench -scale-smoke
 	@echo scale-smoke: OK

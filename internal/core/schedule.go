@@ -27,14 +27,6 @@ func appLane(id topology.NodeID) uint8 {
 	return appChannelOffset + uint8((int64(id)*13)%appLanes)
 }
 
-// Slotframe priorities: the paper gives synchronisation traffic the
-// highest priority and application traffic the lowest (Section VI).
-const (
-	syncPriority    = 0
-	routingPriority = 1
-	appPriority     = 2
-)
-
 // AppTxSlot returns the application-slotframe slot offset for the given
 // node's p-th transmission attempt, per the paper's Eq. (4):
 //
@@ -53,35 +45,48 @@ func AppTxSlot(id topology.NodeID, numAPs, attempts, p int, frameLen int64) int6
 // state: its own ID (sync and app transmit slots), its best parent (sync
 // listen slot) and its children (app listen slots). No negotiation with
 // neighbours ever happens, which is the paper's headline property.
+//
+// The three slotframes are combined by priority — the paper gives
+// synchronisation traffic the highest and application traffic the lowest,
+// and the highest non-sleeping frame wins (Section VI) — written out
+// in Assignment rather than through mac.Combiner's per-frame Role callbacks:
+// the slot loop asks on every visit, and each frame is answered with one
+// offset comparison or one table lookup.
 type scheduler struct {
 	id     topology.NodeID
 	isAP   bool
 	cfg    Config
 	router *Router
 
-	combiner *mac.Combiner
+	// Sync-slotframe offsets: the node's own EB cell, and its best parent's,
+	// re-derived when the best parent changes (-1 while it has none).
+	ownSync    int64
+	parent     topology.NodeID
+	parentSync int64
 
-	// The node's application-slotframe cells as offset-sorted tables: its
-	// own Eq. (4) transmit cells, fixed at construction, and its children's,
+	// cells is the application slotframe as one offset-sorted table: the
+	// node's own Eq. (4) transmit cells over its children's listen cells,
 	// rebuilt when the child set changes. The slot loop looks a slot up and
 	// asks for the next cell far more often than the child set changes.
-	txCells      mac.Cells[appCell]
-	rxCells      mac.Cells[appCell]
-	cacheVersion int64
-	cacheValid   bool
+	cells        mac.Cells[appCell]
+	cellsVersion int64
+	cellsValid   bool
 }
 
 // appCell is one application-slotframe cell: attempt numbers an own
-// transmit cell (Eq. (4)'s p), child names the transmitter of a listen cell.
+// transmit cell (Eq. (4)'s p, child 0), child names the transmitter of a
+// listen cell; lane is the channel offset, derived from the transmitter.
 type appCell struct {
 	attempt int
 	child   topology.NodeID
+	lane    uint8
 }
 
 // putCell records c at the offset. An offset already taken goes to the lower
-// child ID — when two children's Eq. (4) cells collide the choice cannot
-// depend on the children map's iteration order — and, among a node's own
-// transmit cells (no child), to the later attempt.
+// child ID — so an own transmit cell (child 0) is never displaced by a
+// listen cell, and when two children's Eq. (4) cells collide the choice
+// cannot depend on the children map's iteration order — and, among a node's
+// own transmit cells, to the later attempt.
 func putCell(cells mac.Cells[appCell], offset int64, c appCell) mac.Cells[appCell] {
 	if old, taken := cells.At(offset); taken && c.child > old.child {
 		return cells
@@ -90,136 +95,96 @@ func putCell(cells mac.Cells[appCell], offset int64, c appCell) mac.Cells[appCel
 }
 
 func newScheduler(id topology.NodeID, isAP bool, cfg Config, router *Router) *scheduler {
-	s := &scheduler{id: id, isAP: isAP, cfg: cfg, router: router}
-	if !isAP {
-		for p := 1; p <= cfg.Attempts; p++ {
-			s.txCells = putCell(s.txCells,
-				AppTxSlot(id, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen), appCell{attempt: p})
-		}
-	}
-	s.combiner = mac.NewCombiner(
-		mac.Slotframe{
-			Length:        cfg.SyncFrameLen,
-			Priority:      syncPriority,
-			ChannelOffset: syncChannelOffset,
-			Role:          s.syncRole,
-		},
-		mac.Slotframe{
-			Length:        cfg.RoutingFrameLen,
-			Priority:      routingPriority,
-			ChannelOffset: routingChannelOffset,
-			Role:          s.routingRole,
-		},
-		mac.Slotframe{
-			Length:        cfg.AppFrameLen,
-			Priority:      appPriority,
-			ChannelOffset: appChannelOffset,
-			Role:          s.appRole,
-		},
-	)
-	return s
+	return &scheduler{id: id, isAP: isAP, cfg: cfg, router: router,
+		ownSync: int64(id-1) % cfg.SyncFrameLen, parentSync: -1}
 }
 
-// Assignment resolves the combined schedule for a slot. Application cells
-// get their channel lane from the transmitting node's ID.
+// Assignment resolves the combined schedule for a slot: node i broadcasts
+// its EB in slot i-1 of the sync slotframe and listens in its best parent's
+// (Section VI "Assigning Slots for Synchronization"); everyone shares slot 0
+// of the routing slotframe ("Assigning Slots for Routing"); the node
+// transmits in its Eq. (4) cells and listens in its children's (attempts
+// 1..A-1 when it is their best parent, the final attempt when it is their
+// backup). Application cells get their channel lane from the transmitter's
+// ID.
 func (s *scheduler) Assignment(asn sim.ASN) mac.Assignment {
-	a := s.combiner.Assignment(asn)
-	switch a.Role {
-	case mac.RoleTxData:
-		a.ChannelOffset = appLane(s.id)
-	case mac.RoleRxData:
-		if c, ok := s.rxCells.At(asn % s.cfg.AppFrameLen); ok {
-			a.ChannelOffset = appLane(c.child)
+	switch asn % s.cfg.SyncFrameLen {
+	case s.ownSync:
+		return mac.Assignment{Role: mac.RoleTxEB, ChannelOffset: syncChannelOffset}
+	case s.parentOffset():
+		return mac.Assignment{Role: mac.RoleRxEB, ChannelOffset: syncChannelOffset}
+	}
+	if asn%s.cfg.RoutingFrameLen == 0 {
+		return mac.Assignment{Role: mac.RoleShared, ChannelOffset: routingChannelOffset}
+	}
+	if c, ok := s.appCells().At(asn % s.cfg.AppFrameLen); ok {
+		if c.child == 0 {
+			return mac.Assignment{Role: mac.RoleTxData, ChannelOffset: c.lane, Attempt: c.attempt}
 		}
+		return mac.Assignment{Role: mac.RoleRxData, ChannelOffset: c.lane}
 	}
-	return a
-}
-
-// syncRole: node i broadcasts its EB in slot i-1 of the sync slotframe and
-// listens in its best parent's slot (Section VI "Assigning Slots for
-// Synchronization").
-func (s *scheduler) syncRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == int64(s.id-1)%s.cfg.SyncFrameLen {
-		return mac.RoleTxEB, 0
-	}
-	if best, _ := s.router.Parents(); best != 0 &&
-		offset == int64(best-1)%s.cfg.SyncFrameLen {
-		return mac.RoleRxEB, 0
-	}
-	return mac.RoleSleep, 0
-}
-
-// routingRole: one fixed shared slot per routing slotframe for everyone
-// (Section VI "Assigning Slots for Routing").
-func (s *scheduler) routingRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == 0 {
-		return mac.RoleShared, 0
-	}
-	return mac.RoleSleep, 0
-}
-
-// appRole: transmit in this node's Eq. (4) slots, listen in the Eq. (4)
-// slots of every child (attempts 1..A-1 when we are its best parent, the
-// final attempt when we are its backup).
-func (s *scheduler) appRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if c, ok := s.txCells.At(offset); ok {
-		return mac.RoleTxData, c.attempt
-	}
-	s.refreshRxCache()
-	if _, ok := s.rxCells.At(offset); ok {
-		return mac.RoleRxData, 0
-	}
-	return mac.RoleSleep, 0
+	return mac.Assignment{Role: mac.RoleSleep}
 }
 
 // NextActive returns the earliest slot at or after `after` in which this
 // node's combined schedule assigns any non-sleep role: its own EB slot,
 // its best parent's EB slot, the shared routing slot, and its Eq. (4)
-// transmit and listen cells. The result is the union over slotframes —
-// conservative with respect to the combiner, which only ever picks among
-// these same cells.
+// transmit and listen cells. The schedule is the union of its frames, so
+// that is exactly the first slot Assignment does not answer with sleep.
 func (s *scheduler) NextActive(after sim.ASN) sim.ASN {
-	w := mac.NextOffset(after, s.cfg.SyncFrameLen, int64(s.id-1)%s.cfg.SyncFrameLen)
-	if best, _ := s.router.Parents(); best != 0 {
-		if v := mac.NextOffset(after, s.cfg.SyncFrameLen, int64(best-1)%s.cfg.SyncFrameLen); v < w {
-			w = v
-		}
+	w := mac.NextOffset(after, s.cfg.SyncFrameLen, s.ownSync)
+	if p := s.parentOffset(); p >= 0 {
+		w = min(w, mac.NextOffset(after, s.cfg.SyncFrameLen, p))
 	}
-	if v := mac.NextOffset(after, s.cfg.RoutingFrameLen, 0); v < w {
-		w = v
-	}
-	if v, ok := s.txCells.Next(after, s.cfg.AppFrameLen); ok && v < w {
-		w = v
-	}
-	s.refreshRxCache()
-	if v, ok := s.rxCells.Next(after, s.cfg.AppFrameLen); ok && v < w {
-		w = v
+	w = min(w, mac.NextOffset(after, s.cfg.RoutingFrameLen, 0))
+	if v, ok := s.appCells().Next(after, s.cfg.AppFrameLen); ok {
+		w = min(w, v)
 	}
 	return w
 }
 
-func (s *scheduler) refreshRxCache() {
-	v := s.router.ChildVersion()
-	if s.cacheValid && v == s.cacheVersion {
-		return
-	}
-	s.rxCells = s.rxCells.Reset()
-	claim := func(slot int64, child topology.NodeID) {
-		s.rxCells = putCell(s.rxCells, slot, appCell{child: child})
-	}
-	for child, role := range s.router.Children() {
-		switch role {
-		case RoleBestParent:
-			for p := 1; p < s.cfg.Attempts; p++ {
-				claim(AppTxSlot(child, s.cfg.NumAPs, s.cfg.Attempts, p, s.cfg.AppFrameLen), child)
-			}
-			if s.cfg.Attempts == 1 {
-				claim(AppTxSlot(child, s.cfg.NumAPs, s.cfg.Attempts, 1, s.cfg.AppFrameLen), child)
-			}
-		case RoleSecondParent:
-			claim(AppTxSlot(child, s.cfg.NumAPs, s.cfg.Attempts, s.cfg.Attempts, s.cfg.AppFrameLen), child)
+// parentOffset is the best parent's sync offset, -1 without one.
+func (s *scheduler) parentOffset() int64 {
+	if best, _ := s.router.Parents(); best != s.parent {
+		s.parent, s.parentSync = best, -1
+		if best != 0 {
+			s.parentSync = int64(best-1) % s.cfg.SyncFrameLen
 		}
 	}
-	s.cacheVersion = v
-	s.cacheValid = true
+	return s.parentSync
+}
+
+// appCells returns the application-slotframe table, rebuilt first if the
+// child set changed since it was built.
+func (s *scheduler) appCells() mac.Cells[appCell] {
+	v := s.router.ChildVersion()
+	if s.cellsValid && v == s.cellsVersion {
+		return s.cells
+	}
+	cfg := s.cfg
+	cells := s.cells.Reset()
+	claim := func(id topology.NodeID, p int, c appCell) {
+		c.lane = appLane(id)
+		cells = putCell(cells, AppTxSlot(id, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen), c)
+	}
+	if !s.isAP {
+		for p := 1; p <= cfg.Attempts; p++ {
+			claim(s.id, p, appCell{attempt: p})
+		}
+	}
+	for child, c := range s.router.children {
+		switch c.role {
+		case RoleBestParent:
+			for p := 1; p < cfg.Attempts; p++ {
+				claim(child, p, appCell{child: child})
+			}
+			if cfg.Attempts == 1 {
+				claim(child, 1, appCell{child: child})
+			}
+		case RoleSecondParent:
+			claim(child, cfg.Attempts, appCell{child: child})
+		}
+	}
+	s.cells, s.cellsVersion, s.cellsValid = cells, v, true
+	return cells
 }

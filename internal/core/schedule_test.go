@@ -3,7 +3,9 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
+	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
@@ -353,4 +355,119 @@ func TestNextActiveMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSchedulerFollowsRouter: the scheduler caches what changes only with
+// the router — its parent's sync offset, its one application-cell table —
+// and must answer like a reference that re-derives everything from the
+// router on every call, while parents come and go (advertisements, failed
+// transmissions, expiry), children join, flip roles and expire, the stack
+// is Reset, and a state captured from a twin (whose child version often
+// equals this stack's) is restored over it.
+func TestSchedulerFollowsRouter(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	build := func(id topology.NodeID, isAP bool, cfg Config, seed int64) *Stack {
+		src := detrand.New(seed)
+		s, err := NewStack(id, isAP, cfg, rand.New(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.rngSrc = src
+		return s
+	}
+	ref := func(s *Stack, asn sim.ASN) mac.Assignment {
+		best, _ := s.router.Parents()
+		return newRefSchedule(s.id, s.isAP, best, s.cfg, s.router.Children()).assignment(asn)
+	}
+	var parentMoves, restores, resets int
+	for trial := 0; trial < 60; trial++ {
+		cfg := DefaultConfig(1 + rng.Intn(3))
+		for {
+			cfg.SyncFrameLen = 2 + rng.Int63n(40)
+			cfg.RoutingFrameLen = 2 + rng.Int63n(20)
+			cfg.AppFrameLen = 1 + rng.Int63n(30)
+			if cfg.Validate() == nil {
+				break
+			}
+		}
+		cfg.Attempts = 1 + rng.Intn(4)
+		cfg.NeighborTimeout, cfg.ChildTimeout = 3*time.Second, 2*time.Second
+		id := topoID(1 + rng.Intn(40))
+		isAP := int(id) <= cfg.NumAPs
+		s, twin := build(id, isAP, cfg, int64(trial)), build(id, isAP, cfg, int64(trial)+1000)
+
+		asn := sim.ASN(0)
+		for step := 0; step < 40; step++ {
+			target := s
+			if rng.Intn(3) == 0 {
+				target = twin
+			}
+			r := target.router
+			before, _ := s.router.Parents()
+			switch op := rng.Intn(10); {
+			case op < 3: // an advertisement: may adopt, switch or keep a parent
+				from := topoID(1 + rng.Intn(40))
+				if from != id {
+					r.OnJoinIn(asn, from, JoinIn{Rank: uint16(1 + rng.Intn(3)), ETXw: 2 * rng.Float64()}, rssForETX(1+2*rng.Float64()))
+				}
+			case op < 4: // a lost transmission to the best parent
+				if best, _ := r.Parents(); best != 0 {
+					r.OnTxResult(asn, best, false)
+				}
+			case op < 7: // a child joins or flips its role
+				role := RoleBestParent
+				if rng.Intn(3) == 0 {
+					role = RoleSecondParent
+				}
+				r.OnChildCallback(asn, topoID(1+rng.Intn(40)), JoinedCallback{Role: role})
+			case op < 8: // time passes: neighbours and children expire
+				asn += sim.ASN(rng.Intn(400))
+				r.Maintain(asn)
+			case op < 9:
+				target.Reset()
+				if target == s {
+					resets++
+				}
+			default:
+				st, err := twin.CaptureState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.RestoreState(st); err != nil {
+					t.Fatal(err)
+				}
+				restores++
+			}
+			if after, _ := s.router.Parents(); after != before {
+				parentMoves++
+			}
+
+			// Walk a window down from its end: next is the first slot at or
+			// after asn that the reference does not answer with sleep.
+			span := 2 * max(cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen)
+			base := asn + rng.Int63n(1000)
+			next := sim.ASN(-1)
+			for slot := base + 2*span; slot >= base; slot-- {
+				want := ref(s, slot)
+				if want.Role != mac.RoleSleep {
+					next = slot
+				}
+				if slot >= base+span {
+					continue
+				}
+				if got := s.sched.Assignment(slot); got != want {
+					t.Fatalf("trial %d step %d (id %d, cfg %d/%d/%d A=%d): Assignment(%d) = %+v, reference %+v",
+						trial, step, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, slot, got, want)
+				}
+				if got := s.sched.NextActive(slot); got != next {
+					t.Fatalf("trial %d step %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d) = %d, reference %d",
+						trial, step, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, slot, got, next)
+				}
+			}
+		}
+	}
+	if parentMoves == 0 || restores == 0 || resets == 0 {
+		t.Fatalf("%d parent moves, %d restores, %d resets: a case is never exercised", parentMoves, restores, resets)
+	}
+	t.Logf("%d parent moves, %d restores, %d resets", parentMoves, restores, resets)
 }

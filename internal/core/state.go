@@ -52,9 +52,8 @@ type PendingCallbackState struct {
 
 // StackState is the complete mutable state of one DiGS stack: router,
 // Trickle timer, RNG position and the handshake/maintenance registers.
-// The scheduler's cell tables are construction-derived (transmit side) or a
-// cache keyed on the router's child version (receive side) and are rebuilt
-// lazily after a restore.
+// The scheduler's cell table and parent offset are caches keyed on the
+// router's child version and best parent, rebuilt lazily after a restore.
 type StackState struct {
 	Router   RouterState
 	Trickle  trickle.State
@@ -163,9 +162,9 @@ func (s *Stack) CaptureState() (stack.State, error) {
 }
 
 // RestoreState overlays a captured stack state onto a freshly built stack
-// (same node, same configuration, same build seed). The receive-side
-// schedule cache is invalidated; it rebuilds lazily from the restored
-// child table, exactly as it would have after the next child change.
+// (same node, same configuration, same build seed). The schedule's cell
+// table is invalidated; it rebuilds lazily from the restored child table,
+// exactly as it would have after the next child change.
 func (s *Stack) RestoreState(state stack.State) error {
 	st, ok := state.(*StackState)
 	if !ok {
@@ -193,7 +192,7 @@ func (s *Stack) RestoreState(state stack.State) error {
 	s.bestConfirmed = st.BestConfirmed
 	s.secondConfirmed = st.SecondConfirmed
 	s.fallbackParent = st.FallbackParent
-	s.sched.cacheValid = false
+	s.sched.cellsValid = false
 	return nil
 }
 

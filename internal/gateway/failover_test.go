@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -218,6 +217,13 @@ func TestStreamFailoverReattach(t *testing.T) {
 	}
 }
 
+// probeOutcomes is how many outcomes the backend's breaker has recorded.
+func probeOutcomes(b *backend) int {
+	b.br.mu.Lock()
+	defer b.br.mu.Unlock()
+	return b.br.on
+}
+
 // TestSubmitFailsOverTransportError: the primary dies between two probes —
 // its fault proxy starts refusing connections while the prober, on an
 // hour-long interval, still holds it ready and its breaker is closed — so
@@ -227,24 +233,14 @@ func TestStreamFailoverReattach(t *testing.T) {
 // TestSubmitFailsOverDeadPrimary, which never reaches the transport-error
 // branch.)
 func TestSubmitFailsOverTransportError(t *testing.T) {
-	// Each backend counts its /readyz hits: the test flips the fault only
-	// after every backend's one probe has answered.
 	const n = 2
-	probed := make([]chan struct{}, n)
 	addrs := make([]string, n)
 	for i := range addrs {
 		s, err := server.New(server.Config{Workers: 2, DataDir: t.TempDir(), Name: fmt.Sprintf("b%d", i)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		done, once, h := make(chan struct{}), new(sync.Once), s.Handler()
-		probed[i] = done
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			h.ServeHTTP(w, r)
-			if r.URL.Path == "/readyz" {
-				once.Do(func() { close(done) })
-			}
-		}))
+		ts := httptest.NewServer(s.Handler())
 		t.Cleanup(func() {
 			ts.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -260,11 +256,17 @@ func TestSubmitFailsOverTransportError(t *testing.T) {
 	t.Cleanup(fleet.Close)
 	g, ts := newTestGateway(t, Config{Backends: fleet.URLs(), Replicas: 1,
 		ProbeInterval: time.Hour, ProbeTimeout: 10 * time.Second, BreakerFailures: 5})
-	for i, done := range probed {
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("backend %d was never probed", i)
+	// Flip the fault only once the gateway has consumed every backend's one
+	// probe answer: a probe still reading its answer through the proxy when
+	// the connections are cut would mark the primary not ready. A probe's
+	// outcome is the first its breaker records.
+	deadline := time.Now().Add(10 * time.Second)
+	for _, b := range g.backends {
+		for probeOutcomes(b) == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("backend %s was never probed", b.key)
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 

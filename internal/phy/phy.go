@@ -108,10 +108,22 @@ func dbmFromMW(mw float64) float64 {
 	return 10 * math.Log10(mw)
 }
 
+// The noise floor in milliwatts, and that sum's dBm when nothing else is on
+// the air: SIRdB's two conversions of the floor, made once with the same
+// expressions, so every answer keeps its bits. The slot loop decides every
+// detection and every ACK through SIRdB, mostly with no interferer.
+var (
+	noiseFloorMW = mwFromDBm(NoiseFloorDBm)
+	noiseOnlyDBm = dbmFromMW(noiseFloorMW)
+)
+
 // SIRdB returns the signal-to-interference-plus-noise ratio in dB for a
 // signal received at signalDBm against the given interferer powers.
 func SIRdB(signalDBm float64, interferersDBm []float64) float64 {
-	total := mwFromDBm(NoiseFloorDBm)
+	if len(interferersDBm) == 0 {
+		return signalDBm - noiseOnlyDBm
+	}
+	total := noiseFloorMW
 	for _, i := range interferersDBm {
 		total += mwFromDBm(i)
 	}

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -97,6 +98,39 @@ func TestSIRdB(t *testing.T) {
 	// A much stronger interferer drives SIR strongly negative.
 	if got := SIRdB(-80, []float64{-60}); got > -19 {
 		t.Fatalf("strong-interferer SIR = %.2f, want <= -19", got)
+	}
+}
+
+// sirRef is SIRdB as it was before the noise floor was converted once: both
+// conversions of the floor made on every call.
+func sirRef(signalDBm float64, interferersDBm []float64) float64 {
+	total := math.Pow(10, NoiseFloorDBm/10)
+	for _, i := range interferersDBm {
+		total += math.Pow(10, i/10)
+	}
+	return signalDBm - 10*math.Log10(total)
+}
+
+// TestSIRdBBitsUnchanged: the cached noise floor changes no answer's bits,
+// with no interferer (nil and empty) and with up to six, over the signal
+// and interference powers the medium produces.
+func TestSIRdBBitsUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	power := func() float64 { return -110 + 100*rng.Float64() }
+	interf := make([]float64, 0, 6)
+	for i := 0; i < 100000; i++ {
+		signal := power()
+		interf = interf[:0]
+		for n := rng.Intn(7); n > 0; n-- {
+			interf = append(interf, power())
+		}
+		list := interf
+		if len(list) == 0 && i%2 == 0 {
+			list = nil
+		}
+		if got, want := SIRdB(signal, list), sirRef(signal, list); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SIRdB(%v, %v) = %v, the per-call conversion gives %v", signal, list, got, want)
+		}
 	}
 }
 

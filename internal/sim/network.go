@@ -20,10 +20,9 @@ type slotEntry[V any] struct {
 
 // slotHeap is a binary min-heap ordered by (asn, ord). The event queue
 // holds callbacks under their scheduling sequence number, which keeps
-// same-slot events FIFO; the shards' wake queues hold node IDs. A
-// heap keeps the per-slot cost of the common case — nothing due — at a
-// single length check plus one comparison, where the previous map keyed by
-// ASN paid a hash lookup every slot.
+// same-slot events FIFO; a wake wheel's overflow holds node IDs. A heap
+// keeps the per-slot cost of the common case — nothing due — at a single
+// length check plus one comparison.
 type slotHeap[V any] []slotEntry[V]
 
 func (q slotHeap[V]) less(i, j int) bool {
@@ -69,6 +68,77 @@ func (q *slotHeap[V]) pop() slotEntry[V] {
 	return top
 }
 
+// wakeHorizon is how many slots ahead a nap's wake is filed in a wake
+// wheel's per-slot buckets; a wake further out overflows into its heap.
+// Every bucket keeps the capacity of the most wakes one slot ever filed —
+// about N for the slot of a frame every node shares — so the horizon is
+// what the wheel's memory is a multiple of. 64 is the power of two above
+// DiGS's 47-slot routing frame, which bounds a synchronised DiGS node's
+// steady-state nap; scan dwells (500 slots) and long whart naps overflow.
+const wakeHorizon = 64
+
+// wakeWheel holds one shard's nap wakes. A device napping until slot w is
+// filed under w: in bucket w mod wakeHorizon when w is within the horizon
+// of the first slot not yet drained, in the overflow heap otherwise. An
+// entry is live while the device's napUntil names the slot its bucket is
+// drained for (or the slot its heap entry carries); anything else — a nap
+// ended early by Wake, Fail or a rouse, perhaps followed by another — was
+// overtaken and is dropped when reached. Within the horizon a bucket is
+// reached first at the very slot its entries name, or they are overtaken:
+// the fast-forward never jumps a live wake, so a bucket it skips holds
+// only overtaken entries.
+type wakeWheel struct {
+	ring [wakeHorizon][]int32 // node IDs, at half width: buckets keep their capacity
+	far  slotHeap[struct{}]
+}
+
+// file records that id naps until w, next being the first slot whose
+// bucket has not been drained yet. A wake already past (a restored state
+// can name one) goes to the heap too, which hands it out at the next drain.
+func (q *wakeWheel) file(id topology.NodeID, w, next ASN) {
+	if uint64(w-next) < wakeHorizon {
+		b := &q.ring[w%wakeHorizon]
+		*b = append(*b, int32(id))
+		return
+	}
+	q.far.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
+}
+
+// reset empties the wheel, keeping its memory.
+func (q *wakeWheel) reset() {
+	for i := range q.ring {
+		q.ring[i] = q.ring[i][:0]
+	}
+	q.far = q.far[:0]
+}
+
+// earliest returns the first live wake at or after from, the first slot
+// not yet drained; ok is false when none is filed. Overtaken entries on
+// the way are dropped: a bucket with no live entry for its slot holds none
+// that will ever be.
+func (q *wakeWheel) earliest(from ASN, napUntil []ASN) (w ASN, ok bool) {
+	for len(q.far) > 0 && napUntil[q.far[0].ord] != q.far[0].asn {
+		q.far.pop()
+	}
+	end := from + wakeHorizon
+	if len(q.far) > 0 {
+		end = min(end, q.far[0].asn)
+	}
+	for t := from; t < end; t++ {
+		b := &q.ring[t%wakeHorizon]
+		for _, id := range *b {
+			if napUntil[id] == t {
+				return t, true
+			}
+		}
+		*b = (*b)[:0]
+	}
+	if len(q.far) > 0 {
+		return q.far[0].asn, true
+	}
+	return 0, false
+}
+
 // Network owns the shared medium and drives attached devices slot by slot.
 type Network struct {
 	topo        *topology.Topology
@@ -109,7 +179,7 @@ type Network struct {
 
 	// The slot loop's state, shared by both media (see scale.go): the
 	// shards — exactly one on the dense medium — with their awake sets and
-	// wake queues, and the nap windows those are derived from.
+	// wake wheels, and the nap windows those are derived from.
 	// napUntil[id] != 0 means the device naps until that slot (exclusive),
 	// and ops[id] is what it does meanwhile: OpSleep, or its standing scan.
 	// napStart[id] is the last slot a sleeping device was accounted for,

@@ -20,7 +20,7 @@ import (
 type oracle struct {
 	nw      *Network
 	reports []SlotReport
-	heard   [][]candidate // per shard, in the order the listeners were decided
+	heard   [][]hearing // per shard, in the order the listeners were decided
 	traces  []TraceEvent
 }
 
@@ -37,6 +37,27 @@ func (o *oracle) listens(l topology.NodeID, asn ASN) (listens, missed bool) {
 		return nw.ops[l].Kind == OpScan, nw.driftProb != nil && nw.driftMiss(int(l), asn)
 	}
 	return true, nw.driftProb != nil && nw.misses[l]
+}
+
+// hearing is what one listener is handed to decide.
+type hearing struct {
+	l     topology.NodeID
+	cands []candidate
+}
+
+func (h hearing) equal(o hearing) bool { return h.l == o.l && slices.Equal(h.cands, o.cands) }
+
+// handed lists what decideHeard will hand the shard's listeners: each one's
+// hearing list, in the order it walks them.
+func handed(sh *shard) []hearing {
+	var out []hearing
+	for wi, word := range sh.heard {
+		for ; word != 0; word &= word - 1 {
+			l := sh.idAt(wi, word)
+			out = append(out, hearing{l, sh.hear[int(l)-sh.lo]})
+		}
+	}
+	return out
 }
 
 func (o *oracle) resolve(asn ASN) {
@@ -86,13 +107,13 @@ func (o *oracle) resolveListener(listener topology.NodeID, op RadioOp, asn ASN, 
 		}
 		rss := mean + detrand.Norm(nw.slotHash(asn, src, listener, saltFade))*nw.FastFadingSigmaDB
 		if rss >= phy.SensitivityDBm {
-			cands = append(cands, candidate{dst: listener, src: src, rss: rss, ch: sop.Channel})
+			cands = append(cands, candidate{src: src, rss: rss, ch: sop.Channel})
 		}
 	}
-	o.heard[s] = append(o.heard[s], cands...)
 	if len(cands) == 0 {
 		return // idle listen
 	}
+	o.heard[s] = append(o.heard[s], hearing{listener, cands})
 
 	best := 0
 	for i := 1; i < len(cands); i++ {
@@ -233,9 +254,10 @@ func (d *oracleDevice) AccrueNap(int64, phy.SlotActivity) {}
 // fades, a drifting listener (a standing one and an awake one) and a
 // drifting transmitter, wide-band and single-channel scanners, failed and
 // napping neighbours, out-of-band plans, one to three shards — the
-// transmitter-driven gather files the candidates the listeners' own row
-// scans would have found, in that order, and leaves every device the report
-// and the engine trace the old resolve would have, slot by slot.
+// transmitter-driven gather hands each listener, in decide order, the
+// candidates its own row scan would have found, in that order, and leaves
+// every device the report and the engine trace the old resolve would have,
+// slot by slot.
 func TestSparseGatherMatchesListenerScan(t *testing.T) {
 	var detections, deliveries, acks, collisions, standingHeard, crossShard int
 	var deafStanding, deafAwake, muteTx int // slots a drifting clock missed
@@ -258,7 +280,7 @@ func TestSparseGatherMatchesListenerScan(t *testing.T) {
 			}
 			var traced []TraceEvent
 			nw.Trace = func(ev TraceEvent) { traced = append(traced, ev) }
-			o := &oracle{nw: nw, reports: make([]SlotReport, n+1), heard: make([][]candidate, shards)}
+			o := &oracle{nw: nw, reports: make([]SlotReport, n+1), heard: make([][]hearing, shards)}
 			before := make([]SlotReport, n+1)
 			read, standing := make([]bool, n+1), make([]bool, n+1) // report read this slot; by a standing scanner
 			pick := func(salt, asn uint64) topology.NodeID {
@@ -298,21 +320,24 @@ func TestSparseGatherMatchesListenerScan(t *testing.T) {
 						deafAwake++
 					}
 				}
+				// resolveShard, with the oracle between gather and decide.
 				traced = traced[:0]
-				nw.run(asn, (*Network).resolveShard)
-				nw.drainTraces()
-
+				nw.run(asn, (*Network).gatherSparse)
 				where := fmt.Sprintf("seed %d, %d shards, slot %d", seed, shards, asn)
 				for s, sh := range nw.sh {
-					if !slices.Equal(sh.cand, o.heard[s]) {
-						t.Fatalf("%s, shard %d: gather filed\n %+v\nthe listeners' row scans find\n %+v", where, s, sh.cand, o.heard[s])
+					if got := handed(sh); !slices.EqualFunc(got, o.heard[s], hearing.equal) {
+						t.Fatalf("%s, shard %d: the listeners are handed\n %+v\ntheir row scans find\n %+v", where, s, got, o.heard[s])
 					}
-					for _, c := range o.heard[s] {
-						if nw.ShardOf(c.src) != s {
-							crossShard++
+					for _, h := range o.heard[s] {
+						for _, c := range h.cands {
+							if nw.ShardOf(c.src) != s {
+								crossShard++
+							}
 						}
 					}
 				}
+				nw.run(asn, (*Network).decideHeard)
+				nw.drainTraces()
 				if !slices.Equal(traced, o.traces) {
 					t.Fatalf("%s: trace\n %+v\nwant\n %+v", where, traced, o.traces)
 				}

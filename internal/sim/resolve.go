@@ -1,8 +1,7 @@
 package sim
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/phy"
@@ -16,24 +15,28 @@ import (
 // differs is the gather and where the draws come from.
 //
 // The sparse medium walks the transmitters' neighbour rows and files each
-// detectable transmission under its listener, so a slot costs its
-// transmitters' degrees, not its listeners'. Listeners are then decided in
-// ascending ID with their candidates in ascending source ID, the order a
-// walk of every listener's own row produces: capture ties, interference
-// sums, trace order and the counter-based draws cannot tell the two apart.
-// Rows are symmetric (SparseRSS, AddLinkFade), so the transmitter's entry
-// for a listener is the listener's entry for the transmitter, bit for bit.
+// detectable transmission at the tail of its listener's hearing list, so a
+// slot costs its transmitters' degrees, not its listeners'. The rows are
+// walked in ascending transmitter ID, so every list is in ascending source
+// ID as filed; the listeners with a list are marked in a bitmap over the
+// shard's ID range, and walking it decides them in ascending ID. That is
+// the order a walk of every listener's own row produces, with no sort:
+// capture ties, interference sums, trace order and the counter-based draws
+// cannot tell the two apart. Rows are symmetric (SparseRSS, AddLinkFade),
+// so the transmitter's entry for a listener is the listener's entry for
+// the transmitter, bit for bit.
 //
 // The dense medium keeps the listener's side of the walk, over the
 // per-channel transmitter lists, because its sequential generator draws
 // fading per (listener, transmitter on its channel) in listener order, also
 // below sensitivity, and every golden pins that order.
 
-// candidate is one detectable transmission from src at the listener dst.
+// candidate is one detectable transmission from src, at the listener
+// whose list holds it.
 type candidate struct {
-	dst, src topology.NodeID
-	rss      float64
-	ch       phy.Channel
+	src topology.NodeID
+	rss float64
+	ch  phy.Channel
 }
 
 // air is what the decide routine asks of a medium: the mean RSS of the
@@ -143,13 +146,19 @@ func (nw *Network) deaf(l topology.NodeID, asn ASN) bool {
 	return nw.misses[l]
 }
 
-// resolveSparse gathers from the transmitters: every shard walks all
-// shards' transmitter lists — ascending source ID overall — but only its
-// own ID range of each row, then decides its listeners.
+// resolveSparse gathers the slot's hearings from the transmitters, then
+// decides the shard's listeners.
 func (nw *Network) resolveSparse(sh *shard, asn ASN) {
+	nw.gatherSparse(sh, asn)
+	nw.decideHeard(sh, asn)
+}
+
+// gatherSparse walks all shards' transmitter lists — ascending source ID
+// overall — but only the shard's own ID range of each row, filing every
+// detectable transmission at the tail of its listener's hearing list.
+func (nw *Network) gatherSparse(sh *shard, asn ASN) {
 	sc := nw.scale
 	lo, hi := topology.NodeID(sh.lo), topology.NodeID(sh.hi)
-	heard := sh.cand[:0]
 	for _, from := range nw.sh {
 		for _, src := range from.txs {
 			ch := nw.ops[src].Channel
@@ -172,22 +181,26 @@ func (nw *Network) resolveSparse(sh *shard, asn ASN) {
 				}
 				rss := mean + detrand.Norm(nw.slotHash(asn, src, l, saltFade))*nw.FastFadingSigmaDB
 				if rss >= phy.SensitivityDBm {
-					heard = append(heard, candidate{dst: l, src: src, rss: rss, ch: ch})
+					off := int(l) - sh.lo
+					sh.hear[off] = append(sh.hear[off], candidate{src: src, rss: rss, ch: ch})
+					sh.heard[off>>6] |= 1 << (off & 63)
 				}
 			}
 		}
 	}
-	sh.cand = heard
-	slices.SortFunc(heard, func(a, b candidate) int {
-		return cmp.Or(cmp.Compare(a.dst, b.dst), cmp.Compare(a.src, b.src))
-	})
-	for len(heard) > 0 {
-		n := 1
-		for n < len(heard) && heard[n].dst == heard[0].dst {
-			n++
+}
+
+// decideHeard decides the listeners marked in the shard's bitmap, in
+// ascending ID, each on its hearing list, and empties the lists.
+func (nw *Network) decideHeard(sh *shard, asn ASN) {
+	for wi, word := range sh.heard {
+		sh.heard[wi] = 0
+		for ; word != 0; word &= word - 1 {
+			off := wi<<6 + bits.TrailingZeros64(word)
+			cands := sh.hear[off]
+			sh.hear[off] = cands[:0]
+			nw.decide(sh, asn, topology.NodeID(sh.lo+off), cands, sparseAir{nw})
 		}
-		nw.decide(sh, asn, heard[0].dst, heard[:n], sparseAir{nw})
-		heard = heard[n:]
 	}
 }
 
@@ -230,7 +243,7 @@ func (nw *Network) resolveDense(sh *shard, asn ASN) {
 				}
 				rss := nw.rssAt(src, l) + nw.rng.NormFloat64()*nw.FastFadingSigmaDB
 				if rss >= phy.SensitivityDBm {
-					cands = append(cands, candidate{dst: l, src: src, rss: rss, ch: nw.ops[src].Channel})
+					cands = append(cands, candidate{src: src, rss: rss, ch: nw.ops[src].Channel})
 				}
 			}
 			sh.cand = cands

@@ -119,7 +119,7 @@ func (nw *Network) LoopStats() LoopStats {
 	return t
 }
 
-// shard is what one shard's goroutine owns: the awake set and wake queue of
+// shard is what one shard's goroutine owns: the awake set and wake wheel of
 // its node-ID range, resolution scratch, and the trace buffer drained in
 // shard order after each parallel section. Each shard's set is its own
 // allocation, so no two shard goroutines share a word.
@@ -134,20 +134,24 @@ type shard struct {
 	awake    []uint64
 	nAwake   int
 	standing []uint64
-	// wakes holds a (wake slot, node ID) entry per nap decision. An entry
-	// whose slot is no longer the device's napUntil was overtaken by Wake
-	// or Fail and is skipped.
-	wakes slotHeap[struct{}]
+	// wakes files every nap decision under the slot the nap ends.
+	wakes wakeWheel
 
 	// txs lists the range's audible transmitters of the slot on the sparse
 	// medium, in ascending node ID: filled by the plan phase, read by every
 	// shard's resolve phase.
 	txs []topology.NodeID
 
+	// hear[id-lo] is listener id's list of the slot's detectable
+	// transmissions on the sparse medium, in ascending source ID; heard has
+	// bit id-lo set while that list is not empty (resolve.go).
+	hear  [][]candidate
+	heard []uint64
+
 	stats LoopStats
 
 	traces    []TraceEvent
-	cand      []candidate
+	cand      []candidate // the dense medium's one listener at a time
 	interf    []float64
 	ackInterf []float64
 }
@@ -181,6 +185,10 @@ func NewScaleNetwork(topo *topology.Topology, seed int64, shards int) *Network {
 		seedHash:  detrand.Mix(0, uint64(seed)),
 		shardBusy: make([]time.Duration, shards),
 		busy:      make([]atomic.Int64, shards),
+	}
+	for _, sh := range nw.sh {
+		sh.hear = make([][]candidate, sh.hi-sh.lo)
+		sh.heard = make([]uint64, len(sh.awake))
 	}
 	return nw
 }
@@ -322,32 +330,29 @@ func (nw *Network) trackAwake(id topology.NodeID) {
 	}
 }
 
-// rebuildShards derives every shard's awake set and wake queue from the
+// rebuildShards derives every shard's awake set and wake wheel from the
 // failed and napUntil vectors (RestoreState). It asks the devices nothing:
 // a captured nap is always a sleeping one.
 func (nw *Network) rebuildShards() {
 	for _, sh := range nw.sh {
-		sh.wakes = sh.wakes[:0]
+		sh.wakes.reset()
 	}
 	for i := 1; i <= nw.numDevs; i++ {
 		id := topology.NodeID(i)
 		nw.trackAwake(id)
 		if w := nw.napUntil[id]; w != 0 && nw.devices[id] != nil && !nw.failed[id] {
-			nw.sh[nw.ShardOf(id)].wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
+			nw.sh[nw.ShardOf(id)].wakes.file(id, w, nw.asn)
 		}
 	}
 }
 
-// earliestWake returns the first slot at which a napping device wakes,
-// dropping overtaken entries from the queue heads on the way; ok is false
-// when no device is napping.
+// earliestWake returns the first slot at which a napping device wakes; ok
+// is false when no device is napping. It is asked before the current slot
+// is drained.
 func (nw *Network) earliestWake() (w ASN, ok bool) {
 	for _, sh := range nw.sh {
-		for len(sh.wakes) > 0 && nw.napUntil[sh.wakes[0].ord] != sh.wakes[0].asn {
-			sh.wakes.pop()
-		}
-		if len(sh.wakes) > 0 && (!ok || sh.wakes[0].asn < w) {
-			w, ok = sh.wakes[0].asn, true
+		if sw, sok := sh.wakes.earliest(nw.asn, nw.napUntil); sok && (!ok || sw < w) {
+			w, ok = sw, true
 		}
 	}
 	return w, ok
@@ -524,15 +529,20 @@ func (nw *Network) finishShard(sh *shard, asn ASN) {
 }
 
 // wakeDue returns to the shard's awake set every device whose nap ends at
-// or before asn, settling the skipped slots before the device plans again.
+// asn, settling the skipped slots before the device plans again. Overtaken
+// entries are dropped: the device was woken, and may nap anew.
 func (nw *Network) wakeDue(sh *shard, asn ASN) {
-	for len(sh.wakes) > 0 && sh.wakes[0].asn <= asn {
-		e := sh.wakes.pop()
-		id := topology.NodeID(e.ord)
-		if nw.napUntil[id] != e.asn {
-			continue // overtaken: the device was woken, and may nap anew
+	b := &sh.wakes.ring[asn%wakeHorizon]
+	for _, id := range *b {
+		if nw.napUntil[id] == asn {
+			nw.endNap(sh, topology.NodeID(id), asn)
 		}
-		nw.endNap(sh, id, asn)
+	}
+	*b = (*b)[:0]
+	for far := &sh.wakes.far; len(*far) > 0 && (*far)[0].asn <= asn; {
+		if e := far.pop(); nw.napUntil[e.ord] == e.asn {
+			nw.endNap(sh, topology.NodeID(e.ord), asn)
+		}
 	}
 }
 
@@ -610,19 +620,25 @@ func (nw *Network) finishOne(id topology.NodeID, asn ASN, sh *shard) {
 	d.EndSlot(asn, *rep)
 	if np, ok := d.(Napper); ok {
 		if w, standing := np.NextWake(asn); w > asn+1 {
-			nw.napUntil[id] = w
-			sh.setAwake(id, false)
-			sh.wakes.push(slotEntry[struct{}]{asn: w, ord: uint64(id)})
-			// No plan will overwrite the op while the device naps, and the
-			// resolve phase reads it: it is what the device does meanwhile.
-			if standing.Kind == OpScan {
-				nw.ops[id] = standing
-				nw.scanStart[id] = asn
-				sh.set(sh.standing, id, true)
-			} else {
-				nw.ops[id] = RadioOp{Kind: OpSleep}
-				nw.napStart[id] = asn
-			}
+			nw.nap(sh, id, asn, w, standing)
 		}
+	}
+}
+
+// nap takes a device of the shard that has just ended slot asn out of the
+// awake set until slot w, on the op it promised to plan meanwhile.
+func (nw *Network) nap(sh *shard, id topology.NodeID, asn, w ASN, standing RadioOp) {
+	nw.napUntil[id] = w
+	sh.setAwake(id, false)
+	sh.wakes.file(id, w, asn+1)
+	// No plan will overwrite the op while the device naps, and the resolve
+	// phase reads it: it is what the device does meanwhile.
+	if standing.Kind == OpScan {
+		nw.ops[id] = standing
+		nw.scanStart[id] = asn
+		sh.set(sh.standing, id, true)
+	} else {
+		nw.ops[id] = RadioOp{Kind: OpSleep}
+		nw.napStart[id] = asn
 	}
 }

@@ -427,7 +427,7 @@ func requireHeard(t *testing.T, devs []*napDevice) {
 
 // TestScaleNapStateAcrossShardCounts: a sparse run captured mid-nap and
 // restored into a network with a different shard count — whose awake sets
-// and wake queues are rebuilt from the nap vectors alone — continues exactly
+// and wake wheels are rebuilt from the nap vectors alone — continues exactly
 // like the run that never stopped, for every pair of shard counts.
 func TestScaleNapStateAcrossShardCounts(t *testing.T) {
 	const cut, total = 37, 120
@@ -671,7 +671,7 @@ func TestScaleStandingScanEquivalentToVisited(t *testing.T) {
 }
 
 // TestScaleSlotLoopZeroAllocs is TestSlotLoopZeroAllocs with devices
-// napping, waking, transmitting and listening: the awake set, the wake queue
+// napping, waking, transmitting and listening: the awake set, the wake wheel
 // and the resolve scratch all run out of reused memory once warm, on both
 // media.
 func TestScaleSlotLoopZeroAllocs(t *testing.T) {
@@ -680,7 +680,13 @@ func TestScaleSlotLoopZeroAllocs(t *testing.T) {
 		for _, d := range devs {
 			d.mute = true
 		}
-		nw.Run(200) // warm the wake queue and scratch buffers past any growth
+		// Warm the wake wheel and scratch buffers past any growth. A bucket
+		// grows on first touch and then to the most wakes its slots file: the
+		// script repeats every 24 slots and the wheel every wakeHorizon, so
+		// after their least common multiple — 3*wakeHorizon, the horizon
+		// being a power of two — every bucket has met its largest load. One
+		// lap more covers the start, before every device naps on its period.
+		nw.Run(4 * wakeHorizon)
 		allocs := testing.AllocsPerRun(300, func() { nw.Step() })
 		if allocs != 0 {
 			t.Fatalf("steady-state %s slot loop allocates %.1f objects/slot, want 0", m.name, allocs)
