@@ -7,7 +7,7 @@ GO ?= go
 ## benchmark smoke run, the bench/ harness's own smoke (its compile-time
 ## surface on this module), the telemetry pipeline smoke test, the snapshot
 ## round-trip smoke test, the shared formation cache smoke, a short
-## 10k-node run on the sparse sharded engine, the controller-layer smoke
+## 10k-node run on the sparse medium, the controller-layer smoke
 ## (four-way chaos with recovery asserted), the simulation-service
 ## end-to-end smoke, the crash-recovery smoke, and the gateway
 ## fault-tolerance smoke.
@@ -110,31 +110,33 @@ cache-smoke:
 	@echo cache-smoke: OK
 
 ## scale-smoke: spin up a procedurally generated 10k-node deployment on
-## the sparse sharded engine and step it briefly under DiGS and Orchestra
-## — catches engine bit-rot at a scale the dense matrix cannot represent.
+## the sparse medium and step it briefly under DiGS and Orchestra —
+## catches engine bit-rot at a scale the dense matrix cannot represent.
 ## WirelessHART is excluded by design: its centralised manager computes
 ## the whole schedule up front, which is exactly the scaling limit the
 ## paper's distributed approach removes. The slot loop's own tests on
 ## both media and the properties its shortcuts rest on (every stack's
 ## NextActive against its own Assignment, nap ≡ no-nap from a cold start,
 ## the transmitter-driven gather's hearing lists against the listeners'
-## row scans and the wake wheel against the heap it replaced, both on one
-## to three shards, standing scans through rouses, drift, crashes and
-## captures, the closed-form accrual, the DiGS cell table against the
-## router, the cached noise floor against the per-call formula, the loop's
-## own counts, dense results pinned before the dense medium could nap, the
-## shared shadowing memo) run race-enabled first: a data race on the awake
-## sets, the wake wheels, the transmitter or hearing lists or the memo
-## must fail here, not as a benchmark digest.
+## row scans and the wake wheel against the heap it replaced, standing
+## scans through rouses, drift, crashes and captures, the closed-form
+## accrual, the DiGS cell table against the router, the cached noise floor
+## against the per-call formula, the loop's own counts, the sparse
+## metrics/trace/event-order pins, dense results pinned before the dense
+## medium could nap, the one-goroutine guard, the shared shadowing memo)
+## run race-enabled first: one goroutine steps a network, but concurrent
+## builds share the shadowing memo, and a race there must fail here, not
+## as a benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|ShadowMemo|ConcurrentNetworkBuilds' \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds' \
 		./internal/sim ./internal/core ./internal/mac ./internal/phy ./internal/rpl ./internal/orchestra \
 		./internal/whart ./internal/controller ./internal/topology ./internal/scenario
 	$(GO) run ./cmd/digs-bench -scale-smoke
 	@echo scale-smoke: OK
 
 ## controller-smoke: the pluggable controller layer end to end —
-## race-enabled controller and registry tests, then a mini four-way
+## race-enabled controller and registry tests, the adaptive and sdn sparse
+## pins (TestControllerScaleShardBitIdentity), then a mini four-way
 ## chaos run (digs / orchestra / whart / sdn on the fig8 plan) that
 ## fails unless every fault reconverges — including the centralized sdn
 ## stack, whose recovery must come from the controller's in-band

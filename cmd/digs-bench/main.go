@@ -43,7 +43,7 @@ func run() error {
 	snapCache := flag.String("snap-cache", "",
 		"snapshot cache directory for the Figure 9/10/11 campaigns: formation restores from it when cached and populates it when not, with bit-identical figures")
 	scaleSmoke := flag.Bool("scale-smoke", false,
-		"briefly step a generated 10k-node deployment on the sparse sharded engine under DiGS and Orchestra, then exit")
+		"briefly step a generated 10k-node deployment on the sparse medium under DiGS and Orchestra, then exit")
 	flag.Parse()
 
 	campaign.SetDefaultWorkers(*parallel)

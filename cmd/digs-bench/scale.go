@@ -10,31 +10,22 @@ import (
 )
 
 // runScaleSmoke briefly steps a generated 10k-node deployment on the
-// sparse sharded engine under both distributed stacks — a cheap CI check
-// that the massive-scale path still builds, shards and makes join
-// progress. WirelessHART is excluded by design: its centralised manager
-// computes the whole schedule up front, which is the scaling limit the
-// paper's distributed approach removes. (Timed measurement of the engine
+// sparse medium under both distributed stacks — a cheap CI check that the
+// massive-scale path still builds and makes join progress. WirelessHART is
+// excluded by design: its centralised manager computes the whole schedule
+// up front, which is the scaling limit the paper's distributed approach
+// removes. (Timed measurement of the engine
 // is bench/'s job: the scale-1k workloads.)
 func runScaleSmoke(seed int64) error {
 	const (
 		topoName = "gen-plant-10000-3"
 		slots    = 6000
 	)
-	for _, tc := range []struct {
-		protocol string
-		shards   int
-	}{
-		{"digs", 4},
-		{"orchestra", 1},
-	} {
-		fmt.Fprintf(os.Stderr, "scale-smoke: %s on %s, %d shards, %d slots...\n",
-			tc.protocol, topoName, tc.shards, slots)
-		sc, err := scenario.Build(scenario.Params{
-			TopologyName: topoName, Protocol: tc.protocol, Seed: seed, Shards: tc.shards,
-		})
+	for _, protocol := range []string{"digs", "orchestra"} {
+		fmt.Fprintf(os.Stderr, "scale-smoke: %s on %s, %d slots...\n", protocol, topoName, slots)
+		sc, err := scenario.Build(scenario.Params{TopologyName: topoName, Protocol: protocol, Seed: seed})
 		if err != nil {
-			return fmt.Errorf("scale-smoke: %s: %w", tc.protocol, err)
+			return fmt.Errorf("scale-smoke: %s: %w", protocol, err)
 		}
 		if !sc.NW.ScaleMode() {
 			return fmt.Errorf("scale-smoke: %s did not select the sparse engine", topoName)
@@ -45,10 +36,10 @@ func runScaleSmoke(seed int64) error {
 		sc.NW.Run(slots)
 		wall := time.Since(start)
 		if sc.Joined() == 0 {
-			return fmt.Errorf("scale-smoke: %s: no node joined within %d slots", tc.protocol, slots)
+			return fmt.Errorf("scale-smoke: %s: no node joined within %d slots", protocol, slots)
 		}
 		fmt.Printf("smoke-%-10s nodes=%d joined=%d  %8.0f slots/s\n  %v\n",
-			tc.protocol, sc.Params.Topology.N(), sc.Joined(), slots/wall.Seconds(), sc.NW.LoopStats())
+			protocol, sc.Params.Topology.N(), sc.Joined(), slots/wall.Seconds(), sc.NW.LoopStats())
 	}
 	return nil
 }

@@ -67,6 +67,7 @@ func run() error {
 
 	fmt.Printf("running 8 control rounds through sensor/actuator node %d:\n", sensor)
 	for seq := uint16(0); seq < 8; seq++ {
+		nw.Wake(sensor)
 		if err := net.Nodes[sensor].InjectData(&sim.Frame{
 			Origin: sensor, FlowID: 1, Seq: seq, BornASN: nw.ASN(),
 		}); err != nil {

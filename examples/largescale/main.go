@@ -5,11 +5,10 @@
 //	go run ./examples/largescale
 //
 // With -nodes, the example instead runs the massive-scale engine on a
-// procedurally generated deployment (sparse neighbor structure, sharded
-// slot loop, per-node napping) — far beyond what the dense matrix could
-// hold:
+// procedurally generated deployment (sparse neighbor structure, per-node
+// napping) — far beyond what the dense matrix could hold:
 //
-//	go run ./examples/largescale -nodes 10000 -gen plant -shards 4
+//	go run ./examples/largescale -nodes 10000 -gen plant
 package main
 
 import (
@@ -32,14 +31,12 @@ func main() {
 	nodes := flag.Int("nodes", 0,
 		"run a generated topology of this size on the scale engine instead of the paper study (try 10000)")
 	gen := flag.String("gen", "plant", "generator kind for -nodes: plant, campus or field")
-	shards := flag.Int("shards", 1,
-		"scale-engine shard count (results are bit-identical for any value)")
 	seed := flag.Int64("seed", 3, "simulation seed (and topology seed for -nodes)")
 	flag.Parse()
 
 	var err error
 	if *nodes > 0 {
-		err = runScale(*gen, *nodes, *shards, *seed)
+		err = runScale(*gen, *nodes, *seed)
 	} else {
 		err = runPaperStudy()
 	}
@@ -75,23 +72,21 @@ func runPaperStudy() error {
 }
 
 // runScale demonstrates the massive-scale path: a generated deployment on
-// the sparse sharded engine, converged and then measured over one flow
-// window.
-func runScale(gen string, nodes, shards int, seed int64) error {
+// the sparse medium, converged and then measured over one flow window.
+func runScale(gen string, nodes int, seed int64) error {
 	topoName := fmt.Sprintf("gen-%s-%d-%d", gen, nodes, seed)
 	sc, err := scenario.Build(scenario.Params{
 		TopologyName: topoName,
 		Protocol:     snapshot.ProtocolDiGS,
 		Seed:         seed,
-		Shards:       shards,
 	})
 	if err != nil {
 		return err
 	}
 	topo := sc.NW.Topology()
 	n := topo.N()
-	fmt.Printf("%s: %d nodes (%d APs), %d directed links, %d shard(s)\n",
-		topoName, n, topo.NumAPs, topo.SparseView().Links(), sc.NW.ShardCount())
+	fmt.Printf("%s: %d nodes (%d APs), %d directed links\n",
+		topoName, n, topo.NumAPs, topo.SparseView().Links())
 
 	fmt.Println("converging (structurally-idle nodes nap between their slots)...")
 	start := time.Now()

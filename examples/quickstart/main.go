@@ -76,6 +76,7 @@ func run() error {
 	for seq := uint16(0); seq < 10; seq++ {
 		asn := nw.ASN()
 		col.Sent(1, seq, asn)
+		nw.Wake(src)
 		if err := net.Nodes[src].InjectData(&sim.Frame{
 			Origin: src, FlowID: 1, Seq: seq, BornASN: asn,
 		}); err != nil {

@@ -120,8 +120,7 @@ type AdaptiveStack struct {
 
 	// queueLen reads the owning MAC node's data queue depth; installed by
 	// BuildAdaptive after the node exists. Reading our own node's queue
-	// from our own Assignment keeps the sharded engine's no-cross-node-
-	// state rule intact.
+	// from our own Assignment keeps the no-cross-node-state rule intact.
 	queueLen func() int
 
 	// txCells is the current transmit-cell budget.

@@ -55,7 +55,7 @@ func BuildAdaptive(nw *sim.Network, cfg AdaptiveConfig, macCfg mac.Config, seed 
 	for i := 1; i < len(net.Stacks); i++ {
 		// The allocator samples its own node's queue depth at adaptation
 		// ticks; reading our own queue from our own Assignment keeps the
-		// sharded engine's no-cross-node-state rule intact.
+		// no-cross-node-state rule intact.
 		net.Stacks[i].queueLen = net.Nodes[i].QueueLen
 	}
 	return net, nil

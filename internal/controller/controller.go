@@ -12,10 +12,10 @@
 //     reconvergence cost after faults is modeled, not free.
 //
 // Both stacks implement mac.Protocol, keep all mutable state per node
-// (the sharded scale engine runs nodes in parallel by spatial partition,
-// so cross-node shared state would break the bit-identical-at-any-shard-
-// count guarantee), and expose the same capture/restore surface as the
-// existing stacks so snapshots and warm starts work unchanged.
+// (nodes talk only over the radio, so the cost of every exchange is
+// modeled, and a napping node cannot miss a change another node made to
+// its state), and expose the same capture/restore surface as the existing
+// stacks so snapshots and warm starts work unchanged.
 package controller
 
 // ebChannelOffset is the sdn stack's beacon channel offset, the one every

@@ -308,8 +308,8 @@ func sameConfig(a, b sdnNodeConfig) bool {
 
 // SDNStack is one node's stack instance. Exactly one node per network —
 // the lowest-ID access point — runs the controller role; all controller
-// state lives inside that node's stack, so the sharded engine's
-// no-cross-node-mutation rule holds.
+// state lives inside that node's stack, so no node mutates another's
+// state outside the radio.
 type SDNStack struct {
 	id           topology.NodeID
 	isAP         bool

@@ -12,9 +12,9 @@ import (
 // This file is the controller role's brain: assemble the graph the
 // reports describe, run shortest-path over it, and turn the result into
 // per-node configurations disseminated in-band. It runs inside the
-// controller node's own Assignment, so the sharded engine's per-node
-// isolation holds — the cost of collection and dissemination is paid in
-// radio slots like everything else.
+// controller node's own Assignment, so nodes stay isolated from each other
+// — the cost of collection and dissemination is paid in radio slots like
+// everything else.
 
 // sdnGraph is the adjacency view assembled from the collected reports.
 type sdnGraph struct {

@@ -12,7 +12,6 @@ import (
 	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -30,7 +29,7 @@ func (p plainDevice) EndSlot(asn sim.ASN, r sim.SlotReport) { p.d.EndSlot(asn, r
 // delivery ledger, the settled per-node MAC counters (energy as bits) and
 // how often the watchdog healed. With nap false every device is attached
 // behind plainDevice and steps through every slot.
-func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, repairs int) {
+func napRun(t *testing.T, nap, monitor bool) (ledger, stats string, repairs int) {
 	t.Helper()
 	p, _, err := topology.ParseGenSpec("gen-field-60-3")
 	if err != nil {
@@ -41,7 +40,7 @@ func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, 
 		t.Fatal(err)
 	}
 	const seed = 5
-	nw := sim.NewScaleNetwork(topo, seed, shards)
+	nw := sim.NewScaleNetwork(topo, seed)
 	cfg := ScaledConfig(topo.NumAPs, topo.N())
 	net := &Network{Nodes: make([]*mac.Node, topo.N()+1), Stacks: make([]*Stack, topo.N()+1)}
 	for i := 1; i <= topo.N(); i++ {
@@ -111,11 +110,7 @@ func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, 
 		// weakly connected rim, so the heal path is part of the comparison.
 		mon = invariant.New(invariant.Config{Heal: net.Healer(nw),
 			DesyncGuard: 600, OrphanGrace: 300, HealBackoff: 300})
-		// Devices record from inside the shard-parallel phases; the splitter
-		// hands the monitor one stream in node-ID order (scenario.SetTracer).
-		sp := telemetry.NewSplitter(mon, nw.ShardCount(), nw.ShardOf)
-		nw.SetParallelNotify(sp.SetParallel)
-		net.SetTracer(sp)
+		net.SetTracer(mon)
 		invariant.Attach(nw, mon, net.Prober(nw), 100)
 	}
 
@@ -152,35 +147,30 @@ func napRun(t *testing.T, nap, monitor bool, shards int) (ledger, stats string, 
 // queued packet (and behind napping at all): skipping a node's Plan/EndSlot
 // calls between its cells, or through the dwell of its scan, changes nothing
 // a run can observe. The same deployment runs from cold once with every
-// device stepped through every slot and once with naps, on one shard and on
-// two; deliveries (slot included), every MAC counter, the routing outcome
+// device stepped through every slot and once with naps; deliveries (slot
+// included), every MAC counter, the routing outcome
 // and the energy totals, compared as bits, must be equal — with a scanner on
 // a drifting clock, one that crashes and recovers mid-dwell and a
 // synchronised node rebooted into scanning, and also with the invariant
 // monitor polling and its watchdog rebooting nodes mid-run.
 func TestNapEquivalentToNoNap(t *testing.T) {
 	for _, monitor := range []bool{false, true} {
-		wantLedger, wantStats, wantRepairs := napRun(t, false, monitor, 1)
+		wantLedger, wantStats, wantRepairs := napRun(t, false, monitor)
 		if wantLedger == "" {
 			t.Fatal("nothing delivered: the comparison would be vacuous")
 		}
 		if monitor && wantRepairs == 0 {
 			t.Fatal("the watchdog never healed a node: the heal path is not covered")
 		}
-		for _, shards := range []int{1, 2} {
-			ledger, stats, repairs := napRun(t, true, monitor, shards)
-			if ledger != wantLedger {
-				t.Errorf("monitor %v, %d shards: deliveries differ with naps\n got:\n%s\nwant:\n%s",
-					monitor, shards, ledger, wantLedger)
-			}
-			if stats != wantStats {
-				t.Errorf("monitor %v, %d shards: settled MAC counters differ with naps\n got:\n%s\nwant:\n%s",
-					monitor, shards, stats, wantStats)
-			}
-			if repairs != wantRepairs {
-				t.Errorf("monitor %v, %d shards: %d watchdog repairs with naps, %d without",
-					monitor, shards, repairs, wantRepairs)
-			}
+		ledger, stats, repairs := napRun(t, true, monitor)
+		if ledger != wantLedger {
+			t.Errorf("monitor %v: deliveries differ with naps\n got:\n%s\nwant:\n%s", monitor, ledger, wantLedger)
+		}
+		if stats != wantStats {
+			t.Errorf("monitor %v: settled MAC counters differ with naps\n got:\n%s\nwant:\n%s", monitor, stats, wantStats)
+		}
+		if repairs != wantRepairs {
+			t.Errorf("monitor %v: %d watchdog repairs with naps, %d without", monitor, repairs, wantRepairs)
 		}
 	}
 }

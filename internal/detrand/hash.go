@@ -6,10 +6,12 @@ import "math"
 // sequential stream whose values depend on how many draws preceded them,
 // these derive each value purely from the identity of the event that needs
 // it — hash(seed, counters...). Consumers that process events in different
-// orders (or in parallel) therefore see bit-identical values, which is the
-// property the sharded slot engine's determinism contract rests on. The
-// mixer is the splitmix64 finalizer, whose avalanche behaviour makes
-// adjacent counter values statistically independent.
+// orders therefore see bit-identical values: the sparse medium's fading and
+// decode draws and every node's clock-drift decisions are these hashes, so
+// its results do not depend on the order its listeners are resolved in,
+// and every sparse pin is a function of them. The mixer is the splitmix64
+// finalizer, whose avalanche behaviour makes adjacent counter values
+// statistically independent.
 
 const gamma = 0x9E3779B97F4A7C15 // splitmix64 increment (golden ratio)
 

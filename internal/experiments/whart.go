@@ -34,6 +34,7 @@ func RunWhartFailure(seed int64) (clean, failed float64, err error) {
 			for _, f := range fl {
 				seq := seqBase + uint16(p)
 				col.Sent(f.ID, seq, nw.ASN())
+				nw.Wake(f.Source)
 				_ = net.Nodes[f.Source].InjectData(&sim.Frame{
 					Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: nw.ASN(),
 				})

@@ -30,18 +30,25 @@ func (s breakerState) String() string {
 	}
 }
 
+// The gateway's failure-rate trip: a failure fraction of breakerRate over
+// the last breakerWindow outcomes opens a backend's breaker.
+const (
+	breakerWindow = 16
+	breakerRate   = 0.5
+)
+
 // breakerConfig parameterises one backend's circuit breaker.
 type breakerConfig struct {
 	// consecFailures trips the breaker after this many errors in a row
 	// (default 3).
 	consecFailures int
 	// window is the sliding outcome window for the failure-rate trip
-	// (default 16 outcomes).
+	// (default breakerWindow outcomes).
 	window int
 	// rate trips the breaker when the windowed failure rate reaches this
-	// fraction with at least window/2 outcomes recorded (default 0.5) —
-	// catches a backend that fails every other request without ever
-	// producing a long consecutive run.
+	// fraction with at least window/2 outcomes recorded (default
+	// breakerRate) — catches a backend that fails every other request
+	// without ever producing a long consecutive run.
 	rate float64
 	// openFor is the cooldown before an open breaker admits its
 	// half-open trial (default 2s).
@@ -55,10 +62,10 @@ func (c breakerConfig) withDefaults() breakerConfig {
 		c.consecFailures = 3
 	}
 	if c.window <= 0 {
-		c.window = 16
+		c.window = breakerWindow
 	}
 	if c.rate <= 0 {
-		c.rate = 0.5
+		c.rate = breakerRate
 	}
 	if c.openFor <= 0 {
 		c.openFor = 2 * time.Second

@@ -40,12 +40,10 @@ type Config struct {
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
 	// BreakerFailures trips a backend's breaker after that many
-	// consecutive errors (default 3); BreakerWindow/BreakerRate trip it
-	// on a windowed failure rate; BreakerOpenFor is the open-state
+	// consecutive errors (default 3), as does a windowed failure rate
+	// (breakerWindow, breakerRate); BreakerOpenFor is the open-state
 	// cooldown before the half-open trial (default 2s).
 	BreakerFailures int
-	BreakerWindow   int
-	BreakerRate     float64
 	BreakerOpenFor  time.Duration
 	// SubmitRetries bounds the total backend POST attempts one client
 	// submission may consume across failover and 429/503 backoff rounds
@@ -205,8 +203,6 @@ func New(cfg Config) (*Gateway, error) {
 			base: base,
 			br: newBreaker(breakerConfig{
 				consecFailures: cfg.BreakerFailures,
-				window:         cfg.BreakerWindow,
-				rate:           cfg.BreakerRate,
 				openFor:        cfg.BreakerOpenFor,
 			}),
 		}

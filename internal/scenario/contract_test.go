@@ -144,11 +144,11 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 	}
 }
 
-// TestRunSpecShardsBitIdentical: Spec.Hash excludes Shards, so every
-// Shards value must produce the same result bytes — for every registered
-// stack. On a dense-capable topology that means the knob never reaches
-// the engine choice (the dense and sparse loops draw randomness
-// differently and would diverge).
+// TestRunSpecShardsBitIdentical: Spec.Hash excludes Shards, an accepted and
+// ignored field, so every Shards value must produce the same result bytes —
+// for every registered stack. On a dense-capable topology that means the
+// field never reaches the engine choice (the dense and sparse loops draw
+// randomness differently and would diverge).
 func TestRunSpecShardsBitIdentical(t *testing.T) {
 	for _, proto := range RegisteredStacks() {
 		proto := proto

@@ -48,11 +48,11 @@ func TestLoopCountsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := sc.NW.LoopStats(); f.Slots != c.slots || got != c.want {
-				t.Errorf("%s/%s on %d shards formed in %d slots (want %d):\n got %v\nwant %v",
-					c.topology, c.protocol, sc.NW.ShardCount(), f.Slots, c.slots, got, c.want)
+				t.Errorf("%s/%s with Shards %d formed in %d slots (want %d):\n got %v\nwant %v",
+					c.topology, c.protocol, shards, f.Slots, c.slots, got, c.want)
 			}
 			if !sc.NW.ScaleMode() || c.long {
-				break // the dense medium is one shard; the 300-node plant shows the counts ignore the shard count
+				break // one Shards value is enough here; the 300-node plant shows the counts ignore it
 			}
 		}
 	}

@@ -213,9 +213,8 @@ func TestDenseNapCaptureInvisible(t *testing.T) {
 // snapshot at the cut carries none of them (no nap window, every scanner's
 // counters settled up to the slot) and a restore asks no device what it would
 // scan; and the straight run, the captured run continued, and the run resumed
-// from the capture (on the sparse medium under another shard count) end in
-// the same snapshot bytes. On the dense medium those are also the bytes of the
-// run in which no device ever naps.
+// from the capture end in the same snapshot bytes. On the dense medium those
+// are also the bytes of the run in which no device ever naps.
 func TestStandingScanCaptureInvisible(t *testing.T) {
 	const cut, rest = 730, 2600 // dwells end every 500 slots
 	for _, topo := range []string{testTopo, "gen-field-60-3"} {
@@ -223,8 +222,8 @@ func TestStandingScanCaptureInvisible(t *testing.T) {
 			topo, proto := topo, proto
 			t.Run(topo+"/"+proto, func(t *testing.T) {
 				t.Parallel()
-				build := func(shards int) *Scenario {
-					sc, err := Build(Params{TopologyName: topo, Protocol: proto, Seed: 6, Period: time.Second, Shards: shards})
+				build := func() *Scenario {
+					sc, err := Build(Params{TopologyName: topo, Protocol: proto, Seed: 6, Period: time.Second})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -232,10 +231,10 @@ func TestStandingScanCaptureInvisible(t *testing.T) {
 				}
 				take := func(sc *Scenario) []byte { return takeBytes(t, sc) }
 
-				straight := build(2)
+				straight := build()
 				straight.NW.Run(cut + rest)
 
-				captured := build(2)
+				captured := build()
 				captured.NW.Run(cut)
 				n := captured.Params.Topology.N()
 				var standing []int
@@ -262,7 +261,7 @@ func TestStandingScanCaptureInvisible(t *testing.T) {
 						t.Errorf("scanner %d is captured standing until slot %d", i, decoded.Net.NapUntil[i])
 					}
 				}
-				resumed := build(3)
+				resumed := build()
 				if err := resumed.Restore(decoded); err != nil {
 					t.Fatal(err)
 				}
@@ -271,7 +270,7 @@ func TestStandingScanCaptureInvisible(t *testing.T) {
 				runs := map[string]*Scenario{"captured": captured, "resumed": resumed}
 				want := take(straight)
 				if !straight.NW.ScaleMode() {
-					reference := build(0)
+					reference := build()
 					for slots := cut + rest; slots > 0; slots-- {
 						for id := 1; id <= n; id++ {
 							reference.NW.Wake(topology.NodeID(id))

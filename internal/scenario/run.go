@@ -106,9 +106,7 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 	if err != nil {
 		return fail(err)
 	}
-	p := cs.Params()
-	p.Shards = s.Shards
-	sc, err := Build(p)
+	sc, err := Build(cs.Params())
 	if err != nil {
 		return fail(err)
 	}

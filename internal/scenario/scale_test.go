@@ -2,7 +2,10 @@ package scenario
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 	"time"
@@ -13,41 +16,61 @@ import (
 	"github.com/digs-net/digs/internal/telemetry"
 )
 
+// scalePin is the sha256 of each output of runScale: the metrics
+// fingerprint, the telemetry JSONL, and the order in which the device
+// events and the engine's trace events reached their observers. The pins
+// were recorded when the sparse medium ran one goroutine per shard, and
+// every shard count produced them.
+type scalePin struct{ fingerprint, trace, order string }
+
+// deviceOrder writes a line per device event into the order digest.
+type deviceOrder struct{ w io.Writer }
+
+func (d deviceOrder) Record(ev telemetry.Event) {
+	fmt.Fprintf(d.w, "device %d %d %d\n", ev.ASN, ev.Type, ev.Node)
+}
+func (deviceOrder) Flush() error { return nil }
+
 // runScale builds a scenario for the given stack on a generated sparse
-// topology with the given shard count, converges it (to minJoin of the
-// deployment — the centralized sdn stack legitimately configures a large
-// mesh much more slowly than the distributed stacks form it), runs one
-// flow window with telemetry attached, and returns a fingerprint of every
-// observable output: the delivered-packet ledger, the per-node MAC
-// statistics (exact float bits), the final ASN, and the raw telemetry
-// JSONL bytes.
-func runScale(t *testing.T, topoName, proto string, shards int, minJoin float64) (string, []byte) {
+// topology, with Shards 8 (accepted and ignored), converges it (to minJoin
+// of the deployment — the centralized sdn stack legitimately configures a
+// large mesh much more slowly than the distributed stacks form it), runs one
+// flow window with telemetry attached, and returns the digests of every
+// observable output: a fingerprint of the delivered-packet ledger, the
+// per-node MAC statistics (exact float bits) and the final ASN; the raw
+// telemetry JSONL bytes; and the interleaving of device and engine events.
+// The last is what pins the sparse medium's buffering of its engine events
+// until the end of each phase.
+func runScale(t *testing.T, topoName, proto string, minJoin float64) (got scalePin, traceLen int) {
 	t.Helper()
 	sc, err := Build(Params{
 		TopologyName: topoName,
 		Protocol:     proto,
 		Seed:         42,
 		Period:       2 * time.Second,
-		Shards:       shards,
+		Shards:       8,
 	})
 	if err != nil {
-		t.Fatalf("build (%d shards): %v", shards, err)
+		t.Fatalf("build: %v", err)
 	}
 	if !sc.NW.ScaleMode() {
 		t.Fatalf("expected scale mode for %s", topoName)
 	}
 	var trace bytes.Buffer
-	sc.SetTracer(telemetry.NewJSONL(&trace))
+	order := sha256.New()
+	sc.SetTracer(telemetry.Multi(telemetry.NewJSONL(&trace), deviceOrder{order}))
+	sc.NW.Trace = func(ev sim.TraceEvent) {
+		fmt.Fprintf(order, "engine %d %d %d %d\n", ev.ASN, ev.Kind, ev.Src, ev.Dst)
+	}
 
 	topo := sc.NW.Topology()
 	n := topo.N()
-	// Converge to full join or the slot cap, whichever first — either way
-	// every shard count runs the identical slot sequence. Nodes whose only
-	// links sit in the sub-sensitivity guard band can take very long to
-	// join; they don't carry the test's flows.
+	// Converge to full join or the slot cap, whichever first. Nodes whose
+	// only links sit in the sub-sensitivity guard band can take very long
+	// to join; they don't carry the test's flows.
 	sc.NW.RunUntil(60_000, func() bool { return sc.Joined() == n })
 	if j := sc.Joined(); float64(j) < float64(n)*minJoin {
-		t.Fatalf("(%d shards) only %d/%d joined after %d slots", shards, j, n, sc.NW.ASN())
+		t.Fatalf("only %d/%d joined after %d slots", j, n, sc.NW.ASN())
 	}
 
 	var delivered []string
@@ -64,102 +87,106 @@ func runScale(t *testing.T, topoName, proto string, shards int, minJoin float64)
 	})
 	sc.NW.Run(sim.SlotsFor(12 * time.Second))
 
-	var fp bytes.Buffer
-	fmt.Fprintf(&fp, "asn=%d sent=%d\n", sc.NW.ASN(), sent)
+	fp := sha256.New()
+	fmt.Fprintf(fp, "asn=%d sent=%d\n", sc.NW.ASN(), sent)
 	for _, d := range delivered {
-		fmt.Fprintln(&fp, d)
+		fmt.Fprintln(fp, d)
 	}
 	for i := 1; i <= n; i++ {
 		st := sc.MACNode(i).Stats()
-		fmt.Fprintf(&fp, "%d e=%x on=%d slots=%d tx=%d/%d rx=%d gen=%d fwd=%d sink=%d drop=%d/%d dup=%d\n",
+		fmt.Fprintf(fp, "%d e=%x on=%d slots=%d tx=%d/%d rx=%d gen=%d fwd=%d sink=%d drop=%d/%d dup=%d\n",
 			i, math.Float64bits(st.EnergyJoules), int64(st.RadioOnTime), st.Slots,
 			st.TxData, st.TxControl, st.RxFrames, st.Generated, st.Forwarded,
 			st.SinkDelivered, st.DroppedQueue, st.DroppedRetries, st.Duplicates)
 	}
-	return fp.String(), trace.Bytes()
+	tr := sha256.Sum256(trace.Bytes())
+	return scalePin{
+		fingerprint: hex.EncodeToString(fp.Sum(nil)),
+		trace:       hex.EncodeToString(tr[:]),
+		order:       hex.EncodeToString(order.Sum(nil)),
+	}, trace.Len()
 }
 
-// TestScaleShardBitIdentity is the tentpole's determinism guarantee: a
-// sharded run is an implementation detail, not a simulation parameter.
-// Metrics, per-node statistics and the telemetry stream must be
-// bit-identical for shard counts 1, 2, 4 and 8.
+// checkScalePin runs the scenario and holds its outputs to the pin.
+func checkScalePin(t *testing.T, topoName, proto string, minJoin float64, want scalePin) {
+	t.Helper()
+	got, traceLen := runScale(t, topoName, proto, minJoin)
+	if traceLen == 0 {
+		t.Fatal("telemetry stream empty: the tracer is not wired to the stack")
+	}
+	if got.fingerprint != want.fingerprint {
+		t.Errorf("metrics fingerprint digest %s, pinned %s", got.fingerprint, want.fingerprint)
+	}
+	if got.trace != want.trace {
+		t.Errorf("telemetry JSONL digest %s (%d bytes), pinned %s", got.trace, traceLen, want.trace)
+	}
+	if got.order != want.order {
+		t.Errorf("device and engine event order digest %s, pinned %s", got.order, want.order)
+	}
+}
+
+// TestScaleShardBitIdentity pins DiGS on gen-field-300-3: metrics, per-node
+// statistics, the telemetry stream and its interleaving with the engine's
+// events, byte for byte.
 func TestScaleShardBitIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-run convergence test")
+		t.Skip("convergence test")
 	}
-	baseFP, baseTrace := runScale(t, "gen-field-300-3", snapshot.ProtocolDiGS, 1, 0.9)
-	if len(baseTrace) == 0 {
-		t.Fatal("telemetry stream empty — tracer not wired through the splitter")
-	}
-	for _, shards := range []int{2, 4, 8} {
-		fp, tr := runScale(t, "gen-field-300-3", snapshot.ProtocolDiGS, shards, 0.9)
-		if fp != baseFP {
-			t.Errorf("%d shards: metrics fingerprint diverged from 1-shard run:\n%s",
-				shards, firstDiff(baseFP, fp))
-		}
-		if !bytes.Equal(tr, baseTrace) {
-			t.Errorf("%d shards: telemetry JSONL diverged from 1-shard run (%d vs %d bytes)",
-				shards, len(tr), len(baseTrace))
-		}
-	}
+	checkScalePin(t, "gen-field-300-3", snapshot.ProtocolDiGS, 0.9, scalePin{
+		fingerprint: "0ae050a0217c0fc6171c31ff991068a615c4d256182e642b989c8726e8b825ad",
+		trace:       "599d528466e2c5faba31095ff1eaeadfcc58e37691f107986690029dffa305d1",
+		order:       "b21f7394c94c4dcdfe3efd8764dd2cb5eabe5ed6fc3022e31b4bbe754f2e0f5e",
+	})
 }
 
-// TestControllerScaleShardBitIdentity extends the shard-count guarantee to
-// the controller-layer stacks: the adaptive allocator (whose cell budgets
-// react to per-tick queue and loss observations) and the centralized sdn
-// stack (whose controller node collects and disseminates in-band) must
-// both produce bit-identical metrics and telemetry at 1, 2, 4 and 8
-// shards. The sdn join floor is low on purpose: configuring an 80-node
-// mesh through one controller takes many report/dissemination epochs, and
-// this test is about determinism, not reconvergence speed.
+// TestControllerScaleShardBitIdentity pins the controller-layer stacks the
+// same way: the adaptive allocator (whose cell budgets react to per-tick
+// queue and loss observations) and the centralized sdn stack (whose
+// controller node collects and disseminates in-band). The sdn join floor is
+// low on purpose: configuring an 80-node mesh through one controller takes
+// many report/dissemination epochs, and this test is about determinism, not
+// reconvergence speed.
 func TestControllerScaleShardBitIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("multi-run convergence test")
+		t.Skip("convergence test")
 	}
 	for _, tc := range []struct {
 		proto   string
 		minJoin float64
+		pin     scalePin
 	}{
-		{snapshot.ProtocolAdaptive, 0.9},
-		{snapshot.ProtocolSDN, 0.15},
+		{snapshot.ProtocolAdaptive, 0.9, scalePin{
+			fingerprint: "f713f64ff5ded26ecbda28f1b267d238d3947fe1441f7cf98a3a33e17ffadc1b",
+			trace:       "db28da71f9ef27b587b17a71a25a55f101b267742280647f366fcefbdc180072",
+			order:       "d1df9c7bbe138e09897e5dbca652c4b5ca686c67a85d0401da338eb51a7bb164",
+		}},
+		{snapshot.ProtocolSDN, 0.15, scalePin{
+			fingerprint: "bc601cb49ad34e84ed5b790fbee0601a67becd461dad43ee86e11e18b693587d",
+			trace:       "cbddb81aa926482c2e4053b7aafee808d5c18db25450e6159a59fadcde653545",
+			order:       "a3fab90c026835b00fe9d5f39c233b771aaaa4d5face15d9129a026a407c6cee",
+		}},
 	} {
 		tc := tc
 		t.Run(tc.proto, func(t *testing.T) {
 			t.Parallel()
-			baseFP, baseTrace := runScale(t, "gen-field-80-3", tc.proto, 1, tc.minJoin)
-			if len(baseTrace) == 0 {
-				t.Fatal("telemetry stream empty — tracer not wired through the splitter")
-			}
-			for _, shards := range []int{2, 4, 8} {
-				fp, tr := runScale(t, "gen-field-80-3", tc.proto, shards, tc.minJoin)
-				if fp != baseFP {
-					t.Errorf("%d shards: metrics fingerprint diverged from 1-shard run:\n%s",
-						shards, firstDiff(baseFP, fp))
-				}
-				if !bytes.Equal(tr, baseTrace) {
-					t.Errorf("%d shards: telemetry JSONL diverged from 1-shard run (%d vs %d bytes)",
-						shards, len(tr), len(baseTrace))
-				}
-			}
+			checkScalePin(t, "gen-field-80-3", tc.proto, tc.minJoin, tc.pin)
 		})
 	}
 }
 
-// TestScaleSnapshotRoundTrip10k takes a snapshot of a sharded 10k-node
-// run mid-flight, restores it into a fresh build with a different shard
-// count, and checks both continuations are bit-identical: checkpointing
-// composes with the scale engine, and the shard count is free to change
-// across a resume.
+// TestScaleSnapshotRoundTrip10k takes a snapshot of a 10k-node run
+// mid-flight, restores it into a fresh build, and checks both
+// continuations are bit-identical: checkpointing composes with the sparse
+// medium at scale.
 func TestScaleSnapshotRoundTrip10k(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-node run")
 	}
-	build := func(shards int) *Scenario {
+	build := func() *Scenario {
 		sc, err := Build(Params{
 			TopologyName: "gen-plant-10000",
 			Protocol:     snapshot.ProtocolDiGS,
 			Seed:         7,
-			Shards:       shards,
 		})
 		if err != nil {
 			t.Fatalf("build: %v", err)
@@ -177,7 +204,7 @@ func TestScaleSnapshotRoundTrip10k(t *testing.T) {
 		return fp.String()
 	}
 
-	orig := build(2)
+	orig := build()
 	orig.NW.Run(2000)
 	snap, err := orig.Take("midflight", nil)
 	if err != nil {
@@ -192,7 +219,7 @@ func TestScaleSnapshotRoundTrip10k(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 
-	resumed := build(8)
+	resumed := build()
 	if err := resumed.Restore(back); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
@@ -202,7 +229,7 @@ func TestScaleSnapshotRoundTrip10k(t *testing.T) {
 	orig.NW.Run(1000)
 	resumed.NW.Run(1000)
 	if got, want := fingerprint(resumed), fingerprint(orig); got != want {
-		t.Fatalf("continuations diverge (2 shards vs 8 shards from snapshot):\n%s", firstDiff(want, got))
+		t.Fatalf("continuations diverge (straight vs from snapshot):\n%s", firstDiff(want, got))
 	}
 }
 

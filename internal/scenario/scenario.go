@@ -18,7 +18,6 @@ import (
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/stack"
-	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -70,12 +69,8 @@ type Params struct {
 	MacBoost int
 	// DiGSConfig overrides the DiGS stack configuration (ablations).
 	DiGSConfig *core.Config
-	// Shards is the sparse medium's shard count (0 = 1). The medium itself
-	// follows the topology — sparse-only deployments run the sharded
-	// sparse one, everything else the dense one, where Shards is ignored
-	// — and results are bit-identical for every shard count, so Shards is
-	// a throughput knob, not a simulation parameter: snapshots taken at
-	// one count restore at any other.
+	// Shards is accepted and ignored: one goroutine steps the network on
+	// either medium. It stays so that specs naming it keep their hashes.
 	Shards int
 	// Flows requests that many random flow sources instead of the
 	// deployment's suggested ones. Only the WirelessHART build consumes it
@@ -98,26 +93,6 @@ type Scenario struct {
 // Joined returns how many nodes are synchronised and joined.
 func (sc *Scenario) Joined() int { return sc.JoinedCount() }
 
-// SetTracer installs (or, with nil, removes) a packet-lifecycle tracer on
-// every node of the stack. On the sparse medium the device layers record
-// from inside the shard-parallel phases, so a per-shard splitter is
-// interposed: any downstream sink sees one deterministic stream
-// regardless of shard count.
-func (sc *Scenario) SetTracer(t telemetry.Tracer) {
-	nw := sc.NW
-	switch {
-	case !nw.ScaleMode():
-		sc.Bundle.SetTracer(t)
-	case t == nil:
-		nw.SetParallelNotify(nil)
-		sc.Bundle.SetTracer(nil)
-	default:
-		sp := telemetry.NewSplitter(t, nw.ShardCount(), nw.ShardOf)
-		nw.SetParallelNotify(sp.SetParallel)
-		sc.Bundle.SetTracer(sp)
-	}
-}
-
 // Build constructs the scenario: a fresh network with the selected stack
 // attached to every node, not yet stepped.
 func Build(p Params) (*Scenario, error) {
@@ -139,11 +114,11 @@ func Build(p Params) (*Scenario, error) {
 		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
 	}
 	// The medium is a function of the topology alone: equal spec hashes
-	// (which exclude Shards) must mean equal result bytes, and the two
-	// media draw their randomness differently.
+	// must mean equal result bytes, and the two media draw their
+	// randomness differently.
 	var nw *sim.Network
 	if p.Topology.SparseOnly() {
-		nw = sim.NewScaleNetwork(p.Topology, p.Seed, max(p.Shards, 1))
+		nw = sim.NewScaleNetwork(p.Topology, p.Seed)
 	} else {
 		nw = sim.NewNetwork(p.Topology, p.Seed)
 	}

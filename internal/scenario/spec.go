@@ -25,7 +25,7 @@ type Duration = chaos.Duration
 // RunSpec, which is what makes server results bit-identical to CLI runs.
 //
 // Identity is canonical: two specs that differ only in JSON field order,
-// omitted-vs-explicit defaults, or throughput knobs (Shards) are the same
+// omitted-vs-explicit defaults, or the ignored Shards field are the same
 // scenario and produce the same Hash — the content address under which
 // results are cached.
 type Spec struct {
@@ -62,9 +62,9 @@ type Spec struct {
 	PlanName string `json:"plan_name,omitempty"`
 	// Plan is an inline chaos fault plan.
 	Plan *chaos.Plan `json:"plan,omitempty"`
-	// Shards selects the scale engine's shard count. It is a throughput
-	// knob — results are bit-identical at any value — so it is excluded
-	// from the spec's identity hash.
+	// Shards is accepted (0..64) and ignored: one goroutine steps the
+	// network. It is excluded from the spec's identity hash, so specs that
+	// name it keep their content addresses.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -132,8 +132,7 @@ func (s Spec) Canonical() Spec {
 	if c.JoinFraction > 1 {
 		c.JoinFraction = 1.0
 	}
-	// Shards is a throughput knob: any value runs the same scenario
-	// bit-identically, so it cannot be part of the identity.
+	// Shards is ignored, so it cannot be part of the identity.
 	c.Shards = 0
 	// An empty plan is no plan.
 	if c.Plan != nil && len(c.Plan.Entries) == 0 {
@@ -204,8 +203,7 @@ func (s Spec) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// Params maps the spec onto the scenario build parameters. Shards carries
-// the submitted (non-canonical) value: it steers execution, not identity.
+// Params maps the spec onto the scenario build parameters.
 func (s Spec) Params() Params {
 	c := s.Canonical()
 	mb := c.MacBoost
@@ -218,6 +216,5 @@ func (s Spec) Params() Params {
 		Seed:         c.Seed,
 		Period:       time.Duration(c.Period),
 		MacBoost:     mb,
-		Shards:       s.Shards,
 	}
 }

@@ -138,7 +138,7 @@ func TestDuplicateSubmissionServedFromCache(t *testing.T) {
 	j := waitDone(t, s, resp.JobID)
 	want, _ := j.Result()
 
-	// Same scenario spelled differently (explicit defaults, shards knob).
+	// Same scenario spelled differently (explicit defaults, the ignored shards field).
 	dup := smallSpec(7)
 	dup.MacBoost = 1
 	dup.JoinFraction = 1.0

@@ -77,7 +77,7 @@ func (q *slotHeap[V]) pop() slotEntry[V] {
 // steady-state nap; scan dwells (500 slots) and long whart naps overflow.
 const wakeHorizon = 64
 
-// wakeWheel holds one shard's nap wakes. A device napping until slot w is
+// wakeWheel holds the network's nap wakes. A device napping until slot w is
 // filed under w: in bucket w mod wakeHorizon when w is within the horizon
 // of the first slot not yet drained, in the overflow heap otherwise. An
 // entry is live while the device's napUntil names the slot its bucket is
@@ -177,27 +177,31 @@ type Network struct {
 	// first AddLinkFade keeps the unfaulted hot path branch-predictable.
 	fade []float64
 
-	// The slot loop's state, shared by both media (see scale.go): the
-	// shards — exactly one on the dense medium — with their awake sets and
-	// wake wheels, and the nap windows those are derived from.
+	// The slot loop's state, shared by both media (see scale.go): the awake
+	// set and wake wheel, and the nap windows they are derived from.
 	// napUntil[id] != 0 means the device naps until that slot (exclusive),
 	// and ops[id] is what it does meanwhile: OpSleep, or its standing scan.
 	// napStart[id] is the last slot a sleeping device was accounted for,
 	// scanStart[id] the same for a standing scanner: apart, because a
 	// capture stores napStart whole, stale entries of awake devices
 	// included, and no capture ever sees a standing scan.
-	sh        []*shard
-	bounds    []int // bounds[s]..bounds[s+1] is shard s's half-open node-ID range
 	napUntil  []ASN
 	napStart  []ASN
 	scanStart []ASN
+	// awake has bit id set for every device the slot loop visits: attached,
+	// not failed, not napping. nAwake counts the set bits. standing has it
+	// set for every device napping on a standing scan — the dense resolve
+	// walks awake|standing; the sparse gather needs no index, it finds a
+	// standing scanner by its op like any listener.
+	awake    []uint64
+	nAwake   int
+	standing []uint64
+	// wakes files every nap decision under the slot the nap ends.
+	wakes wakeWheel
 	// runCap bounds the all-napping fast-forward so Run/RunUntil stop at
 	// their target slot; 0 means single-stepping (no fast-forward).
 	runCap ASN
-	// notify, when set, brackets the two device phases of every executed
-	// slot (telemetry splitters buffer per shard between notify(true) and
-	// notify(false)).
-	notify func(parallel bool)
+	stats  LoopStats
 
 	// scale, when non-nil, makes the medium the sparse one (see scale.go):
 	// CSR neighbour rows and counter-based draws instead of the dense rss
@@ -214,19 +218,31 @@ type Network struct {
 	// Scratch buffers reused across slots: the steady-state slot loop
 	// performs zero heap allocations. byChannel, activeCh and txScratch are
 	// the dense medium's audible transmitters of the slot, per channel in
-	// ascending node ID (the sparse medium's are per shard, shard.txs).
+	// ascending node ID; txs is the sparse medium's, in ascending node ID.
 	ops       []RadioOp
 	reports   []SlotReport
 	byChannel [phy.LastChannel + 1][]topology.NodeID
 	activeCh  []phy.Channel
 	txScratch []topology.NodeID
+	txs       []topology.NodeID
+	// hear[id] is listener id's list of the slot's detectable transmissions
+	// on the sparse medium, in ascending source ID; heard has bit id set
+	// while that list is not empty (resolve.go).
+	hear  [][]candidate
+	heard []uint64
+	// traces buffers the sparse medium's engine trace events of a phase.
+	traces    []TraceEvent
+	cand      []candidate // the dense medium's one listener at a time
+	interf    []float64
+	ackInterf []float64
 }
 
 // newNetwork builds what both media share: the device table, the slot
-// loop's shards and nap vectors, and the per-node op and report scratch.
-func newNetwork(topo *topology.Topology, seed int64, shards int) *Network {
+// loop's sets and nap vectors, and the per-node op and report scratch.
+func newNetwork(topo *topology.Topology, seed int64) *Network {
 	n := topo.N()
-	nw := &Network{
+	words := (n + 1 + 63) / 64
+	return &Network{
 		topo:              topo,
 		devices:           make([]Device, n+1),
 		failed:            make([]bool, n+1),
@@ -235,28 +251,22 @@ func newNetwork(topo *topology.Topology, seed int64, shards int) *Network {
 		FastFadingSigmaDB: 2.0,
 		rssDim:            n + 1,
 		numDevs:           n,
-		sh:                make([]*shard, shards),
-		bounds:            shardBounds(n, topo.NumAPs, shards),
 		napUntil:          make([]ASN, n+1),
 		napStart:          make([]ASN, n+1),
 		scanStart:         make([]ASN, n+1),
+		awake:             make([]uint64, words),
+		standing:          make([]uint64, words),
 		ops:               make([]RadioOp, n+1),
 		reports:           make([]SlotReport, n+1),
 	}
-	for s := range nw.sh {
-		lo, hi := nw.bounds[s], nw.bounds[s+1]
-		words := (hi - lo + 63) / 64
-		nw.sh[s] = &shard{lo: lo, hi: hi, awake: make([]uint64, words), standing: make([]uint64, words)}
-	}
-	return nw
 }
 
 // NewNetwork creates an empty network over the given topology, seeded for
 // reproducibility, on the dense medium: a flat RSS matrix, per-channel
 // transmitter lists and one sequential generator whose draw order every
-// golden pins — which is why this medium is always a single shard.
+// golden pins.
 func NewNetwork(topo *topology.Topology, seed int64) *Network {
-	nw := newNetwork(topo, seed, 1)
+	nw := newNetwork(topo, seed)
 	nw.rng = rand.New(nw.rngSrc)
 	nw.rss = make([]float64, nw.rssDim*nw.rssDim)
 	nw.activeCh = make([]phy.Channel, 0, phy.NumChannels)

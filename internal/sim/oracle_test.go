@@ -20,7 +20,7 @@ import (
 type oracle struct {
 	nw      *Network
 	reports []SlotReport
-	heard   [][]hearing // per shard, in the order the listeners were decided
+	heard   []hearing // in the order the listeners were decided
 	traces  []TraceEvent
 }
 
@@ -47,14 +47,14 @@ type hearing struct {
 
 func (h hearing) equal(o hearing) bool { return h.l == o.l && slices.Equal(h.cands, o.cands) }
 
-// handed lists what decideHeard will hand the shard's listeners: each one's
-// hearing list, in the order it walks them.
-func handed(sh *shard) []hearing {
+// handed lists what decideHeard will hand the listeners: each one's hearing
+// list, in the order it walks them.
+func handed(nw *Network) []hearing {
 	var out []hearing
-	for wi, word := range sh.heard {
+	for wi, word := range nw.heard {
 		for ; word != 0; word &= word - 1 {
-			l := sh.idAt(wi, word)
-			out = append(out, hearing{l, sh.hear[int(l)-sh.lo]})
+			l := idAt(wi, word)
+			out = append(out, hearing{l, nw.hear[l]})
 		}
 	}
 	return out
@@ -66,21 +66,19 @@ func (o *oracle) resolve(asn ASN) {
 	for id := range o.reports {
 		o.reports[id] = SlotReport{Op: nw.ops[id]}
 	}
-	for s := range nw.sh {
-		o.heard[s] = o.heard[s][:0]
-		for l := nw.bounds[s]; l < nw.bounds[s+1]; l++ {
-			id := topology.NodeID(l)
-			op := nw.ops[id]
-			if on, missed := o.listens(id, asn); !on || missed || (op.Kind != OpRx && op.Kind != OpScan) {
-				continue
-			}
-			o.resolveListener(id, op, asn, s)
+	o.heard = o.heard[:0]
+	for l := 1; l <= nw.numDevs; l++ {
+		id := topology.NodeID(l)
+		op := nw.ops[id]
+		if on, missed := o.listens(id, asn); !on || missed || (op.Kind != OpRx && op.Kind != OpScan) {
+			continue
 		}
+		o.resolveListener(id, op, asn)
 	}
 }
 
-// resolveListener is the parent commit's resolveListenerScale.
-func (o *oracle) resolveListener(listener topology.NodeID, op RadioOp, asn ASN, s int) {
+// resolveListener is the listener-side row scan the gather replaced.
+func (o *oracle) resolveListener(listener topology.NodeID, op RadioOp, asn ASN) {
 	nw, sc := o.nw, o.nw.scale
 	rep := &o.reports[listener]
 	cols, vals, base := sc.sparse.Row(listener)
@@ -113,7 +111,7 @@ func (o *oracle) resolveListener(listener topology.NodeID, op RadioOp, asn ASN, 
 	if len(cands) == 0 {
 		return // idle listen
 	}
-	o.heard[s] = append(o.heard[s], hearing{listener, cands})
+	o.heard = append(o.heard, hearing{listener, cands})
 
 	best := 0
 	for i := 1; i < len(cands); i++ {
@@ -157,7 +155,7 @@ func (o *oracle) resolveListener(listener topology.NodeID, op RadioOp, asn ASN, 
 	}
 }
 
-// resolveAck is the parent commit's resolveAckScale.
+// resolveAck is the ACK decision of the listener-side resolve.
 func (o *oracle) resolveAck(sender, receiver topology.NodeID, ch phy.Channel, asn ASN) {
 	nw, sc := o.nw, o.nw.scale
 	idx := sc.sparse.LinkIndex(receiver, sender)
@@ -253,137 +251,126 @@ func (d *oracleDevice) AccrueNap(int64, phy.SlotActivity) {}
 // TestSparseGatherMatchesListenerScan: on random sparse deployments —
 // fades, a drifting listener (a standing one and an awake one) and a
 // drifting transmitter, wide-band and single-channel scanners, failed and
-// napping neighbours, out-of-band plans, one to three shards — the
+// napping neighbours, out-of-band plans — the
 // transmitter-driven gather hands each listener, in decide order, the
 // candidates its own row scan would have found, in that order, and leaves
 // every device the report and the engine trace the old resolve would have,
 // slot by slot.
 func TestSparseGatherMatchesListenerScan(t *testing.T) {
-	var detections, deliveries, acks, collisions, standingHeard, crossShard int
+	var detections, deliveries, acks, collisions, standingHeard int
 	var deafStanding, deafAwake, muteTx int // slots a drifting clock missed
-	for seed := int64(1); seed <= 4; seed++ {
-		for _, shards := range []int{1, 2, 3} {
-			topo, err := topology.Generate(topology.GenParams{Kind: topology.GenField, Nodes: 46, Seed: seed})
-			if err != nil {
+	for seed := int64(1); seed <= 8; seed++ {
+		topo, err := topology.Generate(topology.GenParams{Kind: topology.GenField, Nodes: 46, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := NewScaleNetwork(topo, seed)
+		n := topo.N()
+		for i := 1; i <= n; i++ {
+			id := topology.NodeID(i)
+			h := detrand.Mix(uint64(seed), uint64(i))
+			d := &oracleDevice{id: id, role: int(h % 4), seed: h, period: ASN(3 + (h>>4)%9)}
+			d.peers, _, _ = nw.scale.sparse.Row(id)
+			if err := nw.Attach(d); err != nil {
 				t.Fatal(err)
 			}
-			nw := NewScaleNetwork(topo, seed, shards)
-			n := topo.N()
+		}
+		var traced []TraceEvent
+		nw.Trace = func(ev TraceEvent) { traced = append(traced, ev) }
+		o := &oracle{nw: nw, reports: make([]SlotReport, n+1)}
+		before := make([]SlotReport, n+1)
+		read, standing := make([]bool, n+1), make([]bool, n+1) // report read this slot; by a standing scanner
+		pick := func(salt, asn uint64) topology.NodeID {
+			return topology.NodeID(1 + detrand.Mix(uint64(seed)^salt, asn)%uint64(n))
+		}
+
+		for asn := ASN(0); asn < 400; asn++ {
+			// Faults between slots: a fade, a failure, a recovery, drift on
+			// whoever comes up (scanners, listeners and transmitters alike).
+			switch a := uint64(asn); asn % 7 {
+			case 1:
+				nw.AddLinkFade(pick(1, a), pick(2, a), float64(asn%5)*4-6)
+			case 2:
+				nw.Fail(pick(3, a))
+			case 4:
+				nw.Restore(pick(3, a-2))
+			case 5:
+				nw.SetClockDrift(pick(4, a), float64(asn%3)*0.4, seed)
+			}
+
+			// Network.Step, with the oracle between plan and resolve.
+			nw.run(asn, (*Network).planPhase)
+			nw.drainTraces()
+			o.resolve(asn)
+			copy(before, nw.reports)
 			for i := 1; i <= n; i++ {
-				id := topology.NodeID(i)
-				h := detrand.Mix(uint64(seed), uint64(i))
-				d := &oracleDevice{id: id, role: int(h % 4), seed: h, period: ASN(3 + (h>>4)%9)}
-				d.peers, _, _ = nw.scale.sparse.Row(id)
-				if err := nw.Attach(d); err != nil {
-					t.Fatal(err)
+				var missed bool
+				read[i], missed = o.listens(topology.NodeID(i), asn)
+				standing[i] = nw.napUntil[i] != 0
+				switch {
+				case !read[i] || !missed:
+				case standing[i]:
+					deafStanding++
+				case nw.reports[i].Op.Kind == OpTx: // the plan as made; ops[] may have degraded it
+					muteTx++
+				default:
+					deafAwake++
 				}
 			}
-			var traced []TraceEvent
-			nw.Trace = func(ev TraceEvent) { traced = append(traced, ev) }
-			o := &oracle{nw: nw, reports: make([]SlotReport, n+1), heard: make([][]hearing, shards)}
-			before := make([]SlotReport, n+1)
-			read, standing := make([]bool, n+1), make([]bool, n+1) // report read this slot; by a standing scanner
-			pick := func(salt, asn uint64) topology.NodeID {
-				return topology.NodeID(1 + detrand.Mix(uint64(seed)^salt, asn)%uint64(n))
+			// resolvePhase, with the oracle between gather and decide.
+			traced = traced[:0]
+			nw.run(asn, (*Network).gatherSparse)
+			where := fmt.Sprintf("seed %d, slot %d", seed, asn)
+			if got := handed(nw); !slices.EqualFunc(got, o.heard, hearing.equal) {
+				t.Fatalf("%s: the listeners are handed\n %+v\ntheir row scans find\n %+v", where, got, o.heard)
 			}
-
-			for asn := ASN(0); asn < 400; asn++ {
-				// Faults between slots: a fade, a failure, a recovery, drift on
-				// whoever comes up (scanners, listeners and transmitters alike).
-				switch a := uint64(asn); asn % 7 {
-				case 1:
-					nw.AddLinkFade(pick(1, a), pick(2, a), float64(asn%5)*4-6)
-				case 2:
-					nw.Fail(pick(3, a))
-				case 4:
-					nw.Restore(pick(3, a-2))
-				case 5:
-					nw.SetClockDrift(pick(4, a), float64(asn%3)*0.4, seed)
-				}
-
-				// Network.Step, with the oracle between plan and resolve.
-				nw.run(asn, (*Network).planShard)
-				nw.drainTraces()
-				o.resolve(asn)
-				copy(before, nw.reports)
-				for i := 1; i <= n; i++ {
-					var missed bool
-					read[i], missed = o.listens(topology.NodeID(i), asn)
-					standing[i] = nw.napUntil[i] != 0
-					switch {
-					case !read[i] || !missed:
-					case standing[i]:
-						deafStanding++
-					case nw.reports[i].Op.Kind == OpTx: // the plan as made; ops[] may have degraded it
-						muteTx++
-					default:
-						deafAwake++
-					}
-				}
-				// resolveShard, with the oracle between gather and decide.
-				traced = traced[:0]
-				nw.run(asn, (*Network).gatherSparse)
-				where := fmt.Sprintf("seed %d, %d shards, slot %d", seed, shards, asn)
-				for s, sh := range nw.sh {
-					if got := handed(sh); !slices.EqualFunc(got, o.heard[s], hearing.equal) {
-						t.Fatalf("%s, shard %d: the listeners are handed\n %+v\ntheir row scans find\n %+v", where, s, got, o.heard[s])
-					}
-					for _, h := range o.heard[s] {
-						for _, c := range h.cands {
-							if nw.ShardOf(c.src) != s {
-								crossShard++
-							}
-						}
-					}
-				}
-				nw.run(asn, (*Network).decideHeard)
-				nw.drainTraces()
-				if !slices.Equal(traced, o.traces) {
-					t.Fatalf("%s: trace\n %+v\nwant\n %+v", where, traced, o.traces)
-				}
-				for i := 1; i <= n; i++ {
-					want := o.reports[i]
-					switch {
-					case !read[i]:
-						continue // failed or asleep: nobody reads its report
-					case standing[i] && want.Activity == 0:
-						want = before[i] // an undisturbed standing scanner is not touched
-					}
-					if nw.reports[i] != want {
-						t.Fatalf("%s, device %d: report\n %+v\nwant\n %+v", where, i, nw.reports[i], want)
-					}
-					want = o.reports[i]
-					if roused := nw.napUntil[i] == 0; standing[i] && roused != (want.Received != nil) {
-						t.Fatalf("%s, standing scanner %d: roused %v on report %+v", where, i, roused, want)
-					}
-					if want.Activity != 0 {
-						detections++
-						if standing[i] {
-							standingHeard++
-						}
-					}
-					if want.Received != nil {
-						deliveries++
-					}
-					if want.Acked {
-						acks++
-					}
-					if want.Collision {
-						collisions++
-					}
-				}
-				nw.run(asn, (*Network).finishShard)
-				nw.asn++
+			nw.run(asn, (*Network).decideHeard)
+			nw.drainTraces()
+			if !slices.Equal(traced, o.traces) {
+				t.Fatalf("%s: trace\n %+v\nwant\n %+v", where, traced, o.traces)
 			}
-			if ls := nw.LoopStats(); ls.Rouses == 0 || ls.PlanScan == 0 || ls.PlanTx == 0 {
-				t.Fatalf("seed %d: %+v: no standing scanner was ever roused", seed, ls)
+			for i := 1; i <= n; i++ {
+				want := o.reports[i]
+				switch {
+				case !read[i]:
+					continue // failed or asleep: nobody reads its report
+				case standing[i] && want.Activity == 0:
+					want = before[i] // an undisturbed standing scanner is not touched
+				}
+				if nw.reports[i] != want {
+					t.Fatalf("%s, device %d: report\n %+v\nwant\n %+v", where, i, nw.reports[i], want)
+				}
+				want = o.reports[i]
+				if roused := nw.napUntil[i] == 0; standing[i] && roused != (want.Received != nil) {
+					t.Fatalf("%s, standing scanner %d: roused %v on report %+v", where, i, roused, want)
+				}
+				if want.Activity != 0 {
+					detections++
+					if standing[i] {
+						standingHeard++
+					}
+				}
+				if want.Received != nil {
+					deliveries++
+				}
+				if want.Acked {
+					acks++
+				}
+				if want.Collision {
+					collisions++
+				}
 			}
+			nw.run(asn, (*Network).finishPhase)
+			nw.asn++
+		}
+		if ls := nw.LoopStats(); ls.Rouses == 0 || ls.PlanScan == 0 || ls.PlanTx == 0 {
+			t.Fatalf("seed %d: %+v: no standing scanner was ever roused", seed, ls)
 		}
 	}
-	t.Logf("%d detections (%d at standing scanners, %d candidates from another shard): %d deliveries, %d acks, %d collisions",
-		detections, standingHeard, crossShard, deliveries, acks, collisions)
+	t.Logf("%d detections (%d at standing scanners): %d deliveries, %d acks, %d collisions",
+		detections, standingHeard, deliveries, acks, collisions)
 	t.Logf("drift: %d slots missed by standing scanners, %d by awake devices, %d by transmitters", deafStanding, deafAwake, muteTx)
-	if deliveries == 0 || acks == 0 || collisions == 0 || standingHeard == 0 || crossShard == 0 ||
+	if deliveries == 0 || acks == 0 || collisions == 0 || standingHeard == 0 ||
 		deafStanding == 0 || deafAwake == 0 || muteTx == 0 {
 		t.Fatal("the comparison is vacuous in one of its cases")
 	}

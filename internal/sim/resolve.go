@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"math/bits"
-
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/phy"
 	"github.com/digs-net/digs/internal/topology"
@@ -19,7 +17,7 @@ import (
 // slot costs its transmitters' degrees, not its listeners'. The rows are
 // walked in ascending transmitter ID, so every list is in ascending source
 // ID as filed; the listeners with a list are marked in a bitmap over the
-// shard's ID range, and walking it decides them in ascending ID. That is
+// node IDs, and walking it decides them in ascending ID. That is
 // the order a walk of every listener's own row produces, with no sort:
 // capture ties, interference sums, trace order and the counter-based draws
 // cannot tell the two apart. Rows are symmetric (SparseRSS, AddLinkFade),
@@ -77,8 +75,8 @@ const (
 )
 
 // sparseAir draws by hashing (seed, slot, from, to, salt): a draw's value
-// does not depend on when it is made, which is what makes the output
-// invariant across shard counts.
+// does not depend on when it is made, so the listeners may be decided in
+// any order without moving a result.
 type sparseAir struct{ nw *Network }
 
 func (a sparseAir) returnRSS(from, to topology.NodeID) (float64, bool) {
@@ -112,11 +110,12 @@ func (nw *Network) slotHash(asn ASN, a, b topology.NodeID, salt uint64) uint64 {
 	return detrand.Mix(h, salt)
 }
 
-func (nw *Network) resolveShard(sh *shard, asn ASN) {
+func (nw *Network) resolvePhase(asn ASN) {
 	if nw.scale == nil {
-		nw.resolveDense(sh, asn)
+		nw.resolveDense(asn)
 	} else {
-		nw.resolveSparse(sh, asn)
+		nw.gatherSparse(asn)
+		nw.decideHeard(asn)
 	}
 }
 
@@ -146,60 +145,42 @@ func (nw *Network) deaf(l topology.NodeID, asn ASN) bool {
 	return nw.misses[l]
 }
 
-// resolveSparse gathers the slot's hearings from the transmitters, then
-// decides the shard's listeners.
-func (nw *Network) resolveSparse(sh *shard, asn ASN) {
-	nw.gatherSparse(sh, asn)
-	nw.decideHeard(sh, asn)
-}
-
-// gatherSparse walks all shards' transmitter lists — ascending source ID
-// overall — but only the shard's own ID range of each row, filing every
-// detectable transmission at the tail of its listener's hearing list.
-func (nw *Network) gatherSparse(sh *shard, asn ASN) {
+// gatherSparse walks the transmitters' rows in ascending source ID, filing
+// every detectable transmission at the tail of its listener's hearing list.
+func (nw *Network) gatherSparse(asn ASN) {
 	sc := nw.scale
-	lo, hi := topology.NodeID(sh.lo), topology.NodeID(sh.hi)
-	for _, from := range nw.sh {
-		for _, src := range from.txs {
-			ch := nw.ops[src].Channel
-			cols, vals, base := sc.sparse.Row(src)
-			for i, l := range cols {
-				if l < lo {
-					continue
-				}
-				if l >= hi {
-					break
-				}
-				// ops[l] is live for every l: a device that leaves the awake
-				// set other than for a standing scan has it set to sleep.
-				if !nw.ops[l].listensOn(ch) || nw.deaf(l, asn) {
-					continue
-				}
-				mean := vals[i]
-				if sc.fade != nil {
-					mean -= sc.fade[base+i]
-				}
-				rss := mean + detrand.Norm(nw.slotHash(asn, src, l, saltFade))*nw.FastFadingSigmaDB
-				if rss >= phy.SensitivityDBm {
-					off := int(l) - sh.lo
-					sh.hear[off] = append(sh.hear[off], candidate{src: src, rss: rss, ch: ch})
-					sh.heard[off>>6] |= 1 << (off & 63)
-				}
+	for _, src := range nw.txs {
+		ch := nw.ops[src].Channel
+		cols, vals, base := sc.sparse.Row(src)
+		for i, l := range cols {
+			// ops[l] is live for every l: a device that leaves the awake set
+			// other than for a standing scan has it set to sleep.
+			if !nw.ops[l].listensOn(ch) || nw.deaf(l, asn) {
+				continue
+			}
+			mean := vals[i]
+			if sc.fade != nil {
+				mean -= sc.fade[base+i]
+			}
+			rss := mean + detrand.Norm(nw.slotHash(asn, src, l, saltFade))*nw.FastFadingSigmaDB
+			if rss >= phy.SensitivityDBm {
+				nw.hear[l] = append(nw.hear[l], candidate{src: src, rss: rss, ch: ch})
+				nw.heard[l>>6] |= 1 << (l & 63)
 			}
 		}
 	}
 }
 
-// decideHeard decides the listeners marked in the shard's bitmap, in
+// decideHeard decides the listeners marked in the heard bitmap, in
 // ascending ID, each on its hearing list, and empties the lists.
-func (nw *Network) decideHeard(sh *shard, asn ASN) {
-	for wi, word := range sh.heard {
-		sh.heard[wi] = 0
+func (nw *Network) decideHeard(asn ASN) {
+	for wi, word := range nw.heard {
+		nw.heard[wi] = 0
 		for ; word != 0; word &= word - 1 {
-			off := wi<<6 + bits.TrailingZeros64(word)
-			cands := sh.hear[off]
-			sh.hear[off] = cands[:0]
-			nw.decide(sh, asn, topology.NodeID(sh.lo+off), cands, sparseAir{nw})
+			l := idAt(wi, word)
+			cands := nw.hear[l]
+			nw.hear[l] = cands[:0]
+			nw.decide(asn, l, cands, sparseAir{nw})
 		}
 	}
 }
@@ -209,10 +190,10 @@ func (nw *Network) decideHeard(sh *shard, asn ASN) {
 // follow it — and gathers each one's candidates from the transmitter lists.
 // A listener whose channel carries no transmitter draws nothing and hears
 // nothing, which is all a standing scanner costs in most slots.
-func (nw *Network) resolveDense(sh *shard, asn ASN) {
-	for wi := range sh.awake {
-		for word := sh.awake[wi] | sh.standing[wi]; word != 0; word &= word - 1 {
-			l := sh.idAt(wi, word)
+func (nw *Network) resolveDense(asn ASN) {
+	for wi := range nw.awake {
+		for word := nw.awake[wi] | nw.standing[wi]; word != 0; word &= word - 1 {
+			l := idAt(wi, word)
 			op := &nw.ops[l]
 			if op.Kind != OpRx && op.Kind != OpScan {
 				continue
@@ -236,7 +217,7 @@ func (nw *Network) resolveDense(sh *shard, asn ASN) {
 			if len(txs) == 0 || nw.deaf(l, asn) {
 				continue
 			}
-			cands := sh.cand[:0]
+			cands := nw.cand[:0]
 			for _, src := range txs {
 				if src == l {
 					continue
@@ -246,9 +227,9 @@ func (nw *Network) resolveDense(sh *shard, asn ASN) {
 					cands = append(cands, candidate{src: src, rss: rss, ch: nw.ops[src].Channel})
 				}
 			}
-			sh.cand = cands
+			nw.cand = cands
 			if len(cands) > 0 {
-				nw.decide(sh, asn, l, cands, denseAir{nw})
+				nw.decide(asn, l, cands, denseAir{nw})
 			}
 		}
 	}
@@ -262,13 +243,13 @@ func (nw *Network) resolveDense(sh *shard, asn ASN) {
 // was detected, and a collision or an undecoded frame leaves nothing else in
 // the report that EndSlot would read — its trace event is emitted here all
 // the same, in the same place in the order.
-func (nw *Network) decide(sh *shard, asn ASN, l topology.NodeID, cands []candidate, a air) {
+func (nw *Network) decide(asn ASN, l topology.NodeID, cands []candidate, a air) {
 	standing := nw.napUntil[l] != 0
 	if standing {
 		nw.reports[l] = SlotReport{Op: nw.ops[l]} // stale since its last visit
 	}
 	rep := &nw.reports[l]
-	sh.stats.Hearings += int64(len(cands))
+	nw.stats.Hearings += int64(len(cands))
 
 	// Strongest candidate competes against the rest plus interference.
 	best := &cands[0]
@@ -277,19 +258,19 @@ func (nw *Network) decide(sh *shard, asn ASN, l topology.NodeID, cands []candida
 			best = &cands[i]
 		}
 	}
-	interf := sh.interf[:0]
+	interf := nw.interf[:0]
 	for i := range cands {
 		if c := &cands[i]; c != best && c.ch == best.ch {
 			interf = append(interf, c.rss)
 		}
 	}
 	interf = nw.interferenceAt(l, best.ch, asn, interf)
-	sh.interf = interf
+	nw.interf = interf
 
 	rep.Activity = phy.ActivityRxFrame // energy was spent regardless of decode
 	if phy.SIRdB(best.rss, interf) < phy.CaptureThresholdDB {
 		rep.Collision = true
-		nw.emit(sh, TraceEvent{ASN: asn, Kind: TraceCollision, Dst: l, Channel: best.ch})
+		nw.emit(TraceEvent{ASN: asn, Kind: TraceCollision, Dst: l, Channel: best.ch})
 		return
 	}
 	if a.decodeDraw(asn, best.src, l) >= phy.PRR(best.rss) {
@@ -305,24 +286,22 @@ func (nw *Network) decide(sh *shard, asn ASN, l topology.NodeID, cands []candida
 	}
 	rep.Received = frame
 	rep.RSSI = best.rss
-	nw.emit(sh, TraceEvent{ASN: asn, Kind: TraceDeliver, Src: best.src,
+	nw.emit(TraceEvent{ASN: asn, Kind: TraceDeliver, Src: best.src,
 		Dst: l, Frame: frame, Channel: best.ch, RSS: best.rss})
 
 	// ACK for unicast frames addressed to this listener.
 	if frame.Dst == l && nw.ops[best.src].NeedAck {
 		rep.Activity = phy.ActivityRxFrameAck
-		nw.decideAck(sh, asn, best.src, l, best.ch, a)
+		nw.decideAck(asn, best.src, l, best.ch, a)
 	}
 	if standing {
-		sh.stats.Rouses++
-		nw.endNap(sh, l, asn) // the report phase hands it the frame this slot
+		nw.stats.Rouses++
+		nw.endNap(l, asn) // the report phase hands it the frame this slot
 	}
 }
 
 // decideAck decides whether the ACK from receiver back to sender decodes.
-// Only the unique unicast destination reaches here for a given sender, so
-// the cross-shard write to reports[sender].Acked has exactly one writer.
-func (nw *Network) decideAck(sh *shard, asn ASN, sender, receiver topology.NodeID, ch phy.Channel, a air) {
+func (nw *Network) decideAck(asn ASN, sender, receiver topology.NodeID, ch phy.Channel, a air) {
 	rss, ok := a.returnRSS(receiver, sender)
 	if !ok {
 		return
@@ -331,8 +310,8 @@ func (nw *Network) decideAck(sh *shard, asn ASN, sender, receiver topology.NodeI
 	if rss < phy.SensitivityDBm {
 		return
 	}
-	interf := nw.interferenceAt(sender, ch, asn, sh.ackInterf[:0])
-	sh.ackInterf = interf
+	interf := nw.interferenceAt(sender, ch, asn, nw.ackInterf[:0])
+	nw.ackInterf = interf
 	if phy.SIRdB(rss, interf) < phy.CaptureThresholdDB {
 		return
 	}

@@ -14,23 +14,25 @@ import (
 
 // medium is one of the two media of the one slot loop. Everything the loop
 // does about naps — skipping calls, settling, waking, failing, jumping — is
-// medium-independent, so the nap tests run on both.
+// medium-independent, so the nap tests run on both. The sparse medium's
+// draws are hashes of the seed, so its second seed runs every script under
+// an independent set of fading and decode draws.
 type medium struct {
-	name   string
-	shards []int // the shard counts worth running
-	build  func(topo *topology.Topology, seed int64, shards int) *Network
+	name  string
+	seeds []int64
+	build func(topo *topology.Topology, seed int64) *Network
 }
 
 var media = []medium{
-	{"dense", []int{1}, func(topo *topology.Topology, seed int64, _ int) *Network { return NewNetwork(topo, seed) }},
-	{"sparse", []int{1, 2}, NewScaleNetwork},
+	{"dense", []int64{1}, NewNetwork},
+	{"sparse", []int64{1, 2}, NewScaleNetwork},
 }
 
-// onMedia runs the test once per medium and shard count.
-func onMedia(t *testing.T, test func(t *testing.T, m medium, shards int)) {
+// onMedia runs the test once per medium and seed.
+func onMedia(t *testing.T, test func(t *testing.T, m medium, seed int64)) {
 	for _, m := range media {
-		for _, shards := range m.shards {
-			t.Run(fmt.Sprintf("%s-%d", m.name, shards), func(t *testing.T) { test(t, m, shards) })
+		for _, seed := range m.seeds {
+			t.Run(fmt.Sprintf("%s-%d", m.name, seed), func(t *testing.T) { test(t, m, seed) })
 		}
 	}
 }
@@ -122,9 +124,9 @@ func everyN(n ASN) func(ASN) ASN {
 	return func(asn ASN) ASN { return (asn/n + 1) * n }
 }
 
-func (m medium) net(t *testing.T, nodes, shards int, devs ...*napDevice) *Network {
+func (m medium) net(t *testing.T, nodes int, seed int64, devs ...*napDevice) *Network {
 	t.Helper()
-	nw := m.build(pairTopology(t, nodes), 1, shards)
+	nw := m.build(pairTopology(t, nodes), seed)
 	for _, d := range devs {
 		if err := nw.Attach(d); err != nil {
 			t.Fatal(err)
@@ -137,9 +139,9 @@ func (m medium) net(t *testing.T, nodes, shards int, devs ...*napDevice) *Networ
 // nor EndSlot, and at the wake AccrueNap reports exactly the skipped
 // slots, so executed plus accrued slots always add up to the clock.
 func TestScaleNapSkipsDeviceCalls(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		d := &napDevice{id: 1, wake: everyN(10)}
-		nw := m.net(t, 2, shards, d)
+		nw := m.net(t, 2, seed, d)
 		for i := 0; i < 35; i++ {
 			nw.Step() // single steps: no fast-forward, every slot is executed
 		}
@@ -180,10 +182,10 @@ func TestScaleNapSkipsDeviceCalls(t *testing.T) {
 // stale and must not wake the device a second time, even when the new nap
 // ends in the same slot as the old one.
 func TestScaleWakeCancelsNap(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		d := &napDevice{id: 1, wake: everyN(100)}
 		other := &napDevice{id: 2} // never naps: keeps the loop stepping
-		nw := m.net(t, 2, shards, d, other)
+		nw := m.net(t, 2, seed, d, other)
 		nw.Run(5)
 		nw.Wake(1)
 		nw.Wake(1) // no nap left to cancel
@@ -204,10 +206,10 @@ func TestScaleWakeCancelsNap(t *testing.T) {
 // to the failure, a failed device is neither called nor accounted, and a
 // restored one plans at once.
 func TestScaleFailRestoreNapping(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		d := &napDevice{id: 1, wake: everyN(100)}
 		other := &napDevice{id: 2}
-		nw := m.net(t, 2, shards, d, other)
+		nw := m.net(t, 2, seed, d, other)
 		nw.Run(10)
 		nw.Fail(1)
 		if d.accrued != 9 {
@@ -233,32 +235,32 @@ func TestScaleFailRestoreNapping(t *testing.T) {
 // earliest wake, to a pending event, and to its own target, and executes
 // exactly the slots a slot-by-slot run would have had anything to do in.
 func TestScaleFastForward(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		a := &napDevice{id: 1, wake: everyN(100)}
 		b := &napDevice{id: 2, wake: everyN(70)}
-		nw := m.net(t, 2, shards, a, b)
+		nw := m.net(t, 2, seed, a, b)
 		var fired []ASN
 		at := func(asn ASN) { nw.At(asn, func() { fired = append(fired, nw.ASN()) }) }
 		at(50)
 		at(130)
 
-		// The engine brackets the two device phases of every slot it
-		// executes; a jump executes none.
-		executed := 0
-		nw.SetParallelNotify(func(on bool) {
-			if on {
-				executed++
-			}
-		})
+		// A slot is executed unless the fast-forward jumps over it.
+		var mark, executed ASN
+		count := func() {
+			ls := nw.LoopStats()
+			executed = nw.ASN() - mark - ls.FastForwarded
+			mark = nw.ASN() - ls.FastForwarded
+		}
 		nw.Run(130)
+		count()
 		if nw.ASN() != 130 {
 			t.Fatalf("Run(130) stopped at slot %d", nw.ASN())
 		}
 		if !reflect.DeepEqual(fired, []ASN{50}) {
 			t.Fatalf("events fired at %v, want [50]: slot 130 is the next run's", fired)
 		}
-		if executed != 2*4 {
-			t.Fatalf("executed %d slots up to 130, want 4 (0, the event's 50, 70, 100)", executed/2)
+		if executed != 4 {
+			t.Fatalf("executed %d slots up to 130, want 4 (0, the event's 50, 70, 100)", executed)
 		}
 		nw.Run(20)
 		if nw.ASN() != 150 {
@@ -279,22 +281,22 @@ func TestScaleFastForward(t *testing.T) {
 		nw.Wake(1)
 		a.wake = everyN(1000)
 		nw.Run(1) // slot 150: device 1 plans and naps until 1000
-		executed = 0
+		count()
 		nw.Run(500)
+		count()
 		if got := a.planned(); got[len(got)-1] != 150 {
 			t.Fatalf("stale entry woke device 1: planned in %v", got)
 		}
-		if executed != 2*7 {
-			t.Fatalf("executed %d slots from 151 to 651, want device 2's 7 wakes (210, 280, ... 630)", executed/2)
+		if executed != 7 {
+			t.Fatalf("executed %d slots from 151 to 651, want device 2's 7 wakes (210, 280, ... 630)", executed)
 		}
 
 		// RunUntil's predicate may watch the clock, so it never jumps.
-		executed = 0
 		if ran, ok := nw.RunUntil(40, func() bool { return nw.ASN() >= 660 }); ran != 9 || !ok {
 			t.Fatalf("RunUntil over a stretch of naps ran %d slots (fired %v), want 9", ran, ok)
 		}
-		if executed != 2*9 {
-			t.Fatalf("RunUntil executed %d of its 9 slots", executed/2)
+		if count(); executed != 9 {
+			t.Fatalf("RunUntil executed %d of its 9 slots", executed)
 		}
 	})
 }
@@ -304,11 +306,11 @@ func TestScaleFastForward(t *testing.T) {
 // the sparse medium find transmitters by scanning their rows — must not hear
 // the old frame again.
 func TestScaleNappingTransmitterNotHeardAgain(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		frame := &Frame{Kind: KindEB, Src: 2, Dst: topology.Broadcast}
 		tx := &napDevice{id: 2, plan: txPlan(frame, 15, false), wake: everyN(40)}
 		rx := &napDevice{id: 1, plan: rxPlan(15)} // listens in every slot
-		nw := m.net(t, 2, shards, tx, rx)
+		nw := m.net(t, 2, seed, tx, rx)
 		nw.Run(100)
 		var heard []ASN
 		for _, ev := range rx.log {
@@ -346,11 +348,11 @@ func dwellScan(dwell ASN) (scan func(ASN) RadioOp, wake func(ASN) ASN) {
 
 // scaleScript is a seven-device line in which even IDs beacon and odd IDs
 // listen, each on its own wake period, so that naps, wakes and receptions
-// interleave across any shard boundary, and the last device is a standing
+// interleave, and the last device is a standing
 // scanner next to a beacon it hears in every other dwell. Every device
 // keeps the Napper promise: outside its wake slots it would plan sleep, or
 // the scan it stands on.
-func scaleScript(t *testing.T, m medium, shards int) (*Network, []*napDevice) {
+func scaleScript(t *testing.T, m medium, seed int64) (*Network, []*napDevice) {
 	t.Helper()
 	var devs []*napDevice
 	for i := 1; i <= 6; i++ {
@@ -372,7 +374,7 @@ func scaleScript(t *testing.T, m medium, shards int) (*Network, []*napDevice) {
 	scanner.plan, scanner.wake = dwellScan(8)
 	scanner.stand = scanner.plan
 	devs = append(devs, scanner)
-	return m.net(t, 7, shards, devs...), devs
+	return m.net(t, 7, seed, devs...), devs
 }
 
 // logsFrom renders every call the devices saw from slot `from` on. Of a
@@ -426,9 +428,11 @@ func requireHeard(t *testing.T, devs []*napDevice) {
 }
 
 // TestScaleNapStateAcrossShardCounts: a sparse run captured mid-nap and
-// restored into a network with a different shard count — whose awake sets
-// and wake wheels are rebuilt from the nap vectors alone — continues exactly
-// like the run that never stopped, for every pair of shard counts.
+// restored into a fresh network — whose awake set and wake wheel are rebuilt
+// from the nap vectors alone — continues exactly like the run that never
+// stopped, and so does the captured run itself. One state restores into any
+// number of networks: the second restore, after the first has run on, is
+// held to the same log.
 func TestScaleNapStateAcrossShardCounts(t *testing.T) {
 	const cut, total = 37, 120
 	sparse := media[1]
@@ -437,32 +441,33 @@ func TestScaleNapStateAcrossShardCounts(t *testing.T) {
 	want := logsFrom(ref, cut)
 	requireHeard(t, ref)
 
-	for _, before := range []int{1, 2, 3} {
-		first, _ := scaleScript(t, sparse, before)
-		first.Run(cut)
-		if first.napUntil[7] == 0 || first.ops[7].Kind != OpScan {
-			t.Fatal("the scanner is not standing at the cut: the capture would have no standing scan to end")
-		}
-		st, err := first.CaptureState()
-		if err != nil {
+	first, firstDevs := scaleScript(t, sparse, 1)
+	first.Run(cut)
+	if first.napUntil[7] == 0 || first.ops[7].Kind != OpScan {
+		t.Fatal("the scanner is not standing at the cut: the capture would have no standing scan to end")
+	}
+	st, err := first.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.NapUntil == nil {
+		t.Fatal("nobody napping at the cut: the restore would have nothing to rebuild")
+	}
+	if st.NapUntil[7] != 0 || st.NapStart[7] != 0 {
+		t.Fatalf("the capture carries the standing scan: until %d, start %d", st.NapUntil[7], st.NapStart[7])
+	}
+	first.Run(total - cut)
+	if got := logsFrom(firstDevs, cut); got != want {
+		t.Fatalf("captured run diverged from the straight run\n got:\n%s\nwant:\n%s", got, want)
+	}
+	for _, name := range []string{"first restore", "second restore"} {
+		second, devs := scaleScript(t, sparse, 1)
+		if err := second.RestoreState(st); err != nil {
 			t.Fatal(err)
 		}
-		if st.NapUntil == nil {
-			t.Fatal("nobody napping at the cut: the restore would have nothing to rebuild")
-		}
-		if st.NapUntil[7] != 0 || st.NapStart[7] != 0 {
-			t.Fatalf("the capture carries the standing scan: until %d, start %d", st.NapUntil[7], st.NapStart[7])
-		}
-		for _, after := range []int{1, 2, 3, 6} {
-			second, devs := scaleScript(t, sparse, after)
-			if err := second.RestoreState(st); err != nil {
-				t.Fatal(err)
-			}
-			second.Run(total - cut)
-			if got := logsFrom(devs, cut); got != want {
-				t.Fatalf("captured on %d shards, resumed on %d: diverged from the straight run\n got:\n%s\nwant:\n%s",
-					before, after, got, want)
-			}
+		second.Run(total - cut)
+		if got := logsFrom(devs, cut); got != want {
+			t.Fatalf("%s: diverged from the straight run\n got:\n%s\nwant:\n%s", name, got, want)
 		}
 	}
 }
@@ -526,7 +531,7 @@ func TestDenseCaptureEndsNaps(t *testing.T) {
 // class up to the slot before; and the report it is then handed is this
 // slot's, not what was left from its last visit.
 func TestScaleStandingScanRousedByDelivery(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		beacon := func(src topology.NodeID) *Frame { return &Frame{Kind: KindEB, Src: src, Dst: topology.Broadcast} }
 		script := func(frames map[ASN]*Frame) func(ASN) RadioOp {
 			return func(asn ASN) RadioOp {
@@ -543,7 +548,7 @@ func TestScaleStandingScanRousedByDelivery(t *testing.T) {
 		scanner := &napDevice{id: 2}
 		scanner.plan, scanner.wake = dwellScan(50)
 		scanner.stand = scanner.plan
-		nw := m.net(t, 4, shards, left, right, scanner)
+		nw := m.net(t, 4, seed, left, right, scanner)
 		nw.FastFadingSigmaDB = 0 // exact symmetry: the collisions are certain
 		collisions := map[ASN]bool{}
 		nw.Trace = func(ev TraceEvent) {
@@ -590,7 +595,7 @@ func (v visited) EndSlot(asn ASN, rep SlotReport) { v.d.EndSlot(asn, rep) }
 // the dense medium that order is the sequential generator's, which draws for
 // a standing scanner where it would have drawn for the awake one.
 func TestScaleStandingScanEquivalentToVisited(t *testing.T) {
-	onMedia(t, func(t *testing.T, m medium, shards int) {
+	onMedia(t, func(t *testing.T, m medium, seed int64) {
 		run := func(stand bool) (string, int64) {
 			var devs []*napDevice
 			var attach []Device
@@ -625,7 +630,7 @@ func TestScaleStandingScanEquivalentToVisited(t *testing.T) {
 					attach = append(attach, d)
 				}
 			}
-			nw := m.build(pairTopology(t, 7), 3, shards)
+			nw := m.build(pairTopology(t, 7), seed+2)
 			for _, d := range attach {
 				if err := nw.Attach(d); err != nil {
 					t.Fatal(err)

@@ -181,6 +181,6 @@ func (nw *Network) RestoreState(st *NetworkState) error {
 		clear(nw.napUntil)
 		clear(nw.napStart)
 	}
-	nw.rebuildShards()
+	nw.rebuildAwake()
 	return nil
 }

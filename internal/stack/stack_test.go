@@ -47,7 +47,7 @@ func TestJoinedCountDoesNotAllocate(t *testing.T) {
 // off, until the wake slot of the schedule it just discarded.
 func TestHealerWakesNappingNode(t *testing.T) {
 	topo := topology.HalfTestbedA()
-	nw := sim.NewScaleNetwork(topo, 1, 1)
+	nw := sim.NewScaleNetwork(topo, 1)
 	net, err := core.Build(nw, core.DefaultConfig(topo.NumAPs), mac.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)

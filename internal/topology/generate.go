@@ -18,8 +18,9 @@ import (
 // allocates the dense matrix, and assign node IDs in spatial scan order —
 // floor-major/row-major for the structured kinds, Morton order for the
 // random field — so a contiguous ID range is also a spatially compact
-// region. The sharded slot engine partitions by contiguous ID range, so
-// this ID discipline is what makes those shards spatially coherent.
+// region. The slot loop visits devices and resolves listeners in ascending
+// ID, so this order fixes every generated plant's results: renumbering the
+// nodes would move every sparse pin.
 
 // GenKind selects a generator family.
 type GenKind string
