@@ -123,14 +123,20 @@ cache-smoke:
 ## accrual, the DiGS cell table against the router, the cached noise floor
 ## against the per-call formula, the loop's own counts, the sparse
 ## metrics/trace/event-order pins, dense results pinned before the dense
-## medium could nap, the one-goroutine guard, the shared shadowing memo)
-## run race-enabled first: one goroutine steps a network, but concurrent
+## medium could nap, the one-goroutine guard, the shared shadowing memo,
+## the ascending-ID neighbour table against a map and its zero-allocation
+## pins, the DiGS and RPL parent choice, the sdn controller's graph,
+## paths and configurations and the jammers' channel bitmasks against
+## their map-based references, and the guard that keeps map-typed fields
+## off the stacks' slot path) run
+## race-enabled first: one goroutine steps a network, but concurrent
 ## builds share the shadowing memo, and a race there must fail here, not
 ## as a benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds' \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields' \
 		./internal/sim ./internal/core ./internal/mac ./internal/phy ./internal/rpl ./internal/orchestra \
-		./internal/whart ./internal/controller ./internal/topology ./internal/scenario
+		./internal/whart ./internal/controller ./internal/topology ./internal/scenario \
+		./internal/link ./internal/interference
 	$(GO) run ./cmd/digs-bench -scale-smoke
 	@echo scale-smoke: OK
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
@@ -135,7 +136,7 @@ type AdaptiveStack struct {
 	// neighborCells caches the advertised cell count of each neighbor
 	// (from extended DIOs); the node's listen cells are derived from it at
 	// each maintenance tick.
-	neighborCells map[topology.NodeID]int
+	neighborCells link.Table[int]
 }
 
 var _ mac.Protocol = (*AdaptiveStack)(nil)
@@ -166,7 +167,7 @@ func (s *AdaptiveStack) Reset() {
 	s.idleTicks = 0
 	s.failsSinceTick = 0
 	s.sentSinceTick = 0
-	s.neighborCells = nil
+	s.neighborCells = link.Table[int]{}
 }
 
 // dataRole: transmit in our own cells (sender-based — the cell budget is
@@ -190,7 +191,8 @@ func (s *AdaptiveStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
 // to the higher ID.
 func (s *AdaptiveStack) refreshChildCells() {
 	for _, c := range s.ResetChildCells() {
-		k := min(max(s.neighborCells[c], s.cfg.MinCells), s.cfg.MaxCells)
+		n, _ := s.neighborCells.Get(c)
+		k := min(max(n, s.cfg.MinCells), s.cfg.MaxCells)
 		for j := 0; j < k; j++ {
 			s.Listen(adaptiveCellSlot(c, j, s.cfg.DataFrameLen), c)
 		}
@@ -263,10 +265,7 @@ func (s *AdaptiveStack) EBPayload() []byte { return s.DIOPayload(byte(s.txCells)
 // at least its base cell.
 func (s *AdaptiveStack) OnFrame(asn sim.ASN, f *sim.Frame, rssi float64) {
 	if option := s.Node.OnFrame(asn, f, rssi, 1); option != nil {
-		if s.neighborCells == nil {
-			s.neighborCells = make(map[topology.NodeID]int)
-		}
-		s.neighborCells[f.Src] = max(int(option[0]), 1)
+		s.neighborCells.Put(f.Src, max(int(option[0]), 1))
 	}
 }
 

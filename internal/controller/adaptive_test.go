@@ -87,7 +87,8 @@ func TestAdaptivePayloadRoundTrip(t *testing.T) {
 	hear := func(payload []byte) (*AdaptiveStack, int) {
 		s := newTestAdaptive(t)
 		s.OnFrame(10, &sim.Frame{Kind: sim.KindJoinIn, Src: 1, Payload: payload}, -60)
-		return s, s.neighborCells[1]
+		cells, _ := s.neighborCells.Get(1)
+		return s, cells
 	}
 	if s, cells := hear(b); cells != 3 || s.Router().Parent() != 1 {
 		t.Fatalf("round-trip: %d cells, parent %d", cells, s.Router().Parent())
@@ -98,7 +99,7 @@ func TestAdaptivePayloadRoundTrip(t *testing.T) {
 		t.Fatalf("zero cells: %d", cells)
 	}
 	for _, bad := range [][]byte{nil, b[:6], append(append([]byte(nil), b...), 0)} {
-		if s, _ := hear(bad); s.neighborCells != nil || s.Router().Parent() != 0 {
+		if s, _ := hear(bad); !s.neighborCells.Nil() || s.Router().Parent() != 0 {
 			t.Fatalf("a %d-byte payload was taken for a DIO", len(bad))
 		}
 	}

@@ -1,11 +1,13 @@
 package controller
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
+	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
@@ -323,12 +325,12 @@ type SDNStack struct {
 
 	// Gradient toward the controller (from beacon hop counts): used only
 	// to route reports before/around a configured tree.
-	hops    map[topology.NodeID]sdnHopsEntry
+	hops    link.Table[sdnHopsEntry]
 	uplink  topology.NodeID
 	ownHops uint8
 
 	// Observed link table (from overheard beacons in discovery slots).
-	rss map[topology.NodeID]sdnRSSEntry
+	rss link.Table[sdnRSSEntry]
 
 	nextMaintain sim.ASN
 	nextReport   sim.ASN
@@ -349,12 +351,12 @@ type SDNStack struct {
 	// onParentChange reports data-plane route changes to telemetry.
 	onParentChange stack.RouteHook
 
-	// --- controller-only state (nil maps on every other node) ---
-	reports       map[topology.NodeID]sdnReportEntry
+	// --- controller-only state (empty tables on every other node) ---
+	reports       link.Table[sdnReportEntry]
 	epoch         uint16
 	epochCount    int64
 	nextRecompute sim.ASN
-	lastSent      map[topology.NodeID]sdnNodeConfig
+	lastSent      link.Table[sdnNodeConfig]
 }
 
 var _ mac.Protocol = (*SDNStack)(nil)
@@ -375,7 +377,7 @@ func NewSDNStack(id topology.NodeID, isAP bool, controllerID topology.NodeID,
 		return nil, err
 	}
 	sortedAPs := append([]topology.NodeID(nil), aps...)
-	sort.Slice(sortedAPs, func(i, j int) bool { return sortedAPs[i] < sortedAPs[j] })
+	slices.Sort(sortedAPs)
 	s := &SDNStack{
 		id:           id,
 		isAP:         isAP,
@@ -387,8 +389,6 @@ func NewSDNStack(id topology.NodeID, isAP bool, controllerID topology.NodeID,
 	}
 	if s.controller() {
 		s.ownHops = 0
-		s.reports = make(map[topology.NodeID]sdnReportEntry)
-		s.lastSent = make(map[topology.NodeID]sdnNodeConfig)
 	}
 	s.combiner = mac.NewCombiner(
 		mac.Slotframe{Length: cfg.EBFrameLen, Priority: 0, ChannelOffset: ebChannelOffset,
@@ -431,22 +431,22 @@ func (s *SDNStack) SetRouteHook(fn stack.RouteHook) { s.onParentChange = fn }
 // Probe implements stack.Node. The controller assigns a single parent per
 // node, so backup is always 0, like Orchestra.
 func (s *SDNStack) Probe() (parent, backup topology.NodeID, neighbors int) {
-	return s.parent, 0, len(s.rss)
+	return s.parent, 0, s.rss.Len()
 }
 
 // KnownReports exposes how many fresh node reports the controller holds
 // (0 on non-controller nodes).
-func (s *SDNStack) KnownReports() int { return len(s.reports) }
+func (s *SDNStack) KnownReports() int { return s.reports.Len() }
 
 // Reset implements mac.Resetter: full state loss, as after a reboot
 // without persistent storage. Configuration, identity and the telemetry
 // callback survive.
 func (s *SDNStack) Reset() {
 	s.synced = false
-	s.hops = nil
+	s.hops = link.Table[sdnHopsEntry]{}
 	s.uplink = 0
 	s.ownHops = sdnHopsUnknown
-	s.rss = nil
+	s.rss = link.Table[sdnRSSEntry]{}
 	s.nextMaintain = 0
 	s.nextReport = 0
 	s.cfgEpoch = 0
@@ -457,11 +457,11 @@ func (s *SDNStack) Reset() {
 	s.ctrlQ = nil
 	if s.controller() {
 		s.ownHops = 0
-		s.reports = make(map[topology.NodeID]sdnReportEntry)
+		s.reports = link.Table[sdnReportEntry]{}
 		s.epoch = 0
 		s.epochCount = 0
 		s.nextRecompute = 0
-		s.lastSent = make(map[topology.NodeID]sdnNodeConfig)
+		s.lastSent = link.Table[sdnNodeConfig]{}
 	}
 }
 
@@ -537,14 +537,14 @@ func (s *SDNStack) discoveryRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
 // maintain is the local bookkeeping tick.
 func (s *SDNStack) maintain(asn sim.ASN) {
 	stale := asn - sim.SlotsFor(s.cfg.NeighborStale)
-	for n, e := range s.hops {
-		if e.heard < stale {
-			delete(s.hops, n)
+	for i := s.hops.Len() - 1; i >= 0; i-- {
+		if s.hops.At(i).Val.heard < stale {
+			s.hops.DeleteAt(i)
 		}
 	}
-	for n, e := range s.rss {
-		if e.heard < stale {
-			delete(s.rss, n)
+	for i := s.rss.Len() - 1; i >= 0; i-- {
+		if s.rss.At(i).Val.heard < stale {
+			s.rss.DeleteAt(i)
 		}
 	}
 	// Recompute the report uplink: the freshest-gradient neighbor with
@@ -552,14 +552,16 @@ func (s *SDNStack) maintain(asn sim.ASN) {
 	// by an ID-salted key so different nodes spread over different relays
 	// instead of dogpiling the lowest-ID one.
 	if !s.controller() {
-		// The order is total — hops, then salt, then ID — so one walk of
-		// the map finds the same uplink whatever order it iterates in.
+		// The order is total — hops, then salt, then ID — so the uplink is
+		// a property of the table's contents, not of the order it is walked
+		// in.
 		best := topology.NodeID(0)
 		bestHops := uint8(sdnHopsUnknown)
 		salt := func(n topology.NodeID) int64 {
 			return (int64(n)*31 + int64(s.id)*7) % 97
 		}
-		for n, e := range s.hops {
+		for _, h := range s.hops.Entries() {
+			n, e := h.ID, h.Val
 			switch {
 			case best != 0 && e.hops > bestHops:
 			case best != 0 && e.hops == bestHops &&
@@ -587,16 +589,16 @@ func (s *SDNStack) maintain(asn sim.ASN) {
 // enqueueReport packages the strongest observed links into a report frame
 // headed for the controller via the gradient uplink.
 func (s *SDNStack) enqueueReport(asn sim.ASN) {
-	neigh := make([]SDNReportNeighbor, 0, len(s.rss))
-	for n, e := range s.rss {
-		neigh = append(neigh, SDNReportNeighbor{Node: n, RSS: e.rss})
+	neigh := make([]SDNReportNeighbor, 0, s.rss.Len())
+	for _, e := range s.rss.Entries() {
+		neigh = append(neigh, SDNReportNeighbor{Node: e.ID, RSS: e.Val.rss})
 	}
 	// Strongest first, ties to the lowest ID, capped.
-	sort.Slice(neigh, func(i, j int) bool {
-		if neigh[i].RSS != neigh[j].RSS {
-			return neigh[i].RSS > neigh[j].RSS
+	slices.SortFunc(neigh, func(a, b SDNReportNeighbor) int {
+		if a.RSS != b.RSS {
+			return cmp.Compare(b.RSS, a.RSS)
 		}
-		return neigh[i].Node < neigh[j].Node
+		return cmp.Compare(a.Node, b.Node)
 	})
 	if len(neigh) > s.cfg.MaxNeighborsReported {
 		neigh = neigh[:s.cfg.MaxNeighborsReported]
@@ -715,15 +717,9 @@ func (s *SDNStack) EBPayload() []byte {
 func (s *SDNStack) OnFrame(asn sim.ASN, f *sim.Frame, rssi float64) {
 	switch f.Kind {
 	case sim.KindEB:
-		if s.rss == nil {
-			s.rss = make(map[topology.NodeID]sdnRSSEntry)
-		}
-		s.rss[f.Src] = sdnRSSEntry{rss: rssi, heard: asn}
+		s.rss.Put(f.Src, sdnRSSEntry{rss: rssi, heard: asn})
 		if len(f.Payload) == 1 && f.Payload[0] != sdnHopsUnknown {
-			if s.hops == nil {
-				s.hops = make(map[topology.NodeID]sdnHopsEntry)
-			}
-			s.hops[f.Src] = sdnHopsEntry{hops: f.Payload[0], heard: asn}
+			s.hops.Put(f.Src, sdnHopsEntry{hops: f.Payload[0], heard: asn})
 		}
 	case sim.KindReport:
 		if f.Dst != s.id {
@@ -774,7 +770,7 @@ func (s *SDNStack) absorbReport(asn sim.ASN, f *sim.Frame) {
 	if err != nil {
 		return
 	}
-	s.reports[f.Origin] = sdnReportEntry{asn: asn, neigh: neigh}
+	s.reports.Put(f.Origin, sdnReportEntry{asn: asn, neigh: neigh})
 }
 
 // applyConfig installs a controller-pushed route/schedule assignment.
@@ -805,8 +801,8 @@ func (s *SDNStack) loseParent(asn sim.ASN) {
 	dead := s.parent
 	s.parent = 0
 	s.consecParentFails = 0
-	delete(s.rss, dead)
-	delete(s.hops, dead)
+	s.rss.Delete(dead)
+	s.hops.Delete(dead)
 	s.nextReport = asn // alarm: report at the next maintenance tick
 	s.nextMaintain = asn
 	if s.onParentChange != nil {

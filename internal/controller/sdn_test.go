@@ -1,7 +1,9 @@
 package controller
 
 import (
+	"cmp"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/digs-net/digs/internal/topology"
@@ -101,54 +103,42 @@ func TestEpochNewer(t *testing.T) {
 }
 
 // graphFromEdges builds the controller's adjacency view directly, the way
-// buildGraph would from symmetrized reports.
+// buildGraph does once it has symmetrized the reports.
 func graphFromEdges(edges map[[2]topology.NodeID]float64) *sdnGraph {
-	g := &sdnGraph{
-		adj:   make(map[topology.NodeID][]sdnGraphEdge),
-		index: make(map[topology.NodeID]struct{}),
-	}
-	add := func(n topology.NodeID) {
-		if _, ok := g.index[n]; !ok {
-			g.index[n] = struct{}{}
-			g.nodes = append(g.nodes, n)
-		}
-	}
+	var list []sdnEdge
 	for k, etx := range edges {
-		add(k[0])
-		add(k[1])
-		g.adj[k[0]] = append(g.adj[k[0]], sdnGraphEdge{peer: k[1], etx: etx})
-		g.adj[k[1]] = append(g.adj[k[1]], sdnGraphEdge{peer: k[0], etx: etx})
+		list = append(list, sdnEdge{a: k[0], b: k[1], w: etx})
 	}
-	for i := range g.nodes {
-		for j := i + 1; j < len(g.nodes); j++ {
-			if g.nodes[j] < g.nodes[i] {
-				g.nodes[i], g.nodes[j] = g.nodes[j], g.nodes[i]
-			}
+	slices.SortFunc(list, func(x, y sdnEdge) int {
+		if c := cmp.Compare(x.a, y.a); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.b, y.b)
+	})
+	return newSDNGraph(list)
+}
+
+// predecessors names the graph's predecessor positions by node ID.
+func predecessors(g *sdnGraph, prev []int) map[topology.NodeID]topology.NodeID {
+	out := map[topology.NodeID]topology.NodeID{}
+	for i, p := range prev {
+		if p >= 0 {
+			out[g.nodes[i]] = g.nodes[p]
 		}
 	}
-	for _, n := range g.nodes {
-		a := g.adj[n]
-		for i := range a {
-			for j := i + 1; j < len(a); j++ {
-				if a[j].peer < a[i].peer {
-					a[i], a[j] = a[j], a[i]
-				}
-			}
-		}
-	}
-	return g
+	return out
 }
 
 // TestShortestPathsDeterministic proves the controller's route computation
 // is a pure function of the graph: equal-cost ties break to the lower node
-// ID, and repeated runs return identical predecessor maps.
+// ID, and repeated runs return identical predecessors.
 func TestShortestPathsDeterministic(t *testing.T) {
 	// 1 is the sink. 4 can reach it through 2 or 3 at identical cost; the
 	// tie must break to 2 every time.
 	g := graphFromEdges(map[[2]topology.NodeID]float64{
 		{1, 2}: 1, {1, 3}: 1, {2, 4}: 1, {3, 4}: 1, {4, 5}: 2,
 	})
-	first := g.shortestPaths([]topology.NodeID{1})
+	first := predecessors(g, g.shortestPaths([]topology.NodeID{1}))
 	if first[4] != 2 {
 		t.Fatalf("tie-break: node 4's predecessor is %d, want 2", first[4])
 	}
@@ -156,7 +146,7 @@ func TestShortestPathsDeterministic(t *testing.T) {
 		t.Fatalf("tree shape wrong: %v", first)
 	}
 	for i := 0; i < 50; i++ {
-		if again := g.shortestPaths([]topology.NodeID{1}); !reflect.DeepEqual(again, first) {
+		if again := predecessors(g, g.shortestPaths([]topology.NodeID{1})); !reflect.DeepEqual(again, first) {
 			t.Fatalf("run %d diverged: %v vs %v", i, again, first)
 		}
 	}
@@ -166,16 +156,23 @@ func TestShortestPathsDeterministic(t *testing.T) {
 		{1, 2}: 1, {8, 9}: 1,
 	})
 	prev := g2.shortestPaths([]topology.NodeID{1})
-	if _, ok := prev[9]; ok {
+	pos := func(n topology.NodeID) int {
+		i, ok := g2.pos(n)
+		if !ok {
+			t.Fatalf("node %d not in the graph", n)
+		}
+		return i
+	}
+	if _, ok := predecessors(g2, prev)[9]; ok {
 		t.Fatal("disconnected node 9 got a predecessor")
 	}
-	if p := pathFrom(prev, 1, 9); p != nil {
+	if p := g2.pathFrom(prev, pos(1), pos(9)); p != nil {
 		t.Fatalf("pathFrom to unreachable node: %v", p)
 	}
-	if p := pathFrom(prev, 1, 2); len(p) != 1 || p[0] != 2 {
+	if p := g2.pathFrom(prev, pos(1), pos(2)); len(p) != 1 || p[0] != 2 {
 		t.Fatalf("pathFrom(1→2) = %v", p)
 	}
-	if p := pathFrom(prev, 1, 1); p == nil || len(p) != 0 {
+	if p := g2.pathFrom(prev, pos(1), pos(1)); p == nil || len(p) != 0 {
 		t.Fatalf("pathFrom to self = %v", p)
 	}
 }

@@ -2,8 +2,8 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 
+	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
@@ -48,7 +48,7 @@ type SDNSentState struct {
 }
 
 // SDNStackState is the complete mutable state of one SDN stack. The
-// child-cell map is not captured: applyConfig derives it from Children
+// child-cell table is not captured: applyConfig derives it from Children
 // deterministically, so the restore path recomputes it.
 type SDNStackState struct {
 	Synced  bool
@@ -97,21 +97,19 @@ func (s *SDNStack) CaptureState() (stack.State, error) {
 		EpochCount:        s.epochCount,
 		NextRecompute:     int64(s.nextRecompute),
 	}
-	st.HasHops = s.hops != nil
-	if len(s.hops) > 0 {
-		st.Hops = make([]SDNHopsState, 0, len(s.hops))
-		for n, e := range s.hops {
-			st.Hops = append(st.Hops, SDNHopsState{Node: n, Hops: e.hops, Heard: int64(e.heard)})
+	st.HasHops = !s.hops.Nil()
+	if s.hops.Len() > 0 {
+		st.Hops = make([]SDNHopsState, 0, s.hops.Len())
+		for _, e := range s.hops.Entries() {
+			st.Hops = append(st.Hops, SDNHopsState{Node: e.ID, Hops: e.Val.hops, Heard: int64(e.Val.heard)})
 		}
-		sort.Slice(st.Hops, func(i, j int) bool { return st.Hops[i].Node < st.Hops[j].Node })
 	}
-	st.HasRSS = s.rss != nil
-	if len(s.rss) > 0 {
-		st.RSS = make([]SDNRSSState, 0, len(s.rss))
-		for n, e := range s.rss {
-			st.RSS = append(st.RSS, SDNRSSState{Node: n, RSS: e.rss, Heard: int64(e.heard)})
+	st.HasRSS = !s.rss.Nil()
+	if s.rss.Len() > 0 {
+		st.RSS = make([]SDNRSSState, 0, s.rss.Len())
+		for _, e := range s.rss.Entries() {
+			st.RSS = append(st.RSS, SDNRSSState{Node: e.ID, RSS: e.Val.rss, Heard: int64(e.Val.heard)})
 		}
-		sort.Slice(st.RSS, func(i, j int) bool { return st.RSS[i].Node < st.RSS[j].Node })
 	}
 	for _, e := range s.ctrlQ {
 		st.CtrlQ = append(st.CtrlQ, SDNCtrlState{
@@ -120,20 +118,18 @@ func (s *SDNStack) CaptureState() (stack.State, error) {
 			NotBefore: int64(e.notBefore),
 		})
 	}
-	for n, e := range s.reports {
+	for _, e := range s.reports.Entries() {
 		st.Reports = append(st.Reports, SDNReportState{
-			Node: n, ASN: int64(e.asn),
-			Neigh: append([]SDNReportNeighbor(nil), e.neigh...),
+			Node: e.ID, ASN: int64(e.Val.asn),
+			Neigh: append([]SDNReportNeighbor(nil), e.Val.neigh...),
 		})
 	}
-	sort.Slice(st.Reports, func(i, j int) bool { return st.Reports[i].Node < st.Reports[j].Node })
-	for n, c := range s.lastSent {
+	for _, e := range s.lastSent.Entries() {
 		st.LastSent = append(st.LastSent, SDNSentState{
-			Node: n, Parent: c.parent,
-			Children: append([]topology.NodeID(nil), c.children...),
+			Node: e.ID, Parent: e.Val.parent,
+			Children: append([]topology.NodeID(nil), e.Val.children...),
 		})
 	}
-	sort.Slice(st.LastSent, func(i, j int) bool { return st.LastSent[i].Node < st.LastSent[j].Node })
 	return st, nil
 }
 
@@ -150,18 +146,18 @@ func (s *SDNStack) RestoreState(state stack.State) error {
 	s.synced = st.Synced
 	s.uplink = st.Uplink
 	s.ownHops = st.OwnHops
-	s.hops = nil
+	s.hops = link.Table[sdnHopsEntry]{}
 	if st.HasHops {
-		s.hops = make(map[topology.NodeID]sdnHopsEntry, len(st.Hops))
+		s.hops.Grow(len(st.Hops))
 		for _, e := range st.Hops {
-			s.hops[e.Node] = sdnHopsEntry{hops: e.Hops, heard: sim.ASN(e.Heard)}
+			s.hops.Put(e.Node, sdnHopsEntry{hops: e.Hops, heard: sim.ASN(e.Heard)})
 		}
 	}
-	s.rss = nil
+	s.rss = link.Table[sdnRSSEntry]{}
 	if st.HasRSS {
-		s.rss = make(map[topology.NodeID]sdnRSSEntry, len(st.RSS))
+		s.rss.Grow(len(st.RSS))
 		for _, e := range st.RSS {
-			s.rss[e.Node] = sdnRSSEntry{rss: e.RSS, heard: sim.ASN(e.Heard)}
+			s.rss.Put(e.Node, sdnRSSEntry{rss: e.RSS, heard: sim.ASN(e.Heard)})
 		}
 	}
 	s.nextMaintain = sim.ASN(st.NextMaintain)
@@ -181,22 +177,22 @@ func (s *SDNStack) RestoreState(state stack.State) error {
 		})
 	}
 	if s.controller() {
-		s.reports = make(map[topology.NodeID]sdnReportEntry, len(st.Reports))
+		s.reports = link.Table[sdnReportEntry]{}
 		for _, e := range st.Reports {
-			s.reports[e.Node] = sdnReportEntry{
+			s.reports.Put(e.Node, sdnReportEntry{
 				asn:   sim.ASN(e.ASN),
 				neigh: append([]SDNReportNeighbor(nil), e.Neigh...),
-			}
+			})
 		}
 		s.epoch = st.Epoch
 		s.epochCount = st.EpochCount
 		s.nextRecompute = sim.ASN(st.NextRecompute)
-		s.lastSent = make(map[topology.NodeID]sdnNodeConfig, len(st.LastSent))
+		s.lastSent = link.Table[sdnNodeConfig]{}
 		for _, e := range st.LastSent {
-			s.lastSent[e.Node] = sdnNodeConfig{
+			s.lastSent.Put(e.Node, sdnNodeConfig{
 				parent:   e.Parent,
 				children: append([]topology.NodeID(nil), e.Children...),
-			}
+			})
 		}
 	}
 	return nil
@@ -311,15 +307,12 @@ func (s *AdaptiveStack) CaptureState() (stack.State, error) {
 		FailsSinceTick: s.failsSinceTick,
 		SentSinceTick:  s.sentSinceTick,
 	}
-	st.HasNeighborCells = s.neighborCells != nil
-	if len(s.neighborCells) > 0 {
-		st.NeighborCells = make([]AdaptiveCellState, 0, len(s.neighborCells))
-		for n, c := range s.neighborCells {
-			st.NeighborCells = append(st.NeighborCells, AdaptiveCellState{Node: n, Cells: c})
+	st.HasNeighborCells = !s.neighborCells.Nil()
+	if s.neighborCells.Len() > 0 {
+		st.NeighborCells = make([]AdaptiveCellState, 0, s.neighborCells.Len())
+		for _, c := range s.neighborCells.Entries() {
+			st.NeighborCells = append(st.NeighborCells, AdaptiveCellState{Node: c.ID, Cells: c.Val})
 		}
-		sort.Slice(st.NeighborCells, func(i, j int) bool {
-			return st.NeighborCells[i].Node < st.NeighborCells[j].Node
-		})
 	}
 	return st, nil
 }
@@ -336,11 +329,11 @@ func (s *AdaptiveStack) RestoreState(state stack.State) error {
 	s.idleTicks = st.IdleTicks
 	s.failsSinceTick = st.FailsSinceTick
 	s.sentSinceTick = st.SentSinceTick
-	s.neighborCells = nil
+	s.neighborCells = link.Table[int]{}
 	if st.HasNeighborCells {
-		s.neighborCells = make(map[topology.NodeID]int, len(st.NeighborCells))
+		s.neighborCells.Grow(len(st.NeighborCells))
 		for _, c := range st.NeighborCells {
-			s.neighborCells[c.Node] = c.Cells
+			s.neighborCells.Put(c.Node, c.Cells)
 		}
 	}
 	return nil

@@ -122,7 +122,7 @@ func checkRouterInvariants(t *testing.T, r *Router, trial, step int) {
 		if parent == 0 {
 			continue
 		}
-		e, ok := r.neighbors[parent]
+		e, ok := r.neighbors.Get(parent)
 		if !ok {
 			t.Fatalf("trial %d step %d: parent %d not in neighbour table", trial, step, parent)
 		}

@@ -42,8 +42,8 @@ type Router struct {
 	etxaSecond float64
 
 	est       *link.Estimator
-	neighbors map[topology.NodeID]neighborEntry
-	children  map[topology.NodeID]childEntry
+	neighbors link.Table[neighborEntry]
+	children  link.Table[childEntry]
 
 	neighborTimeout sim.ASN
 	childTimeout    sim.ASN
@@ -89,8 +89,6 @@ func NewRouter(id topology.NodeID, isAP bool, neighborTimeout, childTimeout sim.
 		rank:            RankInfinity,
 		etxw:            math.Inf(1),
 		est:             link.NewEstimator(),
-		neighbors:       make(map[topology.NodeID]neighborEntry),
-		children:        make(map[topology.NodeID]childEntry),
 		neighborTimeout: neighborTimeout,
 		childTimeout:    childTimeout,
 		rankScale:       rankScale,
@@ -127,7 +125,7 @@ func (r *Router) Parents() (best, second topology.NodeID) { return r.best, r.sec
 func (r *Router) Joined() bool { return r.isAP || r.best != 0 }
 
 // Neighbors returns the current neighbor-table size.
-func (r *Router) Neighbors() int { return len(r.neighbors) }
+func (r *Router) Neighbors() int { return r.neighbors.Len() }
 
 // FirstParentAt returns when the node first acquired a best parent.
 func (r *Router) FirstParentAt() (sim.ASN, bool) { return r.firstParentAt, r.hasParentedAt }
@@ -138,9 +136,9 @@ func (r *Router) ParentChanges() int64 { return r.parentChanges }
 // Children returns the IDs of current children and the role this node
 // plays for each.
 func (r *Router) Children() map[topology.NodeID]ParentRole {
-	out := make(map[topology.NodeID]ParentRole, len(r.children))
-	for id, c := range r.children {
-		out[id] = c.role
+	out := make(map[topology.NodeID]ParentRole, r.children.Len())
+	for _, c := range r.children.Entries() {
+		out[c.ID] = c.Val.role
 	}
 	return out
 }
@@ -164,7 +162,7 @@ func (r *Router) Advertisement() (JoinIn, bool) {
 // parent changed (the caller resets Trickle and emits joined-callbacks).
 func (r *Router) OnJoinIn(asn sim.ASN, from topology.NodeID, j JoinIn, rssiDBm float64) bool {
 	r.est.Observe(from, rssiDBm)
-	r.neighbors[from] = neighborEntry{rank: j.Rank, etxw: j.ETXw, lastHeard: asn}
+	r.neighbors.Put(from, neighborEntry{rank: j.Rank, etxw: j.ETXw, lastHeard: asn})
 	if r.isAP {
 		return false
 	}
@@ -173,10 +171,10 @@ func (r *Router) OnJoinIn(asn sim.ASN, from topology.NodeID, j JoinIn, rssiDBm f
 
 // OnChildCallback records a joined-callback from a child.
 func (r *Router) OnChildCallback(asn sim.ASN, from topology.NodeID, cb JoinedCallback) {
-	if old, ok := r.children[from]; !ok || old.role != cb.Role {
+	if old, ok := r.children.Get(from); !ok || old.role != cb.Role {
 		r.childVersion++
 	}
-	r.children[from] = childEntry{role: cb.Role, lastHeard: asn}
+	r.children.Put(from, childEntry{role: cb.Role, lastHeard: asn})
 }
 
 // ChildVersion increments whenever the child set or roles change; schedule
@@ -185,9 +183,8 @@ func (r *Router) ChildVersion() int64 { return r.childVersion }
 
 // RefreshChild bumps a child's liveness on any traffic from it.
 func (r *Router) RefreshChild(asn sim.ASN, from topology.NodeID) {
-	if c, ok := r.children[from]; ok {
+	if c := r.children.Ptr(from); c != nil {
 		c.lastHeard = asn
-		r.children[from] = c
 	}
 }
 
@@ -216,15 +213,15 @@ func (r *Router) OnTxResult(asn sim.ASN, to topology.NodeID, acked bool) bool {
 // Maintain expires stale neighbours and children; call it periodically.
 // It returns true when parents changed as a result.
 func (r *Router) Maintain(asn sim.ASN) bool {
-	for id, n := range r.neighbors {
-		if asn-n.lastHeard > r.neighborTimeout {
-			delete(r.neighbors, id)
-			r.est.Forget(id)
+	for i := r.neighbors.Len() - 1; i >= 0; i-- {
+		if n := r.neighbors.At(i); asn-n.Val.lastHeard > r.neighborTimeout {
+			r.neighbors.DeleteAt(i)
+			r.est.Forget(n.ID)
 		}
 	}
-	for id, c := range r.children {
-		if asn-c.lastHeard > r.childTimeout {
-			delete(r.children, id)
+	for i := r.children.Len() - 1; i >= 0; i-- {
+		if asn-r.children.At(i).Val.lastHeard > r.childTimeout {
+			r.children.DeleteAt(i)
 			r.childVersion++
 		}
 	}
@@ -259,7 +256,8 @@ func (r *Router) reselect(asn sim.ASN) bool {
 
 	best := topology.NodeID(0)
 	bestETXa := math.Inf(1)
-	for id, e := range r.neighbors {
+	for _, n := range r.neighbors.Entries() {
+		id, e := n.ID, n.Val
 		if e.rank >= RankInfinity {
 			continue
 		}
@@ -269,8 +267,9 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		if r.rank < RankInfinity && e.rank >= r.rank {
 			continue
 		}
-		// Tie-break equal costs on the lower node ID: the winner must not
-		// depend on map iteration order, or identical seeds diverge.
+		// Equal costs go to the lower node ID. The table walks in ascending
+		// ID, so the first of them is kept; the rule is spelled out so that
+		// the choice is a property of the table's contents, not of the walk.
 		if a := r.accETX(id, e); a < bestETXa || (a == bestETXa && best != 0 && id < best) {
 			best, bestETXa = id, a
 		}
@@ -281,7 +280,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	// healthy links flap the primary route (and with it the children's
 	// listening schedules).
 	if oldBest != 0 && best != oldBest {
-		if e, ok := r.neighbors[oldBest]; ok && e.rank < RankInfinity && e.rank < r.rank {
+		if e, ok := r.neighbors.Get(oldBest); ok && e.rank < RankInfinity && e.rank < r.rank {
 			if a := r.accETX(oldBest, e); !math.IsInf(a, 1) && bestETXa > a-parentSwitchMargin {
 				best, bestETXa = oldBest, a
 			}
@@ -296,13 +295,15 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		return oldBest != 0 || oldSecond != 0
 	}
 
-	rank := r.neighbors[best].rank + r.rankIncrease(r.est.ETX(best))
-	if rank < r.neighbors[best].rank || rank >= RankInfinity {
+	parent, _ := r.neighbors.Get(best)
+	rank := parent.rank + r.rankIncrease(r.est.ETX(best))
+	if rank < parent.rank || rank >= RankInfinity {
 		rank = RankInfinity - 1 // saturate, never wrap
 	}
 	second := topology.NodeID(0)
 	secondETXa := math.Inf(1)
-	for id, e := range r.neighbors {
+	for _, n := range r.neighbors.Entries() {
+		id, e := n.ID, n.Val
 		if id == best || e.rank >= RankInfinity {
 			continue
 		}
@@ -317,7 +318,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	// joined-callback confirmation with the new parent, so flapping the
 	// backup role costs real attempt-3 coverage.
 	if oldSecond != 0 && second != oldSecond && oldSecond != best {
-		if e, ok := r.neighbors[oldSecond]; ok && e.rank < RankInfinity && e.rank < rank {
+		if e, ok := r.neighbors.Get(oldSecond); ok && e.rank < RankInfinity && e.rank < rank {
 			if a := r.accETX(oldSecond, e); !math.IsInf(a, 1) && secondETXa > a-parentSwitchMargin {
 				second, secondETXa = oldSecond, a
 			}

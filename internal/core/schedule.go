@@ -84,9 +84,9 @@ type appCell struct {
 
 // putCell records c at the offset. An offset already taken goes to the lower
 // child ID — so an own transmit cell (child 0) is never displaced by a
-// listen cell, and when two children's Eq. (4) cells collide the choice
-// cannot depend on the children map's iteration order — and, among a node's
-// own transmit cells, to the later attempt.
+// listen cell, and when two children's Eq. (4) cells collide the lower ID
+// keeps the cell whichever child is placed first — and, among a node's own
+// transmit cells, to the later attempt.
 func putCell(cells mac.Cells[appCell], offset int64, c appCell) mac.Cells[appCell] {
 	if old, taken := cells.At(offset); taken && c.child > old.child {
 		return cells
@@ -172,7 +172,8 @@ func (s *scheduler) appCells() mac.Cells[appCell] {
 			claim(s.id, p, appCell{attempt: p})
 		}
 	}
-	for child, c := range s.router.children {
+	for _, e := range s.router.children.Entries() {
+		child, c := e.ID, e.Val
 		switch c.role {
 		case RoleBestParent:
 			for p := 1; p < cfg.Attempts; p++ {

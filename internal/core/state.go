@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/stack"
@@ -72,8 +71,8 @@ type StackState struct {
 	FallbackParent  topology.NodeID
 }
 
-// CaptureState snapshots the router, with tables sorted for a stable wire
-// form.
+// CaptureState snapshots the router. The tables are captured in their own
+// ascending-ID order, which is the wire form's.
 func (r *Router) CaptureState() RouterState {
 	st := RouterState{
 		Rank:          r.rank,
@@ -88,21 +87,19 @@ func (r *Router) CaptureState() RouterState {
 		ParentChanges: r.parentChanges,
 		ChildVersion:  r.childVersion,
 	}
-	if len(r.neighbors) > 0 {
-		st.Neighbors = make([]NeighborState, 0, len(r.neighbors))
-		for id, e := range r.neighbors {
-			st.Neighbors = append(st.Neighbors, NeighborState{Node: id, Rank: e.rank,
-				ETXw: e.etxw, LastHeard: e.lastHeard})
+	if r.neighbors.Len() > 0 {
+		st.Neighbors = make([]NeighborState, 0, r.neighbors.Len())
+		for _, e := range r.neighbors.Entries() {
+			st.Neighbors = append(st.Neighbors, NeighborState{Node: e.ID, Rank: e.Val.rank,
+				ETXw: e.Val.etxw, LastHeard: e.Val.lastHeard})
 		}
-		sort.Slice(st.Neighbors, func(i, j int) bool { return st.Neighbors[i].Node < st.Neighbors[j].Node })
 	}
-	if len(r.children) > 0 {
-		st.Children = make([]ChildState, 0, len(r.children))
-		for id, c := range r.children {
-			st.Children = append(st.Children, ChildState{Node: id, Role: uint8(c.role),
-				LastHeard: c.lastHeard})
+	if r.children.Len() > 0 {
+		st.Children = make([]ChildState, 0, r.children.Len())
+		for _, c := range r.children.Entries() {
+			st.Children = append(st.Children, ChildState{Node: c.ID, Role: uint8(c.Val.role),
+				LastHeard: c.Val.lastHeard})
 		}
-		sort.Slice(st.Children, func(i, j int) bool { return st.Children[i].Node < st.Children[j].Node })
 	}
 	return st
 }
@@ -117,13 +114,15 @@ func (r *Router) RestoreState(st RouterState) {
 	r.etxaBest = st.ETXaBest
 	r.etxaSecond = st.ETXaSecond
 	r.est.RestoreState(st.Links)
-	r.neighbors = make(map[topology.NodeID]neighborEntry, len(st.Neighbors))
+	r.neighbors = link.Table[neighborEntry]{}
+	r.neighbors.Grow(len(st.Neighbors))
 	for _, e := range st.Neighbors {
-		r.neighbors[e.Node] = neighborEntry{rank: e.Rank, etxw: e.ETXw, lastHeard: e.LastHeard}
+		r.neighbors.Put(e.Node, neighborEntry{rank: e.Rank, etxw: e.ETXw, lastHeard: e.LastHeard})
 	}
-	r.children = make(map[topology.NodeID]childEntry, len(st.Children))
+	r.children = link.Table[childEntry]{}
+	r.children.Grow(len(st.Children))
 	for _, c := range st.Children {
-		r.children[c.Node] = childEntry{role: ParentRole(c.Role), lastHeard: c.LastHeard}
+		r.children.Put(c.Node, childEntry{role: ParentRole(c.Role), lastHeard: c.LastHeard})
 	}
 	r.firstParentAt = st.FirstParentAt
 	r.hasParentedAt = st.HasParentedAt

@@ -51,12 +51,20 @@ func (p placement) PowerAtDBm(node topology.NodeID) float64 {
 	return p.topo.RSS(p.at, node) + (p.txPowerDBm - p.topo.TxPowerDBm)
 }
 
+// channelSet is a set of 802.15.4 channels, one bit per channel number:
+// ActiveOn probes it on every query, so membership is a shift and a mask.
+type channelSet uint32
+
+// has reports whether the channel is in the set; a channel number past
+// the set's bits is not.
+func (s channelSet) has(ch phy.Channel) bool { return s&(1<<ch) != 0 }
+
 // WiFiJammer emulates JamLab's "WiFi data streaming" regeneration mode: a
 // 20 MHz 802.11 transmitter blanketing four adjacent 802.15.4 channels with
 // bursty traffic at streaming duty cycle.
 type WiFiJammer struct {
 	placement
-	channels  map[phy.Channel]bool
+	channels  channelSet
 	dutyCycle float64
 	seed      uint64
 }
@@ -66,9 +74,9 @@ var _ sim.Interferer = (*WiFiJammer)(nil)
 // NewWiFiJammer places a WiFi-streaming jammer at the given node, occupying
 // the 802.15.4 channels overlapped by the given WiFi channel (1, 6 or 11).
 func NewWiFiJammer(topo *topology.Topology, at topology.NodeID, wifiChannel int, seed int64) *WiFiJammer {
-	chs := make(map[phy.Channel]bool)
+	var chs channelSet
 	for _, c := range phy.WiFiOverlap(wifiChannel) {
-		chs[c] = true
+		chs |= 1 << c
 	}
 	return &WiFiJammer{
 		placement: placement{topo: topo, at: at, txPowerDBm: -7},
@@ -84,7 +92,7 @@ func NewWiFiJammer(topo *topology.Topology, at topology.NodeID, wifiChannel int,
 // an on-burst most slots carry WiFi frames; bursts alternate with short
 // idle gaps (rate adaptation, inter-frame spacing).
 func (j *WiFiJammer) ActiveOn(asn sim.ASN, ch phy.Channel) bool {
-	if !j.channels[ch] {
+	if !j.channels.has(ch) {
 		return false
 	}
 	// 300-slot (3 s) macro bursts with 85% on-phase, then per-slot duty.
@@ -129,7 +137,7 @@ type CoojaDisturber struct {
 	placement
 	periodSlots int64
 	phase       int64
-	channels    map[phy.Channel]bool
+	channels    channelSet
 }
 
 var _ sim.Interferer = (*CoojaDisturber)(nil)
@@ -139,10 +147,10 @@ var _ sim.Interferer = (*CoojaDisturber)(nil)
 // disturbers so they do not all toggle in the same slot, and shifts each
 // disturber's channel block.
 func NewCoojaDisturber(topo *topology.Topology, at topology.NodeID, phase int) *CoojaDisturber {
-	chs := make(map[phy.Channel]bool, 4)
+	var chs channelSet
 	first := phy.Channel(phy.FirstChannel + (phase*4)%(phy.NumChannels-3))
 	for c := first; c < first+4 && c <= phy.LastChannel; c++ {
-		chs[c] = true
+		chs |= 1 << c
 	}
 	return &CoojaDisturber{
 		placement:   placement{topo: topo, at: at, txPowerDBm: topo.TxPowerDBm + 3},
@@ -154,7 +162,7 @@ func NewCoojaDisturber(topo *topology.Topology, at topology.NodeID, phase int) *
 
 // ActiveOn implements sim.Interferer.
 func (d *CoojaDisturber) ActiveOn(asn sim.ASN, ch phy.Channel) bool {
-	if !d.channels[ch] {
+	if !d.channels.has(ch) {
 		return false
 	}
 	return ((asn+d.phase)/d.periodSlots)%2 == 0

@@ -1,6 +1,7 @@
 package interference
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -266,5 +267,36 @@ func TestWindowGatesInterferer(t *testing.T) {
 	}
 	if w.PowerAtDBm(10) != j.PowerAtDBm(10) {
 		t.Fatal("window changed the power model")
+	}
+}
+
+// TestChannelSetsMatchMapReference holds the jammers' channel bitmasks to
+// the channel maps they replaced, built the same way, on every value a
+// phy.Channel can take: each WiFi channel's overlap, and each disturber
+// phase's four-channel block.
+func TestChannelSetsMatchMapReference(t *testing.T) {
+	topo := topology.TestbedA()
+	same := func(what string, got channelSet, want map[phy.Channel]bool) {
+		t.Helper()
+		for ch := 0; ch < 256; ch++ {
+			if got.has(phy.Channel(ch)) != want[phy.Channel(ch)] {
+				t.Fatalf("%s: channel %d in the set %v, in the map %v", what, ch, got.has(phy.Channel(ch)), want[phy.Channel(ch)])
+			}
+		}
+	}
+	for wifi := 1; wifi <= 13; wifi++ {
+		want := map[phy.Channel]bool{}
+		for _, c := range phy.WiFiOverlap(wifi) {
+			want[c] = true
+		}
+		same("WiFi channel "+strconv.Itoa(wifi), NewWiFiJammer(topo, 10, wifi, 1).channels, want)
+	}
+	for phase := -3; phase <= 20; phase++ {
+		want := map[phy.Channel]bool{}
+		first := phy.Channel(phy.FirstChannel + (phase*4)%(phy.NumChannels-3))
+		for c := first; c < first+4 && c <= phy.LastChannel; c++ {
+			want[c] = true
+		}
+		same("disturber phase "+strconv.Itoa(phase), NewCoojaDisturber(topo, 10, phase).channels, want)
 	}
 }

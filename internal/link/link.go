@@ -128,7 +128,7 @@ type linkState struct {
 // Estimator tracks the ETX of every neighbour a node has heard from.
 // The zero value is not usable; create one with NewEstimator.
 type Estimator struct {
-	links   map[topology.NodeID]linkState
+	links   Table[linkState]
 	profile Profile
 }
 
@@ -141,10 +141,7 @@ func NewEstimator() *Estimator {
 // NewEstimatorWithProfile returns an empty estimator with the given
 // reaction profile.
 func NewEstimatorWithProfile(p Profile) *Estimator {
-	return &Estimator{
-		links:   make(map[topology.NodeID]linkState),
-		profile: p,
-	}
+	return &Estimator{profile: p}
 }
 
 // Observe records a frame heard from the neighbour at the given RSS.
@@ -154,11 +151,10 @@ func NewEstimatorWithProfile(p Profile) *Estimator {
 // declared dead resurrects it pessimistically (the link may only be
 // intermittently alive).
 func (e *Estimator) Observe(n topology.NodeID, rssDBm float64) {
-	s, ok := e.links[n]
+	s := e.links.Ptr(n)
 	switch {
-	case !ok:
-		e.links[n] = linkState{etx: e.profile.Seed(rssDBm), rssAvg: rssDBm}
-		return
+	case s == nil:
+		e.links.Put(n, linkState{etx: e.profile.Seed(rssDBm), rssAvg: rssDBm})
 	case s.etx >= phy.ETXUnreachable:
 		s.rssAvg = (1-rssAlpha)*s.rssAvg + rssAlpha*rssDBm
 		s.resurrectCount++
@@ -176,7 +172,6 @@ func (e *Estimator) Observe(n topology.NodeID, rssDBm float64) {
 			s.etx = e.profile.Seed(s.rssAvg)
 		}
 	}
-	e.links[n] = s
 }
 
 // TxResult folds one unicast transmission outcome into the neighbour's
@@ -184,8 +179,8 @@ func (e *Estimator) Observe(n topology.NodeID, rssDBm float64) {
 // neighbour we have not first heard from). DeadThreshold consecutive
 // failures pin the estimate to unreachable.
 func (e *Estimator) TxResult(n topology.NodeID, acked bool) {
-	s, ok := e.links[n]
-	if !ok {
+	s := e.links.Ptr(n)
+	if s == nil {
 		return
 	}
 	s.txSeen = true
@@ -209,13 +204,12 @@ func (e *Estimator) TxResult(n topology.NodeID, acked bool) {
 	if s.etx < 1 {
 		s.etx = 1
 	}
-	e.links[n] = s
 }
 
 // ETX returns the neighbour's current estimate. Neighbours never heard
 // from report phy.ETXUnreachable.
 func (e *Estimator) ETX(n topology.NodeID) float64 {
-	if s, ok := e.links[n]; ok {
+	if s, ok := e.links.Get(n); ok {
 		return s.etx
 	}
 	return phy.ETXUnreachable
@@ -223,20 +217,20 @@ func (e *Estimator) ETX(n topology.NodeID) float64 {
 
 // Known reports whether the neighbour has been heard from.
 func (e *Estimator) Known(n topology.NodeID) bool {
-	_, ok := e.links[n]
+	_, ok := e.links.Get(n)
 	return ok
 }
 
 // Forget drops a neighbour (used when a parent is declared dead).
 func (e *Estimator) Forget(n topology.NodeID) {
-	delete(e.links, n)
+	e.links.Delete(n)
 }
 
-// Neighbors returns the IDs of all known neighbours, in unspecified order.
+// Neighbors returns the IDs of all known neighbours, in ascending order.
 func (e *Estimator) Neighbors() []topology.NodeID {
-	out := make([]topology.NodeID, 0, len(e.links))
-	for n := range e.links {
-		out = append(out, n)
+	out := make([]topology.NodeID, 0, e.links.Len())
+	for _, l := range e.links.Entries() {
+		out = append(out, l.ID)
 	}
 	return out
 }

@@ -1,10 +1,8 @@
 package link
 
 import (
-	"github.com/digs-net/digs/internal/wire"
-	"sort"
-
 	"github.com/digs-net/digs/internal/topology"
+	"github.com/digs-net/digs/internal/wire"
 )
 
 // LinkState is one neighbour's estimator entry as plain old data.
@@ -17,28 +15,29 @@ type LinkState struct {
 	ResurrectCount int
 }
 
-// CaptureState returns every neighbour entry, sorted by node ID so the
-// wire form is stable across runs. The reaction profile is
-// construction-time configuration and not part of the state.
+// CaptureState returns every neighbour entry in ascending node ID, the
+// table's own order. The reaction profile is construction-time
+// configuration and not part of the state.
 func (e *Estimator) CaptureState() []LinkState {
-	if len(e.links) == 0 {
+	if e.links.Len() == 0 {
 		return nil
 	}
-	out := make([]LinkState, 0, len(e.links))
-	for id, s := range e.links {
-		out = append(out, LinkState{Node: id, ETX: s.etx, RSSAvg: s.rssAvg,
+	out := make([]LinkState, 0, e.links.Len())
+	for _, l := range e.links.Entries() {
+		s := l.Val
+		out = append(out, LinkState{Node: l.ID, ETX: s.etx, RSSAvg: s.rssAvg,
 			ConsecFails: s.consecFails, TxSeen: s.txSeen, ResurrectCount: s.resurrectCount})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
 	return out
 }
 
 // RestoreState replaces the neighbour table with the captured entries.
 func (e *Estimator) RestoreState(entries []LinkState) {
-	e.links = make(map[topology.NodeID]linkState, len(entries))
+	e.links = Table[linkState]{}
+	e.links.Grow(len(entries))
 	for _, s := range entries {
-		e.links[s.Node] = linkState{etx: s.ETX, rssAvg: s.RSSAvg,
-			consecFails: s.ConsecFails, txSeen: s.TxSeen, resurrectCount: s.ResurrectCount}
+		e.links.Put(s.Node, linkState{etx: s.ETX, rssAvg: s.RSSAvg,
+			consecFails: s.ConsecFails, txSeen: s.TxSeen, resurrectCount: s.ResurrectCount})
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/phy"
@@ -73,7 +72,7 @@ type Router struct {
 	parent  topology.NodeID
 
 	est       *link.Estimator
-	neighbors map[topology.NodeID]neighborEntry
+	neighbors link.Table[neighborEntry]
 
 	neighborTimeout sim.ASN
 
@@ -107,7 +106,6 @@ func NewRouter(id topology.NodeID, isRoot bool, neighborTimeout sim.ASN, rankSca
 		// to failures much more slowly than DiGS's prescribed penalties,
 		// which is the root of its long repair times (paper Section IV).
 		est:             link.NewEstimatorWithProfile(link.ConservativeProfile()),
-		neighbors:       make(map[topology.NodeID]neighborEntry),
 		neighborTimeout: neighborTimeout,
 		rankScale:       rankScale,
 	}
@@ -140,7 +138,7 @@ func (r *Router) Parent() topology.NodeID { return r.parent }
 func (r *Router) Joined() bool { return r.isRoot || r.parent != 0 }
 
 // Neighbors returns the current neighbor-table size.
-func (r *Router) Neighbors() int { return len(r.neighbors) }
+func (r *Router) Neighbors() int { return r.neighbors.Len() }
 
 // FirstParentAt returns when the node first acquired a parent.
 func (r *Router) FirstParentAt() (sim.ASN, bool) { return r.firstParentAt, r.hasParentedAt }
@@ -149,21 +147,18 @@ func (r *Router) FirstParentAt() (sim.ASN, bool) { return r.firstParentAt, r.has
 func (r *Router) ParentChanges() int64 { return r.parentChanges }
 
 // PotentialChildren returns the neighbours advertising a rank above this
-// node's own — the set that may route through it. Orchestra's sender-based
-// schedule listens in these nodes' transmit cells.
+// node's own — the set that may route through it — in ascending ID, the
+// order in which Orchestra's sender-based schedule places their cells.
 func (r *Router) PotentialChildren() []topology.NodeID {
 	if r.rank >= RankInfinity {
 		return nil
 	}
 	var out []topology.NodeID
-	for id, e := range r.neighbors {
-		if e.rank > r.rank && e.rank < RankInfinity {
-			out = append(out, id)
+	for _, e := range r.neighbors.Entries() {
+		if e.Val.rank > r.rank && e.Val.rank < RankInfinity {
+			out = append(out, e.ID)
 		}
 	}
-	// Sorted order keeps downstream consumers (Orchestra's sender-cell
-	// table) independent of map iteration order.
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -184,7 +179,7 @@ func (r *Router) Observe(from topology.NodeID, rssiDBm float64) {
 // the preferred parent. It returns true when the parent changed.
 func (r *Router) OnDIO(asn sim.ASN, from topology.NodeID, d DIO, rssiDBm float64) bool {
 	r.est.Observe(from, rssiDBm)
-	r.neighbors[from] = neighborEntry{rank: d.Rank, pathETX: d.PathETX, lastHeard: asn}
+	r.neighbors.Put(from, neighborEntry{rank: d.Rank, pathETX: d.PathETX, lastHeard: asn})
 	if r.isRoot {
 		return false
 	}
@@ -203,10 +198,10 @@ func (r *Router) OnTxResult(asn sim.ASN, to topology.NodeID, acked bool) bool {
 
 // Maintain expires stale neighbours; returns true when the parent changed.
 func (r *Router) Maintain(asn sim.ASN) bool {
-	for id, n := range r.neighbors {
-		if asn-n.lastHeard > r.neighborTimeout {
-			delete(r.neighbors, id)
-			r.est.Forget(id)
+	for i := r.neighbors.Len() - 1; i >= 0; i-- {
+		if n := r.neighbors.At(i); asn-n.Val.lastHeard > r.neighborTimeout {
+			r.neighbors.DeleteAt(i)
+			r.est.Forget(n.ID)
 		}
 	}
 	if r.isRoot {
@@ -232,7 +227,8 @@ func (r *Router) reselect(asn sim.ASN) bool {
 
 	best := topology.NodeID(0)
 	bestCost := math.Inf(1)
-	for id, e := range r.neighbors {
+	for _, n := range r.neighbors.Entries() {
+		id, e := n.ID, n.Val
 		if e.rank >= RankInfinity {
 			continue
 		}
@@ -241,15 +237,16 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		if r.rank < RankInfinity && e.rank >= r.rank {
 			continue
 		}
-		// Tie-break equal costs on the lower node ID: the winner must not
-		// depend on map iteration order, or identical seeds diverge.
+		// Equal costs go to the lower node ID. The table walks in ascending
+		// ID, so the first of them is kept; the rule is spelled out so that
+		// the choice is a property of the table's contents, not of the walk.
 		if c := r.cost(id, e); c < bestCost || (c == bestCost && best != 0 && id < best) {
 			best, bestCost = id, c
 		}
 	}
 
 	if oldParent != 0 && best != oldParent {
-		if e, ok := r.neighbors[oldParent]; ok && e.rank < RankInfinity && e.rank < r.rank {
+		if e, ok := r.neighbors.Get(oldParent); ok && e.rank < RankInfinity && e.rank < r.rank {
 			if c := r.cost(oldParent, e); !math.IsInf(c, 1) && bestCost > c-parentSwitchMargin {
 				best, bestCost = oldParent, c
 			}
@@ -264,8 +261,9 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	}
 
 	r.parent = best
-	rank := r.neighbors[best].rank + r.rankIncrease(r.est.ETX(best))
-	if rank < r.neighbors[best].rank || rank >= RankInfinity {
+	parent, _ := r.neighbors.Get(best)
+	rank := parent.rank + r.rankIncrease(r.est.ETX(best))
+	if rank < parent.rank || rank >= RankInfinity {
 		rank = RankInfinity - 1 // saturate, never wrap
 	}
 	r.rank = rank

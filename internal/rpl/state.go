@@ -1,8 +1,6 @@
 package rpl
 
 import (
-	"sort"
-
 	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/topology"
@@ -30,8 +28,8 @@ type RouterState struct {
 	ParentChanges int64
 }
 
-// CaptureState snapshots the router, with the neighbour table sorted for a
-// stable wire form.
+// CaptureState snapshots the router. The neighbour table is captured in its
+// own ascending-ID order, which is the wire form's.
 func (r *Router) CaptureState() RouterState {
 	st := RouterState{
 		Rank:          r.rank,
@@ -42,13 +40,12 @@ func (r *Router) CaptureState() RouterState {
 		HasParentedAt: r.hasParentedAt,
 		ParentChanges: r.parentChanges,
 	}
-	if len(r.neighbors) > 0 {
-		st.Neighbors = make([]NeighborState, 0, len(r.neighbors))
-		for id, e := range r.neighbors {
-			st.Neighbors = append(st.Neighbors, NeighborState{Node: id, Rank: e.rank,
-				PathETX: e.pathETX, LastHeard: e.lastHeard})
+	if r.neighbors.Len() > 0 {
+		st.Neighbors = make([]NeighborState, 0, r.neighbors.Len())
+		for _, e := range r.neighbors.Entries() {
+			st.Neighbors = append(st.Neighbors, NeighborState{Node: e.ID, Rank: e.Val.rank,
+				PathETX: e.Val.pathETX, LastHeard: e.Val.lastHeard})
 		}
-		sort.Slice(st.Neighbors, func(i, j int) bool { return st.Neighbors[i].Node < st.Neighbors[j].Node })
 	}
 	return st
 }
@@ -60,9 +57,10 @@ func (r *Router) RestoreState(st RouterState) {
 	r.pathETX = st.PathETX
 	r.parent = st.Parent
 	r.est.RestoreState(st.Links)
-	r.neighbors = make(map[topology.NodeID]neighborEntry, len(st.Neighbors))
+	r.neighbors = link.Table[neighborEntry]{}
+	r.neighbors.Grow(len(st.Neighbors))
 	for _, e := range st.Neighbors {
-		r.neighbors[e.Node] = neighborEntry{rank: e.Rank, pathETX: e.PathETX, lastHeard: e.LastHeard}
+		r.neighbors.Put(e.Node, neighborEntry{rank: e.Rank, pathETX: e.PathETX, lastHeard: e.LastHeard})
 	}
 	r.firstParentAt = st.FirstParentAt
 	r.hasParentedAt = st.HasParentedAt
