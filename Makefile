@@ -116,24 +116,26 @@ cache-smoke:
 ## the whole schedule up front, which is exactly the scaling limit the
 ## paper's distributed approach removes. The slot loop's own tests on
 ## both media and the properties its shortcuts rest on (every stack's
-## NextActive against its own Assignment, nap ≡ no-nap from a cold start,
-## the transmitter-driven gather's hearing lists against the listeners'
-## row scans and the wake wheel against the heap it replaced, standing
-## scans through rouses, drift, crashes and captures, the closed-form
-## accrual, the DiGS cell table against the router, the cached noise floor
-## against the per-call formula, the loop's own counts, the sparse
-## metrics/trace/event-order pins, dense results pinned before the dense
-## medium could nap, the one-goroutine guard, the shared shadowing memo,
-## the ascending-ID neighbour table against a map and its zero-allocation
-## pins, the DiGS and RPL parent choice, the sdn controller's graph,
-## paths and configurations and the jammers' channel bitmasks against
-## their map-based references, and the guard that keeps map-typed fields
-## off the stacks' slot path) run
-## race-enabled first: one goroutine steps a network, but concurrent
+## NextActive against its own Assignment, the written-out schedules of the
+## RPL node, adaptive and sdn against the per-frame combination they were
+## written out from, nap ≡ no-nap from a cold start, the
+## transmitter-driven gather's hearing lists against the listeners' row
+## scans and the wake wheel against the heap it replaced, standing scans
+## through rouses, drift, crashes and captures, the closed-form accrual,
+## the DiGS cell table against the router, the cached noise floor and the
+## PRR saturation shortcut against the per-call formulas, the loop's own
+## counts, the sparse metrics/trace/event-order pins, dense results pinned
+## before the dense medium could nap, the one-goroutine guard, the shared
+## shadowing memo, the ascending-ID neighbour table against a map and its
+## zero-allocation pins, the DiGS and RPL parent choice, the sdn
+## controller's graph, paths and configurations and the jammers' channel
+## bitmasks against their map-based references, and the guard that keeps
+## map-typed fields off the stacks' slot path) run race-enabled first:
+## one goroutine steps a network, but concurrent
 ## builds share the shadowing memo, and a race there must fail here, not
 ## as a benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields' \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|PRRSaturated|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields' \
 		./internal/sim ./internal/core ./internal/mac ./internal/phy ./internal/rpl ./internal/orchestra \
 		./internal/whart ./internal/controller ./internal/topology ./internal/scenario \
 		./internal/link ./internal/interference

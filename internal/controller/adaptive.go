@@ -147,12 +147,25 @@ func NewAdaptiveStack(id topology.NodeID, isRoot bool, cfg AdaptiveConfig, seed 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &AdaptiveStack{cfg: cfg, txCells: cfg.MinCells}
-	var err error
-	if s.Node, err = rpl.NewNode(id, isRoot, cfg.node(), seed, s.dataRole); err != nil {
+	n, err := rpl.NewNode(id, isRoot, cfg.node(), seed)
+	if err != nil {
 		return nil, fmt.Errorf("adaptive stack %d: %w", id, err)
 	}
+	s := &AdaptiveStack{Node: n, cfg: cfg}
+	s.setTxCells(cfg.MinCells)
 	return s, nil
+}
+
+// setTxCells sets the transmit-cell budget and hands the node the budget's
+// cells: sender-based, the budget is the node's own to grow.
+func (s *AdaptiveStack) setTxCells(k int) {
+	s.txCells = k
+	var buf [8]int64
+	cells := buf[:0]
+	for j := 0; j < k; j++ {
+		cells = append(cells, adaptiveCellSlot(s.ID(), j, s.cfg.DataFrameLen))
+	}
+	s.SetTxCells(cells...)
 }
 
 // TxCells exposes the current transmit-cell budget for tests and probes.
@@ -163,27 +176,11 @@ func (s *AdaptiveStack) TxCells() int { return s.txCells }
 // survive, like the other stacks.
 func (s *AdaptiveStack) Reset() {
 	s.Node.Reset()
-	s.txCells = s.cfg.MinCells
+	s.setTxCells(s.cfg.MinCells)
 	s.idleTicks = 0
 	s.failsSinceTick = 0
 	s.sentSinceTick = 0
 	s.neighborCells = link.Table[int]{}
-}
-
-// dataRole: transmit in our own cells (sender-based — the cell budget is
-// ours to grow), listen in every potential child's advertised cells.
-func (s *AdaptiveStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if s.Router().Parent() != 0 {
-		for j := 0; j < s.txCells; j++ {
-			if offset == adaptiveCellSlot(s.ID(), j, s.cfg.DataFrameLen) {
-				return mac.RoleTxData, 1
-			}
-		}
-	}
-	if s.ListensAt(offset) {
-		return mac.RoleRxData, 0
-	}
-	return mac.RoleSleep, 0
 }
 
 // refreshChildCells mirrors each potential child's advertised cell count
@@ -199,19 +196,6 @@ func (s *AdaptiveStack) refreshChildCells() {
 	}
 }
 
-// NextActive implements mac.Protocol: the control plane's cells and timers
-// (the maintenance tick is where adapt runs), and the node's txCells
-// transmit cells once it has a parent, whether or not anything is queued.
-func (s *AdaptiveStack) NextActive(after sim.ASN) sim.ASN {
-	w := s.Node.NextActive(after)
-	if s.Router().Parent() != 0 {
-		for j := 0; j < s.txCells; j++ {
-			w = min(w, mac.NextOffset(after, s.cfg.DataFrameLen, adaptiveCellSlot(s.ID(), j, s.cfg.DataFrameLen)))
-		}
-	}
-	return w
-}
-
 // adapt is the allocator: grow under queue pressure or loss, shed after
 // sustained idleness. A change re-advertises promptly via a Trickle reset
 // so the parent's listen cells track the new budget.
@@ -220,27 +204,26 @@ func (s *AdaptiveStack) adapt(asn sim.ASN) {
 	if s.queueLen != nil {
 		q = s.queueLen()
 	}
-	changed := false
+	k := s.txCells
 	switch {
 	case q >= s.cfg.GrowQueue || s.failsSinceTick >= s.cfg.GrowFails:
-		if s.txCells < s.cfg.MaxCells {
-			s.txCells++
-			changed = true
+		if k < s.cfg.MaxCells {
+			k++
 		}
 		s.idleTicks = 0
 	case q == 0 && s.sentSinceTick == 0:
 		s.idleTicks++
-		if s.idleTicks >= s.cfg.ShrinkIdle && s.txCells > s.cfg.MinCells {
-			s.txCells--
+		if s.idleTicks >= s.cfg.ShrinkIdle && k > s.cfg.MinCells {
+			k--
 			s.idleTicks = 0
-			changed = true
 		}
 	default:
 		s.idleTicks = 0
 	}
 	s.failsSinceTick = 0
 	s.sentSinceTick = 0
-	if changed {
+	if k != s.txCells {
+		s.setTxCells(k)
 		s.Readvertise(asn)
 	}
 }

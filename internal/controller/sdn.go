@@ -160,24 +160,20 @@ func (s *SDNStack) ctrlCellTo(dst topology.NodeID) int64 {
 	return (base + j*17) % s.cfg.CtrlFrameLen
 }
 
-// ownCtrlCells is how many receive cells this node owns in the control
-// slotframe, the j-th at stride 17*j from its base cell.
-func (s *SDNStack) ownCtrlCells() int64 {
+// ownCtrlCells returns this node's receive cells in the control slotframe:
+// one, or ControllerCells on the controller, the j-th at stride 17*j from
+// its base cell.
+func (s *SDNStack) ownCtrlCells() []int64 {
+	n := int64(1)
 	if s.controller() {
-		return int64(s.cfg.ControllerCells)
+		n = int64(s.cfg.ControllerCells)
 	}
-	return 1
-}
-
-// ownCtrlCell reports whether offset is one of this node's receive cells.
-func (s *SDNStack) ownCtrlCell(offset int64) bool {
 	base := sdnCell(s.id, s.cfg.CtrlFrameLen)
-	for j := int64(0); j < s.ownCtrlCells(); j++ {
-		if offset == (base+j*17)%s.cfg.CtrlFrameLen {
-			return true
-		}
+	cells := make([]int64, n)
+	for j := range cells {
+		cells[j] = (base + int64(j)*17) % s.cfg.CtrlFrameLen
 	}
-	return false
+	return cells
 }
 
 // sdnHopsUnknown marks a node that has no path-to-controller estimate yet.
@@ -319,7 +315,12 @@ type SDNStack struct {
 	roster       int               // topology node count (provisioned, like the controller address)
 	aps          []topology.NodeID // sink set, sorted (provisioned)
 	cfg          SDNConfig
-	combiner     *mac.Combiner
+
+	// The node's own cells, fixed at build: its beacon offset, its control
+	// receive cells and its data cell.
+	ownEB   int64
+	ctrlRx  []int64
+	ownData int64
 
 	synced bool
 
@@ -390,20 +391,9 @@ func NewSDNStack(id topology.NodeID, isAP bool, controllerID topology.NodeID,
 	if s.controller() {
 		s.ownHops = 0
 	}
-	s.combiner = mac.NewCombiner(
-		mac.Slotframe{Length: cfg.EBFrameLen, Priority: 0, ChannelOffset: ebChannelOffset,
-			Role: s.ebRole},
-		mac.Slotframe{Length: cfg.CtrlFrameLen, Priority: 1, ChannelOffset: sdnCtrlChannelBase,
-			Role: s.ctrlRole},
-		mac.Slotframe{Length: cfg.DataFrameLen, Priority: 2, ChannelOffset: sdnDataChannelBase,
-			Role: s.dataRole},
-		// Discovery fills otherwise-idle slots with listening on other
-		// nodes' beacon slots: that is how the link table the controller
-		// collects gets populated. Lowest priority — it never displaces a
-		// scheduled cell.
-		mac.Slotframe{Length: cfg.EBFrameLen, Priority: 3, ChannelOffset: ebChannelOffset,
-			Role: s.discoveryRole},
-	)
+	s.ownEB = int64(id-1) % cfg.EBFrameLen
+	s.ctrlRx = s.ownCtrlCells()
+	s.ownData = sdnCell(id, cfg.DataFrameLen)
 	return s, nil
 }
 
@@ -474,16 +464,6 @@ func (s *SDNStack) timeSource() topology.NodeID {
 	return s.uplink
 }
 
-func (s *SDNStack) ebRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == int64(s.id-1)%s.cfg.EBFrameLen {
-		return mac.RoleTxEB, 0
-	}
-	if ts := s.timeSource(); ts != 0 && offset == int64(ts-1)%s.cfg.EBFrameLen {
-		return mac.RoleRxEB, 0
-	}
-	return mac.RoleSleep, 0
-}
-
 // ctrlHead returns the control-queue head if it is eligible at this slot.
 func (s *SDNStack) ctrlHead(asn sim.ASN) *sdnCtrlEntry {
 	if len(s.ctrlQ) == 0 {
@@ -496,26 +476,6 @@ func (s *SDNStack) ctrlHead(asn sim.ASN) *sdnCtrlEntry {
 	return e
 }
 
-func (s *SDNStack) ctrlRole(offset int64, asn sim.ASN) (mac.SlotRole, int) {
-	if e := s.ctrlHead(asn); e != nil && offset == s.ctrlCellTo(e.frame.Dst) {
-		return mac.RoleShared, 0
-	}
-	if s.ownCtrlCell(offset) {
-		return mac.RoleShared, 0
-	}
-	return mac.RoleSleep, 0
-}
-
-func (s *SDNStack) dataRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if s.parent != 0 && offset == sdnCell(s.id, s.cfg.DataFrameLen) {
-		return mac.RoleTxData, 1
-	}
-	if _, ok := s.childCells.At(offset); ok {
-		return mac.RoleRxData, 0
-	}
-	return mac.RoleSleep, 0
-}
-
 // rebuildChildCells derives the listen cells from children (ascending ID: a
 // cell two of them hash to goes to the higher ID).
 func (s *SDNStack) rebuildChildCells() {
@@ -523,15 +483,6 @@ func (s *SDNStack) rebuildChildCells() {
 	for _, c := range s.children {
 		s.childCells = s.childCells.Put(sdnCell(c, s.cfg.DataFrameLen), c)
 	}
-}
-
-func (s *SDNStack) discoveryRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	// Every deployment node k beacons at (k-1) % EBFrameLen; listen on
-	// any occupied beacon slot that is not otherwise scheduled.
-	if offset < int64(s.roster) && offset != int64(s.id-1)%s.cfg.EBFrameLen {
-		return mac.RoleRxEB, 0
-	}
-	return mac.RoleSleep, 0
 }
 
 // maintain is the local bookkeeping tick.
@@ -628,7 +579,15 @@ func (s *SDNStack) enqueueCtrl(f *sim.Frame) bool {
 	return true
 }
 
-// Assignment implements mac.Protocol.
+// Assignment implements mac.Protocol: the timers that are due, then the
+// slot answered from the four slotframes, highest priority first. Beacons:
+// the node's own, then its time source's. Control cells, on the cell
+// owner's lane: the queue head's target cell once its backoff has passed,
+// then the node's own receive cells. Data cells, on the transmitter's
+// lane: its own once configured, then its children's. Discovery last:
+// every deployment node k beacons at (k-1) % EBFrameLen, and the node
+// listens on any of those offsets nothing above claimed — that is how the
+// link table the controller collects gets populated.
 func (s *SDNStack) Assignment(asn sim.ASN) mac.Assignment {
 	if asn >= s.nextMaintain {
 		s.nextMaintain = asn + sim.SlotsFor(s.cfg.MaintainEvery)
@@ -638,25 +597,33 @@ func (s *SDNStack) Assignment(asn sim.ASN) mac.Assignment {
 		s.nextRecompute = asn + sim.SlotsFor(s.cfg.RecomputeEvery)
 		s.recompute(asn)
 	}
-	a := s.combiner.Assignment(asn)
-	switch a.Role {
-	case mac.RoleShared:
-		// Control cells hop on the cell owner's lane: the target's when
-		// transmitting, ours when listening.
-		if e := s.ctrlHead(asn); e != nil &&
-			asn%s.cfg.CtrlFrameLen == s.ctrlCellTo(e.frame.Dst) {
-			a.ChannelOffset = sdnCtrlLane(e.frame.Dst)
-		} else {
-			a.ChannelOffset = sdnCtrlLane(s.id)
-		}
-	case mac.RoleTxData:
-		a.ChannelOffset = sdnDataLane(s.id)
-	case mac.RoleRxData:
-		if c, ok := s.childCells.At(asn % s.cfg.DataFrameLen); ok {
-			a.ChannelOffset = sdnDataLane(c)
+	eb := asn % s.cfg.EBFrameLen
+	if eb == s.ownEB {
+		return mac.Assignment{Role: mac.RoleTxEB, ChannelOffset: ebChannelOffset}
+	}
+	if ts := s.timeSource(); ts != 0 && eb == int64(ts-1)%s.cfg.EBFrameLen {
+		return mac.Assignment{Role: mac.RoleRxEB, ChannelOffset: ebChannelOffset}
+	}
+	ctrl := asn % s.cfg.CtrlFrameLen
+	if e := s.ctrlHead(asn); e != nil && ctrl == s.ctrlCellTo(e.frame.Dst) {
+		return mac.Assignment{Role: mac.RoleShared, ChannelOffset: sdnCtrlLane(e.frame.Dst)}
+	}
+	for _, c := range s.ctrlRx {
+		if c == ctrl {
+			return mac.Assignment{Role: mac.RoleShared, ChannelOffset: sdnCtrlLane(s.id)}
 		}
 	}
-	return a
+	data := asn % s.cfg.DataFrameLen
+	if s.parent != 0 && data == s.ownData {
+		return mac.Assignment{Role: mac.RoleTxData, ChannelOffset: sdnDataLane(s.id), Attempt: 1}
+	}
+	if c, ok := s.childCells.At(data); ok {
+		return mac.Assignment{Role: mac.RoleRxData, ChannelOffset: sdnDataLane(c)}
+	}
+	if eb < int64(s.roster) {
+		return mac.Assignment{Role: mac.RoleRxEB, ChannelOffset: ebChannelOffset}
+	}
+	return mac.Assignment{Role: mac.RoleSleep}
 }
 
 // NextActive implements mac.Protocol: the earliest slot at or after `after`
@@ -666,29 +633,34 @@ func (s *SDNStack) Assignment(asn sim.ASN) mac.Assignment {
 // head — whenever the queue is non-empty, whatever the head's backoff says,
 // since a cell counts as active whether or not anything goes out in it —
 // its own data cell and its children's. Timers: the maintenance tick and,
-// on the controller, the recompute deadline.
+// on the controller, the recompute deadline. A slot inside the discovery
+// offsets is active itself, which on a generated plant (a roster of at
+// least a beacon frame) is every slot.
 func (s *SDNStack) NextActive(after sim.ASN) sim.ASN {
-	w := after // a roster filling the beacon frame leaves no idle offset
-	if off := after % s.cfg.EBFrameLen; off >= int64(s.roster) {
-		w = after + s.cfg.EBFrameLen - off
+	eb := after % s.cfg.EBFrameLen
+	if eb < int64(s.roster) {
+		return after
 	}
-	w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(s.id-1)%s.cfg.EBFrameLen))
+	d := s.cfg.EBFrameLen - eb // the next frame's discovery offsets
+	d = min(d, mac.Dist(eb, s.ownEB, s.cfg.EBFrameLen))
 	if ts := s.timeSource(); ts != 0 {
-		w = min(w, mac.NextOffset(after, s.cfg.EBFrameLen, int64(ts-1)%s.cfg.EBFrameLen))
+		d = min(d, mac.Dist(eb, int64(ts-1)%s.cfg.EBFrameLen, s.cfg.EBFrameLen))
 	}
-	base := sdnCell(s.id, s.cfg.CtrlFrameLen)
-	for j := int64(0); j < s.ownCtrlCells(); j++ {
-		w = min(w, mac.NextOffset(after, s.cfg.CtrlFrameLen, (base+j*17)%s.cfg.CtrlFrameLen))
+	ctrl := after % s.cfg.CtrlFrameLen
+	for _, c := range s.ctrlRx {
+		d = min(d, mac.Dist(ctrl, c, s.cfg.CtrlFrameLen))
 	}
 	if len(s.ctrlQ) > 0 {
-		w = min(w, mac.NextOffset(after, s.cfg.CtrlFrameLen, s.ctrlCellTo(s.ctrlQ[0].frame.Dst)))
+		d = min(d, mac.Dist(ctrl, s.ctrlCellTo(s.ctrlQ[0].frame.Dst), s.cfg.CtrlFrameLen))
 	}
+	data := after % s.cfg.DataFrameLen
 	if s.parent != 0 {
-		w = min(w, mac.NextOffset(after, s.cfg.DataFrameLen, sdnCell(s.id, s.cfg.DataFrameLen)))
+		d = min(d, mac.Dist(data, s.ownData, s.cfg.DataFrameLen))
 	}
-	if v, ok := s.childCells.Next(after, s.cfg.DataFrameLen); ok {
-		w = min(w, v)
+	if v, ok := s.childCells.Dist(data, s.cfg.DataFrameLen); ok {
+		d = min(d, v)
 	}
+	w := after + d
 	if s.controller() && s.synced {
 		w = min(w, max(s.nextRecompute, after))
 	}

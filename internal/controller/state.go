@@ -325,7 +325,7 @@ func (s *AdaptiveStack) RestoreState(state stack.State) error {
 		return fmt.Errorf("adaptive stack %d: restoring %T", s.ID(), state)
 	}
 	s.Node.RestoreState(st.NodeState)
-	s.txCells = st.TxCells
+	s.setTxCells(st.TxCells)
 	s.idleTicks = st.IdleTicks
 	s.failsSinceTick = st.FailsSinceTick
 	s.sentSinceTick = st.SentSinceTick

@@ -48,10 +48,10 @@ func AppTxSlot(id topology.NodeID, numAPs, attempts, p int, frameLen int64) int6
 //
 // The three slotframes are combined by priority — the paper gives
 // synchronisation traffic the highest and application traffic the lowest,
-// and the highest non-sleeping frame wins (Section VI) — written out
-// in Assignment rather than through mac.Combiner's per-frame Role callbacks:
-// the slot loop asks on every visit, and each frame is answered with one
-// offset comparison or one table lookup.
+// and the highest non-sleeping frame wins (Section VI) — written out in
+// Assignment, as every stack's schedule is: the slot loop asks on every
+// visit, and each frame is answered with one offset comparison or one
+// table lookup.
 type scheduler struct {
 	id     topology.NodeID
 	isAP   bool

@@ -9,11 +9,19 @@ import (
 // NextOffset returns the first slot at or after `after` that lands on the
 // given offset (in [0, frameLen)) of a slotframe of length frameLen.
 func NextOffset(after sim.ASN, frameLen, offset int64) sim.ASN {
-	d := offset - after%frameLen
+	return after + Dist(after%frameLen, offset, frameLen)
+}
+
+// Dist returns how many slots lie from frame offset off forward to the
+// given offset, both in [0, frameLen): 0 when they are equal. A stack that
+// holds several cells of one slotframe takes after%frameLen once and adds
+// the least distance.
+func Dist(off, offset, frameLen int64) int64 {
+	d := offset - off
 	if d < 0 {
 		d += frameLen
 	}
-	return after + d
+	return d
 }
 
 // Cell is one entry of a Cells table: what the node does at one slot offset
@@ -77,15 +85,21 @@ func (c Cells[V]) Put(offset int64, v V) Cells[V] {
 }
 
 // Next returns the first slot at or after `after` that lands on one of the
-// table's cells: the first cell at or past after's own offset, else the
-// first cell of the next frame. ok is false for an empty table.
+// table's cells. ok is false for an empty table.
 func (c Cells[V]) Next(after sim.ASN, frameLen int64) (asn sim.ASN, ok bool) {
+	d, ok := c.Dist(after%frameLen, frameLen)
+	return after + d, ok
+}
+
+// Dist is Next from frame offset off: the distance to the first cell at or
+// past off, else to the first cell of the next frame. ok is false for an
+// empty table.
+func (c Cells[V]) Dist(off, frameLen int64) (d int64, ok bool) {
 	if len(c) == 0 {
 		return 0, false
 	}
-	off := after % frameLen
 	if i := c.search(off); i < len(c) {
-		return after + c[i].Offset - off, true
+		return c[i].Offset - off, true
 	}
-	return after + frameLen - off + c[0].Offset, true
+	return frameLen - off + c[0].Offset, true
 }

@@ -85,38 +85,6 @@ func buildChain(t *testing.T, n int) (*sim.Network, []*Node, []*staticProto) {
 	return nw, nodes, protos
 }
 
-func TestCombinerPriority(t *testing.T) {
-	sync := Slotframe{Length: 4, Priority: 0, ChannelOffset: 0,
-		Role: func(off int64, _ sim.ASN) (SlotRole, int) {
-			if off == 0 {
-				return RoleTxEB, 0
-			}
-			return RoleSleep, 0
-		}}
-	app := Slotframe{Length: 2, Priority: 2, ChannelOffset: 2,
-		Role: func(off int64, _ sim.ASN) (SlotRole, int) {
-			if off == 0 {
-				return RoleTxData, 1
-			}
-			return RoleSleep, 0
-		}}
-	c := NewCombiner(app, sync) // construction order must not matter
-
-	// Slot 0: both want it; sync wins.
-	if got := c.Assignment(0); got.Role != RoleTxEB {
-		t.Fatalf("slot 0 role = %v, want TxEB", got.Role)
-	}
-	// Slot 2: only app wants it.
-	got := c.Assignment(2)
-	if got.Role != RoleTxData || got.ChannelOffset != 2 || got.Attempt != 1 {
-		t.Fatalf("slot 2 assignment = %+v, want TxData on offset 2 attempt 1", got)
-	}
-	// Slot 1: nobody.
-	if got := c.Assignment(1); got.Role != RoleSleep {
-		t.Fatalf("slot 1 role = %v, want Sleep", got.Role)
-	}
-}
-
 func TestNodesJoinViaEBWave(t *testing.T) {
 	nw, nodes, protos := buildChain(t, 4)
 	nw.Run(500)

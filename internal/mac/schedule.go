@@ -1,15 +1,15 @@
 // Package mac implements the TSCH medium access layer shared by every
-// protocol stack in this repository: slotframe-based schedules with
-// dedicated and shared slots, channel hopping, enhanced-beacon time
-// synchronisation, per-packet retransmission, duplicate suppression and
-// radio energy accounting. Protocols (DiGS, Orchestra, WirelessHART) plug
-// in through the Protocol interface: they decide the slot roles and the
-// routing, the MAC executes them.
+// protocol stack in this repository: dedicated and shared slots, channel
+// hopping, enhanced-beacon time synchronisation, per-packet
+// retransmission, duplicate suppression and radio energy accounting.
+// Protocols (DiGS, Orchestra, adaptive, WirelessHART, sdn) plug in through
+// the Protocol interface. Each combines its own slotframes by priority, as
+// the paper's Section VI does, written out in its Assignment: the MAC asks
+// for one decision per slot and executes it. Cells, Dist and NextOffset
+// are the frame arithmetic the stacks share.
 package mac
 
 import (
-	"sort"
-
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 )
@@ -42,55 +42,6 @@ type Assignment struct {
 	// Attempt numbers the transmission attempt within the slotframe for
 	// RoleTxData (1-based); DiGS routes attempt 3 over the backup parent.
 	Attempt int
-}
-
-// sleepAssignment is the default when no slotframe claims a slot.
-var sleepAssignment = Assignment{Role: RoleSleep}
-
-// Slotframe is one periodic schedule layer. Each protocol builds its
-// combined schedule out of several slotframes with distinct priorities, as
-// in the paper's Section VI: the highest-priority non-sleeping layer wins
-// each slot, locally and independently at every node.
-type Slotframe struct {
-	// Length is the slotframe period in slots.
-	Length int64
-	// Priority orders layers during combination; lower wins. The paper
-	// uses sync < routing < application.
-	Priority int
-	// ChannelOffset is the hopping lane for slots owned by this layer.
-	ChannelOffset uint8
-	// Role maps the slot offset within this slotframe to a role, or
-	// RoleSleep when the layer does not use the slot. It may consult live
-	// routing state (parents change at runtime).
-	Role func(offset int64, asn sim.ASN) (SlotRole, int)
-}
-
-// Combiner resolves the per-slot winner among slotframes, implementing the
-// paper's priority-based local schedule combination.
-type Combiner struct {
-	frames []Slotframe
-}
-
-// NewCombiner builds a combiner; frames are sorted by priority once.
-func NewCombiner(frames ...Slotframe) *Combiner {
-	sorted := make([]Slotframe, len(frames))
-	copy(sorted, frames)
-	sort.SliceStable(sorted, func(i, j int) bool {
-		return sorted[i].Priority < sorted[j].Priority
-	})
-	return &Combiner{frames: sorted}
-}
-
-// Assignment returns the winning assignment for the slot.
-func (c *Combiner) Assignment(asn sim.ASN) Assignment {
-	for _, f := range c.frames {
-		role, attempt := f.Role(asn%f.Length, asn)
-		if role == RoleSleep {
-			continue
-		}
-		return Assignment{Role: role, ChannelOffset: f.ChannelOffset, Attempt: attempt}
-	}
-	return sleepAssignment
 }
 
 // Protocol is the routing/scheduling brain a MAC node executes. All calls

@@ -44,7 +44,9 @@ func TxSlot(id topology.NodeID, frameLen int64) int64 {
 }
 
 // Stack is one node's Orchestra + RPL instance. It implements
-// mac.Protocol.
+// mac.Protocol: the node transmits in the unicast cell hashed from its own
+// ID once it has a parent, and listens in the sender cells of every
+// potential child (the RPL neighbours below it).
 type Stack struct {
 	*rpl.Node
 	frameLen int64 // of the unicast slotframe
@@ -55,35 +57,12 @@ var _ mac.Protocol = (*Stack)(nil)
 // NewStack builds an Orchestra stack for one node, its generator seeded
 // with seed.
 func NewStack(id topology.NodeID, isRoot bool, cfg Config, seed int64) (*Stack, error) {
-	s := &Stack{frameLen: cfg.UnicastFrameLen}
-	var err error
-	if s.Node, err = rpl.NewNode(id, isRoot, cfg, seed, s.unicastRole); err != nil {
+	n, err := rpl.NewNode(id, isRoot, cfg, seed)
+	if err != nil {
 		return nil, err
 	}
-	return s, nil
-}
-
-// unicastRole: transmit in the slot hashed from our own ID; listen in the
-// sender cells of every potential child (the RPL neighbours below us).
-func (s *Stack) unicastRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if s.Router().Parent() != 0 && offset == TxSlot(s.ID(), s.frameLen) {
-		return mac.RoleTxData, 1
-	}
-	if s.ListensAt(offset) {
-		return mac.RoleRxData, 0
-	}
-	return mac.RoleSleep, 0
-}
-
-// NextActive implements mac.Protocol: the control plane's cells and
-// timers, and the node's transmit cell once it has a parent, whether or not
-// there is anything to send in it.
-func (s *Stack) NextActive(after sim.ASN) sim.ASN {
-	w := s.Node.NextActive(after)
-	if s.Router().Parent() != 0 {
-		w = min(w, mac.NextOffset(after, s.frameLen, TxSlot(s.ID(), s.frameLen)))
-	}
-	return w
+	n.SetTxCells(TxSlot(id, cfg.UnicastFrameLen))
+	return &Stack{Node: n, frameLen: cfg.UnicastFrameLen}, nil
 }
 
 // Assignment implements mac.Protocol. At a maintenance tick the listen

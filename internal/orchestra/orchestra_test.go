@@ -36,13 +36,25 @@ func TestUnicastRolesSenderBasedMode(t *testing.T) {
 	s.Router().OnDIO(0, 12, rpl.DIO{Rank: 25, PathETX: 4}, -70)
 	s.Assignment(0) // the first maintenance tick places the listen cells
 
-	own := TxSlot(9, cfg.UnicastFrameLen)
-	child := TxSlot(12, cfg.UnicastFrameLen)
-	if role, _ := s.unicastRole(own, 0); role != mac.RoleTxData {
-		t.Fatalf("own sender cell role = %v, want TxData", role)
+	own := unicastSlot(cfg, TxSlot(9, cfg.UnicastFrameLen), 9, 4)
+	child := unicastSlot(cfg, TxSlot(12, cfg.UnicastFrameLen), 9, 4)
+	if a := s.Assignment(own); a.Role != mac.RoleTxData || a.Attempt != 1 {
+		t.Fatalf("own sender cell, slot %d: %+v, want TxData attempt 1", own, a)
 	}
-	if role, _ := s.unicastRole(child, 0); role != mac.RoleRxData {
-		t.Fatalf("child sender cell role = %v, want RxData", role)
+	if a := s.Assignment(child); a.Role != mac.RoleRxData {
+		t.Fatalf("child sender cell, slot %d: %+v, want RxData", child, a)
+	}
+}
+
+// unicastSlot returns the first slot landing on the offset of the unicast
+// slotframe that neither node id's beacon slot, its parent's nor the shared
+// slot claims first.
+func unicastSlot(cfg Config, offset int64, id, parent topology.NodeID) sim.ASN {
+	for asn := offset; ; asn += cfg.UnicastFrameLen {
+		eb := asn % cfg.EBFrameLen
+		if eb != int64(id-1) && eb != int64(parent-1) && asn%cfg.SharedFrameLen != 0 {
+			return asn
+		}
 	}
 }
 

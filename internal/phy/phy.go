@@ -67,6 +67,9 @@ func PRR(rssDBm float64) float64 {
 	if rssDBm < SensitivityDBm {
 		return 0
 	}
+	if rssDBm >= prrSaturatedDBm {
+		return 1
+	}
 	p := 1.0 / (1.0 + math.Exp(-(rssDBm+89.5)/1.1))
 	switch {
 	case p > 0.9999:
@@ -77,6 +80,11 @@ func PRR(rssDBm float64) float64 {
 		return p
 	}
 }
+
+// prrSaturatedDBm is where PRR's logistic has already rounded to 1: at -79
+// dBm exp(-9.55) ≈ 7e-5, so the curve is above 0.9999 there and everywhere
+// stronger, and PRR returns 1 without evaluating it.
+const prrSaturatedDBm = -79.0
 
 // LinkETX converts a packet reception rate into the expected transmission
 // count for the link, assuming independent ACK loss at the same rate as

@@ -134,6 +134,49 @@ func TestSIRdBBitsUnchanged(t *testing.T) {
 	}
 }
 
+// prrRef is PRR with the logistic evaluated at every RSS above sensitivity.
+func prrRef(rssDBm float64) float64 {
+	if rssDBm < SensitivityDBm {
+		return 0
+	}
+	p := 1.0 / (1.0 + math.Exp(-(rssDBm+89.5)/1.1))
+	switch {
+	case p > 0.9999:
+		return 1.0
+	case p < 0.0001:
+		return 0.0
+	default:
+		return p
+	}
+}
+
+// TestPRRSaturatedBitsUnchanged: returning 1 from the saturation threshold
+// up changes no answer's bits — over a million random RSS values across
+// the medium's range (the ACK path's PRR(rss+1.5) included) and a sweep of
+// ulp-sized and 1e-6 dB steps across the threshold.
+func TestPRRSaturatedBitsUnchanged(t *testing.T) {
+	check := func(rss float64) {
+		if got, want := PRR(rss), prrRef(rss); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("PRR(%v) = %v, the logistic gives %v", rss, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 1_000_000; i++ {
+		rss := -100 * rng.Float64()
+		check(rss)
+		check(rss + 1.5)
+	}
+	for rss, i := float64(prrSaturatedDBm), 0; i < 1000; i++ {
+		rss = math.Nextafter(rss, math.Inf(-1))
+		check(rss)
+	}
+	for rss := prrSaturatedDBm - 1; rss <= prrSaturatedDBm+1; rss += 1e-6 {
+		check(rss)
+	}
+	check(math.Inf(1))
+	check(math.NaN())
+}
+
 func TestHopChannelCoversAllChannels(t *testing.T) {
 	seen := make(map[Channel]bool)
 	for asn := int64(0); asn < NumChannels; asn++ {

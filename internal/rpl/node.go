@@ -62,26 +62,35 @@ func (c Config) Validate() error {
 
 // Node is the control plane every RPL-over-TSCH stack runs, written once:
 // the RPL router, the Trickle timer and the DIO it latches, DIS
-// solicitation, the beacon and shared slotframes, the maintenance tick, and
-// the table of unicast cells the node listens in. A stack embeds a Node and
-// adds its cell policy: which unicast cells the node transmits in (the Role
-// of the unicast slotframe it hands NewNode), which cells of its potential
-// children it listens in (ResetChildCells and Listen, at each maintenance
-// tick), and the option bytes that ride behind the DIO. The stack calls
-// down into the Node — Maintain, then its own tick work, then Assignment —
-// so the order of the node's RNG draws is the stack's to keep.
+// solicitation, the three slotframes combined by priority, the maintenance
+// tick, and the table of unicast cells the node listens in. A stack embeds
+// a Node and adds its cell policy as data: the unicast cells the node
+// transmits in once it has a parent (SetTxCells), the cells of its
+// potential children it listens in (ResetChildCells and Listen, at each
+// maintenance tick), and the option bytes that ride behind the DIO. The
+// node holds no function value from its stack. The stack calls down into
+// the Node — Maintain, then its own tick work, then Assignment — so the
+// order of the node's RNG draws is the stack's to keep.
 type Node struct {
 	id     topology.NodeID
 	isRoot bool
 	cfg    Config
 
-	router   *Router
-	tr       *trickle.Timer
-	combiner *mac.Combiner
+	router *Router
+	tr     *trickle.Timer
 	// src counts the draws of rng (same value stream as rand.NewSource),
 	// which is what makes the node's RNG position checkpointable.
 	src *detrand.Source
 	rng *rand.Rand
+
+	// Beacon-slotframe offsets: the node's own, cached at build, and its
+	// parent's, re-derived when the parent changes (-1 while it has none).
+	ownEB    int64
+	parent   topology.NodeID
+	parentEB int64
+	// txCells are the unicast-slotframe offsets the stack transmits in once
+	// the node has a parent.
+	txCells []int64
 
 	wantDIO      bool
 	nextMaintain sim.ASN
@@ -95,29 +104,27 @@ type Node struct {
 }
 
 // NewNode builds the control plane of one node over a generator seeded
-// with seed. unicast is the Role of the unicast slotframe: the stack's
-// transmit cells, and RoleRxData wherever ListensAt says so.
-func NewNode(id topology.NodeID, isRoot bool, cfg Config, seed int64,
-	unicast func(offset int64, asn sim.ASN) (mac.SlotRole, int)) (*Node, error) {
+// with seed. It transmits in no unicast cell until the stack sets them.
+func NewNode(id topology.NodeID, isRoot bool, cfg Config, seed int64) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	src := detrand.New(seed)
-	n := &Node{id: id, isRoot: isRoot, cfg: cfg, src: src, rng: rand.New(src)}
+	n := &Node{id: id, isRoot: isRoot, cfg: cfg, src: src, rng: rand.New(src),
+		ownEB: int64(id-1) % cfg.EBFrameLen, parentEB: -1}
 	var err error
 	if n.tr, err = trickle.NewTimer(cfg.Trickle, n.rng); err != nil {
 		return nil, fmt.Errorf("rpl node %d: %w", id, err)
 	}
 	n.router = n.newRouter()
-	n.combiner = mac.NewCombiner(
-		mac.Slotframe{Length: cfg.EBFrameLen, Priority: 0, ChannelOffset: ebChannelOffset,
-			Role: n.ebRole},
-		mac.Slotframe{Length: cfg.SharedFrameLen, Priority: 1, ChannelOffset: sharedChannelOffset,
-			Role: n.sharedRole},
-		mac.Slotframe{Length: cfg.UnicastFrameLen, Priority: 2, ChannelOffset: unicastChannelOffset,
-			Role: unicast},
-	)
 	return n, nil
+}
+
+// SetTxCells makes the offsets of the unicast slotframe the node's transmit
+// cells, replacing the previous ones: the stack's cell policy, handed down
+// at build and whenever the policy changes its cells. Reset keeps them.
+func (n *Node) SetTxCells(offsets ...int64) {
+	n.txCells = append(n.txCells[:0], offsets...)
 }
 
 func (n *Node) newRouter() *Router {
@@ -146,9 +153,10 @@ func (n *Node) Probe() (parent, backup topology.NodeID, neighbors int) {
 
 // Reset implements mac.Resetter: it discards the RPL neighbour set, parent
 // and listen cells, returning the node to its just-constructed state. The
-// installed route hook and the configuration survive, so a chaos-plan
-// reboot with state loss keeps reporting route changes through the same
-// telemetry chain.
+// installed route hook, the configuration and the transmit cells survive,
+// so a chaos-plan reboot with state loss keeps reporting route changes
+// through the same telemetry chain; a stack whose policy resets its cells
+// sets them again.
 func (n *Node) Reset() {
 	onChange := n.router.OnParentChange
 	n.router = n.newRouter()
@@ -163,21 +171,15 @@ func (n *Node) Reset() {
 	n.childCells = nil
 }
 
-func (n *Node) ebRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == int64(n.id-1)%n.cfg.EBFrameLen {
-		return mac.RoleTxEB, 0
+// parentOffset is the parent's beacon offset, -1 without a parent.
+func (n *Node) parentOffset() int64 {
+	if p := n.router.Parent(); p != n.parent {
+		n.parent, n.parentEB = p, -1
+		if p != 0 {
+			n.parentEB = int64(p-1) % n.cfg.EBFrameLen
+		}
 	}
-	if p := n.router.Parent(); p != 0 && offset == int64(p-1)%n.cfg.EBFrameLen {
-		return mac.RoleRxEB, 0
-	}
-	return mac.RoleSleep, 0
-}
-
-func (n *Node) sharedRole(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-	if offset == 0 {
-		return mac.RoleShared, 0
-	}
-	return mac.RoleSleep, 0
+	return n.parentEB
 }
 
 // Readvertise collapses the Trickle interval, so a change the neighbours
@@ -221,50 +223,65 @@ func (n *Node) Listen(offset int64, child topology.NodeID) {
 	n.childCells = n.childCells.Put(offset, child)
 }
 
-// ListensAt reports whether a potential child's cell sits at the offset.
-func (n *Node) ListensAt(offset int64) bool {
-	_, ok := n.childCells.At(offset)
-	return ok
-}
-
-// NextActive is the control plane's part of mac.Protocol's NextActive: the
-// earliest slot at or after `after` holding the node's own beacon slot or
-// its parent's, the shared slot, a listen cell — each whether or not there
-// is anything to send or hear in it — or one of the timers: the maintenance
-// tick and the Trickle timer's fire or rollover slot. The stack takes the
-// minimum with its transmit cells.
+// NextActive implements mac.Protocol's NextActive: the earliest slot at or
+// after `after` holding the node's own beacon slot or its parent's, the
+// shared slot, its transmit cells once it has a parent, a listen cell —
+// each whether or not there is anything to send or hear in it — or one of
+// the timers: the maintenance tick and the Trickle timer's fire or rollover
+// slot. Each slotframe costs one %, each cell a distance from it.
 func (n *Node) NextActive(after sim.ASN) sim.ASN {
-	w := mac.NextOffset(after, n.cfg.EBFrameLen, int64(n.id-1)%n.cfg.EBFrameLen)
-	w = min(w, mac.NextOffset(after, n.cfg.SharedFrameLen, 0))
-	if p := n.router.Parent(); p != 0 {
-		w = min(w, mac.NextOffset(after, n.cfg.EBFrameLen, int64(p-1)%n.cfg.EBFrameLen))
+	eb := after % n.cfg.EBFrameLen
+	d := mac.Dist(eb, n.ownEB, n.cfg.EBFrameLen)
+	if p := n.parentOffset(); p >= 0 {
+		d = min(d, mac.Dist(eb, p, n.cfg.EBFrameLen))
 	}
-	if v, ok := n.childCells.Next(after, n.cfg.UnicastFrameLen); ok {
-		w = min(w, v)
+	d = min(d, mac.Dist(after%n.cfg.SharedFrameLen, 0, n.cfg.SharedFrameLen))
+	u := after % n.cfg.UnicastFrameLen
+	if n.parent != 0 {
+		for _, c := range n.txCells {
+			d = min(d, mac.Dist(u, c, n.cfg.UnicastFrameLen))
+		}
 	}
+	if v, ok := n.childCells.Dist(u, n.cfg.UnicastFrameLen); ok {
+		d = min(d, v)
+	}
+	w := after + d
 	if n.synced {
 		w = min(w, max(n.tr.NextEvent(after), after))
 	}
 	return min(w, max(n.nextMaintain, after))
 }
 
-// Assignment latches a DIO when the Trickle timer fires and combines the
-// three slotframes. Unicast cells get their channel lane from the cell
-// owner's ID. The stack calls Maintain first.
+// Assignment latches a DIO when the Trickle timer fires and answers the
+// slot from the three slotframes, highest priority first: the node's own
+// beacon, its parent's, the shared slot, its transmit cells while it has a
+// parent, its listen cells. Unicast cells get their channel lane from the
+// cell owner's ID. The stack calls Maintain first.
 func (n *Node) Assignment(asn sim.ASN) mac.Assignment {
 	if n.tr.Fires(asn) {
 		n.wantDIO = true
 	}
-	a := n.combiner.Assignment(asn)
-	switch a.Role {
-	case mac.RoleTxData:
-		a.ChannelOffset = unicastLane(n.id)
-	case mac.RoleRxData:
-		if c, ok := n.childCells.At(asn % n.cfg.UnicastFrameLen); ok {
-			a.ChannelOffset = unicastLane(c)
+	switch asn % n.cfg.EBFrameLen {
+	case n.ownEB:
+		return mac.Assignment{Role: mac.RoleTxEB, ChannelOffset: ebChannelOffset}
+	case n.parentOffset():
+		return mac.Assignment{Role: mac.RoleRxEB, ChannelOffset: ebChannelOffset}
+	}
+	if asn%n.cfg.SharedFrameLen == 0 {
+		return mac.Assignment{Role: mac.RoleShared, ChannelOffset: sharedChannelOffset}
+	}
+	u := asn % n.cfg.UnicastFrameLen
+	if n.parent != 0 {
+		for _, c := range n.txCells {
+			if c == u {
+				return mac.Assignment{Role: mac.RoleTxData, ChannelOffset: unicastLane(n.id), Attempt: 1}
+			}
 		}
 	}
-	return a
+	if c, ok := n.childCells.At(u); ok {
+		return mac.Assignment{Role: mac.RoleRxData, ChannelOffset: unicastLane(c)}
+	}
+	return mac.Assignment{Role: mac.RoleSleep}
 }
 
 // OnSynced implements mac.Protocol.

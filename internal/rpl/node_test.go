@@ -1,7 +1,9 @@
 package rpl
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,19 +36,11 @@ const testTxOffset = 33
 // once parented, and the listen cells.
 func newTestNode(t *testing.T, cfg Config) *Node {
 	t.Helper()
-	var n *Node
-	n, err := NewNode(9, false, cfg, 9, func(offset int64, _ sim.ASN) (mac.SlotRole, int) {
-		if n.Router().Parent() != 0 && offset == testTxOffset {
-			return mac.RoleTxData, 1
-		}
-		if n.ListensAt(offset) {
-			return mac.RoleRxData, 0
-		}
-		return mac.RoleSleep, 0
-	})
+	n, err := NewNode(9, false, cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
+	n.SetTxCells(testTxOffset)
 	return n
 }
 
@@ -76,10 +70,11 @@ func routed(t *testing.T, n *Node) {
 }
 
 // TestNodeNextActiveExact: with the maintenance tick parked and the Trickle
-// timer not started, the control plane's NextActive (its own beacon slot,
-// the parent's, the shared slot, the listen cells) names exactly the first
-// slot whose Assignment is not sleep, once the test policy's transmit cell is
-// added the way a stack adds its own.
+// timer not started, NextActive (the node's own beacon slot, the parent's,
+// the shared slot, the transmit cell, the listen cells) names exactly the
+// first slot whose Assignment is not sleep. Then, over random states, both
+// answer like the reference the node was once built on (refAssignment,
+// refNextActive).
 func TestNodeNextActiveExact(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaintainEvery = century
@@ -91,22 +86,202 @@ func TestNodeNextActiveExact(t *testing.T) {
 	if a := n.Assignment(testTxOffset); a.Role != mac.RoleTxData || a.ChannelOffset != unicastLane(9) {
 		t.Fatalf("own cell: %+v, want TxData on lane %d", a, unicastLane(9))
 	}
-	walk := withTxCell{n}
 	span := 2 * cfg.EBFrameLen
-	mactest.RequireNextActiveExact(t, "routed", walk, 0, span)
-	mactest.RequireNextActiveExact(t, "routed", walk, 13*cfg.EBFrameLen*cfg.UnicastFrameLen+5, span)
+	mactest.RequireNextActiveExact(t, "routed", n, 0, span)
+	mactest.RequireNextActiveExact(t, "routed", n, 13*cfg.EBFrameLen*cfg.UnicastFrameLen+5, span)
 
 	n.Reset()
 	n.Maintain(0)
 	mactest.RequireNextActiveExact(t, "orphan", n, 0, span)
+
+	requireNodeMatchesReference(t)
 }
 
-// withTxCell is the test policy's NextActive: the control plane's, and the
-// transmit cell.
-type withTxCell struct{ *Node }
+// refFrame is one slotframe of a reference schedule, its role a function
+// of the slot's offset in the frame.
+type refFrame struct {
+	length  int64
+	channel uint8
+	role    func(offset int64) (mac.SlotRole, int)
+}
 
-func (w withTxCell) NextActive(after sim.ASN) sim.ASN {
-	return min(w.Node.NextActive(after), mac.NextOffset(after, w.cfg.UnicastFrameLen, testTxOffset))
+// combine is the priority combination the node writes out: the first frame,
+// in priority order, that does not sleep in the slot wins it on its lane.
+func combine(asn sim.ASN, frames ...refFrame) mac.Assignment {
+	for _, f := range frames {
+		if role, attempt := f.role(asn % f.length); role != mac.RoleSleep {
+			return mac.Assignment{Role: role, ChannelOffset: f.channel, Attempt: attempt}
+		}
+	}
+	return mac.Assignment{Role: mac.RoleSleep}
+}
+
+// refAssignment is the node's schedule as it was built before it was
+// written out: the beacon, shared and unicast slotframes combined by
+// priority, the unicast one the policy's role — transmit in tx once
+// parented, listen wherever a child's cell sits — and the unicast lanes
+// fixed up afterwards. It reads the node's state and changes none of it.
+func refAssignment(n *Node, tx []int64, asn sim.ASN) mac.Assignment {
+	sleep := func() (mac.SlotRole, int) { return mac.RoleSleep, 0 }
+	a := combine(asn,
+		refFrame{n.cfg.EBFrameLen, ebChannelOffset, func(off int64) (mac.SlotRole, int) {
+			if off == int64(n.id-1)%n.cfg.EBFrameLen {
+				return mac.RoleTxEB, 0
+			}
+			if p := n.router.Parent(); p != 0 && off == int64(p-1)%n.cfg.EBFrameLen {
+				return mac.RoleRxEB, 0
+			}
+			return sleep()
+		}},
+		refFrame{n.cfg.SharedFrameLen, sharedChannelOffset, func(off int64) (mac.SlotRole, int) {
+			if off == 0 {
+				return mac.RoleShared, 0
+			}
+			return sleep()
+		}},
+		refFrame{n.cfg.UnicastFrameLen, unicastChannelOffset, func(off int64) (mac.SlotRole, int) {
+			if n.router.Parent() != 0 && slices.Contains(tx, off) {
+				return mac.RoleTxData, 1
+			}
+			if _, ok := n.childCells.At(off); ok {
+				return mac.RoleRxData, 0
+			}
+			return sleep()
+		}},
+	)
+	switch a.Role {
+	case mac.RoleTxData:
+		a.ChannelOffset = unicastLane(n.id)
+	case mac.RoleRxData:
+		c, _ := n.childCells.At(asn % n.cfg.UnicastFrameLen)
+		a.ChannelOffset = unicastLane(c)
+	}
+	return a
+}
+
+// refNextActive finds by brute force the first slot at or after `after`
+// where the reference schedule is not sleep or a timer is due: the
+// maintenance tick, and the Trickle timer's next event once synchronised.
+func refNextActive(n *Node, tx []int64, after sim.ASN) sim.ASN {
+	due := max(n.nextMaintain, after)
+	if n.synced {
+		due = min(due, max(n.tr.NextEvent(after), after))
+	}
+	for asn := after; asn < due; asn++ {
+		if refAssignment(n, tx, asn).Role != mac.RoleSleep {
+			return asn
+		}
+	}
+	return due
+}
+
+// requireNodeMatchesReference drives nodes under the two stacks' policies —
+// Orchestra's one hashed cell, adaptive's 1..4 strided cells, each placed
+// for the children too — through random states: frames short enough that
+// beacon, shared and unicast offsets coincide and children collide on a
+// cell, parents adopted, switched and lost, children coming and going,
+// synchronisation, maintenance ticks, Reset, and restores of a twin's
+// state. At random slots Assignment must equal the reference and NextActive
+// the brute-force first active slot.
+func requireNodeMatchesReference(t *testing.T) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(29))
+	var parented, orphaned, collided, restores int
+	for trial := 0; trial < 120; trial++ {
+		cfg := testConfig()
+		cfg.EBFrameLen = 2 + rng.Int63n(40)
+		cfg.SharedFrameLen = 2 + rng.Int63n(20)
+		cfg.UnicastFrameLen = 1 + rng.Int63n(30)
+		cfg.MaintainEvery = time.Duration(1+rng.Intn(4)) * time.Second
+		cfg.NeighborTimeout = time.Duration(2+rng.Intn(6)) * time.Second
+		id := topology.NodeID(2 + rng.Intn(60))
+		cellsOf := func(c topology.NodeID) []int64 { // Orchestra's policy
+			return []int64{(int64(c) * 37) % cfg.UnicastFrameLen}
+		}
+		if k := rng.Intn(5); k > 0 { // adaptive's, at k cells
+			cellsOf = func(c topology.NodeID) []int64 {
+				var out []int64
+				for j := 0; j < k; j++ {
+					out = append(out, (int64(c)*37+int64(j)*53)%cfg.UnicastFrameLen)
+				}
+				return out
+			}
+		}
+		build := func(seed int64) *Node {
+			n, err := NewNode(id, false, cfg, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n.SetTxCells(cellsOf(id)...)
+			return n
+		}
+		n, twin := build(int64(trial)), build(int64(trial)+1000)
+		tx := cellsOf(id)
+
+		asn := sim.ASN(0)
+		for step := 0; step < 30; step++ {
+			target := n
+			if rng.Intn(3) == 0 {
+				target = twin
+			}
+			switch op := rng.Intn(10); {
+			case op < 4: // an advertisement, from above or below
+				from := topology.NodeID(1 + rng.Intn(60))
+				if from != id {
+					d := DIO{Rank: uint16(1 + rng.Intn(40)), PathETX: 4 * rng.Float64()}
+					target.OnFrame(asn, dioFrame(from, d), -60-30*rng.Float64(), 0)
+				}
+			case op < 5: // a lost transmission to the parent
+				if p := target.Router().Parent(); p != 0 {
+					target.OnTxResult(asn, nil, p, false)
+				}
+			case op < 6:
+				if !target.synced {
+					target.OnSynced(asn)
+				}
+			case op < 7:
+				target.Reset()
+			case op < 8:
+				n.RestoreState(twin.CaptureState())
+				restores++
+			default: // time passes
+				asn += sim.ASN(rng.Intn(300))
+			}
+
+			// Walk a stretch the way a stack does: the tick places the listen
+			// cells, then Assignment; NextActive is asked first at each slot.
+			from := asn + rng.Int63n(50)
+			for slot := from; slot < from+2*cfg.SharedFrameLen; slot++ {
+				if got, want := n.NextActive(slot), refNextActive(n, tx, slot); got != want {
+					t.Fatalf("trial %d step %d (id %d, frames %d/%d/%d, cells %v): NextActive(%d) = %d, reference %d",
+						trial, step, id, cfg.EBFrameLen, cfg.SharedFrameLen, cfg.UnicastFrameLen, tx, slot, got, want)
+				}
+				if n.Maintain(slot) {
+					for _, c := range n.ResetChildCells() {
+						for _, off := range cellsOf(c) {
+							if _, taken := n.childCells.At(off); taken {
+								collided++
+							}
+							n.Listen(off, c)
+						}
+					}
+				}
+				if got, want := n.Assignment(slot), refAssignment(n, tx, slot); got != want {
+					t.Fatalf("trial %d step %d (id %d, frames %d/%d/%d, cells %v): Assignment(%d) = %+v, reference %+v",
+						trial, step, id, cfg.EBFrameLen, cfg.SharedFrameLen, cfg.UnicastFrameLen, tx, slot, got, want)
+				}
+				if n.Router().Parent() != 0 {
+					parented++
+				} else {
+					orphaned++
+				}
+			}
+		}
+	}
+	if parented == 0 || orphaned == 0 || collided == 0 || restores == 0 {
+		t.Fatalf("%d parented and %d orphaned slots, %d colliding child cells, %d restores: a case is never exercised",
+			parented, orphaned, collided, restores)
+	}
 }
 
 // TestTrickleResetsOnlyOnceSynced: route changes collapse the Trickle
@@ -179,7 +354,7 @@ func TestSolicitRateLimit(t *testing.T) {
 // beacons and DIOs alike, and only a payload of exactly the expected length
 // is taken for a DIO.
 func TestDIOOption(t *testing.T) {
-	root, err := NewNode(1, true, testConfig(), 1, nil)
+	root, err := NewNode(1, true, testConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

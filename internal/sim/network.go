@@ -143,6 +143,7 @@ func (q *wakeWheel) earliest(from ASN, napUntil []ASN) (w ASN, ok bool) {
 type Network struct {
 	topo        *topology.Topology
 	devices     []Device // indexed by node ID; nil when not attached
+	nappers     []Napper // the devices that nap, recorded at Attach; nil for the rest
 	failed      []bool
 	interferers []Interferer
 	seed        int64
@@ -245,6 +246,7 @@ func newNetwork(topo *topology.Topology, seed int64) *Network {
 	return &Network{
 		topo:              topo,
 		devices:           make([]Device, n+1),
+		nappers:           make([]Napper, n+1),
 		failed:            make([]bool, n+1),
 		seed:              seed,
 		rngSrc:            detrand.New(seed),
@@ -386,6 +388,7 @@ func (nw *Network) Attach(d Device) error {
 		return fmt.Errorf("attach device %d: already attached", id)
 	}
 	nw.devices[id] = d
+	nw.nappers[id], _ = d.(Napper)
 	nw.trackAwake(id)
 	return nil
 }

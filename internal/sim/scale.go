@@ -168,10 +168,8 @@ func (nw *Network) accrueNap(id topology.NodeID, asn ASN) *ASN {
 	if nw.ops[id].Kind == OpScan {
 		since, activity = &nw.scanStart[id], phy.ActivityScan
 	}
-	if skipped := asn - *since - 1; skipped > 0 {
-		if np, ok := nw.devices[id].(Napper); ok {
-			np.AccrueNap(skipped, activity)
-		}
+	if skipped := asn - *since - 1; skipped > 0 && nw.nappers[id] != nil {
+		nw.nappers[id].AccrueNap(skipped, activity)
 	}
 	return since
 }
@@ -453,7 +451,7 @@ func (nw *Network) finishOne(id topology.NodeID, asn ASN) {
 		}
 	}
 	d.EndSlot(asn, *rep)
-	if np, ok := d.(Napper); ok {
+	if np := nw.nappers[id]; np != nil {
 		if w, standing := np.NextWake(asn); w > asn+1 {
 			nw.nap(id, asn, w, standing)
 		}
