@@ -1,17 +1,17 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden snap-smoke cache-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate clean
+.PHONY: ci fmt vet build test race fuzz bench-smoke bench-harness-smoke trace-smoke trace-golden examples-smoke examples-golden snap-smoke cache-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke bench-gate clean
 
 ## ci: everything the driver checks — gofmt, vet, build, race-enabled
 ## tests, a short fuzz pass over the wire codecs, a one-shot large-scale
 ## benchmark smoke run, the bench/ harness's own smoke (its compile-time
-## surface on this module), the telemetry pipeline smoke test, the snapshot
-## round-trip smoke test, the shared formation cache smoke, a short
+## surface on this module), the telemetry pipeline smoke test, the
+## examples' output goldens, the snapshot round-trip smoke test, the shared formation cache smoke, a short
 ## 10k-node run on the sparse medium, the controller-layer smoke
 ## (four-way chaos with recovery asserted), the simulation-service
 ## end-to-end smoke, the crash-recovery smoke, and the gateway
 ## fault-tolerance smoke.
-ci: fmt vet build race fuzz bench-smoke bench-harness-smoke trace-smoke snap-smoke cache-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
+ci: fmt vet build race fuzz bench-smoke bench-harness-smoke trace-smoke examples-smoke snap-smoke cache-smoke scale-smoke controller-smoke server-smoke recover-smoke gateway-smoke
 
 ## fmt: fail when any file is not gofmt-clean.
 fmt:
@@ -70,6 +70,23 @@ trace-smoke:
 trace-golden:
 	$(GO) run ./cmd/digs-bench -fig 4 -smoke -seed 42 -trace $(TRACE_SMOKE_JSONL) >/dev/null
 	$(GO) run ./cmd/digs-trace -per-flow $(TRACE_SMOKE_JSONL) > testdata/trace_smoke_golden.txt
+
+## examples-smoke: run the hand-driven examples and the WirelessHART failure
+## figure, and diff each output against its checked-in golden — the
+## examples build and feed their networks through internal/scenario, and a
+## byte that moves here moved the walkthroughs the README points at.
+EXAMPLES_SMOKE := quickstart actuation oilfield
+examples-smoke:
+	@for ex in $(EXAMPLES_SMOKE); do \
+		$(GO) run ./examples/$$ex | diff -u testdata/examples/$$ex.txt - || exit 1; done
+	$(GO) run ./cmd/digs-bench -fig whart | diff -u testdata/examples/whart.txt -
+	@echo examples-smoke: OK
+
+## examples-golden: regenerate the examples-smoke goldens after an
+## intentional change to what the examples print.
+examples-golden:
+	for ex in $(EXAMPLES_SMOKE); do $(GO) run ./examples/$$ex > testdata/examples/$$ex.txt || exit 1; done
+	$(GO) run ./cmd/digs-bench -fig whart > testdata/examples/whart.txt
 
 ## snap-smoke: prove checkpoint/restore bit-identity across processes —
 ## snapshot a half-formed network, resume it for 2000 more slots, and

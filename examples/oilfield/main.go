@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,8 +21,8 @@ import (
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/interference"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 )
@@ -63,19 +64,14 @@ func run() error {
 	fmt.Printf("oil field: %d wellhead sensors over %.0f m x %.0f m, 2 gateway APs\n",
 		topo.N()-topo.NumAPs, 250.0, 250.0)
 
-	nw := sim.NewNetwork(topo, 2026)
-	net, err := core.Build(nw, core.DefaultConfig(topo.NumAPs), mac.DefaultConfig(), 2026)
+	sc, err := scenario.Build(scenario.Params{Topology: topo, Protocol: "digs", Seed: 2026})
 	if err != nil {
 		return err
 	}
-	if _, ok := nw.RunUntil(sim.SlotsFor(6*time.Minute), func() bool {
-		return net.JoinedCount() == topo.N()
-	}); !ok {
-		return fmt.Errorf("field network did not converge (%d/%d)",
-			net.JoinedCount(), topo.N())
+	if _, err := sc.Form(context.Background(), nil, 1.0, 6*time.Minute, 30*time.Second); err != nil {
+		return fmt.Errorf("field network did not converge: %w", err)
 	}
 	fmt.Println("field network formed")
-	nw.Run(sim.SlotsFor(30 * time.Second))
 
 	// Pick twelve wells to report pressure every 10 s.
 	rng := rand.New(rand.NewSource(7))
@@ -85,53 +81,38 @@ func run() error {
 	}
 
 	seqBase := uint16(0)
-	measure := func(label string, packets int) error {
+	measure := func(label string, packets int) {
 		col := metrics.NewCollector()
-		net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
-		base := seqBase
+		sc.Drive(wells, packets, seqBase, col)
 		seqBase += uint16(packets) // end-to-end dedupe needs unique seqs
-		flows.Schedule(nw, wells, packets, func(f flows.Flow, seq uint16, asn sim.ASN) {
-			seq += base
-			col.Sent(f.ID, seq, asn)
-			_ = net.Nodes[f.Source].InjectData(&sim.Frame{
-				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-			})
-		})
-		nw.Run(sim.SlotsFor(10*time.Second*time.Duration(packets) + 20*time.Second))
-		net.OnDeliver(nil)
+		sc.NW.Run(sim.SlotsFor(10*time.Second*time.Duration(packets) + 20*time.Second))
 		lats := metrics.DurationsToMillis(col.Latencies())
 		fmt.Printf("%-28s PDR %.3f, median latency %.0f ms\n",
 			label, col.PDR(), metrics.Quantile(lats, 0.5))
-		return nil
 	}
 
 	// Phase 1: clean spectrum.
-	if err := measure("clean spectrum:", 12); err != nil {
-		return err
-	}
+	measure("clean spectrum:", 12)
 
 	// Phase 2: the site's WiFi backhaul comes up near the gateway. Pick
 	// the two field devices closest to the APs as the interferer sites.
 	jammers := nearestToAPs(topo, 2)
 	for j, at := range jammers {
-		nw.AddInterferer(&interference.Window{
+		sc.NW.AddInterferer(&interference.Window{
 			Source:   interference.NewWiFiJammer(topo, at, []int{1, 6}[j], int64(j)+9),
-			StartASN: nw.ASN(),
+			StartASN: sc.NW.ASN(),
 		})
 	}
 	fmt.Printf("WiFi backhaul interference on near the gateway (at wells %v)\n", jammers)
 	// Let the distributed routing adapt: the estimators learn from live
 	// traffic, so keep the wells reporting while they re-route.
-	if err := measure("during adaptation:", 12); err != nil {
-		return err
-	}
-	if err := measure("after re-routing:", 12); err != nil {
-		return err
-	}
+	measure("during adaptation:", 12)
+	measure("after re-routing:", 12)
 
 	// Show that wells near the interference rerouted: count devices whose
 	// primary parent changed since formation is visible via the parent
 	// change counters.
+	net := sc.Bundle.(*core.Network)
 	changes := int64(0)
 	for i := topo.NumAPs + 1; i <= topo.N(); i++ {
 		changes += net.Stacks[i].Router().ParentChanges()

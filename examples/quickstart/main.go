@@ -9,13 +9,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
 
 	"github.com/digs-net/digs/internal/core"
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 )
@@ -34,23 +35,21 @@ func run() error {
 		topo.Name, topo.N(), topo.NumAPs)
 
 	// One simulated network, one DiGS stack per device.
-	nw := sim.NewNetwork(topo, 42)
-	net, err := core.Build(nw, core.DefaultConfig(topo.NumAPs), mac.DefaultConfig(), 42)
+	sc, err := scenario.Build(scenario.Params{Topology: topo, Protocol: "digs", Seed: 42})
 	if err != nil {
 		return err
 	}
+	net := sc.Bundle.(*core.Network)
 
 	// Let the devices join: they scan for beacons, synchronise, and pick
 	// their primary and backup parents from join-in advertisements —
-	// Algorithm 1 of the paper, running independently on every node.
-	slots, ok := nw.RunUntil(sim.SlotsFor(5*time.Minute), func() bool {
-		return net.JoinedCount() == topo.N()
-	})
-	if !ok {
-		return fmt.Errorf("network did not converge")
+	// Algorithm 1 of the paper, running independently on every node. Then
+	// give the backup parents 30 s to thicken.
+	formed, err := sc.Form(context.Background(), nil, 1.0, 5*time.Minute, 30*time.Second)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("all devices joined after %v\n\n", sim.TimeAt(slots))
-	nw.Run(sim.SlotsFor(30 * time.Second)) // let backup parents thicken
+	fmt.Printf("all devices joined after %v\n\n", sim.TimeAt(formed.Slots))
 
 	// Every field device has computed its own graph routes.
 	fmt.Println("self-computed routing graph (primary / backup parent):")
@@ -66,7 +65,7 @@ func run() error {
 
 	// Send ten sensor readings from the farthest device.
 	col := metrics.NewCollector()
-	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
+	sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
 		col.Delivered(f.FlowID, f.Seq, asn)
 		fmt.Printf("  AP received reading #%d after %v\n",
 			f.Seq, sim.TimeAt(asn-f.BornASN))
@@ -74,17 +73,13 @@ func run() error {
 	src := topology.NodeID(topo.N()) // the last (deepest) device
 	fmt.Printf("\nsending 10 readings from node %d:\n", src)
 	for seq := uint16(0); seq < 10; seq++ {
-		asn := nw.ASN()
-		col.Sent(1, seq, asn)
-		nw.Wake(src)
-		if err := net.Nodes[src].InjectData(&sim.Frame{
-			Origin: src, FlowID: 1, Seq: seq, BornASN: asn,
-		}); err != nil {
+		col.Sent(1, seq, sc.NW.ASN())
+		if err := sc.Inject(src, 1, seq); err != nil {
 			return err
 		}
-		nw.Run(sim.SlotsFor(2 * time.Second))
+		sc.NW.Run(sim.SlotsFor(2 * time.Second))
 	}
-	nw.Run(sim.SlotsFor(10 * time.Second))
+	sc.NW.Run(sim.SlotsFor(10 * time.Second))
 
 	fmt.Printf("\ndelivered %d/10 (PDR %.0f%%)\n", col.DeliveredCount(), 100*col.PDR())
 	return nil

@@ -73,6 +73,7 @@ func scriptedDeath(seed int64) (goldenOutcome, error) {
 		if nw.Failed(f.Source) {
 			return
 		}
+		nw.Wake(f.Source)
 		_ = net.Nodes[int(f.Source)].InjectData(&sim.Frame{
 			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
 		})

@@ -122,6 +122,7 @@ func napRun(t *testing.T, nap, monitor bool) (ledger, stats string, repairs int)
 		t.Fatal(err)
 	}
 	flows.Schedule(nw, fset, 15, func(f flows.Flow, seq uint16, asn sim.ASN) {
+		nw.Wake(f.Source)
 		_ = net.Nodes[f.Source].InjectData(&sim.Frame{Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn})
 	})
 	nw.Run(sim.SlotsFor(60 * time.Second))

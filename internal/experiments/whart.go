@@ -3,8 +3,8 @@ package experiments
 import (
 	"time"
 
-	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/metrics"
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/whart"
@@ -15,46 +15,48 @@ import (
 // primary router dies. The static schedule never recovers — the contrast
 // the paper's Figure 3 motivation builds on.
 func RunWhartFailure(seed int64) (clean, failed float64, err error) {
-	topo := testbedATopo()
-	nw := sim.NewNetwork(topo, seed)
-	fl := make([]whart.Flow, 0, len(topo.SuggestedSources))
-	for i, src := range topo.SuggestedSources {
-		fl = append(fl, whart.Flow{ID: uint16(i + 1), Source: src, PeriodSlots: 500})
+	// The default 5 s period gives the manager 500-slot flows from the
+	// suggested sources.
+	sc, err := scenario.Build(scenario.Params{Topology: testbedATopo(), Protocol: "whart", Seed: seed})
+	if err != nil {
+		return 0, 0, err
 	}
-	net, err := whart.Build(nw, fl, mac.DefaultConfig())
+	topo, nw := sc.Params.Topology, sc.NW
+	fl, err := sc.Flows(0, sc.Params.Period)
 	if err != nil {
 		return 0, 0, err
 	}
 	nw.Run(sim.SlotsFor(60 * time.Second)) // time sync
 
+	// Every flow generates in the same slot, one packet per period: the
+	// manager's schedule is built for exactly this cadence, so the flows
+	// are not staggered the way Drive staggers them.
 	window := func(seqBase uint16) float64 {
 		col := metrics.NewCollector()
-		net.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
+		sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })
 		for p := 0; p < 12; p++ {
 			for _, f := range fl {
 				seq := seqBase + uint16(p)
 				col.Sent(f.ID, seq, nw.ASN())
-				nw.Wake(f.Source)
-				_ = net.Nodes[f.Source].InjectData(&sim.Frame{
-					Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: nw.ASN(),
-				})
+				_ = sc.Inject(f.Source, f.ID, seq) // a full queue drops it: counted lost
 			}
-			nw.Run(500)
+			nw.Run(sim.SlotsFor(sc.Params.Period))
 		}
 		nw.Run(sim.SlotsFor(15 * time.Second))
-		net.OnDeliver(nil)
+		sc.OnDeliver(nil)
 		return col.PDR()
 	}
 
 	clean = window(0)
 
 	// Kill the most-used primary router.
+	routes := sc.Bundle.(*whart.Network).Routes
 	use := map[topology.NodeID]int{}
 	for _, f := range fl {
 		cur := f.Source
 		for !topo.IsAP(cur) {
-			use[net.Routes.Best[cur]]++
-			cur = net.Routes.Best[cur]
+			use[routes.Best[cur]]++
+			cur = routes.Best[cur]
 		}
 	}
 	var victim topology.NodeID

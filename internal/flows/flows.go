@@ -63,7 +63,9 @@ func FixedSet(sources []topology.NodeID, period time.Duration) []Flow {
 // Schedule registers packet generation events on the network: each flow
 // emits `packets` packets at its period, staggered so flows do not all
 // generate in the same slot. The inject callback performs the actual
-// enqueue (and any bookkeeping); seq numbers count from 0.
+// enqueue and any bookkeeping (scenario's Drive hands each packet to
+// Scenario.Inject, which wakes a napping source first); seq numbers count
+// from 0.
 func Schedule(nw *sim.Network, set []Flow, packets int,
 	inject func(f Flow, seq uint16, asn sim.ASN)) {
 	base := nw.ASN()
@@ -74,10 +76,7 @@ func Schedule(nw *sim.Network, set []Flow, packets int,
 		for p := 0; p < packets; p++ {
 			seq := uint16(p)
 			at := base + stagger + sim.ASN(p)*periodSlots
-			// A napping source is woken before the enqueue: the scale
-			// engine skips napping nodes entirely, so whatever hands one
-			// new work outside the radio path settles its nap first.
-			nw.At(at, func() { nw.Wake(f.Source); inject(f, seq, at) })
+			nw.At(at, func() { inject(f, seq, at) })
 		}
 	}
 }

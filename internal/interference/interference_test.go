@@ -206,29 +206,6 @@ func (d *planDevice) EndSlot(_ sim.ASN, rep sim.SlotReport) {
 	}
 }
 
-func TestScheduleFailures(t *testing.T) {
-	topo := topology.TestbedA()
-	nw := sim.NewNetwork(topo, 1)
-	ScheduleFailures(nw, []FailureEvent{
-		{Node: 5, At: 100 * time.Millisecond},
-		{Node: 6, At: 100 * time.Millisecond, RecoverAfter: 100 * time.Millisecond},
-	})
-	if nw.Failed(5) || nw.Failed(6) {
-		t.Fatal("failures applied before their time")
-	}
-	nw.Run(11)
-	if !nw.Failed(5) || !nw.Failed(6) {
-		t.Fatal("failures not applied at 100ms")
-	}
-	nw.Run(10)
-	if nw.Failed(6) {
-		t.Fatal("node 6 not recovered after 100ms")
-	}
-	if !nw.Failed(5) {
-		t.Fatal("node 5 should stay dead")
-	}
-}
-
 func TestWindowGatesInterferer(t *testing.T) {
 	topo := topology.TestbedA()
 	j := NewWiFiJammer(topo, 10, 1, 1)

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"bytes"
 	"testing"
 
 	"github.com/digs-net/digs/internal/sim"
@@ -8,15 +9,17 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// TestHooksRecordLifecycle drives a packet down a 3-node chain with a ring
-// tracer attached and checks the full event sequence comes out: generated
-// and enqueued at the origin, transmission attempts at every hop, received
-// at each forwarder, delivered at the AP with the right hop count.
+// TestHooksRecordLifecycle drives a packet down a 3-node chain with a JSONL
+// tracer attached and checks the full event sequence comes out of the
+// stream: generated and enqueued at the origin, transmission attempts at
+// every hop, received at each forwarder, delivered at the AP with the right
+// hop count.
 func TestHooksRecordLifecycle(t *testing.T) {
 	nw, nodes, _ := buildChain(t, 3)
-	ring := telemetry.NewRing(4096)
+	var stream bytes.Buffer
+	sink := telemetry.NewJSONL(&stream)
 	for i := 1; i <= 3; i++ {
-		nodes[i].SetTracer(ring)
+		nodes[i].SetTracer(sink)
 	}
 	nw.Run(500) // let everyone join
 
@@ -26,18 +29,24 @@ func TestHooksRecordLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.Run(300)
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
 
 	counts := map[telemetry.EventType]int{}
 	var delivered *telemetry.Event
-	for i, ev := range ring.Events() {
+	err := telemetry.Scan(&stream, func(ev telemetry.Event) error {
 		if ev.Flow != 7 {
-			continue
+			return nil
 		}
 		counts[ev.Type]++
 		if ev.Type == telemetry.EvDelivered {
-			e := ring.Events()[i]
-			delivered = &e
+			delivered = &ev
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if counts[telemetry.EvGenerated] != 1 {
 		t.Fatalf("generated events = %d, want 1", counts[telemetry.EvGenerated])

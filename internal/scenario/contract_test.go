@@ -74,20 +74,53 @@ func TestSnapshotImportsNoStack(t *testing.T) {
 	}
 }
 
-// TestRunPhasesWrittenOnce pins the one run pipeline: the fault/observer
-// wiring and the injection closure exist in this package only. Outside it
-// (and outside the packages that define them, test files and bench/, a
-// module of its own) no file calls chaos.Apply, invariant.Attach or
-// flows.Schedule, except the named hold-outs: Figure 9/10's silent
-// application of the Figure 8 plan (nil emit, no hooks — there is no chain
-// to build) and the examples that do not use this package at all.
+// TestRunPhasesWrittenOnce pins the one way to build, feed and observe a
+// network. Outside this package, the package that defines a call, test
+// files and bench/ (a module of its own), no file calls
+//   - a stack's Build or an engine constructor: Build picks the medium from
+//     the topology and the stack from the registry, and equal spec hashes
+//     mean equal bytes only while that choice is made in one place;
+//   - InjectData or Wake: Inject wakes a napping source before the enqueue,
+//     and a packet handed to a node that naps waits out the nap;
+//   - chaos.Apply, invariant.Attach or flows.Schedule: Observe and Drive
+//     compose the fault/observer wiring and the injection closure.
+//
+// The hold-outs are named with their reasons, and each must still need its
+// exemption.
 func TestRunPhasesWrittenOnce(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
-	banned := map[string]bool{"chaos.Apply": true, "invariant.Attach": true, "flows.Schedule": true}
-	holdOut := map[string]string{"internal/experiments/fig9_10.go": "chaos.Apply"}
+	// Each banned call — package.Func, or .Method on any receiver — and the
+	// package that defines it.
+	home := map[string]string{
+		"core.Build":               "internal/core",
+		"orchestra.Build":          "internal/orchestra",
+		"whart.Build":              "internal/whart",
+		"controller.BuildSDN":      "internal/controller",
+		"controller.BuildAdaptive": "internal/controller",
+		"sim.NewNetwork":           "internal/sim",
+		"sim.NewScaleNetwork":      "internal/sim",
+		".InjectData":              "internal/mac",
+		".Wake":                    "internal/sim",
+		"chaos.Apply":              "internal/chaos",
+		"invariant.Attach":         "internal/invariant",
+		"flows.Schedule":           "internal/flows",
+	}
+	const downlink = "needs mac.Config.DownlinkFrameLen for its command slots, which no Params field carries"
+	holdOuts := map[string]map[string]string{
+		"examples/actuation/main.go": {
+			"sim.NewNetwork": downlink, "core.Build": downlink, ".Wake": downlink, ".InjectData": downlink,
+		},
+		"internal/experiments/fig9_10.go": {
+			"chaos.Apply": "applies the Figure 8 plan silently (nil emit, no hooks): Observe would hang a tracer on every node for nothing",
+		},
+		"internal/stack/stack.go": {
+			".Wake": "Healer wakes the orphan it cold-restarts, outside any injection",
+		},
+	}
+	needed := map[string]bool{}
 	walked := 0
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -97,7 +130,7 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 		rel = filepath.ToSlash(rel)
 		if d.IsDir() {
 			switch rel {
-			case "bench", ".bench_build", ".git", "internal/scenario", "internal/chaos", "internal/flows", "internal/invariant":
+			case "bench", ".bench_build", ".git", "internal/scenario":
 				return filepath.SkipDir
 			}
 			return nil
@@ -110,10 +143,6 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 			return err
 		}
 		walked++
-		usesScenario := false
-		for _, imp := range f.Imports {
-			usesScenario = usesScenario || imp.Path.Value == strconv.Quote(modulePath+"internal/scenario")
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -123,15 +152,19 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 			if !ok {
 				return true
 			}
-			pkg, ok := sel.X.(*ast.Ident)
-			if !ok {
+			name := "." + sel.Sel.Name
+			if pkg, ok := sel.X.(*ast.Ident); ok && home[pkg.Name+name] != "" {
+				name = pkg.Name + name
+			}
+			dir, banned := home[name]
+			if !banned || dir == filepath.ToSlash(filepath.Dir(rel)) {
 				return true
 			}
-			name := pkg.Name + "." + sel.Sel.Name
-			if !banned[name] || holdOut[rel] == name || (strings.HasPrefix(rel, "examples/") && !usesScenario) {
+			if _, ok := holdOuts[rel][name]; ok {
+				needed[rel+" "+name] = true
 				return true
 			}
-			t.Errorf("%s calls %s: compose the phases in internal/scenario instead", rel, name)
+			t.Errorf("%s calls %s: build, feed and observe networks through internal/scenario instead", rel, name)
 			return true
 		})
 		return nil
@@ -141,6 +174,13 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 	}
 	if walked < 50 {
 		t.Fatalf("source walk saw only %d files from %s", walked, root)
+	}
+	for file, calls := range holdOuts {
+		for name, why := range calls {
+			if !needed[file+" "+name] {
+				t.Errorf("%s no longer calls %s: drop its hold-out (%s)", file, name, why)
+			}
+		}
 	}
 }
 

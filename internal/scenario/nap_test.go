@@ -76,8 +76,8 @@ func TestNextActiveContract(t *testing.T) {
 					t.Error(err)
 				}
 				fset := flows.FixedSet(sc.Params.Topology.SuggestedSources, p.Period)
-				flows.Schedule(nw, fset, 60, func(f flows.Flow, seq uint16, asn sim.ASN) {
-					_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn})
+				flows.Schedule(nw, fset, 60, func(f flows.Flow, seq uint16, _ sim.ASN) {
+					_ = sc.Inject(f.Source, f.ID, seq)
 				})
 			})
 

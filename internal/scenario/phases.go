@@ -260,9 +260,20 @@ func (sc *Scenario) Drive(fset []flows.Flow, packets int, seqBase uint16, col *m
 		if col != nil {
 			col.Sent(f.ID, seq, asn)
 		}
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
+		_ = sc.Inject(f.Source, f.ID, seq) // a full queue drops it: counted sent, never delivered
+	})
+}
+
+// Inject hands src's MAC one data packet of the flow, born at the current
+// slot, and returns the MAC's error (a full queue). It is the one way a
+// program feeds a network, because it is the one place that knows the nap
+// contract: the slot loop skips a napping node until its nap ends, so the
+// source is woken before the enqueue, or the packet would wait out a nap
+// its node took with nothing to send.
+func (sc *Scenario) Inject(src topology.NodeID, flow, seq uint16) error {
+	sc.NW.Wake(src)
+	return sc.MACNode(int(src)).InjectData(&sim.Frame{
+		Origin: src, FlowID: flow, Seq: seq, BornASN: sc.NW.ASN(),
 	})
 }
 

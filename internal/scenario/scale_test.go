@@ -79,11 +79,9 @@ func runScale(t *testing.T, topoName, proto string, minJoin float64) (got scaleP
 	})
 	fset := flows.FixedSet(topo.SuggestedSources, 2*time.Second)
 	sent := 0
-	flows.Schedule(sc.NW, fset, 4, func(f flows.Flow, seq uint16, asn sim.ASN) {
+	flows.Schedule(sc.NW, fset, 4, func(f flows.Flow, seq uint16, _ sim.ASN) {
 		sent++
-		_ = sc.MACNode(int(f.Source)).InjectData(&sim.Frame{
-			Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: asn,
-		})
+		_ = sc.Inject(f.Source, f.ID, seq)
 	})
 	sc.NW.Run(sim.SlotsFor(12 * time.Second))
 

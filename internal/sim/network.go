@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math/rand"
-	"time"
 
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/phy"
@@ -460,11 +459,6 @@ func (nw *Network) At(asn ASN, fn func()) {
 	}
 	nw.eventSeq++
 	nw.pending.push(slotEntry[func()]{asn: asn, ord: nw.eventSeq, val: fn})
-}
-
-// AfterDuration schedules fn to run the given wall-clock time from now.
-func (nw *Network) AfterDuration(d time.Duration, fn func()) {
-	nw.At(nw.asn+SlotsFor(d), fn)
 }
 
 // fireEvents runs, in scheduling order, every event due at or before asn.

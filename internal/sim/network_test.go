@@ -271,7 +271,7 @@ func TestScheduledEventsFire(t *testing.T) {
 	var fired []ASN
 	nw.At(5, func() { fired = append(fired, 5) })
 	nw.At(2, func() { fired = append(fired, 2) })
-	nw.AfterDuration(100*time.Millisecond, func() { fired = append(fired, 10) })
+	nw.At(SlotsFor(100*time.Millisecond), func() { fired = append(fired, 10) })
 	// A past-dated event fires at the next slot boundary instead of being
 	// dropped (fault plans may script stale relative offsets).
 	nw.At(-1, func() { fired = append(fired, nw.ASN()) })

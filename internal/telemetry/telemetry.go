@@ -4,10 +4,9 @@
 // its delivery or typed drop, as spans keyed by (origin, flow, seq, hop).
 //
 // Recording goes through the Tracer interface so sinks are pluggable: a
-// bounded in-memory ring (Ring), a JSONL exporter with a versioned schema
-// (JSONL), and an aggregating sink that folds the stream into per-hop
-// loss attribution, per-cell utilization and queue-depth histograms
-// (Aggregate). The cmd/digs-trace CLI replays an exported JSONL stream
+// JSONL exporter with a versioned schema (JSONL) and an aggregating sink
+// that folds the stream into per-hop loss attribution, per-cell
+// utilization and queue-depth histograms (Aggregate). The cmd/digs-trace CLI replays an exported JSONL stream
 // through the same Aggregate.
 //
 // The disabled path is a nil check: instrumented code guards every

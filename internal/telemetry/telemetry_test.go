@@ -147,27 +147,6 @@ func TestScanRejectsBadStreams(t *testing.T) {
 	}
 }
 
-// TestRingWraps checks the bounded sink overwrites oldest-first and counts
-// what it lost.
-func TestRingWraps(t *testing.T) {
-	r := NewRing(3)
-	for i := 1; i <= 5; i++ {
-		r.Record(Event{ASN: int64(i)})
-	}
-	if r.Len() != 3 {
-		t.Fatalf("ring holds %d events, want 3", r.Len())
-	}
-	if r.Dropped() != 2 {
-		t.Fatalf("ring dropped %d events, want 2", r.Dropped())
-	}
-	got := r.Events()
-	for i, wantASN := range []int64{3, 4, 5} {
-		if got[i].ASN != wantASN {
-			t.Fatalf("ring events = %+v, want ASNs 3,4,5", got)
-		}
-	}
-}
-
 // TestMergeJSONL merges job-stamped parts and checks the result is one
 // valid stream whose events keep their job indices and part order.
 func TestMergeJSONL(t *testing.T) {
@@ -275,15 +254,15 @@ func TestMultiFansOut(t *testing.T) {
 	if Multi(nil, nil) != nil {
 		t.Fatal("Multi of nils should be nil")
 	}
-	r := NewRing(4)
-	if got := Multi(nil, r); got != Tracer(r) {
+	a := NewAggregate(1)
+	if got := Multi(nil, a); got != Tracer(a) {
 		t.Fatal("Multi with one live sink should unwrap it")
 	}
-	r2 := NewRing(4)
-	m := Multi(r, r2)
+	a2 := NewAggregate(1)
+	m := Multi(a, a2)
 	m.Record(Event{ASN: 1})
-	if r.Len() != 1 || r2.Len() != 1 {
-		t.Fatalf("fan-out recorded %d/%d events, want 1/1", r.Len(), r2.Len())
+	if a.Events() != 1 || a2.Events() != 1 {
+		t.Fatalf("fan-out recorded %d/%d events, want 1/1", a.Events(), a2.Events())
 	}
 	if err := m.Flush(); err != nil {
 		t.Fatal(err)
