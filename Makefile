@@ -93,11 +93,13 @@ examples-golden:
 ## byte-compare the result against a straight-through run that never
 ## stopped (labels must match: the label is part of the snapshot). Once on
 ## the dense medium and once on the sparse one, whose mid-run snapshot
-## carries nap vectors from one process to the next.
+## carries nap vectors from one process to the next. First, the checked-in
+## version-3 file must still decode.
 SNAP_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-snap-smoke
 snap-smoke:
 	rm -rf $(SNAP_SMOKE_DIR) && mkdir -p $(SNAP_SMOKE_DIR)
 	$(GO) build -o $(SNAP_SMOKE_DIR)/ ./cmd/digs-snap
+	$(SNAP_SMOKE_DIR)/digs-snap info internal/scenario/testdata/half-testbed-a-whart-v3.snap
 	cd $(SNAP_SMOKE_DIR) && for topo in half-testbed-a gen-plant-300-1; do \
 		./digs-snap take -topology $$topo -protocol digs -seed 9 -slots 3000 -o $$topo.mid.snap >/dev/null \
 		&& ./digs-snap resume -snap $$topo.mid.snap -slots 2000 -label golden -o $$topo.resumed.snap >/dev/null \

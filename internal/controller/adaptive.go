@@ -168,9 +168,6 @@ func (s *AdaptiveStack) setTxCells(k int) {
 	s.SetTxCells(cells...)
 }
 
-// TxCells exposes the current transmit-cell budget for tests and probes.
-func (s *AdaptiveStack) TxCells() int { return s.txCells }
-
 // Reset implements mac.Resetter: back to the just-constructed state. The
 // installed route hook, the queue-length hook and the configuration
 // survive, like the other stacks.

@@ -400,12 +400,6 @@ func NewSDNStack(id topology.NodeID, isAP bool, controllerID topology.NodeID,
 // controller reports whether this node runs the controller role.
 func (s *SDNStack) controller() bool { return s.id == s.controllerID }
 
-// Controller exposes the role for probes and tests.
-func (s *SDNStack) Controller() bool { return s.controller() }
-
-// Parent exposes the configured data-plane parent.
-func (s *SDNStack) Parent() topology.NodeID { return s.parent }
-
 // Configured reports whether the node holds a routed data-plane state:
 // access points sink traffic by construction, everyone else needs a
 // controller-assigned parent.
@@ -423,10 +417,6 @@ func (s *SDNStack) SetRouteHook(fn stack.RouteHook) { s.onParentChange = fn }
 func (s *SDNStack) Probe() (parent, backup topology.NodeID, neighbors int) {
 	return s.parent, 0, s.rss.Len()
 }
-
-// KnownReports exposes how many fresh node reports the controller holds
-// (0 on non-controller nodes).
-func (s *SDNStack) KnownReports() int { return s.reports.Len() }
 
 // Reset implements mac.Resetter: full state loss, as after a reboot
 // without persistent storage. Configuration, identity and the telemetry

@@ -152,42 +152,3 @@ func TestOnCommandUnknownNode(t *testing.T) {
 		t.Fatal("installed a command sink on a non-existent node")
 	}
 }
-
-func TestBroadcastGraphReachesWholeTestbed(t *testing.T) {
-	topo := topology.TestbedA()
-	nw := sim.NewNetwork(topo, 33)
-	macCfg := mac.DefaultConfig()
-	macCfg.BroadcastFrameLen = 23
-	net, err := Build(nw, DefaultConfig(topo.NumAPs), macCfg, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := NewGateway(net)
-	if _, done := nw.RunUntil(sim.SlotsFor(240*time.Second), func() bool {
-		return net.JoinedCount() == topo.N()
-	}); !done {
-		t.Fatal("network did not converge")
-	}
-
-	reached := map[topology.NodeID]bool{}
-	for i := topo.NumAPs + 1; i <= topo.N(); i++ {
-		id := topology.NodeID(i)
-		net.Nodes[i].BulletinSink = func(sim.ASN, *sim.Frame) { reached[id] = true }
-	}
-	if err := gw.BroadcastBulletin([]byte("superframe update")); err != nil {
-		t.Fatal(err)
-	}
-	nw.Run(sim.SlotsFor(60 * time.Second))
-
-	missing := 0
-	for i := topo.NumAPs + 1; i <= topo.N(); i++ {
-		if !reached[topology.NodeID(i)] {
-			missing++
-		}
-	}
-	t.Logf("broadcast reached %d/%d field devices",
-		topo.N()-topo.NumAPs-missing, topo.N()-topo.NumAPs)
-	if missing > 2 {
-		t.Fatalf("%d field devices never received the bulletin", missing)
-	}
-}

@@ -90,15 +90,3 @@ func (g *Gateway) SendCommand(dst topology.NodeID, payload []byte) error {
 	}
 	return g.net.Nodes[r.ap].SendCommand(r.path, payload)
 }
-
-// BroadcastBulletin disseminates a network-wide bulletin from the first
-// access point over the broadcast graph (requires
-// mac.Config.BroadcastFrameLen > 0).
-func (g *Gateway) BroadcastBulletin(payload []byte) error {
-	for _, node := range g.net.Nodes[1:] {
-		if node != nil && node.IsAP() {
-			return node.Broadcast(payload)
-		}
-	}
-	return fmt.Errorf("gateway: no access point attached")
-}

@@ -29,36 +29,6 @@ func TestSendCommandErrorNamesTheDevice(t *testing.T) {
 	}
 }
 
-// TestBroadcastBulletinNoAPs exercises the defensive branch for a gateway
-// wired onto a network without any access point.
-func TestBroadcastBulletinNoAPs(t *testing.T) {
-	gw := NewGateway(&Network{Nodes: make([]*mac.Node, 1)})
-	err := gw.BroadcastBulletin([]byte("hello"))
-	if err == nil {
-		t.Fatal("BroadcastBulletin succeeded without an access point")
-	}
-	if !strings.Contains(err.Error(), "no access point") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-}
-
-// TestBroadcastBulletinDisabledSurfacesMACError checks that the MAC's
-// broadcast-disabled error propagates through the gateway instead of being
-// swallowed.
-func TestBroadcastBulletinDisabledSurfacesMACError(t *testing.T) {
-	topo := topology.TestbedA()
-	nw := sim.NewNetwork(topo, 7)
-	// Default MAC config: BroadcastFrameLen == 0, broadcast disabled.
-	net, err := Build(nw, DefaultConfig(topo.NumAPs), mac.DefaultConfig(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gw := NewGateway(net)
-	if err := gw.BroadcastBulletin([]byte("x")); err == nil {
-		t.Fatal("BroadcastBulletin succeeded with broadcast disabled at the MAC")
-	}
-}
-
 // TestOnCommandErrorNamesTheNode pins the OnCommand error contract.
 func TestOnCommandErrorNamesTheNode(t *testing.T) {
 	topo := topology.TestbedA()

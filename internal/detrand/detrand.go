@@ -49,9 +49,6 @@ func (s *Source) Seed(seed int64) {
 	s.src.Seed(seed)
 }
 
-// SeedValue returns the seed the current stream started from.
-func (s *Source) SeedValue() int64 { return s.seed }
-
 // Draws returns how many generator steps have been consumed since the
 // last (re)seed.
 func (s *Source) Draws() uint64 { return s.draws }

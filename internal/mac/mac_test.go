@@ -314,11 +314,7 @@ func TestNapSurvivesQueuedData(t *testing.T) {
 	if w, _ := n.NextWake(2); w != 3 {
 		t.Fatalf("node relaying a command naps until %d", w)
 	}
-	n.downQueue, n.bcastOut = nil, &bulletin{}
-	if w, _ := n.NextWake(2); w != 3 {
-		t.Fatalf("node relaying a bulletin naps until %d", w)
-	}
-	n.bcastOut = nil
+	n.downQueue = nil
 	n.cfg.DownlinkFrameLen = 20
 	if w, _ := n.NextWake(2); w != 3 {
 		t.Fatalf("node with a downlink slotframe naps until %d", w)

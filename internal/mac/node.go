@@ -11,43 +11,19 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// OverflowPolicy selects what a full data queue does with a new packet.
-type OverflowPolicy uint8
-
-const (
-	// OverflowRejectNew drops the arriving packet when the queue is full
-	// (the seed behaviour, and the default).
-	OverflowRejectNew OverflowPolicy = iota
-	// OverflowDropOldest evicts the oldest queued packet to admit the new
-	// one: under congestion the queue carries the freshest samples, which
-	// industrial monitoring flows prefer over stale ones.
-	OverflowDropOldest
-)
-
 // Config tunes MAC behaviour.
 type Config struct {
-	// QueueCap bounds the data forwarding queue (TelosB-class memory).
+	// QueueCap bounds the data forwarding queue (TelosB-class memory); a
+	// packet arriving at a full queue is dropped.
 	QueueCap int
 	// MaxTxPerPacket bounds total transmission attempts before a data
 	// packet is dropped.
 	MaxTxPerPacket int
-	// Overflow selects the full-queue policy (default: reject the new
-	// packet).
-	Overflow OverflowPolicy
-	// WatchdogNoAckLimit, when positive, rotates the head-of-line packet
-	// to the queue tail after that many consecutive un-acked data
-	// attempts to the same destination, so a dead next-hop degrades
-	// gracefully instead of stalling every packet behind it until the
-	// retry budget runs out. Zero disables the watchdog.
-	WatchdogNoAckLimit int
 	// DownlinkFrameLen enables the downlink command slotframe when
 	// positive: every node listens once per frame in a slot derived from
 	// its ID, and source-routed commands ride the slots the protocol
 	// schedule leaves idle. Zero disables downlink entirely.
 	DownlinkFrameLen int
-	// BroadcastFrameLen enables the network-wide dissemination slotframe
-	// (the paper's broadcast graph) when positive. Zero disables it.
-	BroadcastFrameLen int
 }
 
 // DefaultConfig returns the MAC configuration used across the evaluation.
@@ -70,17 +46,9 @@ type Stats struct {
 	// CommandsDelivered counts downlink commands that reached this node as
 	// their destination.
 	CommandsDelivered int64
-	// BulletinsDelivered counts broadcast bulletins received (once each).
-	BulletinsDelivered int64
-	DroppedQueue       int64
-	DroppedRetries     int64
-	Duplicates         int64
-	// Evicted counts packets the drop-oldest overflow policy pushed out
-	// (a subset of DroppedQueue, which stays the total queue loss).
-	Evicted int64
-	// WatchdogRequeues counts head-of-line rotations the transmit
-	// watchdog performed.
-	WatchdogRequeues int64
+	DroppedQueue      int64
+	DroppedRetries    int64
+	Duplicates        int64
 }
 
 // DutyCycle returns the fraction of elapsed time the radio was on.
@@ -147,20 +115,6 @@ type Node struct {
 	// CommandSink receives downlink commands addressed to this node.
 	CommandSink func(asn sim.ASN, f *sim.Frame)
 
-	// BulletinSink receives network-wide broadcast bulletins.
-	BulletinSink func(asn sim.ASN, f *sim.Frame)
-
-	// bcastOut is the bulletin currently being relayed; coinState drives
-	// the deterministic persistence coin.
-	bcastOut  *bulletin
-	bcastSeq  uint16
-	coinState uint64
-
-	// wdDst/wdFails track consecutive un-acked data attempts to one
-	// destination for the transmit watchdog.
-	wdDst   topology.NodeID
-	wdFails int
-
 	// tracer, when non-nil, receives a packet-lifecycle event per
 	// generation, enqueue, transmission attempt, reception and drop. The
 	// disabled path is a single nil check per hook point.
@@ -173,12 +127,11 @@ var _ sim.Device = (*Node)(nil)
 // synchronised: they are the network's time source.
 func NewNode(id topology.NodeID, isAP bool, proto Protocol, cfg Config) *Node {
 	n := &Node{
-		id:        id,
-		isAP:      isAP,
-		proto:     proto,
-		cfg:       cfg,
-		seen:      make(map[seenKey]struct{}),
-		coinState: uint64(id)*0x9e3779b97f4a7c15 + 1,
+		id:    id,
+		isAP:  isAP,
+		proto: proto,
+		cfg:   cfg,
+		seen:  make(map[seenKey]struct{}),
 	}
 	if isAP {
 		n.synced = true
@@ -224,18 +177,15 @@ func (n *Node) InjectData(f *sim.Frame) error {
 		})
 	}
 	if len(n.queue) >= n.cfg.QueueCap {
-		if n.cfg.Overflow != OverflowDropOldest {
-			n.stats.DroppedQueue++
-			if n.tracer != nil {
-				n.tracer.Record(telemetry.Event{
-					ASN: f.BornASN, Type: telemetry.EvDropped, Node: n.id,
-					Origin: f.Origin, Flow: f.FlowID, Seq: f.Seq, Kind: uint8(f.Kind),
-					Reason: telemetry.ReasonQueueFull, Queue: int16(len(n.queue)), Born: f.BornASN,
-				})
-			}
-			return fmt.Errorf("node %d: data queue full", n.id)
+		n.stats.DroppedQueue++
+		if n.tracer != nil {
+			n.tracer.Record(telemetry.Event{
+				ASN: f.BornASN, Type: telemetry.EvDropped, Node: n.id,
+				Origin: f.Origin, Flow: f.FlowID, Seq: f.Seq, Kind: uint8(f.Kind),
+				Reason: telemetry.ReasonQueueFull, Queue: int16(len(n.queue)), Born: f.BornASN,
+			})
 		}
-		n.evictOldest(f.BornASN)
+		return fmt.Errorf("node %d: data queue full", n.id)
 	}
 	n.queue = append(n.queue, queuedPacket{frame: f})
 	if n.tracer != nil {
@@ -246,27 +196,6 @@ func (n *Node) InjectData(f *sim.Frame) error {
 		})
 	}
 	return nil
-}
-
-// evictOldest drops the head-of-line packet to make room under the
-// drop-oldest overflow policy. The caller admits the new packet after.
-// If the evicted head is mid-transmission this slot, txDone's identity
-// check (queue[0].frame) makes the late ACK report a no-op.
-func (n *Node) evictOldest(asn sim.ASN) {
-	head := n.queue[0]
-	n.stats.DroppedQueue++
-	n.stats.Evicted++
-	if n.tracer != nil {
-		f := head.frame
-		n.tracer.Record(telemetry.Event{
-			ASN: asn, Type: telemetry.EvDropped, Node: n.id,
-			Origin: f.Origin, Flow: f.FlowID, Seq: f.Seq, Kind: uint8(f.Kind),
-			Reason: telemetry.ReasonEvicted,
-			Queue:  int16(len(n.queue) - 1), Born: f.BornASN,
-		})
-	}
-	n.queue = n.queue[1:]
-	n.wdFails = 0
 }
 
 // scanDwellSlots is how long a joining node camps on one channel before
@@ -282,13 +211,6 @@ func (n *Node) Plan(asn sim.ASN) sim.RadioOp {
 	op := n.planProtocol(asn, a)
 	if op.Kind != sim.OpSleep {
 		return op
-	}
-	// Idle slot: the broadcast cell outranks downlink (alarms and
-	// reconfiguration beat individual commands).
-	if n.cfg.BroadcastFrameLen > 0 {
-		if bop, ok := n.planBroadcast(asn); ok {
-			return bop
-		}
 	}
 	if n.cfg.DownlinkFrameLen > 0 {
 		return n.planDownlink(asn)
@@ -408,11 +330,7 @@ func (n *Node) receive(asn sim.ASN, f *sim.Frame, rssi float64) {
 	}
 	n.proto.OnFrame(asn, f, rssi)
 	if f.Kind == sim.KindCommand {
-		if f.Broadcast() {
-			n.receiveBroadcast(asn, f)
-		} else {
-			n.receiveCommand(asn, f)
-		}
+		n.receiveCommand(asn, f)
 		return
 	}
 	if f.Kind != sim.KindData {
@@ -462,19 +380,16 @@ func (n *Node) receive(asn sim.ASN, f *sim.Frame, rssi float64) {
 	// Forward: copy the end-to-end identity into a fresh frame owned by
 	// this node's queue.
 	if len(n.queue) >= n.cfg.QueueCap {
-		if n.cfg.Overflow != OverflowDropOldest {
-			n.stats.DroppedQueue++
-			if n.tracer != nil {
-				n.tracer.Record(telemetry.Event{
-					ASN: asn, Type: telemetry.EvDropped, Node: n.id, Peer: f.Src,
-					Origin: f.Origin, Flow: f.FlowID, Seq: f.Seq, Kind: uint8(f.Kind),
-					Hop: hop, Reason: telemetry.ReasonQueueFull,
-					Queue: int16(len(n.queue)), Born: f.BornASN,
-				})
-			}
-			return
+		n.stats.DroppedQueue++
+		if n.tracer != nil {
+			n.tracer.Record(telemetry.Event{
+				ASN: asn, Type: telemetry.EvDropped, Node: n.id, Peer: f.Src,
+				Origin: f.Origin, Flow: f.FlowID, Seq: f.Seq, Kind: uint8(f.Kind),
+				Hop: hop, Reason: telemetry.ReasonQueueFull,
+				Queue: int16(len(n.queue)), Born: f.BornASN,
+			})
 		}
-		n.evictOldest(asn)
+		return
 	}
 	fwd := &sim.Frame{
 		Kind:    sim.KindData,
@@ -503,9 +418,7 @@ func (n *Node) txDone(asn sim.ASN, op sim.RadioOp, acked bool) {
 	if f.Kind == sim.KindCommand {
 		n.stats.TxData++
 		n.traceTx(asn, op, acked, 0, int16(len(n.downQueue)))
-		if !f.Broadcast() {
-			n.downlinkTxDone(asn, acked)
-		}
+		n.downlinkTxDone(asn, acked)
 		return
 	}
 	if f.Kind == sim.KindData {
@@ -517,7 +430,6 @@ func (n *Node) txDone(asn sim.ASN, op sim.RadioOp, acked bool) {
 		n.proto.OnTxResult(asn, f, f.Dst, acked)
 		if acked {
 			n.queue = n.queue[1:]
-			n.wdFails = 0
 			return
 		}
 		n.queue[0].txCount++
@@ -533,10 +445,7 @@ func (n *Node) txDone(asn sim.ASN, op sim.RadioOp, acked bool) {
 				})
 			}
 			n.queue = n.queue[1:]
-			n.wdFails = 0
-			return
 		}
-		n.watchdog(f.Dst)
 		return
 	}
 	n.stats.TxControl++
@@ -546,43 +455,21 @@ func (n *Node) txDone(asn sim.ASN, op sim.RadioOp, acked bool) {
 	}
 }
 
-// watchdog counts consecutive un-acked data attempts to one destination
-// and, at the configured limit, rotates the head-of-line packet to the
-// queue tail (keeping its retry count) so packets behind it get a turn
-// while the routing layer notices the dead next-hop.
-func (n *Node) watchdog(dst topology.NodeID) {
-	if n.cfg.WatchdogNoAckLimit <= 0 {
-		return
-	}
-	if dst != n.wdDst {
-		n.wdDst, n.wdFails = dst, 0
-	}
-	n.wdFails++
-	if n.wdFails < n.cfg.WatchdogNoAckLimit || len(n.queue) < 2 {
-		return
-	}
-	head := n.queue[0]
-	n.queue = append(n.queue[1:], head)
-	n.stats.WatchdogRequeues++
-	n.wdFails = 0
-}
-
 // NextWake implements sim.Napper: it reports the next slot this node
 // could plan anything but what it names. An unsynchronised node stands on
 // its dwell's scan until the dwell ends — the engine rouses it when a frame
 // arrives. A synchronised node sleeps until its protocol's next active
 // slot. Queued data does not keep it awake: it leaves only in the node's own
 // transmit cells, and NextActive reports those whether or not anything is
-// queued. Downlink commands and bulletins in transit do, as do the optional
-// downlink and broadcast slotframes, whose cells depend on frames other
-// nodes may send. Anything handing a napping node new work outside the radio
-// path (a reboot) must go through Network.Wake.
+// queued. Downlink commands in transit do, as does the optional downlink
+// slotframe, whose cells depend on frames other nodes may send. Anything
+// handing a napping node new work outside the radio path (a reboot) must go
+// through Network.Wake.
 func (n *Node) NextWake(asn sim.ASN) (sim.ASN, sim.RadioOp) {
 	switch {
 	case !n.synced:
 		return ((asn+1)/scanDwellSlots + 1) * scanDwellSlots, n.scanOp(asn + 1)
-	case len(n.downQueue) > 0 || n.bcastOut != nil ||
-		n.cfg.DownlinkFrameLen > 0 || n.cfg.BroadcastFrameLen > 0:
+	case len(n.downQueue) > 0 || n.cfg.DownlinkFrameLen > 0:
 		return asn + 1, sim.Sleep()
 	}
 	return max(n.proto.NextActive(asn+1), asn+1), sim.Sleep()
@@ -651,8 +538,8 @@ type Resetter interface {
 }
 
 // Reboot cold-restarts the node at the given slot: the data and downlink
-// queues, relay state and duplicate table are lost, and non-AP nodes
-// come back unsynchronised (the slot clock does not survive a reboot) —
+// queues and the duplicate table are lost, and non-AP nodes come back
+// unsynchronised (the slot clock does not survive a reboot) —
 // they must re-hear a beacon. Access points remain the time source.
 // When loseState is true the protocol's routing state is also discarded
 // (if it implements Resetter), so the node rejoins from scratch rather
@@ -660,9 +547,7 @@ type Resetter interface {
 func (n *Node) Reboot(asn sim.ASN, loseState bool) {
 	n.queue = nil
 	n.downQueue = nil
-	n.bcastOut = nil
 	n.seen = make(map[seenKey]struct{})
-	n.wdDst, n.wdFails = 0, 0
 	n.lastRx = asn
 	if loseState {
 		if r, ok := n.proto.(Resetter); ok {

@@ -6,78 +6,6 @@ import (
 	"github.com/digs-net/digs/internal/sim"
 )
 
-func TestDropOldestOverflowEvictsHead(t *testing.T) {
-	topo := lineTopology(t, 2)
-	nw := sim.NewNetwork(topo, 1)
-	p := &staticProto{id: 2} // no parent: nothing ever leaves the queue
-	cfg := Config{QueueCap: 2, MaxTxPerPacket: 3, Overflow: OverflowDropOldest}
-	n2 := NewNode(2, false, p, cfg)
-	if err := nw.Attach(n2); err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint16(0); seq < 4; seq++ {
-		if err := n2.InjectData(&sim.Frame{Origin: 2, FlowID: 1, Seq: seq}); err != nil {
-			t.Fatalf("packet %d rejected under drop-oldest: %v", seq, err)
-		}
-	}
-	if n2.QueueLen() != 2 {
-		t.Fatalf("queue len = %d, want 2", n2.QueueLen())
-	}
-	// The two freshest packets survive.
-	for i, want := range []uint16{2, 3} {
-		if got := n2.queue[i].frame.Seq; got != want {
-			t.Fatalf("queue[%d].Seq = %d, want %d", i, got, want)
-		}
-	}
-	st := n2.Stats()
-	if st.Generated != 4 || st.DroppedQueue != 2 || st.Evicted != 2 {
-		t.Fatalf("stats = %+v, want Generated 4, DroppedQueue 2, Evicted 2", st)
-	}
-}
-
-func TestWatchdogRotatesHeadOfLine(t *testing.T) {
-	topo := lineTopology(t, 2)
-	nw := sim.NewNetwork(topo, 1)
-	// Node 2's parent (node 1) is dead, so every attempt goes un-acked. A
-	// large retry budget with a small watchdog limit must rotate the head
-	// instead of burning the whole budget on packet 0.
-	p := &staticProto{id: 2, parent: 1}
-	cfg := Config{QueueCap: 4, MaxTxPerPacket: 100, WatchdogNoAckLimit: 2}
-	n2 := NewNode(2, false, p, cfg)
-	p1 := &staticProto{id: 1}
-	n1 := NewNode(1, true, p1, Config{QueueCap: 4, MaxTxPerPacket: 100})
-	if err := nw.Attach(n1); err != nil {
-		t.Fatal(err)
-	}
-	if err := nw.Attach(n2); err != nil {
-		t.Fatal(err)
-	}
-	nw.Run(200) // join
-	nw.Fail(1)
-	for seq := uint16(0); seq < 2; seq++ {
-		if err := n2.InjectData(&sim.Frame{Origin: 2, FlowID: 1, Seq: seq}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	nw.Run(60) // 6 transmit opportunities -> 3 rotations at limit 2
-	st := n2.Stats()
-	if st.WatchdogRequeues < 2 {
-		t.Fatalf("WatchdogRequeues = %d, want >= 2", st.WatchdogRequeues)
-	}
-	if st.DroppedRetries != 0 {
-		t.Fatalf("DroppedRetries = %d, want 0 (budget far from exhausted)", st.DroppedRetries)
-	}
-	// Both packets shared the un-acked attempts instead of seq 0 hogging
-	// them all.
-	counts := map[uint16]int{}
-	for i := range n2.queue {
-		counts[n2.queue[i].frame.Seq] = n2.queue[i].txCount
-	}
-	if counts[0] == 0 || counts[1] == 0 {
-		t.Fatalf("tx counts not shared across queue: %v", counts)
-	}
-}
-
 // resettableProto wraps staticProto and records Reset calls.
 type resettableProto struct {
 	staticProto

@@ -76,18 +76,11 @@ type PacketState struct {
 }
 
 // SeenKeyState is one duplicate-suppression entry. Flow 0xFFFF marks
-// downlink commands and 0xFFFE broadcast bulletins, mirroring the in-memory
-// convention.
+// downlink commands, mirroring the in-memory convention.
 type SeenKeyState struct {
 	Origin topology.NodeID
 	Flow   uint16
 	Seq    uint16
-}
-
-// BulletinState is the broadcast bulletin a node is currently relaying.
-type BulletinState struct {
-	Frame     FrameState
-	Remaining int
 }
 
 // NodeState is the complete mutable MAC state of one node. Identity,
@@ -102,11 +95,6 @@ type NodeState struct {
 	DownQueue []PacketState
 	Seen      []SeenKeyState // sorted by (origin, flow, seq)
 	DownSeq   uint16
-	BcastSeq  uint16
-	CoinState uint64
-	Bcast     *BulletinState
-	WdDst     topology.NodeID
-	WdFails   int
 	Stats     Stats
 }
 
@@ -144,10 +132,6 @@ func (n *Node) CaptureState() *NodeState {
 		Queue:     capturePackets(n.queue),
 		DownQueue: capturePackets(n.downQueue),
 		DownSeq:   n.downSeq,
-		BcastSeq:  n.bcastSeq,
-		CoinState: n.coinState,
-		WdDst:     n.wdDst,
-		WdFails:   n.wdFails,
 		Stats:     n.stats,
 	}
 	if len(n.seen) > 0 {
@@ -165,10 +149,6 @@ func (n *Node) CaptureState() *NodeState {
 			}
 			return a.Seq < b.Seq
 		})
-	}
-	if n.bcastOut != nil {
-		st.Bcast = &BulletinState{Frame: captureFrame(n.bcastOut.frame),
-			Remaining: n.bcastOut.remaining}
 	}
 	return st
 }
@@ -188,15 +168,6 @@ func (n *Node) RestoreState(st *NodeState) error {
 		n.seen[seenKey{origin: k.Origin, flow: k.Flow, seq: k.Seq}] = struct{}{}
 	}
 	n.downSeq = st.DownSeq
-	n.bcastSeq = st.BcastSeq
-	n.coinState = st.CoinState
-	if st.Bcast != nil {
-		n.bcastOut = &bulletin{frame: st.Bcast.Frame.restore(), remaining: st.Bcast.Remaining}
-	} else {
-		n.bcastOut = nil
-	}
-	n.wdDst = st.WdDst
-	n.wdFails = st.WdFails
 	n.stats = st.Stats
 	return nil
 }

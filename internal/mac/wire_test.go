@@ -81,7 +81,7 @@ func TestDecodeFrameRejectsGarbage(t *testing.T) {
 }
 
 // TestEveryTransmittedFrameIsCodable runs a real DiGS-era traffic mix (a
-// MAC chain with uplink data, downlink commands and broadcasts) and
+// MAC chain with uplink data and downlink commands) and
 // round-trips every frame the medium carries through the wire codec: the
 // whole protocol suite must stay within the 802.15.4 MPDU budget.
 func TestEveryTransmittedFrameIsCodable(t *testing.T) {
@@ -89,7 +89,6 @@ func TestEveryTransmittedFrameIsCodable(t *testing.T) {
 	nw := sim.NewNetwork(topo, 1)
 	cfg := DefaultConfig()
 	cfg.DownlinkFrameLen = 53
-	cfg.BroadcastFrameLen = 23
 	nodes := make([]*Node, 6)
 	for i := 1; i <= 5; i++ {
 		id := topology.NodeID(i)
@@ -125,7 +124,6 @@ func TestEveryTransmittedFrameIsCodable(t *testing.T) {
 		nw.Run(sim.SlotsFor(2 * time.Second))
 	}
 	_ = nodes[1].SendCommand([]topology.NodeID{2, 3, 4, 5}, []byte{9})
-	_ = nodes[1].Broadcast([]byte("cfg v2"))
 	nw.Run(sim.SlotsFor(10 * time.Second))
 
 	if frames < 100 {

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/digs-net/digs/internal/phy"
 	"github.com/digs-net/digs/internal/sim"
 )
 
@@ -144,7 +143,3 @@ func DutyCyclePerPacket(totalRadioOn time.Duration, nodeCount int, window time.D
 	duty := float64(totalRadioOn) / float64(window) / float64(nodeCount) * 100
 	return duty / float64(deliveredPackets)
 }
-
-// EnergyOf sums the radio energy of one slot activity sequence; re-exported
-// here so experiment code does not need the phy package directly.
-func EnergyOf(a phy.SlotActivity) float64 { return phy.EnergyJoules(a) }

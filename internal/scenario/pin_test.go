@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -22,11 +23,11 @@ import (
 // against the old build's snapshot that prints meta.config_hash and nothing
 // else.
 var wirePins = map[string]string{
-	"adaptive":  "99aaabf760073436c8fe232d8068ff14eb456860ef944088968ca15d202612cc",
-	"digs":      "8c67c2f6ef73561b6b154a9167392079d970abb6f8fe8d27a3646b9c35c881dc",
-	"orchestra": "9f982b501a64fa709508a31a08ecfb297df01c1bfc09759de8ba705c8832db6a",
-	"sdn":       "1ca273b919d8684e2391f207ae31d86932555a773ad3fb358503549186cc45c5",
-	"whart":     "eae86842d59443a1f9cc42e4a944f3e6a44db7ba1e22ec38914830137b6850be",
+	"adaptive":  "94d479281f5c0cccb95eb398c2f671d802cdd0f5fc63b02c22eb5034b63c3675",
+	"digs":      "6a6f018931eecf5a28de32bfcd6c0d1b6b5b2f6f756047064b47676b1bafa926",
+	"orchestra": "e619f8a33585f69d909599adc4f1fd33bb3c6699c3b3619c01e88a8164b4abe0",
+	"sdn":       "ba3d44bf48fc92e9ab6f2b6bf8f1271a1799d491649836671adc9a0ae4177762",
+	"whart":     "f87066056b6d3da52a6c53d6ccc538abd77b9680d4092c6aa3d9148bc0573357",
 }
 
 // sparsePins are the same digest on the sparse medium, for the stacks that
@@ -35,10 +36,10 @@ var wirePins = map[string]string{
 // what no dense one does — the version-2 tail of the "net" section (sparse
 // fade pairs, nap vectors) beside drift vectors and no dense Fade overlay.
 var sparsePins = map[string]string{
-	"adaptive":  "a331d52b9d512077e39724393e903bd8364f40c8fb088bf4b4a24e04915a3ad8",
-	"digs":      "0d171b9b57a6499492ad30848bc24ca9d64a85c12bada7a1b7053d3f112b1d77",
-	"orchestra": "02d8b38f0a6941dde1c5e88f5caa9e5cd56723fe3fd8eba0fe9dad150b745b21",
-	"sdn":       "ccb21a2fb16cf7dc39d59b6c6c2a66abd9591f2844d0f02661fb0691d5681cde",
+	"adaptive":  "9fda1e8628c313fba4ea6241efda9757713d7644c317a102d845d67a432fc26b",
+	"digs":      "b5c17745a5fc6afbafe395ad92ea3c3db6d1a1097dcdb0e215b6f2fdea549225",
+	"orchestra": "bdf0df5832c754dedc7e41e29445e755031321f71ad37b6d017cbe88e3b710af",
+	"sdn":       "72accc283b06dbbe826329a08004d2ce0606ef02a00fc636cd159a710c278d97",
 }
 
 // checkPin takes a snapshot of the scenario and holds it to three things:
@@ -74,7 +75,7 @@ func checkPin(t *testing.T, sc *Scenario, proto, want string) *snapshot.Snapshot
 }
 
 func TestSnapshotWireFormatPinned(t *testing.T) {
-	if snapshot.Version != 3 {
+	if snapshot.Version != 4 {
 		t.Fatalf("snapshot.Version = %d: re-record wirePins for the new format", snapshot.Version)
 	}
 	for _, proto := range RegisteredStacks() {
@@ -102,5 +103,43 @@ func TestSparseSnapshotWireFormatPinned(t *testing.T) {
 			t.Errorf("%s: the sparse pin lost what it is for: fade pairs %v, naps %v, drift %v, dense fade %v",
 				proto, net.FadeLinkIdx != nil, net.NapUntil != nil, net.DriftProb != nil, net.Fade != nil)
 		}
+	}
+}
+
+// v3File is a version-3 snapshot, as a build that wrote that format took it
+// with `digs-snap take -topology half-testbed-a -protocol whart -seed 5
+// -slots 6000`. Its "mac" section carries the fields version 4 retired.
+const v3File = "testdata/half-testbed-a-whart-v3.snap"
+
+// TestDecodeVersion3File: a real version-3 file decodes, and it differs
+// from today's take of the same scenario in one field only — the
+// configuration fingerprint, which hashes the printed mac.Config and so
+// moved when the retired options left it. Everything the simulation holds
+// reads back the same.
+func TestDecodeVersion3File(t *testing.T) {
+	b, err := os.ReadFile(v3File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ver := b[len("DIGSSNAP")]; ver != 3 {
+		t.Fatalf("%s is format version %d, want 3", v3File, ver)
+	}
+	old, err := snapshot.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// BuildFromMeta would refuse the file's configuration hash.
+	sc, err := Build(Params{TopologyName: old.Meta.Topology, Protocol: old.Meta.Protocol,
+		Seed: old.Meta.Seed, Period: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.NW.Run(old.Meta.Slot)
+	now, err := sc.Take(old.Meta.Label, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := snapshot.Diff(old, now); len(d) != 1 || !strings.HasPrefix(d[0], "meta.config_hash: ") {
+		t.Fatalf("version-3 file against today's take: want only meta.config_hash, got:\n%s", strings.Join(d, "\n"))
 	}
 }

@@ -27,15 +27,23 @@ func form(sc *Scenario, cache *snapshot.Cache) (Formation, error) {
 	return sc.Form(context.Background(), cache, 1.0, 6*time.Minute, 30*time.Second)
 }
 
+// window is what a measurement window reports: its counts and every
+// delivered packet's latency.
+type window struct {
+	Sent, Delivered         int
+	OutOfWindow, Duplicates int64
+	Latencies               []time.Duration
+}
+
 // runTraffic drives a fixed-source traffic window over the scenario with a
 // JSONL tracer and a metrics collector attached, and returns both outputs:
-// the complete telemetry stream and the measurement window, byte-for-byte
-// comparable between two runs that should be identical.
-func runTraffic(sc *Scenario) ([]byte, *metrics.CollectorState, error) {
+// the complete telemetry stream and the measurement window, comparable
+// between two runs that should be identical.
+func runTraffic(sc *Scenario) ([]byte, window, error) {
 	var trace bytes.Buffer
 	obs, err := sc.Observe(telemetry.NewJSONL(&trace), false, nil)
 	if err != nil {
-		return nil, nil, err
+		return nil, window{}, err
 	}
 	col := metrics.NewCollector()
 	const packets = 20
@@ -44,9 +52,10 @@ func runTraffic(sc *Scenario) ([]byte, *metrics.CollectorState, error) {
 	sc.NW.Run(sim.SlotsFor(period*packets + 15*time.Second))
 	sc.OnDeliver(nil)
 	if err := obs.Close(); err != nil {
-		return nil, nil, err
+		return nil, window{}, err
 	}
-	return trace.Bytes(), col.CaptureState(), nil
+	return trace.Bytes(), window{col.SentCount(), col.DeliveredCount(),
+		col.OutOfWindowCount(), col.DuplicateCount(), col.Latencies()}, nil
 }
 
 // TestResumeBitIdentity is the subsystem's core promise, per protocol:
@@ -117,7 +126,7 @@ func TestResumeBitIdentity(t *testing.T) {
 			if snapS.Meta.Slot == 0 {
 				t.Fatal("snapshot taken at slot 0: formation did not run")
 			}
-			if len(traceA) == 0 || colA == nil || len(colA.Sent) == 0 {
+			if len(traceA) == 0 || colA.Sent == 0 {
 				t.Fatalf("traffic window produced no evidence (trace %dB, %v)", len(traceA), colA)
 			}
 			if !bytes.Equal(traceA, traceB) {
@@ -250,7 +259,7 @@ func TestWarmStartCampaignDeterminism(t *testing.T) {
 				return "", err
 			}
 			return fmt.Sprintf("formed=%d trace=%d delivered=%d state=%x",
-				formed.Slots, len(trace), len(col.Delivered), stack.HashConfig(wire)), nil
+				formed.Slots, len(trace), col.Delivered, stack.HashConfig(wire)), nil
 		})
 	}
 

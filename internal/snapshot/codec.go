@@ -8,10 +8,10 @@ import (
 	"sort"
 
 	"github.com/digs-net/digs/internal/mac"
-	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/store"
+	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/wire"
 )
 
@@ -27,18 +27,19 @@ const (
 	// change; decoders reject versions they do not know. Version 2 added
 	// the scale engine's network-state fields (sparse fade pairs and nap
 	// vectors); version 3 added the controller-layer stack sections (sdn,
-	// adpt). Older snapshots still decode (they predate those features,
-	// so the added fields and sections are simply absent).
-	Version = 3
+	// adpt); version 4 dropped the MAC fields of the broadcast slotframe,
+	// the drop-oldest queue and the transmit watchdog. Older snapshots
+	// still decode: added fields and sections are absent, dropped fields
+	// are read and discarded.
+	Version = 4
 )
 
 // Section tags. The protocol stack's section is tagged by its registered
 // stack.Codec.
 const (
-	secMeta    = "meta"
-	secNet     = "net"
-	secMAC     = "mac"
-	secMetrics = "metrics"
+	secMeta = "meta"
+	secNet  = "net"
+	secMAC  = "mac"
 )
 
 // Encode serialises a snapshot to its wire form.
@@ -64,12 +65,9 @@ func Encode(s *Snapshot) ([]byte, error) {
 
 	section(secMeta, func(c *wire.Coder) { codeMeta(c, &s.Meta) })
 	section(secNet, func(c *wire.Coder) { codeNet(c, s.Net, Version) })
-	section(secMAC, func(c *wire.Coder) { codeMACs(c, &s.MACs) })
+	section(secMAC, func(c *wire.Coder) { codeMACs(c, &s.MACs, Version) })
 	if codec.Section != "" {
 		section(codec.Section, func(c *wire.Coder) { stack.CodeStates(c, &s.Stack, codec.New) })
-	}
-	if s.Metrics != nil {
-		section(secMetrics, func(c *wire.Coder) { codeCollector(c, s.Metrics) })
 	}
 	w.Str("") // terminator
 	w.Buf = binary.BigEndian.AppendUint32(w.Buf, crc32.ChecksumIEEE(w.Buf))
@@ -124,10 +122,7 @@ func Decode(b []byte) (*Snapshot, error) {
 			s.Net = &sim.NetworkState{}
 			codeNet(c, s.Net, ver)
 		case secMAC:
-			codeMACs(c, &s.MACs)
-		case secMetrics:
-			s.Metrics = &metrics.CollectorState{}
-			codeCollector(c, s.Metrics)
+			codeMACs(c, &s.MACs, ver)
 		default:
 			codec, ok := stack.LookupSection(tag)
 			if !ok {
@@ -288,8 +283,11 @@ func codePackets(c *wire.Coder, ps *[]mac.PacketState) {
 	})
 }
 
-// codeStats walks one node's counters.
-func codeStats(c *wire.Coder, s *mac.Stats) {
+// codeStats walks one node's counters as format version ver lays them
+// out: before version 4 three more counters (bulletins delivered, evicted,
+// watchdog requeues) sit among them, which a decode reads and drops.
+func codeStats(c *wire.Coder, s *mac.Stats, ver uint64) {
+	var retired int64
 	c.Float(&s.EnergyJoules)
 	c.I64((*int64)(&s.RadioOnTime))
 	c.I64(&s.Slots)
@@ -300,16 +298,20 @@ func codeStats(c *wire.Coder, s *mac.Stats) {
 	c.I64(&s.Forwarded)
 	c.I64(&s.SinkDelivered)
 	c.I64(&s.CommandsDelivered)
-	c.I64(&s.BulletinsDelivered)
+	if ver < 4 {
+		c.I64(&retired)
+	}
 	c.I64(&s.DroppedQueue)
 	c.I64(&s.DroppedRetries)
 	c.I64(&s.Duplicates)
-	c.I64(&s.Evicted)
-	c.I64(&s.WatchdogRequeues)
+	if ver < 4 {
+		c.I64(&retired)
+		c.I64(&retired)
+	}
 }
 
-// codeNode walks one node's MAC state.
-func codeNode(c *wire.Coder, st *mac.NodeState) {
+// codeNode walks one node's MAC state as format version ver lays it out.
+func codeNode(c *wire.Coder, st *mac.NodeState, ver uint64) {
 	c.Bool(&st.Synced)
 	c.I64(&st.SyncedAt)
 	c.I64(&st.LastRx)
@@ -321,49 +323,37 @@ func codeNode(c *wire.Coder, st *mac.NodeState) {
 		c.U16(&k.Seq)
 	})
 	c.U16(&st.DownSeq)
-	c.U16(&st.BcastSeq)
-	c.U64(&st.CoinState)
-	if c.Present(st.Bcast != nil) {
-		if c.Decoding() {
-			st.Bcast = &mac.BulletinState{}
+	if ver < 4 {
+		// The broadcast relay (sequence, coin, the bulletin in flight and
+		// its repeats left) and the watchdog (destination, failures): read
+		// and dropped.
+		var seq uint16
+		var coin uint64
+		var bulletin mac.FrameState
+		var dst topology.NodeID
+		var n int
+		c.U16(&seq)
+		c.U64(&coin)
+		if c.Present(false) {
+			bulletin.Code(c)
+			c.Int(&n)
 		}
-		st.Bcast.Frame.Code(c)
-		c.Int(&st.Bcast.Remaining)
+		wire.Uvarint(c, &dst)
+		c.Int(&n)
 	}
-	wire.Uvarint(c, &st.WdDst)
-	c.Int(&st.WdFails)
-	codeStats(c, &st.Stats)
+	codeStats(c, &st.Stats, ver)
 }
 
 // codeMACs walks the "mac" section: every node's state, indexed by node
 // ID, each behind a presence flag (entry 0 is nil).
-func codeMACs(c *wire.Coder, nodes *[]*mac.NodeState) {
+func codeMACs(c *wire.Coder, nodes *[]*mac.NodeState, ver uint64) {
 	n := c.Len(len(*nodes), 1)
 	wire.Vector(c, nodes, n, func(node **mac.NodeState) {
 		if c.Present(*node != nil) {
 			if c.Decoding() {
 				*node = &mac.NodeState{}
 			}
-			codeNode(c, *node)
+			codeNode(c, *node, ver)
 		}
 	})
-}
-
-// --- metrics ---
-
-// codeRecords walks one packet-record table.
-func codeRecords(c *wire.Coder, rs *[]metrics.PacketRecord) {
-	wire.Slice(c, rs, 3, func(rec *metrics.PacketRecord) {
-		c.U16(&rec.Flow)
-		c.U16(&rec.Seq)
-		c.I64(&rec.ASN)
-	})
-}
-
-// codeCollector walks the "metrics" section: an in-window collector.
-func codeCollector(c *wire.Coder, st *metrics.CollectorState) {
-	codeRecords(c, &st.Sent)
-	codeRecords(c, &st.Delivered)
-	c.I64(&st.OutOfWindow)
-	c.I64(&st.DupDeliveries)
 }

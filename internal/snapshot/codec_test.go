@@ -11,7 +11,6 @@ import (
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/mac"
-	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
@@ -43,8 +42,7 @@ func states[T interface {
 
 // synthDiGS builds a synthetic DiGS snapshot exercising every optional
 // branch of the wire format: fade and drift overlays, queued packets with
-// routes and payloads, an in-flight bulletin, pending callbacks, link
-// tables and an open metrics window.
+// routes and payloads, pending callbacks and link tables.
 func synthDiGS() *snapshot.Snapshot {
 	nodes := 3
 	macs := make([]*mac.NodeState, nodes+1)
@@ -59,13 +57,8 @@ func synthDiGS() *snapshot.Snapshot {
 				TxCount: 1, From: 1, Blocked: 2,
 			}},
 			Seen:    []mac.SeenKeyState{{Origin: 3, Flow: 7, Seq: 1}, {Origin: 3, Flow: 0xFFFF, Seq: 2}},
-			DownSeq: 4, BcastSeq: 5, CoinState: 0xDEADBEEF,
-			Bcast: &mac.BulletinState{
-				Frame:     mac.FrameState{Kind: 5, Origin: 1, Seq: 9, Payload: []byte("hi")},
-				Remaining: 2,
-			},
-			WdDst: 2, WdFails: 1,
-			Stats: mac.Stats{EnergyJoules: 1.5, RadioOnTime: 3 * time.Second, TxData: 42},
+			DownSeq: 4,
+			Stats:   mac.Stats{EnergyJoules: 1.5, RadioOnTime: 3 * time.Second, TxData: 42},
 		}
 		stacks[i] = &core.StackState{
 			Router: core.RouterState{
@@ -102,11 +95,6 @@ func synthDiGS() *snapshot.Snapshot {
 		},
 		MACs:  macs,
 		Stack: states(stacks),
-		Metrics: &metrics.CollectorState{
-			Sent:        []metrics.PacketRecord{{Flow: 1, Seq: 1, ASN: 100}, {Flow: 1, Seq: 2, ASN: 200}},
-			Delivered:   []metrics.PacketRecord{{Flow: 1, Seq: 1, ASN: 140}},
-			OutOfWindow: 1, DupDeliveries: 2,
-		},
 	}
 }
 
@@ -140,7 +128,6 @@ func synthWHART() *snapshot.Snapshot {
 	s := synthDiGS()
 	s.Meta.Protocol = snapshot.ProtocolWHART
 	s.Stack = nil
-	s.Metrics = nil
 	return s
 }
 
@@ -290,7 +277,7 @@ func TestDiffReportsDivergence(t *testing.T) {
 	if d := snapshot.Diff(a, b); len(d) != 0 {
 		t.Fatalf("identical snapshots diff: %v", d)
 	}
-	b.MACs[2].CoinState++
+	b.MACs[2].DownSeq++
 	b.Stack[1].(*core.StackState).Router.Rank = 99
 	d := snapshot.Diff(a, b)
 	if len(d) != 2 {

@@ -55,7 +55,6 @@ func Diff(a, b *Snapshot) []string {
 			diffStruct(add, fmt.Sprintf("%s[%d]", tag, i), a.Stack[i], b.Stack[i])
 		}
 	}
-	diffStruct(add, "metrics", a.Metrics, b.Metrics)
 	return out
 }
 
@@ -144,9 +143,6 @@ func Summary(s *Snapshot) string {
 			}
 		}
 		fmt.Fprintf(&b, "routing:     %d/%d routed\n", routed, s.Meta.Nodes-s.Meta.NumAPs)
-	}
-	if s.Metrics != nil {
-		fmt.Fprintf(&b, "metrics:     %d sent, %d delivered in window\n", len(s.Metrics.Sent), len(s.Metrics.Delivered))
 	}
 	if len(s.SectionSizes) > 0 {
 		tags := make([]string, 0, len(s.SectionSizes))

@@ -2,6 +2,7 @@ package snapshot_test
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	// Linking the scenario layer links every registered stack, and a
@@ -29,6 +30,12 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	}
 	f.Add([]byte(magic))
 	f.Add([]byte{})
+	// A real version-3 file: mutations reach the older "mac" layout.
+	v3, err := os.ReadFile("../scenario/testdata/half-testbed-a-whart-v3.snap")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v3)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := snapshot.Decode(data)

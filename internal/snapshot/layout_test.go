@@ -10,7 +10,6 @@ import (
 	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/link"
 	"github.com/digs-net/digs/internal/mac"
-	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/rpl"
 	"github.com/digs-net/digs/internal/sim"
@@ -22,9 +21,9 @@ import (
 
 // narrow is how many entries each table of TestNarrowestEntriesDecode
 // carries. It exceeds the bytes that can follow any table in its section
-// (the most is the 31 behind a MAC node's Queue), so a minimum element
-// width that over-claims by a single byte makes the decoder's
-// count-against-remaining-input bound refuse the table.
+// (a few dozen at most), so a minimum element width that over-claims by a
+// single byte makes the decoder's count-against-remaining-input bound
+// refuse the table.
 const narrow = 64
 
 func rep[T any](v T) []T {
@@ -104,15 +103,8 @@ func TestNarrowestEntriesDecode(t *testing.T) {
 		{"mac.Queue", lastMAC(func(n *mac.NodeState) { n.Queue = rep(mac.PacketState{}) })},
 		{"mac.DownQueue", lastMAC(func(n *mac.NodeState) { n.DownQueue = rep(mac.PacketState{}) })},
 		{"mac.Seen", lastMAC(func(n *mac.NodeState) { n.Seen = rep(mac.SeenKeyState{}) })},
-		{"mac.Bcast.Frame.Route", lastMAC(func(n *mac.NodeState) {
-			n.Bcast = &mac.BulletinState{Frame: mac.FrameState{Route: rep(topology.NodeID(1))}}
-		})},
-
-		{"metrics.Sent", whart(func(s *snapshot.Snapshot) {
-			s.Metrics = &metrics.CollectorState{Sent: rep(metrics.PacketRecord{})}
-		})},
-		{"metrics.Delivered", whart(func(s *snapshot.Snapshot) {
-			s.Metrics = &metrics.CollectorState{Delivered: rep(metrics.PacketRecord{})}
+		{"mac.Queue.Frame.Route", lastMAC(func(n *mac.NodeState) {
+			n.Queue = []mac.PacketState{{Frame: mac.FrameState{Route: rep(topology.NodeID(1))}}}
 		})},
 
 		{"stack (nil entries)", func() *snapshot.Snapshot {
@@ -211,20 +203,106 @@ func frame(ver uint64, secs []section) []byte {
 	return binary.BigEndian.AppendUint32(w.Buf, crc32.ChecksumIEEE(w.Buf))
 }
 
-// TestDecodeOlderVersions: the decoder reads versions 1 to 3, and the only
-// layout difference between them is the tail of the "net" section, which
-// version 1 ends before. A version-1 file (no tail) and a version-2 file
-// (tail present) decode to what was encoded; either body under the other
-// version number is refused — the version gate is live in both directions.
+// legacyMAC writes the "mac" section in the layout of versions 1 to 3: each
+// node's state carries the broadcast relay and the transmit watchdog after
+// DownSeq, and three more counters among its Stats. The retired fields are
+// written non-zero, so a decoder that kept any of them would show it.
+func legacyMAC(nodes []*mac.NodeState) []byte {
+	var w wire.Writer
+	c := wire.Encoder(&w)
+	packets := func(q []mac.PacketState) {
+		w.U64(uint64(len(q)))
+		for _, p := range q {
+			p.Frame.Code(c)
+			w.Int(p.TxCount)
+			w.U64(uint64(p.From))
+			w.Int(p.Blocked)
+		}
+	}
+	w.U64(uint64(len(nodes)))
+	for _, st := range nodes {
+		w.Bool(st != nil)
+		if st == nil {
+			continue
+		}
+		w.Bool(st.Synced)
+		w.I64(st.SyncedAt)
+		w.I64(st.LastRx)
+		packets(st.Queue)
+		packets(st.DownQueue)
+		w.U64(uint64(len(st.Seen)))
+		for _, k := range st.Seen {
+			w.U64(uint64(k.Origin))
+			w.U16(k.Flow)
+			w.U16(k.Seq)
+		}
+		w.U16(st.DownSeq)
+		w.U16(5)          // bulletin sequence
+		w.U64(0xDEADBEEF) // persistence coin
+		w.Bool(true)      // a bulletin in relay, with its repeats left
+		bulletin := mac.FrameState{Kind: 5, Origin: 1, Seq: 9, Route: []topology.NodeID{2}, Payload: []byte("hi")}
+		bulletin.Code(c)
+		w.Int(2)
+		w.U64(2) // watchdog destination
+		w.Int(1) // watchdog failures
+		s := st.Stats
+		w.Float(s.EnergyJoules)
+		for _, v := range []int64{int64(s.RadioOnTime), s.Slots, s.TxData, s.TxControl, s.RxFrames,
+			s.Generated, s.Forwarded, s.SinkDelivered, s.CommandsDelivered,
+			6, // bulletins delivered
+			s.DroppedQueue, s.DroppedRetries, s.Duplicates,
+			3, // evicted
+			4, // watchdog requeues
+		} {
+			w.I64(v)
+		}
+	}
+	return w.Buf
+}
+
+// TestDecodeOlderVersions: the decoder reads versions 1 to 4. Version 1's
+// "net" section ends before the scale engine's tail, and versions 1 to 3
+// lay the "mac" section out with the retired fields (legacyMAC). Each older
+// file decodes to what was encoded, less the retired fields; a body under
+// another version's number is refused — the version gate is live in both
+// directions, at both layout changes.
 func TestDecodeOlderVersions(t *testing.T) {
+	// older re-frames a snapshot's sections with the version 1-3 "mac".
+	older := func(s *snapshot.Snapshot) []section {
+		b, err := snapshot.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs := unframe(t, b)
+		for i := range secs {
+			if secs[i].tag == "mac" {
+				secs[i].payload = legacyMAC(s.MACs)
+			}
+		}
+		return secs
+	}
+	decodes := func(ver uint64, secs []section, want *snapshot.Snapshot) *snapshot.Snapshot {
+		t.Helper()
+		got, err := snapshot.Decode(frame(ver, secs))
+		if err != nil {
+			t.Fatalf("version %d: %v", ver, err)
+		}
+		if d := snapshot.Diff(want, got); len(d) != 0 {
+			t.Fatalf("version %d decoded differently:\n%v", ver, d)
+		}
+		return got
+	}
+	refused := func(what string, ver uint64, secs []section, tag string) {
+		t.Helper()
+		if _, err := snapshot.Decode(frame(ver, secs)); err == nil || !strings.Contains(err.Error(), `section "`+tag+`"`) {
+			t.Fatalf("%s labelled version %d: %v", what, ver, err)
+		}
+	}
+
 	// Version 1: a dense network, whose version-2 tail is two absent
 	// flags. Cutting them off the "net" payload is the version-1 layout.
 	dense := synthWHART()
-	b, err := snapshot.Encode(dense)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withTail := unframe(t, b)
+	withTail := older(dense)
 	var noTail []section
 	for _, s := range withTail {
 		if s.tag == "net" {
@@ -232,37 +310,27 @@ func TestDecodeOlderVersions(t *testing.T) {
 		}
 		noTail = append(noTail, s)
 	}
-	v1, err := snapshot.Decode(frame(1, noTail))
-	if err != nil {
-		t.Fatalf("version 1: %v", err)
-	}
-	if d := snapshot.Diff(dense, v1); len(d) != 0 {
-		t.Fatalf("version 1 decoded differently:\n%v", d)
-	}
-	if _, err := snapshot.Decode(frame(2, noTail)); err == nil || !strings.Contains(err.Error(), `section "net"`) {
-		t.Fatalf("a version-1 net section labelled version 2: %v", err)
-	}
-	if _, err := snapshot.Decode(frame(1, withTail)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
-		t.Fatalf("a version-2 net section labelled version 1: %v", err)
-	}
+	decodes(1, noTail, dense)
+	refused("a version-1 net section", 2, noTail, "net")
+	refused("a version-2 net section", 1, withTail, "net")
 
 	// Version 2: the tail carries fade pairs and nap vectors.
 	sparse := synthSparse()
-	if b, err = snapshot.Encode(sparse); err != nil {
-		t.Fatal(err)
-	}
-	v2, err := snapshot.Decode(frame(2, unframe(t, b)))
-	if err != nil {
-		t.Fatalf("version 2: %v", err)
-	}
-	if d := snapshot.Diff(sparse, v2); len(d) != 0 {
-		t.Fatalf("version 2 decoded differently:\n%v", d)
-	}
-	if v2.Net.NapUntil == nil || v2.Net.FadeLinkIdx == nil {
+	if v2 := decodes(2, older(sparse), sparse); v2.Net.NapUntil == nil || v2.Net.FadeLinkIdx == nil {
 		t.Fatal("version 2 decoded without its tail")
 	}
-	if _, err := snapshot.Decode(frame(1, unframe(t, b))); err == nil {
-		t.Fatal("a populated version-2 net section labelled version 1 decoded")
+	refused("a populated version-2 net section", 1, older(sparse), "net")
+
+	// Version 3 adds the controller-layer stack sections; version 4 drops
+	// the retired "mac" fields.
+	for _, s := range []*snapshot.Snapshot{synthDiGS(), synthSDN()} {
+		decodes(3, older(s), s)
+		refused("a version-3 mac section", 4, older(s), "mac")
+		b, err := snapshot.Encode(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refused("a version-4 mac section", 3, unframe(t, b), "mac")
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package snapshot implements the deterministic checkpoint/restore layer:
 // a versioned, self-describing binary codec over the plain-old-data state
 // every stateful package exports (sim.NetworkState, mac.NodeState, the
-// protocol StackStates, metrics.CollectorState). A snapshot taken at a
-// quiesce point restores into a freshly built scenario — same topology,
-// configuration and seeds — such that continuing the run is bit-identical
-// to never having stopped: every RNG stream position, queue, routing
-// table, timer and counter round-trips exactly.
+// protocol StackStates). A snapshot taken at a quiesce point restores into
+// a freshly built scenario — same topology, configuration and seeds — such
+// that continuing the run is bit-identical to never having stopped: every
+// RNG stream position, queue, routing table, timer and counter round-trips
+// exactly.
 //
 // What is not captured: scheduled event closures and interferers (the
 // scenario layer re-schedules them after restore; taking a snapshot while
@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"github.com/digs-net/digs/internal/mac"
-	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
 )
@@ -72,9 +71,6 @@ type Snapshot struct {
 	// stack registered without a section (the WirelessHART stack is
 	// stateless beyond its MAC nodes).
 	Stack []stack.State
-	// Metrics optionally carries an in-window collector (snapshots taken
-	// mid-measurement).
-	Metrics *metrics.CollectorState
 
 	// SectionSizes reports the encoded byte size per section tag after a
 	// Decode (inspection/tooling); Encode ignores it.

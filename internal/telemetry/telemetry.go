@@ -128,8 +128,9 @@ const (
 	// ReasonDuplicate: duplicate suppression rejected a copy already
 	// seen (redundant-route or retransmission duplicate).
 	ReasonDuplicate
-	// ReasonEvicted: the queue was full and the drop-oldest overflow
-	// policy evicted this (oldest) packet to admit a newer one.
+	// ReasonEvicted: a full queue evicted this (oldest) packet to admit a
+	// newer one. The JSONL schema keeps the reason, but the MAC drops the
+	// arrival instead (ReasonQueueFull), so no hook in this tree emits it.
 	ReasonEvicted
 )
 

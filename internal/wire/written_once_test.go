@@ -85,7 +85,7 @@ func TestLayoutsWrittenOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if walked < 50 || layouts < 22 {
+	if walked < 50 || layouts < 20 {
 		t.Fatalf("source walk saw %d files and %d layout functions from %s", walked, layouts, root)
 	}
 }
