@@ -31,8 +31,8 @@ race:
 
 ## fuzz: brief native-fuzzing passes over every decoder of outside bytes —
 ## MAC frames, the DiGS join payloads, telemetry JSONL, snapshots, generated
-## topology names and the server journal (go test allows one -fuzz pattern
-## per package invocation).
+## topology names, the server journal and the SSE event stream (go test
+## allows one -fuzz pattern per package invocation).
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeFrame -fuzztime=$(FUZZTIME) ./internal/mac
@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzGenerate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzEventReader -fuzztime=$(FUZZTIME) ./internal/server
 
 ## bench-smoke: run the heaviest benchmark once to catch bit-rot without
 ## paying for a full measurement.

@@ -50,8 +50,6 @@ func run() error {
 	submitRetries := flag.Int("submit-retries", 12,
 		"total backend attempts one submission may consume across failover and backoff")
 	reqTimeout := flag.Duration("request-timeout", 10*time.Second, "per-backend API call timeout")
-	hedge := flag.Duration("hedge", 0,
-		"fixed hedged-read delay (0 = adaptive p90 of recent reads, clamped to [10ms,2s])")
 	flag.Parse()
 
 	if *backends == "" {
@@ -73,7 +71,6 @@ func run() error {
 		BreakerOpenFor:  *brOpen,
 		SubmitRetries:   *submitRetries,
 		RequestTimeout:  *reqTimeout,
-		HedgeDelay:      *hedge,
 	})
 	if err != nil {
 		return err

@@ -297,3 +297,122 @@ func TestSubmitFailsOverTransportError(t *testing.T) {
 	}
 	awaitDone(t, cl, resp.JobID)
 }
+
+// awaitReplicasDone waits until every replica in the job's placement has
+// acknowledged it and, asked past its proxy, reports it done.
+func awaitReplicasDone(t *testing.T, ft *faultedTier, j *gwJob) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for _, b := range j.replicas {
+		for j.ack(b) == "" {
+			if time.Now().After(deadline) {
+				t.Fatalf("replica %s never acknowledged job %s", b.key, j.ID)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		_, direct := ft.proxyFor(t, b.key)
+		view, err := server.Client{Base: direct}.Await(j.ack(b), deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if view.Status != server.StatusDone {
+			t.Fatalf("replica %s ended job %s %s", b.key, j.ID, view.Status)
+		}
+	}
+}
+
+// TestHedgedStatusRead: the replica a status read goes to first turns slow
+// (every new connection to it waits 2 s), and the read must not wait for
+// it: after the adaptive budget it is hedged to the other replica, which
+// answers.
+func TestHedgedStatusRead(t *testing.T) {
+	ft := newFaultedTier(t, 2)
+	cl := server.Client{Base: ft.ts.URL}
+	resp := mustSubmit(t, cl, testSpec(61))
+	if resp.Code != http.StatusAccepted {
+		t.Fatalf("submit: HTTP %d (%s)", resp.Code, resp.Error)
+	}
+	awaitDone(t, cl, resp.JobID)
+	j := ft.g.jobByID(resp.JobID)
+	awaitReplicasDone(t, ft, j)
+
+	candidates := ft.g.readCandidates(j)
+	slow, fast := candidates[0], candidates[1]
+	proxy, _ := ft.proxyFor(t, slow.key)
+	var before Stats
+	if err := cl.Stats(&before); err != nil {
+		t.Fatal(err)
+	}
+	proxy.SetLatency(2 * time.Second)
+	proxy.CutConns() // the latency only applies to new connections
+	defer proxy.SetLatency(0)
+
+	start := time.Now()
+	code, _, hdr, err := cl.Get("/v1/jobs/" + resp.JobID)
+	took := time.Since(start)
+	if err != nil || code != http.StatusOK {
+		t.Fatalf("status read: HTTP %d (%v)", code, err)
+	}
+	if took >= 1500*time.Millisecond {
+		t.Fatalf("status read took %v: it waited on the slow replica instead of hedging", took)
+	}
+	if got := hdr.Get(server.HeaderBackend); got != fast.key {
+		t.Fatalf("status read answered by %q, want the hedge target %s", got, fast.key)
+	}
+	var after Stats
+	if err := cl.Stats(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.HedgedReads <= before.HedgedReads || after.HedgeWins <= before.HedgeWins {
+		t.Fatalf("hedged_reads %d -> %d, hedge_wins %d -> %d: want both to grow",
+			before.HedgedReads, after.HedgedReads, before.HedgeWins, after.HedgeWins)
+	}
+}
+
+// TestReplicasServeReadsWithoutRerun asserts what R = 2 buys over R = 1:
+// once replication has settled, losing a replica costs no re-run. Every
+// job acknowledged before the partition is read back through the
+// survivor, which already holds it, so the survivor's own submission
+// count does not move while the reads run.
+func TestReplicasServeReadsWithoutRerun(t *testing.T) {
+	ft := newFaultedTier(t, 2)
+	cl := server.Client{Base: ft.ts.URL}
+	var acked []servertest.Acked
+	for seed := int64(70); seed < 76; seed++ {
+		resp := mustSubmit(t, cl, testSpec(seed))
+		if resp.Code != http.StatusAccepted {
+			t.Fatalf("submit seed %d: HTTP %d (%s)", seed, resp.Code, resp.Error)
+		}
+		acked = append(acked, servertest.Acked{JobID: resp.JobID, SpecHash: resp.SpecHash})
+	}
+	// Settled: every replica of every job holds it.
+	for _, a := range acked {
+		awaitReplicasDone(t, ft, ft.g.jobByID(a.JobID))
+	}
+
+	// Partition the first job's primary and wait until the probe evicts
+	// it, so that reads go to the survivor first.
+	replicas, _ := ft.g.replicaSet(acked[0].SpecHash)
+	victim, survivor := replicas[0], replicas[1]
+	proxy, _ := ft.proxyFor(t, victim.key)
+	_, survivorURL := ft.proxyFor(t, survivor.key)
+	proxy.Partition()
+	for deadline := time.Now().Add(5 * time.Second); victim.ready.Load(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("partitioned backend %s was never evicted", victim.key)
+		}
+	}
+
+	var before, after server.Stats
+	if err := (server.Client{Base: survivorURL}).Stats(&before); err != nil {
+		t.Fatal(err)
+	}
+	servertest.VerifyAcked(t, cl, acked)
+	if err := (server.Client{Base: survivorURL}).Stats(&after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Submitted != before.Submitted {
+		t.Fatalf("the survivor took %d submissions during the reads: jobs it should already hold were re-run",
+			after.Submitted-before.Submitted)
+	}
+}

@@ -10,12 +10,10 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"strings"
@@ -23,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/server"
 )
 
@@ -49,7 +46,7 @@ type Config struct {
 	// submission may consume across failover and 429/503 backoff rounds
 	// (default 12).
 	SubmitRetries int
-	// RetryBase/RetryCap bound the jittered backoff between submission
+	// RetryBase/RetryCap bound the randomised backoff between submission
 	// retry rounds; Retry-After hints from backends are respected within
 	// [RetryBase, RetryCap] (defaults 100ms / 2s).
 	RetryBase time.Duration
@@ -57,10 +54,6 @@ type Config struct {
 	// RequestTimeout bounds one backend API call (default 10s). SSE
 	// streams are exempt: they live on the client's context instead.
 	RequestTimeout time.Duration
-	// HedgeDelay is how long a status/result read waits on one replica
-	// before hedging to the next. Zero means adaptive: the p90 of recent
-	// read latencies, clamped to [10ms, 2s].
-	HedgeDelay time.Duration
 }
 
 // jobCap bounds the gateway's job-record table; oldest records are
@@ -154,8 +147,6 @@ func (j *gwJob) dropAck(b *backend) {
 type Gateway struct {
 	cfg      Config
 	backends []*backend
-	client   *http.Client // bounded API calls
-	stream   *http.Client // SSE: no timeout, canceled by request context
 
 	mu    sync.Mutex
 	jobs  map[string]*gwJob
@@ -165,7 +156,7 @@ type Gateway struct {
 	nextReq atomic.Int64
 	stopCh  chan struct{}
 	probeWg sync.WaitGroup
-	lat     *latTracker
+	lat     latTracker
 
 	submitted, accepted, dedupHits, cacheHits atomic.Int64
 	failovers, resubmits, shed                atomic.Int64
@@ -184,10 +175,7 @@ func New(cfg Config) (*Gateway, error) {
 		cfg:    cfg,
 		jobs:   make(map[string]*gwJob),
 		stopCh: make(chan struct{}),
-		lat:    newLatTracker(cfg.HedgeDelay),
 	}
-	g.client = &http.Client{}
-	g.stream = &http.Client{}
 	seen := map[string]bool{}
 	for _, raw := range cfg.Backends {
 		base := strings.TrimRight(raw, "/")
@@ -249,11 +237,7 @@ func (g *Gateway) probeLoop(b *backend) {
 func (g *Gateway) probeOnce(b *backend) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/readyz", nil)
-	if err != nil {
-		return
-	}
-	resp, err := g.client.Do(req)
+	resp, err := server.Client{Base: b.base}.Do(ctx, http.DefaultClient, http.MethodGet, "/readyz", nil)
 	if err != nil {
 		b.ready.Store(false)
 		b.probeErr.Store(err.Error())
@@ -280,29 +264,16 @@ type fetchRes struct {
 	header http.Header
 }
 
-// call performs one bounded API call against a backend and feeds the
-// breaker: transport errors and 5xx are failures, everything else
+// call performs one API call against a backend within RequestTimeout and
+// feeds the breaker: transport errors and 5xx are failures, everything else
 // (including 404 and 429 — the backend is alive and talking) is a
 // success. The error return is non-nil only when no HTTP response
 // exists.
 func (g *Gateway) call(ctx context.Context, b *backend, method, path string, body []byte, hdr http.Header) (*fetchRes, error) {
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.RequestTimeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, b.base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	for k, vs := range hdr {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
 	b.requests.Add(1)
-	resp, err := g.client.Do(req)
+	resp, err := server.Client{Base: b.base, Header: hdr}.Do(ctx, http.DefaultClient, method, path, body)
 	if err != nil {
 		b.failures.Add(1)
 		b.br.failure()
@@ -409,18 +380,6 @@ func (g *Gateway) Handler() http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-type apiError struct {
-	Error string `json:"error"`
-}
-
 // submitOutcome is what one successful submission routing produced.
 type submitOutcome struct {
 	backend *backend
@@ -437,25 +396,13 @@ type submitOutcome struct {
 // first backend that renders the verdict — every backend would agree.
 func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	reqID := w.Header().Get(server.HeaderRequest)
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var spec scenario.Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding spec: %v", err)})
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
-		return
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+	spec, hash, ok := server.DecodeSpec(w, r)
+	if !ok {
 		return
 	}
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	g.submitted.Add(1)
@@ -491,7 +438,7 @@ func (g *Gateway) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// failover resubmit or the read-repair path.
 	go g.replicate(j)
 	w.Header().Set(server.HeaderJob, j.ID)
-	writeJSON(w, http.StatusAccepted, map[string]any{
+	server.WriteJSON(w, http.StatusAccepted, map[string]any{
 		"job_id": j.ID, "spec_hash": hash, "status": "queued",
 		"backend": out.backend.key,
 	})
@@ -506,14 +453,14 @@ type httpError struct {
 
 func (e *httpError) write(w http.ResponseWriter) {
 	if e.retryAfter {
-		w.Header().Set("Retry-After", "1")
+		server.SetRetryAfter(w)
 	}
-	writeJSON(w, e.status, apiError{e.msg})
+	server.WriteError(w, e.status, e.msg)
 }
 
 // submitSomewhere lands the spec on the first candidate that takes it,
 // under one shared attempt budget. Candidates are tried in placement
-// order; 429/503 answers are absorbed by jittered backoff rounds that
+// order; 429/503 answers are absorbed by randomised backoff rounds that
 // respect Retry-After, transport errors and 5xx fail the candidate over
 // to the next, and 4xx verdicts are final. Every round consumes budget
 // — each attempt costs one unit, and a round with no routable candidate
@@ -591,19 +538,12 @@ func (g *Gateway) submitSomewhere(ctx context.Context, hash string, specJSON []b
 			// probe can notice a recovery, then try again within budget.
 			hint = wait
 		}
-		d := jitter(maxDur(hint, wait))
-		if d > g.cfg.RetryCap {
-			d = g.cfg.RetryCap
-		}
 		select {
 		case <-ctx.Done():
 			return nil, &httpError{status: 499, msg: "client canceled"}
-		case <-time.After(d):
+		case <-time.After(min(server.Jitter(max(hint, wait)), g.cfg.RetryCap)):
 		}
-		wait *= 2
-		if wait > g.cfg.RetryCap {
-			wait = g.cfg.RetryCap
-		}
+		wait = min(wait*2, g.cfg.RetryCap)
 	}
 	g.shed.Add(1)
 	return nil, &httpError{
@@ -654,23 +594,6 @@ func (g *Gateway) resubmit(ctx context.Context, j *gwJob, b *backend) (localID s
 	default:
 		return "", nil, fmt.Errorf("resubmit to %s: HTTP %d", b.key, res.status)
 	}
-}
-
-// jitter spreads a delay to [d/2, d] so failover retries from a burst
-// of clients do not land in lockstep.
-func jitter(d time.Duration) time.Duration {
-	if d <= 1 {
-		return d
-	}
-	half := d / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // BackendStats is one backend's slice of the gateway stats document.
@@ -733,5 +656,5 @@ func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 			ProbeError:   b.probeErr.Load().(string),
 		})
 	}
-	writeJSON(w, http.StatusOK, st)
+	server.WriteJSON(w, http.StatusOK, st)
 }

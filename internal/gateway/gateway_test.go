@@ -252,8 +252,8 @@ func TestReadRepair(t *testing.T) {
 	// Seed the result onto exactly one replica via the repair endpoint.
 	replicas, _ := g.replicaSet(hash)
 	holder, missing := replicas[0], replicas[1]
-	req, _ := http.NewRequest(http.MethodPut, holder.base+"/v1/results/"+hash, bytes.NewReader(canonical))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := server.Client{Base: holder.base}.Do(context.Background(), http.DefaultClient,
+		http.MethodPut, "/v1/results/"+hash, canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,9 +307,8 @@ func TestResultPutRejectsNonCanonical(t *testing.T) {
 	bts := newBackendTS(t, "b0")
 	spec := testSpec(78)
 	hash := specHash(t, spec)
-	req, _ := http.NewRequest(http.MethodPut, bts.URL+"/v1/results/"+hash,
-		strings.NewReader(`{"not":"a canonical result"}`))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := server.Client{Base: bts.URL}.Do(context.Background(), http.DefaultClient,
+		http.MethodPut, "/v1/results/"+hash, []byte(`{"not":"a canonical result"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,11 +322,8 @@ func TestResultPutRejectsNonCanonical(t *testing.T) {
 // the status code.
 func putResult(t *testing.T, base, hash string, body []byte) int {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPut, base+"/v1/results/"+hash, bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := server.Client{Base: base}.Do(context.Background(), http.DefaultClient,
+		http.MethodPut, "/v1/results/"+hash, body)
 	if err != nil {
 		t.Fatal(err)
 	}

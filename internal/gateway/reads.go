@@ -18,23 +18,14 @@ import (
 // latTracker keeps a ring of recent read latencies and derives the
 // hedging budget from them: a read that has waited past the p90 of its
 // recent peers is probably stuck on a sick replica, so a hedge to the
-// next replica is cheap insurance. A fixed configured delay overrides
-// the adaptive budget.
+// next replica is cheap insurance.
 type latTracker struct {
-	fixed time.Duration
-	mu    sync.Mutex
-	ring  [64]time.Duration
-	n, i  int
-}
-
-func newLatTracker(fixed time.Duration) *latTracker {
-	return &latTracker{fixed: fixed}
+	mu   sync.Mutex
+	ring [64]time.Duration
+	n, i int
 }
 
 func (l *latTracker) observe(d time.Duration) {
-	if l.fixed > 0 {
-		return
-	}
 	l.mu.Lock()
 	l.ring[l.i] = d
 	l.i = (l.i + 1) % len(l.ring)
@@ -44,13 +35,10 @@ func (l *latTracker) observe(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// budget returns the current hedge delay: the configured fixed value,
-// or the adaptive p90 clamped to [10ms, 2s] (100ms until enough
-// samples exist to trust a percentile).
+// budget returns the current hedge delay: the p90 of recent reads
+// clamped to [10ms, 2s] (100ms until enough samples exist to trust a
+// percentile).
 func (l *latTracker) budget() time.Duration {
-	if l.fixed > 0 {
-		return l.fixed
-	}
 	l.mu.Lock()
 	n := l.n
 	sorted := make([]time.Duration, n)
@@ -173,51 +161,54 @@ func synthDoneView(j *gwJob, result []byte) *server.View {
 	}
 }
 
-// viewFrom fetches the job's status from one backend, resubmitting the
-// spec when the gateway holds no ack there or the backend no longer
-// knows the job (journal recovery preserves jobs across crashes, but a
-// forgotten terminal job past the finished-job cap answers 404; the
-// resubmission then hits the backend's result cache or re-runs
-// bit-identically). The returned view carries the gateway job ID.
-func (g *Gateway) viewFrom(ctx context.Context, j *gwJob, b *backend) (*server.View, error) {
+// readLocal reads /v1/jobs/{local ID}{suffix} from one backend. The local
+// ID is the gateway's ack from that backend; with none, the spec is
+// resubmitted there first. A 404 on the first read means the backend forgot
+// the job (journal recovery keeps jobs across crashes, but a terminal job
+// past the finished-job cap is dropped), so the ack goes and the spec is
+// resubmitted once more. A resubmission that hits the backend's result
+// store answers with the stored bytes, returned as cached; one that
+// re-runs is bit-identical.
+func (g *Gateway) readLocal(ctx context.Context, j *gwJob, b *backend, suffix string) (res *fetchRes, cached []byte, err error) {
 	localID := j.ack(b)
-	if localID == "" {
-		id, cached, err := g.resubmit(ctx, j, b)
-		if err != nil {
-			return nil, err
-		}
-		if cached != nil {
-			return synthDoneView(j, cached), nil
-		}
-		localID = id
-	}
 	for attempt := 0; ; attempt++ {
-		res, err := g.call(ctx, b, http.MethodGet, "/v1/jobs/"+localID, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		if res.status == http.StatusNotFound && attempt == 0 {
-			j.dropAck(b)
-			id, cached, rerr := g.resubmit(ctx, j, b)
-			if rerr != nil {
-				return nil, rerr
+		if localID == "" {
+			if localID, cached, err = g.resubmit(ctx, j, b); err != nil || cached != nil {
+				return nil, cached, err
 			}
-			if cached != nil {
-				return synthDoneView(j, cached), nil
-			}
-			localID = id
-			continue
 		}
-		if res.status != http.StatusOK {
-			return nil, fmt.Errorf("status read from %s: HTTP %d", b.key, res.status)
+		res, err = g.call(ctx, b, http.MethodGet, "/v1/jobs/"+localID+suffix, nil, nil)
+		if err != nil || res.status != http.StatusNotFound || attempt > 0 {
+			return res, nil, err
 		}
-		var v server.View
-		if err := json.Unmarshal(res.body, &v); err != nil {
-			return nil, err
-		}
-		v.JobID = j.ID
-		return &v, nil
+		j.dropAck(b)
+		localID = ""
 	}
+}
+
+// stampView decodes a backend's job view and gives it the gateway's job
+// ID.
+func stampView(j *gwJob, body []byte) (*server.View, error) {
+	var v server.View
+	if err := json.Unmarshal(body, &v); err != nil {
+		return nil, err
+	}
+	v.JobID = j.ID
+	return &v, nil
+}
+
+// viewFrom fetches the job's status from one backend.
+func (g *Gateway) viewFrom(ctx context.Context, j *gwJob, b *backend) (*server.View, error) {
+	res, cached, err := g.readLocal(ctx, j, b, "")
+	switch {
+	case err != nil:
+		return nil, err
+	case cached != nil:
+		return synthDoneView(j, cached), nil
+	case res.status != http.StatusOK:
+		return nil, fmt.Errorf("status read from %s: HTTP %d", b.key, res.status)
+	}
+	return stampView(j, res.body)
 }
 
 // handleJob serves GET /v1/jobs/{id}: a hedged status read across the
@@ -226,7 +217,7 @@ func (g *Gateway) viewFrom(ctx context.Context, j *gwJob, b *backend) (*server.V
 func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 	j := g.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"no such job"})
+		server.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	w.Header().Set(server.HeaderJob, j.ID)
@@ -235,71 +226,43 @@ func (g *Gateway) handleJob(w http.ResponseWriter, r *http.Request) {
 			return g.viewFrom(ctx, j, b)
 		})
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{fmt.Sprintf("no replica answered: %v", err)})
+		server.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("no replica answered: %v", err))
 		return
 	}
 	w.Header().Set(server.HeaderBackend, b.key)
-	writeJSON(w, http.StatusOK, view)
+	server.WriteJSON(w, http.StatusOK, view)
 }
 
 // jobResult is one backend's answer to a job-result read.
 type jobResult struct {
 	status     int    // 200 done, 202 pending, 410 terminal failure
 	body       []byte // raw result (200) or view JSON (202/410)
-	resultHash string
+	resultHash string // 200 only
 }
 
-// resultFrom fetches the job's result from one backend, with the same
-// resubmit-on-miss semantics as viewFrom.
+// resultFrom fetches the job's result from one backend.
 func (g *Gateway) resultFrom(ctx context.Context, j *gwJob, b *backend) (*jobResult, error) {
-	localID := j.ack(b)
-	if localID == "" {
-		id, cached, err := g.resubmit(ctx, j, b)
-		if err != nil {
-			return nil, err
-		}
-		if cached != nil {
-			sum := sha256.Sum256(cached)
-			return &jobResult{status: http.StatusOK, body: cached, resultHash: hex.EncodeToString(sum[:])}, nil
-		}
-		localID = id
+	res, cached, err := g.readLocal(ctx, j, b, "/result")
+	switch {
+	case err != nil:
+		return nil, err
+	case cached != nil:
+		sum := sha256.Sum256(cached)
+		return &jobResult{status: http.StatusOK, body: cached, resultHash: hex.EncodeToString(sum[:])}, nil
 	}
-	for attempt := 0; ; attempt++ {
-		res, err := g.call(ctx, b, http.MethodGet, "/v1/jobs/"+localID+"/result", nil, nil)
-		if err != nil {
-			return nil, err
+	switch res.status {
+	case http.StatusOK:
+		return &jobResult{status: res.status, body: res.body, resultHash: res.header.Get("X-DiGS-Result-Hash")}, nil
+	case http.StatusAccepted, http.StatusGone:
+		out := &jobResult{status: res.status, body: res.body}
+		if v, err := stampView(j, res.body); err == nil {
+			out.body, _ = json.Marshal(v) // a view that decoded encodes
 		}
-		switch res.status {
-		case http.StatusOK, http.StatusAccepted, http.StatusGone:
-			out := &jobResult{status: res.status, body: res.body, resultHash: res.header.Get("X-DiGS-Result-Hash")}
-			if res.status != http.StatusOK {
-				// 202/410 bodies are job views: stamp the gateway ID.
-				var v server.View
-				if json.Unmarshal(res.body, &v) == nil {
-					v.JobID = j.ID
-					if b, err := json.Marshal(v); err == nil {
-						out.body = b
-					}
-				}
-			}
-			return out, nil
-		case http.StatusNotFound:
-			if attempt > 0 {
-				return nil, fmt.Errorf("result read from %s: job lost", b.key)
-			}
-			j.dropAck(b)
-			id, cached, rerr := g.resubmit(ctx, j, b)
-			if rerr != nil {
-				return nil, rerr
-			}
-			if cached != nil {
-				sum := sha256.Sum256(cached)
-				return &jobResult{status: http.StatusOK, body: cached, resultHash: hex.EncodeToString(sum[:])}, nil
-			}
-			localID = id
-		default:
-			return nil, fmt.Errorf("result read from %s: HTTP %d", b.key, res.status)
-		}
+		return out, nil
+	case http.StatusNotFound:
+		return nil, fmt.Errorf("result read from %s: job lost", b.key)
+	default:
+		return nil, fmt.Errorf("result read from %s: HTTP %d", b.key, res.status)
 	}
 }
 
@@ -308,7 +271,7 @@ func (g *Gateway) resultFrom(ctx context.Context, j *gwJob, b *backend) (*jobRes
 func (g *Gateway) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j := g.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"no such job"})
+		server.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	w.Header().Set(server.HeaderJob, j.ID)
@@ -317,23 +280,15 @@ func (g *Gateway) handleJobResult(w http.ResponseWriter, r *http.Request) {
 			return g.resultFrom(ctx, j, b)
 		})
 	if err != nil {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{fmt.Sprintf("no replica answered: %v", err)})
+		server.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("no replica answered: %v", err))
 		return
 	}
 	w.Header().Set(server.HeaderBackend, b.key)
-	if res.status == http.StatusOK {
-		if res.resultHash != "" {
-			w.Header().Set("X-DiGS-Result-Hash", res.resultHash)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(res.body)
-		if len(res.body) > 0 && res.body[len(res.body)-1] != '\n' {
-			w.Write([]byte("\n"))
-		}
-		return
+	if res.resultHash != "" {
+		w.Header().Set("X-DiGS-Result-Hash", res.resultHash)
 	}
 	if res.status == http.StatusAccepted {
-		w.Header().Set("Retry-After", "1")
+		server.SetRetryAfter(w)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
@@ -384,11 +339,11 @@ func (g *Gateway) handleResult(w http.ResponseWriter, r *http.Request) {
 		})
 	if err != nil {
 		if saw404.Load() {
-			writeJSON(w, http.StatusNotFound, apiError{"no stored result for that spec hash"})
+			server.WriteError(w, http.StatusNotFound, "no stored result for that spec hash")
 			return
 		}
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, apiError{fmt.Sprintf("no replica reachable for that spec hash: %v", err)})
+		server.SetRetryAfter(w)
+		server.WriteError(w, http.StatusServiceUnavailable, fmt.Sprintf("no replica reachable for that spec hash: %v", err))
 		return
 	}
 	w.Header().Set(server.HeaderBackend, b.key)

@@ -1,10 +1,8 @@
 package gateway
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -24,20 +22,13 @@ import (
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := g.jobByID(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"no such job"})
+		server.WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	fl, ok := server.OpenStream(w, j.ID)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{"streaming unsupported"})
 		return
 	}
-	w.Header().Set(server.HeaderJob, j.ID)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
 
 	cursor := 0 // logical index of the next telemetry line the client needs
 	tried := map[string]bool{}
@@ -54,7 +45,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 				finishFromCached(w, fl, j, cachedResult)
 				return
 			}
-			fmt.Fprintf(w, "event: error\ndata: no replica can serve the stream\n\n")
+			server.WriteEvent(w, "error", "no replica can serve the stream")
 			fl.Flush()
 			return
 		}
@@ -72,7 +63,7 @@ func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 		// The backend died mid-stream: tell the client, then reattach to
 		// the next replica at the current cursor.
-		fmt.Fprintf(w, "event: failover\ndata: %s\n\n", b.key)
+		server.WriteEvent(w, "failover", b.key)
 		fl.Flush()
 	}
 }
@@ -111,11 +102,7 @@ func (g *Gateway) followBackendStream(ctx context.Context, w http.ResponseWriter
 		localID = id
 	}
 
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/jobs/"+localID+"/stream", nil)
-	if err != nil {
-		return false, false, nil
-	}
-	resp, err := g.stream.Do(req)
+	resp, err := server.Client{Base: b.base}.Do(ctx, http.DefaultClient, http.MethodGet, "/v1/jobs/"+localID+"/stream", nil)
 	if err != nil {
 		b.br.failure()
 		return false, ctx.Err() != nil, nil
@@ -132,66 +119,51 @@ func (g *Gateway) followBackendStream(ctx context.Context, w http.ResponseWriter
 	}
 
 	pos := 0 // this backend stream's logical position
-	event := "message"
-	rd := bufio.NewReaderSize(resp.Body, 64<<10)
+	er := server.NewEventReader(resp.Body)
 	for {
-		line, rerr := rd.ReadString('\n')
-		if rerr != nil {
-			// A backend dying mid-line leaves a partial trailing fragment
-			// with no newline. Forwarding it would hand the client a
-			// truncated line AND advance the cursor past the real one on
-			// the surviving replica — so an unterminated line is never a
-			// line, it is the failure signal.
+		// A read error, a backend cut mid-line included, is the failure
+		// signal: the reader never hands over an unterminated fragment,
+		// so the cursor cannot pass a line the next replica still has.
+		event, data, err := er.Next()
+		if err != nil {
 			break
 		}
-		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "done":
-				var v server.View
-				if json.Unmarshal([]byte(data), &v) == nil {
-					v.JobID = j.ID
-					if enc, err := json.Marshal(v); err == nil {
-						data = string(enc)
-					}
-				}
-				fmt.Fprintf(w, "event: done\ndata: %s\n\n", data)
-				fl.Flush()
-				return true, false, nil
-			case "dropped":
-				n, err := strconv.Atoi(strings.TrimSpace(data))
-				if err != nil || n < 0 {
-					n = 0
-				}
-				// The backend lost lines [pos, pos+n) to retention. The
-				// client only misses the part at or past its cursor —
-				// lines below it were already delivered by this replica
-				// or a previous one.
-				end := pos + n
-				if end > *cursor {
-					if miss := end - max(*cursor, pos); miss > 0 {
-						fmt.Fprintf(w, "event: dropped\ndata: %d\n\n", miss)
-						fl.Flush()
-					}
-					*cursor = end
-				}
-				pos = end
-			default: // telemetry line
-				if pos >= *cursor {
-					if _, err := fmt.Fprintf(w, "data: %s\n\n", data); err != nil {
-						return false, true, nil
-					}
-					fl.Flush()
-					*cursor = pos + 1
-				}
-				pos++
+		switch event {
+		case "done":
+			if v, err := stampView(j, []byte(data)); err == nil {
+				enc, _ := json.Marshal(v) // a view that decoded encodes
+				data = string(enc)
 			}
-		case line == "":
-			event = "message"
+			server.WriteEvent(w, "done", data)
+			fl.Flush()
+			return true, false, nil
+		case "dropped":
+			n, err := strconv.Atoi(strings.TrimSpace(data))
+			if err != nil || n < 0 {
+				n = 0
+			}
+			// The backend lost lines [pos, pos+n) to retention. The
+			// client only misses the part at or past its cursor —
+			// lines below it were already delivered by this replica
+			// or a previous one.
+			end := pos + n
+			if end > *cursor {
+				if miss := end - max(*cursor, pos); miss > 0 {
+					server.WriteEvent(w, "dropped", strconv.Itoa(miss))
+					fl.Flush()
+				}
+				*cursor = end
+			}
+			pos = end
+		default: // telemetry line
+			if pos >= *cursor {
+				if server.WriteEvent(w, "message", data) != nil {
+					return false, true, nil
+				}
+				fl.Flush()
+				*cursor = pos + 1
+			}
+			pos++
 		}
 	}
 	// Stream ended (or was cut mid-line) without a done event: mid-body
@@ -215,7 +187,7 @@ func finishFromCached(w http.ResponseWriter, fl http.Flusher, j *gwJob, result [
 	if err != nil {
 		return
 	}
-	fmt.Fprintf(w, "event: dropped\ndata: -1\n\n")
-	fmt.Fprintf(w, "event: done\ndata: %s\n\n", enc)
+	server.WriteEvent(w, "dropped", "-1")
+	server.WriteEvent(w, "done", enc)
 	fl.Flush()
 }

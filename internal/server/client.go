@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -46,6 +46,20 @@ func RetryAfter(h http.Header) time.Duration {
 	return min(time.Duration(secs)*time.Second, 5*time.Second)
 }
 
+// SetRetryAfter stamps the pushback hint every 429, 503 and pending answer
+// carries: come back in a second.
+func SetRetryAfter(w http.ResponseWriter) { w.Header().Set("Retry-After", "1") }
+
+// Jitter spreads a delay uniformly over [d/2, d] so that retries from a
+// burst of callers do not land in lockstep.
+func Jitter(d time.Duration) time.Duration {
+	half := d / 2
+	if half <= 0 {
+		return d
+	}
+	return half + time.Duration(rand.Int63n(int64(half)+1))
+}
+
 // Client speaks the service API to a digs-server or a digs-gateway (the
 // two are indistinguishable by design). The zero Header sends nothing
 // extra; set X-DiGS-Tenant or X-DiGS-Request there.
@@ -67,7 +81,11 @@ const (
 	submit429Retries = 10
 )
 
-func (c Client) do(ctx context.Context, hc *http.Client, method, path string, body []byte) (*http.Response, error) {
+// Do sends one request to c.Base+path through hc with c.Header added, and
+// a JSON content type when there is a body. It is the one place a request
+// to the service is built: the methods below and the gateway's backend
+// calls, probes and stream attaches all go through it.
+func (c Client) Do(ctx context.Context, hc *http.Client, method, path string, body []byte) (*http.Response, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -97,7 +115,7 @@ func (c Client) Submit(spec scenario.Spec) (*SubmitResponse, error) {
 		return nil, err
 	}
 	for attempt := 0; ; attempt++ {
-		resp, err := c.do(context.Background(), api, http.MethodPost, "/v1/scenarios", body)
+		resp, err := c.Do(context.Background(), api, http.MethodPost, "/v1/scenarios", body)
 		if err != nil {
 			return nil, err
 		}
@@ -117,7 +135,7 @@ func (c Client) Submit(spec scenario.Spec) (*SubmitResponse, error) {
 // Get fetches path and returns whatever the service answered; the error is
 // non-nil only when no HTTP answer exists.
 func (c Client) Get(path string) (code int, body []byte, hdr http.Header, err error) {
-	resp, err := c.do(context.Background(), api, http.MethodGet, path, nil)
+	resp, err := c.Do(context.Background(), api, http.MethodGet, path, nil)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -186,7 +204,7 @@ type Stream struct {
 func (c Client) Follow(jobID string, onLine func(n int)) (*Stream, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), followBudget)
 	defer cancel()
-	resp, err := c.do(ctx, http.DefaultClient, http.MethodGet, "/v1/jobs/"+jobID+"/stream", nil)
+	resp, err := c.Do(ctx, http.DefaultClient, http.MethodGet, "/v1/jobs/"+jobID+"/stream", nil)
 	if err != nil {
 		return nil, err
 	}
@@ -195,21 +213,11 @@ func (c Client) Follow(jobID string, onLine func(n int)) (*Stream, error) {
 		return nil, fmt.Errorf("stream for %s: HTTP %d, content type %q", jobID, resp.StatusCode, ct)
 	}
 	s := &Stream{}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	event := "message"
-	for sc.Scan() {
-		line := sc.Text()
-		if ev, ok := strings.CutPrefix(line, "event: "); ok {
-			event = ev
-			continue
-		}
-		data, ok := strings.CutPrefix(line, "data: ")
-		if !ok {
-			if line == "" {
-				event = "message"
-			}
-			continue
+	er := NewEventReader(resp.Body)
+	for {
+		event, data, err := er.Next()
+		if err != nil {
+			return s, fmt.Errorf("stream for %s ended without a done event (%v)", jobID, err)
 		}
 		switch event {
 		case "done":
@@ -240,5 +248,4 @@ func (c Client) Follow(jobID string, onLine func(n int)) (*Stream, error) {
 			}
 		}
 	}
-	return s, fmt.Errorf("stream for %s ended without a done event (%v)", jobID, sc.Err())
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,10 +57,10 @@ func TestClientSubmitBackpressure(t *testing.T) {
 			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if n := posts.Add(1); tc.pushbacks < 0 || n <= tc.pushbacks {
 					w.Header().Set("Retry-After", "0")
-					writeJSON(w, http.StatusTooManyRequests, apiError{"queue full"})
+					WriteError(w, http.StatusTooManyRequests, "queue full")
 					return
 				}
-				writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: "j-000001", SpecHash: "h", Status: StatusQueued})
+				WriteJSON(w, http.StatusAccepted, SubmitResponse{JobID: "j-000001", SpecHash: "h", Status: StatusQueued})
 			}))
 			defer ts.Close()
 			start := time.Now()
@@ -146,19 +147,19 @@ func TestClientFollow(t *testing.T) {
 }
 
 // TestServiceClientWrittenOnce walks the repository's Go sources, tests
-// included, and fails when anything outside this package grows a private
-// service client again: an SSE reader (a match on the "event: " prefix), a
-// Retry-After parse (a header read of it) or a hand-made submit (the
-// /v1/scenarios path). The gateway keeps the two things that are its job —
-// the stream relay, whose unterminated-line rule a Scanner-based reader
-// does not have, and routing a spec to a backend.
+// included, and fails when anything outside this package grows its own
+// piece of the service protocol again: a hand-built request
+// (http.NewRequest, http.NewRequestWithContext), an SSE reader or writer
+// (a literal that starts "event: " or "data: "), a Retry-After read or write (the
+// header name passed to Get or Set), a hand-made submit (the /v1/scenarios
+// path), or a private writeJSON, jitter or maxDur. The one exception is
+// the gateway's route to its backends' submit endpoint.
 func TestServiceClientWrittenOnce(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
 		t.Fatal(err)
 	}
 	allowed := map[string]string{
-		"internal/gateway/stream.go":  `"event: "`,
 		"internal/gateway/gateway.go": "/v1/scenarios",
 	}
 	walked := 0
@@ -185,28 +186,43 @@ func TestServiceClientWrittenOnce(t *testing.T) {
 		walked++
 		report := func(what string) {
 			if allowed[rel] != what {
-				t.Errorf("%s has %s: use server.Client, server.RetryAfter and server.SubmitResponse", rel, what)
+				t.Errorf("%s has %s: use server.Client.Do, server.EventReader, server.WriteEvent, "+
+					"server.RetryAfter, server.SetRetryAfter, server.WriteJSON and server.Jitter", rel, what)
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
+			case *ast.FuncDecl:
+				switch n.Name.Name {
+				case "writeJSON", "jitter", "maxDur":
+					report("a func " + n.Name.Name)
+				}
 			case *ast.BasicLit:
 				if n.Kind != token.STRING {
 					break
 				}
-				if n.Value == `"event: "` {
-					report(`"event: "`)
+				val, _ := strconv.Unquote(n.Value)
+				for _, prefix := range []string{"event: ", "data: "} {
+					if strings.HasPrefix(val, prefix) {
+						report(fmt.Sprintf("a %q literal", prefix))
+					}
 				}
 				if strings.Contains(n.Value, "/v1/scenarios") {
 					report("/v1/scenarios")
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || sel.Sel.Name != "Get" || len(n.Args) != 1 {
+				if !ok {
 					break
 				}
-				if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Value == `"Retry-After"` {
-					report(`a read of "Retry-After"`)
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "http" &&
+					(sel.Sel.Name == "NewRequest" || sel.Sel.Name == "NewRequestWithContext") {
+					report("a call of http." + sel.Sel.Name)
+				}
+				if (sel.Sel.Name == "Get" || sel.Sel.Name == "Set") && len(n.Args) > 0 {
+					if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Value == `"Retry-After"` {
+						report(`"Retry-After" passed to ` + sel.Sel.Name)
+					}
 				}
 			}
 			return true

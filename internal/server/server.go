@@ -27,10 +27,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -452,14 +452,7 @@ func retryDelay(base, cap time.Duration, attempt int) time.Duration {
 	for i := 1; i < attempt && d < cap; i++ {
 		d *= 2
 	}
-	if d > cap {
-		d = cap
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rand.Int63n(int64(half)+1))
+	return Jitter(min(d, cap))
 }
 
 // scheduleRetry parks the job on a timer that re-enqueues it. The timer
@@ -631,7 +624,9 @@ func (s *Server) tag(next http.Handler) http.Handler {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as JSON: HTML characters unescaped, one
+// trailing newline.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -643,8 +638,31 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// retryAfter stamps the pushback hint every 429/503/pending answer carries.
-func retryAfter(w http.ResponseWriter) { w.Header().Set("Retry-After", "1") }
+// WriteError answers with the API's error document, {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, apiError{msg})
+}
+
+// DecodeSpec reads the submitted spec, strictly: at most 1 MiB, no
+// unknown fields, valid. It answers a spec that is none of these with a
+// 400 and returns ok false; else it returns the spec and its hash.
+func DecodeSpec(w http.ResponseWriter, r *http.Request) (spec scenario.Spec, hash string, ok bool) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding spec: %v", err))
+		return spec, "", false
+	}
+	err := spec.Validate()
+	if err == nil {
+		hash, err = spec.Hash()
+	}
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, err.Error())
+		return spec, "", false
+	}
+	return spec, hash, true
+}
 
 // tenant identifies the caller for quota accounting.
 func tenant(r *http.Request) string {
@@ -656,7 +674,7 @@ func tenant(r *http.Request) string {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is draining"})
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	if degraded, cause := s.DegradedCause(); degraded {
@@ -665,29 +683,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// server sheds new submissions up front (reads and in-flight
 		// jobs are unaffected; readyz tells the balancer to stop
 		// routing here).
-		retryAfter(w)
-		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is degraded: " + cause})
+		SetRetryAfter(w)
+		WriteError(w, http.StatusServiceUnavailable, "server is degraded: "+cause)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	var spec scenario.Spec
-	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding spec: %v", err)})
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+	spec, hash, ok := DecodeSpec(w, r)
+	if !ok {
 		return
 	}
 	if n := spec.GenNodes(); n > s.cfg.MaxNodes {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			apiError{fmt.Sprintf("%d nodes exceeds this server's limit of %d", n, s.cfg.MaxNodes)})
-		return
-	}
-	hash, err := spec.Hash()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		WriteError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%d nodes exceeds this server's limit of %d", n, s.cfg.MaxNodes))
 		return
 	}
 	s.submitted.Add(1)
@@ -696,7 +702,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.results != nil {
 		if b, ok := s.results.Get(hash); ok {
 			s.cacheHits.Add(1)
-			writeJSON(w, http.StatusOK, SubmitResponse{SpecHash: hash, Cached: true, Result: b})
+			WriteJSON(w, http.StatusOK, SubmitResponse{SpecHash: hash, Cached: true, Result: b})
 			return
 		}
 	}
@@ -712,14 +718,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.draining.Load() {
 		s.mu.Unlock()
-		writeJSON(w, http.StatusServiceUnavailable, apiError{"server is draining"})
+		WriteError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	if existing, ok := s.byHash[hash]; ok {
 		s.mu.Unlock()
 		s.dedupHits.Add(1)
 		w.Header().Set(HeaderJob, existing.ID)
-		writeJSON(w, http.StatusAccepted, SubmitResponse{
+		WriteJSON(w, http.StatusAccepted, SubmitResponse{
 			JobID: existing.ID, SpecHash: hash, Status: existing.Status(), Dedup: true,
 		})
 		return
@@ -727,9 +733,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !s.quota.acquire(ten) {
 		s.mu.Unlock()
 		s.rejQuota.Add(1)
-		retryAfter(w)
-		writeJSON(w, http.StatusTooManyRequests,
-			apiError{fmt.Sprintf("tenant %q is at its quota of %d in-flight jobs", ten, s.cfg.TenantQuota)})
+		SetRetryAfter(w)
+		WriteError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("tenant %q is at its quota of %d in-flight jobs", ten, s.cfg.TenantQuota))
 		return
 	}
 	// Admission enforces QueueDepth itself (the channel can be larger
@@ -739,9 +745,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.quota.release(ten)
 		s.rejQueue.Add(1)
-		retryAfter(w)
-		writeJSON(w, http.StatusTooManyRequests,
-			apiError{fmt.Sprintf("queue full (%d jobs)", s.cfg.QueueDepth)})
+		SetRetryAfter(w)
+		WriteError(w, http.StatusTooManyRequests,
+			fmt.Sprintf("queue full (%d jobs)", s.cfg.QueueDepth))
 		return
 	}
 	id := fmt.Sprintf("j-%06d", s.nextID.Add(1))
@@ -758,9 +764,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			s.mu.Unlock()
 			s.quota.release(ten)
 			s.degrade(fmt.Sprintf("journal append: %v", err))
-			retryAfter(w)
-			writeJSON(w, http.StatusServiceUnavailable,
-				apiError{fmt.Sprintf("cannot durably accept jobs: %v", err)})
+			SetRetryAfter(w)
+			WriteError(w, http.StatusServiceUnavailable,
+				fmt.Sprintf("cannot durably accept jobs: %v", err))
 			return
 		}
 	}
@@ -769,7 +775,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobsCh <- j
 	s.mu.Unlock()
 	w.Header().Set(HeaderJob, id)
-	writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: id, SpecHash: hash, Status: StatusQueued})
+	WriteJSON(w, http.StatusAccepted, SubmitResponse{JobID: id, SpecHash: hash, Status: StatusQueued})
 }
 
 func (s *Server) job(id string) *Job {
@@ -781,17 +787,17 @@ func (s *Server) job(id string) *Job {
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	w.Header().Set(HeaderJob, j.ID)
-	writeJSON(w, http.StatusOK, j.View(false))
+	WriteJSON(w, http.StatusOK, j.View(false))
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
 	w.Header().Set(HeaderJob, j.ID)
@@ -803,10 +809,10 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		w.Write(b)
 		w.Write([]byte("\n"))
 	case StatusFailed, StatusCanceled:
-		writeJSON(w, http.StatusGone, j.View(false))
+		WriteJSON(w, http.StatusGone, j.View(false))
 	default:
-		retryAfter(w)
-		writeJSON(w, http.StatusAccepted, j.View(false))
+		SetRetryAfter(w)
+		WriteJSON(w, http.StatusAccepted, j.View(false))
 	}
 }
 
@@ -829,17 +835,17 @@ func isSpecHash(s string) bool {
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	if s.results == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"result store disabled"})
+		WriteError(w, http.StatusNotFound, "result store disabled")
 		return
 	}
 	hash := r.PathValue("hash")
 	if !isSpecHash(hash) {
-		writeJSON(w, http.StatusNotFound, apiError{"no stored result for that spec hash"})
+		WriteError(w, http.StatusNotFound, "no stored result for that spec hash")
 		return
 	}
 	b, ok := s.results.Get(hash)
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{"no stored result for that spec hash"})
+		WriteError(w, http.StatusNotFound, "no stored result for that spec hash")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -859,41 +865,41 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 // refuses with 503 like any other durability failure.
 func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 	if s.results == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"result store disabled"})
+		WriteError(w, http.StatusNotFound, "result store disabled")
 		return
 	}
 	hash := r.PathValue("hash")
 	if !isSpecHash(hash) {
-		writeJSON(w, http.StatusBadRequest, apiError{"malformed spec hash"})
+		WriteError(w, http.StatusBadRequest, "malformed spec hash")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("reading result: %v", err)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("reading result: %v", err))
 		return
 	}
 	body = bytes.TrimSpace(body)
 	var res scenario.Result
 	if err := json.Unmarshal(body, &res); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{fmt.Sprintf("decoding result: %v", err)})
+		WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding result: %v", err))
 		return
 	}
 	canonical, err := res.Encode()
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if !bytes.Equal(canonical, body) {
-		writeJSON(w, http.StatusBadRequest, apiError{"result is not in canonical encoding"})
+		WriteError(w, http.StatusBadRequest, "result is not in canonical encoding")
 		return
 	}
 	if res.SpecHash != hash {
-		writeJSON(w, http.StatusBadRequest, apiError{"result's embedded spec_hash does not match the requested hash"})
+		WriteError(w, http.StatusBadRequest, "result's embedded spec_hash does not match the requested hash")
 		return
 	}
 	if existing, ok := s.results.Get(hash); ok {
 		if !bytes.Equal(existing, canonical) {
-			writeJSON(w, http.StatusConflict, apiError{"a different result is already stored under that spec hash"})
+			WriteError(w, http.StatusConflict, "a different result is already stored under that spec hash")
 			return
 		}
 		w.WriteHeader(http.StatusNoContent) // idempotent repair: already stored
@@ -901,7 +907,7 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := s.results.Put(hash, canonical); err != nil {
 		s.degrade(fmt.Sprintf("result store put: %v", err))
-		writeJSON(w, http.StatusServiceUnavailable, apiError{err.Error()})
+		WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -916,31 +922,23 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
-		writeJSON(w, http.StatusNotFound, apiError{"no such job"})
+		WriteError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	fl, ok := w.(http.Flusher)
+	fl, ok := OpenStream(w, j.ID)
 	if !ok {
-		writeJSON(w, http.StatusNotImplemented, apiError{"streaming unsupported"})
 		return
 	}
-	w.Header().Set(HeaderJob, j.ID)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
 	from := 0
 	for {
 		lines, next, skipped, closed, wait := j.Stream.Next(from)
 		if skipped > 0 {
-			if _, err := fmt.Fprintf(w, "event: dropped\ndata: %d\n\n", skipped); err != nil {
+			if WriteEvent(w, "dropped", strconv.Itoa(skipped)) != nil {
 				return
 			}
 		}
 		for _, ln := range lines {
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", ln); err != nil {
+			if WriteEvent(w, "message", ln) != nil {
 				return
 			}
 		}
@@ -950,7 +948,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		from = next
 		if closed {
 			view, _ := json.Marshal(j.View(true))
-			fmt.Fprintf(w, "event: done\ndata: %s\n\n", view)
+			WriteEvent(w, "done", view)
 			fl.Flush()
 			return
 		}
@@ -990,5 +988,5 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	if s.results != nil {
 		st.StoredResults = s.results.Len()
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }

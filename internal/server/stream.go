@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
 )
 
@@ -115,4 +120,72 @@ func (b *Broadcast) Dropped() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.first
+}
+
+// OpenStream starts the job's Server-Sent Events answer: 501 when w
+// cannot flush, else the event-stream headers, a 200 and a first flush,
+// so the client sees the stream open before its first event.
+func OpenStream(w http.ResponseWriter, jobID string) (http.Flusher, bool) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		WriteError(w, http.StatusNotImplemented, "streaming unsupported")
+		return nil, false
+	}
+	h := w.Header()
+	h.Set(HeaderJob, jobID)
+	h.Set("Content-Type", "text/event-stream")
+	h.Set("Cache-Control", "no-cache")
+	h.Set("X-Accel-Buffering", "no")
+	w.WriteHeader(http.StatusOK)
+	fl.Flush()
+	return fl, true
+}
+
+// WriteEvent writes one event: a "message" (a telemetry line) is a bare
+// data line, every other kind is named on an event line before its data.
+// Neither event nor data may hold a line break. Data is a string or the
+// bytes of a retained telemetry line, written without a copy.
+func WriteEvent[T string | []byte](w io.Writer, event string, data T) error {
+	var err error
+	if event == "message" {
+		_, err = fmt.Fprintf(w, "data: %s\n\n", data)
+	} else {
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+	}
+	return err
+}
+
+// EventReader reads an event stream one data line at a time: the client
+// and the gateway's stream relay both read through it.
+type EventReader struct {
+	rd    *bufio.Reader
+	event string
+}
+
+// NewEventReader reads the stream r.
+func NewEventReader(r io.Reader) *EventReader {
+	return &EventReader{rd: bufio.NewReaderSize(r, 64<<10), event: "message"}
+}
+
+// Next returns the next data line and the event it belongs to ("message"
+// unless an event line named another since the last blank line). A final
+// line with no newline is never returned: a sender dying mid-write leaves
+// a fragment, and a relay that forwarded it would hand on a truncated line
+// and count a line its next replica still has to send. The error is the
+// read's, io.EOF at a clean end.
+func (er *EventReader) Next() (event, data string, err error) {
+	for {
+		line, err := er.rd.ReadString('\n')
+		if err != nil {
+			return "", "", err
+		}
+		line = strings.TrimRight(line, "\r\n")
+		if ev, ok := strings.CutPrefix(line, "event: "); ok {
+			er.event = ev
+		} else if data, ok := strings.CutPrefix(line, "data: "); ok {
+			return er.event, data, nil
+		} else if line == "" {
+			er.event = "message"
+		}
+	}
 }
