@@ -178,10 +178,13 @@ controller-smoke:
 ## server-smoke: the simulation service end to end, race-enabled —
 ## submit over HTTP, follow the SSE stream to completion, verify the
 ## result hash and the content-addressed store round-trip, demand a cache
-## hit on resubmission, and byte-compare the server's result against a
-## direct in-process run of the same spec on both engines.
+## hit on resubmission, byte-compare the server's result and its SSE
+## telemetry lines against a direct in-process run of the same spec on
+## both engines, and hold the telemetry backlog to O(1) per record past
+## its cap with concurrent followers.
 server-smoke:
-	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter' ./internal/server
+	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter|TestBroadcastPastCapIsConstant|TestBroadcastConcurrentFollowers' ./internal/server
+	$(GO) test -race -count=1 -run 'TestStreamMatchesDirectTrace' ./internal/gateway
 
 ## recover-smoke: the crash-safety contract end to end — race-enabled
 ## journal/retry/degraded-mode tests, then the real process: build
@@ -195,11 +198,14 @@ recover-smoke:
 ## gateway and fault-proxy tests (routing, breakers, replication,
 ## read-repair, SSE failover reattach, the failover matrix that partitions
 ## each replica rank mid-burst and demands eviction within the probe budget
-## and zero surfaced errors), then the real 1-gateway/3-backend tier that
-## SIGKILLs the busiest backend mid-burst and fails unless every
-## acknowledged job reaches done with verified result bytes.
+## and zero surfaced errors, the SSE lines equal to the direct trace),
+## then the real 1-gateway/3-backend tier that SIGKILLs the busiest
+## backend mid-burst and fails unless every acknowledged job reaches done
+## with verified result bytes, and last the backends' telemetry backlog
+## under concurrent followers and past its cap.
 gateway-smoke:
 	$(GO) test -race -count=1 ./internal/gateway/... ./cmd/digs-gateway
+	$(GO) test -race -count=1 -run 'TestBroadcastPastCapIsConstant|TestBroadcastConcurrentFollowers' ./internal/server
 
 ## bench-gate: the repo's benchmark (BENCHMARK.json): four workloads,
 ## every op verified, end-to-end and per-layer metrics. Kept out of `ci`:

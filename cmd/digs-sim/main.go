@@ -38,7 +38,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "digs-sim:", err)
 		os.Exit(1)
 	}
@@ -71,31 +71,32 @@ type summary struct {
 	PowerMW   float64
 }
 
-func run() error {
+func run(args []string) error {
 	var opts options
-	flag.StringVar(&opts.topology, "topology", "testbed-a",
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&opts.topology, "topology", "testbed-a",
 		"deployment: "+scenario.TopologyNames)
-	flag.StringVar(&opts.protocol, "protocol", "digs", "stack: "+scenario.StackNames())
-	flag.DurationVar(&opts.duration, "duration", 2*time.Minute, "measurement window")
-	flag.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
-	flag.IntVar(&opts.flows, "flows", 0, "number of flows (0 = the testbed's suggested sources)")
-	flag.IntVar(&opts.jammers, "jammers", 0, "WiFi jammers to enable (0..3)")
-	flag.IntVar(&opts.failNode, "fail", 0,
+	fs.StringVar(&opts.protocol, "protocol", "digs", "stack: "+scenario.StackNames())
+	fs.DurationVar(&opts.duration, "duration", 2*time.Minute, "measurement window")
+	fs.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
+	fs.IntVar(&opts.flows, "flows", 0, "number of flows (0 = the testbed's suggested sources)")
+	fs.IntVar(&opts.jammers, "jammers", 0, "WiFi jammers to enable (0..3)")
+	fs.IntVar(&opts.failNode, "fail", 0,
 		"node ID to fail mid-run (0 = none); a failed flow source stops generating, so its packets are not counted lost")
-	flag.Int64Var(&opts.seed, "seed", 1, "simulation seed")
-	flag.BoolVar(&opts.verbose, "v", false, "print per-flow results and the slot loop's own counters")
-	flag.StringVar(&opts.trace, "trace", "",
+	fs.Int64Var(&opts.seed, "seed", 1, "simulation seed")
+	fs.BoolVar(&opts.verbose, "v", false, "print per-flow results and the slot loop's own counters")
+	fs.StringVar(&opts.trace, "trace", "",
 		"write a packet-lifecycle event trace (JSONL) to this file; analyse with digs-trace")
-	flag.BoolVar(&opts.invariants, "invariants", false,
+	fs.BoolVar(&opts.invariants, "invariants", false,
 		"run the invariant monitor with self-healing watchdogs during the measurement window")
-	reps := flag.Int("reps", 1, "independent repetitions (seed, seed+1, ...) aggregated at the end")
-	parallel := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS)")
-	dumpNode := flag.Int("dump-schedule", 0,
+	reps := fs.Int("reps", 1, "independent repetitions (seed, seed+1, ...) aggregated at the end")
+	parallel := fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS)")
+	dumpNode := fs.Int("dump-schedule", 0,
 		"print the combined-schedule roles of this node for one hyperperiod window and exit")
-	specPath := flag.String("spec", "",
+	specPath := fs.String("spec", "",
 		"run a JSON scenario spec (\"-\" = stdin) through the shared executor and print its canonical result; bit-identical to a digs-server run of the same spec")
-	warmDir := flag.String("warm", "", "with -spec: warm-start cache directory (shared with digs-server's warm pool)")
-	flag.Parse()
+	warmDir := fs.String("warm", "", "with -spec: warm-start cache directory (shared with digs-server's warm pool)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, as flag.Parse does
 
 	campaign.SetDefaultWorkers(*parallel)
 
@@ -294,7 +295,10 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 	fmt.Fprintf(w, "topology %s: %d nodes (%d APs), protocol %s\n",
 		topo.Name, topo.N(), topo.NumAPs, opts.protocol)
 
-	formed, err := sc.Form(context.Background(), nil, 1.0, 6*time.Minute, 30*time.Second)
+	// Form to the target a spec naming this deployment gets: full joins on
+	// the testbeds, DefaultGenJoinFraction on generated plants.
+	joinFraction, formTimeout := scenario.Spec{Topology: opts.topology}.FormTarget()
+	formed, err := sc.Form(context.Background(), nil, joinFraction, formTimeout, 30*time.Second)
 	if err != nil {
 		return nil, err
 	}

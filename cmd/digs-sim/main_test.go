@@ -44,6 +44,15 @@ func TestFlagPathMatchesRunSpec(t *testing.T) {
 	}
 }
 
+// TestGenPlantFormsToSpecTarget: the flag path forms a generated plant to
+// the target a spec naming it gets (join 0.9 within 30 min), so digs-sim
+// runs the 1 000-node plant instead of failing formation at join 1.0.
+func TestGenPlantFormsToSpecTarget(t *testing.T) {
+	if err := run([]string{"-topology", "gen-plant-1000-3", "-duration", "10s"}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestFailedSourceGeneratesNothing: -fail on a flow source stops that
 // flow's generation at the failure (half the window in), so its remaining
 // packets are neither sent nor counted lost.

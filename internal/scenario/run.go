@@ -113,13 +113,8 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 	topo, nw := sc.Params.Topology, sc.NW
 	period := time.Duration(cs.Period)
 
-	formTimeout := 6 * time.Minute
-	if cs.IsGenerated() {
-		// Re-dimensioned frames beyond the paper envelope form slower;
-		// match core.ScaledConfig's widened timeouts.
-		formTimeout = 30 * time.Minute
-	}
-	formed, err := sc.Form(ctx, opts.Warm, cs.JoinFraction, formTimeout, 30*time.Second)
+	joinFraction, formTimeout := cs.FormTarget()
+	formed, err := sc.Form(ctx, opts.Warm, joinFraction, formTimeout, 30*time.Second)
 	if err != nil {
 		return fail(err)
 	}

@@ -84,6 +84,19 @@ const (
 // IsGenerated reports whether the spec names a procedural gen-* topology.
 func (s Spec) IsGenerated() bool { return strings.HasPrefix(s.Topology, "gen-") }
 
+// FormTarget returns the formation target of the spec's deployment: the
+// joined fraction (JoinFraction, defaulted as in Canonical) and the
+// simulated time allowed to reach it, 6 min, or 30 min on generated
+// plants, whose re-dimensioned frames form slower (core.ScaledConfig
+// widens their timeouts to match).
+func (s Spec) FormTarget() (joinFraction float64, timeout time.Duration) {
+	c := s.Canonical()
+	if c.IsGenerated() {
+		return c.JoinFraction, 30 * time.Minute
+	}
+	return c.JoinFraction, 6 * time.Minute
+}
+
 // GenNodes returns the requested node count for a gen-* topology spec and
 // 0 for named deployments (or malformed specs, which Validate rejects).
 func (s Spec) GenNodes() int {

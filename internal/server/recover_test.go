@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/scenario"
+	"github.com/digs-net/digs/internal/telemetry"
 )
 
 // abandonedServer builds a server the test will never Shutdown — the
@@ -417,6 +418,13 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if !sawStack {
 		t.Fatalf("panic stack missing from the job's telemetry stream (%d lines)", len(stream.Lines))
+	}
+	// Each attempt opens with its own schema header, and its panic line
+	// keeps its place after it.
+	header := string(telemetry.HeaderLine())
+	if len(stream.Lines) != 4 || stream.Lines[0] != header || stream.Lines[2] != header ||
+		!strings.Contains(stream.Lines[1], "worker_panic") || !strings.Contains(stream.Lines[3], "worker_panic") {
+		t.Fatalf("stream of two panicking attempts: %q", stream.Lines)
 	}
 
 	resp = mustSubmit(t, ts, smallSpec(133), "")

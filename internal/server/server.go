@@ -375,15 +375,15 @@ func (s *Server) execute(j *Job) (res *scenario.Result, rinfo scenario.RunInfo, 
 	defer func() {
 		if r := recover(); r != nil {
 			stack, _ := json.Marshal(string(debug.Stack()))
-			j.Stream.Write([]byte(fmt.Sprintf(
-				`{"schema":"digs-server/v1","event":"worker_panic","detail":%q,"stack":%s}`+"\n", fmt.Sprint(r), stack)))
+			j.Stream.Note(fmt.Sprintf(
+				`{"schema":"digs-server/v1","event":"worker_panic","detail":%q,"stack":%s}`, fmt.Sprint(r), stack))
 			res, rinfo, err = nil, scenario.RunInfo{}, fmt.Errorf("worker panic: %v", r)
 		}
 	}()
 	j.markRunning()
-	var tracer telemetry.Tracer = telemetry.NewJSONL(j.Stream)
+	j.Stream.Note(string(telemetry.HeaderLine()))
 	return s.cfg.runFn(s.runCtx, j.Spec, scenario.RunOpts{
-		Tracer: tracer,
+		Tracer: j.Stream,
 		Warm:   s.warm,
 	})
 }
@@ -422,8 +422,8 @@ func (s *Server) runJob(j *Job) {
 			// accepting writes, which is a durability failure, not a
 			// cache miss: degrade so the health surface says so.
 			s.degrade(fmt.Sprintf("result store put: %v", err))
-			j.Stream.Write([]byte(fmt.Sprintf(
-				`{"schema":"digs-server/v1","event":"store_error","detail":%q}`+"\n", err.Error())))
+			j.Stream.Note(fmt.Sprintf(
+				`{"schema":"digs-server/v1","event":"store_error","detail":%q}`, err.Error()))
 		}
 	}
 	s.finishJob(j, journalRecord{Op: opDone, ResultHash: rhash}, func() { j.markDone(enc, rhash, rinfo.WarmHit) })
@@ -919,6 +919,8 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 // the job's terminal view. Whenever the subscriber's cursor has fallen
 // out of the retention window — at attach or mid-stream on a slow
 // client — a "dropped" event reports how many lines the gap swallowed.
+// Each retained record is rendered to its line as it is sent, into one
+// buffer the subscriber reuses.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -929,23 +931,26 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	var bt Batch
+	var line []byte
 	from := 0
 	for {
-		lines, next, skipped, closed, wait := j.Stream.Next(from)
+		skipped, closed, wait := j.Stream.Next(&bt, from)
 		if skipped > 0 {
 			if WriteEvent(w, "dropped", strconv.Itoa(skipped)) != nil {
 				return
 			}
 		}
-		for _, ln := range lines {
-			if WriteEvent(w, "message", ln) != nil {
+		for i := range bt.Len() {
+			line = bt.AppendLine(line[:0], i)
+			if WriteEvent(w, "message", line) != nil {
 				return
 			}
 		}
-		if skipped > 0 || len(lines) > 0 {
+		if skipped > 0 || bt.Len() > 0 {
 			fl.Flush()
 		}
-		from = next
+		from = bt.End()
 		if closed {
 			view, _ := json.Marshal(j.View(true))
 			WriteEvent(w, "done", view)

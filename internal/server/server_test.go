@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -483,77 +482,5 @@ func TestFinishedJobPruning(t *testing.T) {
 	s.mu.Unlock()
 	if n != 2 {
 		t.Fatalf("len(s.jobs) = %d, want 2", n)
-	}
-}
-
-// TestBroadcastWriterSemantics covers the SSE fan-out buffer directly:
-// fragment assembly, bounded retention, replay and close.
-func TestBroadcastWriterSemantics(t *testing.T) {
-	b := NewBroadcast(3)
-	fmt.Fprint(b, "alpha\nbe")
-	fmt.Fprint(b, "ta\n")
-	lines, next, skipped, closed, _ := b.Next(0)
-	if len(lines) != 2 || string(lines[0]) != "alpha" || string(lines[1]) != "beta" || skipped != 0 || closed {
-		t.Fatalf("lines %q skipped=%d closed=%v", lines, skipped, closed)
-	}
-	fmt.Fprint(b, "gamma\ndelta\nepsilon\n") // overflows max=3, drops alpha+beta
-	if d := b.Dropped(); d != 2 {
-		t.Fatalf("dropped = %d, want 2", d)
-	}
-	// The subscriber's cursor (next=2) is exactly at the window start, so
-	// no mid-stream gap is reported for it.
-	lines, next, skipped, _, _ = b.Next(next)
-	if len(lines) != 3 || string(lines[0]) != "gamma" || skipped != 0 {
-		t.Fatalf("after overflow: %q skipped=%d", lines, skipped)
-	}
-	fmt.Fprint(b, "tail-no-newline")
-	b.Close()
-	lines, _, _, closed, _ = b.Next(next)
-	if !closed || len(lines) != 1 || string(lines[0]) != "tail-no-newline" {
-		t.Fatalf("close: %q closed=%v", lines, closed)
-	}
-	// Writes after close are swallowed, not errors (late tracer flush).
-	if n, err := b.Write([]byte("late\n")); n != 5 || err != nil {
-		t.Fatalf("write after close: %d, %v", n, err)
-	}
-}
-
-// TestBroadcastLiveFollow: a subscriber blocked on the signal channel
-// wakes when the writer publishes.
-func TestBroadcastLiveFollow(t *testing.T) {
-	b := NewBroadcast(0)
-	_, next, _, _, wait := b.Next(0)
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		fmt.Fprint(b, "live\n")
-		b.Close()
-	}()
-	select {
-	case <-wait:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscriber never woke")
-	}
-	lines, _, _, _, _ := b.Next(next)
-	if len(lines) != 1 || string(lines[0]) != "live" {
-		t.Fatalf("live follow got %q", lines)
-	}
-}
-
-// TestBroadcastLaggingSubscriberGap: a follower whose cursor has fallen
-// behind the retention window learns the exact gap size from Next, both
-// at attach (from=0) and mid-stream — not only on initial subscribe.
-func TestBroadcastLaggingSubscriberGap(t *testing.T) {
-	b := NewBroadcast(2)
-	fmt.Fprint(b, "l1\nl2\nl3\nl4\n") // window now holds l3,l4; first=2
-	lines, next, skipped, _, _ := b.Next(0)
-	if skipped != 2 || len(lines) != 2 || string(lines[0]) != "l3" {
-		t.Fatalf("attach: lines %q skipped=%d", lines, skipped)
-	}
-	// The follower stalls while four more lines push the window past its
-	// cursor: l5,l6 fall out before it resumes.
-	fmt.Fprint(b, "l5\nl6\nl7\nl8\n") // window l7,l8; first=6
-	lines, _, skipped, _, _ = b.Next(next)
-	if skipped != 2 || len(lines) != 2 || string(lines[0]) != "l7" {
-		t.Fatalf("mid-stream: lines %q skipped=%d", lines, skipped)
 	}
 }

@@ -2,37 +2,61 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"sync"
+
+	"github.com/digs-net/digs/internal/telemetry"
 )
 
-// Broadcast is a per-job telemetry fan-out: the job's JSONL tracer writes
-// lines into it from the worker goroutine, and any number of SSE
-// subscribers replay the stream from the beginning and then follow it
-// live. It implements io.Writer so it can sit directly under a
-// telemetry.JSONL sink.
+// Broadcast is a job's telemetry backlog and fan-out: the worker records
+// the run's events into it as its telemetry.Tracer, and any number of SSE
+// subscribers replay it from the beginning and then follow it live.
 //
-// The buffer is bounded: past maxLines the oldest lines are dropped (the
-// Dropped count tells late subscribers how much history they missed).
-// Lines are copied on entry — the JSONL sink reuses its scratch buffer.
+// Entries are kept as telemetry.Event records (88 B, no pointers) and
+// rendered to their JSONL lines only when a subscriber is sent them. The
+// few lines that are not events (each attempt's schema header, the
+// server's worker_panic and store_error lines) are notes: kept aside as
+// text at their logical position, with an empty record holding the place.
+//
+// Retention is bounded: past max entries the oldest falls out, one entry
+// per entry added, and Dropped counts them so late subscribers learn what
+// they missed. Records sit in fixed-size blocks that are appended to and
+// never overwritten, and a block is released once it lies wholly before
+// the retained window. So an entry costs O(1) past the cap, and a Batch
+// taken under the lock stays valid after it is released.
 type Broadcast struct {
-	mu      sync.Mutex
-	lines   [][]byte
-	partial []byte
-	first   int // logical index of lines[0]
-	max     int
-	closed  bool
-	signal  chan struct{} // closed and replaced on every append/Close
+	mu     sync.Mutex
+	blocks []*block // blocks[0] holds logical indices base..base+blockLen-1
+	base   int      // logical index of blocks[0][0]
+	first  int      // logical index of the oldest retained entry
+	end    int      // logical index the next entry takes
+	notes  []note   // retained notes, in logical order
+	max    int
+	closed bool
+	signal chan struct{} // closed and replaced on every append/Close
+}
+
+// blockLen records of 88 B fill one 8 KB allocation, so a job's last,
+// partly filled block wastes at most that much.
+const blockLen = 93
+
+type block [blockLen]telemetry.Event
+
+// note is a non-event line and the logical index it holds.
+type note struct {
+	at   int
+	text string
 }
 
 // maxStreamLines bounds each job's retained telemetry backlog.
 const maxStreamLines = 1 << 17
 
-// NewBroadcast returns a broadcast buffer holding at most maxLines lines
+var _ telemetry.Tracer = (*Broadcast)(nil)
+
+// NewBroadcast returns a broadcast buffer holding at most maxLines entries
 // (<= 0 means maxStreamLines).
 func NewBroadcast(maxLines int) *Broadcast {
 	if maxLines <= 0 {
@@ -41,49 +65,61 @@ func NewBroadcast(maxLines int) *Broadcast {
 	return &Broadcast{max: maxLines, signal: make(chan struct{})}
 }
 
-// Write implements io.Writer: input is split into lines; complete lines
-// are published, a trailing fragment is buffered until its newline
-// arrives.
-func (b *Broadcast) Write(p []byte) (int, error) {
+// Record implements telemetry.Tracer: it appends one event. A record after
+// Close (a late tracer call) has nowhere to go and is swallowed.
+func (b *Broadcast) Record(ev telemetry.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed {
-		// A write after Close (e.g. a late Flush) has nowhere to go.
-		return len(p), nil
+	if !b.closed {
+		b.push(ev)
 	}
-	data := p
-	for {
-		i := bytes.IndexByte(data, '\n')
-		if i < 0 {
-			b.partial = append(b.partial, data...)
-			break
-		}
-		line := make([]byte, 0, len(b.partial)+i)
-		line = append(line, b.partial...)
-		line = append(line, data[:i]...)
-		b.partial = b.partial[:0]
-		b.lines = append(b.lines, line)
-		data = data[i+1:]
-	}
-	if over := len(b.lines) - b.max; over > 0 {
-		b.lines = append([][]byte(nil), b.lines[over:]...)
-		b.first += over
-	}
-	b.wake()
-	return len(p), nil
 }
 
-// Close marks the stream complete (an unterminated final fragment is
-// published as its own line) and wakes every subscriber.
+// Note appends a line that is not an event; text holds no line break. A
+// note after Close is swallowed like a record.
+func (b *Broadcast) Note(text string) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if !b.closed {
+		b.notes = append(b.notes, note{at: b.end, text: text})
+		b.push(telemetry.Event{})
+	}
+}
+
+// Flush implements telemetry.Tracer: records are published as they come,
+// so there is nothing to flush and no error to report.
+func (b *Broadcast) Flush() error { return nil }
+
+// push appends one entry, trims the window to max entries and wakes the
+// subscribers; mu must be held.
+func (b *Broadcast) push(ev telemetry.Event) {
+	k := b.end - b.base
+	if k == len(b.blocks)*blockLen {
+		b.blocks = append(b.blocks, new(block))
+	}
+	b.blocks[k/blockLen][k%blockLen] = ev
+	b.end++
+	if b.end-b.first > b.max {
+		b.first++
+		if b.first-b.base == blockLen {
+			b.blocks[0] = nil
+			b.blocks = b.blocks[1:]
+			b.base += blockLen
+		}
+		if len(b.notes) > 0 && b.notes[0].at < b.first {
+			b.notes[0] = note{}
+			b.notes = b.notes[1:]
+		}
+	}
+	b.wake()
+}
+
+// Close marks the stream complete and wakes every subscriber.
 func (b *Broadcast) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.closed {
 		return
-	}
-	if len(b.partial) > 0 {
-		b.lines = append(b.lines, append([]byte(nil), b.partial...))
-		b.partial = nil
 	}
 	b.closed = true
 	b.wake()
@@ -95,27 +131,67 @@ func (b *Broadcast) wake() {
 	b.signal = make(chan struct{})
 }
 
-// Next returns every published line with logical index >= from, the next
-// logical index to resume at, how many lines between from and the first
-// returned line fell out of the retention window (a lagging subscriber's
-// gap), whether the stream is complete, and a channel that closes on the
-// next publication (for blocking waits). A from older than the retained
-// window resumes at the window start, with the gap size in skipped so
-// followers can surface the loss instead of silently snapping forward.
-func (b *Broadcast) Next(from int) (lines [][]byte, next, skipped int, closed bool, wait <-chan struct{}) {
+// A Batch is a run of consecutive backlog entries, filled by Next and read
+// after Next returns: the records it names are never written again.
+type Batch struct {
+	blocks    []*block
+	off       int // position of the batch's first entry in blocks[0]
+	from, end int // the logical indices from..end-1
+	notes     []note
+}
+
+// Len returns the number of entries in the batch.
+func (bt *Batch) Len() int { return bt.end - bt.from }
+
+// End returns the logical index just past the batch, where to resume.
+func (bt *Batch) End() int { return bt.end }
+
+// AppendLine appends the JSONL line of the batch's i-th entry (without
+// newline) to dst: a note's text, else the record in the v1 encoding.
+func (bt *Batch) AppendLine(dst []byte, i int) []byte {
+	k := bt.off + i
+	ev := &bt.blocks[k/blockLen][k%blockLen]
+	if ev.Type == 0 {
+		for _, n := range bt.notes {
+			if n.at == bt.from+i {
+				return append(dst, n.text...)
+			}
+		}
+	}
+	return telemetry.AppendEventJSON(dst, ev)
+}
+
+// Next fills bt with every entry with logical index >= from, reusing its
+// storage, and returns how many entries between from and the batch fell
+// out of the retention window (a lagging subscriber's gap), whether the
+// stream is complete, and a channel that closes on the next publication
+// (for blocking waits). A from older than the retained window resumes at
+// the window start, with the gap size in skipped so followers can surface
+// the loss instead of silently snapping forward.
+func (b *Broadcast) Next(bt *Batch, from int) (skipped int, closed bool, wait <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if from < b.first {
 		skipped = b.first - from
 		from = b.first
 	}
-	if off := from - b.first; off < len(b.lines) {
-		lines = b.lines[off:]
+	clear(bt.blocks)
+	bt.blocks, bt.notes = bt.blocks[:0], bt.notes[:0]
+	bt.from, bt.end = from, max(from, b.end)
+	if from < b.end {
+		lo, hi := from-b.base, b.end-1-b.base
+		bt.off = lo % blockLen
+		bt.blocks = append(bt.blocks, b.blocks[lo/blockLen:hi/blockLen+1]...)
+		for _, n := range b.notes {
+			if n.at >= from {
+				bt.notes = append(bt.notes, n)
+			}
+		}
 	}
-	return lines, from + len(lines), skipped, b.closed, b.signal
+	return skipped, b.closed, b.signal
 }
 
-// Dropped returns how many lines fell out of the retention window.
+// Dropped returns how many entries fell out of the retention window.
 func (b *Broadcast) Dropped() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -144,7 +220,7 @@ func OpenStream(w http.ResponseWriter, jobID string) (http.Flusher, bool) {
 // WriteEvent writes one event: a "message" (a telemetry line) is a bare
 // data line, every other kind is named on an event line before its data.
 // Neither event nor data may hold a line break. Data is a string or the
-// bytes of a retained telemetry line, written without a copy.
+// bytes of a rendered telemetry line, written without a copy.
 func WriteEvent[T string | []byte](w io.Writer, event string, data T) error {
 	var err error
 	if event == "message" {

@@ -3,9 +3,15 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"github.com/digs-net/digs/internal/telemetry"
 )
 
 // readAll drains an EventReader into "event=data" pairs and the error that
@@ -79,4 +85,208 @@ func FuzzEventReader(f *testing.F) {
 			t.Fatalf("WriteEvent(%q, %q) read back as %q", event, data, got)
 		}
 	})
+}
+
+// evAt is the test's event for logical index i: its ASN names the index,
+// and its RSS needs more than an integer to render.
+func evAt(i int) telemetry.Event {
+	return telemetry.Event{ASN: int64(i), Type: telemetry.EvReceived, Node: 3, Peer: 1, RSS: -71.25 - float64(i%7)/8}
+}
+
+// evLine is evAt(i)'s JSONL line, encoded as a telemetry.JSONL trace
+// encodes it.
+func evLine(i int) string {
+	var buf bytes.Buffer
+	telemetry.NewJSONL(&buf).Record(evAt(i))
+	_, line, _ := strings.Cut(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	return line
+}
+
+// follow renders the batch Next returns from the cursor from.
+func follow(b *Broadcast, from int) (lines []string, end, skipped int, closed bool) {
+	var v Batch
+	skipped, closed, _ = b.Next(&v, from)
+	for i := range v.Len() {
+		lines = append(lines, string(v.AppendLine(nil, i)))
+	}
+	return lines, v.End(), skipped, closed
+}
+
+// TestBroadcastWriterSemantics covers the SSE fan-out buffer from the
+// writer's side: records and notes in one logical order, bounded
+// retention that trims notes with records, replay, close, and a record or
+// note after Close swallowed.
+func TestBroadcastWriterSemantics(t *testing.T) {
+	b := NewBroadcast(3)
+	b.Note("head")
+	b.Record(evAt(1))
+	lines, end, skipped, closed := follow(b, 0)
+	if fmt.Sprint(lines) != fmt.Sprint([]string{"head", evLine(1)}) || end != 2 || skipped != 0 || closed {
+		t.Fatalf("lines %q end=%d skipped=%d closed=%v", lines, end, skipped, closed)
+	}
+	b.Record(evAt(2))
+	b.Record(evAt(3))
+	b.Record(evAt(4)) // overflows max=3, drops head and rec 1
+	if d := b.Dropped(); d != 2 || len(b.notes) != 0 {
+		t.Fatalf("dropped = %d, notes %v; want 2 and none", d, b.notes)
+	}
+	// The subscriber's cursor (end=2) is exactly at the window start, so
+	// no mid-stream gap is reported for it.
+	lines, end, skipped, _ = follow(b, end)
+	if fmt.Sprint(lines) != fmt.Sprint([]string{evLine(2), evLine(3), evLine(4)}) || skipped != 0 {
+		t.Fatalf("after overflow: %q skipped=%d", lines, skipped)
+	}
+	b.Note("tail")
+	b.Close()
+	lines, end, _, closed = follow(b, end)
+	if !closed || fmt.Sprint(lines) != "[tail]" || end != 6 {
+		t.Fatalf("close: %q end=%d closed=%v", lines, end, closed)
+	}
+	// Entries after close are swallowed, not errors (a late tracer call).
+	b.Record(evAt(6))
+	b.Note("late")
+	if lines, end2, _, _ := follow(b, end); len(lines) != 0 || end2 != end || b.Dropped() != 3 {
+		t.Fatalf("after close: %q end=%d dropped=%d", lines, end2, b.Dropped())
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBroadcastLiveFollow: a subscriber blocked on the signal channel
+// wakes when the writer publishes.
+func TestBroadcastLiveFollow(t *testing.T) {
+	b := NewBroadcast(0)
+	var v Batch
+	_, _, wait := b.Next(&v, 0)
+	go func() {
+		time.Sleep(10 * time.Millisecond)
+		b.Record(evAt(7))
+		b.Close()
+	}()
+	select {
+	case <-wait:
+	case <-time.After(5 * time.Second):
+		t.Fatal("subscriber never woke")
+	}
+	lines, _, _, _ := follow(b, v.End())
+	if len(lines) != 1 || lines[0] != evLine(7) {
+		t.Fatalf("live follow got %q", lines)
+	}
+}
+
+// TestBroadcastLaggingSubscriberGap: a follower whose cursor has fallen
+// behind the retention window learns the exact gap size from Next, both
+// at attach (from=0) and mid-stream — not only on initial subscribe.
+func TestBroadcastLaggingSubscriberGap(t *testing.T) {
+	b := NewBroadcast(2)
+	for i := 1; i <= 4; i++ { // window now holds 3,4; first=2
+		b.Record(evAt(i))
+	}
+	lines, end, skipped, _ := follow(b, 0)
+	if skipped != 2 || len(lines) != 2 || lines[0] != evLine(3) {
+		t.Fatalf("attach: lines %q skipped=%d", lines, skipped)
+	}
+	// The follower stalls while four more records push the window past
+	// its cursor: 5 and 6 fall out before it resumes.
+	for i := 5; i <= 8; i++ { // window 7,8; first=6
+		b.Record(evAt(i))
+	}
+	lines, _, skipped, _ = follow(b, end)
+	if skipped != 2 || len(lines) != 2 || lines[0] != evLine(7) {
+		t.Fatalf("mid-stream: lines %q skipped=%d", lines, skipped)
+	}
+}
+
+// TestBroadcastPastCapIsConstant: once a job's backlog is full, each new
+// record costs O(1) — no window copy — and blocks wholly before the
+// window are released, so retention stays exact.
+func TestBroadcastPastCapIsConstant(t *testing.T) {
+	b := NewBroadcast(0)
+	for i := range maxStreamLines {
+		b.Record(evAt(i))
+	}
+	const extra = 2000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range extra {
+		b.Record(evAt(maxStreamLines + i))
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / extra; per >= 1024 {
+		t.Fatalf("a record past the cap allocates %d B, want < 1 KB", per)
+	}
+	if b.Dropped() != extra || b.end-b.first != maxStreamLines {
+		t.Fatalf("dropped %d, window %d; want %d and %d", b.Dropped(), b.end-b.first, extra, maxStreamLines)
+	}
+	if max := maxStreamLines/blockLen + 2; len(b.blocks) > max {
+		t.Fatalf("%d blocks held, want at most %d", len(b.blocks), max)
+	}
+	lines, _, skipped, _ := follow(b, 0)
+	if skipped != extra || len(lines) != maxStreamLines || lines[0] != evLine(extra) || lines[len(lines)-1] != evLine(maxStreamLines+extra-1) {
+		t.Fatalf("replay: %d lines from %q, skipped %d", len(lines), lines[0], skipped)
+	}
+}
+
+// TestBroadcastConcurrentFollowers: one writer records ten times past a
+// small cap while two followers loop on Next. Each must see logical
+// indices in order, gaps exactly as large as the reported skips, and
+// every line equal to its record's (or note's) JSONL.
+func TestBroadcastConcurrentFollowers(t *testing.T) {
+	const capLines, total = 64, 640
+	noteAt := func(i int) bool { return i%37 == 0 }
+	want := func(i int) string {
+		if noteAt(i) {
+			return fmt.Sprintf(`{"note":%d}`, i)
+		}
+		return evLine(i)
+	}
+	b := NewBroadcast(capLines)
+	var wg sync.WaitGroup
+	for f := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var v Batch
+			var line []byte
+			from, seen := 0, 0
+			for {
+				skipped, closed, wait := b.Next(&v, from)
+				i := from + skipped
+				for k := range v.Len() {
+					line = v.AppendLine(line[:0], k)
+					if string(line) != want(i+k) {
+						t.Errorf("follower %d: index %d is %s, want %s", f, i+k, line, want(i+k))
+						return
+					}
+				}
+				if v.End() != i+v.Len() {
+					t.Errorf("follower %d: batch from %d of %d ends at %d", f, i, v.Len(), v.End())
+					return
+				}
+				seen += skipped + v.Len()
+				from = v.End()
+				if closed {
+					break
+				}
+				<-wait
+			}
+			if from != total || seen != total {
+				t.Errorf("follower %d: ended at %d having accounted for %d, want %d", f, from, seen, total)
+			}
+		}()
+	}
+	for i := range total {
+		if noteAt(i) {
+			b.Note(want(i))
+		} else {
+			b.Record(evAt(i))
+		}
+		runtime.Gosched() // let the followers keep up now and then
+	}
+	b.Close()
+	wg.Wait()
+	if b.Dropped() != total-capLines {
+		t.Fatalf("dropped %d, want %d", b.Dropped(), total-capLines)
+	}
 }

@@ -21,10 +21,10 @@ func FuzzScanJSONL(f *testing.F) {
 	}
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
-	f.Add(append(headerLine(), '\n'))
-	f.Add(headerLine()[:len(headerLine())/2])
-	f.Add([]byte(string(headerLine()) + "\n" + `{"asn":12,"ev":"tx","nod`))
-	f.Add([]byte(string(headerLine()) + "\n" + "not json at all\n"))
+	f.Add(append(HeaderLine(), '\n'))
+	f.Add(HeaderLine()[:len(HeaderLine())/2])
+	f.Add([]byte(string(HeaderLine()) + "\n" + `{"asn":12,"ev":"tx","nod`))
+	f.Add([]byte(string(HeaderLine()) + "\n" + "not json at all\n"))
 	f.Add([]byte(`{"schema":"digs-trace","version":1}` + "\n" + `{"asn":1,"ev":"gen"}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -17,8 +17,9 @@ type header struct {
 	Version int    `json:"version"`
 }
 
-// headerLine returns the serialized stream header (without newline).
-func headerLine() []byte {
+// HeaderLine returns the serialized stream header (without newline), the
+// first line of every JSONL trace.
+func HeaderLine() []byte {
 	return []byte(fmt.Sprintf(`{"schema":%q,"version":%d}`, SchemaName, SchemaVersion))
 }
 
@@ -40,7 +41,7 @@ var _ Tracer = (*JSONL)(nil)
 // campaigns give each job its own sink (see WithJob and MergeJSONL).
 func NewJSONL(w io.Writer) *JSONL {
 	s := &JSONL{w: w, buf: make([]byte, 0, 256)}
-	_, s.err = w.Write(append(headerLine(), '\n'))
+	_, s.err = w.Write(append(HeaderLine(), '\n'))
 	return s
 }
 
@@ -49,7 +50,7 @@ func (s *JSONL) Record(ev Event) {
 	if s.err != nil {
 		return
 	}
-	s.buf = appendEventJSON(s.buf[:0], &ev)
+	s.buf = AppendEventJSON(s.buf[:0], &ev)
 	s.buf = append(s.buf, '\n')
 	_, s.err = s.w.Write(s.buf)
 }
@@ -58,8 +59,10 @@ func (s *JSONL) Record(ev Event) {
 // Flush only reports the first write error.
 func (s *JSONL) Flush() error { return s.err }
 
-// appendEventJSON serializes one event in the fixed v1 field order.
-func appendEventJSON(b []byte, ev *Event) []byte {
+// AppendEventJSON appends one event's trace line (without newline) in the
+// fixed v1 field order: the one encoder of the JSONL format, which the
+// server also uses to render retained events onto its streams.
+func AppendEventJSON(b []byte, ev *Event) []byte {
 	b = append(b, `{"asn":`...)
 	b = strconv.AppendInt(b, ev.ASN, 10)
 	b = append(b, `,"ev":"`...)
@@ -200,7 +203,7 @@ func Scan(r io.Reader, fn func(Event) error) error {
 // stripped). Merging job-indexed parts in job order is deterministic, so
 // a campaign produces byte-identical merged traces at any worker count.
 func MergeJSONL(dst io.Writer, parts ...[]byte) error {
-	want := append(headerLine(), '\n')
+	want := append(HeaderLine(), '\n')
 	if _, err := dst.Write(want); err != nil {
 		return err
 	}

@@ -133,7 +133,7 @@ func TestScanRoundTrip(t *testing.T) {
 // TestScanRejectsBadStreams covers the reader's validation: wrong schema,
 // wrong version, unknown event names and the empty stream.
 func TestScanRejectsBadStreams(t *testing.T) {
-	head := string(headerLine()) + "\n"
+	head := string(HeaderLine()) + "\n"
 	cases := map[string]string{
 		"wrong schema":  `{"schema":"other","version":1}` + "\n",
 		"wrong version": `{"schema":"digs-trace","version":99}` + "\n",
