@@ -30,7 +30,8 @@ race:
 	$(GO) test -race ./...
 
 ## fuzz: brief native-fuzzing passes over every decoder of outside bytes —
-## MAC frames, the DiGS join payloads, telemetry JSONL, snapshots, generated
+## MAC frames, the DiGS join payloads, telemetry JSONL and the packed
+## telemetry backlog entry, snapshots, generated
 ## topology names, the server journal and the SSE event stream (go test
 ## allows one -fuzz pattern per package invocation).
 FUZZTIME ?= 5s
@@ -39,6 +40,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalJoinIn -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzUnmarshalJoinedCallback -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScanJSONL -fuzztime=$(FUZZTIME) ./internal/telemetry
+	$(GO) test -run='^$$' -fuzz=FuzzPackedEvent -fuzztime=$(FUZZTIME) ./internal/telemetry
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) ./internal/snapshot
 	$(GO) test -run='^$$' -fuzz=FuzzGenerate -fuzztime=$(FUZZTIME) ./internal/topology
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server
@@ -180,11 +182,13 @@ controller-smoke:
 ## result hash and the content-addressed store round-trip, demand a cache
 ## hit on resubmission, byte-compare the server's result and its SSE
 ## telemetry lines against a direct in-process run of the same spec on
-## both engines, and hold the telemetry backlog to O(1) per record past
-## its cap with concurrent followers.
+## both engines, live and replayed, and hold the telemetry backlog to O(1)
+## per record past its cap with concurrent followers, and to no allocation
+## per record when nobody follows it.
 server-smoke:
-	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter|TestBroadcastPastCapIsConstant|TestBroadcastConcurrentFollowers' ./internal/server
+	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter|TestBroadcastPastCapIsConstant|TestBroadcastConcurrentFollowers|TestBroadcastRecordAllocatesNothing' ./internal/server
 	$(GO) test -race -count=1 -run 'TestStreamMatchesDirectTrace' ./internal/gateway
+	$(GO) test -race -count=1 -run 'TestPacked|TestBatch|TestBacklog' ./internal/telemetry
 
 ## recover-smoke: the crash-safety contract end to end — race-enabled
 ## journal/retry/degraded-mode tests, then the real process: build

@@ -919,8 +919,8 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 // the job's terminal view. Whenever the subscriber's cursor has fallen
 // out of the retention window — at attach or mid-stream on a slow
 // client — a "dropped" event reports how many lines the gap swallowed.
-// Each retained record is rendered to its line as it is sent, into one
-// buffer the subscriber reuses.
+// Each retained entry is decoded from its packed form and rendered to its
+// line as it is sent, into one buffer the subscriber reuses.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -931,7 +931,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var bt Batch
+	var bt telemetry.Batch
 	var line []byte
 	from := 0
 	for {

@@ -15,40 +15,20 @@ import (
 // the run's events into it as its telemetry.Tracer, and any number of SSE
 // subscribers replay it from the beginning and then follow it live.
 //
-// Entries are kept as telemetry.Event records (88 B, no pointers) and
-// rendered to their JSONL lines only when a subscriber is sent them. The
-// few lines that are not events (each attempt's schema header, the
-// server's worker_panic and store_error lines) are notes: kept aside as
-// text at their logical position, with an empty record holding the place.
-//
-// Retention is bounded: past max entries the oldest falls out, one entry
-// per entry added, and Dropped counts them so late subscribers learn what
-// they missed. Records sit in fixed-size blocks that are appended to and
-// never overwritten, and a block is released once it lies wholly before
-// the retained window. So an entry costs O(1) past the cap, and a Batch
-// taken under the lock stays valid after it is released.
+// The backlog is a telemetry.Backlog: each event packed to ~10 B and
+// rendered to its JSONL line only when a subscriber is sent it, the few
+// lines that are not events (each attempt's schema header, the server's
+// worker_panic and store_error lines) kept aside as notes at their logical
+// position. Retention is bounded: past max entries the oldest falls out,
+// one entry per entry added, and Dropped counts them so late subscribers
+// learn what they missed. A Batch filled under the lock stays valid after
+// it is released.
 type Broadcast struct {
 	mu     sync.Mutex
-	blocks []*block // blocks[0] holds logical indices base..base+blockLen-1
-	base   int      // logical index of blocks[0][0]
-	first  int      // logical index of the oldest retained entry
-	end    int      // logical index the next entry takes
-	notes  []note   // retained notes, in logical order
-	max    int
+	log    *telemetry.Backlog
 	closed bool
-	signal chan struct{} // closed and replaced on every append/Close
-}
-
-// blockLen records of 88 B fill one 8 KB allocation, so a job's last,
-// partly filled block wastes at most that much.
-const blockLen = 93
-
-type block [blockLen]telemetry.Event
-
-// note is a non-event line and the logical index it holds.
-type note struct {
-	at   int
-	text string
+	signal chan struct{} // closed and replaced on the first append/Close after Next hands it out
+	handed bool          // Next has handed signal out since it was made
 }
 
 // maxStreamLines bounds each job's retained telemetry backlog.
@@ -62,7 +42,7 @@ func NewBroadcast(maxLines int) *Broadcast {
 	if maxLines <= 0 {
 		maxLines = maxStreamLines
 	}
-	return &Broadcast{max: maxLines, signal: make(chan struct{})}
+	return &Broadcast{log: telemetry.NewBacklog(maxLines), signal: make(chan struct{})}
 }
 
 // Record implements telemetry.Tracer: it appends one event. A record after
@@ -71,7 +51,8 @@ func (b *Broadcast) Record(ev telemetry.Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.closed {
-		b.push(ev)
+		b.log.Add(ev)
+		b.wake()
 	}
 }
 
@@ -81,38 +62,14 @@ func (b *Broadcast) Note(text string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if !b.closed {
-		b.notes = append(b.notes, note{at: b.end, text: text})
-		b.push(telemetry.Event{})
+		b.log.Note(text)
+		b.wake()
 	}
 }
 
 // Flush implements telemetry.Tracer: records are published as they come,
 // so there is nothing to flush and no error to report.
 func (b *Broadcast) Flush() error { return nil }
-
-// push appends one entry, trims the window to max entries and wakes the
-// subscribers; mu must be held.
-func (b *Broadcast) push(ev telemetry.Event) {
-	k := b.end - b.base
-	if k == len(b.blocks)*blockLen {
-		b.blocks = append(b.blocks, new(block))
-	}
-	b.blocks[k/blockLen][k%blockLen] = ev
-	b.end++
-	if b.end-b.first > b.max {
-		b.first++
-		if b.first-b.base == blockLen {
-			b.blocks[0] = nil
-			b.blocks = b.blocks[1:]
-			b.base += blockLen
-		}
-		if len(b.notes) > 0 && b.notes[0].at < b.first {
-			b.notes[0] = note{}
-			b.notes = b.notes[1:]
-		}
-	}
-	b.wake()
-}
 
 // Close marks the stream complete and wakes every subscriber.
 func (b *Broadcast) Close() {
@@ -125,40 +82,15 @@ func (b *Broadcast) Close() {
 	b.wake()
 }
 
-// wake must be called with mu held.
+// wake wakes whoever waits on the signal channel; mu must be held. Only a
+// channel Next has handed out can have waiters, so a record nobody follows
+// makes no new channel.
 func (b *Broadcast) wake() {
-	close(b.signal)
-	b.signal = make(chan struct{})
-}
-
-// A Batch is a run of consecutive backlog entries, filled by Next and read
-// after Next returns: the records it names are never written again.
-type Batch struct {
-	blocks    []*block
-	off       int // position of the batch's first entry in blocks[0]
-	from, end int // the logical indices from..end-1
-	notes     []note
-}
-
-// Len returns the number of entries in the batch.
-func (bt *Batch) Len() int { return bt.end - bt.from }
-
-// End returns the logical index just past the batch, where to resume.
-func (bt *Batch) End() int { return bt.end }
-
-// AppendLine appends the JSONL line of the batch's i-th entry (without
-// newline) to dst: a note's text, else the record in the v1 encoding.
-func (bt *Batch) AppendLine(dst []byte, i int) []byte {
-	k := bt.off + i
-	ev := &bt.blocks[k/blockLen][k%blockLen]
-	if ev.Type == 0 {
-		for _, n := range bt.notes {
-			if n.at == bt.from+i {
-				return append(dst, n.text...)
-			}
-		}
+	if b.handed {
+		close(b.signal)
+		b.signal = make(chan struct{})
+		b.handed = false
 	}
-	return telemetry.AppendEventJSON(dst, ev)
 }
 
 // Next fills bt with every entry with logical index >= from, reusing its
@@ -168,34 +100,18 @@ func (bt *Batch) AppendLine(dst []byte, i int) []byte {
 // (for blocking waits). A from older than the retained window resumes at
 // the window start, with the gap size in skipped so followers can surface
 // the loss instead of silently snapping forward.
-func (b *Broadcast) Next(bt *Batch, from int) (skipped int, closed bool, wait <-chan struct{}) {
+func (b *Broadcast) Next(bt *telemetry.Batch, from int) (skipped int, closed bool, wait <-chan struct{}) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if from < b.first {
-		skipped = b.first - from
-		from = b.first
-	}
-	clear(bt.blocks)
-	bt.blocks, bt.notes = bt.blocks[:0], bt.notes[:0]
-	bt.from, bt.end = from, max(from, b.end)
-	if from < b.end {
-		lo, hi := from-b.base, b.end-1-b.base
-		bt.off = lo % blockLen
-		bt.blocks = append(bt.blocks, b.blocks[lo/blockLen:hi/blockLen+1]...)
-		for _, n := range b.notes {
-			if n.at >= from {
-				bt.notes = append(bt.notes, n)
-			}
-		}
-	}
-	return skipped, b.closed, b.signal
+	b.handed = true
+	return b.log.Fill(bt, from), b.closed, b.signal
 }
 
 // Dropped returns how many entries fell out of the retention window.
 func (b *Broadcast) Dropped() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.first
+	return b.log.Dropped()
 }
 
 // OpenStream starts the job's Server-Sent Events answer: 501 when w

@@ -104,7 +104,7 @@ func evLine(i int) string {
 
 // follow renders the batch Next returns from the cursor from.
 func follow(b *Broadcast, from int) (lines []string, end, skipped int, closed bool) {
-	var v Batch
+	var v telemetry.Batch
 	skipped, closed, _ = b.Next(&v, from)
 	for i := range v.Len() {
 		lines = append(lines, string(v.AppendLine(nil, i)))
@@ -127,8 +127,8 @@ func TestBroadcastWriterSemantics(t *testing.T) {
 	b.Record(evAt(2))
 	b.Record(evAt(3))
 	b.Record(evAt(4)) // overflows max=3, drops head and rec 1
-	if d := b.Dropped(); d != 2 || len(b.notes) != 0 {
-		t.Fatalf("dropped = %d, notes %v; want 2 and none", d, b.notes)
+	if d := b.Dropped(); d != 2 {
+		t.Fatalf("dropped = %d, want 2", d)
 	}
 	// The subscriber's cursor (end=2) is exactly at the window start, so
 	// no mid-stream gap is reported for it.
@@ -157,7 +157,7 @@ func TestBroadcastWriterSemantics(t *testing.T) {
 // wakes when the writer publishes.
 func TestBroadcastLiveFollow(t *testing.T) {
 	b := NewBroadcast(0)
-	var v Batch
+	var v telemetry.Batch
 	_, _, wait := b.Next(&v, 0)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
@@ -199,8 +199,10 @@ func TestBroadcastLaggingSubscriberGap(t *testing.T) {
 }
 
 // TestBroadcastPastCapIsConstant: once a job's backlog is full, each new
-// record costs O(1) — no window copy — and blocks wholly before the
-// window are released, so retention stays exact.
+// record costs O(1) — no window copy — and retention stays exact: the
+// window holds exactly the cap, and a replay from 0 reports the rest as
+// skipped. (That blocks wholly before the window are released is
+// telemetry's TestBacklogPastCapReleasesBlocks.)
 func TestBroadcastPastCapIsConstant(t *testing.T) {
 	b := NewBroadcast(0)
 	for i := range maxStreamLines {
@@ -216,15 +218,35 @@ func TestBroadcastPastCapIsConstant(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / extra; per >= 1024 {
 		t.Fatalf("a record past the cap allocates %d B, want < 1 KB", per)
 	}
-	if b.Dropped() != extra || b.end-b.first != maxStreamLines {
-		t.Fatalf("dropped %d, window %d; want %d and %d", b.Dropped(), b.end-b.first, extra, maxStreamLines)
+	lines, end, skipped, _ := follow(b, 0)
+	if b.Dropped() != extra || end-skipped != maxStreamLines {
+		t.Fatalf("dropped %d, window %d; want %d and %d", b.Dropped(), end-skipped, extra, maxStreamLines)
 	}
-	if max := maxStreamLines/blockLen + 2; len(b.blocks) > max {
-		t.Fatalf("%d blocks held, want at most %d", len(b.blocks), max)
-	}
-	lines, _, skipped, _ := follow(b, 0)
 	if skipped != extra || len(lines) != maxStreamLines || lines[0] != evLine(extra) || lines[len(lines)-1] != evLine(maxStreamLines+extra-1) {
 		t.Fatalf("replay: %d lines from %q, skipped %d", len(lines), lines[0], skipped)
+	}
+}
+
+// TestBroadcastRecordAllocatesNothing: on a broadcast nobody follows, a
+// record makes no signal channel and packs into blocks that hold dozens
+// of entries each, so it allocates nothing on average; once a follower
+// has been handed the channel, the next record wakes it.
+func TestBroadcastRecordAllocatesNothing(t *testing.T) {
+	b := NewBroadcast(0)
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		b.Record(evAt(i))
+		i++
+	}); allocs != 0 {
+		t.Fatalf("Record allocates %v times per call, want 0", allocs)
+	}
+	var v telemetry.Batch
+	_, _, wait := b.Next(&v, 0)
+	b.Record(evAt(i))
+	select {
+	case <-wait:
+	default:
+		t.Fatal("a record after Next did not close the handed-out channel")
 	}
 }
 
@@ -247,7 +269,7 @@ func TestBroadcastConcurrentFollowers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var v Batch
+			var v telemetry.Batch
 			var line []byte
 			from, seen := 0, 0
 			for {

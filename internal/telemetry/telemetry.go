@@ -7,7 +7,9 @@
 // JSONL exporter with a versioned schema (JSONL) and an aggregating sink
 // that folds the stream into per-hop loss attribution, per-cell
 // utilization and queue-depth histograms (Aggregate). The cmd/digs-trace CLI replays an exported JSONL stream
-// through the same Aggregate.
+// through the same Aggregate. A Backlog keeps a bounded run of events in
+// their packed form (Event.CodePacked) for replay as JSONL lines, as the
+// simulation server does for each job.
 //
 // The disabled path is a nil check: instrumented code guards every
 // Record call with `if tracer != nil`, events are plain value structs

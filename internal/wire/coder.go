@@ -173,3 +173,68 @@ func Vector[T any](c *Coder, p *[]T, n int, elem func(*T)) {
 		}
 	}
 }
+
+// Uint codes an unsigned integer of any width as an unsigned varint.
+// Decoding fails on a value the type cannot hold.
+func Uint[T ~uint8 | ~uint16 | ~uint32 | ~uint64](c *Coder, p *T) {
+	if c.r == nil {
+		c.w.U64(uint64(*p))
+		return
+	}
+	v := c.r.U64()
+	if uint64(T(v)) != v {
+		c.r.fail("wire: value %d overflows %T", v, *p)
+		v = 0
+	}
+	*p = T(v)
+}
+
+// Signed codes a signed integer of any width as a zigzag varint.
+// Decoding fails on a value the type cannot hold.
+func Signed[T ~int8 | ~int16 | ~int32 | ~int64](c *Coder, p *T) {
+	if c.r == nil {
+		c.w.I64(int64(*p))
+		return
+	}
+	v := c.r.I64()
+	if int64(T(v)) != v {
+		c.r.fail("wire: value %d overflows %T", v, *p)
+		v = 0
+	}
+	*p = T(v)
+}
+
+// Tape is a Coder over a byte slice its owner keeps, for records packed
+// outside a snapshot container (a job's telemetry backlog): reset between
+// walks rather than rebuilt, one Tape encodes or decodes any number of
+// them without allocating. The Coder it returns is valid until the next
+// call.
+type Tape struct {
+	w Writer
+	r Reader
+	c Coder
+}
+
+// Encoder returns a Coder that appends to buf; Encoded returns the result.
+func (t *Tape) Encoder(buf []byte) *Coder {
+	t.w.Buf = buf
+	t.c = Coder{w: &t.w}
+	return &t.c
+}
+
+// Encoded returns the slice the last Encoder's walks appended to.
+func (t *Tape) Encoded() []byte { return t.w.Buf }
+
+// Decoder returns a Coder that consumes buf from offset off on; Offset
+// reports how far its walks have read.
+func (t *Tape) Decoder(buf []byte, off int) *Coder {
+	t.r = Reader{buf: buf, off: min(off, len(buf))}
+	if off > len(buf) {
+		t.r.fail("wire: offset %d past the end of %d bytes", off, len(buf))
+	}
+	t.c = Coder{r: &t.r}
+	return &t.c
+}
+
+// Offset returns the position the last Decoder's walks have read up to.
+func (t *Tape) Offset() int { return t.r.off }

@@ -2,7 +2,8 @@
 // Every package that owns checkpointable state writes its layout once,
 // against a Coder, next to the struct that defines the state; the Writer
 // and the bounded Reader underneath are named only by the snapshot
-// container that frames the sections.
+// container that frames the sections, and by Tape, which frames records
+// packed into a caller's byte slice.
 package wire
 
 import (

@@ -13,6 +13,11 @@ import (
 
 type nodeID int
 
+type (
+	hops  uint8
+	drift int16
+)
+
 // entry is a table element with a 3-byte narrowest wire form.
 type entry struct {
 	Node nodeID
@@ -33,6 +38,8 @@ type record struct {
 	Bool  bool
 	Idx   int32
 	Node  nodeID
+	Hop   hops  // a narrow named unsigned type
+	Drift drift // a narrow named signed type
 
 	Table []entry // counted slice
 
@@ -66,6 +73,8 @@ func (r *record) code(c *wire.Coder) {
 	c.Bool(&r.Bool)
 	c.Index32(&r.Idx)
 	wire.Uvarint(c, &r.Node)
+	wire.Uint(c, &r.Hop)
+	wire.Signed(c, &r.Drift)
 	wire.Slice(c, &r.Table, 3, codeEntry(c))
 	c.Bool(&r.HasOpt)
 	if r.HasOpt {
@@ -113,6 +122,8 @@ func randRecord(rng *rand.Rand) *record {
 		Bool:  rng.Intn(2) == 1,
 		Idx:   int32(rng.Uint32()),
 		Node:  nodeID(rng.Int63()),
+		Hop:   hops(rng.Intn(256)),
+		Drift: drift(rng.Intn(1<<16) - 1<<15),
 		Table: randEntries(rng),
 	}
 	if n := rng.Intn(5); n > 0 { // an empty byte string decodes as nil
@@ -308,11 +319,58 @@ func TestRefusedValues(t *testing.T) {
 		{"float truncated", make([]byte, 7), func(r *wire.Reader) { r.Float() }, false},
 		{"bytes past the end", []byte{4, 1, 2, 3}, func(r *wire.Reader) { r.Bytes() }, false},
 		{"byte at the end", nil, func(r *wire.Reader) { r.U8() }, false},
+		{"uint8 max", uvarint(math.MaxUint8), func(r *wire.Reader) { var v hops; wire.Uint(wire.Decoder(r), &v) }, true},
+		{"uint8 overflow", uvarint(math.MaxUint8 + 1), func(r *wire.Reader) { var v hops; wire.Uint(wire.Decoder(r), &v) }, false},
+		{"int16 min", varint(math.MinInt16), func(r *wire.Reader) { var v drift; wire.Signed(wire.Decoder(r), &v) }, true},
+		{"int16 underflow", varint(math.MinInt16 - 1), func(r *wire.Reader) { var v drift; wire.Signed(wire.Decoder(r), &v) }, false},
+		{"int16 overflow", varint(math.MaxInt16 + 1), func(r *wire.Reader) { var v drift; wire.Signed(wire.Decoder(r), &v) }, false},
 	} {
 		r := wire.NewReader(tc.in)
 		tc.read(r)
 		if (r.Err() == nil) != tc.ok {
 			t.Errorf("%s: err %v, want ok=%v", tc.name, r.Err(), tc.ok)
 		}
+	}
+}
+
+// TestTape: one Tape packs records back to back into a caller's slice and
+// walks them again from any record's offset, without allocating once its
+// slice has grown; an offset past the end is an error.
+func TestTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	want := make([]entry, 50)
+	var tp wire.Tape
+	var buf []byte
+	var offs []int
+	for i := range want {
+		want[i] = randEntry(rng)
+		offs = append(offs, len(buf))
+		codeEntry(tp.Encoder(buf))(&want[i])
+		buf = tp.Encoded()
+	}
+	for _, start := range []int{0, 17, 49} {
+		off := offs[start]
+		for i := start; i < len(want); i++ {
+			var got entry
+			c := tp.Decoder(buf, off)
+			codeEntry(c)(&got)
+			if c.Err() != nil || got != want[i] {
+				t.Fatalf("entry %d from %d: got %+v (%v), want %+v", i, start, got, c.Err(), want[i])
+			}
+			off = tp.Offset()
+		}
+		if off != len(buf) {
+			t.Fatalf("walk from %d ended at %d of %d bytes", start, off, len(buf))
+		}
+	}
+	if c := tp.Decoder(buf, len(buf)+1); func() error { var e entry; codeEntry(c)(&e); return c.Err() }() == nil {
+		t.Fatal("a decoder past the end read without error")
+	}
+	e := want[0]
+	if allocs := testing.AllocsPerRun(100, func() {
+		codeEntry(tp.Encoder(buf[:0]))(&e)
+		codeEntry(tp.Decoder(buf, 0))(&e)
+	}); allocs != 0 {
+		t.Fatalf("a walk over a Tape allocates %v times", allocs)
 	}
 }
