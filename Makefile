@@ -4,7 +4,7 @@ GO ?= go
 
 ## ci: everything the driver checks — gofmt, vet, build, race-enabled
 ## tests, a short fuzz pass over the wire codecs, a one-shot large-scale
-## benchmark smoke run, the bench/ harness's own smoke (its compile-time
+## figure smoke run, the bench/ harness's own smoke (its compile-time
 ## surface on this module), the telemetry pipeline smoke test, the
 ## examples' output goldens, the snapshot round-trip smoke test, the shared formation cache smoke, a short
 ## 10k-node run on the sparse medium, the controller-layer smoke
@@ -46,10 +46,10 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzEventReader -fuzztime=$(FUZZTIME) ./internal/server
 
-## bench-smoke: run the heaviest benchmark once to catch bit-rot without
-## paying for a full measurement.
+## bench-smoke: run the heaviest figure, Fig. 12's 150-node study under
+## both stacks, once to catch bit-rot without paying for a full campaign.
 bench-smoke:
-	$(GO) test -run='^$$' -bench=BenchmarkFig12LargeScale -benchtime=1x .
+	$(GO) run ./cmd/digs-bench -fig 12 >/dev/null
 
 ## bench-harness-smoke: bench/ is a module of its own that compiles
 ## against this one (sc.NW, sc.MACNode, sc.Take, snapshot.Encode/Decode/

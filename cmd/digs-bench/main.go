@@ -231,7 +231,7 @@ func interferenceFigure(figName, testbed string, full bool, seed int64, snapCach
 	if err != nil {
 		return err
 	}
-	printComparison(res, figName == "12")
+	printComparison(res, false)
 	return nil
 }
 

@@ -44,13 +44,17 @@ func TestRunPlanColdWarmFigureCache(t *testing.T) {
 	figures := t.TempDir()
 	fig := experiments.DefaultInterferenceOptions("A")
 	fig.FlowSets, fig.Seed, fig.CacheDir = 1, 2, figures
-	if _, err := experiments.RunInterferenceSingle(experiments.Orchestra, fig); err != nil {
+	if _, err := experiments.RunInterference(fig); err != nil {
 		t.Fatal(err)
+	}
+	// The campaign forms one network per protocol: DiGS and Orchestra.
+	if entries, _ := os.ReadDir(figures); len(entries) != 2 {
+		t.Fatalf("figure campaign left %d cache entries, want one per protocol", len(entries))
 	}
 	if warm := report(figures); !bytes.Equal(cold, warm) {
 		t.Errorf("report warmed from a figure campaign's cache diverges:\ncold: %s\nwarm: %s", cold, warm)
 	}
-	if entries, _ := os.ReadDir(figures); len(entries) != 1 {
-		t.Errorf("%d cache entries, want the one both commands key alike", len(entries))
+	if entries, _ := os.ReadDir(figures); len(entries) != 2 {
+		t.Errorf("%d cache entries after the chaos run, want the figure's two: both commands key the Orchestra entry alike", len(entries))
 	}
 }

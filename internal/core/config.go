@@ -44,15 +44,6 @@ type Config struct {
 	// +1-per-hop exposition; the default 4 gives the finer strata RPL
 	// implementations use, which widens backup-parent eligibility.
 	RankGranularity int
-
-	// DisableBackup turns off the backup route (ablation: all attempts go
-	// to the best parent, isolating the value of graph routing's route
-	// diversity).
-	DisableBackup bool
-
-	// PlainETX advertises the primary path's accumulated ETX instead of
-	// the Eq. (1) weighted blend (ablation for the weighted cost).
-	PlainETX bool
 }
 
 // DefaultConfig returns the paper's evaluation configuration.

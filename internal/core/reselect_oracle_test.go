@@ -122,11 +122,7 @@ func (m *mapRouter) reselect(asn sim.ASN) bool {
 	r.rank = rank
 	r.etxaBest = bestETXa
 	r.etxaSecond = secondETXa
-	if r.plainETX {
-		r.etxw = bestETXa
-	} else {
-		r.etxw = weightedETX(r.est.ETX(best), bestETXa, secondETXa)
-	}
+	r.etxw = weightedETX(r.est.ETX(best), bestETXa, secondETXa)
 	if !r.hasParentedAt {
 		r.hasParentedAt = true
 		r.firstParentAt = asn
@@ -173,8 +169,6 @@ func TestReselectMatchesMapReference(t *testing.T) {
 		scale := 1 + 3*rng.Intn(2)
 		got := NewRouter(30, false, timeout, timeout, scale)
 		ref := &mapRouter{r: NewRouter(30, false, timeout, timeout, scale), neighbors: map[topology.NodeID]neighborEntry{}}
-		got.plainETX = rng.Intn(4) == 0
-		ref.r.plainETX = got.plainETX
 		asn := sim.ASN(0)
 		for step := 0; step < 200; step++ {
 			asn += sim.ASN(rng.Intn(40))

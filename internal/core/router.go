@@ -55,10 +55,6 @@ type Router struct {
 	// the fine-grained strata that make backup parents widely available.
 	rankScale int
 
-	// plainETX advertises the primary accumulated ETX instead of the
-	// Eq. (1) weighted blend (ablation knob).
-	plainETX bool
-
 	// firstParentAt records when the node first selected a best parent
 	// (the paper's Figure 13 joining-time metric).
 	firstParentAt sim.ASN
@@ -329,11 +325,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	r.rank = rank
 	r.etxaBest = bestETXa
 	r.etxaSecond = secondETXa
-	if r.plainETX {
-		r.etxw = bestETXa
-	} else {
-		r.etxw = weightedETX(r.est.ETX(best), bestETXa, secondETXa)
-	}
+	r.etxw = weightedETX(r.est.ETX(best), bestETXa, secondETXa)
 
 	if !r.hasParentedAt {
 		r.hasParentedAt = true

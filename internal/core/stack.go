@@ -76,7 +76,6 @@ func NewStack(id topology.NodeID, isAP bool, cfg Config, rng *rand.Rand) (*Stack
 	}
 	router := NewRouter(id, isAP, cfg.neighborTimeoutSlots(), cfg.childTimeoutSlots(),
 		cfg.RankGranularity)
-	router.plainETX = cfg.PlainETX
 	return &Stack{
 		id:     id,
 		isAP:   isAP,
@@ -113,7 +112,6 @@ func (s *Stack) Reset() {
 	onChange := s.router.OnRouteChange
 	router := NewRouter(s.id, s.isAP, s.cfg.neighborTimeoutSlots(), s.cfg.childTimeoutSlots(),
 		s.cfg.RankGranularity)
-	router.plainETX = s.cfg.PlainETX
 	router.OnRouteChange = onChange
 	s.router = router
 	s.sched = newScheduler(s.id, s.isAP, s.cfg, router)
@@ -269,7 +267,7 @@ func (s *Stack) SharedFrame(asn sim.ASN) (*sim.Frame, bool) {
 // confirmed parents receive data.
 func (s *Stack) NextHop(_ sim.ASN, attempt int) (topology.NodeID, bool) {
 	best, second := s.router.Parents()
-	if !s.cfg.DisableBackup && attempt >= s.cfg.Attempts && second != 0 && s.secondConfirmed {
+	if attempt >= s.cfg.Attempts && second != 0 && s.secondConfirmed {
 		return second, true
 	}
 	if best != 0 && s.bestConfirmed {
@@ -329,7 +327,7 @@ func (s *Stack) onParentsChanged(asn sim.ASN) {
 	if best != 0 && !s.bestConfirmed {
 		s.pending = append(s.pending, pendingCallback{to: best, role: RoleBestParent})
 	}
-	if second != 0 && !s.secondConfirmed && !s.cfg.DisableBackup {
+	if second != 0 && !s.secondConfirmed {
 		s.pending = append(s.pending, pendingCallback{to: second, role: RoleSecondParent})
 	}
 	if s.synced {
@@ -354,7 +352,7 @@ func (s *Stack) requeueUnconfirmed() {
 	if best != 0 && !s.bestConfirmed && !has(best, RoleBestParent) {
 		s.pending = append(s.pending, pendingCallback{to: best, role: RoleBestParent})
 	}
-	if second != 0 && !s.secondConfirmed && !s.cfg.DisableBackup && !has(second, RoleSecondParent) {
+	if second != 0 && !s.secondConfirmed && !has(second, RoleSecondParent) {
 		s.pending = append(s.pending, pendingCallback{to: second, role: RoleSecondParent})
 	}
 }

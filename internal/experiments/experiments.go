@@ -67,17 +67,14 @@ func (n builtStack) ParentChangesOf(ids []topology.NodeID) int64 {
 	return total
 }
 
-// buildNetwork builds the chosen protocol's scenario on a fresh network. A
-// non-nil digsCfg overrides the DiGS configuration (ablations).
-func buildNetwork(p Protocol, topo *topology.Topology, seed int64, digsCfg *core.Config) (builtStack, error) {
-	params := scenario.Params{Topology: topo, Seed: seed, DiGSConfig: digsCfg}
+// buildNetwork builds the chosen protocol's scenario on a fresh network.
+func buildNetwork(p Protocol, topo *topology.Topology, seed int64) (builtStack, error) {
+	params := scenario.Params{Topology: topo, Seed: seed}
 	switch p {
 	case DiGS:
 		params.Protocol = snapshot.ProtocolDiGS
 		// DiGS schedules three attempts per slotframe where Orchestra has
-		// one, so equal-time retry persistence means a 3x attempt budget —
-		// for an ablated configuration too, or the ablation would vary two
-		// things.
+		// one, so equal-time retry persistence means a 3x attempt budget.
 		params.MacBoost = 3
 	case Orchestra:
 		params.Protocol = snapshot.ProtocolOrchestra
@@ -138,9 +135,6 @@ type FlowSetOptions struct {
 	// Drain is extra time after the last generation for in-flight packets.
 	Drain time.Duration
 	Seed  int64
-	// FixedSources, when set, uses these sources for every flow set
-	// instead of random draws.
-	FixedSources []topology.NodeID
 	// ExcludeSources are never drawn as random sources (e.g. motes
 	// repurposed as jammers).
 	ExcludeSources []topology.NodeID
@@ -155,16 +149,10 @@ func runFlowSets(net builtStack, opts FlowSetOptions) ([]FlowSetResult, error) {
 	results := make([]FlowSetResult, 0, opts.FlowSets)
 
 	for set := 0; set < opts.FlowSets; set++ {
-		var fset []flows.Flow
-		if opts.FixedSources != nil {
-			fset = flows.FixedSet(opts.FixedSources, opts.PacketPeriod)
-		} else {
-			var err error
-			fset, err = flows.RandomSet(topo, opts.FlowsPerSet, opts.PacketPeriod, rng,
-				opts.ExcludeSources...)
-			if err != nil {
-				return nil, err
-			}
+		fset, err := flows.RandomSet(topo, opts.FlowsPerSet, opts.PacketPeriod, rng,
+			opts.ExcludeSources...)
+		if err != nil {
+			return nil, err
 		}
 
 		col := metrics.NewCollector()

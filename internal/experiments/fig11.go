@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/campaign"
-	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
@@ -20,8 +19,6 @@ type FailureOptions struct {
 	// Repetitions of the whole experiment (paper: 34).
 	Repetitions int
 	Seed        int64
-	// DiGSConfig overrides the DiGS stack configuration (ablations).
-	DiGSConfig *core.Config
 	// Parallel bounds the campaign worker pool; 0 uses the process-wide
 	// default (GOMAXPROCS or the -parallel flag).
 	Parallel int
@@ -62,7 +59,7 @@ func RunFig11(opts FailureOptions) (digs, orch *FailureResult, err error) {
 	parts, err := campaign.Map(campaign.New(opts.Parallel), len(protos)*reps,
 		func(i int) (*FailureResult, error) {
 			seed := opts.Seed*997 + int64(i%reps)
-			return runFailureOnceCfg(protos[i/reps], seed, opts.Victims, opts.DiGSConfig, opts.CacheDir)
+			return runFailureOnce(protos[i/reps], seed, opts.Victims, opts.CacheDir)
 		})
 	if err != nil {
 		return nil, nil, err
@@ -70,18 +67,6 @@ func RunFig11(opts FailureOptions) (digs, orch *FailureResult, err error) {
 	digs = mergeFailureResults(parts[:reps])
 	orch = mergeFailureResults(parts[reps:])
 	return digs, orch, nil
-}
-
-func runFailureCampaign(proto Protocol, opts FailureOptions) (*FailureResult, error) {
-	parts, err := campaign.Map(campaign.New(opts.Parallel), opts.Repetitions,
-		func(rep int) (*FailureResult, error) {
-			seed := opts.Seed*997 + int64(rep)
-			return runFailureOnceCfg(proto, seed, opts.Victims, opts.DiGSConfig, opts.CacheDir)
-		})
-	if err != nil {
-		return nil, err
-	}
-	return mergeFailureResults(parts), nil
 }
 
 // mergeFailureResults concatenates per-repetition results in repetition
@@ -97,17 +82,11 @@ func mergeFailureResults(parts []*FailureResult) *FailureResult {
 	return out
 }
 
-// RunFailureSingle runs one protocol's failure campaign alone (ablations).
-func RunFailureSingle(proto Protocol, opts FailureOptions) (*FailureResult, error) {
-	return runFailureCampaign(proto, opts)
-}
-
-// runFailureOnceCfg runs one repetition and returns its partial result.
-func runFailureOnceCfg(proto Protocol, seed int64, victims int,
-	digsCfg *core.Config, cacheDir string) (*FailureResult, error) {
+// runFailureOnce runs one repetition and returns its partial result.
+func runFailureOnce(proto Protocol, seed int64, victims int, cacheDir string) (*FailureResult, error) {
 	out := &FailureResult{}
 	topo := testbedATopo()
-	net, err := buildNetwork(proto, topo, seed, digsCfg)
+	net, err := buildNetwork(proto, topo, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +187,7 @@ func pickVictimByDelta(nw *sim.Network, net stack.Bundle, sources map[topology.N
 // 30..40 each flow delivered.
 func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	topo := testbedATopo()
-	net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -238,19 +217,5 @@ func RunFig11b(proto Protocol, seed int64) (*MicrobenchResult, error) {
 
 	nw.Run(sim.SlotsFor(period*totalPackets + 20*time.Second))
 	net.OnDeliver(nil)
-
-	out := &MicrobenchResult{
-		Delivered: make(map[uint16]map[uint16]bool, len(fset)),
-		FromSeq:   30,
-		ToSeq:     40,
-	}
-	for _, f := range fset {
-		seqs := col.DeliveredSeqs(f.ID)
-		window := make(map[uint16]bool)
-		for s := out.FromSeq; s <= out.ToSeq; s++ {
-			window[s] = seqs[s]
-		}
-		out.Delivered[f.ID] = window
-	}
-	return out, nil
+	return microbenchWindow(col, fset, 30, 40), nil
 }

@@ -60,7 +60,7 @@ func RunFig12(opts LargeScaleOptions) (*InterferenceResult, error) {
 
 func runLargeScale(proto Protocol, opts LargeScaleOptions) ([]FlowSetResult, error) {
 	topo := topology.NewRandom(opts.Nodes, opts.AreaM, opts.AreaM, opts.Seed)
-	net, err := buildNetwork(proto, topo, opts.Seed, nil)
+	net, err := buildNetwork(proto, topo, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,7 @@ func RunFig13(seed int64) (*JoinTimesResult, error) {
 
 func runJoinTimes(proto Protocol, seed int64) ([]time.Duration, error) {
 	topo := testbedATopo()
-	net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed)
 	if err != nil {
 		return nil, err
 	}

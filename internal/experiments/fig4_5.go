@@ -21,10 +21,7 @@ type RepairOptions struct {
 	JammerCounts []int
 	// Repetitions per jammer count (paper: 3).
 	Repetitions int
-	// Protocol under test; the paper measures Orchestra here, but the
-	// runner accepts DiGS for the comparison benches.
-	Protocol Protocol
-	Seed     int64
+	Seed        int64
 	// Parallel bounds the campaign worker pool; 0 uses the process-wide
 	// default (GOMAXPROCS or the -parallel flag).
 	Parallel int
@@ -44,7 +41,6 @@ func DefaultRepairOptions() RepairOptions {
 	return RepairOptions{
 		JammerCounts: []int{1, 2, 3, 4},
 		Repetitions:  3,
-		Protocol:     Orchestra,
 		Seed:         1,
 	}
 }
@@ -90,13 +86,13 @@ func RunFig4And5(opts RepairOptions) ([]RepairResult, error) {
 		if opts.Tracer != nil {
 			tr = opts.Tracer(i)
 		}
-		return runRepair(jobs[i].jammers, opts.Protocol, jobs[i].seed, tr, opts.Invariants)
+		return runRepair(jobs[i].jammers, jobs[i].seed, tr, opts.Invariants)
 	})
 	var pe *campaign.PanicError
 	if errors.As(err, &pe) {
 		j := jobs[pe.Job]
-		return nil, fmt.Errorf("fig 4/5 campaign: %s run with %d jammer(s), repetition %d (job %d, seed %d) panicked: %v\n%s",
-			opts.Protocol, j.jammers, j.rep, pe.Job, j.seed, pe.Value, pe.Stack)
+		return nil, fmt.Errorf("fig 4/5 campaign: Orchestra run with %d jammer(s), repetition %d (job %d, seed %d) panicked: %v\n%s",
+			j.jammers, j.rep, pe.Job, j.seed, pe.Value, pe.Stack)
 	}
 	return results, err
 }
@@ -108,10 +104,9 @@ const repairStabilityWindow = 15 * time.Second
 // repairBudget bounds the repair measurement.
 const repairBudget = 150 * time.Second
 
-func runRepair(jammerCount int, proto Protocol, seed int64, tr telemetry.Tracer,
-	invariants bool) (RepairResult, error) {
+func runRepair(jammerCount int, seed int64, tr telemetry.Tracer, invariants bool) (RepairResult, error) {
 	topo := testbedATopo()
-	net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(Orchestra, topo, seed)
 	if err != nil {
 		return RepairResult{}, err
 	}

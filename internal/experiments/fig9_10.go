@@ -8,7 +8,6 @@ import (
 
 	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/chaos"
-	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/interference"
 	"github.com/digs-net/digs/internal/metrics"
@@ -32,10 +31,6 @@ type InterferenceOptions struct {
 	PacketsPerFlow int
 	Seed           int64
 
-	// DiGSConfig overrides the DiGS stack configuration (ablation
-	// studies); nil uses the default.
-	DiGSConfig *core.Config
-
 	// Parallel bounds the campaign worker pool; 0 uses the process-wide
 	// default (GOMAXPROCS or the -parallel flag).
 	Parallel int
@@ -43,8 +38,8 @@ type InterferenceOptions struct {
 	// CacheDir names a snapshot cache directory (see internal/snapshot):
 	// the converge + settle phase restores from it when a matching
 	// snapshot exists and populates it when not, so repeated campaigns
-	// (figure re-runs, ablation sweeps) pay network formation once.
-	// Empty disables caching. Results are bit-identical either way.
+	// (figure re-runs, digs-chaos on the same seed) pay network formation
+	// once. Empty disables caching. Results are bit-identical either way.
 	CacheDir string
 }
 
@@ -91,18 +86,12 @@ func RunInterference(opts InterferenceOptions) (*InterferenceResult, error) {
 	return &InterferenceResult{DiGS: rs[0], Orchestra: rs[1]}, nil
 }
 
-// RunInterferenceSingle runs one protocol's interference campaign alone
-// (used by the ablation benchmarks, which vary the DiGS configuration).
-func RunInterferenceSingle(proto Protocol, opts InterferenceOptions) ([]FlowSetResult, error) {
-	return runInterferenceCampaign(proto, opts)
-}
-
 func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSetResult, error) {
 	topo := testbedATopo()
 	if opts.Testbed == "B" {
 		topo = testbedBTopo()
 	}
-	net, err := buildNetwork(proto, topo, opts.Seed, opts.DiGSConfig)
+	net, err := buildNetwork(proto, topo, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +154,7 @@ type MicrobenchResult struct {
 // the result records which of those packets each flow delivered.
 func RunFig9f(proto Protocol, seed int64) (*MicrobenchResult, error) {
 	topo := testbedATopo()
-	net, err := buildNetwork(proto, topo, seed, nil)
+	net, err := buildNetwork(proto, topo, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -199,19 +188,24 @@ func RunFig9f(proto Protocol, seed int64) (*MicrobenchResult, error) {
 
 	nw.Run(sim.SlotsFor(period*totalPackets + 20*time.Second))
 	net.OnDeliver(nil)
+	return microbenchWindow(col, fset, 74, 84), nil
+}
 
+// microbenchWindow records which of packets from..to each flow of fset
+// delivered.
+func microbenchWindow(col *metrics.Collector, fset []flows.Flow, from, to uint16) *MicrobenchResult {
 	out := &MicrobenchResult{
 		Delivered: make(map[uint16]map[uint16]bool, len(fset)),
-		FromSeq:   74,
-		ToSeq:     84,
+		FromSeq:   from,
+		ToSeq:     to,
 	}
 	for _, f := range fset {
 		seqs := col.DeliveredSeqs(f.ID)
 		window := make(map[uint16]bool)
-		for s := out.FromSeq; s <= out.ToSeq; s++ {
+		for s := from; s <= to; s++ {
 			window[s] = seqs[s]
 		}
 		out.Delivered[f.ID] = window
 	}
-	return out, nil
+	return out
 }

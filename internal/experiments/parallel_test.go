@@ -68,26 +68,28 @@ func TestInterferenceRunTwiceIdentical(t *testing.T) {
 
 // TestFig11ParallelMatchesSequential covers the repetition-merge path:
 // per-repetition partial results must be concatenated in repetition order
-// regardless of which worker finished first.
+// for both protocols regardless of which worker finished first.
 func TestFig11ParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs four failure campaigns")
 	}
-	run := func(parallel int) *FailureResult {
+	run := func(parallel int) [2]*FailureResult {
 		opts := DefaultFailureOptions()
 		opts.Repetitions = 2
 		opts.Victims = 2
 		opts.Seed = 42
 		opts.Parallel = parallel
-		res, err := RunFailureSingle(DiGS, opts)
+		digs, orch, err := RunFig11(opts)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
 		}
-		return res
+		return [2]*FailureResult{digs, orch}
 	}
 	seq := run(1)
 	par := run(4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel failure campaign diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
+	for i, proto := range []Protocol{DiGS, Orchestra} {
+		if !reflect.DeepEqual(seq[i], par[i]) {
+			t.Fatalf("parallel %v failure campaign diverged from sequential:\nseq: %+v\npar: %+v", proto, seq[i], par[i])
+		}
 	}
 }

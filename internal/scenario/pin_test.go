@@ -24,7 +24,7 @@ import (
 // else.
 var wirePins = map[string]string{
 	"adaptive":  "94d479281f5c0cccb95eb398c2f671d802cdd0f5fc63b02c22eb5034b63c3675",
-	"digs":      "6a6f018931eecf5a28de32bfcd6c0d1b6b5b2f6f756047064b47676b1bafa926",
+	"digs":      "0aa59f9713ef43eaf99de634337d6204a6e4d25905668b17c35385929cb66f7c",
 	"orchestra": "e619f8a33585f69d909599adc4f1fd33bb3c6699c3b3619c01e88a8164b4abe0",
 	"sdn":       "ba3d44bf48fc92e9ab6f2b6bf8f1271a1799d491649836671adc9a0ae4177762",
 	"whart":     "f87066056b6d3da52a6c53d6ccc538abd77b9680d4092c6aa3d9148bc0573357",
@@ -37,7 +37,7 @@ var wirePins = map[string]string{
 // fade pairs, nap vectors) beside drift vectors and no dense Fade overlay.
 var sparsePins = map[string]string{
 	"adaptive":  "9fda1e8628c313fba4ea6241efda9757713d7644c317a102d845d67a432fc26b",
-	"digs":      "b5c17745a5fc6afbafe395ad92ea3c3db6d1a1097dcdb0e215b6f2fdea549225",
+	"digs":      "083c3056c8668fd3ca65275632faa65e3d1320096c07e199725dc3c4052e1708",
 	"orchestra": "bdf0df5832c754dedc7e41e29445e755031321f71ad37b6d017cbe88e3b710af",
 	"sdn":       "72accc283b06dbbe826329a08004d2ce0606ef02a00fc636cd159a710c278d97",
 }

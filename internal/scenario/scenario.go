@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"time"
 
-	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -67,8 +66,6 @@ type Params struct {
 	// experiment runners give DiGS 3x: it schedules three attempts per
 	// slotframe where Orchestra has one.
 	MacBoost int
-	// DiGSConfig overrides the DiGS stack configuration (ablations).
-	DiGSConfig *core.Config
 	// Shards is accepted and ignored: one goroutine steps the network on
 	// either medium. It stays so that specs naming it keep their hashes.
 	Shards int

@@ -29,11 +29,7 @@ func init() {
 func buildDiGS(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
 	// ScaledConfig == DefaultConfig within the paper envelope; only
 	// generated massive-scale deployments get re-dimensioned frames.
-	cfg := core.ScaledConfig(p.Topology.NumAPs, p.Topology.N())
-	if p.DiGSConfig != nil {
-		cfg = *p.DiGSConfig
-	}
-	return core.Build(nw, cfg, macCfg, p.Seed)
+	return core.Build(nw, core.ScaledConfig(p.Topology.NumAPs, p.Topology.N()), macCfg, p.Seed)
 }
 
 func buildOrchestra(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
