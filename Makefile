@@ -191,12 +191,12 @@ server-smoke:
 	$(GO) test -race -count=1 -run 'TestPacked|TestBatch|TestBacklog' ./internal/telemetry
 
 ## recover-smoke: the crash-safety contract end to end — race-enabled
-## journal/retry/degraded-mode tests, then the real process: build
-## digs-server, SIGKILL it mid-burst, restart on the same data directory,
-## and fail unless every acknowledged job reaches done with verified result
-## bytes (zero accepted jobs lost).
+## journal, dead-letter, crash-loop-guard and degraded-mode tests, then
+## the real process: build digs-server, SIGKILL it mid-burst, restart on
+## the same data directory, and fail unless every acknowledged job reaches
+## done with verified result bytes (zero accepted jobs lost).
 recover-smoke:
-	$(GO) test -race -count=1 -run 'Journal|Replay|Retry|Panic|Degraded|Recover|Quarantine|TestCrashLosesNoAcceptedJob' ./internal/server ./cmd/digs-server
+	$(GO) test -race -count=1 -run 'Journal|Replay|DeadLetter|CrashLoop|Panic|Degraded|Recover|Quarantine|TestCrashLosesNoAcceptedJob' ./internal/server ./cmd/digs-server
 
 ## gateway-smoke: the fault-tolerant front tier end to end — race-enabled
 ## gateway and fault-proxy tests (routing, breakers, replication,

@@ -53,11 +53,6 @@ func run() error {
 		"how many finished jobs stay addressable for status/stream replay before being forgotten")
 	drain := flag.Duration("drain", 2*time.Minute,
 		"how long a shutdown waits for in-flight simulations before aborting them")
-	maxAttempts := flag.Int("max-attempts", 3,
-		"times one job may run (first try included) before it is dead-lettered as failed")
-	retryBase := flag.Duration("retry-base", 200*time.Millisecond,
-		"backoff before a failed attempt's retry (doubles per failure, jittered)")
-	retryCap := flag.Duration("retry-cap", 5*time.Second, "backoff ceiling")
 	name := flag.String("name", "",
 		"backend instance name echoed as X-DiGS-Backend (multi-node tiers; empty = no header)")
 	flag.Parse()
@@ -71,9 +66,6 @@ func run() error {
 		ResultBudget:   store.Budget{MaxEntries: *resultEntries},
 		WarmBudget:     store.Budget{MaxEntries: *warmEntries, MaxBytes: *warmBytes},
 		FinishedJobCap: *finishedJobs,
-		MaxAttempts:    *maxAttempts,
-		RetryBase:      *retryBase,
-		RetryCap:       *retryCap,
 		Name:           *name,
 	})
 	if err != nil {

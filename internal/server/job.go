@@ -17,13 +17,10 @@ const (
 	StatusQueued Status = "queued"
 	// StatusRunning: a worker is simulating it.
 	StatusRunning Status = "running"
-	// StatusRetrying: the last attempt failed or panicked; the job is
-	// backing off before re-entering the queue.
-	StatusRetrying Status = "retrying"
 	// StatusDone: completed; the result is available.
 	StatusDone Status = "done"
-	// StatusFailed: terminal (dead letter) — every attempt in the
-	// budget errored or panicked.
+	// StatusFailed: terminal (dead letter) — its run errored or
+	// panicked, or it hit the crash-loop guard (maxAttempts).
 	StatusFailed Status = "failed"
 	// StatusCanceled: evicted from the queue or aborted by shutdown.
 	StatusCanceled Status = "canceled"
@@ -101,29 +98,12 @@ func (j *Job) markRunning() {
 	j.mu.Unlock()
 }
 
-// markRetrying parks the job between failed attempts; the last error is
-// kept visible on the status view while the job backs off.
-func (j *Job) markRetrying(msg string) {
-	j.mu.Lock()
-	j.status = StatusRetrying
-	j.errMsg = msg
-	j.mu.Unlock()
-}
-
-// markQueued returns the job to the queue after its backoff.
-func (j *Job) markQueued() {
-	j.mu.Lock()
-	j.status = StatusQueued
-	j.mu.Unlock()
-}
-
 func (j *Job) markDone(result []byte, resultHash string, warmHit bool) {
 	j.mu.Lock()
 	j.status = StatusDone
 	j.result = result
 	j.resultHash = resultHash
 	j.warmHit = warmHit
-	j.errMsg = "" // a recovered retry's stale error must not outlive success
 	j.finished = time.Now()
 	j.mu.Unlock()
 	close(j.done)

@@ -27,8 +27,8 @@ import (
 // record per retained job rather than the full history of the previous
 // incarnation.
 //
-// The record stream is strictly ordered per job (submit, then
-// start/retry interleavings, then exactly one terminal op), because
+// The record stream is strictly ordered per job (submit, then one start
+// per incarnation that ran it, then exactly one terminal op), because
 // every append happens either inside the submit critical section or
 // from the single worker goroutine that owns the job at that moment.
 
@@ -42,9 +42,9 @@ const journalFile = "journal.jsonl"
 const (
 	opSubmit = "submit" // job accepted; carries tenant, spec hash, full spec
 	opStart  = "start"  // a worker began attempt N
-	opRetry  = "retry"  // attempt N failed; the job is backing off
+	opRetry  = "retry"  // attempt N failed and ran again; never written, replay folds it like start
 	opDone   = "done"   // terminal: result stored; carries the result hash
-	opFail   = "fail"   // terminal: dead-lettered after its attempt budget
+	opFail   = "fail"   // terminal: dead-lettered (its run failed, or the crash-loop guard)
 	opCancel = "cancel" // terminal: evicted from the queue or by shutdown
 )
 
@@ -214,9 +214,9 @@ type recovery struct {
 // the recovered state plus the open journal to append to.
 //
 // A job whose last record is non-terminal was accepted but never
-// finished — the previous incarnation crashed with it queued, running,
-// or backing off — so it comes back as pending. A done job whose stored
-// result no longer verifies against its journaled result hash (missing,
+// finished — the previous incarnation crashed with it queued or
+// running — so it comes back as pending. A done job whose stored result
+// no longer verifies against its journaled result hash (missing,
 // evicted, or quarantined by ResultStore.Get) also comes back as
 // pending: determinism makes re-running it produce the identical bytes.
 func recoverJournal(path string, results *ResultStore, keepFinished int) (*journal, *recovery, error) {

@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/telemetry"
@@ -297,6 +296,114 @@ func TestRecoverTruncatedTail(t *testing.T) {
 	}
 }
 
+// writeJournal writes recs as the journal under dataDir, the way a
+// previous incarnation that died before any terminal record left it.
+func writeJournal(t *testing.T, dataDir string, recs ...journalRecord) {
+	t.Helper()
+	jl, err := openJournal(filepath.Join(dataDir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if err := jl.append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jl.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// submitRecord is the journal's submit record for spec as job id.
+func submitRecord(t *testing.T, id string, spec scenario.Spec) journalRecord {
+	t.Helper()
+	hash, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return journalRecord{Op: opSubmit, Job: id, Tenant: "default", SpecHash: hash, Spec: &spec}
+}
+
+// TestCrashLoopDeadLetters: a job whose runs died with the process
+// maxAttempts times is dead-lettered on restart instead of run again,
+// and the fail record keeps it failed across the next restart.
+func TestCrashLoopDeadLetters(t *testing.T) {
+	dataDir := t.TempDir()
+	const id = "j-000001"
+	recs := []journalRecord{submitRecord(t, id, smallSpec(151))}
+	for n := 1; n <= maxAttempts; n++ {
+		recs = append(recs, journalRecord{Op: opStart, Job: id, Attempt: n})
+	}
+	writeJournal(t, dataDir, recs...)
+
+	var calls atomic.Int64
+	runFn := func(ctx context.Context, spec scenario.Spec, opts scenario.RunOpts) (*scenario.Result, scenario.RunInfo, error) {
+		calls.Add(1)
+		return scenario.RunSpec(ctx, spec, opts)
+	}
+	s, _ := abandonedServer(t, Config{Workers: 1, DataDir: dataDir, runFn: runFn})
+	j := waitDone(t, s, id)
+	if got := j.Status(); got != StatusFailed {
+		t.Fatalf("crash-looped job: status %s, want failed", got)
+	}
+	if v := j.View(false); !strings.Contains(v.Error, "crash-loop") || v.Attempts != maxAttempts {
+		t.Fatalf("crash-looped job view: %+v", v)
+	}
+	if got := s.failed.Load(); got != 1 {
+		t.Fatalf("failed stat %d, want 1", got)
+	}
+
+	s2, _ := newTestServer(t, Config{Workers: 1, DataDir: dataDir, runFn: runFn})
+	if j := s2.job(id); j == nil || j.Status() != StatusFailed {
+		t.Fatalf("crash-looped job not failed after a second restart")
+	}
+	if got := calls.Load(); got != 0 {
+		t.Fatalf("crash-looped spec ran %d times, want 0", got)
+	}
+}
+
+// TestRecoverJournalWithRetryRecords: a journal holding a retry record
+// (attempt 1 failed and was retried, attempt 2 was cut short by the
+// crash) still recovers: the job comes back queued with both attempts
+// counted and runs to the bytes of an uninterrupted run.
+func TestRecoverJournalWithRetryRecords(t *testing.T) {
+	dataDir := t.TempDir()
+	const id = "j-000001"
+	spec := smallSpec(161)
+	writeJournal(t, dataDir,
+		submitRecord(t, id, spec),
+		journalRecord{Op: opStart, Job: id, Attempt: 1},
+		journalRecord{Op: opRetry, Job: id, Attempt: 1, Detail: "boom"},
+		journalRecord{Op: opStart, Job: id, Attempt: 2},
+	)
+
+	s1, _ := abandonedServer(t, Config{Workers: WorkersNone, DataDir: dataDir})
+	j1 := s1.job(id)
+	if j1 == nil {
+		t.Fatalf("job %s not recovered", id)
+	}
+	if j1.Status() != StatusQueued || j1.Attempts() != 2 {
+		t.Fatalf("recovered job: status %s, attempts %d; want queued, 2", j1.Status(), j1.Attempts())
+	}
+
+	s2, _ := newTestServer(t, Config{Workers: 1, DataDir: dataDir})
+	j2 := waitDone(t, s2, id)
+	if got := j2.Status(); got != StatusDone {
+		t.Fatalf("recovered job: status %s (%s)", got, j2.View(false).Error)
+	}
+	direct, _, err := scenario.RunSpec(context.Background(), spec, scenario.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := direct.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := j2.Result(); !bytes.Equal(got, want) {
+		t.Fatal("recovered job result differs from uninterrupted run")
+	}
+}
+
 // failSeed is the poisoned-spec marker the runFn test seams key on.
 const failSeed = 666
 
@@ -313,48 +420,14 @@ func seededRunFn(failures *atomic.Int64, failFor int64, mode string) func(contex
 	}
 }
 
-// TestRetryBackoffStateMachine: two injected failures, then the real
-// executor — the job must come out done on its third attempt, with the
-// retry counter showing both backoffs.
-func TestRetryBackoffStateMachine(t *testing.T) {
-	var calls atomic.Int64
-	s, ts := newTestServer(t, Config{
-		Workers: 1, MaxAttempts: 3,
-		RetryBase: 5 * time.Millisecond, RetryCap: 20 * time.Millisecond,
-		runFn: func(ctx context.Context, spec scenario.Spec, opts scenario.RunOpts) (*scenario.Result, scenario.RunInfo, error) {
-			if calls.Add(1) <= 2 {
-				return nil, scenario.RunInfo{}, fmt.Errorf("transient failure %d", calls.Load())
-			}
-			return scenario.RunSpec(ctx, spec, opts)
-		},
-	})
-	resp := mustSubmit(t, ts, smallSpec(131), "")
-	if resp.Code != http.StatusAccepted {
-		t.Fatalf("submit: HTTP %d", resp.Code)
-	}
-	j := waitDone(t, s, resp.JobID)
-	if j.Status() != StatusDone {
-		t.Fatalf("status %s (%s), want done", j.Status(), j.View(false).Error)
-	}
-	if got := j.Attempts(); got != 3 {
-		t.Fatalf("attempts %d, want 3", got)
-	}
-	if got := s.retries.Load(); got != 2 {
-		t.Fatalf("retries stat %d, want 2", got)
-	}
-	if v := j.View(false); v.Error != "" {
-		t.Fatalf("done job still reports error %q", v.Error)
-	}
-}
-
-// TestRetryDeadLetter: a spec that fails every attempt is dead-lettered
-// as failed after its budget — and the pool survives to run other work.
-func TestRetryDeadLetter(t *testing.T) {
+// TestFailedJobDeadLetters: a spec whose run fails is dead-lettered as
+// failed at once, never run again — and the pool survives to run other
+// work.
+func TestFailedJobDeadLetters(t *testing.T) {
 	var failures atomic.Int64
 	s, ts := newTestServer(t, Config{
-		Workers: 1, MaxAttempts: 2,
-		RetryBase: 5 * time.Millisecond, RetryCap: 20 * time.Millisecond,
-		runFn: seededRunFn(&failures, failSeed, "error"),
+		Workers: 1,
+		runFn:   seededRunFn(&failures, failSeed, "error"),
 	})
 	resp := mustSubmit(t, ts, smallSpec(failSeed), "")
 	if resp.Code != http.StatusAccepted {
@@ -364,10 +437,10 @@ func TestRetryDeadLetter(t *testing.T) {
 	if poisoned.Status() != StatusFailed {
 		t.Fatalf("poisoned job status %s, want failed", poisoned.Status())
 	}
-	if got := failures.Load(); got != 2 {
-		t.Fatalf("poisoned spec ran %d times, want exactly its budget of 2", got)
+	if got := failures.Load(); got != 1 {
+		t.Fatalf("poisoned spec ran %d times, want exactly once", got)
 	}
-	if v := poisoned.View(false); !strings.Contains(v.Error, "injected failure") || v.Attempts != 2 {
+	if v := poisoned.View(false); !strings.Contains(v.Error, "injected failure") || v.Attempts != 1 {
 		t.Fatalf("dead-letter view: %+v", v)
 	}
 	if got := s.failed.Load(); got != 1 {
@@ -390,9 +463,8 @@ func TestRetryDeadLetter(t *testing.T) {
 func TestPanicIsolation(t *testing.T) {
 	var failures atomic.Int64
 	s, ts := newTestServer(t, Config{
-		Workers: 2, MaxAttempts: 2,
-		RetryBase: 5 * time.Millisecond, RetryCap: 20 * time.Millisecond,
-		runFn: seededRunFn(&failures, failSeed, "panic"),
+		Workers: 2,
+		runFn:   seededRunFn(&failures, failSeed, "panic"),
 	})
 	resp := mustSubmit(t, ts, smallSpec(failSeed), "")
 	if resp.Code != http.StatusAccepted {
@@ -419,12 +491,13 @@ func TestPanicIsolation(t *testing.T) {
 	if !sawStack {
 		t.Fatalf("panic stack missing from the job's telemetry stream (%d lines)", len(stream.Lines))
 	}
-	// Each attempt opens with its own schema header, and its panic line
-	// keeps its place after it.
-	header := string(telemetry.HeaderLine())
-	if len(stream.Lines) != 4 || stream.Lines[0] != header || stream.Lines[2] != header ||
-		!strings.Contains(stream.Lines[1], "worker_panic") || !strings.Contains(stream.Lines[3], "worker_panic") {
-		t.Fatalf("stream of two panicking attempts: %q", stream.Lines)
+	// The one run opens with the schema header; its panic line follows.
+	if len(stream.Lines) != 2 || stream.Lines[0] != string(telemetry.HeaderLine()) ||
+		!strings.Contains(stream.Lines[1], "worker_panic") {
+		t.Fatalf("stream of a panicking run: %q", stream.Lines)
+	}
+	if got := failures.Load(); got != 1 {
+		t.Fatalf("panicking spec ran %d times, want exactly once", got)
 	}
 
 	resp = mustSubmit(t, ts, smallSpec(133), "")
@@ -497,24 +570,5 @@ func TestDegradedStickyFirstCause(t *testing.T) {
 	degraded, cause := s.DegradedCause()
 	if !degraded || cause != "first cause" {
 		t.Fatalf("degraded=%v cause=%q, want sticky first cause", degraded, cause)
-	}
-}
-
-func TestRetryDelayBounds(t *testing.T) {
-	const base, cp = 100 * time.Millisecond, 2 * time.Second
-	for attempt := 1; attempt <= 8; attempt++ {
-		full := base
-		for i := 1; i < attempt && full < cp; i++ {
-			full *= 2
-		}
-		if full > cp {
-			full = cp
-		}
-		for i := 0; i < 200; i++ {
-			d := retryDelay(base, cp, attempt)
-			if d < full/2 || d > full {
-				t.Fatalf("attempt %d: delay %v outside [%v, %v]", attempt, d, full/2, full)
-			}
-		}
 	}
 }

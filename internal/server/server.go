@@ -15,9 +15,11 @@
 //
 // The server is crash-safe: accepted jobs are recorded in a durable
 // journal (journal.go) before the 202 leaves the building, workers are
-// panic-isolated, failed attempts retry with exponential backoff before
-// dead-lettering, and persistent write failures flip the server into a
-// degraded state that sheds new work instead of silently losing it.
+// panic-isolated, a failed or panicked run dead-letters its job at once
+// (the spec alone decides a run, so running it again would fail again),
+// a job whose runs keep dying with the process is dead-lettered after
+// maxAttempts starts, and persistent write failures flip the server into
+// a degraded state that sheds new work instead of silently losing it.
 package server
 
 import (
@@ -33,7 +35,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -68,18 +69,6 @@ type Config struct {
 	// memory is bounded by cap x per-job backlog rather than by every
 	// job ever run.
 	FinishedJobCap int
-	// MaxAttempts bounds how many times one job may run — the first try
-	// included, and attempts interrupted by a crash count too, so a
-	// spec that reliably kills the process cannot crash-loop the daemon
-	// forever (default 3). A job that exhausts the budget is
-	// dead-lettered as failed, visible on the API, never re-enqueued.
-	MaxAttempts int
-	// RetryBase is the backoff before the first retry; it doubles per
-	// failed attempt up to RetryCap, and the actual delay is jittered
-	// to [d/2, d] so a burst of poisoned jobs does not retry in
-	// lockstep (defaults 200ms / 5s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// Name identifies this backend instance in a multi-node tier; it is
 	// echoed as the X-DiGS-Backend header on every API response so a
 	// gateway (or a human with curl) can tell which replica answered.
@@ -106,15 +95,6 @@ func (c Config) withDefaults() Config {
 	if c.FinishedJobCap <= 0 {
 		c.FinishedJobCap = 256
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 200 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 5 * time.Second
-	}
 	if c.runFn == nil {
 		c.runFn = scenario.RunSpec
 	}
@@ -125,6 +105,13 @@ func (c Config) withDefaults() Config {
 // need literal zero; WorkersNone is the sentinel for a pool with no
 // workers.
 const WorkersNone = -1
+
+// maxAttempts is the crash-loop guard: a job runs once, but a run cut
+// short by the process dying leaves only its start record, so a restart
+// runs the job again. A job that has already started maxAttempts times
+// is dead-lettered instead, so a spec that reliably kills the process
+// cannot crash-loop the daemon forever.
+const maxAttempts = 3
 
 // Stats is the /v1/stats document.
 type Stats struct {
@@ -137,24 +124,18 @@ type Stats struct {
 	WarmHits      int64 `json:"warm_hits"`
 	RejectedQuota int64 `json:"rejected_quota"`
 	RejectedQueue int64 `json:"rejected_queue"`
-	// Retries counts failed attempts that were re-queued with backoff
-	// rather than dead-lettered.
-	Retries int64 `json:"retries"`
 	// Recovered counts jobs re-enqueued from the journal at startup —
 	// work the previous incarnation accepted but never finished.
 	Recovered int64 `json:"recovered"`
 	// JournalDroppedTail counts damaged trailing journal lines the
 	// startup replay discarded (a crash mid-append leaves at most one).
-	JournalDroppedTail int64 `json:"journal_dropped_tail,omitempty"`
-	Queued             int   `json:"queued"`
-	Running            int   `json:"running"`
-	// Retrying counts jobs currently parked in backoff between
-	// attempts (neither queued nor running).
-	Retrying      int    `json:"retrying"`
-	StoredResults int    `json:"stored_results"`
-	Draining      bool   `json:"draining"`
-	Degraded      bool   `json:"degraded"`
-	DegradedCause string `json:"degraded_cause,omitempty"`
+	JournalDroppedTail int64  `json:"journal_dropped_tail,omitempty"`
+	Queued             int    `json:"queued"`
+	Running            int    `json:"running"`
+	StoredResults      int    `json:"stored_results"`
+	Draining           bool   `json:"draining"`
+	Degraded           bool   `json:"degraded"`
+	DegradedCause      string `json:"degraded_cause,omitempty"`
 }
 
 // Server is the daemon: admission control, the job queue and worker
@@ -167,16 +148,14 @@ type Server struct {
 	journal *journal        // nil when DataDir is empty
 	quota   *quotas
 
-	mu          sync.Mutex
-	jobs        map[string]*Job // by job ID, all states
-	byHash      map[string]*Job // in-flight (queued/running/retrying) by spec hash
-	finished    []string        // terminal job IDs, oldest first, for pruning
-	retryTimers map[string]*time.Timer
+	mu       sync.Mutex
+	jobs     map[string]*Job // by job ID, all states
+	byHash   map[string]*Job // in-flight (queued/running) by spec hash
+	finished []string        // terminal job IDs, oldest first, for pruning
 
 	jobsCh    chan *Job
 	stopCh    chan struct{}
 	wg        sync.WaitGroup
-	retryWg   sync.WaitGroup
 	runCtx    context.Context
 	runCancel context.CancelFunc
 	draining  atomic.Bool
@@ -190,7 +169,7 @@ type Server struct {
 	submitted, cacheHits, dedupHits atomic.Int64
 	completed, failed, canceled     atomic.Int64
 	warmHits, rejQuota, rejQueue    atomic.Int64
-	retries, recovered, tailDrop    atomic.Int64
+	recovered, tailDrop             atomic.Int64
 }
 
 // New builds a Server, replays its journal (re-registering finished
@@ -198,12 +177,11 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		cfg:         cfg,
-		quota:       newQuotas(cfg.TenantQuota),
-		jobs:        make(map[string]*Job),
-		byHash:      make(map[string]*Job),
-		retryTimers: make(map[string]*time.Timer),
-		stopCh:      make(chan struct{}),
+		cfg:    cfg,
+		quota:  newQuotas(cfg.TenantQuota),
+		jobs:   make(map[string]*Job),
+		byHash: make(map[string]*Job),
+		stopCh: make(chan struct{}),
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	var pending []*Job
@@ -367,6 +345,12 @@ func (s *Server) cancelJob(j *Job, msg string) {
 	s.finishJob(j, journalRecord{Op: opCancel, Detail: msg}, func() { j.markCanceled(msg) })
 }
 
+// failJob dead-letters the job: failed, visible on the API, never run
+// again. A poisoned spec costs its own run, never the daemon.
+func (s *Server) failJob(j *Job, attempt int, msg string) {
+	s.finishJob(j, journalRecord{Op: opFail, Attempt: attempt, Detail: msg}, func() { j.markFailed(msg) })
+}
+
 // execute runs one attempt of the job's spec under a recover() barrier:
 // a panic anywhere in the simulator surfaces as an ordinary error (with
 // the stack preserved on the job's telemetry stream for post-mortems)
@@ -389,6 +373,12 @@ func (s *Server) execute(j *Job) (res *scenario.Result, rinfo scenario.RunInfo, 
 }
 
 func (s *Server) runJob(j *Job) {
+	// Only a job replayed from the journal arrives with starts spent.
+	if n := j.Attempts(); n >= maxAttempts {
+		s.failJob(j, n, fmt.Sprintf(
+			"dead-lettered: started %d times without finishing (crash-loop guard, budget %d)", n, maxAttempts))
+		return
+	}
 	attempt := j.beginAttempt()
 	s.journalAppend(journalRecord{Op: opStart, Job: j.ID, Attempt: attempt})
 	s.running.Add(1)
@@ -399,7 +389,7 @@ func (s *Server) runJob(j *Job) {
 			s.cancelJob(j, "canceled by shutdown deadline")
 			return
 		}
-		s.retryOrFail(j, attempt, err.Error())
+		s.failJob(j, attempt, err.Error())
 		return
 	}
 	if rinfo.WarmHit {
@@ -407,12 +397,12 @@ func (s *Server) runJob(j *Job) {
 	}
 	enc, err := res.Encode()
 	if err != nil {
-		s.retryOrFail(j, attempt, fmt.Sprintf("encoding result: %v", err))
+		s.failJob(j, attempt, fmt.Sprintf("encoding result: %v", err))
 		return
 	}
 	rhash, err := res.HashResult()
 	if err != nil {
-		s.retryOrFail(j, attempt, fmt.Sprintf("hashing result: %v", err))
+		s.failJob(j, attempt, fmt.Sprintf("hashing result: %v", err))
 		return
 	}
 	if s.results != nil {
@@ -427,72 +417,6 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 	s.finishJob(j, journalRecord{Op: opDone, ResultHash: rhash}, func() { j.markDone(enc, rhash, rinfo.WarmHit) })
-}
-
-// retryOrFail routes a failed attempt: back into the queue after a
-// jittered exponential backoff while budget remains, else into the
-// terminal failed (dead-letter) state. Either way the pool survives — a
-// poisoned spec costs its own attempts, never the daemon.
-func (s *Server) retryOrFail(j *Job, attempt int, msg string) {
-	if attempt >= s.cfg.MaxAttempts {
-		s.finishJob(j, journalRecord{Op: opFail, Attempt: attempt, Detail: msg}, func() { j.markFailed(msg) })
-		return
-	}
-	s.retries.Add(1)
-	j.markRetrying(msg)
-	s.journalAppend(journalRecord{Op: opRetry, Job: j.ID, Attempt: attempt, Detail: msg})
-	s.scheduleRetry(j, retryDelay(s.cfg.RetryBase, s.cfg.RetryCap, attempt))
-}
-
-// retryDelay is the backoff before the retry that follows failed
-// attempt n (1-based): base doubled per prior failure, capped, then
-// jittered to [d/2, d].
-func retryDelay(base, cap time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < cap; i++ {
-		d *= 2
-	}
-	return Jitter(min(d, cap))
-}
-
-// scheduleRetry parks the job on a timer that re-enqueues it. The timer
-// is tracked so Shutdown can cancel parked jobs promptly instead of
-// waiting out their backoff.
-func (s *Server) scheduleRetry(j *Job, d time.Duration) {
-	s.retryWg.Add(1)
-	s.mu.Lock()
-	if s.draining.Load() {
-		s.mu.Unlock()
-		s.retryWg.Done()
-		s.cancelJob(j, "server shutting down")
-		return
-	}
-	s.retryTimers[j.ID] = time.AfterFunc(d, func() {
-		defer s.retryWg.Done()
-		s.requeue(j)
-	})
-	s.mu.Unlock()
-}
-
-// requeue moves a parked job back into the queue when its backoff
-// elapses — unless the server is draining (cancel) or admissions have
-// filled the queue in the meantime (park again briefly).
-func (s *Server) requeue(j *Job) {
-	s.mu.Lock()
-	delete(s.retryTimers, j.ID)
-	if s.draining.Load() {
-		s.mu.Unlock()
-		s.cancelJob(j, "server shutting down")
-		return
-	}
-	select {
-	case s.jobsCh <- j:
-		j.markQueued()
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		s.scheduleRetry(j, s.cfg.RetryBase)
-	}
 }
 
 // Shutdown drains the server: no new submissions, in-flight jobs run to
@@ -524,30 +448,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.runCancel()
-
-	// With the workers gone, no new retry can be scheduled (a late
-	// scheduleRetry/requeue observes the draining flag and cancels
-	// inline). Cancel the jobs still parked in backoff: a timer we stop
-	// never fires, so its job is canceled here; one that already fired
-	// either saw the flag or landed in jobsCh for the drain loop below.
-	// retryWg settles the in-between.
-	s.mu.Lock()
-	timers := s.retryTimers
-	s.retryTimers = make(map[string]*time.Timer)
-	var parked []*Job
-	for id, t := range timers {
-		if t.Stop() {
-			parked = append(parked, s.jobs[id])
-			s.retryWg.Done()
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range parked {
-		if j != nil {
-			s.cancelJob(j, "server shutting down")
-		}
-	}
-	s.retryWg.Wait()
 
 	// Cancel whatever the workers never picked up (including everything,
 	// when the pool is empty).
@@ -967,9 +867,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	degraded, cause := s.DegradedCause()
-	s.mu.Lock()
-	retrying := len(s.retryTimers)
-	s.mu.Unlock()
 	st := Stats{
 		Submitted:          s.submitted.Load(),
 		CacheHits:          s.cacheHits.Load(),
@@ -980,12 +877,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		WarmHits:           s.warmHits.Load(),
 		RejectedQuota:      s.rejQuota.Load(),
 		RejectedQueue:      s.rejQueue.Load(),
-		Retries:            s.retries.Load(),
 		Recovered:          s.recovered.Load(),
 		JournalDroppedTail: s.tailDrop.Load(),
 		Queued:             len(s.jobsCh),
 		Running:            int(s.running.Load()),
-		Retrying:           retrying,
 		Draining:           s.draining.Load(),
 		Degraded:           degraded,
 		DegradedCause:      cause,
