@@ -246,9 +246,12 @@ func runPlan(w io.Writer, opts options, proto string, seed int64, cache *snapsho
 	if err != nil {
 		return nil, err
 	}
-	// Formation, then a settling margin before the plan epoch — restored
-	// from the snapshot cache instead when warm-starting.
-	formed, err := sc.Form(context.Background(), cache, 1.0, 6*time.Minute, 30*time.Second)
+	// Formation to the target a spec naming this deployment gets (full
+	// joins on the testbeds, DefaultGenJoinFraction on generated plants),
+	// then a settling margin before the plan epoch — restored from the
+	// snapshot cache instead when warm-starting.
+	joinFraction, formTimeout := scenario.Spec{Topology: opts.topology}.FormTarget()
+	formed, err := sc.Form(context.Background(), cache, joinFraction, formTimeout, 30*time.Second)
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -56,5 +57,30 @@ func TestRunPlanColdWarmFigureCache(t *testing.T) {
 	}
 	if entries, _ := os.ReadDir(figures); len(entries) != 2 {
 		t.Errorf("%d cache entries after the chaos run, want the figure's two: both commands key the Orchestra entry alike", len(entries))
+	}
+}
+
+// TestRunPlanOnGeneratedPlant: a plan runs on a generated plant, which
+// forms to the join target a spec naming it gets (DefaultGenJoinFraction),
+// not to the testbeds' full join — a few of its nodes never join.
+func TestRunPlanOnGeneratedPlant(t *testing.T) {
+	plan := filepath.Join(t.TempDir(), "crash.json")
+	if err := os.WriteFile(plan, []byte(`{"name":"one-crash","seed":1,"entries":[`+
+		`{"kind":"node-crash","targets":[150],"start":"5s","duration":"10s"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outs, err := runCampaign(options{
+		plan: plan, topology: "gen-plant-300-1", protocols: []string{"digs"},
+		duration: 30 * time.Second, period: 5 * time.Second, seed: 1, reps: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := outs[0].result
+	if res.FormedSlots <= 0 || res.Generated == 0 {
+		t.Fatalf("no formation or no traffic: %+v", res)
+	}
+	if len(res.Faults) != 1 || res.Faults[0].Kind != "node-crash" || res.Faults[0].Node != 150 {
+		t.Fatalf("want the one node-crash on node 150 reported, got %+v", res.Faults)
 	}
 }

@@ -125,7 +125,7 @@ func TestDiGSSurvivesBestParentFailure(t *testing.T) {
 	// a single invariant — the watchdog Heal hook stays armed so a node
 	// that does end up orphaned would both rejoin and fail the test.
 	mon := invariant.New(invariant.Config{Heal: net.Healer(nw)})
-	invariant.Attach(nw, mon, net.Prober(nw), 0)
+	invariant.Attach(nw, mon, net.Prober(nw))
 
 	// Pick a source whose best parent is a field device (a true router).
 	var src, victim topology.NodeID

@@ -65,7 +65,7 @@ func napRun(t *testing.T, nap, monitor bool) (ledger, stats string, repairs int)
 	// well after it joins, and one is down for part of a dwell. lagging
 	// reports whether a node's accounting is behind the clock: the sign that
 	// the engine is not visiting it.
-	const drifter, crasher, rebooted = 17, 39, 25
+	const drifter, crasher, rebooted, desynced = 17, 39, 25, 44
 	down := map[int]int64{crasher: 1290 - 1130} // slots a failed node is not accounted for
 	lagging := func(id int) bool {
 		at := nw.ASN()
@@ -104,14 +104,23 @@ func napRun(t *testing.T, nap, monitor bool) (ledger, stats string, repairs int)
 	})
 	nw.At(nw.ASN()+703, func() { requireScanning(rebooted, "rebooted with state loss") })
 
+	// A synchronised node's clock drifts out of the guard time for most of
+	// the window: the monitor flags it desynchronised once it has heard
+	// nothing for DefaultDesyncGuard slots, and the watchdog reboots it, so
+	// the heal path is part of the comparison.
+	nw.At(nw.ASN()+500, func() {
+		if synced, _ := net.Nodes[desynced].Synced(); !synced {
+			t.Errorf("node %d is not synchronised before its clock drifts", desynced)
+		}
+		nw.SetClockDrift(desynced, 1.0, 13)
+	})
+	nw.At(nw.ASN()+5500, func() { nw.SetClockDrift(desynced, 0, 0) })
+
 	var mon *invariant.Monitor
 	if monitor {
-		// Guards tight enough that the watchdog does fire on this plant's
-		// weakly connected rim, so the heal path is part of the comparison.
-		mon = invariant.New(invariant.Config{Heal: net.Healer(nw),
-			DesyncGuard: 600, OrphanGrace: 300, HealBackoff: 300})
+		mon = invariant.New(invariant.Config{Heal: net.Healer(nw)})
 		net.SetTracer(mon)
-		invariant.Attach(nw, mon, net.Prober(nw), 100)
+		invariant.Attach(nw, mon, net.Prober(nw))
 	}
 
 	net.OnDeliver(func(asn sim.ASN, f *sim.Frame) {
@@ -151,9 +160,10 @@ func napRun(t *testing.T, nap, monitor bool) (ledger, stats string, repairs int)
 // device stepped through every slot and once with naps; deliveries (slot
 // included), every MAC counter, the routing outcome
 // and the energy totals, compared as bits, must be equal — with a scanner on
-// a drifting clock, one that crashes and recovers mid-dwell and a
-// synchronised node rebooted into scanning, and also with the invariant
-// monitor polling and its watchdog rebooting nodes mid-run.
+// a drifting clock, one that crashes and recovers mid-dwell, a
+// synchronised node rebooted into scanning and one whose clock drifts out
+// of the guard time, and also with the invariant monitor polling and its
+// watchdog rebooting nodes mid-run.
 func TestNapEquivalentToNoNap(t *testing.T) {
 	for _, monitor := range []bool{false, true} {
 		wantLedger, wantStats, wantRepairs := napRun(t, false, monitor)

@@ -19,9 +19,6 @@ type FailureOptions struct {
 	// Repetitions of the whole experiment (paper: 34).
 	Repetitions int
 	Seed        int64
-	// Parallel bounds the campaign worker pool; 0 uses the process-wide
-	// default (GOMAXPROCS or the -parallel flag).
-	Parallel int
 
 	// CacheDir names a snapshot cache directory; see
 	// InterferenceOptions.CacheDir.
@@ -56,7 +53,7 @@ func RunFig11(opts FailureOptions) (digs, orch *FailureResult, err error) {
 	// busy instead of two half-idle nested ones.
 	protos := []Protocol{DiGS, Orchestra}
 	reps := opts.Repetitions
-	parts, err := campaign.Map(campaign.New(opts.Parallel), len(protos)*reps,
+	parts, err := campaign.Map(campaign.New(0), len(protos)*reps,
 		func(i int) (*FailureResult, error) {
 			seed := opts.Seed*997 + int64(i%reps)
 			return runFailureOnce(protos[i/reps], seed, opts.Victims, opts.CacheDir)

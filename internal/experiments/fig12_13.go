@@ -21,9 +21,6 @@ type LargeScaleOptions struct {
 	FlowsPerSet    int
 	PacketsPerFlow int
 	Seed           int64
-	// Parallel bounds the campaign worker pool; 0 uses the process-wide
-	// default (GOMAXPROCS or the -parallel flag).
-	Parallel int
 }
 
 // DefaultLargeScaleOptions mirrors the paper's setup with an
@@ -44,7 +41,7 @@ func DefaultLargeScaleOptions() LargeScaleOptions {
 // periodic wide-band disturbers (10 s packet period per the paper).
 func RunFig12(opts LargeScaleOptions) (*InterferenceResult, error) {
 	protos := []Protocol{DiGS, Orchestra}
-	rs, err := campaign.Map(campaign.New(opts.Parallel), len(protos),
+	rs, err := campaign.Map(campaign.New(0), len(protos),
 		func(i int) ([]FlowSetResult, error) {
 			r, err := runLargeScale(protos[i], opts)
 			if err != nil {

@@ -21,13 +21,12 @@ type Fig3Row struct {
 // RunFig3 reproduces Figure 3: the centralized update cycle on the half
 // and full versions of both testbeds.
 func RunFig3() ([]Fig3Row, error) {
-	cfg := whart.DefaultManagerConfig()
 	var rows []Fig3Row
 	for _, topo := range []*topology.Topology{
 		topology.HalfTestbedA(), topology.TestbedA(),
 		topology.HalfTestbedB(), topology.TestbedB(),
 	} {
-		u, err := whart.UpdateCycle(topo, cfg)
+		u, err := whart.UpdateCycle(topo)
 		if err != nil {
 			return nil, err
 		}

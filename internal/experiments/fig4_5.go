@@ -22,9 +22,6 @@ type RepairOptions struct {
 	// Repetitions per jammer count (paper: 3).
 	Repetitions int
 	Seed        int64
-	// Parallel bounds the campaign worker pool; 0 uses the process-wide
-	// default (GOMAXPROCS or the -parallel flag).
-	Parallel int
 	// Tracer, when set, returns the packet-lifecycle sink for the given
 	// job index (jammer counts x repetitions, in declaration order). Each
 	// parallel job must get its own sink; wrap per-job sinks in
@@ -81,7 +78,7 @@ func RunFig4And5(opts RepairOptions) ([]RepairResult, error) {
 			})
 		}
 	}
-	results, err := campaign.Map(campaign.New(opts.Parallel), len(jobs), func(i int) (RepairResult, error) {
+	results, err := campaign.Map(campaign.New(0), len(jobs), func(i int) (RepairResult, error) {
 		var tr telemetry.Tracer
 		if opts.Tracer != nil {
 			tr = opts.Tracer(i)

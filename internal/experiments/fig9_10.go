@@ -31,10 +31,6 @@ type InterferenceOptions struct {
 	PacketsPerFlow int
 	Seed           int64
 
-	// Parallel bounds the campaign worker pool; 0 uses the process-wide
-	// default (GOMAXPROCS or the -parallel flag).
-	Parallel int
-
 	// CacheDir names a snapshot cache directory (see internal/snapshot):
 	// the converge + settle phase restores from it when a matching
 	// snapshot exists and populates it when not, so repeated campaigns
@@ -72,7 +68,7 @@ func RunInterference(opts InterferenceOptions) (*InterferenceResult, error) {
 	// The two protocol campaigns share nothing (each builds its own
 	// topology, network and RNG), so they run as two pool jobs.
 	protos := []Protocol{DiGS, Orchestra}
-	rs, err := campaign.Map(campaign.New(opts.Parallel), len(protos),
+	rs, err := campaign.Map(campaign.New(0), len(protos),
 		func(i int) ([]FlowSetResult, error) {
 			r, err := runInterferenceCampaign(protos[i], opts)
 			if err != nil {

@@ -4,7 +4,17 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"github.com/digs-net/digs/internal/campaign"
 )
+
+// setWorkers bounds the campaign pool every runner uses, as the -parallel
+// flag does, and restores the process default when the test ends.
+func setWorkers(t *testing.T, n int) {
+	t.Helper()
+	campaign.SetDefaultWorkers(n)
+	t.Cleanup(func() { campaign.SetDefaultWorkers(0) })
+}
 
 // TestFig4And5ParallelMatchesSequential is the campaign-runner determinism
 // regression: the same Testbed A repair campaign, run once sequentially and
@@ -20,7 +30,7 @@ func TestFig4And5ParallelMatchesSequential(t *testing.T) {
 		opts.JammerCounts = []int{1, 2}
 		opts.Repetitions = 1
 		opts.Seed = 42
-		opts.Parallel = parallel
+		setWorkers(t, parallel)
 		res, err := RunFig4And5(opts)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)
@@ -50,7 +60,7 @@ func TestInterferenceRunTwiceIdentical(t *testing.T) {
 		opts := DefaultInterferenceOptions("A")
 		opts.FlowSets = 3
 		opts.Seed = 1
-		opts.Parallel = 1
+		setWorkers(t, 1)
 		res, err := RunInterference(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +88,7 @@ func TestFig11ParallelMatchesSequential(t *testing.T) {
 		opts.Repetitions = 2
 		opts.Victims = 2
 		opts.Seed = 42
-		opts.Parallel = parallel
+		setWorkers(t, parallel)
 		digs, orch, err := RunFig11(opts)
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", parallel, err)

@@ -16,7 +16,7 @@ func runTracedFig4(t *testing.T, parallel int) ([]RepairResult, []byte) {
 	opts.JammerCounts = []int{1, 2}
 	opts.Repetitions = 1
 	opts.Seed = 42
-	opts.Parallel = parallel
+	setWorkers(t, parallel)
 
 	parts := make([]bytes.Buffer, len(opts.JammerCounts)*opts.Repetitions)
 	opts.Tracer = func(job int) telemetry.Tracer {

@@ -19,7 +19,7 @@ func TestInterferenceWarmStartIdentical(t *testing.T) {
 		opts := DefaultInterferenceOptions("A")
 		opts.FlowSets = 2
 		opts.Seed = 1
-		opts.Parallel = 1
+		setWorkers(t, 1)
 		opts.CacheDir = cacheDir
 		res, err := RunInterference(opts)
 		if err != nil {

@@ -46,11 +46,6 @@ type Config struct {
 	// submission may consume across failover and 429/503 backoff rounds
 	// (default 12).
 	SubmitRetries int
-	// RetryBase/RetryCap bound the randomised backoff between submission
-	// retry rounds; Retry-After hints from backends are respected within
-	// [RetryBase, RetryCap] (defaults 100ms / 2s).
-	RetryBase time.Duration
-	RetryCap  time.Duration
 	// RequestTimeout bounds one backend API call (default 10s). SSE
 	// streams are exempt: they live on the client's context instead.
 	RequestTimeout time.Duration
@@ -59,6 +54,14 @@ type Config struct {
 // jobCap bounds the gateway's job-record table; oldest records are
 // forgotten first.
 const jobCap = 4096
+
+// retryBase and retryCap bound the randomised backoff between submission
+// retry rounds; Retry-After hints from backends are respected within
+// [retryBase, retryCap].
+const (
+	retryBase = 100 * time.Millisecond
+	retryCap  = 2 * time.Second
+)
 
 func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
@@ -78,12 +81,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SubmitRetries <= 0 {
 		c.SubmitRetries = 12
-	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 100 * time.Millisecond
-	}
-	if c.RetryCap <= 0 {
-		c.RetryCap = 2 * time.Second
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -469,7 +466,7 @@ func (e *httpError) write(w http.ResponseWriter) {
 // retrying forever.
 func (g *Gateway) submitSomewhere(ctx context.Context, hash string, specJSON []byte, replicas, spill []*backend, hdr http.Header) (*submitOutcome, *httpError) {
 	budget := g.cfg.SubmitRetries
-	wait := g.cfg.RetryBase
+	wait := retryBase
 	candidates := append(append([]*backend(nil), replicas...), spill...)
 	for round := 0; budget > 0; round++ {
 		sawBackpressure := false
@@ -541,9 +538,9 @@ func (g *Gateway) submitSomewhere(ctx context.Context, hash string, specJSON []b
 		select {
 		case <-ctx.Done():
 			return nil, &httpError{status: 499, msg: "client canceled"}
-		case <-time.After(min(server.Jitter(max(hint, wait)), g.cfg.RetryCap)):
+		case <-time.After(min(server.Jitter(max(hint, wait)), retryCap)):
 		}
-		wait = min(wait*2, g.cfg.RetryCap)
+		wait = min(wait*2, retryCap)
 	}
 	g.shed.Add(1)
 	return nil, &httpError{

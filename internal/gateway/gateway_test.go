@@ -399,7 +399,7 @@ func TestSubmitShedsDuringFullOutage(t *testing.T) {
 	_, ts := newTestGateway(t, Config{
 		Backends: []string{dead}, Replicas: 1,
 		ProbeInterval: 25 * time.Millisecond, ProbeTimeout: 250 * time.Millisecond,
-		SubmitRetries: 3, RetryBase: 10 * time.Millisecond, RetryCap: 50 * time.Millisecond,
+		SubmitRetries: 3,
 	})
 
 	// Wait for the probes to mark the fleet unready, so the submission

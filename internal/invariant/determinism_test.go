@@ -46,17 +46,11 @@ func runDriftRejoin(t *testing.T, job int, seed int64) (driftOutcome, error) {
 
 	var buf bytes.Buffer
 	jsonl := telemetry.WithJob(telemetry.NewJSONL(&buf), job)
-	// Tight windows keep the test fast; the shape matches production use:
-	// the monitor emits into the chain that excludes itself.
-	mon := invariant.New(invariant.Config{
-		Emit:        jsonl,
-		Heal:        net.Healer(nw),
-		DesyncGuard: 2500,
-		OrphanGrace: 1000,
-		HealBackoff: 500,
-	})
+	// The shape matches production use: the monitor emits into the chain
+	// that excludes itself.
+	mon := invariant.New(invariant.Config{Emit: jsonl, Heal: net.Healer(nw)})
 	net.SetTracer(telemetry.Multi(jsonl, mon))
-	invariant.Attach(nw, mon, net.Prober(nw), 200)
+	invariant.Attach(nw, mon, net.Prober(nw))
 
 	victim := topo.SuggestedSources[0]
 	nw.SetClockDrift(victim, 1.0, seed*7+3)

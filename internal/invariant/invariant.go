@@ -42,9 +42,9 @@ const (
 	// CodeOrphan: a previously joined, alive node has lost time sync or
 	// every parent and stayed that way beyond the grace window.
 	CodeOrphan
-	// CodeSingleParent: a joined node has no backup parent (checked only
-	// when the monitor is configured to require one; DiGS keeps two
-	// parents where density allows, but not every placement can).
+	// CodeSingleParent is reserved: no monitor emits it. It holds its
+	// place so the telemetry "code" numbering stays fixed and traces that
+	// carry it still decode.
 	CodeSingleParent
 	// CodeDesync: a node that believes it is synchronised has not decoded
 	// a single frame for longer than the guard window — its clock has
@@ -132,7 +132,8 @@ type NodeState struct {
 	// Synced is the MAC's own belief — CodeDesync exists precisely
 	// because this flag can be stale.
 	Synced bool
-	// Parent and Backup are the current uplink parents (0 = none).
+	// Parent and Backup are the current uplink parents (0 = none); the
+	// checks read Parent only.
 	Parent, Backup topology.NodeID
 	// Queue is the data-queue depth; LastRx the last slot the node
 	// decoded any frame; Neighbors the routing neighbor-table size.

@@ -131,23 +131,21 @@ func TestChanceCollisionBelowThresholdIgnored(t *testing.T) {
 func TestDetectsDesyncAndHealsWithBackoff(t *testing.T) {
 	var healed []int64
 	m := New(Config{
-		DesyncGuard: 100,
-		Heal:        func(id topology.NodeID, asn sim.ASN) { healed = append(healed, int64(asn)) },
-		HealBackoff: 100, HealBackoffCap: 350,
+		Heal: func(id topology.NodeID, asn sim.ASN) { healed = append(healed, int64(asn)) },
 	})
 	st := []NodeState{joinedState(2, 1, 0)}
 	m.Poll(0, st) // fresh: establishes everJoined
 	// The node keeps claiming sync but stops decoding anything.
-	for now := int64(50); now <= 900; now += 50 {
+	for now := int64(DefaultPollSlots); now <= 100000; now += DefaultPollSlots {
 		m.Poll(sim.ASN(now), st)
 	}
 	got := codesOf(m)
 	if len(got) != 1 || got[0] != CodeDesync {
 		t.Fatalf("want one desync violation, got %v", m.Violations())
 	}
-	// First heal on the poll after the guard expires (ASN 150), then
-	// +100, +200, +350 (capped): 150, 250, 450, 800.
-	want := []int64{150, 250, 450, 800}
+	// First heal on the poll after the guard expires (ASN 3500), then
+	// +2000, +4000, +8000, +16000, +32000 and +33000 (capped).
+	want := []int64{3500, 5500, 9500, 17500, 33500, 65500, 98500}
 	if len(healed) != len(want) {
 		t.Fatalf("heal ASNs = %v, want %v", healed, want)
 	}
@@ -171,45 +169,50 @@ func TestDetectsDesyncAndHealsWithBackoff(t *testing.T) {
 // is orphaned; rejoining resets the episode and the watchdog backoff.
 func TestDetectsOrphanAndResetsOnRejoin(t *testing.T) {
 	var healed int
-	m := New(Config{
-		OrphanGrace: 100,
-		Heal:        func(topology.NodeID, sim.ASN) { healed++ },
-		HealBackoff: 1000, HealBackoffCap: 4000,
-	})
-	joined := []NodeState{joinedState(2, 1, 0)}
-	orphan := []NodeState{{ID: 2, Alive: true, Synced: true, LastRx: 0}}
-	m.Poll(0, joined)
-	m.Poll(50, orphan)
+	m := New(Config{Heal: func(topology.NodeID, sim.ASN) { healed++ }})
+	// The node keeps hearing frames (no desync) but has no parent.
+	poll := func(now int64, parent topology.NodeID) {
+		m.Poll(sim.ASN(now), []NodeState{joinedState(2, parent, now)})
+	}
+	poll(0, 1)
+	for now := int64(500); now <= 2500; now += 500 {
+		poll(now, 0)
+	}
 	if len(m.Violations()) != 0 {
 		t.Fatalf("orphan flagged inside grace window: %v", m.Violations())
 	}
-	m.Poll(200, orphan)
+	// Orphaned since 500: flagged at 3000, healed at 3000, 5000 and 9000;
+	// the next attempt would wait until 17000.
+	for now := int64(3000); now <= 9000; now += 500 {
+		poll(now, 0)
+	}
 	got := codesOf(m)
 	if len(got) != 1 || got[0] != CodeOrphan {
 		t.Fatalf("want one orphan violation, got %v", m.Violations())
 	}
-	if healed != 1 {
-		t.Fatalf("watchdog ran %d times, want 1", healed)
+	if healed != 3 {
+		t.Fatalf("watchdog ran %d times, want 3", healed)
 	}
-	// Rejoined: episode closed; a later orphan episode starts from scratch.
-	joined[0].LastRx = 300
-	m.Poll(300, joined)
-	m.Poll(350, orphan)
-	m.Poll(500, orphan)
+	// Rejoined: episode closed; a later orphan episode starts from scratch,
+	// its first heal at once rather than at the old episode's 17000.
+	poll(9500, 1)
+	for now := int64(10000); now <= 12500; now += 500 {
+		poll(now, 0)
+	}
 	if len(m.Violations()) != 2 {
 		t.Fatalf("second orphan episode not detected: %v", m.Violations())
 	}
-	if healed != 2 {
+	if healed != 4 {
 		t.Fatalf("watchdog backoff not reset on rejoin: %d heals", healed)
 	}
 }
 
 // A dead radio is the fault injector's doing, not a protocol defect.
 func TestDeadNodesExemptFromChecks(t *testing.T) {
-	m := New(Config{OrphanGrace: 100, DesyncGuard: 100})
+	m := New(Config{})
 	m.Poll(0, []NodeState{joinedState(2, 1, 0)})
 	dead := []NodeState{{ID: 2, Alive: false}}
-	for now := int64(50); now <= 1000; now += 50 {
+	for now := int64(DefaultPollSlots); now <= 20000; now += DefaultPollSlots {
 		m.Poll(sim.ASN(now), dead)
 	}
 	if err := m.Err(); err != nil {
@@ -243,21 +246,21 @@ func TestDetectsSameSinkDupDeliveryOnly(t *testing.T) {
 // A flow generating without delivering for the starvation window is
 // starved; one delivery resets the episode.
 func TestDetectsFlowStarvation(t *testing.T) {
-	m := New(Config{StarveWindow: 1000})
+	m := New(Config{})
 	gen := func(asn int64, seq uint16) {
 		m.Record(telemetry.Event{
 			ASN: asn, Type: telemetry.EvGenerated, Origin: 5, Flow: 2, Seq: seq,
 		})
 	}
 	gen(0, 1)
-	gen(500, 2)
-	m.Record(telemetry.Event{ASN: 600, Type: telemetry.EvDelivered, Node: 1, Origin: 5, Flow: 2, Seq: 1})
-	gen(1200, 3) // window restarts at 1200 after the delivery
+	gen(3000, 2)
+	m.Record(telemetry.Event{ASN: 3600, Type: telemetry.EvDelivered, Node: 1, Origin: 5, Flow: 2, Seq: 1})
+	gen(7200, 3) // window restarts at 7200 after the delivery
 	if len(m.Violations()) != 0 {
 		t.Fatalf("delivering flow flagged: %v", m.Violations())
 	}
-	gen(1700, 4)
-	gen(2300, 5) // 2300-1200 > 1000 with nothing delivered since
+	gen(10200, 4)
+	gen(13800, 5) // 13800-7200 > DefaultStarveWindow with nothing delivered since
 	got := codesOf(m)
 	if len(got) != 1 || got[0] != CodeFlowStarved {
 		t.Fatalf("want one flow-starved violation, got %v", m.Violations())
@@ -269,24 +272,27 @@ func TestDetectsFlowStarvation(t *testing.T) {
 
 // A head-of-line packet failing past the stuck threshold flags the queue.
 func TestDetectsHeadOfLineStuckQueue(t *testing.T) {
-	m := New(Config{StuckTxLimit: 5})
-	for i := int64(0); i < 4; i++ {
+	m := New(Config{})
+	asn := int64(0)
+	attempt := func(acked bool) {
 		m.Record(telemetry.Event{
-			ASN: i * 151, Type: telemetry.EvTxAttempt, Node: 3, Peer: 8,
-			Kind: uint8(sim.KindData),
+			ASN: asn, Type: telemetry.EvTxAttempt, Node: 3, Peer: 8,
+			Kind: uint8(sim.KindData), Acked: acked,
 		})
+		asn += 151
+	}
+	for i := 0; i < DefaultStuckTxLimit-1; i++ {
+		attempt(false)
 	}
 	// An ack resets the streak.
-	m.Record(telemetry.Event{
-		ASN: 4 * 151, Type: telemetry.EvTxAttempt, Node: 3, Peer: 8,
-		Kind: uint8(sim.KindData), Acked: true,
-	})
-	for i := int64(5); i < 10; i++ {
-		m.Record(telemetry.Event{
-			ASN: i * 151, Type: telemetry.EvTxAttempt, Node: 3, Peer: 8,
-			Kind: uint8(sim.KindData),
-		})
+	attempt(true)
+	for i := 0; i < DefaultStuckTxLimit-1; i++ {
+		attempt(false)
 	}
+	if len(m.Violations()) != 0 {
+		t.Fatalf("streak below the stuck limit flagged: %v", m.Violations())
+	}
+	attempt(false)
 	got := codesOf(m)
 	if len(got) != 1 || got[0] != CodeQueueStuck {
 		t.Fatalf("want one queue-stuck violation, got %v", m.Violations())
@@ -299,52 +305,28 @@ func TestDetectsHeadOfLineStuckQueue(t *testing.T) {
 // A queue pinned at the high-water mark past the grace window is growing
 // without bound.
 func TestDetectsSustainedHighQueue(t *testing.T) {
-	m := New(Config{QueueHighWater: 12, QueueGrace: 100})
+	m := New(Config{})
 	st := joinedState(2, 1, 0)
-	st.Queue = 14
-	m.Poll(0, []NodeState{st})
-	m.Poll(50, []NodeState{st})
+	poll := func(now int64, queue int) {
+		st.Queue, st.LastRx = queue, sim.ASN(now)
+		m.Poll(sim.ASN(now), []NodeState{st})
+	}
+	for now := int64(0); now <= DefaultQueueGrace; now += DefaultPollSlots {
+		poll(now, DefaultQueueHighWater+2)
+	}
 	if len(m.Violations()) != 0 {
 		t.Fatalf("high queue flagged inside grace: %v", m.Violations())
 	}
-	st.LastRx = 200
-	m.Poll(200, []NodeState{st})
+	poll(DefaultQueueGrace+DefaultPollSlots, DefaultQueueHighWater+2)
 	got := codesOf(m)
 	if len(got) != 1 || got[0] != CodeQueueStuck {
 		t.Fatalf("want one queue violation, got %v", m.Violations())
 	}
 	// Draining clears the episode.
-	st.Queue = 2
-	st.LastRx = 300
-	m.Poll(300, []NodeState{st})
-	st.Queue = 14
-	st.LastRx = 400
-	m.Poll(400, []NodeState{st})
+	poll(4000, 2)
+	poll(4500, DefaultQueueHighWater+2)
 	if len(m.Violations()) != 1 {
 		t.Fatalf("drained queue did not re-arm: %v", m.Violations())
-	}
-}
-
-// The single-parent check is opt-in and respects the grace window.
-func TestSingleParentCheckOptIn(t *testing.T) {
-	single := joinedState(2, 1, 0)
-	single.Backup = 0
-
-	m := New(Config{})
-	m.Poll(0, []NodeState{single})
-	single.LastRx = 100000
-	m.Poll(100000, []NodeState{single})
-	if err := m.Err(); err != nil {
-		t.Fatalf("single parent flagged without RequireBackup: %v", err)
-	}
-
-	m = New(Config{RequireBackup: true, BackupGrace: 100})
-	m.Poll(0, []NodeState{single})
-	single.LastRx = 200
-	m.Poll(200, []NodeState{single})
-	got := codesOf(m)
-	if len(got) != 1 || got[0] != CodeSingleParent {
-		t.Fatalf("want one single-parent violation, got %v", m.Violations())
 	}
 }
 
@@ -353,11 +335,11 @@ func TestSingleParentCheckOptIn(t *testing.T) {
 func TestEmitsTelemetryAndCountsReplayedEvents(t *testing.T) {
 	var buf bytes.Buffer
 	sink := telemetry.NewJSONL(&buf)
-	m := New(Config{Emit: sink, OrphanGrace: 100})
+	m := New(Config{Emit: sink})
 	m.Poll(0, []NodeState{joinedState(2, 1, 0)})
 	orphan := NodeState{ID: 2, Alive: true, Synced: false}
-	m.Poll(200, []NodeState{orphan})
-	m.Poll(350, []NodeState{orphan})
+	m.Poll(500, []NodeState{orphan})
+	m.Poll(3000, []NodeState{orphan}) // unjoined for 2500 > DefaultOrphanGrace
 	if err := sink.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +401,7 @@ func TestReportAggregation(t *testing.T) {
 	}
 }
 
-// Attach must poll on the simulator's event queue at the chosen period.
+// Attach must poll on the simulator's event queue every DefaultPollSlots.
 func TestAttachPollsPeriodically(t *testing.T) {
 	nw := sim.NewNetwork(topology.HalfTestbedA(), 1)
 	m := New(Config{})
@@ -428,9 +410,9 @@ func TestAttachPollsPeriodically(t *testing.T) {
 		polls = append(polls, int64(nw.ASN()))
 		return append(states, joinedState(2, 1, int64(nw.ASN())))
 	}
-	Attach(nw, m, probe, 250)
-	nw.Run(1000)
-	want := []int64{250, 500, 750}
+	Attach(nw, m, probe)
+	nw.Run(4 * DefaultPollSlots)
+	want := []int64{DefaultPollSlots, 2 * DefaultPollSlots, 3 * DefaultPollSlots}
 	if len(polls) != len(want) {
 		t.Fatalf("polls at %v, want %v", polls, want)
 	}

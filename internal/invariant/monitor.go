@@ -24,8 +24,6 @@ const (
 	// DefaultOrphanGrace: a previously joined node may be parentless or
 	// unsynced for 20 s before it counts orphaned.
 	DefaultOrphanGrace = 2000
-	// DefaultBackupGrace applies to the opt-in single-parent check (60 s).
-	DefaultBackupGrace = 6000
 	// DefaultStarveWindow: a generating flow delivering nothing for 60 s
 	// is starved.
 	DefaultStarveWindow = 6000
@@ -49,76 +47,22 @@ const (
 	DefaultHealBackoffCap = 33000
 )
 
-// Config tunes the Monitor. The zero value of every field selects the
-// package default; zero-valued Config is therefore a working
-// detection-only monitor.
+// Config wires the Monitor into a run. The thresholds are the Default*
+// constants; the zero Config is a working detection-only monitor.
 type Config struct {
 	// Emit, when set, receives one EvViolation event per detected
 	// violation and one EvRepair per watchdog action. Chain the monitor
 	// AFTER this sink (the monitor must not observe its own emissions).
 	Emit telemetry.Tracer
-	// FrameLen folds schedule-conflict cells ((ASN mod FrameLen, channel)).
+	// FrameLen folds schedule-conflict cells ((ASN mod FrameLen, channel));
+	// zero selects DefaultFrameLen.
 	FrameLen int64
-	// Thresholds; see the Default* constants.
-	DesyncGuard      int64
-	OrphanGrace      int64
-	BackupGrace      int64
-	StarveWindow     int64
-	StuckTxLimit     int
-	QueueHighWater   int
-	QueueGrace       int64
-	ConflictMinSlots int
-	LoopConfirmPolls int
-	// RequireBackup enables the single-parent check. Off by default:
-	// sparse placements legitimately leave some nodes with one parent.
-	RequireBackup bool
 	// Heal, when set, arms the watchdog: a node with a sustained orphan
 	// or desync violation is handed to Heal (callers wire
 	// mac.Node.Reboot(asn, true) — resync/rejoin through the protocol's
 	// Resetter, callbacks preserved). Attempts back off exponentially
-	// from HealBackoff to HealBackoffCap per episode.
-	Heal           func(id topology.NodeID, asn sim.ASN)
-	HealBackoff    int64
-	HealBackoffCap int64
-}
-
-func (c *Config) fillDefaults() {
-	if c.FrameLen <= 0 {
-		c.FrameLen = DefaultFrameLen
-	}
-	if c.DesyncGuard <= 0 {
-		c.DesyncGuard = DefaultDesyncGuard
-	}
-	if c.OrphanGrace <= 0 {
-		c.OrphanGrace = DefaultOrphanGrace
-	}
-	if c.BackupGrace <= 0 {
-		c.BackupGrace = DefaultBackupGrace
-	}
-	if c.StarveWindow <= 0 {
-		c.StarveWindow = DefaultStarveWindow
-	}
-	if c.StuckTxLimit <= 0 {
-		c.StuckTxLimit = DefaultStuckTxLimit
-	}
-	if c.QueueHighWater <= 0 {
-		c.QueueHighWater = DefaultQueueHighWater
-	}
-	if c.QueueGrace <= 0 {
-		c.QueueGrace = DefaultQueueGrace
-	}
-	if c.ConflictMinSlots <= 0 {
-		c.ConflictMinSlots = DefaultConflictMinSlots
-	}
-	if c.LoopConfirmPolls <= 0 {
-		c.LoopConfirmPolls = DefaultLoopConfirmPolls
-	}
-	if c.HealBackoff <= 0 {
-		c.HealBackoff = DefaultHealBackoff
-	}
-	if c.HealBackoffCap <= 0 {
-		c.HealBackoffCap = DefaultHealBackoffCap
-	}
+	// from DefaultHealBackoff to DefaultHealBackoffCap per episode.
+	Heal func(id topology.NodeID, asn sim.ASN)
 }
 
 // nodeTrack is the monitor's per-node episode state. Condition trackers
@@ -131,8 +75,6 @@ type nodeTrack struct {
 	orphanSince  int64
 	orphanFlag   bool
 	desyncFlag   bool
-	backupSince  int64
-	backupFlag   bool
 	qhighSince   int64
 	qhighFlag    bool
 	loopPolls    int
@@ -145,7 +87,7 @@ type nodeTrack struct {
 }
 
 func newNodeTrack() *nodeTrack {
-	return &nodeTrack{orphanSince: -1, backupSince: -1, qhighSince: -1}
+	return &nodeTrack{orphanSince: -1, qhighSince: -1}
 }
 
 // resetStructural re-arms every probe-driven tracker (used when a node
@@ -153,7 +95,6 @@ func newNodeTrack() *nodeTrack {
 func (t *nodeTrack) resetStructural() {
 	t.orphanSince, t.orphanFlag = -1, false
 	t.desyncFlag = false
-	t.backupSince, t.backupFlag = -1, false
 	t.qhighSince, t.qhighFlag = -1, false
 	t.loopPolls, t.loopFlag = 0, false
 	t.healAttempts, t.healNextASN = 0, 0
@@ -230,9 +171,11 @@ type Monitor struct {
 
 var _ telemetry.Tracer = (*Monitor)(nil)
 
-// New returns a Monitor; zero Config fields take the package defaults.
+// New returns a Monitor.
 func New(cfg Config) *Monitor {
-	cfg.fillDefaults()
+	if cfg.FrameLen <= 0 {
+		cfg.FrameLen = DefaultFrameLen
+	}
 	return &Monitor{
 		cfg:         cfg,
 		nodes:       make(map[topology.NodeID]*nodeTrack),
@@ -283,7 +226,7 @@ func (m *Monitor) Record(ev telemetry.Event) {
 		}
 		t.consecFails++
 		t.consecPeer = ev.Peer
-		if t.consecFails >= m.cfg.StuckTxLimit && !t.stuckFlag {
+		if t.consecFails >= DefaultStuckTxLimit && !t.stuckFlag {
 			t.stuckFlag = true
 			m.violate(Violation{
 				Code: CodeQueueStuck, ASN: ev.ASN, Node: ev.Node, Peer: ev.Peer,
@@ -300,7 +243,7 @@ func (m *Monitor) Record(ev telemetry.Event) {
 			ft.firstUndelivered = ev.ASN
 		}
 		ft.pending++
-		if !ft.flagged && ft.pending >= 2 && ev.ASN-ft.firstUndelivered > m.cfg.StarveWindow {
+		if !ft.flagged && ft.pending >= 2 && ev.ASN-ft.firstUndelivered > DefaultStarveWindow {
 			ft.flagged = true
 			m.violate(Violation{
 				Code: CodeFlowStarved, ASN: ev.ASN,
@@ -335,8 +278,8 @@ func (m *Monitor) Record(ev telemetry.Event) {
 
 // checkSlotConflicts closes the batched slot: two distinct data
 // transmitters on the same physical channel in the same slot interfere;
-// the same cell (slot offset, channel) double-booking in ConflictMinSlots
-// distinct slots is a persistent schedule conflict.
+// the same cell (slot offset, channel) double-booking in
+// DefaultConflictMinSlots distinct slots is a persistent schedule conflict.
 func (m *Monitor) checkSlotConflicts() {
 	if len(m.slotTx) > 1 {
 		for i := 0; i < len(m.slotTx); i++ {
@@ -358,7 +301,7 @@ func (m *Monitor) checkSlotConflicts() {
 				}
 				c.lastASN = m.slotASN
 				c.slots++
-				if c.slots >= m.cfg.ConflictMinSlots && !c.flagged {
+				if c.slots >= DefaultConflictMinSlots && !c.flagged {
 					c.flagged = true
 					m.violate(Violation{
 						Code: CodeScheduleConflict, ASN: m.slotASN,
@@ -394,7 +337,6 @@ func (m *Monitor) Poll(asn sim.ASN, states []NodeState) {
 		}
 		m.checkOrphan(now, st, t, joined)
 		m.checkDesync(now, st, t)
-		m.checkBackup(now, st, t, joined)
 		m.checkQueue(now, st, t)
 		m.heal(now, st, t)
 	}
@@ -412,7 +354,7 @@ func (m *Monitor) checkOrphan(now int64, st *NodeState, t *nodeTrack, joined boo
 	if t.orphanSince < 0 {
 		t.orphanSince = now
 	}
-	if !t.orphanFlag && now-t.orphanSince > m.cfg.OrphanGrace {
+	if !t.orphanFlag && now-t.orphanSince > DefaultOrphanGrace {
 		t.orphanFlag = true
 		m.violate(Violation{Code: CodeOrphan, ASN: now, Node: st.ID})
 	}
@@ -423,7 +365,7 @@ func (m *Monitor) checkDesync(now int64, st *NodeState, t *nodeTrack) {
 		t.desyncFlag = false
 		return
 	}
-	if now-int64(st.LastRx) <= m.cfg.DesyncGuard {
+	if now-int64(st.LastRx) <= DefaultDesyncGuard {
 		t.desyncFlag = false
 		return
 	}
@@ -433,33 +375,15 @@ func (m *Monitor) checkDesync(now int64, st *NodeState, t *nodeTrack) {
 	}
 }
 
-func (m *Monitor) checkBackup(now int64, st *NodeState, t *nodeTrack, joined bool) {
-	if !m.cfg.RequireBackup || st.IsAP || !joined {
-		t.backupSince, t.backupFlag = -1, false
-		return
-	}
-	if st.Backup != 0 {
-		t.backupSince, t.backupFlag = -1, false
-		return
-	}
-	if t.backupSince < 0 {
-		t.backupSince = now
-	}
-	if !t.backupFlag && now-t.backupSince > m.cfg.BackupGrace {
-		t.backupFlag = true
-		m.violate(Violation{Code: CodeSingleParent, ASN: now, Node: st.ID, Peer: st.Parent})
-	}
-}
-
 func (m *Monitor) checkQueue(now int64, st *NodeState, t *nodeTrack) {
-	if st.Queue < m.cfg.QueueHighWater {
+	if st.Queue < DefaultQueueHighWater {
 		t.qhighSince, t.qhighFlag = -1, false
 		return
 	}
 	if t.qhighSince < 0 {
 		t.qhighSince = now
 	}
-	if !t.qhighFlag && now-t.qhighSince > m.cfg.QueueGrace {
+	if !t.qhighFlag && now-t.qhighSince > DefaultQueueGrace {
 		t.qhighFlag = true
 		m.violate(Violation{Code: CodeQueueStuck, ASN: now, Node: st.ID, Peer: t.consecPeer})
 	}
@@ -486,9 +410,9 @@ func (m *Monitor) heal(now int64, st *NodeState, t *nodeTrack) {
 		trigger = CodeDesync
 	}
 	t.healAttempts++
-	backoff := m.cfg.HealBackoff << (t.healAttempts - 1)
-	if backoff > m.cfg.HealBackoffCap || backoff <= 0 {
-		backoff = m.cfg.HealBackoffCap
+	backoff := int64(DefaultHealBackoff) << (t.healAttempts - 1)
+	if backoff > DefaultHealBackoffCap || backoff <= 0 {
+		backoff = DefaultHealBackoffCap
 	}
 	t.healNextASN = now + backoff
 	m.repairs = append(m.repairs, Repair{
@@ -504,7 +428,7 @@ func (m *Monitor) heal(now int64, st *NodeState, t *nodeTrack) {
 }
 
 // checkLoops walks best-parent pointers over the snapshot and flags every
-// node on a cycle that survives LoopConfirmPolls consecutive probes.
+// node on a cycle that survives DefaultLoopConfirmPolls consecutive probes.
 func (m *Monitor) checkLoops(now int64, states []NodeState) {
 	parent := make(map[topology.NodeID]topology.NodeID, len(states))
 	for i := range states {
@@ -553,7 +477,7 @@ func (m *Monitor) checkLoops(now int64, states []NodeState) {
 			continue
 		}
 		t.loopPolls++
-		if t.loopPolls >= m.cfg.LoopConfirmPolls && !t.loopFlag {
+		if t.loopPolls >= DefaultLoopConfirmPolls && !t.loopFlag {
 			t.loopFlag = true
 			m.violate(Violation{Code: CodeRoutingLoop, ASN: now, Node: st.ID, Peer: st.Parent})
 		}
@@ -578,21 +502,18 @@ func (m *Monitor) Report() Report {
 func (m *Monitor) Err() error { return m.Report().Err() }
 
 // Attach schedules the monitor's periodic probe on the network's event
-// queue, starting one period from now. every <= 0 selects
-// DefaultPollSlots. Polling consumes no randomness and lives on the same
-// deterministic queue as the rest of the run.
-func Attach(nw *sim.Network, m *Monitor, probe Prober, every int64) {
+// queue, every DefaultPollSlots starting one period from now. Polling
+// consumes no randomness and lives on the same deterministic queue as the
+// rest of the run.
+func Attach(nw *sim.Network, m *Monitor, probe Prober) {
 	if nw == nil || m == nil || probe == nil {
 		return
-	}
-	if every <= 0 {
-		every = DefaultPollSlots
 	}
 	var tick func()
 	tick = func() {
 		m.scratch = probe(m.scratch[:0])
 		m.Poll(nw.ASN(), m.scratch)
-		nw.At(nw.ASN()+every, tick)
+		nw.At(nw.ASN()+DefaultPollSlots, tick)
 	}
-	nw.At(nw.ASN()+every, tick)
+	nw.At(nw.ASN()+DefaultPollSlots, tick)
 }

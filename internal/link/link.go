@@ -91,14 +91,6 @@ func ConservativeProfile() Profile {
 	}
 }
 
-// Compatibility aliases for the default (aggressive) profile's parameters,
-// referenced by tests and documentation.
-const (
-	failSample            = 6.0
-	DeadThreshold         = 8
-	ResurrectObservations = 10
-)
-
 // InitialETX maps a received signal strength to the paper's initial ETX.
 func InitialETX(rssDBm float64) float64 {
 	switch {

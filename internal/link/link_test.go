@@ -73,14 +73,15 @@ func TestEstimatorObserveTracksSmoothedRSS(t *testing.T) {
 }
 
 func TestEstimatorDeadLinkResurrectsPessimistically(t *testing.T) {
+	p := AggressiveProfile()
 	e := NewEstimator()
 	e.Observe(5, -60)
-	for i := 0; i < DeadThreshold; i++ {
+	for i := 0; i < p.DeadThreshold; i++ {
 		e.TxResult(5, false)
 	}
 	if got := e.ETX(5); got != phy.ETXUnreachable {
 		t.Fatalf("ETX after %d consecutive failures = %.2f, want unreachable",
-			DeadThreshold, got)
+			p.DeadThreshold, got)
 	}
 	// A single decoded frame must NOT revive the link (nearly-dead links
 	// occasionally decode one frame).
@@ -89,14 +90,14 @@ func TestEstimatorDeadLinkResurrectsPessimistically(t *testing.T) {
 		t.Fatalf("one observation revived a dead link: %.2f", got)
 	}
 	// Sustained reception evidence does revive it, pessimistically.
-	for i := 0; i < ResurrectObservations; i++ {
+	for i := 0; i < p.ResurrectObservations; i++ {
 		e.Observe(5, -60)
 	}
 	got := e.ETX(5)
 	if got >= phy.ETXUnreachable {
 		t.Fatalf("resurrection did not revive the link: %.2f", got)
 	}
-	if got < failSample/2 {
+	if got < p.FailSample/2 {
 		t.Fatalf("resurrected link too optimistic: %.2f", got)
 	}
 }
@@ -139,7 +140,7 @@ func TestEstimatorFailureDrivesTowardUnreachable(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		e.TxResult(5, false)
 	}
-	if got := e.ETX(5); got < failSample-0.5 {
+	if got := e.ETX(5); got < AggressiveProfile().FailSample-0.5 {
 		t.Fatalf("sustained failures left ETX at %.3f", got)
 	}
 	if got := e.ETX(5); got > phy.ETXUnreachable {

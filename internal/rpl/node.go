@@ -144,9 +144,7 @@ func (n *Node) Joined() bool { return n.router.Joined() }
 func (n *Node) SetRouteHook(fn stack.RouteHook) { n.router.OnParentChange = fn }
 
 // Probe implements stack.Node. RPL keeps a single preferred parent, so
-// backup is always 0 — runs that enable the monitor's RequireBackup check
-// will flag every node, which is the honest reading of the paper's
-// single-parent critique.
+// backup is always 0 — the paper's single-parent critique.
 func (n *Node) Probe() (parent, backup topology.NodeID, neighbors int) {
 	return n.router.Parent(), 0, n.router.Neighbors()
 }

@@ -161,7 +161,7 @@ func (sc *Scenario) Observe(tracer telemetry.Tracer, invariants bool, plan *chao
 	if invariants {
 		o.Monitor = invariant.New(invariant.Config{Emit: tracer, Heal: sc.Healer(nw)})
 		o.chain = telemetry.Multi(tracer, o.Monitor)
-		invariant.Attach(nw, o.Monitor, sc.Prober(nw), 0)
+		invariant.Attach(nw, o.Monitor, sc.Prober(nw))
 	}
 	stackTracer := o.chain
 	if plan != nil {

@@ -154,34 +154,25 @@ func (r *Routes) BackupCoverage(topo *topology.Topology) float64 {
 	return float64(with) / float64(total)
 }
 
-// ManagerConfig models the pace of the in-band management plane. Real
-// WirelessHART networks reserve sparse management slots in the superframe;
-// every management command travels hop by hop through them, which is what
-// makes the Figure 3 update times grow so steeply with network size.
-type ManagerConfig struct {
-	// ManagementSlotPeriod is the spacing of management slots in
-	// (10 ms) slots: one management transmission opportunity per period.
-	ManagementSlotPeriod int64
-	// CollectCommands is the number of round-trip command exchanges the
+// The management-plane model behind Figure 3. Real WirelessHART networks
+// reserve sparse management slots in the superframe; every management
+// command travels hop by hop through them, which is what makes the
+// Figure 3 update times grow so steeply with network size. The values are
+// calibrated against Figure 3's testbed measurements (hundreds of seconds
+// for a 50-node network).
+const (
+	// managementSlotPeriod is the spacing of management slots in (10 ms)
+	// slots: one management transmission opportunity per second.
+	managementSlotPeriod = 100
+	// collectCommands is the number of round-trip command exchanges the
 	// manager needs per device to gather its neighbour health reports.
-	CollectCommands int
-	// DisseminateCommands is the number of acknowledged downlink updates
+	collectCommands = 1
+	// disseminateCommands is the number of acknowledged downlink updates
 	// per device (route table write + schedule write).
-	DisseminateCommands int
-	// ComputePerDevice is the manager-side computation cost per device.
-	ComputePerDevice time.Duration
-}
-
-// DefaultManagerConfig calibrates the model against Figure 3's testbed
-// measurements (hundreds of seconds for a 50-node network).
-func DefaultManagerConfig() ManagerConfig {
-	return ManagerConfig{
-		ManagementSlotPeriod: 100, // one management slot per second
-		CollectCommands:      1,
-		DisseminateCommands:  2,
-		ComputePerDevice:     120 * time.Millisecond,
-	}
-}
+	disseminateCommands = 2
+	// computePerDevice is the manager-side computation cost per device.
+	computePerDevice = 120 * time.Millisecond
+)
 
 // UpdateBreakdown is the duration of one full manager reaction to network
 // dynamics, phase by phase.
@@ -200,21 +191,21 @@ func (u UpdateBreakdown) Total() time.Duration {
 // device for its neighbour table (one round trip of ETX-weighted hops per
 // command, serialized through the management slots), recomputes routes and
 // schedule, and pushes per-device updates back out.
-func UpdateCycle(topo *topology.Topology, cfg ManagerConfig) (UpdateBreakdown, error) {
+func UpdateCycle(topo *topology.Topology) (UpdateBreakdown, error) {
 	routes, err := ComputeGraphRoutes(topo)
 	if err != nil {
 		return UpdateBreakdown{}, err
 	}
-	slotTime := time.Duration(cfg.ManagementSlotPeriod) * phy.SlotDuration
+	slotTime := managementSlotPeriod * phy.SlotDuration
 
 	var collect, disseminate time.Duration
 	for i := topo.NumAPs + 1; i <= topo.N(); i++ {
 		// A command round trip consumes one management slot per expected
 		// transmission on each hop, both directions.
 		roundTrip := time.Duration(2*routes.DistETX[i]) * slotTime
-		collect += time.Duration(cfg.CollectCommands) * roundTrip
-		disseminate += time.Duration(cfg.DisseminateCommands) * roundTrip
+		collect += collectCommands * roundTrip
+		disseminate += disseminateCommands * roundTrip
 	}
-	compute := time.Duration(topo.N()-topo.NumAPs) * cfg.ComputePerDevice
+	compute := time.Duration(topo.N()-topo.NumAPs) * computePerDevice
 	return UpdateBreakdown{Collect: collect, Compute: compute, Disseminate: disseminate}, nil
 }

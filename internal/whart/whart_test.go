@@ -59,13 +59,12 @@ func TestRoutesAreLoopFree(t *testing.T) {
 }
 
 func TestUpdateCycleGrowsWithNetworkSize(t *testing.T) {
-	cfg := DefaultManagerConfig()
 	times := make(map[string]time.Duration)
 	for _, topo := range []*topology.Topology{
 		topology.HalfTestbedA(), topology.TestbedA(),
 		topology.HalfTestbedB(), topology.TestbedB(),
 	} {
-		u, err := UpdateCycle(topo, cfg)
+		u, err := UpdateCycle(topo)
 		if err != nil {
 			t.Fatalf("%s: %v", topo.Name, err)
 		}
