@@ -33,13 +33,14 @@ var wirePins = map[string]string{
 // sparsePins are the same digest on the sparse medium, for the stacks that
 // form on it: gen-plant-300-1, seed 5, 3000 slots, a 6 dB fade on link 3-4
 // and a drifting clock on node 7, 3000 more slots. These snapshots carry
-// what no dense one does — the version-2 tail of the "net" section (sparse
-// fade pairs, nap vectors) beside drift vectors and no dense Fade overlay.
+// what no dense one does — sparse fade pairs in the version-2 tail of the
+// "net" section — beside drift vectors and no dense Fade overlay; like a
+// dense one, a sparse capture ends every nap and carries no nap vectors.
 var sparsePins = map[string]string{
-	"adaptive":  "9fda1e8628c313fba4ea6241efda9757713d7644c317a102d845d67a432fc26b",
-	"digs":      "083c3056c8668fd3ca65275632faa65e3d1320096c07e199725dc3c4052e1708",
-	"orchestra": "bdf0df5832c754dedc7e41e29445e755031321f71ad37b6d017cbe88e3b710af",
-	"sdn":       "72accc283b06dbbe826329a08004d2ce0606ef02a00fc636cd159a710c278d97",
+	"adaptive":  "c24a5df0e0a729b96312e317bd7fb9e40c52370308b1552cc9b4f2567d99d844",
+	"digs":      "55545f9b033438bc3f2a4c45f4d2915c924fa8cf11a619d52d1870ecd6877452",
+	"orchestra": "c1a97408817f9471e606020ad14ec7e0e0b631b24f947c4cd4e0b0f79497040e",
+	"sdn":       "935c4af9923e844ec848c173146bb1dfbe233df338df39855809b7633387573c",
 }
 
 // checkPin takes a snapshot of the scenario and holds it to three things:
@@ -99,8 +100,8 @@ func TestSparseSnapshotWireFormatPinned(t *testing.T) {
 		sc.NW.SetClockDrift(7, 0.01, 9)
 		sc.NW.Run(3000)
 		net := checkPin(t, sc, proto, want).Net
-		if net.FadeLinkIdx == nil || net.NapUntil == nil || net.DriftProb == nil || net.Fade != nil {
-			t.Errorf("%s: the sparse pin lost what it is for: fade pairs %v, naps %v, drift %v, dense fade %v",
+		if net.FadeLinkIdx == nil || net.NapUntil != nil || net.DriftProb == nil || net.Fade != nil {
+			t.Errorf("%s: the sparse pin lost what it is for: fade pairs %v, nap vectors %v, drift %v, dense fade %v",
 				proto, net.FadeLinkIdx != nil, net.NapUntil != nil, net.DriftProb != nil, net.Fade != nil)
 		}
 	}

@@ -181,13 +181,9 @@ type Network struct {
 	// set and wake wheel, and the nap windows they are derived from.
 	// napUntil[id] != 0 means the device naps until that slot (exclusive),
 	// and ops[id] is what it does meanwhile: OpSleep, or its standing scan.
-	// napStart[id] is the last slot a sleeping device was accounted for,
-	// scanStart[id] the same for a standing scanner: apart, because a
-	// capture stores napStart whole, stale entries of awake devices
-	// included, and no capture ever sees a standing scan.
-	napUntil  []ASN
-	napStart  []ASN
-	scanStart []ASN
+	// napStart[id] is the last slot a napping device was accounted for.
+	napUntil []ASN
+	napStart []ASN
 	// awake has bit id set for every device the slot loop visits: attached,
 	// not failed, not napping. nAwake counts the set bits. standing has it
 	// set for every device napping on a standing scan — the dense resolve
@@ -254,7 +250,6 @@ func newNetwork(topo *topology.Topology, seed int64) *Network {
 		numDevs:           n,
 		napUntil:          make([]ASN, n+1),
 		napStart:          make([]ASN, n+1),
-		scanStart:         make([]ASN, n+1),
 		awake:             make([]uint64, words),
 		standing:          make([]uint64, words),
 		ops:               make([]RadioOp, n+1),

@@ -40,10 +40,9 @@ type NetworkState struct {
 	FadeLinkVal []float64
 
 	// NapUntil/NapStart are the per-node nap windows (indexed by node ID,
-	// entry 0 unused) of a sparse-medium network; nil when no device was
-	// sleeping at capture, and always nil on the dense medium, whose capture
-	// ends every nap first. A captured nap is a sleeping one: a capture ends
-	// the standing scans on both media.
+	// entry 0 unused) of a sparse-medium network. A capture ends every nap
+	// first and leaves them nil; sparse captures of earlier builds carried
+	// the sleeping devices' windows here, and RestoreState still takes them.
 	NapUntil []int64
 	NapStart []int64
 }
@@ -54,14 +53,11 @@ type NetworkState struct {
 // scenario quiesce points (after convergence, before the next plan or flow
 // set is scheduled) where neither exists.
 //
-// A capture first settles and ends naps — on the dense medium all of them,
-// on the sparse one the standing scans — which the Napper contract makes
-// unobservable (a woken device plans the op it promised to plan and naps
-// again). A dense snapshot therefore carries no nap vectors and keeps the
-// bytes it had before the dense loop could nap, and a sparse one the bytes
-// it had when unsynchronised devices were visited every slot: warm pools
-// written by earlier builds stay valid, and a restore derives every set
-// from the vectors without asking a device what it would scan.
+// A capture first settles and ends every nap, on both media, which the
+// Napper contract makes unobservable (a woken device plans the op it
+// promised to plan and naps again). A snapshot therefore carries no nap
+// vectors and no lagging counter: its bytes do not depend on when devices
+// nap, and a restore asks no device what it would scan.
 func (nw *Network) CaptureState() (*NetworkState, error) {
 	if len(nw.pending) > 0 {
 		return nil, fmt.Errorf("sim: capture with %d scheduled events pending (snapshot at a quiesce point, before scheduling scenario events)", len(nw.pending))
@@ -70,9 +66,7 @@ func (nw *Network) CaptureState() (*NetworkState, error) {
 		return nil, fmt.Errorf("sim: capture with %d interferers registered (snapshot before fault injection)", len(nw.interferers))
 	}
 	for id := 1; id <= nw.numDevs; id++ {
-		if nw.scale == nil || nw.ops[id].Kind == OpScan {
-			nw.Wake(topology.NodeID(id)) // a no-op on a device that is not napping
-		}
+		nw.Wake(topology.NodeID(id)) // a no-op on a device that is not napping
 	}
 	st := &NetworkState{
 		Seed:              nw.seed,
@@ -95,13 +89,6 @@ func (nw *Network) CaptureState() (*NetworkState, error) {
 			if v != 0 {
 				st.FadeLinkIdx = append(st.FadeLinkIdx, int32(i))
 				st.FadeLinkVal = append(st.FadeLinkVal, v)
-			}
-		}
-		for id := 1; id <= nw.numDevs; id++ {
-			if nw.napUntil[id] != 0 {
-				st.NapUntil = append([]int64(nil), nw.napUntil...)
-				st.NapStart = append([]int64(nil), nw.napStart...)
-				break
 			}
 		}
 	}
