@@ -132,9 +132,8 @@ type NodeState struct {
 	// Synced is the MAC's own belief — CodeDesync exists precisely
 	// because this flag can be stale.
 	Synced bool
-	// Parent and Backup are the current uplink parents (0 = none); the
-	// checks read Parent only.
-	Parent, Backup topology.NodeID
+	// Parent is the current uplink parent (0 = none).
+	Parent topology.NodeID
 	// Queue is the data-queue depth; LastRx the last slot the node
 	// decoded any frame; Neighbors the routing neighbor-table size.
 	Queue     int

@@ -14,7 +14,7 @@ import (
 func joinedState(id topology.NodeID, parent topology.NodeID, now int64) NodeState {
 	return NodeState{
 		ID: id, Alive: true, Synced: true,
-		Parent: parent, Backup: parent, LastRx: sim.ASN(now),
+		Parent: parent, LastRx: sim.ASN(now),
 	}
 }
 

@@ -52,7 +52,7 @@ type Node interface {
 	SetRouteHook(fn RouteHook)
 	// Probe reports the routing view the invariant monitor checks,
 	// consuming no randomness.
-	Probe() (parent, backup topology.NodeID, neighbors int)
+	Probe() (parent topology.NodeID, neighbors int)
 	// CaptureState and RestoreState move the node's complete mutable
 	// state out of and into a freshly built instance (same node, same
 	// configuration, same build seed). Stacks registered without a
@@ -215,7 +215,7 @@ func (n *Network[S]) Prober(nw *sim.Network) invariant.Prober {
 				continue
 			}
 			id := topology.NodeID(i)
-			parent, backup, neighbors := n.Stacks[i].Probe()
+			parent, neighbors := n.Stacks[i].Probe()
 			synced, _ := node.Synced()
 			states = append(states, invariant.NodeState{
 				ID:        id,
@@ -223,7 +223,6 @@ func (n *Network[S]) Prober(nw *sim.Network) invariant.Prober {
 				Alive:     !nw.Failed(id),
 				Synced:    synced,
 				Parent:    parent,
-				Backup:    backup,
 				Queue:     node.QueueLen(),
 				LastRx:    node.LastRx(),
 				Neighbors: neighbors,
