@@ -150,15 +150,16 @@ func (r *adaptiveRef) assignment(asn sim.ASN) mac.Assignment {
 }
 
 // nextActive finds by brute force the first slot at or after `after` where
-// the reference is not sleep or a timer is due: the maintenance tick, and
-// the Trickle timer's next event once synchronised.
-func (r *adaptiveRef) nextActive(after sim.ASN) sim.ASN {
+// the reference is not sleep — nor, with nothing queued, an own transmit
+// cell — or a timer is due: the maintenance tick, and the Trickle timer's
+// next event once synchronised.
+func (r *adaptiveRef) nextActive(after sim.ASN, queued bool) sim.ASN {
 	due := max(sim.ASN(r.st.NextMaintain), after)
 	if r.st.Synced {
 		due = min(due, max(r.tr.NextEvent(after), after))
 	}
 	for asn := after; asn < due; asn++ {
-		if r.assignment(asn).Role != mac.RoleSleep {
+		if role := r.assignment(asn).Role; role != mac.RoleSleep && (queued || role != mac.RoleTxData) {
 			return asn
 		}
 	}
@@ -246,9 +247,11 @@ func requireAdaptiveMatchesReference(t *testing.T) {
 			ref := newAdaptiveRef(s)
 			from := asn + rng.Int63n(50)
 			for slot := from; slot < from+2*cfg.SharedFrameLen; slot++ {
-				if got, want := s.NextActive(slot), ref.nextActive(slot); got != want {
-					t.Fatalf("trial %d step %d (id %d, frames %d/%d/%d, %d cells): NextActive(%d) = %d, reference %d",
-						trial, step, id, cfg.EBFrameLen, cfg.SharedFrameLen, cfg.DataFrameLen, s.txCells, slot, got, want)
+				for _, queued := range []bool{true, false} {
+					if got, want := s.NextActive(slot, queued), ref.nextActive(slot, queued); got != want {
+						t.Fatalf("trial %d step %d (id %d, frames %d/%d/%d, %d cells): NextActive(%d, queued %v) = %d, reference %d",
+							trial, step, id, cfg.EBFrameLen, cfg.SharedFrameLen, cfg.DataFrameLen, s.txCells, slot, queued, got, want)
+					}
 				}
 				got := s.Assignment(slot)
 				ref = newAdaptiveRef(s)
@@ -302,8 +305,10 @@ func TestNextActiveExactSDN(t *testing.T) {
 	if a := relay.Assignment(at); a.Role != mac.RoleSleep {
 		t.Fatalf("Assignment(%d) = %+v: the backed-off queue head's cell must sleep", at, a)
 	}
-	if got := relay.NextActive(at); got != at {
-		t.Fatalf("NextActive(%d) = %d: the backed-off queue head's cell must still wake the node", at, got)
+	for _, queued := range []bool{true, false} {
+		if got := relay.NextActive(at, queued); got != at {
+			t.Fatalf("NextActive(%d, queued %v) = %d: the backed-off queue head's cell must still wake the node", at, queued, got)
+		}
 	}
 
 	ctrl, err := NewSDNStack(1, true, 1, 20, []topology.NodeID{1, 2}, cfg)
@@ -385,7 +390,7 @@ func refSDN(s *SDNStack, asn sim.ASN) mac.Assignment {
 			if s.parent != 0 && off == sdnCell(s.id, cfg.DataFrameLen) {
 				return mac.RoleTxData, 1
 			}
-			if _, ok := s.childCells.At(off); ok {
+			if _, ok := s.childCells.At(off, nil); ok {
 				return mac.RoleRxData, 0
 			}
 			return sleepRole()
@@ -407,23 +412,24 @@ func refSDN(s *SDNStack, asn sim.ASN) mac.Assignment {
 	case mac.RoleTxData:
 		a.ChannelOffset = sdnDataLane(s.id)
 	case mac.RoleRxData:
-		c, _ := s.childCells.At(asn % cfg.DataFrameLen)
+		c, _ := s.childCells.At(asn%cfg.DataFrameLen, nil)
 		a.ChannelOffset = sdnDataLane(c)
 	}
 	return a
 }
 
 // refSDNNextActive finds by brute force the first slot at or after `after`
-// where refSDN is not sleep, the queue head's cell comes round (backed off
-// or not: the declared exception), or a timer is due — the maintenance
-// tick, and the recompute deadline on a synchronised controller.
-func refSDNNextActive(s *SDNStack, after sim.ASN) sim.ASN {
+// where refSDN is not sleep — nor, with nothing queued, the own data cell —,
+// the queue head's cell comes round (backed off or not: the declared
+// exception), or a timer is due — the maintenance tick, and the recompute
+// deadline on a synchronised controller.
+func refSDNNextActive(s *SDNStack, after sim.ASN, queued bool) sim.ASN {
 	due := max(s.nextMaintain, after)
 	if s.controller() && s.synced {
 		due = min(due, max(s.nextRecompute, after))
 	}
 	for asn := after; asn < due; asn++ {
-		if refSDN(s, asn).Role != mac.RoleSleep ||
+		if role := refSDN(s, asn).Role; role != mac.RoleSleep && (queued || role != mac.RoleTxData) ||
 			len(s.ctrlQ) > 0 && asn%s.cfg.CtrlFrameLen == s.ctrlCellTo(s.ctrlQ[0].frame.Dst) {
 			return asn
 		}
@@ -512,9 +518,11 @@ func requireSDNMatchesReference(t *testing.T) {
 			}
 
 			for slot := asn; slot < asn+2*cfg.EBFrameLen; slot++ {
-				if got, want := s.NextActive(slot), refSDNNextActive(s, slot); got != want {
-					t.Fatalf("trial %d step %d (id %d, controller %d, roster %d, frames %d/%d/%d): NextActive(%d) = %d, reference %d",
-						trial, step, id, ctrlID, roster, cfg.EBFrameLen, cfg.CtrlFrameLen, cfg.DataFrameLen, slot, got, want)
+				for _, queued := range []bool{true, false} {
+					if got, want := s.NextActive(slot, queued), refSDNNextActive(s, slot, queued); got != want {
+						t.Fatalf("trial %d step %d (id %d, controller %d, roster %d, frames %d/%d/%d): NextActive(%d, queued %v) = %d, reference %d",
+							trial, step, id, ctrlID, roster, cfg.EBFrameLen, cfg.CtrlFrameLen, cfg.DataFrameLen, slot, queued, got, want)
+					}
 				}
 				if len(s.ctrlQ) > 0 && slot < s.ctrlQ[0].notBefore &&
 					slot%cfg.CtrlFrameLen == s.ctrlCellTo(s.ctrlQ[0].frame.Dst) {

@@ -68,9 +68,15 @@ type scheduler struct {
 	// node's own Eq. (4) transmit cells over its children's listen cells,
 	// rebuilt when the child set changes. The slot loop looks a slot up and
 	// asks for the next cell far more often than the child set changes.
+	// listen is the same table without the transmit cells, rebuilt with it:
+	// the next cell a node with nothing queued acts in. cellsHint and
+	// listenHint are the two tables' lookup hints.
 	cells        mac.Cells[appCell]
+	listen       mac.Cells[appCell]
 	cellsVersion int64
 	cellsValid   bool
+	cellsHint    int
+	listenHint   int
 }
 
 // appCell is one application-slotframe cell: attempt numbers an own
@@ -88,7 +94,7 @@ type appCell struct {
 // keeps the cell whichever child is placed first — and, among a node's own
 // transmit cells, to the later attempt.
 func putCell(cells mac.Cells[appCell], offset int64, c appCell) mac.Cells[appCell] {
-	if old, taken := cells.At(offset); taken && c.child > old.child {
+	if old, taken := cells.At(offset, nil); taken && c.child > old.child {
 		return cells
 	}
 	return cells.Put(offset, c)
@@ -117,7 +123,7 @@ func (s *scheduler) Assignment(asn sim.ASN) mac.Assignment {
 	if asn%s.cfg.RoutingFrameLen == 0 {
 		return mac.Assignment{Role: mac.RoleShared, ChannelOffset: routingChannelOffset}
 	}
-	if c, ok := s.appCells().At(asn % s.cfg.AppFrameLen); ok {
+	if c, ok := s.appCells().At(asn%s.cfg.AppFrameLen, &s.cellsHint); ok {
 		if c.child == 0 {
 			return mac.Assignment{Role: mac.RoleTxData, ChannelOffset: c.lane, Attempt: c.attempt}
 		}
@@ -128,16 +134,22 @@ func (s *scheduler) Assignment(asn sim.ASN) mac.Assignment {
 
 // NextActive returns the earliest slot at or after `after` in which this
 // node's combined schedule assigns any non-sleep role: its own EB slot,
-// its best parent's EB slot, the shared routing slot, and its Eq. (4)
-// transmit and listen cells. The schedule is the union of its frames, so
-// that is exactly the first slot Assignment does not answer with sleep.
-func (s *scheduler) NextActive(after sim.ASN) sim.ASN {
+// its best parent's EB slot, the shared routing slot, its Eq. (4) listen
+// cells and, when data is queued, its Eq. (4) transmit cells. The schedule
+// is the union of its frames, so that is exactly the first slot Assignment
+// does not answer with sleep — or, with nothing queued, with sleep or an
+// own transmit cell.
+func (s *scheduler) NextActive(after sim.ASN, queued bool) sim.ASN {
 	w := mac.NextOffset(after, s.cfg.SyncFrameLen, s.ownSync)
 	if p := s.parentOffset(); p >= 0 {
 		w = min(w, mac.NextOffset(after, s.cfg.SyncFrameLen, p))
 	}
 	w = min(w, mac.NextOffset(after, s.cfg.RoutingFrameLen, 0))
-	if v, ok := s.appCells().Next(after, s.cfg.AppFrameLen); ok {
+	cells, hint := s.appCells(), &s.cellsHint
+	if !queued {
+		cells, hint = s.listen, &s.listenHint
+	}
+	if v, ok := cells.Next(after, s.cfg.AppFrameLen, hint); ok {
 		w = min(w, v)
 	}
 	return w
@@ -162,7 +174,7 @@ func (s *scheduler) appCells() mac.Cells[appCell] {
 		return s.cells
 	}
 	cfg := s.cfg
-	cells := s.cells.Reset()
+	cells, listen := s.cells.Reset(), s.listen.Reset()
 	claim := func(id topology.NodeID, p int, c appCell) {
 		c.lane = appLane(id)
 		cells = putCell(cells, AppTxSlot(id, cfg.NumAPs, cfg.Attempts, p, cfg.AppFrameLen), c)
@@ -186,6 +198,11 @@ func (s *scheduler) appCells() mac.Cells[appCell] {
 			claim(child, cfg.Attempts, appCell{child: child})
 		}
 	}
-	s.cells, s.cellsVersion, s.cellsValid = cells, v, true
+	for _, c := range cells {
+		if c.Val.child != 0 {
+			listen = append(listen, c)
+		}
+	}
+	s.cells, s.listen, s.cellsVersion, s.cellsValid = cells, listen, v, true
 	return cells
 }

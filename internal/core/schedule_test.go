@@ -334,7 +334,9 @@ func TestNextActiveMatchesBruteForce(t *testing.T) {
 			ref := newRefSchedule(id, isAP, best, cfg, children)
 
 			horizon := 3 * cfg.SyncFrameLen * cfg.AppFrameLen
-			next := sim.ASN(-1) // first non-sleep slot >= asn, filled walking down
+			// next is the first non-sleep slot >= asn, listen the first that is
+			// neither sleep nor an own transmit cell, filled walking down.
+			next, listen := sim.ASN(-1), sim.ASN(-1)
 			for asn := horizon + cfg.SyncFrameLen; asn >= 0; asn-- {
 				want := ref.assignment(asn)
 				if asn < horizon {
@@ -346,10 +348,17 @@ func TestNextActiveMatchesBruteForce(t *testing.T) {
 				if want.Role != mac.RoleSleep {
 					next = asn
 				}
+				if want.Role != mac.RoleSleep && want.Role != mac.RoleTxData {
+					listen = asn
+				}
 				if asn < horizon {
-					if got := s.NextActive(asn); got != next {
-						t.Fatalf("trial %d round %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d) = %d, first non-sleep slot is %d",
+					if got := s.NextActive(asn, true); got != next {
+						t.Fatalf("trial %d round %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d, queued) = %d, first non-sleep slot is %d",
 							trial, round, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, asn, got, next)
+					}
+					if got := s.NextActive(asn, false); got != listen {
+						t.Fatalf("trial %d round %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d, idle) = %d, first slot neither sleep nor own transmit is %d",
+							trial, round, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, asn, got, listen)
 					}
 				}
 			}
@@ -446,11 +455,14 @@ func TestSchedulerFollowsRouter(t *testing.T) {
 			// after asn that the reference does not answer with sleep.
 			span := 2 * max(cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen)
 			base := asn + rng.Int63n(1000)
-			next := sim.ASN(-1)
+			next, listen := sim.ASN(-1), sim.ASN(-1)
 			for slot := base + 2*span; slot >= base; slot-- {
 				want := ref(s, slot)
 				if want.Role != mac.RoleSleep {
 					next = slot
+				}
+				if want.Role != mac.RoleSleep && want.Role != mac.RoleTxData {
+					listen = slot
 				}
 				if slot >= base+span {
 					continue
@@ -459,9 +471,13 @@ func TestSchedulerFollowsRouter(t *testing.T) {
 					t.Fatalf("trial %d step %d (id %d, cfg %d/%d/%d A=%d): Assignment(%d) = %+v, reference %+v",
 						trial, step, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, slot, got, want)
 				}
-				if got := s.sched.NextActive(slot); got != next {
-					t.Fatalf("trial %d step %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d) = %d, reference %d",
+				if got := s.sched.NextActive(slot, true); got != next {
+					t.Fatalf("trial %d step %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d, queued) = %d, reference %d",
 						trial, step, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, slot, got, next)
+				}
+				if got := s.sched.NextActive(slot, false); got != listen {
+					t.Fatalf("trial %d step %d (id %d, cfg %d/%d/%d A=%d): NextActive(%d, idle) = %d, reference %d",
+						trial, step, id, cfg.SyncFrameLen, cfg.RoutingFrameLen, cfg.AppFrameLen, cfg.Attempts, slot, got, listen)
 				}
 			}
 		}

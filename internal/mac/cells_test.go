@@ -9,7 +9,10 @@ import (
 
 // TestCellsAgainstMap drives a Cells table and a map through the same random
 // puts and checks every lookup the slot loop makes against the map: At on
-// every offset, Next from every slot of two frames against a forward scan.
+// every offset, Next from every slot of two frames against a forward scan,
+// each with no hint, with the hint a forward walk leaves, and with a hint
+// anywhere in or out of the table; and DistExcept against a forward scan
+// that skips the excluded offsets.
 func TestCellsAgainstMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 200; round++ {
@@ -27,29 +30,49 @@ func TestCellsAgainstMap(t *testing.T) {
 		if len(cells) != len(ref) {
 			t.Fatalf("table holds %d cells, map %d", len(cells), len(ref))
 		}
+		walk := rng.Intn(len(cells) + 1)
+		hints := func() []*int {
+			anywhere := rng.Intn(len(cells)+4) - 2
+			return []*int{nil, &walk, &anywhere}
+		}
 		for off := int64(0); off < frameLen; off++ {
-			v, ok := cells.At(off)
-			if want, has := ref[off]; ok != has || v != want {
-				t.Fatalf("At(%d) = %d,%v; map has %d,%v", off, v, ok, want, has)
+			for _, hint := range hints() {
+				v, ok := cells.At(off, hint)
+				if want, has := ref[off]; ok != has || v != want {
+					t.Fatalf("At(%d) = %d,%v; map has %d,%v", off, v, ok, want, has)
+				}
 			}
 		}
+		skip := func(off int64) bool { return off%3 == 0 }
 		for after := sim.ASN(0); after < 2*frameLen; after++ {
-			got, ok := cells.Next(after, frameLen)
-			if ok != (len(ref) > 0) {
-				t.Fatalf("Next on %d cells: ok %v", len(ref), ok)
-			}
-			if !ok {
-				continue
-			}
-			want := after
-			for _, has := ref[want%frameLen]; !has; _, has = ref[want%frameLen] {
+			want, wantExcept, has := after, sim.ASN(-1), len(ref) > 0
+			for _, ok := ref[want%frameLen]; has && !ok; _, ok = ref[want%frameLen] {
 				want++
 			}
-			if got != want {
-				t.Fatalf("Next(%d) in a %d-slot frame = %d, scan finds %d", after, frameLen, got, want)
+			for a := after; a < after+frameLen; a++ {
+				if _, ok := ref[a%frameLen]; ok && !skip(a%frameLen) {
+					wantExcept = a
+					break
+				}
+			}
+			for _, hint := range hints() {
+				got, ok := cells.Next(after, frameLen, hint)
+				if ok != has {
+					t.Fatalf("Next on %d cells: ok %v", len(ref), ok)
+				}
+				if ok && got != want {
+					t.Fatalf("Next(%d) in a %d-slot frame = %d, scan finds %d", after, frameLen, got, want)
+				}
+			}
+			d, ok := cells.DistExcept(after%frameLen, frameLen, skip)
+			if ok != (wantExcept >= 0) || ok && after+d != wantExcept {
+				t.Fatalf("DistExcept from %d in a %d-slot frame = %d,%v, scan finds %d", after, frameLen, d, ok, wantExcept)
+			}
+			if !has {
+				continue
 			}
 			for off := range ref {
-				if NextOffset(after, frameLen, off) < got {
+				if NextOffset(after, frameLen, off) < want {
 					t.Fatalf("NextOffset(%d, %d, %d) precedes Next", after, frameLen, off)
 				}
 			}

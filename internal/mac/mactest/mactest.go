@@ -12,26 +12,35 @@ import (
 // Schedule is the part of mac.Protocol the nap decision rests on.
 type Schedule interface {
 	Assignment(asn sim.ASN) mac.Assignment
-	NextActive(after sim.ASN) sim.ASN
+	NextActive(after sim.ASN, queued bool) sim.ASN
 }
 
 // RequireNextActiveExact walks a stretch of slots backwards and requires
 // NextActive to name, from every slot, precisely the first slot whose
-// Assignment is not sleep. With the stack's timers parked its schedule is a
-// pure function of the slot, so conservative is not enough: a cell NextActive
-// invents costs a wake-up per frame for nothing.
+// Assignment is not sleep when data is queued, and the first whose
+// Assignment is neither sleep nor the node's own RoleTxData when none is.
+// With the stack's timers parked its schedule is a pure function of the
+// slot, so conservative is not enough: a cell NextActive invents costs a
+// wake-up per frame for nothing.
 func RequireNextActiveExact(t testing.TB, name string, p Schedule, from, span sim.ASN) {
 	t.Helper()
-	next := sim.ASN(-1)
+	next, listen := sim.ASN(-1), sim.ASN(-1)
 	for asn := from + span; asn >= from; asn-- {
-		if p.Assignment(asn).Role != mac.RoleSleep {
+		switch p.Assignment(asn).Role {
+		case mac.RoleSleep:
+		case mac.RoleTxData:
 			next = asn
+		default:
+			next, listen = asn, asn
 		}
-		if got := p.NextActive(asn); next >= 0 && got != next {
-			t.Fatalf("%s: NextActive(%d) = %d, first non-sleep slot is %d", name, asn, got, next)
+		if got := p.NextActive(asn, true); next >= 0 && got != next {
+			t.Fatalf("%s: NextActive(%d, queued) = %d, first non-sleep slot is %d", name, asn, got, next)
+		}
+		if got := p.NextActive(asn, false); listen >= 0 && got != listen {
+			t.Fatalf("%s: NextActive(%d, idle) = %d, first slot neither sleep nor own transmit is %d", name, asn, got, listen)
 		}
 	}
-	if next < 0 {
-		t.Fatalf("%s: no active slot in %d slots", name, span)
+	if listen < 0 {
+		t.Fatalf("%s: no active slot but own transmit cells in %d slots", name, span)
 	}
 }

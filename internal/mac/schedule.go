@@ -53,15 +53,22 @@ type Protocol interface {
 
 	// NextActive returns the earliest slot at or after `after` in which
 	// Assignment must be called: one holding a cell of the node's schedule
-	// — active whether or not there is anything to send in it, so side
-	// effects of looking a cell up happen on the slots they always did —
-	// or the deadline of one of the protocol's timers. The engine skips
-	// the Assignment calls before it, so for every slot in between
-	// Assignment must return RoleSleep and leave the protocol's state
-	// untouched. Returning a slot early is harmless (the node wakes, plans
-	// sleep, naps again), returning one late makes the node sleep through
-	// its own cells; a protocol that cannot tell returns `after`.
-	NextActive(after sim.ASN) sim.ASN
+	// — a listen or shared cell whether or not anything is heard or sent in
+	// it, so side effects of looking a cell up happen on the slots they
+	// always did — or the deadline of one of the protocol's timers. queued
+	// reports whether the MAC holds data to send. When it is false the
+	// node's own RoleTxData cells are left out: the MAC plans sleep in them
+	// without asking the protocol anything, and data only enters an empty
+	// queue through a frame the node receives while awake or through a
+	// caller that wakes the node first (Network.Wake), after which the MAC
+	// asks again. The engine skips the Assignment calls before the answer,
+	// so for every slot in between Assignment must return RoleSleep — or,
+	// when queued is false, the node's own RoleTxData — and leave the
+	// protocol's state untouched. Returning a slot early is harmless (the
+	// node wakes, plans sleep, naps again), returning one late makes the
+	// node sleep through its own cells; a protocol that cannot tell returns
+	// `after`.
+	NextActive(after sim.ASN, queued bool) sim.ASN
 
 	// OnSynced tells the protocol the node has joined the TSCH network
 	// (heard its first EB) and may begin routing.

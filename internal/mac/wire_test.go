@@ -120,6 +120,7 @@ func TestEveryTransmittedFrameIsCodable(t *testing.T) {
 
 	nw.Run(sim.SlotsFor(5 * time.Second)) // join + EBs
 	for seq := uint16(0); seq < 3; seq++ {
+		nw.Wake(5)
 		_ = nodes[5].InjectData(&sim.Frame{Origin: 5, FlowID: 1, Seq: seq, BornASN: nw.ASN()})
 		nw.Run(sim.SlotsFor(2 * time.Second))
 	}

@@ -95,6 +95,7 @@ func TestOrchestraConvergesAndDelivers(t *testing.T) {
 	sent := 0
 	for round := 0; round < 10; round++ {
 		for fi, src := range topo.SuggestedSources {
+			nw.Wake(src)
 			if err := net.Nodes[src].InjectData(&sim.Frame{
 				Origin: src, FlowID: uint16(fi + 1), Seq: uint16(round), BornASN: nw.ASN(),
 			}); err != nil {
@@ -147,6 +148,7 @@ func TestOrchestraFlowDisconnectsOnParentFailure(t *testing.T) {
 	// Two packets in quick succession right after the failure: with a
 	// 12+ second detection window they cannot be delivered in time.
 	for i := 0; i < 2; i++ {
+		nw.Wake(src)
 		_ = net.Nodes[src].InjectData(&sim.Frame{
 			Origin: src, FlowID: 1, Seq: uint16(i), BornASN: nw.ASN(),
 		})
@@ -160,6 +162,7 @@ func TestOrchestraFlowDisconnectsOnParentFailure(t *testing.T) {
 	nw.Run(sim.SlotsFor(90 * time.Second))
 	resumed := delivered
 	for i := 2; i < 6; i++ {
+		nw.Wake(src)
 		_ = net.Nodes[src].InjectData(&sim.Frame{
 			Origin: src, FlowID: 1, Seq: uint16(i), BornASN: nw.ASN(),
 		})

@@ -143,7 +143,7 @@ func refAssignment(n *Node, tx []int64, asn sim.ASN) mac.Assignment {
 			if n.router.Parent() != 0 && slices.Contains(tx, off) {
 				return mac.RoleTxData, 1
 			}
-			if _, ok := n.childCells.At(off); ok {
+			if _, ok := n.childCells.At(off, nil); ok {
 				return mac.RoleRxData, 0
 			}
 			return sleep()
@@ -153,22 +153,23 @@ func refAssignment(n *Node, tx []int64, asn sim.ASN) mac.Assignment {
 	case mac.RoleTxData:
 		a.ChannelOffset = unicastLane(n.id)
 	case mac.RoleRxData:
-		c, _ := n.childCells.At(asn % n.cfg.UnicastFrameLen)
+		c, _ := n.childCells.At(asn%n.cfg.UnicastFrameLen, nil)
 		a.ChannelOffset = unicastLane(c)
 	}
 	return a
 }
 
 // refNextActive finds by brute force the first slot at or after `after`
-// where the reference schedule is not sleep or a timer is due: the
-// maintenance tick, and the Trickle timer's next event once synchronised.
-func refNextActive(n *Node, tx []int64, after sim.ASN) sim.ASN {
+// where the reference schedule is not sleep — nor, with nothing queued, an
+// own transmit cell — or a timer is due: the maintenance tick, and the
+// Trickle timer's next event once synchronised.
+func refNextActive(n *Node, tx []int64, after sim.ASN, queued bool) sim.ASN {
 	due := max(n.nextMaintain, after)
 	if n.synced {
 		due = min(due, max(n.tr.NextEvent(after), after))
 	}
 	for asn := after; asn < due; asn++ {
-		if refAssignment(n, tx, asn).Role != mac.RoleSleep {
+		if role := refAssignment(n, tx, asn).Role; role != mac.RoleSleep && (queued || role != mac.RoleTxData) {
 			return asn
 		}
 	}
@@ -252,14 +253,16 @@ func requireNodeMatchesReference(t *testing.T) {
 			// cells, then Assignment; NextActive is asked first at each slot.
 			from := asn + rng.Int63n(50)
 			for slot := from; slot < from+2*cfg.SharedFrameLen; slot++ {
-				if got, want := n.NextActive(slot), refNextActive(n, tx, slot); got != want {
-					t.Fatalf("trial %d step %d (id %d, frames %d/%d/%d, cells %v): NextActive(%d) = %d, reference %d",
-						trial, step, id, cfg.EBFrameLen, cfg.SharedFrameLen, cfg.UnicastFrameLen, tx, slot, got, want)
+				for _, queued := range []bool{true, false} {
+					if got, want := n.NextActive(slot, queued), refNextActive(n, tx, slot, queued); got != want {
+						t.Fatalf("trial %d step %d (id %d, frames %d/%d/%d, cells %v): NextActive(%d, queued %v) = %d, reference %d",
+							trial, step, id, cfg.EBFrameLen, cfg.SharedFrameLen, cfg.UnicastFrameLen, tx, slot, queued, got, want)
+					}
 				}
 				if n.Maintain(slot) {
 					for _, c := range n.ResetChildCells() {
 						for _, off := range cellsOf(c) {
-							if _, taken := n.childCells.At(off); taken {
+							if _, taken := n.childCells.At(off, nil); taken {
 								collided++
 							}
 							n.Listen(off, c)

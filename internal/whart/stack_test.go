@@ -1,10 +1,12 @@
 package whart
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/mac/mactest"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
@@ -39,6 +41,7 @@ func TestStaticStackDeliversInCleanNetwork(t *testing.T) {
 		for _, f := range fl {
 			seq := uint16(p)
 			col.Sent(f.ID, seq, nw.ASN())
+			nw.Wake(f.Source)
 			_ = net.Nodes[f.Source].InjectData(&sim.Frame{
 				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: nw.ASN(),
 			})
@@ -89,6 +92,7 @@ func TestStaticStackDoesNotAdaptToFailure(t *testing.T) {
 		for _, f := range fl {
 			seq := uint16(100 + p)
 			col.Sent(f.ID, seq, nw.ASN())
+			nw.Wake(f.Source)
 			_ = net.Nodes[f.Source].InjectData(&sim.Frame{
 				Origin: f.Source, FlowID: f.ID, Seq: seq, BornASN: nw.ASN(),
 			})
@@ -163,20 +167,13 @@ func TestStackCellsMatchSuperframe(t *testing.T) {
 // TestNextActiveExact: the static stack has cells and no timers, so its
 // NextActive is not merely conservative but exact — for every node and
 // every starting slot of two hyperperiod-spanning stretches it names
-// precisely the first slot whose Assignment is not sleep.
+// precisely the first slot whose Assignment is not sleep, and with nothing
+// queued the first that is neither sleep nor an own transmit cell.
 func TestNextActiveExact(t *testing.T) {
 	_, net, _ := buildWhartNet(t, 3)
 	for _, s := range net.Stacks[1:] {
 		for _, from := range []sim.ASN{0, 7 * stackSyncFrameLen * 500} {
-			next := sim.ASN(-1) // brute force, walking backwards
-			for asn := from + 2*stackSyncFrameLen; asn >= from; asn-- {
-				if s.Assignment(asn).Role != mac.RoleSleep {
-					next = asn
-				}
-				if got := s.NextActive(asn); next >= 0 && got != next {
-					t.Fatalf("node %d: NextActive(%d) = %d, first non-sleep slot is %d", s.id, asn, got, next)
-				}
-			}
+			mactest.RequireNextActiveExact(t, fmt.Sprintf("node %d", s.id), s, from, 2*stackSyncFrameLen)
 		}
 	}
 }
