@@ -231,7 +231,11 @@ func (r *Router) Maintain(asn sim.ASN) bool {
 // neighbour: link ETX plus the neighbour's advertised weighted ETX
 // (Table I: ETXa(n, i) = ETX(n, i) + ETXw(i)).
 func (r *Router) accETX(n topology.NodeID, e neighborEntry) float64 {
-	l := r.est.ETX(n)
+	return accumulated(r.est.ETX(n), e)
+}
+
+// accumulated is accETX given the link's ETX.
+func accumulated(l float64, e neighborEntry) float64 {
 	if l >= phy.ETXUnreachable {
 		return math.Inf(1)
 	}
@@ -250,8 +254,11 @@ func (r *Router) accETX(n topology.NodeID, e neighborEntry) float64 {
 func (r *Router) reselect(asn sim.ASN) bool {
 	oldBest, oldSecond := r.best, r.second
 
+	// Both walks go through the neighbour table in ascending ID, so each
+	// reads the ETX estimator alongside with a cursor.
 	best := topology.NodeID(0)
 	bestETXa := math.Inf(1)
+	est := r.est.Cursor()
 	for _, n := range r.neighbors.Entries() {
 		id, e := n.ID, n.Val
 		if e.rank >= RankInfinity {
@@ -266,7 +273,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		// Equal costs go to the lower node ID. The table walks in ascending
 		// ID, so the first of them is kept; the rule is spelled out so that
 		// the choice is a property of the table's contents, not of the walk.
-		if a := r.accETX(id, e); a < bestETXa || (a == bestETXa && best != 0 && id < best) {
+		if a := accumulated(est.ETX(id), e); a < bestETXa || (a == bestETXa && best != 0 && id < best) {
 			best, bestETXa = id, a
 		}
 	}
@@ -298,6 +305,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	}
 	second := topology.NodeID(0)
 	secondETXa := math.Inf(1)
+	est = r.est.Cursor()
 	for _, n := range r.neighbors.Entries() {
 		id, e := n.ID, n.Val
 		if id == best || e.rank >= RankInfinity {
@@ -306,7 +314,7 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		if uint16(e.rank) >= rank {
 			continue // loop avoidance: parents must be strictly closer
 		}
-		if a := r.accETX(id, e); a < secondETXa || (a == secondETXa && second != 0 && id < second) {
+		if a := accumulated(est.ETX(id), e); a < secondETXa || (a == secondETXa && second != 0 && id < second) {
 			second, secondETXa = id, a
 		}
 	}

@@ -45,8 +45,16 @@ func Uniform(h uint64) float64 {
 
 // Norm maps a hash to one standard normal deviate via Box-Muller over two
 // words derived from it. Deterministic in h alone.
-func Norm(h uint64) float64 {
-	u1 := Uniform(mix64(h + gamma))
+func Norm(h uint64) float64 { return NormAt(h, NormU1(h)) }
+
+// NormU1 is the first of Norm's two uniforms, the one its radius
+// sqrt(-2 ln u1) depends on: |Norm(h)| never exceeds that radius, so a
+// caller that only needs to know whether Norm(h) can reach some t > 0 has
+// its answer, without a logarithm, whenever u1 > exp(-t²/2).
+func NormU1(h uint64) float64 { return Uniform(mix64(h + gamma)) }
+
+// NormAt is Norm(h) given u1 = NormU1(h), bit for bit.
+func NormAt(h uint64, u1 float64) float64 {
 	u2 := Uniform(mix64(h + gamma + gamma))
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }

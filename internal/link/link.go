@@ -207,6 +207,28 @@ func (e *Estimator) ETX(n topology.NodeID) float64 {
 	return phy.ETXUnreachable
 }
 
+// Cursor answers ETX for neighbours asked in ascending ID by walking the
+// estimator's table alongside, one merge step per ask instead of a binary
+// search. It is valid until the estimator next changes.
+type Cursor struct {
+	links []Entry[linkState]
+	i     int
+}
+
+// Cursor returns a cursor at the estimator's lowest ID.
+func (e *Estimator) Cursor() Cursor { return Cursor{links: e.links.Entries()} }
+
+// ETX is Estimator.ETX for an ID no lower than the one asked before.
+func (c *Cursor) ETX(n topology.NodeID) float64 {
+	for c.i < len(c.links) && c.links[c.i].ID < n {
+		c.i++
+	}
+	if c.i < len(c.links) && c.links[c.i].ID == n {
+		return c.links[c.i].Val.etx
+	}
+	return phy.ETXUnreachable
+}
+
 // Known reports whether the neighbour has been heard from.
 func (e *Estimator) Known(n topology.NodeID) bool {
 	_, ok := e.links.Get(n)
