@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/digs-net/digs/internal/phy"
+	"github.com/digs-net/digs/internal/topology"
 )
 
 func TestInitialETXPaperMapping(t *testing.T) {
@@ -182,5 +183,24 @@ func TestEstimatorNeighbors(t *testing.T) {
 	}
 	if !seen[5] || !seen[7] {
 		t.Fatalf("Neighbors() = %v, want {5, 7}", got)
+	}
+}
+
+// TestCursorMatchesETX: a cursor asked in ascending ID — known neighbours,
+// the gaps between them, IDs past the last, some skipped — answers what
+// ETX answers.
+func TestCursorMatchesETX(t *testing.T) {
+	e := NewEstimator()
+	for _, n := range []topology.NodeID{3, 4, 9, 15, 16, 40} {
+		e.Observe(n, -60-float64(n))
+	}
+	e.TxResult(9, false)
+	for skip := topology.NodeID(1); skip <= 4; skip++ {
+		c := e.Cursor()
+		for n := topology.NodeID(1); n <= 45; n += skip {
+			if got, want := c.ETX(n), e.ETX(n); got != want {
+				t.Fatalf("stride %d: cursor ETX(%d) = %v, estimator %v", skip, n, got, want)
+			}
+		}
 	}
 }

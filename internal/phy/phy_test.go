@@ -1,8 +1,10 @@
 package phy
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -270,4 +272,53 @@ func TestEnergyUnknownActivityIsZero(t *testing.T) {
 	if RadioOnTime(SlotActivity(99)) != 0 {
 		t.Fatal("unknown activity should have zero on-time")
 	}
+}
+
+// FuzzCaptures: Captures answers exactly what SIRdB says against the
+// capture threshold, whether its bounds decide or it computes. The seeds sit
+// 1e-12 dB either side of the threshold — inside the bounds' margin, so the
+// computed path must decide — with 0 to 20 interferers, and either side of
+// the upper bound's cut-off; the fuzzer adds any float bits, NaN and the
+// infinities included, as the signal and as up to 20 interferers.
+func FuzzCaptures(f *testing.F) {
+	interferers := func(raw []byte) []float64 {
+		var out []float64
+		for len(raw) >= 8 && len(out) < 20 {
+			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+			raw = raw[8:]
+		}
+		return out
+	}
+	encode := func(in []float64) []byte {
+		var raw []byte
+		for _, i := range in {
+			raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(i))
+		}
+		return raw
+	}
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{0, 1, 2, 5, 20} {
+		in := make([]float64, n)
+		for k := range in {
+			in[k] = -100 + 30*rng.Float64()
+		}
+		at := CaptureThresholdDB - SIRdB(0, in) // the signal whose SIR is the threshold
+		for _, d := range []float64{-1e-12, 0, 1e-12} {
+			f.Add(at+d, encode(in))
+		}
+		if n > 0 {
+			strongest := slices.Max(in)
+			for _, d := range []float64{-2e-9, -1e-9, 0, 1e-9} {
+				f.Add(strongest+CaptureThresholdDB+d, encode(in))
+			}
+		}
+	}
+	f.Add(math.NaN(), encode([]float64{-90}))
+	f.Add(-80.0, encode([]float64{math.Inf(1), math.NaN(), math.Inf(-1)}))
+	f.Fuzz(func(t *testing.T, signal float64, raw []byte) {
+		in := interferers(raw)
+		if got, want := Captures(signal, in), SIRdB(signal, in) >= CaptureThresholdDB; got != want {
+			t.Fatalf("Captures(%v, %v) = %v, SIRdB %v against threshold %v", signal, in, got, SIRdB(signal, in), CaptureThresholdDB)
+		}
+	})
 }
