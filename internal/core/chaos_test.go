@@ -66,6 +66,7 @@ func TestNetworkSurvivesChurn(t *testing.T) {
 				continue
 			}
 			seq++
+			nw.Wake(src)
 			_ = net.Nodes[src].InjectData(&sim.Frame{
 				Origin: src, FlowID: 1, Seq: seq, BornASN: nw.ASN(),
 			})
@@ -96,6 +97,7 @@ func TestNetworkSurvivesChurn(t *testing.T) {
 		for _, src := range topo.SuggestedSources {
 			seq++
 			sent++
+			nw.Wake(src)
 			_ = net.Nodes[src].InjectData(&sim.Frame{
 				Origin: src, FlowID: 1, Seq: seq, BornASN: nw.ASN(),
 			})

@@ -41,6 +41,7 @@ func TestGatewayLearnsRoutesFromUplink(t *testing.T) {
 	// Every source sends one reading; the gateway must learn a route to
 	// each.
 	for i, src := range topo.SuggestedSources {
+		nw.Wake(src)
 		_ = net.Nodes[src].InjectData(&sim.Frame{
 			Origin: src, FlowID: uint16(i + 1), Seq: 0, BornASN: nw.ASN(),
 		})
@@ -75,6 +76,7 @@ func TestDownlinkCommandsReachActuators(t *testing.T) {
 
 	// Uplink first so routes exist.
 	for i, src := range topo.SuggestedSources {
+		nw.Wake(src)
 		_ = net.Nodes[src].InjectData(&sim.Frame{
 			Origin: src, FlowID: uint16(i + 1), Seq: 0, BornASN: nw.ASN(),
 		})

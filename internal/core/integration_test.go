@@ -85,6 +85,7 @@ func TestDiGSFormsGraphOnTestbedA(t *testing.T) {
 	sent := 0
 	for round := 0; round < 12; round++ {
 		for fi, src := range topo.SuggestedSources {
+			nw.Wake(src)
 			if err := net.Nodes[src].InjectData(&sim.Frame{
 				Origin: src, FlowID: uint16(fi + 1), Seq: uint16(round), BornASN: nw.ASN(),
 			}); err != nil {
@@ -150,6 +151,7 @@ func TestDiGSSurvivesBestParentFailure(t *testing.T) {
 	nw.Fail(victim)
 	sent := 10
 	for i := 0; i < sent; i++ {
+		nw.Wake(src)
 		if err := net.Nodes[src].InjectData(&sim.Frame{
 			Origin: src, FlowID: 1, Seq: uint16(i), BornASN: nw.ASN(),
 		}); err != nil {
