@@ -204,11 +204,12 @@ controller-smoke:
 ## result hash and the content-addressed store round-trip, demand a cache
 ## hit on resubmission, byte-compare the server's result and its SSE
 ## telemetry lines against a direct in-process run of the same spec on
-## both engines, live and replayed, and hold the telemetry backlog to O(1)
+## both engines, live and replayed, hold the telemetry backlog to O(1)
 ## per record past its cap with concurrent followers, and to no allocation
-## per record when nobody follows it.
+## per record when nobody follows it, and hold a stream to two flushes per
+## replay without ever keeping a line back while it waits.
 server-smoke:
-	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter|TestBroadcastPastCapIsConstant|TestBroadcastConcurrentFollowers|TestBroadcastRecordAllocatesNothing' ./internal/server
+	$(GO) test -race -count=1 -run 'TestSubmitStreamResult|TestDuplicateSubmissionServedFromCache|TestServerMatchesDirectRun|TestClient|TestRetryAfter|TestBroadcastPastCapIsConstant|TestBroadcastConcurrentFollowers|TestBroadcastRecordAllocatesNothing|TestStreamFlushBudget|TestStreamHoldsNoLineWhileWaiting' ./internal/server
 	$(GO) test -race -count=1 -run 'TestStreamMatchesDirectTrace' ./internal/gateway
 	$(GO) test -race -count=1 -run 'TestPacked|TestBatch|TestBacklog' ./internal/telemetry
 

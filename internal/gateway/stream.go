@@ -3,6 +3,7 @@ package gateway
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -80,8 +81,9 @@ func (g *Gateway) nextStreamReplica(j *gwJob, tried map[string]bool) *backend {
 }
 
 // followBackendStream attaches to one backend's SSE stream for the job
-// and forwards events past the cursor. It returns done=true when the
-// terminal event was delivered, clientGone=true when the client hung
+// and forwards events past the cursor, flushing them to the client before
+// each read from the backend (flushBeforeRead). It returns done=true when
+// the terminal event was delivered, clientGone=true when the client hung
 // up, and cached non-nil when the replica holds only the stored result
 // (no live job to stream — the caller should prefer another replica and
 // keep the bytes as a terminal fallback). All three zero means the
@@ -119,7 +121,7 @@ func (g *Gateway) followBackendStream(ctx context.Context, w http.ResponseWriter
 	}
 
 	pos := 0 // this backend stream's logical position
-	er := server.NewEventReader(resp.Body)
+	er := server.NewEventReader(flushBeforeRead{resp.Body, fl})
 	for {
 		// A read error, a backend cut mid-line included, is the failure
 		// signal: the reader never hands over an unterminated fragment,
@@ -150,7 +152,6 @@ func (g *Gateway) followBackendStream(ctx context.Context, w http.ResponseWriter
 			if end > *cursor {
 				if miss := end - max(*cursor, pos); miss > 0 {
 					server.WriteEvent(w, "dropped", strconv.Itoa(miss))
-					fl.Flush()
 				}
 				*cursor = end
 			}
@@ -160,7 +161,6 @@ func (g *Gateway) followBackendStream(ctx context.Context, w http.ResponseWriter
 				if server.WriteEvent(w, "message", data) != nil {
 					return false, true, nil
 				}
-				fl.Flush()
 				*cursor = pos + 1
 			}
 			pos++
@@ -170,6 +170,21 @@ func (g *Gateway) followBackendStream(ctx context.Context, w http.ResponseWriter
 	// loss of the backend.
 	b.br.failure()
 	return false, ctx.Err() != nil, nil
+}
+
+// flushBeforeRead is the relay's backend body: it flushes what the relay
+// wrote to its client before every read from the backend, the one place
+// the relay can block. Lines are written as they come and reach the
+// client once the relay has caught up with its backend — never held while
+// it waits, and never one flush per line.
+type flushBeforeRead struct {
+	body io.Reader
+	fl   http.Flusher
+}
+
+func (r flushBeforeRead) Read(p []byte) (int, error) {
+	r.fl.Flush()
+	return r.body.Read(p)
 }
 
 // finishFromCached closes out a stream when no replica holds a live job

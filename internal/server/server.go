@@ -820,7 +820,11 @@ func (s *Server) handleResultPut(w http.ResponseWriter, r *http.Request) {
 // out of the retention window — at attach or mid-stream on a slow
 // client — a "dropped" event reports how many lines the gap swallowed.
 // Each retained entry is decoded from its packed form and rendered to its
-// line as it is sent, into one buffer the subscriber reuses.
+// line as it is sent, into one buffer the subscriber reuses. Events are
+// written as they come and flushed only when the subscriber has caught up,
+// just before it waits for more, and at done: a subscriber never holds a
+// line while it waits, and a long backlog goes out in full buffers rather
+// than one flush per batch.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	j := s.job(r.PathValue("id"))
 	if j == nil {
@@ -847,9 +851,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		if skipped > 0 || bt.Len() > 0 {
-			fl.Flush()
-		}
 		from = bt.End()
 		if closed {
 			view, _ := json.Marshal(j.View(true))
@@ -857,6 +858,10 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			fl.Flush()
 			return
 		}
+		if skipped > 0 || bt.Len() > 0 {
+			continue // more may have come while these were written
+		}
+		fl.Flush()
 		select {
 		case <-wait:
 		case <-r.Context().Done():

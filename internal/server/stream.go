@@ -136,7 +136,8 @@ func OpenStream(w http.ResponseWriter, jobID string) (http.Flusher, bool) {
 // WriteEvent writes one event: a "message" (a telemetry line) is a bare
 // data line, every other kind is named on an event line before its data.
 // Neither event nor data may hold a line break. Data is a string or the
-// bytes of a rendered telemetry line, written without a copy.
+// bytes of a rendered telemetry line; bytes are formatted as they are,
+// never converted to a string first.
 func WriteEvent[T string | []byte](w io.Writer, event string, data T) error {
 	var err error
 	if event == "message" {

@@ -5,12 +5,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
+	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/telemetry"
 )
 
@@ -28,11 +34,26 @@ func readAll(r io.Reader) ([]string, error) {
 	}
 }
 
-// TestEventReader pins the three rules of the one SSE reader: an
-// unterminated final line is never returned, CRLF line endings read like
-// LF, and a blank line ends an event, so the next bare data line is a
-// message again.
+// chunkings are the read boundaries every stream is read under: whatever
+// each read asks for, one byte per read, and half of what each read asks
+// for. A relay that flushes before every read of its backend reads across
+// partial reads all the time.
+var chunkings = []struct {
+	name string
+	wrap func(io.Reader) io.Reader
+}{
+	{"whole", func(r io.Reader) io.Reader { return r }},
+	{"one-byte", iotest.OneByteReader},
+	{"half", iotest.HalfReader},
+}
+
+// TestEventReader pins the three rules of the one SSE reader, under every
+// chunking: an unterminated final line is never returned, CRLF line
+// endings read like LF, and a blank line ends an event, so the next bare
+// data line is a message again. A line longer than the reader's buffer
+// reads whole.
 func TestEventReader(t *testing.T) {
+	long := strings.Repeat("x", 70<<10) // past the reader's 64 KiB buffer
 	for _, tc := range []struct {
 		name, in string
 		want     []string
@@ -43,14 +64,18 @@ func TestEventReader(t *testing.T) {
 		{"blank-line-resets", "event: failover\ndata: b0\n\ndata: l1\n\n", []string{"failover=b0", "message=l1"}},
 		{"event-without-blank-line", "event: dropped\ndata: 2\ndata: 3\n\n", []string{"dropped=2", "dropped=3"}},
 		{"comments-and-unknown-fields", ": keep-alive\nid: 7\ndata: l0\n\n", []string{"message=l0"}},
+		{"longer-than-buffer", "data: " + long + "\n\ndata: l1\n\n", []string{"message=" + long, "message=l1"}},
+		{"unterminated-longer-than-buffer", "data: l0\n\ndata: " + long, []string{"message=l0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := readAll(strings.NewReader(tc.in))
-			if !errors.Is(err, io.EOF) {
-				t.Fatalf("ended with %v, want io.EOF", err)
-			}
-			if strings.Join(got, "|") != strings.Join(tc.want, "|") {
-				t.Fatalf("read %q, want %q", got, tc.want)
+			for _, c := range chunkings {
+				got, err := readAll(c.wrap(strings.NewReader(tc.in)))
+				if !errors.Is(err, io.EOF) {
+					t.Fatalf("%s: ended with %v, want io.EOF", c.name, err)
+				}
+				if !slices.Equal(got, tc.want) {
+					t.Fatalf("%s: read %.200q, want %.200q", c.name, got, tc.want)
+				}
 			}
 		})
 	}
@@ -58,17 +83,28 @@ func TestEventReader(t *testing.T) {
 
 // FuzzEventReader feeds the reader arbitrary bytes, as a backend in
 // another process may send, and checks that it never panics, never
-// returns an event or data holding a newline, and reads every event
-// WriteEvent can write back as written, whatever came before it.
+// returns an event or data holding a newline, reads nothing from the
+// bytes after the last newline, returns the same events whatever the
+// chunking, and reads every event WriteEvent can write back as written,
+// whatever came before it.
 func FuzzEventReader(f *testing.F) {
 	f.Add([]byte("data: l0\n\nevent: dropped\ndata: 3\n\n"), "done", `{"job_id":"g-000001"}`)
 	f.Add([]byte("event: failover\r\ndata: b0\r\n"), "message", "l1")
 	f.Add([]byte("data: cut mid-li"), "dropped", "-1")
 	f.Fuzz(func(t *testing.T, prefix []byte, event, data string) {
-		got, _ := readAll(bytes.NewReader(prefix))
+		got, err := readAll(bytes.NewReader(prefix))
 		for _, ev := range got {
 			if strings.Contains(ev, "\n") {
 				t.Fatalf("returned %q, which holds a newline", ev)
+			}
+		}
+		terminated := prefix[:bytes.LastIndexByte(prefix, '\n')+1]
+		if upTo, _ := readAll(bytes.NewReader(terminated)); !slices.Equal(upTo, got) {
+			t.Fatalf("read %q, but %q up to the last newline", got, upTo)
+		}
+		for _, c := range chunkings[1:] {
+			if again, errAgain := readAll(c.wrap(bytes.NewReader(prefix))); !slices.Equal(again, got) || errAgain != err {
+				t.Fatalf("%s: read %q (%v), whole reads %q (%v)", c.name, again, errAgain, got, err)
 			}
 		}
 		if strings.ContainsAny(event+data, "\r\n") {
@@ -79,10 +115,12 @@ func FuzzEventReader(f *testing.F) {
 			t.Fatal(err)
 		}
 		// A complete prefix stream, then the written event.
-		stream := append(append([]byte(nil), prefix...), "\n\n"...)
-		got, _ = readAll(io.MultiReader(bytes.NewReader(stream), &buf))
-		if len(got) == 0 || got[len(got)-1] != event+"="+data {
-			t.Fatalf("WriteEvent(%q, %q) read back as %q", event, data, got)
+		stream := append(append(append([]byte(nil), prefix...), "\n\n"...), buf.Bytes()...)
+		for _, c := range chunkings {
+			got, _ := readAll(c.wrap(bytes.NewReader(stream)))
+			if len(got) == 0 || got[len(got)-1] != event+"="+data {
+				t.Fatalf("%s: WriteEvent(%q, %q) read back as %q", c.name, event, data, got)
+			}
 		}
 	})
 }
@@ -310,5 +348,89 @@ func TestBroadcastConcurrentFollowers(t *testing.T) {
 	wg.Wait()
 	if b.Dropped() != total-capLines {
 		t.Fatalf("dropped %d, want %d", b.Dropped(), total-capLines)
+	}
+}
+
+// flushCounter is a ResponseWriter that counts its Flush calls.
+type flushCounter struct {
+	http.ResponseWriter
+	n *atomic.Int64
+}
+
+func (f flushCounter) Flush() {
+	f.n.Add(1)
+	f.ResponseWriter.(http.Flusher).Flush()
+}
+
+// TestStreamFlushBudget: a subscriber flushes only when it has caught up,
+// so replaying a finished job's ~1 000-line stream costs two flushes, the
+// stream's open and its done, however many lines lie between them.
+func TestStreamFlushBudget(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	var flushes atomic.Int64
+	sh := s.Handler()
+	fts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sh.ServeHTTP(flushCounter{w, &flushes}, r)
+	}))
+	t.Cleanup(fts.Close)
+	spec := smallSpec(5)
+	spec.Window = scenario.Duration(20 * time.Second)
+	resp := mustSubmit(t, ts, spec, "")
+	waitDone(t, s, resp.JobID)
+	st, err := Client{Base: fts.URL}.Follow(resp.JobID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Lines) < 900 || st.Done.Status != StatusDone {
+		t.Fatalf("replay carried %d lines and ended %s; the budget needs a long stream", len(st.Lines), st.Done.Status)
+	}
+	if n := flushes.Load(); n > 2 {
+		t.Fatalf("replaying %d lines took %d flushes, want at most 2 (the open and done)", len(st.Lines), n)
+	}
+}
+
+// TestStreamHoldsNoLineWhileWaiting: a subscriber that has caught up with
+// a live job holds back nothing while it waits for more — the first lines
+// reach the client over HTTP before the job's stream closes.
+func TestStreamHoldsNoLineWhileWaiting(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	j := newJob("j-live", "", "", smallSpec(1))
+	s.mu.Lock()
+	s.jobs[j.ID] = j
+	s.mu.Unlock()
+	t.Cleanup(j.Stream.Close) // unblocks the handler should the test fail first
+
+	const k = 5
+	gotK := make(chan struct{})
+	type followed struct {
+		st  *Stream
+		err error
+	}
+	done := make(chan followed, 1)
+	go func() {
+		st, err := Client{Base: ts.URL}.Follow(j.ID, func(n int) {
+			if n == k {
+				close(gotK)
+			}
+		})
+		done <- followed{st, err}
+	}()
+	for i := range k {
+		j.Stream.Record(evAt(i))
+	}
+	select {
+	case <-gotK:
+	case f := <-done:
+		t.Fatalf("stream ended before %d lines: %v", k, f.err)
+	case <-time.After(30 * time.Second):
+		t.Fatalf("the first %d lines did not reach the client while the stream waited for more", k)
+	}
+	j.Stream.Close()
+	f := <-done
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	if len(f.st.Lines) != k || f.st.Lines[k-1] != evLine(k-1) {
+		t.Fatalf("stream carried %q, want evAt(0..%d)", f.st.Lines, k-1)
 	}
 }
