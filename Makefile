@@ -188,14 +188,17 @@ scale-smoke:
 
 ## controller-smoke: the pluggable controller layer end to end —
 ## race-enabled controller and registry tests, the adaptive and sdn sparse
-## pins (TestControllerScaleShardBitIdentity), then a mini four-way
-## chaos run (digs / orchestra / whart / sdn on the fig8 plan) that
-## fails unless every fault reconverges — including the centralized sdn
-## stack, whose recovery must come from the controller's in-band
-## recollect + redistribute cycle, not local repair.
+## pins (TestControllerScaleShardBitIdentity), the digs-chaos and digs-snap
+## tests (a chaos job is a RunSpec run; a resumed plan prints the rows of
+## the warm chaos job), then a mini four-way chaos run (digs / orchestra /
+## whart / sdn on the fig8 plan) that fails if a fault never reconverges
+## inside its window — including the centralized sdn stack, whose recovery
+## must come from the controller's in-band recollect + redistribute cycle,
+## not local repair.
 controller-smoke:
 	$(GO) test -race ./internal/controller/
 	$(GO) test -race -run 'TestStackRegistry|TestSpecHashGolden|TestControllerScaleShardBitIdentity' ./internal/scenario/
+	$(GO) test -race ./cmd/digs-chaos ./cmd/digs-snap
 	$(GO) run ./cmd/digs-chaos -plan fig8 -topology testbed-a -duration 30s -require-recovery >/dev/null
 	@echo controller-smoke: OK
 

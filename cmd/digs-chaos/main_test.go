@@ -2,13 +2,16 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"github.com/digs-net/digs/internal/experiments"
+	"github.com/digs-net/digs/internal/scenario"
 )
 
 // TestRunPlanColdWarmFigureCache: the -json report is the same bytes
@@ -82,5 +85,71 @@ func TestRunPlanOnGeneratedPlant(t *testing.T) {
 	}
 	if len(res.Faults) != 1 || res.Faults[0].Kind != "node-crash" || res.Faults[0].Node != 150 {
 		t.Fatalf("want the one node-crash on node 150 reported, got %+v", res.Faults)
+	}
+}
+
+// writePlan writes a plan of one node crash, 5 s into the window for 10 s,
+// and returns its path.
+func writePlan(t *testing.T, node int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "crash.json")
+	plan := fmt.Sprintf(`{"name":"one-crash","seed":1,"entries":[`+
+		`{"kind":"node-crash","targets":[%d],"start":"5s","duration":"10s"}]}`, node)
+	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestPlanOnDeploymentWithoutSourcesDrivesTraffic: random-150 suggests no
+// flow sources, so a plan run there drives the random flows a spec naming
+// it gets — not the empty suggested set, which generated nothing and
+// reported every fault with 0/0 packets.
+func TestPlanOnDeploymentWithoutSourcesDrivesTraffic(t *testing.T) {
+	outs, err := runCampaign(options{
+		plan: writePlan(t, 40), topology: "random-150", protocols: []string{"orchestra"},
+		duration: 10 * time.Second, period: 5 * time.Second, seed: 1, reps: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := outs[0].result; res.Generated == 0 || len(res.Faults) != 1 || res.Faults[0].Generated == 0 {
+		t.Fatalf("no traffic under the plan: %+v", res)
+	}
+}
+
+// TestJobIsRunSpec: a job is the RunSpec run of the spec naming its plan,
+// so its formation time and invariant totals are that run's.
+func TestJobIsRunSpec(t *testing.T) {
+	opts := options{
+		plan: "fig8", topology: "half-testbed-a", protocols: []string{"digs", "sdn"},
+		duration: 30 * time.Second, period: 5 * time.Second, seed: 3, reps: 1, invariants: true,
+	}
+	outs, err := runCampaign(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, proto := range opts.protocols {
+		res, _, err := scenario.RunSpec(context.Background(), scenario.Spec{
+			Topology: opts.topology, Protocol: proto, Seed: opts.seed, PlanName: opts.plan,
+			Period: scenario.Duration(opts.period), Window: scenario.Duration(opts.duration),
+			Invariants: true,
+		}, scenario.RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := outs[i].result
+		if job.Invariants == nil {
+			t.Fatalf("%s: no invariant report", proto)
+		}
+		if job.FormedSlots != res.FormationSlots || job.Invariants.Total != res.Violations ||
+			job.Invariants.Repairs != res.Repairs {
+			t.Errorf("%s: job formed in %d slots with %d violations and %d repairs, RunSpec %d, %d, %d",
+				proto, job.FormedSlots, job.Invariants.Total, job.Invariants.Repairs,
+				res.FormationSlots, res.Violations, res.Repairs)
+		}
+		if job.Generated != res.Sent {
+			t.Errorf("%s: job generated %d packets, RunSpec sent %d", proto, job.Generated, res.Sent)
+		}
 	}
 }

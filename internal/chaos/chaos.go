@@ -272,6 +272,15 @@ func (p *Plan) Horizon() time.Duration {
 	return h
 }
 
+// EntryKind names the kind of the plan's entry i, "?" when the plan has no
+// such entry.
+func (p *Plan) EntryKind(i int) string {
+	if i >= len(p.Entries) {
+		return "?"
+	}
+	return string(p.Entries[i].Kind)
+}
+
 // seedFor returns the entry's effective randomness seed.
 func (p *Plan) seedFor(idx int) int64 {
 	if s := p.Entries[idx].Seed; s != 0 {

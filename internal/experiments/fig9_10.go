@@ -100,10 +100,10 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 	// Jammers on for the whole measurement campaign — the Figure 8
 	// scenario, expressed as a chaos plan: a WiFi jammer at each suggested
 	// position plus the crash of the mote running it (JamLab repurposes
-	// the mote, so it stops participating in the network). The nil emit
-	// chain keeps the fault engine silent here; digs-chaos runs the same
-	// plan with full recovery telemetry.
-	if _, err := chaos.Apply(nw, chaos.Fig8JammerPlan(topo, opts.Seed), nil, chaos.Hooks{}); err != nil {
+	// the mote, so it stops participating in the network). With no tracer
+	// the fault engine runs silently here; digs-chaos runs the same plan
+	// with full recovery telemetry.
+	if _, err := net.Observe(nil, false, chaos.Fig8JammerPlan(topo, opts.Seed)); err != nil {
 		return nil, err
 	}
 	// Let the stacks reach steady state under the new interference before

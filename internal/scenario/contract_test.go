@@ -113,9 +113,6 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 		"examples/actuation/main.go": {
 			"sim.NewNetwork": downlink, "core.Build": downlink, ".Wake": downlink, ".InjectData": downlink,
 		},
-		"internal/experiments/fig9_10.go": {
-			"chaos.Apply": "applies the Figure 8 plan silently (nil emit, no hooks): Observe would hang a tracer on every node for nothing",
-		},
 		"internal/stack/stack.go": {
 			".Wake": "Healer wakes the orphan it cold-restarts, outside any injection",
 		},

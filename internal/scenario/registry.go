@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
@@ -15,25 +14,6 @@ import (
 // builder receives the resolved Params (Topology non-nil, Period filled)
 // and the MAC configuration the scenario computed from them.
 type StackBuilder func(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error)
-
-var stackRegistry = map[string]StackBuilder{}
-
-// RegisterStack adds a protocol stack under its codec's -protocol name.
-// Every CLI and the scenario spec validate against this one registry, so
-// adding a stack is its own package plus a single registration here.
-// Registration happens from init functions; a name the stack package has
-// not registered its codec under, a duplicate or a nil builder are
-// programming errors.
-func RegisterStack(c stack.Codec, b StackBuilder) {
-	name := c.Protocol
-	if _, ok := stack.Lookup(name); !ok || b == nil {
-		panic(fmt.Sprintf("scenario: RegisterStack(%q) without a registered codec or with a nil builder", name))
-	}
-	if _, dup := stackRegistry[name]; dup {
-		panic(fmt.Sprintf("scenario: stack %q registered twice", name))
-	}
-	stackRegistry[name] = b
-}
 
 // StackRegistered reports whether a protocol name has a registered stack.
 func StackRegistered(name string) bool {

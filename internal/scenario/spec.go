@@ -216,6 +216,27 @@ func (s Spec) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
+// FaultPlan resolves the spec's fault plan on its deployment: the
+// built-in "fig8" plan, the inline plan, or nil for none.
+func (s Spec) FaultPlan(topo *topology.Topology) *chaos.Plan {
+	if s.PlanName == "fig8" {
+		return chaos.Fig8JammerPlan(topo, s.Seed)
+	}
+	return s.Plan
+}
+
+// WithPlan returns the spec with the fault plan a -plan argument names:
+// "fig8" is the built-in Figure 8 plan, anything else a plan file.
+func (s Spec) WithPlan(arg string) (Spec, error) {
+	if arg == "fig8" {
+		s.PlanName = arg
+		return s, nil
+	}
+	p, err := chaos.LoadFile(arg)
+	s.Plan = p
+	return s, err
+}
+
 // Params maps the spec onto the scenario build parameters.
 func (s Spec) Params() Params {
 	c := s.Canonical()

@@ -13,17 +13,18 @@ import (
 	"github.com/digs-net/digs/internal/whart"
 )
 
-// The five protocol stacks register here, one line each: the stack
-// package's own Codec (name, snapshot section, state decoder) paired with
-// the builder that picks its configuration. Build dispatches through the
-// registry, so the CLIs, the spec validator and the snapshot layer all
-// agree on the same protocol name set without per-binary switches.
-func init() {
-	RegisterStack(core.Codec, buildDiGS)
-	RegisterStack(orchestra.Codec, buildOrchestra)
-	RegisterStack(whart.Codec, buildWHART)
-	RegisterStack(controller.SDNCodec, buildSDN)
-	RegisterStack(controller.AdaptiveCodec, buildAdaptive)
+// stackRegistry holds the five protocol stacks, one line each: the stack
+// package's own Codec names the stack (the snapshot layer decodes its
+// state under the same name), the builder picks its configuration. Build
+// dispatches through it, so the CLIs, the spec validator and the snapshot
+// layer all agree on the same protocol name set without per-binary
+// switches; adding a stack is its own package plus one line here.
+var stackRegistry = map[string]StackBuilder{
+	core.Codec.Protocol:               buildDiGS,
+	orchestra.Codec.Protocol:          buildOrchestra,
+	whart.Codec.Protocol:              buildWHART,
+	controller.SDNCodec.Protocol:      buildSDN,
+	controller.AdaptiveCodec.Protocol: buildAdaptive,
 }
 
 func buildDiGS(nw *sim.Network, p Params, macCfg mac.Config) (stack.Bundle, error) {
