@@ -286,8 +286,8 @@ func TestRecoveryReport(t *testing.T) {
 	if rep.Drops[telemetry.ReasonMaxRetries] != 1 || len(rep.Drops) != 1 {
 		t.Fatalf("drops = %v", rep.Drops)
 	}
-	if r.Generated() != 4 || r.Lost() != 2 {
-		t.Fatalf("totals = %d/%d, want 4 generated, 2 lost", r.Generated(), r.Lost())
+	if r.Generated() != 4 || r.Undelivered() != 2 {
+		t.Fatalf("totals = %d/%d, want 4 generated, 2 undelivered", r.Generated(), r.Undelivered())
 	}
 }
 

@@ -165,7 +165,7 @@ func runChaos(sc *Scenario) ([]chaos.FaultReport, int, int, error) {
 	if err := obs.Close(); err != nil {
 		return nil, 0, 0, err
 	}
-	return rec.Report(), rec.Generated(), rec.Lost(), nil
+	return rec.Report(), rec.Generated(), rec.Undelivered(), nil
 }
 
 // TestWarmStartChaosRecovery proves the warm-start path end to end: a
