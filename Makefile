@@ -167,9 +167,10 @@ cache-smoke:
 ## the DiGS cell table against the router, the cached noise floor and the
 ## PRR saturation shortcut against the per-call formulas, the fading-draw
 ## cut-off and the capture bounds against the finished draw and SIRdB,
-## the cells' lookup hints and the ETX cursor, the loop's own
-## counts, the sparse metrics/trace/event-order pins, dense results pinned
-## before the dense medium could nap, the one-goroutine guard, the shared
+## the cells' lookup hints and the ETX cursor, the loop's own counts,
+## RunUntil's jump and Form against a slot-by-slot reference, the kept
+## join count against a walk, the sparse metrics/trace/event-order pins,
+## dense results pinned before the dense medium could nap, the one-goroutine guard, the shared
 ## shadowing memo, the ascending-ID neighbour table against a map and its
 ## zero-allocation pins, the DiGS and RPL parent choice, the sdn
 ## controller's graph, paths and configurations and the jammers' channel
@@ -179,7 +180,7 @@ cache-smoke:
 ## builds share the shadowing memo, and a race there must fail here, not
 ## as a benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|PRRSaturated|FadeReach|Captures|CellsAgainstMap|Cursor|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields' \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|PRRSaturated|FadeReach|Captures|CellsAgainstMap|Cursor|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields|RunUntilSemantics|FormMatchesSlotBySlot|JoinedCountKept' \
 		./internal/sim ./internal/core ./internal/mac ./internal/phy ./internal/rpl ./internal/orchestra \
 		./internal/whart ./internal/controller ./internal/topology ./internal/scenario \
 		./internal/link ./internal/interference

@@ -8,6 +8,7 @@ import (
 
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
+	"github.com/digs-net/digs/internal/snapshot"
 )
 
 // TestFlagPathMatchesRunSpec: the flag path composes the same phases
@@ -41,6 +42,44 @@ func TestFlagPathMatchesRunSpec(t *testing.T) {
 				t.Errorf("%s, %d jammers: flag path %+v, RunSpec %+v", proto, jammers, *sum, *res)
 			}
 		}
+	}
+}
+
+// TestSpecFlowsMatchFlagPath: a WirelessHART spec naming a flow count
+// builds the Network Manager's schedule for the flows it drives, as -flows
+// does, so both deliver every packet; and a warm-started run of that spec
+// gives the cold run's result.
+func TestSpecFlowsMatchFlagPath(t *testing.T) {
+	opts := options{
+		topology: "half-testbed-a", protocol: "whart", flows: 6,
+		duration: 60 * time.Second, period: 5 * time.Second,
+	}
+	sum, err := runScenario(opts, 1, io.Discard, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := scenario.Spec{
+		Topology: opts.topology, Protocol: opts.protocol, Seed: 1, Flows: opts.flows,
+		Period: scenario.Duration(opts.period), Window: scenario.Duration(opts.duration),
+	}
+	cache := &snapshot.Cache{Dir: t.TempDir()}
+	var results [2]*scenario.Result
+	for i := range results {
+		res, _, err := scenario.RunSpec(context.Background(), spec, scenario.RunOpts{Warm: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results[i] = res
+	}
+	cold, warm := results[0], results[1]
+	if sum.Sent != 72 || sum.Delivered != sum.Sent {
+		t.Fatalf("-flows 6 delivered %d of %d, want 72 of 72", sum.Delivered, sum.Sent)
+	}
+	if cold.Sent != sum.Sent || cold.Delivered != sum.Delivered || cold.PDR != sum.PDR {
+		t.Errorf("spec delivered %d of %d (PDR %v), -flows 6 %d of %d", cold.Delivered, cold.Sent, cold.PDR, sum.Delivered, sum.Sent)
+	}
+	if *warm != *cold {
+		t.Errorf("warm %+v, cold %+v", *warm, *cold)
 	}
 }
 

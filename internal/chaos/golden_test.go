@@ -57,7 +57,7 @@ func scriptedDeath(seed int64) (goldenOutcome, error) {
 	rec := chaos.NewRecovery()
 	inj, err := chaos.Apply(nw, plan, rec, chaos.Hooks{
 		Reboot: func(id topology.NodeID, asn sim.ASN, lose bool) {
-			net.Nodes[int(id)].Reboot(asn, lose)
+			net.Reboot(id, asn, lose)
 		},
 	})
 	if err != nil {

@@ -281,7 +281,8 @@ func requireAdaptiveMatchesReference(t *testing.T) {
 // frame's backoff is the one declared exception: its cell is reported while
 // the frame may not go out yet. The frames' priorities hold where cells
 // coincide, and over random states Assignment and NextActive answer like
-// the reference the stack was once combined from (refSDN).
+// the reference the stack was once combined from (refSDN), and NextActive
+// like the every-candidate loop it replaced.
 func TestNextActiveExactSDN(t *testing.T) {
 	cfg := DefaultSDNConfig()
 	relay, err := NewSDNStack(7, false, 1, 20, []topology.NodeID{1, 2}, cfg)
@@ -444,6 +445,23 @@ func refSDNNextActive(s *SDNStack, after sim.ASN, queued bool) sim.ASN {
 // queue heads inside and past their backoff, synchronisation, timers due
 // within the walk — and requires, at every slot walked, NextActive and
 // Assignment to answer like the reference.
+// sdnNextActiveEveryCandidate is NextActive as written before it tested the
+// own data offset first: the full cellAt for every candidate slot.
+func sdnNextActiveEveryCandidate(s *SDNStack, after sim.ASN, queued bool) sim.ASN {
+	var head *sdnCtrlEntry
+	if len(s.ctrlQ) > 0 {
+		head = &s.ctrlQ[0]
+	}
+	w := s.nextCell(after, queued)
+	for !queued && s.cellAt(w, head).Role == mac.RoleTxData {
+		w = s.nextCell(w+1, queued)
+	}
+	if s.controller() && s.synced {
+		w = min(w, max(s.nextRecompute, after))
+	}
+	return min(w, max(s.nextMaintain, after))
+}
+
 func requireSDNMatchesReference(t *testing.T) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(41))
@@ -522,6 +540,10 @@ func requireSDNMatchesReference(t *testing.T) {
 					if got, want := s.NextActive(slot, queued), refSDNNextActive(s, slot, queued); got != want {
 						t.Fatalf("trial %d step %d (id %d, controller %d, roster %d, frames %d/%d/%d): NextActive(%d, queued %v) = %d, reference %d",
 							trial, step, id, ctrlID, roster, cfg.EBFrameLen, cfg.CtrlFrameLen, cfg.DataFrameLen, slot, queued, got, want)
+					}
+					if got, want := s.NextActive(slot, queued), sdnNextActiveEveryCandidate(s, slot, queued); got != want {
+						t.Fatalf("trial %d step %d: NextActive(%d, queued %v) = %d, the every-candidate loop %d",
+							trial, step, slot, queued, got, want)
 					}
 				}
 				if len(s.ctrlQ) > 0 && slot < s.ctrlQ[0].notBefore &&

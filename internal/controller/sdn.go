@@ -351,8 +351,10 @@ type SDNStack struct {
 
 	ctrlQ []sdnCtrlEntry
 
-	// onParentChange reports data-plane route changes to telemetry.
+	// onParentChange reports data-plane route changes to telemetry;
+	// onJoinedChange is called when a parent is gained or lost.
 	onParentChange stack.RouteHook
+	onJoinedChange func()
 
 	// --- controller-only state (empty tables on every other node) ---
 	reports       link.Table[sdnReportEntry]
@@ -414,14 +416,17 @@ func (s *SDNStack) Joined() bool { return s.Configured() }
 // dead-parent drops are reported.
 func (s *SDNStack) SetRouteHook(fn stack.RouteHook) { s.onParentChange = fn }
 
+// SetJoinHook implements stack.Node.
+func (s *SDNStack) SetJoinHook(fn func()) { s.onJoinedChange = fn }
+
 // Probe implements stack.Node.
 func (s *SDNStack) Probe() (parent topology.NodeID, neighbors int) {
 	return s.parent, s.rss.Len()
 }
 
 // Reset implements mac.Resetter: full state loss, as after a reboot
-// without persistent storage. Configuration, identity and the telemetry
-// callback survive.
+// without persistent storage. Configuration, identity and the route and
+// join hooks survive.
 func (s *SDNStack) Reset() {
 	s.synced = false
 	s.hops = link.Table[sdnHopsEntry]{}
@@ -644,7 +649,10 @@ func (s *SDNStack) NextActive(after sim.ASN, queued bool) sim.ASN {
 		head = &s.ctrlQ[0]
 	}
 	w := s.nextCell(after, queued)
-	for !queued && s.cellAt(w, head).Role == mac.RoleTxData {
+	// Only the own data offset, while routed, can be RoleTxData: test that
+	// before the full cell lookup.
+	for !queued && s.parent != 0 && w%s.cfg.DataFrameLen == s.ownData &&
+		s.cellAt(w, head).Role == mac.RoleTxData {
 		w = s.nextCell(w+1, queued)
 	}
 	if s.controller() && s.synced {
@@ -779,6 +787,9 @@ func (s *SDNStack) applyConfig(asn sim.ASN, payload []byte) {
 	if parent != oldParent && s.onParentChange != nil {
 		s.onParentChange(asn, parent, 0)
 	}
+	if (parent == 0) != (oldParent == 0) && s.onJoinedChange != nil {
+		s.onJoinedChange()
+	}
 }
 
 // loseParent declares the configured parent dead after sustained data
@@ -795,6 +806,9 @@ func (s *SDNStack) loseParent(asn sim.ASN) {
 	s.nextMaintain = asn
 	if s.onParentChange != nil {
 		s.onParentChange(asn, 0, 0)
+	}
+	if s.onJoinedChange != nil {
+		s.onJoinedChange()
 	}
 }
 

@@ -69,6 +69,10 @@ type Router struct {
 	// reselection (including losing all parents, reported as zeros). The
 	// telemetry subsystem uses it to attribute loss windows to route churn.
 	OnRouteChange func(asn sim.ASN, best, second topology.NodeID)
+	// OnJoinedChange, when set, is invoked when the router gains or
+	// loses its best parent, so Joined may have flipped (Reset and
+	// RestoreState excepted).
+	OnJoinedChange func()
 }
 
 // NewRouter creates the routing state for one node. Access points are
@@ -295,6 +299,9 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		r.rank = RankInfinity
 		r.etxw = math.Inf(1)
 		r.etxaBest, r.etxaSecond = math.Inf(1), math.Inf(1)
+		if oldBest != 0 && r.OnJoinedChange != nil {
+			r.OnJoinedChange()
+		}
 		return oldBest != 0 || oldSecond != 0
 	}
 
@@ -338,6 +345,9 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	if !r.hasParentedAt {
 		r.hasParentedAt = true
 		r.firstParentAt = asn
+	}
+	if oldBest == 0 && r.OnJoinedChange != nil {
+		r.OnJoinedChange()
 	}
 	changed := best != oldBest || second != oldSecond
 	if changed {

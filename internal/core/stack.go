@@ -96,6 +96,9 @@ func (s *Stack) Joined() bool { return s.router.Joined() }
 // SetRouteHook implements stack.Node.
 func (s *Stack) SetRouteHook(fn stack.RouteHook) { s.router.OnRouteChange = fn }
 
+// SetJoinHook implements stack.Node.
+func (s *Stack) SetJoinHook(fn func()) { s.router.OnJoinedChange = fn }
+
 // Probe implements stack.Node.
 func (s *Stack) Probe() (parent topology.NodeID, neighbors int) {
 	parent, _ = s.router.Parents()
@@ -105,14 +108,14 @@ func (s *Stack) Probe() (parent topology.NodeID, neighbors int) {
 // Reset implements mac.Resetter: it discards every piece of learned
 // routing and scheduling state — neighbour table, parents, children,
 // schedule, pending handshakes — returning the stack to its
-// just-constructed state. Installed callbacks (Router.OnRouteChange) and
-// configuration survive, so a chaos-plan reboot with state loss keeps
-// reporting route changes through the same telemetry chain.
+// just-constructed state. Installed callbacks (Router.OnRouteChange,
+// Router.OnJoinedChange) and configuration survive, so a chaos-plan reboot
+// with state loss keeps reporting route changes through the same telemetry
+// chain.
 func (s *Stack) Reset() {
-	onChange := s.router.OnRouteChange
 	router := NewRouter(s.id, s.isAP, s.cfg.neighborTimeoutSlots(), s.cfg.childTimeoutSlots(),
 		s.cfg.RankGranularity)
-	router.OnRouteChange = onChange
+	router.OnRouteChange, router.OnJoinedChange = s.router.OnRouteChange, s.router.OnJoinedChange
 	s.router = router
 	s.sched = newScheduler(s.id, s.isAP, s.cfg, router)
 	// NewTimer only fails on invalid config, which Validate already

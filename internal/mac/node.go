@@ -115,6 +115,11 @@ type Node struct {
 	// CommandSink receives downlink commands addressed to this node.
 	CommandSink func(asn sim.ASN, f *sim.Frame)
 
+	// OnSync, when set, runs when the node synchronises on a received
+	// frame, after the protocol's OnSynced. (An access point starts
+	// synchronised; Reboot and RestoreState change sync without it.)
+	OnSync func()
+
 	// tracer, when non-nil, receives a packet-lifecycle event per
 	// generation, enqueue, transmission attempt, reception and drop. The
 	// disabled path is a single nil check per hook point.
@@ -330,6 +335,9 @@ func (n *Node) receive(asn sim.ASN, f *sim.Frame, rssi float64) {
 		n.synced = true
 		n.syncedAt = asn
 		n.proto.OnSynced(asn)
+		if n.OnSync != nil {
+			n.OnSync()
+		}
 	}
 	n.proto.OnFrame(asn, f, rssi)
 	if f.Kind == sim.KindCommand {

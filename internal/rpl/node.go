@@ -146,6 +146,9 @@ func (n *Node) Joined() bool { return n.router.Joined() }
 // SetRouteHook implements stack.Node.
 func (n *Node) SetRouteHook(fn stack.RouteHook) { n.router.OnParentChange = fn }
 
+// SetJoinHook implements stack.Node.
+func (n *Node) SetJoinHook(fn func()) { n.router.OnJoinedChange = fn }
+
 // Probe implements stack.Node.
 func (n *Node) Probe() (parent topology.NodeID, neighbors int) {
 	return n.router.Parent(), n.router.Neighbors()
@@ -153,14 +156,14 @@ func (n *Node) Probe() (parent topology.NodeID, neighbors int) {
 
 // Reset implements mac.Resetter: it discards the RPL neighbour set, parent
 // and listen cells, returning the node to its just-constructed state. The
-// installed route hook, the configuration and the transmit cells survive,
-// so a chaos-plan reboot with state loss keeps reporting route changes
-// through the same telemetry chain; a stack whose policy resets its cells
-// sets them again.
+// installed route and join hooks, the configuration and the transmit cells
+// survive, so a chaos-plan reboot with state loss keeps reporting route
+// changes through the same telemetry chain; a stack whose policy resets its
+// cells sets them again.
 func (n *Node) Reset() {
-	onChange := n.router.OnParentChange
+	old := n.router
 	n.router = n.newRouter()
-	n.router.OnParentChange = onChange
+	n.router.OnParentChange, n.router.OnJoinedChange = old.OnParentChange, old.OnJoinedChange
 	// NewTimer only fails on invalid config, which NewNode already
 	// accepted.
 	n.tr, _ = trickle.NewTimer(n.cfg.Trickle, n.rng)

@@ -89,6 +89,10 @@ type Router struct {
 	// with route churn. RPL keeps a single parent: backup is always 0 (the
 	// signature is the stack contract's route hook).
 	OnParentChange func(asn sim.ASN, parent, backup topology.NodeID)
+	// OnJoinedChange, when set, is invoked when the router gains or
+	// loses its parent, so Joined may have flipped (Reset and RestoreState
+	// excepted).
+	OnJoinedChange func()
 }
 
 // NewRouter creates RPL state for a node. Roots (access points) have rank
@@ -257,6 +261,9 @@ func (r *Router) reselect(asn sim.ASN) bool {
 		r.parent = 0
 		r.rank = RankInfinity
 		r.pathETX = math.Inf(1)
+		if oldParent != 0 && r.OnJoinedChange != nil {
+			r.OnJoinedChange()
+		}
 		return oldParent != 0
 	}
 
@@ -271,6 +278,9 @@ func (r *Router) reselect(asn sim.ASN) bool {
 	if !r.hasParentedAt {
 		r.hasParentedAt = true
 		r.firstParentAt = asn
+	}
+	if oldParent == 0 && r.OnJoinedChange != nil {
+		r.OnJoinedChange()
 	}
 	if best != oldParent {
 		r.parentChanges++

@@ -72,7 +72,7 @@ func TestNextActiveContract(t *testing.T) {
 					t.Error(err)
 				}
 				_, err := chaos.Apply(nw, denseCrashPlan(4), nil, chaos.Hooks{
-					Reboot: func(id topology.NodeID, asn sim.ASN, lose bool) { sc.MACNode(int(id)).Reboot(asn, lose) },
+					Reboot: sc.Reboot,
 				})
 				if err != nil {
 					t.Error(err)

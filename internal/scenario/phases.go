@@ -177,9 +177,7 @@ func (sc *Scenario) Observe(tracer telemetry.Tracer, invariants bool, plan *chao
 		}
 		inj, err := chaos.Apply(nw, plan, o.chain, chaos.Hooks{
 			Converged: func() bool { return sc.Joined() >= live() },
-			Reboot: func(id topology.NodeID, asn sim.ASN, lose bool) {
-				sc.MACNode(int(id)).Reboot(asn, lose)
-			},
+			Reboot:    sc.Reboot,
 		})
 		if err != nil {
 			return nil, err

@@ -250,5 +250,6 @@ func (s Spec) Params() Params {
 		Seed:         c.Seed,
 		Period:       time.Duration(c.Period),
 		MacBoost:     mb,
+		Flows:        c.Flows,
 	}
 }

@@ -429,18 +429,25 @@ func (nw *Network) Run(slots int64) {
 }
 
 // RunUntil advances the network until the predicate returns true or the
-// slot budget is exhausted. It returns the number of slots executed and
-// whether the predicate fired. The predicate may watch anything, the clock
-// included, so it is asked before every slot: RunUntil never fast-forwards.
+// slot budget is exhausted. It returns the number of slots advanced and
+// whether the predicate fired. Like Run it jumps over stretches in which
+// every device naps and no event is due, so the predicate is asked before
+// the first slot and after every slot the loop executes, never inside such
+// a stretch. Nothing a device or the medium holds changes there, so a
+// predicate over network or device state gets the answer it would have got
+// slot by slot, at the same slot. A clock bound is maxSlots' job: a
+// predicate on the slot number alone sees the clock only where a slot runs.
 func (nw *Network) RunUntil(maxSlots int64, done func() bool) (int64, bool) {
 	start := nw.asn
-	for target := start + maxSlots; nw.asn < target; {
-		if done() {
-			return nw.asn - start, true
-		}
+	target := start + maxSlots
+	nw.runCap = target
+	fired := done()
+	for !fired && nw.asn < target {
 		nw.Step()
+		fired = done()
 	}
-	return nw.asn - start, done()
+	nw.runCap = 0
+	return nw.asn - start, fired
 }
 
 // At schedules fn to run at the start of the given slot (failure injection,

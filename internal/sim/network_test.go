@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -391,6 +392,9 @@ func TestSlotsForAndTimeAt(t *testing.T) {
 func TestRunUntilSemantics(t *testing.T) {
 	topo := pairTopology(t, 2)
 	nw := NewNetwork(topo, 1)
+	if err := nw.Attach(&scriptDevice{id: 1}); err != nil { // awake in every slot
+		t.Fatal(err)
+	}
 	// Predicate true immediately: zero slots run.
 	ran, ok := nw.RunUntil(100, func() bool { return true })
 	if ran != 0 || !ok {
@@ -411,6 +415,19 @@ func TestRunUntilSemantics(t *testing.T) {
 	}
 	if nw.Failed(999) {
 		t.Fatal("out-of-range Failed should be false")
+	}
+
+	// All napping: the run jumps to the device's wake at slot 10, so the
+	// clock predicate is asked before slot 0, after slot 0 and after slot
+	// 10, the slots that ran.
+	nw = NewNetwork(topo, 1)
+	if err := nw.Attach(&napDevice{id: 1, wake: everyN(10)}); err != nil {
+		t.Fatal(err)
+	}
+	var asked []ASN
+	ran, ok = nw.RunUntil(100, func() bool { asked = append(asked, nw.ASN()); return nw.ASN() >= 7 })
+	if ran != 11 || !ok || !reflect.DeepEqual(asked, []ASN{0, 1, 11}) {
+		t.Fatalf("napping network: ran %d, ok %v, asked at %v; want 11, true, [0 1 11]", ran, ok, asked)
 	}
 }
 

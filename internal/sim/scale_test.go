@@ -292,12 +292,15 @@ func TestScaleFastForward(t *testing.T) {
 			t.Fatalf("executed %d slots from 151 to 651, want device 2's 7 wakes (210, 280, ... 630)", executed)
 		}
 
-		// RunUntil's predicate may watch the clock, so it never jumps.
-		if ran, ok := nw.RunUntil(40, func() bool { return nw.ASN() >= 660 }); ran != 9 || !ok {
-			t.Fatalf("RunUntil over a stretch of naps ran %d slots (fired %v), want 9", ran, ok)
+		// RunUntil jumps like Run: its predicate is next asked after the one
+		// slot it executes, device 2's wake at 700.
+		var asked []ASN
+		ran, ok := nw.RunUntil(60, func() bool { asked = append(asked, nw.ASN()); return nw.ASN() >= 660 })
+		if ran != 50 || !ok || !reflect.DeepEqual(asked, []ASN{651, 701}) {
+			t.Fatalf("RunUntil over a stretch of naps ran %d slots (fired %v, asked at %v), want 50 (asked at [651 701])", ran, ok, asked)
 		}
-		if count(); executed != 9 {
-			t.Fatalf("RunUntil executed %d of its 9 slots", executed)
+		if count(); executed != 1 {
+			t.Fatalf("RunUntil executed %d slots from 651 to 701, want device 2's wake at 700", executed)
 		}
 	})
 }

@@ -128,8 +128,5 @@ func (s *Snapshot) Restore(nw *sim.Network, net stack.Bundle) error {
 			return err
 		}
 	}
-	if codec, _ := stack.Lookup(s.Meta.Protocol); codec.Section == "" {
-		return nil
-	}
 	return net.RestoreState(s.Stack)
 }

@@ -4,9 +4,9 @@
 // testbeds and varies only routing and scheduling; here that reads: a
 // stack package holds its per-node logic (a Node), its plain-data state (a
 // State with its wire form) and one Codec registration, and everything
-// around them — attaching nodes, sinks, tracers, join counting, invariant
-// probes, watchdog heals, whole-network capture/restore — is Network[S],
-// written once.
+// around them — attaching nodes, sinks, tracers, the kept join count,
+// invariant probes, watchdog heals, whole-network capture/restore — is
+// Network[S], written once.
 package stack
 
 import (
@@ -44,12 +44,16 @@ type RouteHook func(asn sim.ASN, parent, backup topology.NodeID)
 type Node interface {
 	mac.Protocol
 	// Joined reports whether the node has a data-plane route (roots and
-	// access points count as joined). It is called for every node in every
-	// formation slot and must not allocate.
+	// access points count as joined). Network[S] reads it when the join
+	// hook fires, on sync, reboot and restore, and must not allocate.
 	Joined() bool
 	// SetRouteHook installs (or, with nil, removes) the parent-change
 	// callback. It survives a Reset.
 	SetRouteHook(fn RouteHook)
+	// SetJoinHook installs the callback the stack calls whenever Joined
+	// may have flipped — a parent gained or lost — other than by Reset or
+	// RestoreState. It survives a Reset.
+	SetJoinHook(fn func())
 	// Probe reports the routing view the invariant monitor checks,
 	// consuming no randomness.
 	Probe() (parent topology.NodeID, neighbors int)
@@ -72,6 +76,7 @@ type Bundle interface {
 	OnDeliver(fn func(asn sim.ASN, f *sim.Frame))
 	SetTracer(t telemetry.Tracer)
 	JoinedCount() int
+	Reboot(id topology.NodeID, asn sim.ASN, loseState bool)
 	Prober(nw *sim.Network) invariant.Prober
 	Healer(nw *sim.Network) func(id topology.NodeID, asn sim.ASN)
 	CaptureState() ([]State, error)
@@ -97,6 +102,13 @@ type Network[S Node] struct {
 
 	protocol string
 	cfgHash  uint64
+
+	// joined[i] is node i's join state (synchronised and Joined) as last
+	// read, nJoined the number of true entries; nil until JoinedCount is
+	// first asked. A node is re-read only where its join state can change:
+	// its stack's join hook, its MAC's sync, its reboot and a restore.
+	joined  []bool
+	nJoined int
 }
 
 // Build attaches a node running newStack's protocol instance to every
@@ -191,19 +203,50 @@ func (n *Network[S]) SetTracer(t telemetry.Tracer) {
 	}
 }
 
-// JoinedCount returns how many nodes are synchronised and joined. It is
-// the formation predicate, evaluated once per slot: no allocation.
+// JoinedCount returns how many nodes are synchronised and joined — the
+// formation predicate. The count is kept, not walked: the first call
+// counts every node and installs the hooks that re-read one where its join
+// state can change (its stack's join hook, its MAC's sync); Reboot and
+// RestoreState re-read the nodes they touch.
 func (n *Network[S]) JoinedCount() int {
-	joined := 0
-	for i, node := range n.Nodes {
-		if node == nil {
-			continue
-		}
-		if synced, _ := node.Synced(); synced && n.Stacks[i].Joined() {
-			joined++
+	if n.joined == nil {
+		n.joined = make([]bool, len(n.Nodes))
+		for i, node := range n.Nodes {
+			if node == nil {
+				continue
+			}
+			reread := func() { n.reread(i) }
+			node.OnSync = reread
+			n.Stacks[i].SetJoinHook(reread)
+			reread()
 		}
 	}
-	return joined
+	return n.nJoined
+}
+
+// reread updates the kept count from node i's current join state; before
+// the count starts there is nothing to update.
+func (n *Network[S]) reread(i int) {
+	if n.joined == nil {
+		return
+	}
+	synced, _ := n.Nodes[i].Synced()
+	if j := synced && n.Stacks[i].Joined(); j != n.joined[i] {
+		n.joined[i] = j
+		if j {
+			n.nJoined++
+		} else {
+			n.nJoined--
+		}
+	}
+}
+
+// Reboot cold-restarts one node (mac.Node.Reboot) and re-reads its join
+// state. Every reboot goes through here: the watchdog's Healer and a fault
+// plan's reboot hook.
+func (n *Network[S]) Reboot(id topology.NodeID, asn sim.ASN, loseState bool) {
+	n.Nodes[id].Reboot(asn, loseState)
+	n.reread(int(id))
 }
 
 // Prober returns the invariant-monitor probe: a snapshot of every node's
@@ -243,7 +286,7 @@ func (n *Network[S]) Healer(nw *sim.Network) func(id topology.NodeID, asn sim.AS
 	return func(id topology.NodeID, asn sim.ASN) {
 		if int(id) < len(n.Nodes) && n.Nodes[id] != nil {
 			nw.Wake(id)
-			n.Nodes[id].Reboot(asn, true)
+			n.Reboot(id, asn, true)
 		}
 	}
 }
@@ -263,18 +306,25 @@ func (n *Network[S]) CaptureState() ([]State, error) {
 }
 
 // RestoreState overlays captured stack states onto a freshly built
-// network.
+// network whose MAC states are already restored, then recounts every
+// node's join state. A stack registered without a snapshot section has no
+// states to overlay (states is nil).
 func (n *Network[S]) RestoreState(states []State) error {
-	if len(states) != len(n.Stacks) {
-		return fmt.Errorf("%s restore: %d stack states for %d stacks", n.protocol, len(states), len(n.Stacks))
+	if c, _ := Lookup(n.protocol); c.Section != "" {
+		if len(states) != len(n.Stacks) {
+			return fmt.Errorf("%s restore: %d stack states for %d stacks", n.protocol, len(states), len(n.Stacks))
+		}
+		for i := 1; i < len(n.Stacks); i++ {
+			if states[i] == nil {
+				return fmt.Errorf("%s restore: missing state for node %d", n.protocol, i)
+			}
+			if err := n.Stacks[i].RestoreState(states[i]); err != nil {
+				return err
+			}
+		}
 	}
 	for i := 1; i < len(n.Stacks); i++ {
-		if states[i] == nil {
-			return fmt.Errorf("%s restore: missing state for node %d", n.protocol, i)
-		}
-		if err := n.Stacks[i].RestoreState(states[i]); err != nil {
-			return err
-		}
+		n.reread(i)
 	}
 	return nil
 }

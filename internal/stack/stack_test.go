@@ -22,8 +22,8 @@ func TestHashConfigStable(t *testing.T) {
 	}
 }
 
-// JoinedCount is the RunUntil predicate, evaluated once per slot during
-// formation: through the type-erased bundle it must still not allocate.
+// JoinedCount is formation's RunUntil predicate, asked after every executed
+// slot: once counting, through the type-erased bundle it must not allocate.
 func TestJoinedCountDoesNotAllocate(t *testing.T) {
 	topo := topology.HalfTestbedA()
 	nw := sim.NewNetwork(topo, 1)

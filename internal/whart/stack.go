@@ -166,6 +166,9 @@ func (s *Stack) Joined() bool { return true }
 // so there is no route-change source to wire.
 func (s *Stack) SetRouteHook(stack.RouteHook) {}
 
+// SetJoinHook implements stack.Node: Joined never changes.
+func (s *Stack) SetJoinHook(func()) {}
+
 // Probe implements stack.Node. The routes are the manager's static graph:
 // parents never change at runtime, so the loop check watches the computed
 // graph and the liveness checks watch the MAC. The neighbours are the
