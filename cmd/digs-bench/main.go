@@ -8,7 +8,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -159,35 +158,15 @@ func fig4and5(full, smoke, invariants bool, seed int64, trace string) error {
 	// With -trace, every campaign job writes its own job-stamped JSONL
 	// part; the parts merge in job order, so the combined trace is
 	// byte-identical at any -parallel setting.
-	var parts []bytes.Buffer
-	if trace != "" {
-		parts = make([]bytes.Buffer, len(opts.JammerCounts)*opts.Repetitions)
-		opts.Tracer = func(job int) telemetry.Tracer {
-			return telemetry.WithJob(telemetry.NewJSONL(&parts[job]), job)
-		}
-	}
+	traces := telemetry.NewJobTraces(trace, len(opts.JammerCounts)*opts.Repetitions)
+	opts.Tracer = traces.Tracer
 
 	rs, err := experiments.RunFig4And5(opts)
 	if err != nil {
 		return err
 	}
-	if trace != "" {
-		raw := make([][]byte, len(parts))
-		for i := range parts {
-			raw[i] = parts[i].Bytes()
-		}
-		f, err := os.Create(trace)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.MergeJSONL(f, raw...); err != nil {
-			f.Close()
-			return fmt.Errorf("trace %s: %w", trace, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (%d jobs merged)\n", trace, len(parts))
+	if err := traces.Write(os.Stdout, "jobs"); err != nil {
+		return err
 	}
 	fmt.Println("Figure 4 - repair time CDF samples (seconds):")
 	for _, p := range metrics.CDF(experiments.RepairTimesSeconds(rs)) {

@@ -43,12 +43,13 @@ import (
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "digs-chaos:", err)
 		os.Exit(1)
 	}
@@ -69,32 +70,33 @@ type options struct {
 	requireRec bool
 }
 
-func run() error {
+func run(args []string) error {
 	var opts options
 	var protoList string
-	flag.StringVar(&opts.plan, "plan", "",
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&opts.plan, "plan", "",
 		"fault plan: a JSON file path, or \"fig8\" for the built-in jammer scenario")
-	flag.StringVar(&opts.topology, "topology", "testbed-a",
+	fs.StringVar(&opts.topology, "topology", "testbed-a",
 		"deployment: "+scenario.TopologyNames)
-	flag.StringVar(&protoList, "protocols", "digs,orchestra,whart,sdn",
-		"comma-separated stacks to subject to the plan (registered: "+scenario.StackNames()+")")
-	flag.DurationVar(&opts.duration, "duration", 2*time.Minute,
+	fs.StringVar(&protoList, "protocols", "digs,orchestra,whart,sdn",
+		"comma-separated stacks to subject to the plan (registered: "+stack.Names()+")")
+	fs.DurationVar(&opts.duration, "duration", 2*time.Minute,
 		"measurement window from the plan epoch, at least -period and at most 4h (extended to the plan's horizon plus 60s)")
-	flag.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
-	flag.Int64Var(&opts.seed, "seed", 1, "simulation seed")
-	flag.StringVar(&opts.trace, "trace", "",
+	fs.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
+	fs.Int64Var(&opts.seed, "seed", 1, "simulation seed")
+	fs.StringVar(&opts.trace, "trace", "",
 		"write the packet-lifecycle + fault event trace (JSONL) to this file")
-	flag.BoolVar(&opts.invariants, "invariants", false,
+	fs.BoolVar(&opts.invariants, "invariants", false,
 		"run the invariant monitor with self-healing watchdogs during the plan")
-	flag.BoolVar(&opts.asJSON, "json", false,
+	fs.BoolVar(&opts.asJSON, "json", false,
 		"emit the recovery reports as JSON instead of tables")
-	flag.BoolVar(&opts.requireRec, "require-recovery", false,
+	fs.BoolVar(&opts.requireRec, "require-recovery", false,
 		"exit nonzero if any fault never reconverges within its window (smoke-test assertion)")
-	flag.StringVar(&opts.snapCache, "snap-cache", "",
+	fs.StringVar(&opts.snapCache, "snap-cache", "",
 		"restore formation from the snapshot cache in this directory instead of re-forming (populating it on miss)")
-	reps := flag.Int("reps", 1, "independent repetitions (seed, seed+1, ...)")
-	parallel := flag.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS)")
-	flag.Parse()
+	reps := fs.Int("reps", 1, "independent repetitions (seed, seed+1, ...)")
+	parallel := fs.Int("parallel", 0, "campaign worker pool size (0 = GOMAXPROCS)")
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits 2, as flag.Parse does
 
 	if opts.plan == "" {
 		return errors.New("-plan is required (a JSON file, or \"fig8\")")
@@ -112,8 +114,8 @@ func run() error {
 		if p == "" {
 			continue
 		}
-		if !scenario.StackRegistered(p) {
-			return fmt.Errorf("unknown protocol %q (registered: %s)", p, scenario.StackNames())
+		if _, err := stack.Lookup(p); err != nil {
+			return err
 		}
 		opts.protocols = append(opts.protocols, p)
 	}
@@ -122,7 +124,8 @@ func run() error {
 	}
 	opts.reps = *reps
 
-	outs, err := runCampaign(opts)
+	traces := telemetry.NewJobTraces(opts.trace, opts.reps*len(opts.protocols))
+	outs, err := runCampaign(opts, traces)
 	if err != nil {
 		return err
 	}
@@ -158,30 +161,12 @@ func run() error {
 	} else {
 		renderText(os.Stdout, opts, topo.Name, outs)
 	}
-	if opts.trace != "" {
-		parts := make([][]byte, len(outs))
-		for i, o := range outs {
-			parts[i] = o.trace.Bytes()
-		}
-		f, err := os.Create(opts.trace)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.MergeJSONL(f, parts...); err != nil {
-			f.Close()
-			return fmt.Errorf("trace %s: %w", opts.trace, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		// Keep stdout pure JSON when -json is set.
-		msgOut := io.Writer(os.Stdout)
-		if opts.asJSON {
-			msgOut = os.Stderr
-		}
-		fmt.Fprintf(msgOut, "trace written to %s (%d jobs merged)\n", opts.trace, len(outs))
+	// Keep stdout pure JSON when -json is set.
+	msgOut := io.Writer(os.Stdout)
+	if opts.asJSON {
+		msgOut = os.Stderr
 	}
-	return nil
+	return traces.Write(msgOut, "jobs")
 }
 
 // runResult is one job's machine-readable outcome (-json output).
@@ -267,17 +252,17 @@ func buildResult(formSlots int64, plan *chaos.Plan, rec *chaos.Recovery, inv *in
 	return res
 }
 
-// jobOut is one campaign job's buffered output: report text, trace part
-// and machine-readable result, printed and merged in job-index order so
-// the output is byte-identical at any worker count.
+// jobOut is one campaign job's buffered output: report text and
+// machine-readable result, printed in job-index order so the output is
+// byte-identical at any worker count.
 type jobOut struct {
 	log    bytes.Buffer
-	trace  bytes.Buffer
 	result *runResult
 }
 
-// runCampaign fans one job per (rep, protocol) over the worker pool.
-func runCampaign(opts options) ([]*jobOut, error) {
+// runCampaign fans one job per (rep, protocol) over the worker pool; job
+// i records into traces.Tracer(i).
+func runCampaign(opts options, traces *telemetry.JobTraces) ([]*jobOut, error) {
 	topo, err := scenario.PickTopology(opts.topology)
 	if err != nil {
 		return nil, err
@@ -299,14 +284,10 @@ func runCampaign(opts options) ([]*jobOut, error) {
 		proto := opts.protocols[i%len(opts.protocols)]
 		seed := opts.seed + int64(rep)
 		o := &jobOut{}
-		var jsonl telemetry.Tracer
-		if opts.trace != "" {
-			jsonl = telemetry.WithJob(telemetry.NewJSONL(&o.trace), i)
-		}
 		fmt.Fprintf(&o.log, "=== %s rep %d (seed %d) ===\n", proto, rep, seed)
 		spec := base
 		spec.Protocol, spec.Seed = proto, seed
-		res, err := runPlan(&o.log, spec, topo, cache, jsonl)
+		res, err := runPlan(&o.log, spec, topo, cache, traces.Tracer(i))
 		if err != nil {
 			return nil, fmt.Errorf("%s rep %d (seed %d): %w", proto, rep, seed, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/experiments"
 	"github.com/digs-net/digs/internal/scenario"
 )
@@ -26,7 +27,7 @@ func TestRunPlanColdWarmFigureCache(t *testing.T) {
 			plan: "fig8", topology: "testbed-a", protocols: []string{"orchestra"},
 			duration: 30 * time.Second, period: 5 * time.Second, seed: 2, reps: 1,
 			snapCache: cacheDir,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +76,7 @@ func TestRunPlanOnGeneratedPlant(t *testing.T) {
 	outs, err := runCampaign(options{
 		plan: plan, topology: "gen-plant-300-1", protocols: []string{"digs"},
 		duration: 30 * time.Second, period: 5 * time.Second, seed: 1, reps: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestPlanOnDeploymentWithoutSourcesDrivesTraffic(t *testing.T) {
 	outs, err := runCampaign(options{
 		plan: writePlan(t, 40), topology: "random-150", protocols: []string{"orchestra"},
 		duration: 10 * time.Second, period: 5 * time.Second, seed: 1, reps: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestJobIsRunSpec(t *testing.T) {
 		plan: "fig8", topology: "half-testbed-a", protocols: []string{"digs", "sdn"},
 		duration: 30 * time.Second, period: 5 * time.Second, seed: 3, reps: 1, invariants: true,
 	}
-	outs, err := runCampaign(opts)
+	outs, err := runCampaign(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,5 +152,34 @@ func TestJobIsRunSpec(t *testing.T) {
 		if job.Generated != res.Sent {
 			t.Errorf("%s: job generated %d packets, RunSpec sent %d", proto, job.Generated, res.Sent)
 		}
+	}
+}
+
+// TestTraceSameAtAnyParallelism: digs-chaos -reps 2 -trace writes the same
+// merged trace at -parallel 1 and -parallel 4 — every job records into a
+// part of its own and the parts merge in job order.
+func TestTraceSameAtAnyParallelism(t *testing.T) {
+	t.Cleanup(func() { campaign.SetDefaultWorkers(0) })
+	dir, plan := t.TempDir(), writePlan(t, 5)
+	trace := func(parallel string) []byte {
+		t.Helper()
+		path := filepath.Join(dir, "parallel-"+parallel+".jsonl")
+		err := run([]string{"-plan", plan, "-topology", "half-testbed-a", "-protocols", "digs,orchestra",
+			"-duration", "10s", "-reps", "2", "-parallel", parallel, "-json", "-trace", path})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	one, four := trace("1"), trace("4")
+	if !bytes.Contains(one, []byte(`"job":3`)) {
+		t.Fatalf("trace at -parallel 1 has no events of the fourth job (%d bytes)", len(one))
+	}
+	if !bytes.Equal(one, four) {
+		t.Fatalf("merged traces differ: %d bytes at -parallel 1, %d at -parallel 4", len(one), len(four))
 	}
 }

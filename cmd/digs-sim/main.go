@@ -33,6 +33,7 @@ import (
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
 	"github.com/digs-net/digs/internal/topology"
 )
@@ -76,7 +77,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
 	fs.StringVar(&opts.topology, "topology", "testbed-a",
 		"deployment: "+scenario.TopologyNames)
-	fs.StringVar(&opts.protocol, "protocol", "digs", "stack: "+scenario.StackNames())
+	fs.StringVar(&opts.protocol, "protocol", "digs", "stack: "+stack.Names())
 	fs.DurationVar(&opts.duration, "duration", 2*time.Minute, "measurement window")
 	fs.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
 	fs.IntVar(&opts.flows, "flows", 0, "number of flows (0 = the testbed's suggested sources)")
@@ -139,17 +140,13 @@ func run(args []string) error {
 	// writes its own job-stamped part; the parts merge in rep order, so
 	// the combined trace is byte-identical at any worker count.
 	type repOut struct {
-		sum   summary
-		log   bytes.Buffer
-		trace bytes.Buffer
+		sum summary
+		log bytes.Buffer
 	}
+	traces := telemetry.NewJobTraces(opts.trace, *reps)
 	outs, err := campaign.Map(campaign.New(0), *reps, func(i int) (*repOut, error) {
 		o := &repOut{}
-		var tr telemetry.Tracer
-		if opts.trace != "" {
-			tr = telemetry.WithJob(telemetry.NewJSONL(&o.trace), i)
-		}
-		s, err := runScenario(opts, opts.seed+int64(i), &o.log, 0, tr)
+		s, err := runScenario(opts, opts.seed+int64(i), &o.log, 0, traces.Tracer(i))
 		if err != nil {
 			return nil, fmt.Errorf("rep %d (seed %d): %w", i, opts.seed+int64(i), err)
 		}
@@ -164,23 +161,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if opts.trace != "" {
-		parts := make([][]byte, len(outs))
-		for i, o := range outs {
-			parts[i] = o.trace.Bytes()
-		}
-		f, err := os.Create(opts.trace)
-		if err != nil {
-			return err
-		}
-		if err := telemetry.MergeJSONL(f, parts...); err != nil {
-			f.Close()
-			return fmt.Errorf("trace %s: %w", opts.trace, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (%d reps merged)\n", opts.trace, len(outs))
+	if err := traces.Write(os.Stdout, "reps"); err != nil {
+		return err
 	}
 
 	var pdrs, medians, powers []float64

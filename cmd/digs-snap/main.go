@@ -26,6 +26,7 @@ import (
 	"github.com/digs-net/digs/internal/chaos"
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
 )
 
@@ -59,7 +60,7 @@ func run(args []string) error {
 func cmdTake(args []string) error {
 	fs := flag.NewFlagSet("take", flag.ContinueOnError)
 	topoName := fs.String("topology", "testbed-a", "deployment: "+scenario.TopologyNames)
-	proto := fs.String("protocol", "digs", "stack: "+scenario.StackNames())
+	proto := fs.String("protocol", "digs", "stack: "+stack.Names())
 	seed := fs.Int64("seed", 1, "simulation seed")
 	slots := fs.Int64("slots", 0, "slots to run before taking the snapshot")
 	period := fs.Duration("period", 5*time.Second, "flow packet period (dimensions the WirelessHART schedule)")

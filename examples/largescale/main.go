@@ -24,7 +24,6 @@ import (
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/scenario"
 	"github.com/digs-net/digs/internal/sim"
-	"github.com/digs-net/digs/internal/snapshot"
 )
 
 func main() {
@@ -77,7 +76,7 @@ func runScale(gen string, nodes int, seed int64) error {
 	topoName := fmt.Sprintf("gen-%s-%d-%d", gen, nodes, seed)
 	sc, err := scenario.Build(scenario.Params{
 		TopologyName: topoName,
-		Protocol:     snapshot.ProtocolDiGS,
+		Protocol:     core.Protocol,
 		Seed:         seed,
 	})
 	if err != nil {

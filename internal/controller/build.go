@@ -9,6 +9,33 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
+// SDNProtocol and AdaptiveProtocol are the registered names of the two
+// controller-layer stacks.
+const (
+	SDNProtocol      = "sdn"
+	AdaptiveProtocol = "adaptive"
+)
+
+// SDNCodec is the sdn stack's registration: built with DefaultSDNConfig,
+// one SDNStackState per node in the "sdn" snapshot section.
+var SDNCodec = stack.Codec{Protocol: SDNProtocol, Section: "sdn", New: func() stack.State { return &SDNStackState{} },
+	Build: func(nw *sim.Network, _ stack.BuildArgs, macCfg mac.Config) (stack.Bundle, error) {
+		return BuildSDN(nw, DefaultSDNConfig(), macCfg)
+	}}
+
+// AdaptiveCodec is the adaptive stack's registration: built with
+// DefaultAdaptiveConfig, one AdaptiveStackState per node in the "adpt"
+// section.
+var AdaptiveCodec = stack.Codec{Protocol: AdaptiveProtocol, Section: "adpt", New: func() stack.State { return &AdaptiveStackState{} },
+	Build: func(nw *sim.Network, a stack.BuildArgs, macCfg mac.Config) (stack.Bundle, error) {
+		return BuildAdaptive(nw, DefaultAdaptiveConfig(), macCfg, a.Seed)
+	}}
+
+func init() {
+	stack.Register(SDNCodec)
+	stack.Register(AdaptiveCodec)
+}
+
 // SDNNetwork bundles the per-node MAC and SDN stack instances running over
 // one simulated network. Its JoinedCount only rises once the controller
 // has collected reports and disseminated configurations — in-band
@@ -30,7 +57,7 @@ func BuildSDN(nw *sim.Network, cfg SDNConfig, macCfg mac.Config) (*SDNNetwork, e
 			controllerID = ap
 		}
 	}
-	return stack.Build(nw, SDNCodec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
+	return stack.Build(nw, SDNProtocol, stack.HashConfig(cfg, macCfg), macCfg,
 		func(id topology.NodeID, isAP bool) (*SDNStack, error) {
 			return NewSDNStack(id, isAP, controllerID, topo.N(), aps, cfg)
 		})
@@ -43,7 +70,7 @@ type AdaptiveNetwork = stack.Network[*AdaptiveStack]
 // BuildAdaptive attaches an adaptive stack to every node of the network's
 // topology (access points act as RPL roots).
 func BuildAdaptive(nw *sim.Network, cfg AdaptiveConfig, macCfg mac.Config, seed int64) (*AdaptiveNetwork, error) {
-	net, err := stack.Build(nw, AdaptiveCodec.Protocol, stack.HashConfig(cfg, macCfg), macCfg,
+	net, err := stack.Build(nw, AdaptiveProtocol, stack.HashConfig(cfg, macCfg), macCfg,
 		func(id topology.NodeID, isRoot bool) (*AdaptiveStack, error) {
 			// The multiplier differs from Orchestra's so the two RPL-based
 			// stacks do not share random streams at equal seeds.

@@ -198,20 +198,6 @@ func (s *SDNStack) RestoreState(state stack.State) error {
 	return nil
 }
 
-// SDNCodec is the sdn stack's registration: protocol "sdn", one
-// SDNStackState per node in the "sdn" snapshot section (wire format
-// version 3).
-var SDNCodec = stack.Codec{Protocol: "sdn", Section: "sdn", New: func() stack.State { return &SDNStackState{} }}
-
-// AdaptiveCodec is the adaptive stack's registration: protocol
-// "adaptive", one AdaptiveStackState per node in the "adpt" section.
-var AdaptiveCodec = stack.Codec{Protocol: "adaptive", Section: "adpt", New: func() stack.State { return &AdaptiveStackState{} }}
-
-func init() {
-	stack.Register(SDNCodec)
-	stack.Register(AdaptiveCodec)
-}
-
 // Routed implements stack.State: the controller has assigned a parent.
 func (st *SDNStackState) Routed() bool { return st.Parent != 0 }
 

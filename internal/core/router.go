@@ -65,8 +65,9 @@ type Router struct {
 
 	childVersion int64
 
-	// OnRouteChange, when set, is invoked on every best/second parent
-	// reselection (including losing all parents, reported as zeros). The
+	// OnRouteChange, when set, is invoked when a reselection leaves the
+	// router with a best parent and a different best/second pair. Losing
+	// every parent is not reported here (only OnJoinedChange fires). The
 	// telemetry subsystem uses it to attribute loss windows to route churn.
 	OnRouteChange func(asn sim.ASN, best, second topology.NodeID)
 	// OnJoinedChange, when set, is invoked when the router gains or

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -281,5 +282,29 @@ func TestParentChangesCounter(t *testing.T) {
 	joinIn(t, r, 3, 4, 1, 0, 1.0)
 	if got := r.ParentChanges(); got != 2 {
 		t.Fatalf("parent changes after no-op = %d, want 2", got)
+	}
+}
+
+// TestLosingEveryParentFiresOnlyTheJoinHook: when both parents expire,
+// OnJoinedChange fires and OnRouteChange does not — a DiGS trace records
+// no route event for the loss.
+func TestLosingEveryParentFiresOnlyTheJoinHook(t *testing.T) {
+	r := NewRouter(9, false, 100, 100, 1)
+	joinIn(t, r, 1, 4, 1, 0, 1.0)
+	joinIn(t, r, 1, 5, 1, 0, 1.5)
+	if best, second := r.Parents(); best != 4 || second != 5 {
+		t.Fatalf("parents = %d, %d, want 4, 5", best, second)
+	}
+	joins, routes := 0, 0
+	r.OnJoinedChange = func() { joins++ }
+	r.OnRouteChange = func(sim.ASN, topology.NodeID, topology.NodeID) { routes++ }
+	if !r.Maintain(500) {
+		t.Fatal("losing every parent did not report a change")
+	}
+	if best, second := r.Parents(); best != 0 || second != 0 || r.Joined() {
+		t.Fatalf("after expiry: parents %d, %d, joined %v", best, second, r.Joined())
+	}
+	if joins != 1 || routes != 0 {
+		t.Fatalf("join hook fired %d times, route hook %d (want 1, 0)", joins, routes)
 	}
 }

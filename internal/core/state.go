@@ -195,12 +195,6 @@ func (s *Stack) RestoreState(state stack.State) error {
 	return nil
 }
 
-// Codec is the DiGS stack's registration: protocol "digs", one StackState
-// per node in the "digs" snapshot section.
-var Codec = stack.Codec{Protocol: "digs", Section: "digs", New: func() stack.State { return &StackState{} }}
-
-func init() { stack.Register(Codec) }
-
 // Routed implements stack.State.
 func (st *StackState) Routed() bool { return st.Router.HasParentedAt }
 

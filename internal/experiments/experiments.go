@@ -72,12 +72,12 @@ func buildNetwork(p Protocol, topo *topology.Topology, seed int64) (builtStack, 
 	params := scenario.Params{Topology: topo, Seed: seed}
 	switch p {
 	case DiGS:
-		params.Protocol = snapshot.ProtocolDiGS
+		params.Protocol = core.Protocol
 		// DiGS schedules three attempts per slotframe where Orchestra has
 		// one, so equal-time retry persistence means a 3x attempt budget.
 		params.MacBoost = 3
 	case Orchestra:
-		params.Protocol = snapshot.ProtocolOrchestra
+		params.Protocol = orchestra.Protocol
 	default:
 		return builtStack{}, fmt.Errorf("experiments: unknown protocol %d", p)
 	}

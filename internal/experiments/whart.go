@@ -17,7 +17,7 @@ import (
 func RunWhartFailure(seed int64) (clean, failed float64, err error) {
 	// The default 5 s period gives the manager 500-slot flows from the
 	// suggested sources.
-	sc, err := scenario.Build(scenario.Params{Topology: testbedATopo(), Protocol: "whart", Seed: seed})
+	sc, err := scenario.Build(scenario.Params{Topology: testbedATopo(), Protocol: whart.Protocol, Seed: seed})
 	if err != nil {
 		return 0, 0, err
 	}

@@ -30,12 +30,6 @@ func (s *Stack) RestoreState(state stack.State) error {
 	return nil
 }
 
-// Codec is the Orchestra stack's registration: protocol "orchestra", one
-// StackState per node in the "orch" snapshot section.
-var Codec = stack.Codec{Protocol: "orchestra", Section: "orch", New: func() stack.State { return &StackState{} }}
-
-func init() { stack.Register(Codec) }
-
 // Code implements stack.State: the "orch" snapshot section layout. The int
 // between the control-plane fields and the listen cells is reserved: it
 // held the retry backoff of the receiver-based unicast mode, which no

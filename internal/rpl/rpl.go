@@ -85,9 +85,11 @@ type Router struct {
 	parentChanges int64
 
 	// OnParentChange, when set, is invoked whenever the preferred parent
-	// switches. The telemetry subsystem uses it to correlate loss windows
-	// with route churn. RPL keeps a single parent: backup is always 0 (the
-	// signature is the stack contract's route hook).
+	// switches to another neighbour. Losing the parent without a
+	// replacement is not reported here (only OnJoinedChange fires). The
+	// telemetry subsystem uses it to correlate loss windows with route
+	// churn. RPL keeps a single parent: backup is always 0 (the signature
+	// is the stack contract's route hook).
 	OnParentChange func(asn sim.ASN, parent, backup topology.NodeID)
 	// OnJoinedChange, when set, is invoked when the router gains or
 	// loses its parent, so Joined may have flipped (Reset and RestoreState

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -178,5 +179,28 @@ func TestRPLInvariantsUnderRandomEvents(t *testing.T) {
 				_ = c
 			}
 		}
+	}
+}
+
+// TestLosingTheParentFiresOnlyTheJoinHook: when the only parent expires,
+// OnJoinedChange fires and OnParentChange does not — an Orchestra or
+// adaptive trace records no route event for the loss.
+func TestLosingTheParentFiresOnlyTheJoinHook(t *testing.T) {
+	r := NewRouter(9, false, 100, 1)
+	dio(t, r, 1, 4, 1, 0, 1.0)
+	if r.Parent() != 4 {
+		t.Fatalf("parent = %d, want 4", r.Parent())
+	}
+	joins, routes := 0, 0
+	r.OnJoinedChange = func() { joins++ }
+	r.OnParentChange = func(sim.ASN, topology.NodeID, topology.NodeID) { routes++ }
+	if !r.Maintain(500) {
+		t.Fatal("losing the parent did not report a change")
+	}
+	if r.Parent() != 0 || r.Joined() {
+		t.Fatalf("after expiry: parent %d, joined %v", r.Parent(), r.Joined())
+	}
+	if joins != 1 || routes != 0 {
+		t.Fatalf("join hook fired %d times, route hook %d (want 1, 0)", joins, routes)
 	}
 }

@@ -8,13 +8,11 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
-	"reflect"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/digs-net/digs/internal/stack"
 )
 
 const modulePath = "github.com/digs-net/digs/"
@@ -49,8 +47,7 @@ func moduleDeps(t *testing.T, root, pkg string, seen map[string]bool) {
 
 // TestSnapshotImportsNoStack pins the layering the stack contract buys:
 // the snapshot package reaches stack state only through registered codecs,
-// never through an import, and the set of stacks the scenario layer builds
-// is exactly the set the snapshot layer can decode.
+// never through an import.
 func TestSnapshotImportsNoStack(t *testing.T) {
 	root, err := filepath.Abs("../..")
 	if err != nil {
@@ -69,17 +66,15 @@ func TestSnapshotImportsNoStack(t *testing.T) {
 			t.Errorf("internal/snapshot depends on internal/%s", banned)
 		}
 	}
-	if got, want := stack.Registered(), RegisteredStacks(); !reflect.DeepEqual(got, want) {
-		t.Errorf("snapshot layer decodes %v, scenario layer builds %v", got, want)
-	}
 }
 
 // TestRunPhasesWrittenOnce pins the one way to build, feed and observe a
 // network. Outside this package, the package that defines a call, test
 // files and bench/ (a module of its own), no file calls
-//   - a stack's Build or an engine constructor: Build picks the medium from
-//     the topology and the stack from the registry, and equal spec hashes
-//     mean equal bytes only while that choice is made in one place;
+//   - a stack's Build, a registered Codec's Build or an engine constructor:
+//     Build picks the medium from the topology and the stack from the
+//     registry, and equal spec hashes mean equal bytes only while that
+//     choice is made in one place;
 //   - InjectData or Wake: Inject wakes a napping source before the enqueue,
 //     and a packet handed to a node that naps waits out the nap;
 //   - chaos.Apply, invariant.Attach or flows.Schedule: Observe and Drive
@@ -92,14 +87,15 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each banned call — package.Func, or .Method on any receiver — and the
-	// package that defines it.
+	// Each banned call — package.Func, or .Method on any receiver that is
+	// not an imported package — and the package that defines it.
 	home := map[string]string{
 		"core.Build":               "internal/core",
 		"orchestra.Build":          "internal/orchestra",
 		"whart.Build":              "internal/whart",
 		"controller.BuildSDN":      "internal/controller",
 		"controller.BuildAdaptive": "internal/controller",
+		".Build":                   "internal/stack",
 		"sim.NewNetwork":           "internal/sim",
 		"sim.NewScaleNetwork":      "internal/sim",
 		".InjectData":              "internal/mac",
@@ -140,6 +136,15 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 			return err
 		}
 		walked++
+		imported := map[string]bool{}
+		for _, imp := range f.Imports {
+			path, _ := strconv.Unquote(imp.Path.Value)
+			name := path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imported[name] = true
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -150,7 +155,7 @@ func TestRunPhasesWrittenOnce(t *testing.T) {
 				return true
 			}
 			name := "." + sel.Sel.Name
-			if pkg, ok := sel.X.(*ast.Ident); ok && home[pkg.Name+name] != "" {
+			if pkg, ok := sel.X.(*ast.Ident); ok && imported[pkg.Name] {
 				name = pkg.Name + name
 			}
 			dir, banned := home[name]
@@ -222,5 +227,103 @@ func TestRunSpecShardsBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMakefileNamesExistingTests: every -run alternative and -fuzz target
+// in the Makefile matches a test function in the packages its line names.
+// go test passes a stale name silently ("[no tests to run]", exit 0), so a
+// renamed test would otherwise leave a CI step running nothing.
+func TestMakefileNamesExistingTests(t *testing.T) {
+	root, err := filepath.Abs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(filepath.Join(root, "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRe := regexp.MustCompile(`-(run|fuzz)[= ]('[^']*'|"[^"]*"|\S+)`)
+	pkgRe := regexp.MustCompile(`(?:^|\s)(\./\S*)`)
+	cdRe := regexp.MustCompile(`\bcd (\S+) &&`)
+	funcs := map[string][]string{} // package dir → its top-level functions
+	testsIn := func(dir string) []string {
+		if names, ok := funcs[dir]; ok {
+			return names
+		}
+		var names []string
+		files, _ := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		for _, file := range files {
+			f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+					names = append(names, fn.Name.Name)
+				}
+			}
+		}
+		funcs[dir] = names
+		return names
+	}
+	checked := 0
+	for _, line := range strings.Split(strings.ReplaceAll(string(raw), "\\\n", " "), "\n") {
+		if !strings.Contains(line, "$(GO) test ") {
+			continue
+		}
+		base := root
+		if m := cdRe.FindStringSubmatch(line); m != nil {
+			base = filepath.Join(root, m[1])
+		}
+		var dirs []string
+		for _, m := range pkgRe.FindAllStringSubmatch(line, -1) {
+			pkg, recursive := strings.CutSuffix(m[1], "/...")
+			dir := filepath.Join(base, pkg)
+			if !recursive {
+				dirs = append(dirs, dir)
+				continue
+			}
+			filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+				if err == nil && d.IsDir() {
+					dirs = append(dirs, path)
+				}
+				return err
+			})
+		}
+		for _, m := range flagRe.FindAllStringSubmatch(line, -1) {
+			pattern := strings.ReplaceAll(strings.Trim(m[2], `'"`), "$$", "$")
+			if pattern == "^$" {
+				continue
+			}
+			// -run selects tests, examples and fuzz targets' seed corpora;
+			// -fuzz selects a fuzz target.
+			kind := regexp.MustCompile(`^(Test|Example|Fuzz)`)
+			if m[1] == "fuzz" {
+				kind = regexp.MustCompile(`^Fuzz`)
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("Makefile -%s %q: %v", m[1], alt, err)
+					continue
+				}
+				found := false
+				for _, dir := range dirs {
+					for _, name := range testsIn(dir) {
+						if kind.MatchString(name) && re.MatchString(name) {
+							found = true
+						}
+					}
+				}
+				if !found {
+					t.Errorf("Makefile -%s alternative %q matches no %s function in %v", m[1], alt, kind, dirs)
+				}
+				checked++
+			}
+		}
+	}
+	if checked < 40 {
+		t.Fatalf("only %d -run/-fuzz names checked in the Makefile: is the parse still right?", checked)
 	}
 }

@@ -1,37 +1,33 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
-	"github.com/digs-net/digs/internal/snapshot"
+	"github.com/digs-net/digs/internal/controller"
+	"github.com/digs-net/digs/internal/core"
+	"github.com/digs-net/digs/internal/orchestra"
+	"github.com/digs-net/digs/internal/stack"
+	"github.com/digs-net/digs/internal/whart"
 )
 
 // TestStackRegistry pins the registered stack set: the five stacks are
-// present in sorted order, and both rejection paths — Build and spec
+// present in sorted order, each with its builder, and both rejection paths — Build and spec
 // admission — enumerate them so a typo in a submission is a one-glance
 // fix.
 func TestStackRegistry(t *testing.T) {
 	want := []string{
-		snapshot.ProtocolAdaptive, snapshot.ProtocolDiGS,
-		snapshot.ProtocolOrchestra, snapshot.ProtocolSDN, snapshot.ProtocolWHART,
+		controller.AdaptiveProtocol, core.Protocol,
+		orchestra.Protocol, controller.SDNProtocol, whart.Protocol,
 	}
-	got := RegisteredStacks()
-	if len(got) != len(want) {
+	if got := RegisteredStacks(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("RegisteredStacks() = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RegisteredStacks() = %v, want %v", got, want)
-		}
-	}
 	for _, name := range want {
-		if !StackRegistered(name) {
-			t.Errorf("StackRegistered(%q) = false", name)
+		if c, err := stack.Lookup(name); err != nil || c.Protocol != name || c.Build == nil {
+			t.Errorf("stack.Lookup(%q) = %+v, %v", name, c, err)
 		}
-	}
-	if StackRegistered("tcp") {
-		t.Error("StackRegistered accepted an unregistered name")
 	}
 
 	_, err := Build(Params{TopologyName: "half-testbed-a", Protocol: "tcp", Seed: 1})
@@ -85,6 +81,34 @@ func TestSpecHashGolden(t *testing.T) {
 		if h != g.want {
 			t.Errorf("spec %+v: hash drifted to %s (cached results under %s are now orphaned)",
 				g.spec, h, g.want)
+		}
+	}
+}
+
+// TestDeploymentNames: every named deployment is in the flag help,
+// validates and builds, and an unknown or malformed name is refused by both
+// validation and PickTopology.
+func TestDeploymentNames(t *testing.T) {
+	if len(deployments) != 5 {
+		t.Fatalf("%d named deployments, want 5", len(deployments))
+	}
+	for _, d := range deployments {
+		if !strings.Contains(TopologyNames, d.name+", ") {
+			t.Errorf("TopologyNames %q does not list %q", TopologyNames, d.name)
+		}
+		if err := ValidTopologyName(d.name); err != nil {
+			t.Errorf("ValidTopologyName(%q): %v", d.name, err)
+		}
+		if topo, err := PickTopology(d.name); err != nil || topo.N() == 0 {
+			t.Errorf("PickTopology(%q) = %v, %v", d.name, topo, err)
+		}
+	}
+	for _, bad := range []string{"testbed-c", "gen-plant-x", ""} {
+		if ValidTopologyName(bad) == nil {
+			t.Errorf("ValidTopologyName accepted %q", bad)
+		}
+		if _, err := PickTopology(bad); err == nil {
+			t.Errorf("PickTopology accepted %q", bad)
 		}
 	}
 }

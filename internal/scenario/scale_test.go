@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/digs-net/digs/internal/controller"
+	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -134,7 +136,7 @@ func TestScaleShardBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("convergence test")
 	}
-	checkScalePin(t, "gen-field-300-3", snapshot.ProtocolDiGS, 0.9, scalePin{
+	checkScalePin(t, "gen-field-300-3", core.Protocol, 0.9, scalePin{
 		fingerprint: "d560b70f93c3641abde3bcb0dab250b483f560721d1415c392241aa7d54acd16",
 		trace:       "599d528466e2c5faba31095ff1eaeadfcc58e37691f107986690029dffa305d1",
 		order:       "b21f7394c94c4dcdfe3efd8764dd2cb5eabe5ed6fc3022e31b4bbe754f2e0f5e",
@@ -157,12 +159,12 @@ func TestControllerScaleShardBitIdentity(t *testing.T) {
 		minJoin float64
 		pin     scalePin
 	}{
-		{snapshot.ProtocolAdaptive, 0.9, scalePin{
+		{controller.AdaptiveProtocol, 0.9, scalePin{
 			fingerprint: "385de6f875f141f9f73d6e9dcb9596be289457a55a9345ec9afcff2abffc4942",
 			trace:       "db28da71f9ef27b587b17a71a25a55f101b267742280647f366fcefbdc180072",
 			order:       "d1df9c7bbe138e09897e5dbca652c4b5ca686c67a85d0401da338eb51a7bb164",
 		}},
-		{snapshot.ProtocolSDN, 0.15, scalePin{
+		{controller.SDNProtocol, 0.15, scalePin{
 			fingerprint: "13480c8a2f2f713523438561db89cd7f6a31a0b5a5dbccea98a0f7d5f5902bf0",
 			trace:       "cbddb81aa926482c2e4053b7aafee808d5c18db25450e6159a59fadcde653545",
 			order:       "a3fab90c026835b00fe9d5f39c233b771aaaa4d5face15d9129a026a407c6cee",
@@ -187,7 +189,7 @@ func TestScaleSnapshotRoundTrip10k(t *testing.T) {
 	build := func() *Scenario {
 		sc, err := Build(Params{
 			TopologyName: "gen-plant-10000",
-			Protocol:     snapshot.ProtocolDiGS,
+			Protocol:     core.Protocol,
 			Seed:         7,
 		})
 		if err != nil {

@@ -11,7 +11,14 @@ package scenario
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
+
+	// The stacks a scenario can build: each registers its Codec from init.
+	_ "github.com/digs-net/digs/internal/controller"
+	_ "github.com/digs-net/digs/internal/core"
+	_ "github.com/digs-net/digs/internal/orchestra"
+	_ "github.com/digs-net/digs/internal/whart"
 
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
@@ -20,33 +27,60 @@ import (
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// PickTopology resolves the deployment names the CLIs accept.
-func PickTopology(name string) (*topology.Topology, error) {
-	switch name {
-	case "testbed-a":
-		return topology.TestbedA(), nil
-	case "testbed-b":
-		return topology.TestbedB(), nil
-	case "half-testbed-a":
-		return topology.HalfTestbedA(), nil
-	case "half-testbed-b":
-		return topology.HalfTestbedB(), nil
-	case "random-150":
-		return topology.NewRandom(150, 300, 300, 7), nil
-	default:
-		if p, ok, err := topology.ParseGenSpec(name); ok {
-			if err != nil {
-				return nil, err
-			}
-			return topology.Generate(p)
-		}
-		return nil, fmt.Errorf("unknown topology %q", name)
-	}
+// deployments are the named deployments the CLIs and specs accept, in the
+// order the flag help lists them; generated gen-* deployments come on top.
+var deployments = []struct {
+	name  string
+	build func() *topology.Topology
+}{
+	{"testbed-a", topology.TestbedA},
+	{"testbed-b", topology.TestbedB},
+	{"half-testbed-a", topology.HalfTestbedA},
+	{"half-testbed-b", topology.HalfTestbedB},
+	{"random-150", func() *topology.Topology { return topology.NewRandom(150, 300, 300, 7) }},
 }
 
 // TopologyNames lists the accepted -topology values.
-const TopologyNames = "testbed-a, testbed-b, half-testbed-a, half-testbed-b, random-150, " +
-	"gen-{plant,campus,field}-<nodes>[-<seed>]"
+var TopologyNames = func() string {
+	var names []string
+	for _, d := range deployments {
+		names = append(names, d.name)
+	}
+	return strings.Join(append(names, "gen-{plant,campus,field}-<nodes>[-<seed>]"), ", ")
+}()
+
+// PickTopology resolves the deployment names the CLIs accept.
+func PickTopology(name string) (*topology.Topology, error) {
+	if err := ValidTopologyName(name); err != nil {
+		return nil, err
+	}
+	for _, d := range deployments {
+		if d.name == name {
+			return d.build(), nil
+		}
+	}
+	p, _, _ := topology.ParseGenSpec(name) // a gen-* name, parsed above
+	return topology.Generate(p)
+}
+
+// ValidTopologyName checks a -topology value without paying to build it
+// (generating a 100k-node deployment just to validate a submission would
+// be its own denial of service).
+func ValidTopologyName(name string) error {
+	for _, d := range deployments {
+		if d.name == name {
+			return nil
+		}
+	}
+	if _, ok, err := topology.ParseGenSpec(name); ok {
+		return err
+	}
+	return fmt.Errorf("unknown topology %q", name)
+}
+
+// RegisteredStacks lists the protocol names a Params or Spec may name:
+// the stack registry's, sorted.
+func RegisteredStacks() []string { return stack.Registered() }
 
 // Params selects and parameterises a scenario. The same Params always
 // build the same simulation, which is what makes snapshots restorable:
@@ -106,9 +140,9 @@ func Build(p Params) (*Scenario, error) {
 	if p.Period == 0 {
 		p.Period = 5 * time.Second
 	}
-	build, ok := stackRegistry[p.Protocol]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (registered: %s)", p.Protocol, StackNames())
+	codec, err := stack.Lookup(p.Protocol)
+	if err != nil {
+		return nil, err
 	}
 	// The medium is a function of the topology alone: equal spec hashes
 	// must mean equal result bytes, and the two media draw their
@@ -123,7 +157,7 @@ func Build(p Params) (*Scenario, error) {
 	if p.MacBoost > 1 {
 		macCfg.MaxTxPerPacket *= p.MacBoost
 	}
-	net, err := build(nw, p, macCfg)
+	net, err := codec.Build(nw, stack.BuildArgs{Seed: p.Seed, Period: p.Period, Flows: p.Flows}, macCfg)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,16 @@ import (
 
 	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/chaos"
+	"github.com/digs-net/digs/internal/controller"
+	"github.com/digs-net/digs/internal/core"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/metrics"
+	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
+	"github.com/digs-net/digs/internal/whart"
 )
 
 const testTopo = "half-testbed-a"
@@ -63,8 +67,8 @@ func runTraffic(sc *Scenario) ([]byte, window, error) {
 // continue to T — and the trace, the metrics window and the complete final
 // state are bit-identical to the run that never stopped.
 func TestResumeBitIdentity(t *testing.T) {
-	for _, proto := range []string{snapshot.ProtocolDiGS, snapshot.ProtocolOrchestra,
-		snapshot.ProtocolWHART, snapshot.ProtocolSDN, snapshot.ProtocolAdaptive} {
+	for _, proto := range []string{core.Protocol, orchestra.Protocol,
+		whart.Protocol, controller.SDNProtocol, controller.AdaptiveProtocol} {
 		proto := proto
 		t.Run(proto, func(t *testing.T) {
 			t.Parallel()
@@ -174,7 +178,7 @@ func runChaos(sc *Scenario) ([]chaos.FaultReport, int, int, error) {
 func TestWarmStartChaosRecovery(t *testing.T) {
 	cache := &snapshot.Cache{Dir: t.TempDir()}
 	build := func() *Scenario {
-		sc, err := Build(Params{TopologyName: testTopo, Protocol: snapshot.ProtocolDiGS, Seed: 3, Period: time.Second})
+		sc, err := Build(Params{TopologyName: testTopo, Protocol: core.Protocol, Seed: 3, Period: time.Second})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,8 +232,8 @@ func TestWarmStartCampaignDeterminism(t *testing.T) {
 		t.Skip("multi-worker campaign sweep")
 	}
 	cache := &snapshot.Cache{Dir: t.TempDir()}
-	protos := []string{snapshot.ProtocolDiGS, snapshot.ProtocolOrchestra,
-		snapshot.ProtocolSDN, snapshot.ProtocolAdaptive}
+	protos := []string{core.Protocol, orchestra.Protocol,
+		controller.SDNProtocol, controller.AdaptiveProtocol}
 
 	runCampaign := func(workers int) ([]string, error) {
 		return campaign.Map(campaign.New(workers), len(protos)*2, func(i int) (string, error) {

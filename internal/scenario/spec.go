@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/chaos"
+	"github.com/digs-net/digs/internal/core"
+	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
@@ -71,7 +73,7 @@ type Spec struct {
 // Spec defaults.
 const (
 	DefaultTopology = "testbed-a"
-	DefaultProtocol = "digs"
+	DefaultProtocol = core.Protocol
 	DefaultPeriod   = 5 * time.Second
 	DefaultWindow   = 2 * time.Minute
 	// DefaultGenJoinFraction is the formation target for generated
@@ -158,8 +160,8 @@ func (s Spec) Canonical() Spec {
 // server should reject at admission rather than at run time.
 func (s Spec) Validate() error {
 	c := s.Canonical()
-	if !StackRegistered(c.Protocol) {
-		return fmt.Errorf("spec: unknown protocol %q (registered: %s)", c.Protocol, StackNames())
+	if _, err := stack.Lookup(c.Protocol); err != nil {
+		return fmt.Errorf("spec: %w", err)
 	}
 	if err := ValidTopologyName(c.Topology); err != nil {
 		return fmt.Errorf("spec: %w", err)
@@ -187,20 +189,6 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("spec: unknown plan_name %q (want \"fig8\")", c.PlanName)
 	}
 	return nil
-}
-
-// ValidTopologyName checks a -topology value without paying to build it
-// (generating a 100k-node deployment just to validate a submission would
-// be its own denial of service).
-func ValidTopologyName(name string) error {
-	switch name {
-	case "testbed-a", "testbed-b", "half-testbed-a", "half-testbed-b", "random-150":
-		return nil
-	}
-	if _, ok, err := topology.ParseGenSpec(name); ok {
-		return err
-	}
-	return fmt.Errorf("unknown topology %q", name)
 }
 
 // Hash returns the spec's content address: a hex SHA-256 over the

@@ -186,3 +186,23 @@ func TestRunSpecCancelled(t *testing.T) {
 		t.Fatal("sanity")
 	}
 }
+
+// TestValidateBuildsNothing: validating a spec parses its deployment name
+// and builds nothing, so admitting a million-node gen-* spec costs what
+// admitting a ten-node one does — a few allocations, not a node's worth.
+// digs-server counts on it to answer 413 before anything is built.
+func TestValidateBuildsNothing(t *testing.T) {
+	allocs := func(topo string) float64 {
+		t.Helper()
+		spec := Spec{Topology: topo}
+		if err := spec.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() { _ = spec.Validate() })
+	}
+	huge, tiny := allocs("gen-plant-1000000"), allocs("gen-plant-10")
+	if huge != tiny || huge > 8 {
+		t.Fatalf("Validate allocates %.0f times for gen-plant-1000000, %.0f for gen-plant-10 (want equal, at most 8)",
+			huge, tiny)
+	}
+}

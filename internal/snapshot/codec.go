@@ -44,9 +44,9 @@ const (
 
 // Encode serialises a snapshot to its wire form.
 func Encode(s *Snapshot) ([]byte, error) {
-	codec, ok := stack.Lookup(s.Meta.Protocol)
-	if !ok {
-		return nil, fmt.Errorf("snapshot: encode unknown protocol %q", s.Meta.Protocol)
+	codec, err := stack.Lookup(s.Meta.Protocol)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: encode: %w", err)
 	}
 	if s.Net == nil {
 		return nil, fmt.Errorf("snapshot: encode without network state")
@@ -164,9 +164,9 @@ func validate(s *Snapshot, seen map[string]bool, stackTag string) error {
 	if len(s.MACs) != s.Meta.Nodes+1 {
 		return fmt.Errorf("snapshot: %d MAC entries for %d nodes", len(s.MACs), s.Meta.Nodes)
 	}
-	codec, ok := stack.Lookup(s.Meta.Protocol)
-	if !ok {
-		return fmt.Errorf("snapshot: unknown protocol %q", s.Meta.Protocol)
+	codec, err := stack.Lookup(s.Meta.Protocol)
+	if err != nil {
+		return fmt.Errorf("snapshot: %w", err)
 	}
 	if stackTag != codec.Section {
 		return fmt.Errorf("snapshot: %s snapshot with stack section %q, want %q",

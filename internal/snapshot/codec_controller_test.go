@@ -54,7 +54,7 @@ func TestSDNStackStateRoundTrip(t *testing.T) {
 
 func synthSDN() *snapshot.Snapshot {
 	return &snapshot.Snapshot{
-		Meta:  testMeta(snapshot.ProtocolSDN, 3),
+		Meta:  testMeta(controller.SDNProtocol, 3),
 		Net:   testNet(3),
 		MACs:  testMACs(3),
 		Stack: states(sdnStates()),
@@ -128,7 +128,7 @@ func TestAdaptiveStackStateRoundTrip(t *testing.T) {
 
 func synthAdaptive() *snapshot.Snapshot {
 	return &snapshot.Snapshot{
-		Meta:  testMeta(snapshot.ProtocolAdaptive, 2),
+		Meta:  testMeta(controller.AdaptiveProtocol, 2),
 		Net:   testNet(2),
 		MACs:  testMACs(2),
 		Stack: states(adaptiveStates()),
@@ -168,7 +168,7 @@ func adaptiveStates() []*controller.AdaptiveStackState {
 // sections disagree.
 func TestValidateControllerSections(t *testing.T) {
 	snap := &snapshot.Snapshot{
-		Meta:  testMeta(snapshot.ProtocolSDN, 2),
+		Meta:  testMeta(controller.SDNProtocol, 2),
 		Net:   testNet(2),
 		MACs:  testMACs(2),
 		Stack: states([]*controller.SDNStackState{nil, {}}), // 2 entries for 2 nodes: wrong

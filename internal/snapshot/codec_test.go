@@ -18,6 +18,7 @@ import (
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 	"github.com/digs-net/digs/internal/trickle"
+	"github.com/digs-net/digs/internal/whart"
 	"github.com/digs-net/digs/internal/wire"
 )
 
@@ -81,7 +82,7 @@ func synthDiGS() *snapshot.Snapshot {
 
 	return &snapshot.Snapshot{
 		Meta: snapshot.Meta{
-			Protocol: snapshot.ProtocolDiGS, Topology: "testbed-x", Nodes: nodes, NumAPs: 1,
+			Protocol: core.Protocol, Topology: "testbed-x", Nodes: nodes, NumAPs: 1,
 			Seed: 42, Slot: 12345, ConfigHash: 0xABCDEF, Label: "formed+30s",
 			Extra: map[string]string{"formed_slots": "8000", "period": "5s"},
 		},
@@ -100,7 +101,7 @@ func synthDiGS() *snapshot.Snapshot {
 
 func synthOrchestra() *snapshot.Snapshot {
 	s := synthDiGS()
-	s.Meta.Protocol = snapshot.ProtocolOrchestra
+	s.Meta.Protocol = orchestra.Protocol
 	stacks := make([]*orchestra.StackState, s.Meta.Nodes+1)
 	for i := 1; i <= s.Meta.Nodes; i++ {
 		stacks[i] = &orchestra.StackState{NodeState: rpl.NodeState{
@@ -126,7 +127,7 @@ func synthOrchestra() *snapshot.Snapshot {
 
 func synthWHART() *snapshot.Snapshot {
 	s := synthDiGS()
-	s.Meta.Protocol = snapshot.ProtocolWHART
+	s.Meta.Protocol = whart.Protocol
 	s.Stack = nil
 	return s
 }

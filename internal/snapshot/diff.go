@@ -45,7 +45,7 @@ func Diff(a, b *Snapshot) []string {
 		}
 	}
 	tag := "stack"
-	if codec, ok := stack.Lookup(a.Meta.Protocol); ok && codec.Section != "" {
+	if codec, err := stack.Lookup(a.Meta.Protocol); err == nil && codec.Section != "" {
 		tag = codec.Section
 	}
 	if len(a.Stack) != len(b.Stack) {

@@ -16,6 +16,7 @@ import (
 	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
+	"github.com/digs-net/digs/internal/whart"
 	"github.com/digs-net/digs/internal/wire"
 )
 
@@ -38,7 +39,7 @@ func rep[T any](v T) []T {
 // network: the version-2 fields of the "net" section — fade pairs and nap
 // vectors — and no dense Fade overlay.
 func synthSparse() *snapshot.Snapshot {
-	s := &snapshot.Snapshot{Meta: testMeta(snapshot.ProtocolWHART, 3), Net: testNet(3), MACs: testMACs(3)}
+	s := &snapshot.Snapshot{Meta: testMeta(whart.Protocol, 3), Net: testNet(3), MACs: testMACs(3)}
 	s.Net.DriftProb = []float64{0, 0, 0.01, 0}
 	s.Net.DriftSeed = []uint64{0, 0, 9, 0}
 	s.Net.FadeLinkIdx = []int32{4, 1 << 20}
@@ -61,16 +62,16 @@ func TestNarrowestEntriesDecode(t *testing.T) {
 	base := func(proto string) *snapshot.Snapshot {
 		return &snapshot.Snapshot{Meta: testMeta(proto, nodes), Net: testNet(nodes), MACs: testMACs(nodes)}
 	}
-	whart := func(edit func(*snapshot.Snapshot)) *snapshot.Snapshot {
-		s := base(snapshot.ProtocolWHART)
+	whartSnap := func(edit func(*snapshot.Snapshot)) *snapshot.Snapshot {
+		s := base(whart.Protocol)
 		edit(s)
 		return s
 	}
 	net := func(edit func(*sim.NetworkState)) *snapshot.Snapshot {
-		return whart(func(s *snapshot.Snapshot) { edit(s.Net) })
+		return whartSnap(func(s *snapshot.Snapshot) { edit(s.Net) })
 	}
 	lastMAC := func(edit func(*mac.NodeState)) *snapshot.Snapshot {
-		return whart(func(s *snapshot.Snapshot) { edit(s.MACs[nodes]) })
+		return whartSnap(func(s *snapshot.Snapshot) { edit(s.MACs[nodes]) })
 	}
 	allNil := func(proto string) *snapshot.Snapshot {
 		s := base(proto)
@@ -87,7 +88,7 @@ func TestNarrowestEntriesDecode(t *testing.T) {
 		table string
 		snap  *snapshot.Snapshot
 	}{
-		{"meta.Extra", whart(func(s *snapshot.Snapshot) {
+		{"meta.Extra", whartSnap(func(s *snapshot.Snapshot) {
 			s.Meta.Extra = map[string]string{}
 			for i := 0; i < narrow; i++ {
 				s.Meta.Extra[string(rune('0'+i))] = ""
@@ -99,7 +100,7 @@ func TestNarrowestEntriesDecode(t *testing.T) {
 		{"net.FadeLink", net(func(n *sim.NetworkState) { n.FadeLinkIdx, n.FadeLinkVal = rep(int32(0)), rep(0.0) })},
 		{"net.Nap", net(func(n *sim.NetworkState) { n.NapUntil, n.NapStart = rep(int64(0)), rep(int64(0)) })},
 
-		{"mac (nil entries)", allNil(snapshot.ProtocolWHART)},
+		{"mac (nil entries)", allNil(whart.Protocol)},
 		{"mac.Queue", lastMAC(func(n *mac.NodeState) { n.Queue = rep(mac.PacketState{}) })},
 		{"mac.DownQueue", lastMAC(func(n *mac.NodeState) { n.DownQueue = rep(mac.PacketState{}) })},
 		{"mac.Seen", lastMAC(func(n *mac.NodeState) { n.Seen = rep(mac.SeenKeyState{}) })},
@@ -108,39 +109,39 @@ func TestNarrowestEntriesDecode(t *testing.T) {
 		})},
 
 		{"stack (nil entries)", func() *snapshot.Snapshot {
-			s := allNil(snapshot.ProtocolDiGS)
+			s := allNil(core.Protocol)
 			s.Stack = make([]stack.State, narrow+1)
 			return s
 		}()},
-		{"digs.Router.Neighbors", lastStack(base(snapshot.ProtocolDiGS), func(st *core.StackState) { st.Router.Neighbors = rep(digsNeighbor) })},
-		{"digs.Router.Children", lastStack(base(snapshot.ProtocolDiGS), func(st *core.StackState) { st.Router.Children = rep(core.ChildState{}) })},
-		{"digs.Router.Links", lastStack(base(snapshot.ProtocolDiGS), func(st *core.StackState) { st.Router.Links = rep(link.LinkState{}) })},
-		{"digs.Pending", lastStack(base(snapshot.ProtocolDiGS), func(st *core.StackState) { st.Pending = rep(core.PendingCallbackState{}) })},
+		{"digs.Router.Neighbors", lastStack(base(core.Protocol), func(st *core.StackState) { st.Router.Neighbors = rep(digsNeighbor) })},
+		{"digs.Router.Children", lastStack(base(core.Protocol), func(st *core.StackState) { st.Router.Children = rep(core.ChildState{}) })},
+		{"digs.Router.Links", lastStack(base(core.Protocol), func(st *core.StackState) { st.Router.Links = rep(link.LinkState{}) })},
+		{"digs.Pending", lastStack(base(core.Protocol), func(st *core.StackState) { st.Pending = rep(core.PendingCallbackState{}) })},
 
-		{"orch.Router.Neighbors", lastStack(base(snapshot.ProtocolOrchestra), func(st *orchestra.StackState) { st.Router.Neighbors = rep(rplNeighbor) })},
-		{"orch.Router.Links", lastStack(base(snapshot.ProtocolOrchestra), func(st *orchestra.StackState) { st.Router.Links = rep(link.LinkState{}) })},
-		{"orch.ChildCells", lastStack(base(snapshot.ProtocolOrchestra), func(st *orchestra.StackState) {
+		{"orch.Router.Neighbors", lastStack(base(orchestra.Protocol), func(st *orchestra.StackState) { st.Router.Neighbors = rep(rplNeighbor) })},
+		{"orch.Router.Links", lastStack(base(orchestra.Protocol), func(st *orchestra.StackState) { st.Router.Links = rep(link.LinkState{}) })},
+		{"orch.ChildCells", lastStack(base(orchestra.Protocol), func(st *orchestra.StackState) {
 			st.HasChildCells, st.ChildCells = true, rep(rpl.ChildCellState{})
 		})},
 
-		{"adpt.Router.Neighbors", lastStack(base(snapshot.ProtocolAdaptive), func(st *controller.AdaptiveStackState) { st.Router.Neighbors = rep(rplNeighbor) })},
-		{"adpt.NeighborCells", lastStack(base(snapshot.ProtocolAdaptive), func(st *controller.AdaptiveStackState) {
+		{"adpt.Router.Neighbors", lastStack(base(controller.AdaptiveProtocol), func(st *controller.AdaptiveStackState) { st.Router.Neighbors = rep(rplNeighbor) })},
+		{"adpt.NeighborCells", lastStack(base(controller.AdaptiveProtocol), func(st *controller.AdaptiveStackState) {
 			st.HasNeighborCells, st.NeighborCells = true, rep(controller.AdaptiveCellState{})
 		})},
-		{"adpt.ChildCells", lastStack(base(snapshot.ProtocolAdaptive), func(st *controller.AdaptiveStackState) {
+		{"adpt.ChildCells", lastStack(base(controller.AdaptiveProtocol), func(st *controller.AdaptiveStackState) {
 			st.HasChildCells, st.ChildCells = true, rep(rpl.ChildCellState{})
 		})},
 
-		{"sdn.Hops", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) { st.HasHops, st.Hops = true, rep(controller.SDNHopsState{}) })},
-		{"sdn.RSS", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) { st.HasRSS, st.RSS = true, rep(controller.SDNRSSState{}) })},
-		{"sdn.Children", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) { st.Children = rep(topology.NodeID(1)) })},
-		{"sdn.CtrlQ", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) { st.CtrlQ = rep(controller.SDNCtrlState{}) })},
-		{"sdn.Reports", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) { st.Reports = rep(controller.SDNReportState{}) })},
-		{"sdn.Reports.Neigh", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) {
+		{"sdn.Hops", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) { st.HasHops, st.Hops = true, rep(controller.SDNHopsState{}) })},
+		{"sdn.RSS", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) { st.HasRSS, st.RSS = true, rep(controller.SDNRSSState{}) })},
+		{"sdn.Children", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) { st.Children = rep(topology.NodeID(1)) })},
+		{"sdn.CtrlQ", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) { st.CtrlQ = rep(controller.SDNCtrlState{}) })},
+		{"sdn.Reports", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) { st.Reports = rep(controller.SDNReportState{}) })},
+		{"sdn.Reports.Neigh", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) {
 			st.Reports = []controller.SDNReportState{{Neigh: rep(controller.SDNReportNeighbor{})}}
 		})},
-		{"sdn.LastSent", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) { st.LastSent = rep(controller.SDNSentState{}) })},
-		{"sdn.LastSent.Children", lastStack(base(snapshot.ProtocolSDN), func(st *controller.SDNStackState) {
+		{"sdn.LastSent", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) { st.LastSent = rep(controller.SDNSentState{}) })},
+		{"sdn.LastSent.Children", lastStack(base(controller.SDNProtocol), func(st *controller.SDNStackState) {
 			st.LastSent = []controller.SDNSentState{{Children: rep(topology.NodeID(1))}}
 		})},
 	} {

@@ -22,16 +22,6 @@ import (
 	"github.com/digs-net/digs/internal/stack"
 )
 
-// Protocol identifiers stored in snapshot metadata: the registered
-// stack.Codec.Protocol names of the five stacks in the tree.
-const (
-	ProtocolDiGS      = "digs"
-	ProtocolOrchestra = "orchestra"
-	ProtocolWHART     = "whart"
-	ProtocolSDN       = "sdn"
-	ProtocolAdaptive  = "adaptive"
-)
-
 // Meta is the self-describing header of a snapshot: everything a consumer
 // needs to rebuild the scenario the state overlays onto, plus free-form
 // labelling for caches and tooling.
@@ -81,9 +71,9 @@ type Snapshot struct {
 // stack's own state — at the current slot. Protocol, Nodes, NumAPs and
 // Slot in meta are filled from the network and the bundle.
 func Take(meta Meta, nw *sim.Network, net stack.Bundle) (*Snapshot, error) {
-	codec, ok := stack.Lookup(net.Protocol())
-	if !ok {
-		return nil, fmt.Errorf("snapshot: no codec registered for protocol %q", net.Protocol())
+	codec, err := stack.Lookup(net.Protocol())
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 	netSt, err := nw.CaptureState()
 	if err != nil {

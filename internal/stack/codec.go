@@ -3,18 +3,26 @@ package stack
 import (
 	"fmt"
 	"sort"
+	"strings"
+	"time"
 
+	"github.com/digs-net/digs/internal/mac"
+	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/wire"
 )
 
 // Codec is a stack's single registration: the name it builds and
-// snapshots under, the snapshot section its state travels in, and the
-// constructor of one node's zero state, which decodes itself through its
-// own State.Code. A stack package registers its Codec from init, so any
-// binary that can build the stack can also decode it.
+// snapshots under, how it is built, the snapshot section its state travels
+// in, and the constructor of one node's zero state, which decodes itself
+// through its own State.Code. A stack package registers its Codec from
+// init, so any binary that links the stack can build it and decode it, and
+// the registry is the one list of the stacks a spec may name.
 type Codec struct {
 	// Protocol is the -protocol name, stored in snapshot metadata.
 	Protocol string
+	// Build picks the stack's configuration from the arguments and
+	// attaches it to every node of a fresh network.
+	Build func(nw *sim.Network, a BuildArgs, macCfg mac.Config) (Bundle, error)
 	// Section is the snapshot section tag. Empty for a stack with no
 	// mutable state beyond its MAC nodes (New is then nil).
 	Section string
@@ -22,13 +30,23 @@ type Codec struct {
 	New func() State
 }
 
+// BuildArgs is what a stack's builder may read beyond the network and the
+// MAC configuration: the seed, and the flow period and random-flow count
+// (0 = the deployment's suggested sources) that only WirelessHART's
+// central schedule is dimensioned by.
+type BuildArgs struct {
+	Seed   int64
+	Period time.Duration
+	Flows  int
+}
+
 var codecs = map[string]Codec{}
 
 // Register adds a stack's codec. Registration happens from init
-// functions; an empty or duplicate name or section tag, or a section
-// without a constructor, is a programming error.
+// functions; an empty or duplicate name or section tag, a missing
+// builder, or a section without a constructor, is a programming error.
 func Register(c Codec) {
-	if c.Protocol == "" || (c.Section == "") != (c.New == nil) {
+	if c.Protocol == "" || c.Build == nil || (c.Section == "") != (c.New == nil) {
 		panic(fmt.Sprintf("stack: malformed codec registration %+v", c))
 	}
 	for _, have := range codecs {
@@ -39,10 +57,14 @@ func Register(c Codec) {
 	codecs[c.Protocol] = c
 }
 
-// Lookup returns the codec registered under a protocol name.
-func Lookup(protocol string) (Codec, bool) {
+// Lookup returns the codec registered under a protocol name; the error
+// for an unknown name lists every registered one.
+func Lookup(protocol string) (Codec, error) {
 	c, ok := codecs[protocol]
-	return c, ok
+	if !ok {
+		return Codec{}, fmt.Errorf("unknown protocol %q (registered: %s)", protocol, Names())
+	}
+	return c, nil
 }
 
 // LookupSection returns the codec whose state travels in a section tag.
@@ -67,6 +89,10 @@ func Registered() []string {
 	sort.Strings(names)
 	return names
 }
+
+// Names is the comma-joined Registered list, for flag help and rejection
+// messages.
+func Names() string { return strings.Join(Registered(), ", ") }
 
 // CodeStates walks a whole network's states (indexed by node ID, nil
 // entries allowed) as one snapshot section body: a count, then each entry

@@ -34,7 +34,9 @@ type State interface {
 }
 
 // RouteHook observes a node's parent changes. Backup is 0 on stacks that
-// keep a single preferred parent.
+// keep a single preferred parent. A parent lost with no replacement
+// reaches it as parent 0 on sdn only; DiGS and the RPL family report that
+// loss through the join hook alone.
 type RouteHook func(asn sim.ASN, parent, backup topology.NodeID)
 
 // Node is what one node's protocol stack exposes beyond the MAC-facing
@@ -52,7 +54,8 @@ type Node interface {
 	SetRouteHook(fn RouteHook)
 	// SetJoinHook installs the callback the stack calls whenever Joined
 	// may have flipped — a parent gained or lost — other than by Reset or
-	// RestoreState. It survives a Reset.
+	// RestoreState. It is the one hook that sees every parent loss (the
+	// route hook does not, see RouteHook). It survives a Reset.
 	SetJoinHook(fn func())
 	// Probe reports the routing view the invariant monitor checks,
 	// consuming no randomness.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"github.com/digs-net/digs/internal/topology"
@@ -217,4 +218,57 @@ func MergeJSONL(dst io.Writer, parts ...[]byte) error {
 		}
 	}
 	return nil
+}
+
+// JobTraces is a campaign's trace file: each job records into its own
+// job-stamped JSONL part, and Write merges the parts in job order, so the
+// file is byte-identical at any worker count. The nil *JobTraces, a
+// campaign run without a trace file, hands out nil tracers and writes
+// nothing.
+type JobTraces struct {
+	path  string
+	parts []bytes.Buffer
+}
+
+// NewJobTraces returns the trace of an n-job campaign bound for the file
+// at path, or nil when path is empty.
+func NewJobTraces(path string, n int) *JobTraces {
+	if path == "" {
+		return nil
+	}
+	return &JobTraces{path: path, parts: make([]bytes.Buffer, n)}
+}
+
+// Tracer returns job's sink. Jobs may record concurrently: each has a
+// part of its own.
+func (j *JobTraces) Tracer(job int) Tracer {
+	if j == nil {
+		return nil
+	}
+	return WithJob(NewJSONL(&j.parts[job]), job)
+}
+
+// Write merges the parts into the file and reports it on msg as "trace
+// written to <path> (<jobs> <noun> merged)".
+func (j *JobTraces) Write(msg io.Writer, noun string) error {
+	if j == nil {
+		return nil
+	}
+	raw := make([][]byte, len(j.parts))
+	for i := range j.parts {
+		raw[i] = j.parts[i].Bytes()
+	}
+	f, err := os.Create(j.path)
+	if err != nil {
+		return err
+	}
+	if err := MergeJSONL(f, raw...); err != nil {
+		f.Close()
+		return fmt.Errorf("trace %s: %w", j.path, err)
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	_, err = fmt.Fprintf(msg, "trace written to %s (%d %s merged)\n", j.path, len(j.parts), noun)
+	return err
 }

@@ -50,8 +50,9 @@ const (
 	// by the engine adapter, see AttachSim).
 	EvCollision
 	// EvRouteChange marks a routing adjacency change: Peer is the new
-	// best parent (0 = lost), Peer2 the new backup where the protocol
-	// keeps one.
+	// best parent, Peer2 the new backup where the protocol keeps one.
+	// Only sdn reports a lost parent (Peer 0); DiGS and the RPL family
+	// record no event when a node loses every parent.
 	EvRouteChange
 	// EvFaultStart marks a chaos-plan fault becoming active: Flow is the
 	// plan entry index, Seq the occurrence number for periodic faults,

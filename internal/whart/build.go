@@ -1,16 +1,22 @@
 package whart
 
 import (
+	"math/rand"
+
+	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/topology"
 )
 
-// Codec is the WirelessHART stack's registration: protocol "whart" and no
-// snapshot section — the centrally computed stack is stateless, so MAC
-// state is all a snapshot of it holds.
-var Codec = stack.Codec{Protocol: "whart"}
+// Protocol is the WirelessHART stack's registered name.
+const Protocol = "whart"
+
+// Codec is the WirelessHART stack's registration: built for the flow set
+// the arguments name, and no snapshot section — the centrally computed
+// stack is stateless, so MAC state is all a snapshot of it holds.
+var Codec = stack.Codec{Protocol: Protocol, Build: build}
 
 func init() { stack.Register(Codec) }
 
@@ -19,6 +25,32 @@ func init() { stack.Register(Codec) }
 type Network struct {
 	*stack.Network[*Stack]
 	Routes *Routes
+}
+
+// build dimensions the Network Manager's schedule for one flow per source
+// at the arguments' period: the deployment's suggested sources, or, with
+// a flow count, the random flow set a run of the same seed drives. The
+// manager computes the TDMA schedule up front, so a random-flows request
+// changes the build (and its ConfigHash), unlike for the autonomous
+// stacks.
+func build(nw *sim.Network, a stack.BuildArgs, macCfg mac.Config) (stack.Bundle, error) {
+	topo := nw.Topology()
+	srcs := topo.SuggestedSources
+	if a.Flows > 0 {
+		rf, err := flows.RandomSet(topo, a.Flows, a.Period, rand.New(rand.NewSource(a.Seed)))
+		if err != nil {
+			return nil, err
+		}
+		srcs = nil
+		for _, f := range rf {
+			srcs = append(srcs, f.Source)
+		}
+	}
+	var fl []Flow
+	for i, src := range srcs {
+		fl = append(fl, Flow{ID: uint16(i + 1), Source: src, PeriodSlots: sim.SlotsFor(a.Period)})
+	}
+	return Build(nw, fl, macCfg)
 }
 
 // Build computes graph routes and a TDMA superframe for the given flows
@@ -35,7 +67,7 @@ func Build(nw *sim.Network, fl []Flow, macCfg mac.Config) (*Network, error) {
 	if err != nil {
 		return nil, err
 	}
-	net, err := stack.Build(nw, Codec.Protocol, stack.HashConfig(macCfg, fl), macCfg,
+	net, err := stack.Build(nw, Protocol, stack.HashConfig(macCfg, fl), macCfg,
 		func(id topology.NodeID, isAP bool) (*Stack, error) {
 			return NewStack(id, isAP, routes, sf)
 		})
