@@ -135,20 +135,29 @@ snap-smoke:
 ## it, then digs-chaos and digs-sim -spec warm-start from it; in a second
 ## directory the order is reversed; every output must equal its cold run,
 ## and digs-sim in the first order must report a warm hit (on an entry it
-## did not write).
+## did not write). A second spec, WirelessHART on random-150, whose config
+## hash covers the build-time random flow set, runs cold, then in both
+## orders, then warm from the first directory (a hit on its own entry).
 CACHE_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-cache-smoke
 CACHE_SMOKE_SPEC := {"topology":"testbed-a","protocol":"orchestra","seed":1,"window":"20s"}
+CACHE_SMOKE_SPEC2 := {"topology":"random-150","protocol":"whart","seed":1,"window":"20s"}
 cache-smoke:
 	rm -rf $(CACHE_SMOKE_DIR) && mkdir -p $(CACHE_SMOKE_DIR)
 	$(GO) build -o $(CACHE_SMOKE_DIR)/ ./cmd/digs-bench ./cmd/digs-chaos ./cmd/digs-sim
 	cd $(CACHE_SMOKE_DIR) && ./digs-bench -fig 9 >fig9.cold && ./digs-chaos -plan fig8 >chaos.cold \
-		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - >spec.cold 2>/dev/null
+		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - >spec.cold 2>/dev/null \
+		&& echo '$(CACHE_SMOKE_SPEC2)' | ./digs-sim -spec - >spec2.cold 2>/dev/null
 	cd $(CACHE_SMOKE_DIR) && ./digs-bench -fig 9 -snap-cache d1 >fig9.d1 && ./digs-chaos -plan fig8 -snap-cache d1 >chaos.d1 \
-		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d1 >spec.d1 2>last.d1
-	cd $(CACHE_SMOKE_DIR) && echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d2 >spec.d2 2>/dev/null \
+		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d1 >spec.d1 2>last.d1 \
+		&& echo '$(CACHE_SMOKE_SPEC2)' | ./digs-sim -spec - -warm d1 >spec2.d1 2>/dev/null
+	cd $(CACHE_SMOKE_DIR) && echo '$(CACHE_SMOKE_SPEC2)' | ./digs-sim -spec - -warm d2 >spec2.d2 2>/dev/null \
+		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d2 >spec.d2 2>/dev/null \
 		&& ./digs-chaos -plan fig8 -snap-cache d2 >chaos.d2 && ./digs-bench -fig 9 -snap-cache d2 >fig9.d2
+	cd $(CACHE_SMOKE_DIR) && echo '$(CACHE_SMOKE_SPEC2)' | ./digs-sim -spec - -warm d1 >spec2.warm 2>last2.warm
 	grep -q warm_hit=true $(CACHE_SMOKE_DIR)/last.d1
-	cd $(CACHE_SMOKE_DIR) && for f in fig9 chaos spec; do cmp $$f.cold $$f.d1 && cmp $$f.cold $$f.d2 || exit 1; done
+	grep -q warm_hit=true $(CACHE_SMOKE_DIR)/last2.warm
+	cd $(CACHE_SMOKE_DIR) && for f in fig9 chaos spec spec2; do cmp $$f.cold $$f.d1 && cmp $$f.cold $$f.d2 || exit 1; done
+	cmp $(CACHE_SMOKE_DIR)/spec2.cold $(CACHE_SMOKE_DIR)/spec2.warm
 	@echo cache-smoke: OK
 
 ## scale-smoke: spin up a procedurally generated 10k-node deployment on

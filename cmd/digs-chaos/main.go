@@ -105,8 +105,7 @@ func run(args []string) error {
 		return fmt.Errorf("-duration %v must be at least -period %v, and both positive", opts.duration, opts.period)
 	}
 	campaign.SetDefaultWorkers(*parallel)
-	topo, err := scenario.PickTopology(opts.topology)
-	if err != nil {
+	if err := scenario.ValidTopologyName(opts.topology); err != nil {
 		return err
 	}
 	for _, p := range strings.Split(protoList, ",") {
@@ -125,7 +124,7 @@ func run(args []string) error {
 	opts.reps = *reps
 
 	traces := telemetry.NewJobTraces(opts.trace, opts.reps*len(opts.protocols))
-	outs, err := runCampaign(opts, traces)
+	topoName, outs, err := runCampaign(opts, traces)
 	if err != nil {
 		return err
 	}
@@ -155,11 +154,11 @@ func run(args []string) error {
 			Topology string       `json:"topology"`
 			Reps     int          `json:"reps"`
 			Runs     []*runResult `json:"runs"`
-		}{opts.plan, topo.Name, opts.reps, runs}); err != nil {
+		}{opts.plan, topoName, opts.reps, runs}); err != nil {
 			return err
 		}
 	} else {
-		renderText(os.Stdout, opts, topo.Name, outs)
+		renderText(os.Stdout, opts, topoName, outs)
 	}
 	// Keep stdout pure JSON when -json is set.
 	msgOut := io.Writer(os.Stdout)
@@ -261,18 +260,19 @@ type jobOut struct {
 }
 
 // runCampaign fans one job per (rep, protocol) over the worker pool; job
-// i records into traces.Tracer(i).
-func runCampaign(opts options, traces *telemetry.JobTraces) ([]*jobOut, error) {
+// i records into traces.Tracer(i). It returns the name of the deployment
+// it built for the plan, for the report, with the jobs' outputs.
+func runCampaign(opts options, traces *telemetry.JobTraces) (string, []*jobOut, error) {
 	topo, err := scenario.PickTopology(opts.topology)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	base, err := scenario.Spec{
 		Topology: opts.topology, Period: scenario.Duration(opts.period),
 		Window: scenario.Duration(opts.duration), Invariants: opts.invariants,
 	}.WithPlan(opts.plan)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
 	var cache *snapshot.Cache
 	if opts.snapCache != "" {
@@ -297,9 +297,9 @@ func runCampaign(opts options, traces *telemetry.JobTraces) ([]*jobOut, error) {
 	})
 	var pe *campaign.PanicError
 	if errors.As(err, &pe) {
-		return nil, fmt.Errorf("job %d panicked: %v\n%s", pe.Job, pe.Value, pe.Stack)
+		return "", nil, fmt.Errorf("job %d panicked: %v\n%s", pe.Job, pe.Value, pe.Stack)
 	}
-	return outs, err
+	return topo.Name, outs, err
 }
 
 // renderText writes the human-readable campaign report. Nothing in it may

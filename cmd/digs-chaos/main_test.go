@@ -23,7 +23,7 @@ import (
 func TestRunPlanColdWarmFigureCache(t *testing.T) {
 	report := func(cacheDir string) []byte {
 		t.Helper()
-		outs, err := runCampaign(options{
+		_, outs, err := runCampaign(options{
 			plan: "fig8", topology: "testbed-a", protocols: []string{"orchestra"},
 			duration: 30 * time.Second, period: 5 * time.Second, seed: 2, reps: 1,
 			snapCache: cacheDir,
@@ -73,7 +73,7 @@ func TestRunPlanOnGeneratedPlant(t *testing.T) {
 		`{"kind":"node-crash","targets":[150],"start":"5s","duration":"10s"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	outs, err := runCampaign(options{
+	_, outs, err := runCampaign(options{
 		plan: plan, topology: "gen-plant-300-1", protocols: []string{"digs"},
 		duration: 30 * time.Second, period: 5 * time.Second, seed: 1, reps: 1,
 	}, nil)
@@ -107,7 +107,7 @@ func writePlan(t *testing.T, node int) string {
 // it gets — not the empty suggested set, which generated nothing and
 // reported every fault with 0/0 packets.
 func TestPlanOnDeploymentWithoutSourcesDrivesTraffic(t *testing.T) {
-	outs, err := runCampaign(options{
+	_, outs, err := runCampaign(options{
 		plan: writePlan(t, 40), topology: "random-150", protocols: []string{"orchestra"},
 		duration: 10 * time.Second, period: 5 * time.Second, seed: 1, reps: 1,
 	}, nil)
@@ -126,7 +126,7 @@ func TestJobIsRunSpec(t *testing.T) {
 		plan: "fig8", topology: "half-testbed-a", protocols: []string{"digs", "sdn"},
 		duration: 30 * time.Second, period: 5 * time.Second, seed: 3, reps: 1, invariants: true,
 	}
-	outs, err := runCampaign(opts, nil)
+	_, outs, err := runCampaign(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func run(args []string) error {
 	fs.StringVar(&opts.protocol, "protocol", "digs", "stack: "+stack.Names())
 	fs.DurationVar(&opts.duration, "duration", 2*time.Minute, "measurement window")
 	fs.DurationVar(&opts.period, "period", 5*time.Second, "packet period per flow")
-	fs.IntVar(&opts.flows, "flows", 0, "number of flows (0 = the testbed's suggested sources)")
+	fs.IntVar(&opts.flows, "flows", 0, "number of random flows (0 = the deployment's suggested sources, or 8 random ones where it suggests none)")
 	fs.IntVar(&opts.jammers, "jammers", 0, "WiFi jammers to enable (0..3)")
 	fs.IntVar(&opts.failNode, "fail", 0,
 		"node ID to fail mid-run (0 = none); a failed flow source stops generating, so its packets are not counted lost")
@@ -260,9 +260,7 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		Protocol:     opts.protocol,
 		Seed:         seed,
 		Period:       opts.period,
-		// The WirelessHART Network Manager needs a random flow request at
-		// build time; the autonomous stacks take traffic as it comes.
-		Flows: opts.flows,
+		Flows:        opts.flows,
 	})
 	if err != nil {
 		return nil, err
@@ -306,8 +304,7 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		})
 	}
 	m, err := sc.Measure(context.Background(), scenario.Spec{
-		Period: scenario.Duration(opts.period), Window: scenario.Duration(opts.duration),
-		Flows: opts.flows, Jammers: opts.jammers, Invariants: opts.invariants,
+		Window: scenario.Duration(opts.duration), Jammers: opts.jammers, Invariants: opts.invariants,
 	}, tracer)
 	if err != nil {
 		return nil, err
@@ -343,7 +340,7 @@ func runScenario(opts options, seed int64, w io.Writer, dumpNode int, tracer tel
 		invariant.WriteText(w, *m.Invariants)
 	}
 	if opts.verbose {
-		for _, f := range m.FlowSet {
+		for _, f := range sc.FlowSet {
 			fmt.Fprintf(w, "  flow %2d (node %3d): PDR %.3f\n", f.ID, f.Source, m.Collector.FlowPDR(f.ID))
 		}
 		fmt.Fprintf(w, "slot loop over %d slots: %v\n", nw.ASN(), nw.LoopStats())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"testing"
@@ -45,41 +46,51 @@ func TestFlagPathMatchesRunSpec(t *testing.T) {
 	}
 }
 
-// TestSpecFlowsMatchFlagPath: a WirelessHART spec naming a flow count
-// builds the Network Manager's schedule for the flows it drives, as -flows
-// does, so both deliver every packet; and a warm-started run of that spec
-// gives the cold run's result.
+// TestSpecFlowsMatchFlagPath: a WirelessHART spec builds the Network
+// Manager's schedule for the flows it drives, as the flag path does — a
+// -flows count on half of Testbed A, where every packet arrives, and the
+// default random set on random-150, which suggests no sources — so both
+// deliver; and a warm-started run of the spec encodes to the cold run's
+// bytes.
 func TestSpecFlowsMatchFlagPath(t *testing.T) {
-	opts := options{
-		topology: "half-testbed-a", protocol: "whart", flows: 6,
-		duration: 60 * time.Second, period: 5 * time.Second,
-	}
-	sum, err := runScenario(opts, 1, io.Discard, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := scenario.Spec{
-		Topology: opts.topology, Protocol: opts.protocol, Seed: 1, Flows: opts.flows,
-		Period: scenario.Duration(opts.period), Window: scenario.Duration(opts.duration),
-	}
-	cache := &snapshot.Cache{Dir: t.TempDir()}
-	var results [2]*scenario.Result
-	for i := range results {
-		res, _, err := scenario.RunSpec(context.Background(), spec, scenario.RunOpts{Warm: cache})
+	for _, c := range []struct {
+		topology string
+		flows    int
+		wantAll  int // packets sent, all delivered; 0 = some delivered
+	}{{"half-testbed-a", 6, 72}, {"random-150", 0, 0}} {
+		opts := options{
+			topology: c.topology, protocol: "whart", flows: c.flows,
+			duration: 60 * time.Second, period: 5 * time.Second,
+		}
+		sum, err := runScenario(opts, 1, io.Discard, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		results[i] = res
-	}
-	cold, warm := results[0], results[1]
-	if sum.Sent != 72 || sum.Delivered != sum.Sent {
-		t.Fatalf("-flows 6 delivered %d of %d, want 72 of 72", sum.Delivered, sum.Sent)
-	}
-	if cold.Sent != sum.Sent || cold.Delivered != sum.Delivered || cold.PDR != sum.PDR {
-		t.Errorf("spec delivered %d of %d (PDR %v), -flows 6 %d of %d", cold.Delivered, cold.Sent, cold.PDR, sum.Delivered, sum.Sent)
-	}
-	if *warm != *cold {
-		t.Errorf("warm %+v, cold %+v", *warm, *cold)
+		spec := scenario.Spec{
+			Topology: opts.topology, Protocol: opts.protocol, Seed: 1, Flows: opts.flows,
+			Period: scenario.Duration(opts.period), Window: scenario.Duration(opts.duration),
+		}
+		cache := &snapshot.Cache{Dir: t.TempDir()}
+		var encoded [2][]byte
+		for i := range encoded {
+			res, _, err := scenario.RunSpec(context.Background(), spec, scenario.RunOpts{Warm: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if encoded[i], err = res.Encode(); err != nil {
+				t.Fatalf("%s: %v", c.topology, err)
+			}
+			if i == 0 && (res.Sent != sum.Sent || res.Delivered != sum.Delivered || res.PDR != sum.PDR) {
+				t.Errorf("%s: spec delivered %d of %d (PDR %v), flag path %d of %d",
+					c.topology, res.Delivered, res.Sent, res.PDR, sum.Delivered, sum.Sent)
+			}
+		}
+		if sum.Delivered == 0 || c.wantAll > 0 && (sum.Sent != c.wantAll || sum.Delivered != sum.Sent) {
+			t.Fatalf("%s -flows %d delivered %d of %d", c.topology, c.flows, sum.Delivered, sum.Sent)
+		}
+		if !bytes.Equal(encoded[0], encoded[1]) {
+			t.Errorf("%s: warm %s, cold %s", c.topology, encoded[1], encoded[0])
+		}
 	}
 }
 

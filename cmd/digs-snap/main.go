@@ -218,9 +218,7 @@ func cmdResume(args []string) error {
 // measured window of one digs-chaos job, without the formation — and
 // prints the recovery table.
 func resumePlan(sc *scenario.Scenario, planArg, tracePath string) error {
-	spec, err := scenario.Spec{
-		Period: scenario.Duration(sc.Params.Period), Flows: sc.Params.Flows,
-	}.WithPlan(planArg)
+	spec, err := scenario.Spec{}.WithPlan(planArg)
 	if err != nil {
 		return err
 	}

@@ -21,11 +21,7 @@ func RunWhartFailure(seed int64) (clean, failed float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	topo, nw := sc.Params.Topology, sc.NW
-	fl, err := sc.Flows(0, sc.Params.Period)
-	if err != nil {
-		return 0, 0, err
-	}
+	topo, nw, fl := sc.Params.Topology, sc.NW, sc.FlowSet
 	nw.Run(sim.SlotsFor(60 * time.Second)) // time sync
 
 	// Every flow generates in the same slot, one packet per period: the

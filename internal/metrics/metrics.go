@@ -126,9 +126,12 @@ func (c *Collector) Latencies() []time.Duration {
 // PowerPerPacketMW converts a window's total radio energy and delivered
 // count into the paper's power-per-received-packet metric: the network's
 // average radio power divided by the number of packets it delivered.
+// The metric is undefined for a window that delivered nothing (or has no
+// length); it is 0 then, a value no delivering window yields — its radios
+// spent energy — so a result that encodes it with omitempty leaves it out.
 func PowerPerPacketMW(totalEnergyJoules float64, window time.Duration, deliveredPackets int) float64 {
 	if window <= 0 || deliveredPackets == 0 {
-		return math.Inf(1)
+		return 0
 	}
 	avgPowerMW := totalEnergyJoules / window.Seconds() * 1000
 	return avgPowerMW / float64(deliveredPackets)

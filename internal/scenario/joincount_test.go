@@ -9,6 +9,7 @@ import (
 	"github.com/digs-net/digs/internal/chaos"
 	"github.com/digs-net/digs/internal/controller"
 	"github.com/digs-net/digs/internal/core"
+	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/orchestra"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -208,11 +209,7 @@ func TestJoinedCountKept(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fset, err := sc.Flows(0, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.Drive(fset, 40, 0, nil)
+		sc.Drive(flows.FixedSet(sc.Params.Topology.SuggestedSources, 2*time.Second), 40, 0, nil)
 		sc.NW.SetClockDrift(victims[2], 1.0, 7)
 		step(sc, 5000, "faults")
 		sc.NW.SetClockDrift(victims[2], 0, 0)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 	"time"
 
@@ -217,20 +216,6 @@ func (sc *Scenario) Jam(n int) []int {
 		channels = append(channels, wifiCh)
 	}
 	return channels
-}
-
-// Flows picks a run's flow set: the deployment's suggested sources, or —
-// when n asks for a number, or the deployment suggests none — n random
-// ones (8 by default) drawn from the scenario's seed.
-func (sc *Scenario) Flows(n int, period time.Duration) ([]flows.Flow, error) {
-	topo := sc.Params.Topology
-	if n <= 0 && len(topo.SuggestedSources) > 0 {
-		return flows.FixedSet(topo.SuggestedSources, period), nil
-	}
-	if n <= 0 {
-		n = 8
-	}
-	return flows.RandomSet(topo, n, period, rand.New(rand.NewSource(sc.Params.Seed)))
 }
 
 // Drive schedules one window of periodic traffic from the current slot:

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/chaos"
-	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/invariant"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/sim"
@@ -44,7 +43,7 @@ type Result struct {
 	LatencyP90Ms     float64 `json:"latency_p90_ms"`
 	LatencyP99Ms     float64 `json:"latency_p99_ms"`
 	LatencyMaxMs     float64 `json:"latency_max_ms"`
-	PowerPerPacketMW float64 `json:"power_per_packet_mw"`
+	PowerPerPacketMW float64 `json:"power_per_packet_mw,omitempty"` // left out when nothing was delivered
 	Violations       int     `json:"violations"`
 	Repairs          int     `json:"repairs"`
 }
@@ -142,9 +141,7 @@ type Measurement struct {
 	Result Result
 	// Plan is the fault plan the window ran, nil without one.
 	Plan *chaos.Plan
-	// FlowSet is the driven flows and Collector what they sent and
-	// delivered.
-	FlowSet   []flows.Flow
+	// Collector is what the scenario's flow set sent and delivered.
 	Collector *metrics.Collector
 	// Jammers is the WiFi channel of each jammer switched on, in position
 	// order.
@@ -160,17 +157,17 @@ type Measurement struct {
 // jammers, drives the flows over the window and runs it out with a 15 s
 // drain, reading the energy window around it. A fault plan extends the
 // window to its horizon plus 60 s, deterministically, so recovery is
-// always observed. Of the spec only the window fields are read — Period,
-// Window, Flows, Jammers, Invariants and the plan (PlanName or Plan),
-// defaulted as Canonical does; the deployment, protocol and seed are the
-// scenario's own, whatever the spec's identity fields say.
+// always observed. Of the spec only the window fields are read — Window,
+// Jammers, Invariants and the plan (PlanName or Plan), defaulted as
+// Canonical does; the deployment, protocol, seed and flow set (period
+// included) are the scenario's own, whatever the spec's other fields say.
 //
 // Cancelling ctx abandons the window at the next chunk boundary with
 // ctx.Err().
 func (sc *Scenario) Measure(ctx context.Context, s Spec, tracer telemetry.Tracer) (*Measurement, error) {
 	cs := Spec{
 		Topology: sc.Params.TopologyName, Protocol: sc.Params.Protocol, Seed: sc.Params.Seed,
-		Period: s.Period, Window: s.Window, Flows: s.Flows, Jammers: s.Jammers,
+		Window: s.Window, Jammers: s.Jammers,
 		Invariants: s.Invariants, PlanName: s.PlanName, Plan: s.Plan,
 	}.Canonical()
 	nw := sc.NW
@@ -181,17 +178,13 @@ func (sc *Scenario) Measure(ctx context.Context, s Spec, tracer telemetry.Tracer
 	}
 	m.Jammers = sc.Jam(cs.Jammers)
 
-	window, period := time.Duration(cs.Window), time.Duration(cs.Period)
+	window := time.Duration(cs.Window)
 	if m.Plan != nil {
 		window = max(window, m.Plan.Horizon()+60*time.Second)
 	}
-	if m.FlowSet, err = sc.Flows(cs.Flows, period); err != nil {
-		obs.Close()
-		return nil, err
-	}
 	col := metrics.NewCollector()
 	m.Collector = col
-	sc.Drive(m.FlowSet, int(window/period), 0, col)
+	sc.Drive(sc.FlowSet, int(window/sc.Params.Period), 0, col)
 
 	startEnergy, _ := sc.Energy()
 	startASN := nw.ASN()
@@ -209,7 +202,7 @@ func (sc *Scenario) Measure(ctx context.Context, s Spec, tracer telemetry.Tracer
 	m.Result = Result{
 		WindowSlots:      windowSlots,
 		FinalSlot:        nw.ASN(),
-		Flows:            len(m.FlowSet),
+		Flows:            len(sc.FlowSet),
 		Sent:             col.SentCount(),
 		Delivered:        col.DeliveredCount(),
 		PDR:              col.PDR(),

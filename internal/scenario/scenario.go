@@ -10,6 +10,7 @@ package scenario
 
 import (
 	"fmt"
+	"math/rand"
 	"strconv"
 	"strings"
 	"time"
@@ -20,6 +21,7 @@ import (
 	_ "github.com/digs-net/digs/internal/orchestra"
 	_ "github.com/digs-net/digs/internal/whart"
 
+	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/snapshot"
@@ -93,8 +95,7 @@ type Params struct {
 	// Protocol is a registered stack name (see RegisteredStacks).
 	Protocol string
 	Seed     int64
-	// Period is the per-flow packet period; the WirelessHART central
-	// schedule is dimensioned by it (the other stacks ignore it).
+	// Period is the per-flow packet period of the run's flow set.
 	Period time.Duration
 	// MacBoost multiplies the MAC attempt budget (0 or 1 = default). The
 	// experiment runners give DiGS 3x: it schedules three attempts per
@@ -104,10 +105,9 @@ type Params struct {
 	// either medium. It stays so that specs naming it keep their hashes.
 	Shards int
 	// Flows requests that many random flow sources instead of the
-	// deployment's suggested ones. Only the WirelessHART build consumes it
-	// (the Network Manager needs the flow set up front to dimension its
-	// central schedule); the autonomous stacks take traffic as it comes,
-	// so their flow sets stay a property of the run, not the build.
+	// deployment's suggested ones (see Build for the rule). Build resolves
+	// the flow set once; the WirelessHART Network Manager dimensions its
+	// central schedule by it, and Measure drives it.
 	Flows int
 }
 
@@ -118,6 +118,8 @@ type Params struct {
 type Scenario struct {
 	Params Params
 	NW     *sim.Network
+	// FlowSet is the run's flows, resolved once by Build.
+	FlowSet []flows.Flow
 	stack.Bundle
 }
 
@@ -125,7 +127,10 @@ type Scenario struct {
 func (sc *Scenario) Joined() int { return sc.JoinedCount() }
 
 // Build constructs the scenario: a fresh network with the selected stack
-// attached to every node, not yet stepped.
+// attached to every node, not yet stepped, and the run's flow set — the
+// deployment's suggested sources, or, when p.Flows asks for a number or
+// the deployment suggests none, that many random ones (8 by default)
+// drawn from the seed, all at p.Period.
 func Build(p Params) (*Scenario, error) {
 	if p.Topology == nil {
 		topo, err := PickTopology(p.TopologyName)
@@ -144,6 +149,10 @@ func Build(p Params) (*Scenario, error) {
 	if err != nil {
 		return nil, err
 	}
+	fset, err := flowSet(p)
+	if err != nil {
+		return nil, err
+	}
 	// The medium is a function of the topology alone: equal spec hashes
 	// must mean equal result bytes, and the two media draw their
 	// randomness differently.
@@ -157,11 +166,24 @@ func Build(p Params) (*Scenario, error) {
 	if p.MacBoost > 1 {
 		macCfg.MaxTxPerPacket *= p.MacBoost
 	}
-	net, err := codec.Build(nw, stack.BuildArgs{Seed: p.Seed, Period: p.Period, Flows: p.Flows}, macCfg)
+	net, err := codec.Build(nw, stack.BuildArgs{Seed: p.Seed, Flows: fset}, macCfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Scenario{Params: p, NW: nw, Bundle: net}, nil
+	return &Scenario{Params: p, NW: nw, FlowSet: fset, Bundle: net}, nil
+}
+
+// flowSet is Build's flow-set rule.
+func flowSet(p Params) ([]flows.Flow, error) {
+	topo := p.Topology
+	if p.Flows <= 0 && len(topo.SuggestedSources) > 0 {
+		return flows.FixedSet(topo.SuggestedSources, p.Period), nil
+	}
+	n := p.Flows
+	if n <= 0 {
+		n = 8
+	}
+	return flows.RandomSet(topo, n, p.Period, rand.New(rand.NewSource(p.Seed)))
 }
 
 // BuildFromMeta rebuilds the scenario a snapshot was taken from, using the

@@ -43,8 +43,8 @@ type Spec struct {
 	// Window is the measurement window (default 2m). A fault plan whose
 	// horizon outruns it extends the effective window deterministically.
 	Window Duration `json:"window,omitempty"`
-	// Flows selects random flow sources (0 = the deployment's suggested
-	// sources).
+	// Flows selects that many random flow sources (0 = the deployment's
+	// suggested sources, or 8 random ones where it suggests none).
 	Flows int `json:"flows,omitempty"`
 	// Jammers enables that many WiFi jammers at the deployment's
 	// suggested positions.

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
+	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/wire"
@@ -31,13 +31,12 @@ type Codec struct {
 }
 
 // BuildArgs is what a stack's builder may read beyond the network and the
-// MAC configuration: the seed, and the flow period and random-flow count
-// (0 = the deployment's suggested sources) that only WirelessHART's
-// central schedule is dimensioned by.
+// MAC configuration: the seed, and the run's flow set, resolved once by
+// the caller. Only WirelessHART's central schedule is dimensioned by the
+// flows; the autonomous stacks take traffic as it comes.
 type BuildArgs struct {
-	Seed   int64
-	Period time.Duration
-	Flows  int
+	Seed  int64
+	Flows []flows.Flow
 }
 
 var codecs = map[string]Codec{}

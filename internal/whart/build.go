@@ -1,9 +1,6 @@
 package whart
 
 import (
-	"math/rand"
-
-	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
 	"github.com/digs-net/digs/internal/stack"
@@ -27,28 +24,14 @@ type Network struct {
 	Routes *Routes
 }
 
-// build dimensions the Network Manager's schedule for one flow per source
-// at the arguments' period: the deployment's suggested sources, or, with
-// a flow count, the random flow set a run of the same seed drives. The
-// manager computes the TDMA schedule up front, so a random-flows request
-// changes the build (and its ConfigHash), unlike for the autonomous
-// stacks.
+// build dimensions the Network Manager's schedule for exactly the flows
+// the run drives. The manager computes the TDMA schedule up front, so the
+// flow set is part of the build (and its ConfigHash), unlike for the
+// autonomous stacks.
 func build(nw *sim.Network, a stack.BuildArgs, macCfg mac.Config) (stack.Bundle, error) {
-	topo := nw.Topology()
-	srcs := topo.SuggestedSources
-	if a.Flows > 0 {
-		rf, err := flows.RandomSet(topo, a.Flows, a.Period, rand.New(rand.NewSource(a.Seed)))
-		if err != nil {
-			return nil, err
-		}
-		srcs = nil
-		for _, f := range rf {
-			srcs = append(srcs, f.Source)
-		}
-	}
-	var fl []Flow
-	for i, src := range srcs {
-		fl = append(fl, Flow{ID: uint16(i + 1), Source: src, PeriodSlots: sim.SlotsFor(a.Period)})
+	fl := make([]Flow, len(a.Flows))
+	for i, f := range a.Flows {
+		fl[i] = Flow{ID: f.ID, Source: f.Source, PeriodSlots: sim.SlotsFor(f.Period)}
 	}
 	return Build(nw, fl, macCfg)
 }
