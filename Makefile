@@ -138,6 +138,9 @@ snap-smoke:
 ## did not write). A second spec, WirelessHART on random-150, whose config
 ## hash covers the build-time random flow set, runs cold, then in both
 ## orders, then warm from the first directory (a hit on its own entry).
+## A digs-sim flag run of the first spec's scenario must print that spec's
+## hash and the cold run's result hash, and the canonical spec it prints,
+## piped back into digs-sim -spec -warm, must warm-start to the same bytes.
 CACHE_SMOKE_DIR := $(if $(TMPDIR),$(TMPDIR),/tmp)/digs-cache-smoke
 CACHE_SMOKE_SPEC := {"topology":"testbed-a","protocol":"orchestra","seed":1,"window":"20s"}
 CACHE_SMOKE_SPEC2 := {"topology":"random-150","protocol":"whart","seed":1,"window":"20s"}
@@ -145,7 +148,7 @@ cache-smoke:
 	rm -rf $(CACHE_SMOKE_DIR) && mkdir -p $(CACHE_SMOKE_DIR)
 	$(GO) build -o $(CACHE_SMOKE_DIR)/ ./cmd/digs-bench ./cmd/digs-chaos ./cmd/digs-sim
 	cd $(CACHE_SMOKE_DIR) && ./digs-bench -fig 9 >fig9.cold && ./digs-chaos -plan fig8 >chaos.cold \
-		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - >spec.cold 2>/dev/null \
+		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - >spec.cold 2>spec.cold.err \
 		&& echo '$(CACHE_SMOKE_SPEC2)' | ./digs-sim -spec - >spec2.cold 2>/dev/null
 	cd $(CACHE_SMOKE_DIR) && ./digs-bench -fig 9 -snap-cache d1 >fig9.d1 && ./digs-chaos -plan fig8 -snap-cache d1 >chaos.d1 \
 		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d1 >spec.d1 2>last.d1 \
@@ -154,6 +157,13 @@ cache-smoke:
 		&& echo '$(CACHE_SMOKE_SPEC)' | ./digs-sim -spec - -warm d2 >spec.d2 2>/dev/null \
 		&& ./digs-chaos -plan fig8 -snap-cache d2 >chaos.d2 && ./digs-bench -fig 9 -snap-cache d2 >fig9.d2
 	cd $(CACHE_SMOKE_DIR) && echo '$(CACHE_SMOKE_SPEC2)' | ./digs-sim -spec - -warm d1 >spec2.warm 2>last2.warm
+	cd $(CACHE_SMOKE_DIR) && ./digs-sim -topology testbed-a -protocol orchestra -seed 1 -duration 20s >flag.out 2>flag.err \
+		&& grep '^{' flag.err | ./digs-sim -spec - -warm d1 >flag.d1 2>flag.d1.err
+	cd $(CACHE_SMOKE_DIR) && test "$$(grep '^spec ' flag.err)" = "$$(grep '^spec ' spec.cold.err)" \
+		&& test "$$(grep '^result ' flag.err | cut -d' ' -f2)" = "$$(grep '^result ' spec.cold.err | cut -d' ' -f2)" \
+		&& test "$$(grep '^result ' flag.d1.err | cut -d' ' -f2)" = "$$(grep '^result ' spec.cold.err | cut -d' ' -f2)"
+	grep -q warm_hit=true $(CACHE_SMOKE_DIR)/flag.d1.err
+	cmp $(CACHE_SMOKE_DIR)/spec.cold $(CACHE_SMOKE_DIR)/flag.d1
 	grep -q warm_hit=true $(CACHE_SMOKE_DIR)/last.d1
 	grep -q warm_hit=true $(CACHE_SMOKE_DIR)/last2.warm
 	cd $(CACHE_SMOKE_DIR) && for f in fig9 chaos spec spec2; do cmp $$f.cold $$f.d1 && cmp $$f.cold $$f.d2 || exit 1; done

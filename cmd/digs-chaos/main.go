@@ -45,7 +45,6 @@ import (
 	"github.com/digs-net/digs/internal/snapshot"
 	"github.com/digs-net/digs/internal/stack"
 	"github.com/digs-net/digs/internal/telemetry"
-	"github.com/digs-net/digs/internal/topology"
 )
 
 func main() {
@@ -206,21 +205,22 @@ type faultJSON struct {
 // trace and the recovery windows. With a snapshot cache, formation
 // warm-starts from a cached converged network when one is there and
 // populates the cache when not; the report is bit-identical either way.
-func runPlan(w io.Writer, spec scenario.Spec, topo *topology.Topology, cache *snapshot.Cache,
-	jsonl telemetry.Tracer) (*runResult, error) {
+// It returns the job's result and the name of the deployment it ran on.
+func runPlan(w io.Writer, spec scenario.Spec, cache *snapshot.Cache,
+	jsonl telemetry.Tracer) (*runResult, string, error) {
 	rec := chaos.NewRecovery()
 	res, info, err := scenario.RunSpec(context.Background(), spec,
 		scenario.RunOpts{Tracer: telemetry.Multi(rec, jsonl), Warm: cache})
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	plan := spec.FaultPlan(topo)
+	m := info.Measurement
 	fmt.Fprintf(w, "network formed in %v\n", sim.TimeAt(res.FormationSlots))
-	chaos.WriteReport(w, plan, rec)
-	if info.Invariants != nil {
-		invariant.WriteText(w, *info.Invariants)
+	chaos.WriteReport(w, m.Plan, rec)
+	if m.Invariants != nil {
+		invariant.WriteText(w, *m.Invariants)
 	}
-	return buildResult(res.FormationSlots, plan, rec, info.Invariants), nil
+	return buildResult(res.FormationSlots, m.Plan, rec, m.Invariants), info.Scenario.Params.Topology.Name, nil
 }
 
 // buildResult folds one run into the -json shape.
@@ -257,16 +257,13 @@ func buildResult(formSlots int64, plan *chaos.Plan, rec *chaos.Recovery, inv *in
 type jobOut struct {
 	log    bytes.Buffer
 	result *runResult
+	topo   string // the deployment's name
 }
 
 // runCampaign fans one job per (rep, protocol) over the worker pool; job
 // i records into traces.Tracer(i). It returns the name of the deployment
-// it built for the plan, for the report, with the jobs' outputs.
+// the jobs ran on, for the report, with the jobs' outputs.
 func runCampaign(opts options, traces *telemetry.JobTraces) (string, []*jobOut, error) {
-	topo, err := scenario.PickTopology(opts.topology)
-	if err != nil {
-		return "", nil, err
-	}
 	base, err := scenario.Spec{
 		Topology: opts.topology, Period: scenario.Duration(opts.period),
 		Window: scenario.Duration(opts.duration), Invariants: opts.invariants,
@@ -287,19 +284,22 @@ func runCampaign(opts options, traces *telemetry.JobTraces) (string, []*jobOut, 
 		fmt.Fprintf(&o.log, "=== %s rep %d (seed %d) ===\n", proto, rep, seed)
 		spec := base
 		spec.Protocol, spec.Seed = proto, seed
-		res, err := runPlan(&o.log, spec, topo, cache, traces.Tracer(i))
+		res, topo, err := runPlan(&o.log, spec, cache, traces.Tracer(i))
 		if err != nil {
 			return nil, fmt.Errorf("%s rep %d (seed %d): %w", proto, rep, seed, err)
 		}
 		res.Protocol, res.Rep, res.Seed = proto, rep, seed
-		o.result = res
+		o.result, o.topo = res, topo
 		return o, nil
 	})
 	var pe *campaign.PanicError
 	if errors.As(err, &pe) {
 		return "", nil, fmt.Errorf("job %d panicked: %v\n%s", pe.Job, pe.Value, pe.Stack)
 	}
-	return topo.Name, outs, err
+	if err != nil || len(outs) == 0 {
+		return opts.topology, outs, err
+	}
+	return outs[0].topo, outs, nil
 }
 
 // renderText writes the human-readable campaign report. Nothing in it may

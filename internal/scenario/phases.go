@@ -226,10 +226,11 @@ func (sc *Scenario) Jam(n int) []int {
 // unmeasured priming traffic and leaves the hook alone.
 //
 // A crashed source generates nothing — a dead mote sends no packets, so
-// none are counted lost. That only matters where sources can die: a fault
-// plan naming one, or digs-sim -fail on one. The Figure 11 victims exclude
-// the sources, and the Figure 8 plan crashes only the jammer motes, which
-// every flow set drawn under it excludes.
+// none are counted lost, and a packet falling due in the crash slot is not
+// generated (the plan's events queue before the flows'). That only matters
+// where sources can die: a fault plan naming one (digs-sim -fail is one).
+// The Figure 11 victims exclude the sources, and the Figure 8 plan crashes
+// only the jammer motes, which every flow set drawn under it excludes.
 func (sc *Scenario) Drive(fset []flows.Flow, packets int, seqBase uint16, col *metrics.Collector) {
 	if col != nil {
 		sc.OnDeliver(func(asn sim.ASN, f *sim.Frame) { col.Delivered(f.FlowID, f.Seq, asn) })

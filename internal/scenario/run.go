@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"time"
 
 	"github.com/digs-net/digs/internal/chaos"
@@ -70,9 +71,11 @@ type RunInfo struct {
 	WarmHit bool
 	// Wall is the call's wall-clock duration.
 	Wall time.Duration
-	// Invariants is the invariant monitor's report, nil unless the spec
-	// asked for the monitor. The Result carries only its two totals.
-	Invariants *invariant.Report
+	// Scenario is the run's scenario as the window left it, and
+	// Measurement the window, whose Result the run returned; both nil
+	// when the run failed.
+	Scenario    *Scenario
+	Measurement *Measurement
 }
 
 // RunOpts parameterises RunSpec.
@@ -84,11 +87,54 @@ type RunOpts struct {
 	// Warm, when set, warm-starts the formation phase from this cache
 	// (storing it on a miss). Results are bit-identical either way.
 	Warm *snapshot.Cache
+	// TraceFormation attaches Tracer from the first slot, so the stream
+	// carries the formation too (digs-sim's flag runs; the server never
+	// sets it). Formation then runs cold: setting Warm as well is an error.
+	TraceFormation bool
+}
+
+// FormSpec is RunSpec's first half: it validates the spec, builds the
+// canonical form's scenario, checks an inline fault plan against the
+// deployment before anything runs, and forms it — warm-started from
+// opts.Warm, or traced from the first slot with opts.TraceFormation — to
+// the spec's join fraction within 6 min (30 min on generated plants, whose
+// re-dimensioned frames form slower), then settles it for 30 s.
+func FormSpec(ctx context.Context, s Spec, opts RunOpts) (*Scenario, Formation, error) {
+	if err := s.Validate(); err != nil {
+		return nil, Formation{}, err
+	}
+	if opts.TraceFormation && opts.Warm != nil {
+		return nil, Formation{}, errors.New("a traced formation runs cold: drop the warm-start cache")
+	}
+	cs := s.Canonical()
+	sc, err := Build(cs.Params())
+	if err != nil {
+		return nil, Formation{}, err
+	}
+	if cs.Plan != nil { // the built-in plans are valid on every deployment
+		if err := cs.Plan.Validate(sc.Params.Topology); err != nil {
+			return nil, Formation{}, err
+		}
+	}
+	if opts.TraceFormation {
+		if _, err := sc.Observe(opts.Tracer, false, nil); err != nil {
+			return nil, Formation{}, err
+		}
+	}
+	timeout := 6 * time.Minute
+	if cs.IsGenerated() {
+		timeout = 30 * time.Minute
+	}
+	formed, err := sc.Form(ctx, opts.Warm, cs.JoinFraction, timeout, 30*time.Second)
+	if err != nil {
+		return nil, Formation{}, err
+	}
+	return sc, formed, nil
 }
 
 // RunSpec executes the spec to completion and returns its canonical
-// result: build (or warm-start) the scenario, form the network, then
-// Measure. digs-server, digs-sim -spec and digs-chaos run their jobs
+// result: FormSpec, then Measure, then the identity fields. digs-server,
+// digs-sim (its flags map to a spec) and digs-chaos run their jobs
 // through this one function, which is what makes their results
 // bit-identical.
 //
@@ -101,24 +147,16 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 		info.Wall = time.Since(start)
 		return nil, info, err
 	}
-	if err := s.Validate(); err != nil {
+	sc, formed, err := FormSpec(ctx, s, opts)
+	if err != nil {
 		return fail(err)
 	}
+	info.WarmHit = formed.Warm
 	cs := s.Canonical()
 	specHash, err := cs.Hash()
 	if err != nil {
 		return fail(err)
 	}
-	sc, err := Build(cs.Params())
-	if err != nil {
-		return fail(err)
-	}
-	joinFraction, formTimeout := cs.FormTarget()
-	formed, err := sc.Form(ctx, opts.Warm, joinFraction, formTimeout, 30*time.Second)
-	if err != nil {
-		return fail(err)
-	}
-	info.WarmHit = formed.Warm
 	m, err := sc.Measure(ctx, cs, opts.Tracer)
 	if err != nil {
 		return fail(err)
@@ -128,7 +166,7 @@ func RunSpec(ctx context.Context, s Spec, opts RunOpts) (*Result, RunInfo, error
 	res.Topology, res.Protocol, res.Seed = cs.Topology, cs.Protocol, cs.Seed
 	res.Nodes = sc.Params.Topology.N()
 	res.JoinedAtForm, res.FormationSlots = formed.Joined, formed.Slots
-	info.Invariants = m.Invariants
+	info.Scenario, info.Measurement = sc, m
 	info.Wall = time.Since(start)
 	return res, info, nil
 }
@@ -146,6 +184,9 @@ type Measurement struct {
 	// Jammers is the WiFi channel of each jammer switched on, in position
 	// order.
 	Jammers []int
+	// Window is what the flows were driven over, the drain excluded: the
+	// spec's, or a plan's horizon plus 60 s where that is longer.
+	Window time.Duration
 	// Invariants is the monitor's report, nil unless the spec asked for
 	// the monitor.
 	Invariants *invariant.Report
@@ -171,7 +212,10 @@ func (sc *Scenario) Measure(ctx context.Context, s Spec, tracer telemetry.Tracer
 		Invariants: s.Invariants, PlanName: s.PlanName, Plan: s.Plan,
 	}.Canonical()
 	nw := sc.NW
-	m := &Measurement{Plan: cs.FaultPlan(sc.Params.Topology)}
+	m := &Measurement{Plan: cs.Plan}
+	if cs.PlanName == "fig8" {
+		m.Plan = chaos.Fig8JammerPlan(sc.Params.Topology, cs.Seed)
+	}
 	obs, err := sc.Observe(tracer, cs.Invariants, m.Plan)
 	if err != nil {
 		return nil, err
@@ -182,6 +226,7 @@ func (sc *Scenario) Measure(ctx context.Context, s Spec, tracer telemetry.Tracer
 	if m.Plan != nil {
 		window = max(window, m.Plan.Horizon()+60*time.Second)
 	}
+	m.Window = window
 	col := metrics.NewCollector()
 	m.Collector = col
 	sc.Drive(sc.FlowSet, int(window/sc.Params.Period), 0, col)

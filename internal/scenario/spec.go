@@ -22,9 +22,10 @@ type Duration = chaos.Duration
 // Spec is a complete, JSON-serializable scenario submission: everything
 // needed to run one simulation to completion — deployment, protocol,
 // traffic, interference, fault plan, monitoring — with nothing left to
-// per-CLI wiring. It is the unit of work digs-server accepts and the
-// input digs-sim's -spec mode runs, and both execute it through the same
-// RunSpec, which is what makes server results bit-identical to CLI runs.
+// per-CLI wiring. It is the unit of work digs-server accepts and what
+// digs-sim runs, read from a -spec file or mapped from its flags, and both
+// execute it through the same RunSpec, which is what makes server results
+// bit-identical to CLI runs.
 //
 // Identity is canonical: two specs that differ only in JSON field order,
 // omitted-vs-explicit defaults, or the ignored Shards field are the same
@@ -85,19 +86,6 @@ const (
 
 // IsGenerated reports whether the spec names a procedural gen-* topology.
 func (s Spec) IsGenerated() bool { return strings.HasPrefix(s.Topology, "gen-") }
-
-// FormTarget returns the formation target of the spec's deployment: the
-// joined fraction (JoinFraction, defaulted as in Canonical) and the
-// simulated time allowed to reach it, 6 min, or 30 min on generated
-// plants, whose re-dimensioned frames form slower (core.ScaledConfig
-// widens their timeouts to match).
-func (s Spec) FormTarget() (joinFraction float64, timeout time.Duration) {
-	c := s.Canonical()
-	if c.IsGenerated() {
-		return c.JoinFraction, 30 * time.Minute
-	}
-	return c.JoinFraction, 6 * time.Minute
-}
 
 // GenNodes returns the requested node count for a gen-* topology spec and
 // 0 for named deployments (or malformed specs, which Validate rejects).
@@ -202,15 +190,6 @@ func (s Spec) Hash() (string, error) {
 	}
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// FaultPlan resolves the spec's fault plan on its deployment: the
-// built-in "fig8" plan, the inline plan, or nil for none.
-func (s Spec) FaultPlan(topo *topology.Topology) *chaos.Plan {
-	if s.PlanName == "fig8" {
-		return chaos.Fig8JammerPlan(topo, s.Seed)
-	}
-	return s.Plan
 }
 
 // WithPlan returns the spec with the fault plan a -plan argument names:

@@ -206,3 +206,42 @@ func TestValidateBuildsNothing(t *testing.T) {
 			huge, tiny)
 	}
 }
+
+// TestTraceFormation: RunOpts.TraceFormation puts the formation into the
+// stream and moves no result byte; it runs formation cold, so a warm-start
+// cache beside it is an error. RunInfo carries the formed scenario and the
+// window whose Result the run returned.
+func TestTraceFormation(t *testing.T) {
+	spec := Spec{Topology: "half-testbed-a", Protocol: "orchestra", Seed: 3, Window: Duration(20 * time.Second)}
+	plain, _, err := RunSpec(context.Background(), spec, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace bytes.Buffer
+	traced, info, err := RunSpec(context.Background(), spec,
+		RunOpts{Tracer: telemetry.NewJSONL(&trace), TraceFormation: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := plain.Encode()
+	if got, _ := traced.Encode(); !bytes.Equal(got, want) {
+		t.Errorf("traced formation moved the result:\n%s\n%s", got, want)
+	}
+	if info.Measurement == nil || traced != &info.Measurement.Result || info.Scenario.NW.ASN() != traced.FinalSlot {
+		t.Errorf("RunInfo does not hold the run's window and scenario")
+	}
+	var first struct {
+		ASN int64 `json:"asn"`
+	}
+	if err := json.NewDecoder(&trace).Decode(&first); err != nil {
+		t.Fatal(err)
+	}
+	if epoch := traced.FinalSlot - traced.WindowSlots; first.ASN >= epoch {
+		t.Errorf("first traced event at slot %d, the window starts at %d: formation untraced", first.ASN, epoch)
+	}
+	if _, _, err := RunSpec(context.Background(), spec, RunOpts{
+		TraceFormation: true, Warm: &snapshot.Cache{Dir: t.TempDir()},
+	}); err == nil {
+		t.Error("TraceFormation with a warm-start cache: no error")
+	}
+}
