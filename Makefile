@@ -33,7 +33,8 @@ race:
 ## MAC frames, the DiGS join payloads, telemetry JSONL and the packed
 ## telemetry backlog entry, snapshots, generated
 ## topology names, the server journal and the SSE event stream — and over
-## the capture decision's bounds against the SIR it stands in for (go test
+## the capture decision's bounds against the SIR it stands in for, and
+## over the seeded generator's stream against math/rand's (go test
 ## allows one -fuzz pattern per package invocation).
 FUZZTIME ?= 5s
 fuzz:
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzJournalReplay -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzEventReader -fuzztime=$(FUZZTIME) ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzCaptures -fuzztime=$(FUZZTIME) ./internal/phy
+	$(GO) test -run='^$$' -fuzz=FuzzStreamIdentical -fuzztime=$(FUZZTIME) ./internal/detrand
 
 ## bench-smoke: run the heaviest figure, Fig. 12's 150-node study under
 ## both stacks, once to catch bit-rot without paying for a full campaign.
@@ -189,17 +191,17 @@ cache-smoke:
 ## the cells' lookup hints and the ETX cursor, the loop's own counts,
 ## RunUntil's jump and Form against a slot-by-slot reference, the kept
 ## join count against a walk, the sparse metrics/trace/event-order pins,
-## dense results pinned before the dense medium could nap, the one-goroutine guard, the shared
-## shadowing memo, the ascending-ID neighbour table against a map and its
+## dense results pinned before the dense medium could nap, the one-goroutine guard, the
+## shadowing draws against math/rand's, the ascending-ID neighbour table against a map and its
 ## zero-allocation pins, the DiGS and RPL parent choice, the sdn
 ## controller's graph, paths and configurations and the jammers' channel
 ## bitmasks against their map-based references, and the guard that keeps
 ## map-typed fields off the stacks' slot path) run race-enabled first:
-## one goroutine steps a network, but concurrent
-## builds share the shadowing memo, and a race there must fail here, not
-## as a benchmark digest.
+## one goroutine steps a network, but campaign workers and server jobs
+## build networks concurrently, and a race there must fail here, not as a
+## benchmark digest.
 scale-smoke:
-	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|PRRSaturated|FadeReach|Captures|CellsAgainstMap|Cursor|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowMemo|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields|RunUntilSemantics|FormMatchesSlotBySlot|JoinedCountKept' \
+	$(GO) test -race -run 'Scale|Nap|NextActive|SparseGather|WakeWheel|SchedulerFollowsRouter|SIRdB|PRRSaturated|FadeReach|Captures|CellsAgainstMap|Cursor|StandingScan|AddRepeated|LoopCounts|DenseResultsPinned|OneGoroutine|ShadowDrawOracle|ConcurrentNetworkBuilds|Table|MapReference|NoMapFields|RunUntilSemantics|FormMatchesSlotBySlot|JoinedCountKept' \
 		./internal/sim ./internal/core ./internal/mac ./internal/phy ./internal/rpl ./internal/orchestra \
 		./internal/whart ./internal/controller ./internal/topology ./internal/scenario \
 		./internal/link ./internal/interference

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/core"
+	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/interference"
 	"github.com/digs-net/digs/internal/metrics"
@@ -74,7 +75,7 @@ func run() error {
 	fmt.Println("field network formed")
 
 	// Pick twelve wells to report pressure every 10 s.
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(detrand.New(7))
 	wells, err := flows.RandomSet(topo, 12, 10*time.Second, rng)
 	if err != nil {
 		return err

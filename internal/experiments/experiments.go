@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/digs-net/digs/internal/core"
+	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/metrics"
 	"github.com/digs-net/digs/internal/orchestra"
@@ -145,7 +146,7 @@ type FlowSetOptions struct {
 // would), and returns one result per flow set.
 func runFlowSets(net builtStack, opts FlowSetOptions) ([]FlowSetResult, error) {
 	nw, topo := net.NW, net.Params.Topology
-	rng := rand.New(rand.NewSource(opts.Seed*31 + 7))
+	rng := rand.New(detrand.New(opts.Seed*31 + 7))
 	results := make([]FlowSetResult, 0, opts.FlowSets)
 
 	for set := 0; set < opts.FlowSets; set++ {

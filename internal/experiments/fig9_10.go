@@ -8,6 +8,7 @@ import (
 
 	"github.com/digs-net/digs/internal/campaign"
 	"github.com/digs-net/digs/internal/chaos"
+	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/interference"
 	"github.com/digs-net/digs/internal/metrics"
@@ -112,7 +113,7 @@ func runInterferenceCampaign(proto Protocol, opts InterferenceOptions) ([]FlowSe
 	// leave the pre-jam routes in place and bill the whole adaptation to
 	// the first measured flow set. (On the physical testbeds the flows
 	// run continuously.)
-	primeRng := rand.New(rand.NewSource(opts.Seed*131 + 3))
+	primeRng := rand.New(detrand.New(opts.Seed*131 + 3))
 	for round := 0; round < 3; round++ {
 		prime, err := flows.RandomSet(topo, opts.FlowsPerSet, 5*time.Second, primeRng,
 			topo.SuggestedJammers...)

@@ -21,6 +21,7 @@ import (
 	_ "github.com/digs-net/digs/internal/orchestra"
 	_ "github.com/digs-net/digs/internal/whart"
 
+	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/flows"
 	"github.com/digs-net/digs/internal/mac"
 	"github.com/digs-net/digs/internal/sim"
@@ -183,7 +184,7 @@ func flowSet(p Params) ([]flows.Flow, error) {
 	if n <= 0 {
 		n = 8
 	}
-	return flows.RandomSet(topo, n, p.Period, rand.New(rand.NewSource(p.Seed)))
+	return flows.RandomSet(topo, n, p.Period, rand.New(detrand.New(p.Seed)))
 }
 
 // BuildFromMeta rebuilds the scenario a snapshot was taken from, using the

@@ -709,8 +709,8 @@ func TestScaleSlotLoopZeroAllocs(t *testing.T) {
 
 // TestConcurrentNetworkBuilds: the campaign runner's workers and the
 // server's jobs each build their own network over their own copy of a named
-// testbed, whose shadowing draws come from one process-wide memo; under
-// -race this is that memo's test at the layer that pays for it.
+// testbed; the one thing their shadowing draws share is detrand's seeding
+// tables, written once at package init. Under -race this keeps it so.
 func TestConcurrentNetworkBuilds(t *testing.T) {
 	nets := make([]*Network, 2)
 	var wg sync.WaitGroup

@@ -171,7 +171,7 @@ func genPlant(t *Topology, p GenParams) {
 			Y: h / 2,
 		})
 	}
-	r := rand.New(rand.NewSource(p.Seed))
+	r := rand.New(detrand.New(p.Seed))
 	id := NodeID(p.APs + 1)
 	placed := 0
 	for floor := 0; floor < p.Floors && placed < p.Nodes; floor++ {
@@ -216,7 +216,7 @@ func genCampus(t *Topology, p GenParams) {
 			Y: by + float64(bSide)*p.SpacingM/2,
 		})
 	}
-	r := rand.New(rand.NewSource(p.Seed))
+	r := rand.New(detrand.New(p.Seed))
 	id := NodeID(p.APs + 1)
 	placed := 0
 	for b := 0; b < nb && placed < p.Nodes; b++ {
@@ -243,7 +243,7 @@ func genCampus(t *Topology, p GenParams) {
 // position so contiguous ID ranges stay spatially compact.
 func genField(t *Topology, p GenParams) {
 	side := math.Sqrt(float64(p.Nodes)) * p.SpacingM
-	r := rand.New(rand.NewSource(p.Seed))
+	r := rand.New(detrand.New(p.Seed))
 
 	type rect struct{ x0, y0, x1, y1 float64 }
 	nObs := p.Nodes / 500

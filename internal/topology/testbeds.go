@@ -2,6 +2,8 @@ package topology
 
 import (
 	"math/rand"
+
+	"github.com/digs-net/digs/internal/detrand"
 )
 
 // Radio power used on the indoor testbeds. The physical testbeds run the
@@ -25,7 +27,7 @@ func TestbedA() *Topology {
 		ShadowSigmaDB: 6.0,
 		shadowSeed:    seed,
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(detrand.New(seed))
 	t.Nodes = append(t.Nodes, Node{}) // index 0 unused
 
 	// Access points near the building core. WirelessHART wires all access
@@ -84,7 +86,7 @@ func TestbedB() *Topology {
 		ShadowSigmaDB: 6.0,
 		shadowSeed:    seed,
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(detrand.New(seed))
 	t.Nodes = append(t.Nodes, Node{}) // index 0 unused
 
 	// APs sit at the stairwell core, one per floor, vertically stacked so
@@ -216,7 +218,7 @@ func NewRandom(n int, areaX, areaY float64, seed int64) *Topology {
 		ShadowSigmaDB: 6.0,
 		shadowSeed:    seed,
 	}
-	r := rand.New(rand.NewSource(seed))
+	r := rand.New(detrand.New(seed))
 	t.Nodes = append(t.Nodes, Node{})
 	t.Nodes = append(t.Nodes,
 		Node{ID: 1, X: areaX/2 - areaX/15, Y: areaY / 2, IsAP: true},

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"github.com/digs-net/digs/internal/detrand"
 	"github.com/digs-net/digs/internal/phy"
@@ -60,11 +59,13 @@ type Topology struct {
 	ForceSparse bool
 
 	// FastShadow selects the hash-based shadowing derivation instead of the
-	// per-pair rand.NewSource one. Both are pure symmetric functions of
-	// (shadowSeed, a, b); the hash path avoids allocating a 5 KB generator
-	// state per pair, which dominates sparse builds at 10k+ nodes. The two
-	// paths draw different values, so it is a property of the topology (set
-	// at construction), never toggled later.
+	// per-pair seeded-stream one (the first NormFloat64 of a source seeded
+	// with the pair's seed). Both are pure symmetric functions of
+	// (shadowSeed, a, b), and neither seeds a full generator state per
+	// pair. The flag exists because the two paths draw different values:
+	// the named testbeds and random-N placements keep the stream draw their
+	// results were pinned on, the procedural generators use the hash. It is
+	// a property of the topology (set at construction), never toggled later.
 	FastShadow bool
 
 	shadowSeed int64
@@ -191,42 +192,11 @@ func (t *Topology) shadowing(a, b int) float64 {
 	return shadowDraw(t.shadowSeed*1000003+int64(a)*8191+int64(b)) * t.ShadowSigmaDB
 }
 
-// shadowDraws memoises drawShadow process-wide. The draw is a pure function
-// of the pair seed, and a named testbed's pair seeds are constants of the
-// program, yet every scenario build re-derived all of them — a 607-word
-// generator seeding per pair, a fifth of a paper-scale run. The memo is
-// keyed on the pair seed alone: sigma, transmit power and positions are
-// exported, mutable, and applied after the draw. It stops growing at
-// maxShadowDraws entries (about 2 MB): the five named dense deployments are
-// 13.5k pairs and each 150-node random placement 11k, so figure campaigns
-// over many random seeds fill it and then draw as before.
-var shadowDraws = struct {
-	sync.RWMutex
-	m map[int64]float64
-}{m: make(map[int64]float64)}
-
-const maxShadowDraws = 1 << 16
-
-// drawShadow is the unit-normal shadowing draw of one pair seed.
-func drawShadow(seed int64) float64 {
-	return rand.New(rand.NewSource(seed)).NormFloat64()
-}
-
-// shadowDraw is drawShadow through the memo; safe for concurrent use.
+// shadowDraw is the unit-normal shadowing draw of one pair seed: the first
+// NormFloat64 of math/rand's stream for that seed, which a detrand source
+// computes from the few seeding words it reads.
 func shadowDraw(seed int64) float64 {
-	shadowDraws.RLock()
-	d, ok := shadowDraws.m[seed]
-	shadowDraws.RUnlock()
-	if ok {
-		return d
-	}
-	d = drawShadow(seed)
-	shadowDraws.Lock()
-	if len(shadowDraws.m) < maxShadowDraws {
-		shadowDraws.m[seed] = d
-	}
-	shadowDraws.Unlock()
-	return d
+	return rand.New(detrand.New(seed)).NormFloat64()
 }
 
 // Validate checks structural invariants: contiguous IDs, APs first, and at
